@@ -20,7 +20,7 @@ from typing import Iterable, Protocol, runtime_checkable
 import numpy as np
 
 from repro.config import ReptileConfig
-from repro.hashing.counthash import CountHash
+from repro.hashing.counthash import CountHash, sum_by_key
 from repro.io.records import ReadBlock
 from repro.kmer.bitpack import PackedBlock, pack_block, window_id_matrix
 from repro.kmer.codec import reverse_complement_id
@@ -84,28 +84,67 @@ def block_window_ids_both_strands(
     return np.concatenate([flat, rc])
 
 
+def _block_window_ids(
+    block: ReadBlock, shape: TileShape, count_reverse_complement: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat ``(k-mer ids, tile ids)`` of a block (Step II core).
+
+    The block is bit-packed once; both the k-mer and tile id matrices are
+    extracted from the same packed words.
+    """
+    packed = pack_read_block(block)
+    kids, kvalid = window_id_matrix(packed, shape.k, step=1)
+    tids, tvalid = window_id_matrix(packed, shape.length, step=shape.step)
+    return (
+        block_window_ids_both_strands(
+            kids, kvalid, shape.k, count_reverse_complement
+        ),
+        block_window_ids_both_strands(
+            tids, tvalid, shape.length, count_reverse_complement
+        ),
+    )
+
+
 def accumulate_block(
     spectra: SpectrumPair,
     block: ReadBlock,
     count_reverse_complement: bool = False,
 ) -> None:
-    """Add one read block's k-mers and tiles into the spectra (Step II core).
+    """Add one read block's k-mers and tiles into the spectra."""
+    kmer_ids, tile_ids = _block_window_ids(
+        block, spectra.shape, count_reverse_complement
+    )
+    spectra.kmers.add_counts(kmer_ids)
+    spectra.tiles.add_counts(tile_ids)
 
-    The block is bit-packed once; both the k-mer and tile id matrices are
-    extracted from the same packed words.
+
+def _window_counts(
+    blocks: Iterable[ReadBlock],
+    shape: TileShape,
+    count_reverse_complement: bool,
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Distinct k-mer and tile ids of the blocks with their occurrences.
+
+    Each block contributes one sorted ``np.unique`` run per spectrum;
+    :func:`sum_by_key` merges the runs.
     """
-    shape = spectra.shape
-    packed = pack_read_block(block)
-    kids, kvalid = window_id_matrix(packed, shape.k, step=1)
-    spectra.kmers.add_counts(
-        block_window_ids_both_strands(kids, kvalid, shape.k,
-                                      count_reverse_complement)
-    )
-    tids, tvalid = window_id_matrix(packed, shape.length, step=shape.step)
-    spectra.tiles.add_counts(
-        block_window_ids_both_strands(tids, tvalid, shape.length,
-                                      count_reverse_complement)
-    )
+    # Seeded with an empty run so that no blocks is not a special case.
+    no_windows = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.intp))
+    kmer_runs, tile_runs = [no_windows], [no_windows]
+    for block in blocks:
+        kmer_ids, tile_ids = _block_window_ids(
+            block, shape, count_reverse_complement
+        )
+        kmer_runs.append(np.unique(kmer_ids, return_counts=True))
+        tile_runs.append(np.unique(tile_ids, return_counts=True))
+
+    def merged(runs):
+        return sum_by_key(
+            np.concatenate([keys for keys, _ in runs]),
+            np.concatenate([counts for _, counts in runs]),
+        )
+
+    return merged(kmer_runs), merged(tile_runs)
 
 
 def build_spectra(
@@ -113,18 +152,27 @@ def build_spectra(
     config: ReptileConfig,
     apply_threshold: bool = True,
 ) -> SpectrumPair:
-    """Serial spectrum construction over one or more read blocks."""
+    """Serial spectrum construction over one or more read blocks.
+
+    Count, threshold, insert: windows are counted by sorting, and only
+    the ids that reach the thresholds ever occupy a table slot (most
+    distinct ids are error-induced singletons).
+    """
     if isinstance(blocks, ReadBlock):
         blocks = [blocks]
-    spectra = SpectrumPair(shape=config.tile_shape)
-    for block in blocks:
-        accumulate_block(
-            spectra, block,
-            count_reverse_complement=config.count_reverse_complement,
-        )
-    if apply_threshold:
-        spectra.threshold(config.kmer_threshold, config.tile_threshold)
-    return spectra
+    shape = config.tile_shape
+    kmers, tiles = _window_counts(
+        blocks, shape, config.count_reverse_complement
+    )
+    kmer_min, tile_min = (
+        (config.kmer_threshold, config.tile_threshold)
+        if apply_threshold else (0, 0)
+    )
+    return SpectrumPair(
+        shape=shape,
+        kmers=CountHash.from_counts(*kmers, min_count=kmer_min),
+        tiles=CountHash.from_counts(*tiles, min_count=tile_min),
+    )
 
 
 @runtime_checkable

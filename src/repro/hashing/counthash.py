@@ -6,18 +6,47 @@ arrays or for repeated binary searches."  The table is numpy-backed — a
 single ``(capacity, 2)`` uint64 record array holding ``[key, meta]`` per
 slot, where ``meta`` packs an occupancy bit (bit 63) above the uint32 count —
 so batch inserts and lookups are vectorized across whole reads or whole
-incoming messages, and the memory footprint is exactly measurable
+incoming messages, one probing round costs a single 16-byte row gather per
+key, and the memory footprint is exactly measurable
 (:attr:`CountHash.nbytes`), which the paper's per-rank memory figures rely
-on.  The record layout means one probing round costs a single 16-byte row
-gather per key instead of three scattered reads (key, count, occupancy in
-separate arrays) — the correction phase is lookup-bound, and those gathers
-are its cache-miss budget.
+on.  Capacity is a power of two holding at most 0.60 load.
 
-Probing is linear with a splitmix64-mixed home slot.  Batch operations
-resolve collisions round-by-round on the shrinking unresolved subset — the
-first round runs unindexed over the full batch (nearly every probe resolves
-immediately at sane load factors), later rounds touch only survivors — so
-cost is O(rounds) numpy passes rather than O(n) Python iterations.
+**The slot hash is not the owner hash.**  Ownership is
+``splitmix64(key) % nranks`` (:func:`~repro.hashing.inthash.mix_to_rank`),
+and a rank's shard holds exactly the keys of one residue.  A home slot taken
+from the same mixer (``splitmix64(key) & (capacity - 1)``) would, for a
+power-of-two rank count P, use one home slot in P: every owned key shares
+its low ``log2 P`` hash bits, so clusters — and probes per lookup — grow
+with the number of ranks, the opposite of what sharding is for.  The home
+slot is therefore the *high* bits of an unrelated, shorter multiplicative
+mix (:meth:`CountHash._home`, five numpy passes against splitmix64's ten).
+Both functions are bijections of the key, so neither loses information; they
+just share none.  :attr:`CountHash.mean_displacement` is the diagnostic the
+regression test reads.
+
+**Bulk placement.**  Probing is linear.  Whenever distinct keys enter an
+*empty* table — the first :meth:`~CountHash.add_counts`, a growth rehash,
+:meth:`~CountHash.filter_below`, :meth:`~CountHash.from_counts` — they are
+placed all at once: sort by home slot, and the ``i``-th key of that order
+lands at ``i + max_{j <= i}(home_j - j)``, i.e. at its home or directly
+behind its predecessor, whichever is later.  That is exactly the layout
+inserting the keys one by one in home order would produce, so the linear-
+probing invariant holds by construction: every slot from a key's home up to
+its position is occupied.  The few keys pushed past the last slot wrap to
+the front of the table through the incremental path.
+
+**The incremental path** runs only for adds into a non-empty table (the
+choice is ``len(self) == 0``, nothing else): keys probe round by round on
+the shrinking unresolved subset; keys racing for one free slot all write
+their claim and the one whose key the slot then holds has won, the others
+advance.
+
+**Lookups** probe the home slot of the whole batch unindexed — one row
+gather and a dozen elementwise passes, where most keys resolve at this
+load — and then only the survivors, a window of consecutive slots at a
+time (a hit anywhere in the window stands, because no free slot can lie
+between a key's home and its entry).  Either way the cost is O(rounds)
+numpy passes, never O(n) Python iterations.
 """
 
 from __future__ import annotations
@@ -25,15 +54,29 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import HashTableError
-from repro.hashing.inthash import splitmix64
 
 _MIN_CAPACITY = 64
 _MAX_LOAD = 0.60
+#: Bulk placement packs (home slot, key index) into one uint64 to sort.
+_MAX_CAPACITY = 1 << 32
 
 #: Bit 63 of ``meta``: slot occupied.  The count lives in the low 32 bits.
 _PRESENT = np.uint64(1) << np.uint64(63)
 _COUNT_MASK = np.uint64(0xFFFFFFFF)
 _COUNT_MAX = np.uint64(np.iinfo(np.uint32).max)
+
+#: Slot-hash multipliers (odd, so each step is a bijection of uint64).
+_M1 = np.uint64(0x9E3779B97F4A7C15)
+_M2 = np.uint64(0xD6E8FEB86659FD93)
+_S32 = np.uint64(32)
+
+#: A lookup round after the first examines a window of consecutive slots
+#: per unresolved key: as wide as possible while the round gathers at most
+#: _WINDOW_ROWS table rows.  Small batches are bound by the number of numpy
+#: passes, which a window divides; large ones by the rows gathered, which
+#: it multiplies — so those step slot by slot.
+_WINDOW_STEPS = np.arange(1, 9, dtype=np.int64)
+_WINDOW_ROWS = 4096
 
 
 def _next_pow2(n: int) -> int:
@@ -41,6 +84,47 @@ def _next_pow2(n: int) -> int:
     while p < n:
         p <<= 1
     return p
+
+
+def _capacity_for(size: int) -> int:
+    """Smallest legal capacity holding ``size`` entries at the load bound."""
+    return _next_pow2(max(_MIN_CAPACITY, int(size / _MAX_LOAD) + 1))
+
+
+def _per_key_counts(keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``counts`` as a contiguous uint64 array aligned with ``keys``."""
+    counts = np.ascontiguousarray(counts, dtype=np.uint64)
+    if counts.shape != keys.shape:
+        raise HashTableError(
+            f"counts shape {counts.shape} != keys shape {keys.shape}"
+        )
+    return counts
+
+
+def sum_by_key(
+    keys: np.ndarray, counts: np.ndarray | int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys (ascending) and the uint64 sum of their counts.
+
+    ``counts`` is per key or one scalar for every occurrence.  Keys that
+    already are distinct and ascending — ``np.unique`` output, which is
+    what caches and merges hand in — are returned as they came, unsorted
+    input pays one sort.
+    """
+    scalar = np.ndim(counts) == 0
+    if not scalar:
+        counts = _per_key_counts(keys, counts)
+    if (keys[1:] > keys[:-1]).all():
+        if scalar:
+            counts = np.full(keys.shape, int(counts), dtype=np.uint64)
+        return keys, counts
+    if scalar:
+        uniq, occurrences = np.unique(keys, return_counts=True)
+        return uniq, occurrences.astype(np.uint64) * np.uint64(int(counts))
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.concatenate(([True], keys[1:] != keys[:-1])).nonzero()[0]
+    return keys[starts], np.add.reduceat(counts[order], starts)
 
 
 class CountHash:
@@ -53,16 +137,41 @@ class CountHash:
         grows automatically; pre-sizing only avoids rehashes.
     """
 
-    __slots__ = ("_table", "_size", "_mask")
+    __slots__ = ("_table", "_size", "_mask", "_shift")
 
     def __init__(self, capacity: int = _MIN_CAPACITY) -> None:
         cap = _next_pow2(max(int(capacity), _MIN_CAPACITY))
         self._alloc(cap)
 
     def _alloc(self, cap: int) -> None:
+        if cap > _MAX_CAPACITY:
+            raise HashTableError(
+                f"capacity {cap} exceeds the {_MAX_CAPACITY}-slot limit"
+            )
         self._table = np.zeros((cap, 2), dtype=np.uint64)
         self._size = 0
-        self._mask = np.uint64(cap - 1)
+        self._mask = cap - 1
+        self._shift = np.uint64(64 - (cap.bit_length() - 1))
+
+    @classmethod
+    def from_counts(
+        cls, keys: np.ndarray, counts: np.ndarray, min_count: int = 0
+    ) -> "CountHash":
+        """Table of the *distinct* ``keys`` whose count reaches ``min_count``.
+
+        Count → threshold → insert: entries below ``min_count`` never occupy
+        a slot, and the table is sized for the survivors — the capacity a
+        fresh table is left with after ``add_counts(keys, counts)`` and
+        ``filter_below(min_count)``.  Counts saturate at the uint32 maximum.
+        """
+        keys = np.ascontiguousarray(keys, dtype=np.uint64)
+        counts = _per_key_counts(keys, counts)
+        if min_count > 0:
+            keep = counts >= np.uint64(min_count)
+            keys, counts = keys[keep], counts[keep]
+        table = cls(_capacity_for(keys.shape[0]))
+        table._place(keys, np.minimum(counts, _COUNT_MAX))
+        return table
 
     # ------------------------------------------------------------------
     # introspection
@@ -85,28 +194,33 @@ class CountHash:
         """Bytes held by the backing array (the rank memory-footprint unit)."""
         return self._table.nbytes
 
-    def __contains__(self, key: int) -> bool:
-        return self._find_slot(int(key)) is not None
+    @property
+    def mean_displacement(self) -> float:
+        """Mean distance of an entry from its home slot (0.0 when empty).
 
-    def _find_slot(self, key: int) -> int | None:
-        """Slot index of ``key`` or None; scalar path for __contains__/get."""
-        mask = int(self._mask)
-        slot = int(splitmix64(np.uint64(key))) & mask
-        for _ in range(self.capacity):
-            k, meta = self._table[slot]
-            if not int(meta) >> 63:
-                return None
-            if int(k) == int(key):
-                return slot
-            slot = (slot + 1) & mask
-        return None
+        A successful lookup costs ``1 + displacement`` probes, so this is
+        the table's clustering in one number — a diagnostic, not a setting.
+        """
+        if self._size == 0:
+            return 0.0
+        at = np.flatnonzero(self._table[:, 1] >= _PRESENT)
+        return float(((at - self._home(self._table[at, 0])) & self._mask).mean())
+
+    def __contains__(self, key: int) -> bool:
+        return bool(self.contains(np.array([key], dtype=np.uint64))[0])
 
     def get(self, key: int, default: int = 0) -> int:
         """Count stored for ``key`` (``default`` when absent)."""
-        slot = self._find_slot(int(key))
-        if slot is None:
-            return default
-        return int(self._table[slot, 1] & _COUNT_MASK)
+        counts, found = self.lookup_found(np.array([key], dtype=np.uint64))
+        return int(counts[0]) if found[0] else default
+
+    def _home(self, keys: np.ndarray) -> np.ndarray:
+        """Home slot per key: the high bits of a two-multiply mix (int64)."""
+        h = keys * _M1
+        h ^= h >> _S32
+        h *= _M2
+        h >>= self._shift
+        return h.view(np.int64)
 
     # ------------------------------------------------------------------
     # batch mutation
@@ -121,19 +235,11 @@ class CountHash:
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         if keys.size == 0:
             return
-        if np.isscalar(counts) or np.asarray(counts).ndim == 0:
-            uniq, inv_counts = np.unique(keys, return_counts=True)
-            add = inv_counts.astype(np.uint64) * np.uint64(int(counts))
-        else:
-            counts = np.ascontiguousarray(counts, dtype=np.uint64)
-            if counts.shape != keys.shape:
-                raise HashTableError(
-                    f"counts shape {counts.shape} != keys shape {keys.shape}"
-                )
-            uniq, inverse = np.unique(keys, return_inverse=True)
-            add = np.zeros(uniq.shape[0], dtype=np.uint64)
-            np.add.at(add, inverse, counts)
+        uniq, add = sum_by_key(keys, counts)
         self._reserve(self._size + uniq.shape[0])
+        if self._size == 0:
+            self._place(uniq, np.minimum(add, _COUNT_MAX))
+            return
         slots = self._locate_for_insert(uniq)
         # Saturating add into the 32-bit count field.
         total = (self._table[slots, 1] & _COUNT_MASK) + add
@@ -145,54 +251,82 @@ class CountHash:
         self.add_counts(keys, 1)
 
     def _reserve(self, projected_size: int) -> None:
-        needed = int(projected_size / _MAX_LOAD) + 1
+        needed = _capacity_for(projected_size)
         if needed > self.capacity:
-            self._grow(_next_pow2(needed))
+            self._rebuild(needed, *self.items())
 
-    def _grow(self, new_cap: int) -> None:
-        old_keys, old_counts = self.items()
-        self._alloc(new_cap)
-        if old_keys.size:
-            slots = self._locate_for_insert(old_keys)
-            self._table[slots, 1] = _PRESENT | old_counts.astype(np.uint64)
+    def _rebuild(self, cap: int, keys: np.ndarray, counts: np.ndarray) -> None:
+        """Become a ``cap``-slot table of exactly these distinct entries."""
+        self._alloc(cap)
+        self._place(keys, counts.astype(np.uint64))
+
+    def _place(self, keys: np.ndarray, counts: np.ndarray) -> None:
+        """Bulk-place distinct keys (counts <= uint32 max) into the empty table.
+
+        One sort by home slot; see the module docstring for the invariant.
+        """
+        n = keys.shape[0]
+        if n == 0:
+            return
+        index_bits = np.uint64(n.bit_length())
+        packed = self._home(keys).view(np.uint64)
+        packed <<= index_bits
+        packed |= np.arange(n, dtype=np.uint64)
+        packed.sort()
+        order = (packed & ((np.uint64(1) << index_bits) - np.uint64(1))).view(np.int64)
+        packed >>= index_bits
+        pos = packed.view(np.int64)  # home slots, ascending
+        ramp = np.arange(n, dtype=np.int64)
+        pos -= ramp
+        np.maximum.accumulate(pos, out=pos)
+        pos += ramp
+        # pos is strictly increasing: the keys that fit are a prefix.
+        fit = int(np.searchsorted(pos, self.capacity))
+        rows = np.empty((n, 2), dtype=np.uint64)
+        rows[:, 0] = keys[order]
+        rows[:, 1] = counts[order]
+        rows[:, 1] |= _PRESENT
+        self._table[pos[:fit]] = rows[:fit]
+        self._size = fit
+        if fit < n:
+            # Every slot from these keys' homes to the end is now taken;
+            # they wrap to the front like any later insert would.
+            slots = self._locate_for_insert(rows[fit:, 0])
+            self._table[slots, 1] = rows[fit:, 1]
 
     def _locate_for_insert(self, uniq: np.ndarray) -> np.ndarray:
-        """Slot for each unique key, claiming free slots for new keys.
+        """Slot for each distinct key, claiming free slots for new keys.
 
-        Distinct new keys racing for the same free slot are arbitrated per
-        probing round: the first claims it, the rest advance.
+        Per probing round every key at a free slot writes its claim; the
+        slot keeps one of them (the keys are distinct, so reading it back
+        names the winner) and the rest advance with the keys that met a
+        foreign entry.  New slots are left with a zero count.
         """
-        n = uniq.shape[0]
-        result = np.empty(n, dtype=np.int64)
-        slots = (splitmix64(uniq) & self._mask).astype(np.int64)
-        pending = np.arange(n, dtype=np.int64)
-        mask = int(self._mask)
+        table = self._table
+        mask = self._mask
+        result = self._home(uniq)
+        slots, keys, pending = result, uniq, None
         rounds = 0
-        while pending.size:
+        while True:
             rounds += 1
             if rounds > self.capacity + 1:
                 raise HashTableError("probe loop exceeded capacity (table full)")
-            s = slots[pending]
-            rec = self._table[s]
-            occ = rec[:, 1] >= _PRESENT
-            matched = occ & (rec[:, 0] == uniq[pending])
-            resolved = matched.copy()
-            result[pending[matched]] = s[matched]
-            free_idx = np.nonzero(~occ)[0]
-            if free_idx.size:
-                fslots = s[free_idx]
-                _, first = np.unique(fslots, return_index=True)
-                winners = free_idx[first]
-                wslots = s[winners]
-                self._table[wslots, 0] = uniq[pending[winners]]
-                self._table[wslots, 1] = _PRESENT
-                self._size += winners.shape[0]
-                result[pending[winners]] = wslots
-                resolved[winners] = True
-            rem = ~resolved
-            slots[pending[rem]] = (s[rem] + 1) & mask
-            pending = pending[rem]
-        return result
+            free = table[slots, 1] < _PRESENT
+            if free.any():
+                claimed = slots[free]
+                table[claimed, 0] = keys[free]
+                table[claimed, 1] = _PRESENT
+                self._size += int(
+                    np.count_nonzero(table[claimed, 0] == keys[free])
+                )
+            # Every probed slot is occupied now; it is ours iff it holds us.
+            lost = (table[slots, 0] != keys).nonzero()[0]
+            if lost.size == 0:
+                return result
+            slots = (slots[lost] + 1) & mask
+            keys = keys[lost]
+            pending = lost if pending is None else pending[lost]
+            result[pending] = slots
 
     # ------------------------------------------------------------------
     # batch queries
@@ -202,42 +336,57 @@ class CountHash:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Shared probe core: ``(counts, found)`` per key.
 
-        Round 1 runs unindexed over the whole batch — one row gather plus
-        elementwise compares; subsequent rounds narrow to the unresolved
-        remainder.
+        Round 1 reads every key's home slot, unindexed over the whole
+        batch — one row gather plus elementwise compares; subsequent
+        rounds read a window of slots per key of the unresolved remainder.
         """
-        flat = self._table.reshape(-1)
-        slots = (splitmix64(keys) & self._mask).astype(np.int64)
-        idx = slots << 1
-        k = flat.take(idx, mode="clip")
-        meta = flat.take(idx + 1, mode="clip")
+        table = self._table
+        slots = self._home(keys)
+        rec = table.take(slots, axis=0)
+        meta = rec[:, 1]
         occ = meta >= _PRESENT
-        matched = occ & (k == keys)
-        # Round 1 covers the whole batch unindexed: nearly every probe
-        # lands here, so it's full-array passes, no fancy writes.  The
-        # uint32 truncation of meta is the count; multiplying by the
-        # match mask zeroes misses in one pass.
-        found = matched
+        found = rec[:, 0] == keys
+        found &= occ
+        # The uint32 truncation of meta is the count; multiplying by the
+        # match mask zeroes the foreign entries in one pass.
         out = meta.astype(np.uint32)
-        out *= matched
-        # matched is a subset of occ, so xor is the unresolved remainder.
-        pending = np.flatnonzero(occ ^ matched)
-        mask = int(self._mask)
-        rounds = 1
+        out *= found
+        # found is a subset of occ, so xor is the unresolved remainder.
+        occ ^= found
+        pending = occ.nonzero()[0]
+        if pending.size == 0:
+            return out, found
+        mask = self._mask
+        slots = slots[pending]
+        keys = keys[pending]
+        probed = 1
         while pending.size:
-            rounds += 1
-            if rounds > self.capacity + 1:
+            steps = _WINDOW_STEPS[: max(1, _WINDOW_ROWS // pending.size)]
+            probed += steps.size
+            if probed > self.capacity + steps.size:
                 raise HashTableError("lookup probe loop exceeded capacity")
-            s = (slots[pending] + 1) & mask
-            slots[pending] = s
-            idx = s << 1
-            meta = flat.take(idx + 1, mode="clip")
+            # One row of `at` per step, so the reductions below run along
+            # contiguous memory.
+            at = slots + steps[:, None]
+            at &= mask
+            rec = table.take(at, axis=0)
+            meta = rec[..., 1]
             occ = meta >= _PRESENT
-            matched = occ & (flat.take(idx, mode="clip") == keys[pending])
-            hit = pending[matched]
-            out[hit] = meta[matched].astype(np.uint32)
-            found[hit] = True
-            pending = pending[occ ^ matched]
+            hit = rec[..., 0] == keys
+            hit &= occ
+            # No free slot lies between a key's home and its entry, so a
+            # hit anywhere in the window stands (and there is at most
+            # one: summing picks it); only a fully occupied window
+            # without a hit leaves its key unresolved.
+            got = hit.any(axis=0)
+            out[pending] = (meta * hit).sum(axis=0)  # truncates to the count
+            found[pending] = got
+            more = occ.all(axis=0)
+            more &= ~got
+            pending = pending[more]
+            slots = slots[more]
+            slots += steps.size
+            keys = keys[more]
         return out, found
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
@@ -268,9 +417,9 @@ class CountHash:
         return self._probe(keys)
 
     def contains(self, keys: np.ndarray) -> np.ndarray:
-        """Boolean membership per key (count may legitimately be 0 only for
-        keys never inserted, so membership equals lookup > 0 except for keys
-        inserted with zero count — which :meth:`add_counts` never produces)."""
+        """Boolean membership per key (a key inserted with count 0 is
+        present — the read tables and the chunk cache store "globally
+        absent" that way)."""
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         if keys.size == 0 or self._size == 0:
             return np.zeros(keys.shape[0], dtype=bool)
@@ -281,11 +430,8 @@ class CountHash:
     # ------------------------------------------------------------------
     def items(self) -> tuple[np.ndarray, np.ndarray]:
         """Copies of all (keys, counts), in unspecified order."""
-        used = self._table[:, 1] >= _PRESENT
-        return (
-            self._table[used, 0].copy(),
-            (self._table[used, 1] & _COUNT_MASK).astype(np.uint32),
-        )
+        used = self._table[self._table[:, 1] >= _PRESENT]
+        return used[:, 0].copy(), used[:, 1].astype(np.uint32)
 
     def filter_below(self, threshold: int) -> int:
         """Drop every entry with count < ``threshold``; returns #removed.
@@ -296,14 +442,10 @@ class CountHash:
         """
         keys, counts = self.items()
         keep = counts >= np.uint32(threshold)
-        removed = int((~keep).sum())
-        if removed == 0:
-            return 0
-        kept_keys, kept_counts = keys[keep], counts[keep]
-        self._alloc(_next_pow2(max(_MIN_CAPACITY, int(kept_keys.size / _MAX_LOAD) + 1)))
-        if kept_keys.size:
-            slots = self._locate_for_insert(kept_keys)
-            self._table[slots, 1] = _PRESENT | kept_counts.astype(np.uint64)
+        removed = keys.shape[0] - int(np.count_nonzero(keep))
+        if removed:
+            keys = keys[keep]
+            self._rebuild(_capacity_for(keys.shape[0]), keys, counts[keep])
         return removed
 
     def clear(self) -> None:
@@ -321,4 +463,5 @@ class CountHash:
         dup._table = self._table.copy()
         dup._size = self._size
         dup._mask = self._mask
+        dup._shift = self._shift
         return dup

@@ -1,10 +1,11 @@
 """Integer hash mixers.
 
 K-mer and tile ids are highly structured (low entropy in low bits for
-repetitive genomes), so both table bucketing and rank ownership pass ids
-through a finalizing mixer first.  We use the splitmix64 finalizer — the same
-construction used by ``std::hash``-quality implementations — vectorized over
-uint64 arrays.
+repetitive genomes), so rank ownership passes ids through a finalizing mixer
+first.  We use the splitmix64 finalizer — the same construction used by
+``std::hash``-quality implementations — vectorized over uint64 arrays.
+(:class:`~repro.hashing.counthash.CountHash` buckets with its own mix, which
+must stay independent of this one.)
 """
 
 from __future__ import annotations

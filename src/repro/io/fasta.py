@@ -65,43 +65,55 @@ def read_fasta(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
         yield from _parse_records(fh, str(path))
 
 
-def read_fasta_range(
-    path: str | os.PathLike, start: int, end: int
-) -> Iterator[tuple[int, str]]:
-    """Iterate records whose header byte lies in ``[start, end)``.
+def range_records(
+    path: str | os.PathLike, start: int, end: int, what: str
+) -> Iterator[tuple[int, list[str]]]:
+    """``(sequence_number, body lines)`` of the records whose header byte
+    lies in ``[start, end)`` of a fasta-shaped file (``what`` names the
+    format in errors).
 
     ``start`` must already be aligned to a record boundary (the ``>`` of a
     header) or be 0; use :func:`repro.io.partition.align_to_record`.  A
     record whose header starts before ``end`` is yielded entirely even if its
     body extends past ``end`` — the next rank's range starts at the next
-    header, so records are assigned to exactly one rank.
+    header, so records are assigned to exactly one rank.  Offsets are byte
+    offsets, advanced by the length of each line read.
     """
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "rb") as fh:
         fh.seek(start)
+        pos = start
         name: int | None = None
-        parts: list[str] = []
-        while True:
-            pos = fh.tell()
-            line = fh.readline()
-            if not line:
-                break
-            stripped = line.rstrip("\r\n")
-            if stripped.startswith(">"):
+        body: list[str] = []
+        for raw in fh:
+            line = raw.decode("ascii").rstrip("\r\n")
+            if line.startswith(">"):
                 if name is not None:
-                    yield name, "".join(parts)
+                    yield name, body
                     name = None
                 if pos >= end:
                     return
-                token = stripped[1:].split()[0] if len(stripped) > 1 else ""
+                token = line[1:].split()[0] if len(line) > 1 else ""
                 try:
                     name = int(token)
                 except ValueError:
                     raise FileFormatError(
-                        f"fasta record name {token!r} is not a sequence number",
+                        f"{what} record name {token!r} is not a sequence number",
                         path=str(path),
                     ) from None
-                parts = []
+                body = []
             elif name is not None:
-                parts.append(stripped)
+                body.append(line)
+            pos += len(raw)
         if name is not None:
-            yield name, "".join(parts)
+            yield name, body
+
+
+def read_fasta_range(
+    path: str | os.PathLike, start: int, end: int
+) -> Iterator[tuple[int, str]]:
+    """Iterate the reads whose header byte lies in ``[start, end)``.
+
+    See :func:`range_records` for the range contract.
+    """
+    for name, body in range_records(path, start, end, "fasta"):
+        yield name, "".join(body)

@@ -123,35 +123,47 @@ def _quality_for_ids(
     Starts from the rank's aligned byte range of the quality file and widens
     the window (previous/next ranges) until every wanted sequence number is
     found — mirroring the paper's resynchronization by sequence number.
+    Each widening scans only the bytes it adds, and a scan stops at the
+    last wanted record, so no record is parsed twice.
     """
     size = os.path.getsize(qual_path)
     ranges = partition_fasta(qual_path, nranks)
-    lo_rank = hi_rank = rank
-    start, end = ranges[rank]
-    found: dict[int, np.ndarray] = {}
     wanted = set(wanted_ids)
-    while True:
-        found.clear()
-        for rid, scores in read_quality_range(qual_path, start, end):
+    first, last = min(wanted), max(wanted)
+    found: dict[int, np.ndarray] = {}
+
+    def scan(lo: int, hi: int) -> None:
+        if len(found) == len(wanted):
+            return
+        for rid, scores in read_quality_range(qual_path, lo, hi):
             if rid in wanted:
                 found[rid] = scores
-        if len(found) == len(wanted):
-            break
+                if len(found) == len(wanted):
+                    return
+
+    lo_rank = hi_rank = rank
+    start, end = ranges[rank]
+    scan(start, end)
+    while len(found) < len(wanted):
         widened = False
-        if min(wanted) not in found and lo_rank > 0:
+        if first not in found and lo_rank > 0:
             lo_rank -= 1
+            scan(ranges[lo_rank][0], start)
             start = ranges[lo_rank][0]
             widened = True
-        if max(wanted) not in found and hi_rank < nranks - 1:
+        if last not in found and hi_rank < nranks - 1:
             hi_rank += 1
+            scan(end, ranges[hi_rank][1])
             end = ranges[hi_rank][1]
             widened = True
         if not widened:
-            if start == 0 and end == size:
+            # Neither end explains the gap: look everywhere else, once.
+            scan(0, start)
+            scan(end, size)
+            if len(found) < len(wanted):
                 missing = sorted(wanted - set(found))[:5]
                 raise FileFormatError(
                     f"quality file lacks sequence numbers {missing}...",
                     path=str(qual_path),
                 )
-            start, end = 0, size
     return [found[rid] for rid in wanted_ids]

@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.errors import FileFormatError
+from repro.io.fasta import range_records
 
 
 def write_quality(
@@ -44,35 +45,8 @@ def read_quality_range(
 
     Same contract as :func:`repro.io.fasta.read_fasta_range`.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        fh.seek(start)
-        name: int | None = None
-        rows: list[str] = []
-        while True:
-            pos = fh.tell()
-            line = fh.readline()
-            if not line:
-                break
-            stripped = line.rstrip("\r\n")
-            if stripped.startswith(">"):
-                if name is not None:
-                    yield name, _parse_scores(rows, str(path))
-                    name = None
-                if pos >= end:
-                    return
-                token = stripped[1:].split()[0] if len(stripped) > 1 else ""
-                try:
-                    name = int(token)
-                except ValueError:
-                    raise FileFormatError(
-                        f"quality record name {token!r} is not a sequence number",
-                        path=str(path),
-                    ) from None
-                rows = []
-            elif name is not None and stripped:
-                rows.append(stripped)
-        if name is not None:
-            yield name, _parse_scores(rows, str(path))
+    for name, rows in range_records(path, start, end, "quality"):
+        yield name, _parse_scores(rows, str(path))
 
 
 def _parse_scores(rows: list[str], path: str) -> np.ndarray:

@@ -35,7 +35,7 @@ from repro.hashing.counthash import CountHash
 from repro.hashing.inthash import mix_to_rank
 from repro.io.records import ReadBlock
 from repro.kmer.tiles import TileShape
-from repro.parallel.exchange import fetch_global_counts
+from repro.parallel.exchange import add_packed, fetch_global_counts
 from repro.parallel.heuristics import HeuristicConfig
 from repro.simmpi.communicator import Communicator
 from repro.util.timer import PhaseTimer
@@ -231,11 +231,10 @@ def _allgather_into(comm: Communicator, table: CountHash) -> None:
     keys, counts = table.items()
     payload = np.concatenate([keys, counts.astype(np.uint64)])
     everyone = comm.allgather(payload)
-    for source, buf in enumerate(everyone):
-        if source == comm.rank:
-            continue
-        m = buf.shape[0] // 2
-        table.add_counts(buf[:m], buf[m:])
+    # Shards are disjoint and `everyone` includes this rank's own, so the
+    # union is rebuilt from empty — one bulk placement, no probing.
+    table.clear()
+    add_packed(table, everyone)
 
 
 def _group_gather(group_comm, table: CountHash) -> CountHash:
@@ -246,9 +245,6 @@ def _group_gather(group_comm, table: CountHash) -> CountHash:
     """
     keys, counts = table.items()
     payload = np.concatenate([keys, counts.astype(np.uint64)])
-    gathered = group_comm.allgather(payload)
     merged = CountHash()
-    for buf in gathered:
-        m = buf.shape[0] // 2
-        merged.add_counts(buf[:m], buf[m:])
+    add_packed(merged, group_comm.allgather(payload))
     return merged

@@ -50,37 +50,30 @@ def unpack_pairs(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return buf[:m], buf[m:]
 
 
-def exchange_counts(
-    comm: Communicator, table: CountHash, target: CountHash
-) -> int:
-    """Send every (key, count) of ``table`` to its owner; merge arrivals.
+def add_packed(target: CountHash, bufs: list[np.ndarray]) -> int:
+    """Merge packed (keys, counts) buffers into ``target``; returns #pairs.
 
-    This is the Step III ``MPI_Alltoallv``: afterwards ``target`` (the
-    rank's owned table) holds contributions from every rank for the keys
-    this rank owns.  Returns the number of key/count pairs received.
+    One ``add_counts`` over the concatenation, not one per buffer: a key
+    that several senders contribute is summed first and probed once.
     """
-    keys, counts = table.items()
-    sendbufs = bucket_by_owner(keys, counts.astype(np.uint64), comm.size)
-    received = comm.alltoallv(sendbufs)
-    total = 0
-    for buf in received:
-        rkeys, rcounts = unpack_pairs(buf)
-        target.add_counts(rkeys, rcounts)
-        total += rkeys.shape[0]
-    return total
+    pairs = [unpack_pairs(buf) for buf in bufs]
+    keys = np.concatenate([k for k, _ in pairs])
+    target.add_counts(keys, np.concatenate([c for _, c in pairs]))
+    return int(keys.shape[0])
 
 
 def exchange_deltas(
     comm: Communicator, table: CountHash, target: CountHash
 ) -> int:
-    """The session DELTA exchange: route count deltas to their owners.
+    """Send every (key, count) of ``table`` to its owner; merge arrivals.
 
-    Identical wire pattern to :func:`exchange_counts` — one alltoallv,
-    keys+counts packed per destination — so a one-shot session build
-    moves exactly the frames a classic Step III build would.  Because
-    the exchange rides the collective tags, it is automatically reliable
-    under a :class:`~repro.faults.FaultPlan` (collectives never drop).
-    On top of the exchange it keeps the session ledger: every call bumps
+    This is the Step III ``MPI_Alltoallv`` — keys+counts packed per
+    destination — run as the session DELTA exchange: afterwards
+    ``target`` (the rank's owned table) holds contributions from every
+    rank for the keys this rank owns.  Because the exchange rides the
+    collective tags, it is automatically reliable under a
+    :class:`~repro.faults.FaultPlan` (collectives never drop).  It also
+    keeps the session ledger: every call bumps
     ``session_delta_exchanges`` and charges the payload bytes routed to
     *other* ranks to ``session_delta_bytes``.  Returns the number of
     key/count pairs received.
@@ -92,13 +85,7 @@ def exchange_deltas(
         "session_delta_bytes",
         sum(int(b.nbytes) for d, b in enumerate(sendbufs) if d != comm.rank),
     )
-    received = comm.alltoallv(sendbufs)
-    total = 0
-    for buf in received:
-        rkeys, rcounts = unpack_pairs(buf)
-        target.add_counts(rkeys, rcounts)
-        total += rkeys.shape[0]
-    return total
+    return add_packed(target, comm.alltoallv(sendbufs))
 
 
 def fetch_global_counts(

@@ -392,19 +392,25 @@ class CorrectionSession:
         config = self.config
         heuristics = self.heuristics
         with timer.phase("kmer_construction"):
+            # Owners hold true global counts; apply the thresholds.
             if self.retain_raw:
                 serving = RankSpectra(
-                    shape=self._shape, rank=comm.rank, nranks=comm.size
+                    shape=self._shape, rank=comm.rank, nranks=comm.size,
+                    kmers=CountHash.from_counts(
+                        *self.raw_kmers.items(),
+                        min_count=config.kmer_threshold,
+                    ),
+                    tiles=CountHash.from_counts(
+                        *self.raw_tiles.items(),
+                        min_count=config.tile_threshold,
+                    ),
                 )
-                serving.kmers = self.raw_kmers.copy()
-                serving.tiles = self.raw_tiles.copy()
             else:
                 serving = self.spectra
                 self._sealed = True
+                serving.kmers.filter_below(config.kmer_threshold)
+                serving.tiles.filter_below(config.tile_threshold)
             serving.peak_construction_bytes = self._peak
-            # Owners hold true global counts; apply the thresholds.
-            serving.kmers.filter_below(config.kmer_threshold)
-            serving.tiles.filter_below(config.tile_threshold)
             if heuristics.read_kmers:
                 serving.reads_kmers = fetch_read_table(
                     comm, self._read_kmer_keys, serving.kmers

@@ -221,3 +221,154 @@ class TestAgainstDictReference:
         assert len(h) == len(kept)
         for k, c in kept.items():
             assert h.get(k) == c
+
+
+def _as_dict(table: CountHash) -> dict[int, int]:
+    keys, counts = table.items()
+    return dict(zip(keys.tolist(), counts.tolist()))
+
+
+def _keys_homed_at_the_end(capacity: int, last: int, want: int) -> list[int]:
+    """Keys whose home slot is one of the ``last`` slots of a table."""
+    candidates = np.random.default_rng(5).integers(
+        0, 2**63, 200_000, dtype=np.uint64
+    )
+    homes = CountHash(capacity)._home(candidates)
+    return candidates[homes >= capacity - last][:want].tolist()
+
+
+#: Enough keys homed in the last 3 of 64 slots that placement must wrap.
+TAIL_KEYS = _keys_homed_at_the_end(64, 3, 30)
+
+entries_strategy = st.dictionaries(
+    st.one_of(
+        st.sampled_from([0, 2**64 - 1, 2**63] + TAIL_KEYS),
+        st.integers(min_value=0, max_value=2**64 - 1),
+    ),
+    # Counts reach past the uint32 maximum, where the table saturates.
+    st.one_of(st.integers(0, 6), st.integers(2**32 - 3, 2**33)),
+    max_size=120,
+)
+
+
+class TestBulkPlacementAgainstIncremental:
+    """One kernel, two ways in: distinct keys placed at once by the sort,
+    or arriving in batches through the claim loop.  Both must be the dict."""
+
+    @given(entries_strategy, st.integers(1, 7), st.lists(
+        st.integers(0, 2**64 - 1), max_size=30))
+    @settings(max_examples=120, deadline=None)
+    def test_bulk_incremental_and_dict_agree(self, entries, batches, absent):
+        keys = np.array(list(entries), dtype=np.uint64)
+        counts = np.array(list(entries.values()), dtype=np.uint64)
+        ref = {k: min(c, 2**32 - 1) for k, c in entries.items()}
+
+        bulk = CountHash.from_counts(keys, counts)
+        one_add = CountHash()
+        one_add.add_counts(keys, counts)
+        incremental = CountHash()
+        for part in np.array_split(np.arange(keys.size), batches):
+            incremental.add_counts(keys[part], counts[part])
+
+        query = np.array(
+            list(entries) + absent + [0, 2**64 - 1] + TAIL_KEYS,
+            dtype=np.uint64,
+        )
+        want_counts = [ref.get(k, 0) for k in query.tolist()]
+        want_found = [k in ref for k in query.tolist()]
+        for table in (bulk, one_add, incremental):
+            assert len(table) == len(ref)
+            assert table.load_factor <= 0.60 + 1e-9
+            assert _as_dict(table) == ref
+            assert table.lookup(query).tolist() == want_counts
+            got_counts, got_found = table.lookup_found(query)
+            assert got_counts.tolist() == want_counts
+            assert got_found.tolist() == want_found
+            assert table.contains(query).tolist() == want_found
+
+    def test_placement_wraps_past_the_last_slot(self):
+        """Ten keys homed in the last three slots cannot all sit there."""
+        keys = np.array(TAIL_KEYS[:10], dtype=np.uint64)
+        table = CountHash.from_counts(keys, np.arange(1, 11, dtype=np.uint64))
+        assert table.capacity == 64
+        assert table.lookup(keys).tolist() == list(range(1, 11))
+        # Wrapped entries sit at the front, a long way round from home.
+        assert table.mean_displacement > 1.0
+        assert not table.contains(
+            np.array(TAIL_KEYS[10:], dtype=np.uint64)
+        ).any()
+
+    def test_saturation_is_the_same_both_ways(self):
+        top = np.iinfo(np.uint32).max
+        keys = np.array([3, 4], dtype=np.uint64)
+        bulk = CountHash.from_counts(keys, np.array([2**40, 1], np.uint64))
+        grown = CountHash()
+        grown.add_counts(keys[:1], top - 1)
+        grown.add_counts(keys, np.array([5, 1], dtype=np.uint64))
+        assert bulk.lookup(keys).tolist() == [top, 1]
+        assert grown.lookup(keys).tolist() == [top, 1]
+
+
+class TestFromCounts:
+    @given(
+        st.dictionaries(
+            st.integers(0, 2**64 - 1), st.integers(1, 9), max_size=400
+        ),
+        st.integers(0, 10),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_add_then_filter(self, entries, min_count):
+        """Count → threshold → insert leaves what insert → filter leaves,
+        capacity included — also when the threshold removes nothing."""
+        keys = np.array(list(entries), dtype=np.uint64)
+        counts = np.array(list(entries.values()), dtype=np.uint64)
+        direct = CountHash.from_counts(keys, counts, min_count=min_count)
+        filtered = CountHash()
+        filtered.add_counts(keys, counts)
+        filtered.filter_below(min_count)
+        assert _as_dict(direct) == _as_dict(filtered)
+        assert len(direct) == len(filtered)
+        assert direct.capacity == filtered.capacity
+        assert direct.nbytes == filtered.nbytes
+
+    def test_nothing_removed_keeps_the_add_capacity(self):
+        keys = np.arange(1000, dtype=np.uint64)
+        counts = np.full(1000, 7, dtype=np.uint64)
+        direct = CountHash.from_counts(keys, counts, min_count=7)
+        added = CountHash()
+        added.add_counts(keys, counts)
+        assert added.filter_below(7) == 0
+        assert len(direct) == 1000
+        assert direct.capacity == added.capacity
+
+    def test_shape_mismatch(self):
+        with pytest.raises(HashTableError):
+            CountHash.from_counts(
+                np.array([1, 2], np.uint64), np.array([1], np.uint64)
+            )
+
+
+class TestSlotHashIndependentOfOwnerHash:
+    """A rank's shard holds one residue of ``mix_to_rank``.  If the home
+    slot shared bits with that hash, a shard would use one home slot in P
+    and cluster; it must probe like any table of its size."""
+
+    @pytest.mark.parametrize("nranks", [2, 8, 64])
+    def test_shard_displacement_matches_unsharded(self, nranks):
+        from repro.hashing.inthash import mix_to_rank
+
+        rng = np.random.default_rng(17)
+        pool = np.unique(
+            rng.integers(0, 2**40, 9_000 * nranks, dtype=np.uint64)
+        )
+        shard_keys = pool[mix_to_rank(pool, nranks) == nranks - 1]
+        plain_keys = rng.choice(pool, shard_keys.size, replace=False)
+        shard, plain = CountHash(), CountHash()
+        shard.add_counts(shard_keys)
+        plain.add_counts(plain_keys)
+        assert shard.capacity == plain.capacity  # equal load
+        assert plain.mean_displacement > 0.0
+        assert shard.mean_displacement <= 1.25 * plain.mean_displacement
+
+    def test_displacement_of_an_empty_table(self):
+        assert CountHash().mean_displacement == 0.0

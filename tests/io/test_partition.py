@@ -116,3 +116,89 @@ class TestLoadRankBlock:
         fa, qual, seqs, _ = file_pair
         block = load_rank_block(fa, qual, 1, 0)
         assert len(block) == 60
+
+
+class TestQualityScannedOnce:
+    """Step I lines the two files up by sequence number; however far the
+    quality window has to widen, each record is parsed at most once."""
+
+    N_READS = 240
+
+    @pytest.fixture
+    def skewed_pair(self, tmp_path):
+        """Uniform fasta records, quality records short–long–short, so a
+        rank's quality byte range starts late in the first part of the
+        file (low straddle) and ends early in the last (high straddle)."""
+        n = self.N_READS
+        seqs = ["ACGT" * 10] * n
+        quals = [
+            [40 if n // 3 <= i < 2 * n // 3 else 7] * 40 for i in range(n)
+        ]
+        fa, qual = tmp_path / "r.fa", tmp_path / "r.qual"
+        write_fasta(fa, seqs)
+        write_quality(qual, quals)
+        return fa, qual, quals
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """Sequence numbers of the quality records parsed, in order."""
+        from repro.io import partition
+
+        seen: list[int] = []
+        real = partition.read_quality_range
+
+        def counting(path, start, end):
+            for rid, scores in real(path, start, end):
+                seen.append(rid)
+                yield rid, scores
+
+        monkeypatch.setattr(partition, "read_quality_range", counting)
+        return seen
+
+    @pytest.mark.parametrize("nranks", [1, 2, 8, 17])
+    def test_no_record_parsed_twice(self, skewed_pair, parsed, nranks):
+        from repro.io.quality import read_quality_range
+
+        fa, qual, quals = skewed_pair
+        low = high = 0
+        loaded = []
+        for rank in range(nranks):
+            del parsed[:]
+            block = load_rank_block(fa, qual, nranks, rank)
+            assert len(parsed) == len(set(parsed))
+            ids = block.ids.tolist()
+            loaded.extend(ids)
+            for i, rid in enumerate(ids):
+                assert block.quals[i, :40].tolist() == quals[rid - 1]
+            # Which boundaries did this rank's reads straddle?
+            start, end = partition_fasta(qual, nranks)[rank]
+            own = [rid for rid, _ in read_quality_range(qual, start, end)]
+            if ids and own:
+                low += ids[0] < own[0]
+                high += ids[-1] > own[-1]
+        assert loaded == list(range(1, self.N_READS + 1))
+        # Two ranks share one boundary, which is off in one direction.
+        if nranks == 2:
+            assert low or high
+        if nranks > 2:
+            assert low and high
+
+    def test_missing_sequence_number_still_raises(self, skewed_pair, parsed):
+        from repro.errors import FileFormatError
+
+        fa, qual, quals = skewed_pair
+        lines = qual.read_text().splitlines(keepends=True)
+        gone = 2 * 100  # record 101: header + row
+        qual.write_text("".join(lines[:gone] + lines[gone + 2:]))
+        raised = 0
+        for rank in range(8):
+            del parsed[:]
+            try:
+                block = load_rank_block(fa, qual, 8, rank)
+            except FileFormatError as exc:
+                assert "lacks sequence numbers [101]" in str(exc)
+                raised += 1
+            else:
+                assert 101 not in block.ids.tolist()
+            assert len(parsed) == len(set(parsed))
+        assert raised == 1

@@ -7,7 +7,7 @@ from repro.hashing.counthash import CountHash
 from repro.hashing.inthash import mix_to_rank
 from repro.parallel.exchange import (
     bucket_by_owner,
-    exchange_counts,
+    exchange_deltas,
     fetch_global_counts,
     unpack_pairs,
 )
@@ -53,7 +53,7 @@ class TestExchangeCounts:
             keys = np.arange(50, dtype=np.uint64)
             local.add_counts(keys, np.full(50, comm.rank + 1, dtype=np.uint64))
             owned = CountHash()
-            received = exchange_counts(comm, local, owned)
+            received = exchange_deltas(comm, local, owned)
             got_keys, got_counts = owned.items()
             assert (mix_to_rank(got_keys, comm.size) == comm.rank).all()
             expected = sum(r + 1 for r in range(comm.size))
@@ -69,7 +69,7 @@ class TestExchangeCounts:
             keys = np.arange(comm.rank * 20, (comm.rank + 1) * 20, dtype=np.uint64)
             local.add_counts(keys)
             owned = CountHash()
-            exchange_counts(comm, local, owned)
+            exchange_deltas(comm, local, owned)
             return owned.items()
 
         res = run_spmd(prog, 3, engine="cooperative")
