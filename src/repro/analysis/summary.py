@@ -34,7 +34,9 @@ COLLECTIVE_METHODS = frozenset(
      "reduce", "split"}
 )
 SEND_METHODS = frozenset({"send", "isend"})
-RECV_METHODS = frozenset({"recv", "irecv", "iprobe"})
+#: ``take_ready`` is the non-blocking, non-yielding receive: it removes
+#: the message it returns, so the tag and peer rules treat it as one.
+RECV_METHODS = frozenset({"recv", "irecv", "iprobe", "take_ready"})
 
 #: ndarray methods that mutate in place (MPI005, MPI011).
 INPLACE_METHODS = frozenset(

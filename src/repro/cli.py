@@ -344,6 +344,12 @@ def cmd_correct(args: argparse.Namespace) -> int:
                   f"{totals.get(f'lookup_{tier}_hits'):>12,d} "
                   f"{totals.get(f'lookup_{tier}_misses'):>12,d} "
                   f"{totals.get(f'lookup_{tier}_bytes'):>14,d}")
+        from repro.parallel.report import serving_summary
+
+        serving = serving_summary(totals)
+        print(f"{'served':>12} {serving['requests_served']:>12,d} requests in "
+              f"{serving['serve_probes']:,d} table probes "
+              f"(mean batch {serving['mean_batch']:.2f})")
         _print_session_row(totals)
     return 0
 

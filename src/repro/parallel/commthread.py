@@ -12,7 +12,9 @@ from the owned tables, routes count responses to the worker thread through
 a queue, and participates in the DONE/SHUTDOWN handshake.  It exposes the
 same ``request_counts``/``finish`` surface as the pump-based
 :class:`~repro.parallel.server.CorrectionProtocol`, so the distributed
-spectrum view works unchanged on top of either.
+spectrum view works unchanged on top of either — and it shares that
+module's request and bulk-serve routines: the two endpoints differ only
+in who waits for the responses and on which thread requests are served.
 
 Only the free-running :class:`~repro.simmpi.engine.ThreadedEngine` can
 host it — the cooperative engine's determinism depends on one thread per
@@ -23,16 +25,18 @@ from __future__ import annotations
 
 import queue
 import threading
+from functools import partial
 
 import numpy as np
 
 from repro.errors import CommunicatorError
 from repro.hashing.counthash import CountHash
-from repro.parallel.lookup.routing import (
-    KIND_KMER,
-    KIND_TILE,
-    ShardServer,
-    partition_by_dest,
+from repro.parallel.lookup.routing import ShardServer
+from repro.parallel.server import (
+    is_request,
+    request_by_owner,
+    send_request,
+    serve_queued,
 )
 from repro.simmpi.communicator import Communicator
 from repro.simmpi.message import ANY_SOURCE, ANY_TAG, Message, Tags
@@ -99,58 +103,26 @@ class CommThreadProtocol:
     ) -> np.ndarray:
         """Global counts for foreign ids; blocks on the response queue
         while the communication thread keeps serving."""
-        ids = np.ascontiguousarray(ids, dtype=np.uint64)
-        if ids.size == 0:
-            return np.empty(0, dtype=np.uint32)
-        if self._done_sent:
+        if self._done_sent and np.size(ids):
             raise CommunicatorError("request_counts after finish()")
-        # Mirrors CorrectionProtocol: counts synchronous round trips so
-        # the prefetch engine's no-blocking guarantee can be asserted.
-        self.comm.stats.bump("blocking_request_counts")
-        order, boundaries = partition_by_dest(owners, self.comm.size)
-        sorted_ids = ids[order]
-        pending: set[int] = set()
-        for dest in range(self.comm.size):
-            lo, hi = boundaries[dest], boundaries[dest + 1]
-            if lo == hi:
-                continue
-            if dest == self.comm.rank:
-                raise CommunicatorError("request_counts given locally-owned ids")
-            chunk = sorted_ids[lo:hi]
-            if self.universal:
-                payload = np.concatenate(
-                    [np.array([kind], dtype=np.uint64), chunk]
-                )
-                self.comm.send(dest, payload, tag=Tags.UNIVERSAL_REQUEST)
-            else:
-                tag = Tags.KMER_REQUEST if kind == KIND_KMER else Tags.TILE_REQUEST
-                self.comm.send(dest, chunk, tag=tag)
-            pending.add(dest)
+        send = partial(send_request, self.comm, self.universal, kind)
+        return request_by_owner(self.comm, ids, owners, send, self._collect)
 
+    def _collect(self, asked: set[int]) -> dict[int, np.ndarray]:
+        """Block on the response queue until every owner answered."""
         received: dict[int, np.ndarray] = {}
-        while pending:
+        while asked - received.keys():
             self._check_failure()
             try:
                 msg = self._responses.get(timeout=RESPONSE_TIMEOUT)
             except queue.Empty:
                 raise CommunicatorError(
                     f"rank {self.comm.rank} waited more than "
-                    f"{RESPONSE_TIMEOUT}s for count responses from {pending}"
+                    f"{RESPONSE_TIMEOUT}s for count responses from "
+                    f"{asked - received.keys()}"
                 ) from None
             received[msg.source] = np.asarray(msg.payload, np.uint32)
-            pending.discard(msg.source)
-
-        assembled = np.empty(ids.shape[0], dtype=np.uint32)
-        at = 0
-        for dest in sorted(received):
-            resp = received[dest]
-            assembled[at : at + resp.shape[0]] = resp
-            at += resp.shape[0]
-        if at != ids.shape[0]:
-            raise CommunicatorError("response length mismatch")
-        out = np.empty_like(assembled)
-        out[order] = assembled
-        return out
+        return received
 
     def finish(self) -> None:
         """Announce completion; wait for the communication thread to see
@@ -184,13 +156,8 @@ class CommThreadProtocol:
 
     def _dispatch(self, msg: Message) -> None:
         tag = msg.tag
-        if tag == Tags.UNIVERSAL_REQUEST:
-            payload = np.asarray(msg.payload, dtype=np.uint64)
-            self._serve(msg.source, int(payload[0]), payload[1:])
-        elif tag == Tags.KMER_REQUEST:
-            self._serve(msg.source, KIND_KMER, np.asarray(msg.payload, np.uint64))
-        elif tag == Tags.TILE_REQUEST:
-            self._serve(msg.source, KIND_TILE, np.asarray(msg.payload, np.uint64))
+        if is_request(msg):
+            serve_queued(self.comm, self.shards, msg)
         elif tag == Tags.COUNT_RESPONSE:
             self._responses.put(msg)
         elif tag == Tags.WORKER_DONE:
@@ -210,12 +177,3 @@ class CommThreadProtocol:
             raise CommunicatorError(
                 f"unexpected tag {tag} on the communication thread"
             )
-
-    def _serve(self, source: int, kind: int, ids: np.ndarray) -> None:
-        counts = self.shards.lookup(kind, ids)
-        self.comm.send(source, counts, tag=Tags.COUNT_RESPONSE)
-        self.comm.stats.bump("requests_served")
-        self.comm.stats.bump(
-            "kmer_ids_served" if kind == KIND_KMER else "tile_ids_served",
-            int(ids.shape[0]),
-        )

@@ -37,14 +37,23 @@ def _unpack_blocks(parts: list[tuple], width: int) -> ReadBlock:
     return ReadBlock.concat(blocks)
 
 
-def redistribute_reads(comm: Communicator, block: ReadBlock) -> ReadBlock:
+def redistribute_reads(
+    comm: Communicator, block: ReadBlock, parts: int | None = None, first: int = 0
+) -> ReadBlock:
     """Exchange reads so each rank holds exactly the reads it owns.
 
     Collective.  Read order within a rank follows source-rank order, which
     is deterministic; sequence numbers travel with the reads, so output
     files can be re-sorted afterwards.
+
+    By default every rank owns reads (``hash % np``).  A caller whose
+    block is too small to be worth cutting ``np`` ways names the window
+    of owners instead: the ``parts`` ranks starting at ``first``
+    (wrapping), with ``hash % parts`` choosing among them.
     """
-    owners = sequence_owner(block, comm.size)
+    if parts is None:
+        parts = comm.size
+    owners = (sequence_owner(block, parts) + first) % comm.size
     order = np.argsort(owners, kind="stable")
     boundaries = np.searchsorted(owners[order], np.arange(comm.size + 1))
     chunks = []

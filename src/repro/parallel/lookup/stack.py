@@ -80,6 +80,16 @@ class LookupStack:
         self.kind = kind
         self.tiers: tuple[LookupTier, ...] = tuple(tiers)
         self.comm = comm
+        # Counter names, built once: resolve() runs per lookup batch.
+        self._lookups_counter = f"{kind}_lookups"
+        self._local_counter = f"local_{kind}_lookups"
+        self._tier_counters = tuple(
+            tuple(
+                f"lookup_{t.name}_{what}"
+                for what in ("requests", "hits", "misses", "bytes")
+            )
+            for t in self.tiers
+        )
         self._cache_index = next(
             (
                 i
@@ -134,7 +144,7 @@ class LookupStack:
         ids = np.ascontiguousarray(ids, dtype=np.uint64)
         stats = self.comm.stats
         if record_stats:
-            stats.bump(f"{self.kind}_lookups", int(ids.size))
+            stats.bump(self._lookups_counter, int(ids.size))
         req = Resolution(
             ids=ids,
             counts=np.zeros(ids.shape[0], dtype=np.uint32),
@@ -156,10 +166,11 @@ class LookupStack:
                 req.resolved_by[newly] = index
                 req.unresolved &= ~newly
             if record_stats:
-                stats.bump(f"lookup_{tier.name}_requests", presented)
-                stats.bump(f"lookup_{tier.name}_hits", hits)
-                stats.bump(f"lookup_{tier.name}_misses", presented - hits)
-                stats.bump(f"lookup_{tier.name}_bytes", BYTES_PER_HIT * hits)
+                requests, hit, miss, nbytes = self._tier_counters[index]
+                stats.bump(requests, presented)
+                stats.bump(hit, hits)
+                stats.bump(miss, presented - hits)
+                stats.bump(nbytes, BYTES_PER_HIT * hits)
         return req
 
     def counts(
@@ -177,13 +188,14 @@ class LookupStack:
             if record_stats:
                 stats = self.comm.stats
                 n = int(ids.size)
-                stats.bump(f"{self.kind}_lookups", n)
+                stats.bump(self._lookups_counter, n)
                 if n:
-                    stats.bump(f"local_{self.kind}_lookups", n)
-                    stats.bump(f"lookup_{tier.name}_requests", n)
-                    stats.bump(f"lookup_{tier.name}_hits", n)
-                    stats.bump(f"lookup_{tier.name}_misses", 0)
-                    stats.bump(f"lookup_{tier.name}_bytes", BYTES_PER_HIT * n)
+                    requests, hit, miss, nbytes = self._tier_counters[0]
+                    stats.bump(self._local_counter, n)
+                    stats.bump(requests, n)
+                    stats.bump(hit, n)
+                    stats.bump(miss, 0)
+                    stats.bump(nbytes, BYTES_PER_HIT * n)
             return out
         return self.resolve(ids, record_stats=record_stats).counts
 
@@ -262,7 +274,6 @@ def compile_stacks(
                         kind,
                         kind_code,
                         protocol,
-                        comm.size,
                         timer,
                         write_back=write_back,
                     )

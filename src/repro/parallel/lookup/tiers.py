@@ -285,14 +285,12 @@ class RemoteFetchTier(LookupTier):
         kind: str,
         kind_code: int,
         protocol: RemoteProtocol,
-        size: int,
         timer: PhaseTimer,
         write_back: CountHash | None = None,
     ) -> None:
         super().__init__(kind)
         self.kind_code = kind_code
         self.protocol = protocol
-        self.size = size
         self.timer = timer
         #: Reads table to cache fetched counts into (the *add remote
         #: lookups* heuristic), or None.
@@ -307,18 +305,17 @@ class RemoteFetchTier(LookupTier):
             stats.bump(f"remote_{self.kind}_lookups", int(remote_ids.size))
         # Duplicates within a lookup batch would travel repeatedly; send
         # each distinct id once and scatter the answer back.
-        uniq, inverse = np.unique(remote_ids, return_inverse=True)
+        uniq, first, inverse = np.unique(
+            remote_ids, return_index=True, return_inverse=True
+        )
         if record_stats:
             stats.bump(
                 f"remote_{self.kind}_ids_deduped",
                 int(remote_ids.size - uniq.size),
             )
-        uniq_owners = np.asarray(
-            mix_to_rank(uniq, self.size), dtype=np.int64
-        )
         start = time.perf_counter()
         fetched = self.protocol.request_counts(
-            self.kind_code, uniq, uniq_owners
+            self.kind_code, uniq, req.owners[idx[first]]
         )
         self.timer.add(f"comm_{self.kind}", time.perf_counter() - start)
         req.counts[idx] = fetched[inverse]

@@ -23,6 +23,18 @@ from repro.simmpi.instrument import (
 )
 
 
+def serving_summary(total) -> dict[str, float]:
+    """``requests_served`` / ``serve_probes`` and their ratio, from a
+    fleet-total :class:`~repro.simmpi.instrument.CommStats`."""
+    served = total.get("requests_served")
+    probes = total.get("serve_probes")
+    return {
+        "requests_served": served,
+        "serve_probes": probes,
+        "mean_batch": round(served / probes, 3) if probes else 0.0,
+    }
+
+
 def run_report(result: ParallelRunResult) -> dict[str, Any]:
     """A JSON-serializable summary of a distributed run."""
     heur = result.heuristics
@@ -103,6 +115,11 @@ def run_report(result: ParallelRunResult) -> dict[str, Any]:
                 }
                 for tier in TIER_NAMES
             },
+            # The serving side of the remote tier: count requests this
+            # fleet answered and the table probes that took — a serve
+            # turn answers every queued request with one probe per
+            # kind, so the mean batch is requests per probe.
+            "serving": serving_summary(total),
         },
         # The whole prefetch_* counter family (hits, misses, dedup,
         # fetches, messages, replans, served) summed over ranks.

@@ -23,11 +23,21 @@ In **universal** mode a request carries its kind (k-mer vs tile) inside
 the payload under a single tag, so the receiver never probes for the tag
 ("makes the call to MPI_Probe unwarranted"); in the base mode the receiver
 probes first, then receives by the probed tag.
+
+Serving is **bulk**: a turn that receives a request also takes every
+request already delivered (:meth:`Communicator.take_ready`, which never
+blocks and never yields), probes the table once per kind for all of
+them, and answers each requester with its own frame
+(:func:`serve_queued`).  The request half — partition by owner, send,
+reassemble — is :func:`request_by_owner`; the pump endpoint here and
+the two-thread endpoint in :mod:`repro.parallel.commthread` share both.
 """
 
 from __future__ import annotations
 
 import time
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -42,6 +52,135 @@ from repro.parallel.lookup.routing import (
 )
 from repro.simmpi.communicator import Communicator
 from repro.simmpi.message import ANY_SOURCE, ANY_TAG, Message, Tags
+
+
+#: A request's tag -> the tags a serve turn drains along with it (what
+#: the same clients may have queued beside it).
+_SERVED_WITH = {
+    Tags.UNIVERSAL_REQUEST: (Tags.UNIVERSAL_REQUEST,),
+    Tags.KMER_REQUEST: (Tags.KMER_REQUEST, Tags.TILE_REQUEST),
+    Tags.TILE_REQUEST: (Tags.KMER_REQUEST, Tags.TILE_REQUEST),
+    Tags.RESILIENT_REQUEST: (Tags.RESILIENT_REQUEST,),
+}
+
+
+def is_request(msg: Message) -> bool:
+    """Is this a Step IV count request (to be answered by :func:`serve_queued`)?"""
+    return msg.tag in _SERVED_WITH
+
+
+def send_request(
+    comm: Communicator, universal: bool, kind: int, dest: int, ids: np.ndarray
+) -> None:
+    """One fault-free count request, in the mode's framing."""
+    if universal:
+        payload = np.concatenate([np.array([kind], dtype=np.uint64), ids])
+        comm.send(dest, payload, tag=Tags.UNIVERSAL_REQUEST)
+    else:
+        tag = Tags.KMER_REQUEST if kind == KIND_KMER else Tags.TILE_REQUEST
+        comm.send(dest, ids, tag=tag)
+
+
+def request_by_owner(
+    comm: Communicator,
+    ids: np.ndarray,
+    owners: np.ndarray,
+    send: Callable[[int, np.ndarray], None],
+    collect: Callable[[set[int]], dict[int, np.ndarray]],
+) -> np.ndarray:
+    """The client half of a lookup round: counts aligned with ``ids``.
+
+    ``send(owner, chunk)`` ships one owner's ids; ``collect(asked)``
+    waits however the endpoint waits and returns owner -> counts for
+    every owner asked.  Owners answer in the order their ids were sent,
+    so reassembly is a concatenation in owner order, then the inverse
+    of the partitioning sort.
+    """
+    ids = np.ascontiguousarray(ids, dtype=np.uint64)
+    if ids.size == 0:
+        return np.empty(0, dtype=np.uint32)
+    # Every synchronous round trip is accounted: the prefetch engine's
+    # zero-mid-correction-messaging guarantee is asserted on this.
+    comm.stats.bump("blocking_request_counts")
+    order, bounds = partition_by_dest(owners, comm.size)
+    sorted_ids = ids[order]
+    bounds = bounds.tolist()
+    asked = [d for d in range(comm.size) if bounds[d] != bounds[d + 1]]
+    if comm.rank in asked:
+        raise CommunicatorError("request_counts given locally-owned ids")
+    for owner in asked:
+        send(owner, sorted_ids[bounds[owner]:bounds[owner + 1]])
+    responses = collect(set(asked))
+    assembled = np.empty(ids.shape[0], dtype=np.uint32)
+    at = 0
+    for owner in asked:
+        resp = responses[owner]
+        assembled[at : at + resp.shape[0]] = resp
+        at += resp.shape[0]
+    if at != ids.shape[0]:
+        raise CommunicatorError(
+            f"response length mismatch: got {at}, wanted {ids.shape[0]}"
+        )
+    out = np.empty_like(assembled)
+    out[order] = assembled
+    return out
+
+
+def _parse_request(msg: Message) -> tuple[int, int, np.ndarray, np.ndarray | None]:
+    """(source, kind, ids, response header) of one request frame.
+
+    A resilient request's (seq, owner) header is echoed in the response
+    so the client can discard answers from superseded retry rounds."""
+    payload = np.asarray(msg.payload, dtype=np.uint64)
+    tag = msg.tag
+    if tag == Tags.KMER_REQUEST:
+        return msg.source, KIND_KMER, payload, None
+    if tag == Tags.TILE_REQUEST:
+        return msg.source, KIND_TILE, payload, None
+    if tag == Tags.UNIVERSAL_REQUEST:
+        kind, ids, header = int(payload[0]), payload[1:], None
+    elif tag == Tags.RESILIENT_REQUEST:
+        kind, ids, header = int(payload[2]), payload[3:], payload[:2].astype(np.uint32)
+    else:
+        raise CommunicatorError(f"tag {tag} is not a count request")
+    return msg.source, (KIND_KMER if kind == KIND_KMER else KIND_TILE), ids, header
+
+
+def serve_queued(comm: Communicator, shards: ShardServer, first: Message) -> None:
+    """Answer ``first`` and every count request already delivered.
+
+    One table probe per kind for the whole batch, then one response
+    frame per request, in the order the requests were taken.  A count
+    of 0 means the key does not exist anywhere — "If a k-mer or tile
+    does not exist at its owning rank, it can be inferred that the k-mer
+    or tile does not exist at all" (the paper's -1 response).
+    """
+    batch = [first]
+    for tag in _SERVED_WITH[first.tag]:
+        while (msg := comm.take_ready(ANY_SOURCE, tag)) is not None:
+            batch.append(msg)
+    requests = [_parse_request(msg) for msg in batch]
+    stats = comm.stats
+    counts: dict[int, np.ndarray] = {}
+    for kind, counter in ((KIND_KMER, "kmer_ids_served"), (KIND_TILE, "tile_ids_served")):
+        asked = [ids for _, k, ids, _ in requests if k == kind]
+        if asked:
+            counts[kind] = shards.lookup(
+                kind, asked[0] if len(asked) == 1 else np.concatenate(asked)
+            )
+            stats.bump("serve_probes")
+            stats.bump(counter, int(counts[kind].shape[0]))
+    at = {KIND_KMER: 0, KIND_TILE: 0}
+    for source, kind, ids, header in requests:
+        mine = counts[kind][at[kind] : at[kind] + ids.shape[0]]
+        at[kind] += ids.shape[0]
+        if header is None:
+            comm.send(source, mine, tag=Tags.COUNT_RESPONSE)
+            continue
+        comm.send(source, np.concatenate([header, mine]), tag=Tags.RESILIENT_RESPONSE)
+        if int(header[1]) != comm.rank:
+            stats.bump("failover_requests_served")
+    stats.bump("requests_served", len(batch))
 
 
 class CorrectionProtocol:
@@ -90,7 +229,6 @@ class CorrectionProtocol:
         #: owner rank -> (effective dest, stored request payload); kept
         #: so a timed-out round can resend the identical frame.
         self._resilient_pending: dict[int, tuple[int, np.ndarray]] = {}
-        self._resilient_responses: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # client side
@@ -104,105 +242,58 @@ class CorrectionProtocol:
         this rank).  One request message goes to each distinct owner; the
         caller's "communication thread" (the pump) serves incoming
         requests while the responses are in flight.
+
+        Under a fault plan that needs it, the round is resilient: each
+        request goes to the owner's *effective* destination (the
+        recovery partner when the owner is doomed) and carries a
+        sequence number (so retransmits and stale responses are
+        unambiguous) and the owner id (so the partner knows which shard
+        to answer from); see :meth:`_collect_resilient` for the wait.
         """
-        ids = np.ascontiguousarray(ids, dtype=np.uint64)
-        if ids.size == 0:
-            return np.empty(0, dtype=np.uint32)
-        if self._done_sent:
+        if self._done_sent and np.size(ids):
             raise CommunicatorError("request_counts after finish()")
-        if self._resilient:
-            return self._request_counts_resilient(kind, ids, owners)
-        # Every synchronous round trip is accounted: the prefetch engine's
-        # zero-mid-correction-messaging guarantee is asserted on this.
-        self.comm.stats.bump("blocking_request_counts")
-        order, boundaries = partition_by_dest(owners, self.comm.size)
-        sorted_ids = ids[order]
-        pending: set[int] = set()
-        for dest in range(self.comm.size):
-            lo, hi = boundaries[dest], boundaries[dest + 1]
-            if lo == hi:
-                continue
-            if dest == self.comm.rank:
-                raise CommunicatorError("request_counts given locally-owned ids")
-            chunk = sorted_ids[lo:hi]
-            if self.universal:
-                payload = np.concatenate(
-                    [np.array([kind], dtype=np.uint64), chunk]
-                )
-                self.comm.send(dest, payload, tag=Tags.UNIVERSAL_REQUEST)
-            else:
-                tag = Tags.KMER_REQUEST if kind == KIND_KMER else Tags.TILE_REQUEST
-                self.comm.send(dest, chunk, tag=tag)
-            pending.add(dest)
-
-        self._responses.clear()
-        while pending:
-            self.pump(block=True)
-            pending -= set(self._responses)
-
-        # Responses arrive per owner; reassemble in sorted-owner order,
-        # then undo the sort.
-        assembled = np.empty(ids.shape[0], dtype=np.uint32)
-        at = 0
-        for dest in sorted(self._responses):
-            resp = self._responses[dest]
-            assembled[at : at + resp.shape[0]] = resp
-            at += resp.shape[0]
-        if at != ids.shape[0]:
-            raise CommunicatorError(
-                f"response length mismatch: got {at}, wanted {ids.shape[0]}"
-            )
-        out = np.empty_like(assembled)
-        out[order] = assembled
-        self._responses.clear()
-        return out
-
-    def _request_counts_resilient(
-        self, kind: int, ids: np.ndarray, owners: np.ndarray
-    ) -> np.ndarray:
-        """The fault-mode twin of :meth:`request_counts`.
-
-        One RESILIENT_REQUEST goes to each distinct *true* owner — at its
-        effective destination, i.e. the recovery partner when the owner
-        is doomed — carrying a sequence number (so retransmits and stale
-        responses are unambiguous) and the owner id (so the partner knows
-        which shard to answer from).  The caller pumps while waiting;
-        each expired deadline resends every still-pending request with
-        an exponentially longer next deadline, up to ``max_retries``.
-        """
-        plan = self.faults
-        self.comm.stats.bump("blocking_request_counts")
-        order, boundaries = partition_by_dest(owners, self.comm.size)
-        sorted_ids = ids[order]
+        self._responses = {}
+        if not self._resilient:
+            send = partial(send_request, self.comm, self.universal, kind)
+            return request_by_owner(self.comm, ids, owners, send, self._collect)
         self._req_seq += 1
-        seq = self._req_seq
-        self._active_seq = seq
+        self._active_seq = self._req_seq
         self._resilient_pending.clear()
-        self._resilient_responses.clear()
-        for owner in range(self.comm.size):
-            lo, hi = boundaries[owner], boundaries[owner + 1]
-            if lo == hi:
-                continue
-            if owner == self.comm.rank:
-                raise CommunicatorError("request_counts given locally-owned ids")
-            chunk = sorted_ids[lo:hi]
-            dest = self.routes.dest_for(owner)
-            if dest == self.comm.rank:
-                # This rank is the dead owner's partner: answer from the
-                # shard it re-bound, no message needed.
-                self._resilient_responses[owner] = self.shards.lookup(
-                    kind, chunk
-                )
-                continue
-            payload = np.concatenate(
-                [np.array([seq, owner, kind], dtype=np.uint64), chunk]
+        try:
+            return request_by_owner(
+                self.comm, ids, owners,
+                partial(self._send_resilient, kind), self._collect_resilient,
             )
-            self._resilient_pending[owner] = (dest, payload)
-            self.comm.send(dest, payload, tag=Tags.RESILIENT_REQUEST)
+        finally:
+            self._active_seq = -1
 
-        # Serve-while-waiting with timeout + bounded exponential backoff.
-        # On the cooperative engine an empty probe yields the turn, so
-        # the loop needs no wall-clock sleep to let peers progress.
+    def _collect(self, asked: set[int]) -> dict[int, np.ndarray]:
+        """Pump — serving whatever arrives — until every owner answered."""
+        while asked - self._responses.keys():
+            self.pump(block=True)
+        return self._responses
+
+    def _send_resilient(self, kind: int, owner: int, chunk: np.ndarray) -> None:
+        dest = self.routes.dest_for(owner)
+        if dest == self.comm.rank:
+            # This rank is the dead owner's partner: answer from the
+            # shard it re-bound, no message needed.
+            self._responses[owner] = self.shards.lookup(kind, chunk)
+            return
+        payload = np.concatenate(
+            [np.array([self._active_seq, owner, kind], dtype=np.uint64), chunk]
+        )
+        self._resilient_pending[owner] = (dest, payload)
+        self.comm.send(dest, payload, tag=Tags.RESILIENT_REQUEST)
+
+    def _collect_resilient(self, asked: set[int]) -> dict[int, np.ndarray]:
+        """Serve-while-waiting with timeout + bounded exponential backoff:
+        each expired deadline resends every still-pending request with an
+        exponentially longer next deadline, up to ``max_retries``.
+
+        On the cooperative engine an empty probe yields the turn, so
+        the loop needs no wall-clock sleep to let peers progress."""
+        plan = self.faults
         sleep_hint = 0.0 if self.comm.probe_yields else 0.002
         attempt = 0
         deadline = time.monotonic() + plan.timeout_for(attempt)
@@ -217,10 +308,9 @@ class CorrectionProtocol:
                 attempt += 1
                 if attempt > plan.max_retries:
                     pending = sorted(self._resilient_pending)
-                    self._active_seq = -1
                     raise LookupTimeoutError(
                         f"rank {self.comm.rank}: owners {pending} never "
-                        f"answered lookup seq {seq} within "
+                        f"answered lookup seq {self._active_seq} within "
                         f"{plan.max_retries} retries "
                         f"({plan.total_budget():.2f}s budget)",
                         rank=self.comm.rank,
@@ -233,76 +323,54 @@ class CorrectionProtocol:
                 deadline = time.monotonic() + plan.timeout_for(attempt)
             elif sleep_hint:
                 time.sleep(sleep_hint)
-        self._active_seq = -1
-
-        assembled = np.empty(ids.shape[0], dtype=np.uint32)
-        at = 0
-        for owner in sorted(self._resilient_responses):
-            resp = self._resilient_responses[owner]
-            assembled[at : at + resp.shape[0]] = resp
-            at += resp.shape[0]
-        if at != ids.shape[0]:
-            raise CommunicatorError(
-                f"response length mismatch: got {at}, wanted {ids.shape[0]}"
-            )
-        out = np.empty_like(assembled)
-        out[order] = assembled
-        self._resilient_responses.clear()
-        return out
+        return self._responses
 
     # ------------------------------------------------------------------
     # server side (the "communication thread")
     # ------------------------------------------------------------------
     def pump(self, block: bool = False) -> bool:
-        """Receive and dispatch at most one message; True if one arrived.
+        """Receive and dispatch one message (a request brings every
+        queued request with it); True if one arrived.
 
         In base mode an ``iprobe`` precedes the receive (the paper's
         ``MPI_Probe`` pattern); in universal mode the message is received
-        directly and its kind read from the payload.
+        directly and its kind read from the payload — a non-blocking
+        turn takes what was already delivered and, on a miss, returns
+        without handing the CPU away.  Only the resilient retry loops
+        still probe there: on the cooperative engine their progress
+        depends on a miss yielding the turn.
         """
-        if self.universal:
-            if block:
-                msg = self.comm.recv(ANY_SOURCE, ANY_TAG)
-            else:
-                probed = self.comm.iprobe(ANY_SOURCE, ANY_TAG)
-                if probed is None:
-                    return False
-                msg = self.comm.recv(probed.source, probed.tag)
+        comm = self.comm
+        if self.universal and block:
+            msg = comm.recv(ANY_SOURCE, ANY_TAG)
+        elif self.universal and not self._resilient:
+            msg = comm.take_ready(ANY_SOURCE, ANY_TAG)
+            if msg is None:
+                return False
         else:
-            self.comm.stats.bump("probe_calls")
-            probed = self.comm.iprobe(ANY_SOURCE, ANY_TAG)
-            if probed is None:
-                if not block:
-                    return False
-                msg = self.comm.recv(ANY_SOURCE, ANY_TAG)
+            if not self.universal:
+                comm.stats.bump("probe_calls")
+            probed = comm.iprobe(ANY_SOURCE, ANY_TAG)
+            if probed is not None:
+                msg = comm.recv(probed.source, probed.tag)
+            elif block:
+                msg = comm.recv(ANY_SOURCE, ANY_TAG)
             else:
-                msg = self.comm.recv(probed.source, probed.tag)
+                return False
         self._dispatch(msg)
         return True
 
     def _dispatch(self, msg: Message) -> None:
         tag = msg.tag
-        if tag == Tags.UNIVERSAL_REQUEST:
-            payload = np.asarray(msg.payload, dtype=np.uint64)
-            kind = int(payload[0])
-            self._serve(msg.source, kind, payload[1:])
-        elif tag == Tags.KMER_REQUEST:
-            self._serve(msg.source, KIND_KMER, np.asarray(msg.payload, np.uint64))
-        elif tag == Tags.TILE_REQUEST:
-            self._serve(msg.source, KIND_TILE, np.asarray(msg.payload, np.uint64))
+        if is_request(msg):
+            serve_queued(self.comm, self.shards, msg)
         elif tag == Tags.COUNT_RESPONSE:
             self._responses[msg.source] = np.asarray(msg.payload, np.uint32)
-        elif tag == Tags.RESILIENT_REQUEST:
-            payload = np.asarray(msg.payload, dtype=np.uint64)
-            self._serve_resilient(
-                msg.source, int(payload[0]), int(payload[1]),
-                int(payload[2]), payload[3:],
-            )
         elif tag == Tags.RESILIENT_RESPONSE:
             payload = np.asarray(msg.payload, np.uint32)
             seq, owner = int(payload[0]), int(payload[1])
             if seq == self._active_seq and owner in self._resilient_pending:
-                self._resilient_responses[owner] = payload[2:]
+                self._responses[owner] = payload[2:]
                 del self._resilient_pending[owner]
             else:
                 # A retry raced its original answer, or a duplicated
@@ -324,41 +392,6 @@ class CorrectionProtocol:
         else:
             raise CommunicatorError(f"unexpected tag {tag} in correction phase")
 
-    def _serve(self, source: int, kind: int, ids: np.ndarray) -> None:
-        """Answer one count request from the owned tables.
-
-        A count of 0 means the key does not exist anywhere — "If a k-mer or
-        tile does not exist at its owning rank, it can be inferred that the
-        k-mer or tile does not exist at all" (the paper's -1 response).
-        """
-        counts = self.shards.lookup(kind, ids)
-        self.comm.send(source, counts, tag=Tags.COUNT_RESPONSE)
-        self.comm.stats.bump("requests_served")
-        self.comm.stats.bump(
-            "kmer_ids_served" if kind == KIND_KMER else "tile_ids_served",
-            int(ids.shape[0]),
-        )
-
-    def _serve_resilient(self, source: int, seq: int, owner: int,
-                         kind: int, ids: np.ndarray) -> None:
-        """Answer one sequence-numbered request, possibly for a ward.
-
-        The seq/owner pair is echoed in the response header so the
-        client can discard answers from superseded retry rounds."""
-        counts = self.shards.lookup(kind, ids)
-        header = np.array([seq, owner], dtype=np.uint32)
-        self.comm.send(
-            source, np.concatenate([header, counts]),
-            tag=Tags.RESILIENT_RESPONSE,
-        )
-        self.comm.stats.bump("requests_served")
-        if owner != self.comm.rank:
-            self.comm.stats.bump("failover_requests_served")
-        self.comm.stats.bump(
-            "kmer_ids_served" if kind == KIND_KMER else "tile_ids_served",
-            int(ids.shape[0]),
-        )
-
     # ------------------------------------------------------------------
     # session rounds
     # ------------------------------------------------------------------
@@ -377,9 +410,8 @@ class CorrectionProtocol:
         self._done_sent = False
         self._shutdown = False
         self._done_seen = 0
-        self._responses.clear()
+        self._responses = {}
         self._resilient_pending.clear()
-        self._resilient_responses.clear()
         self._active_seq = -1
 
     # ------------------------------------------------------------------

@@ -653,8 +653,7 @@ class CorrectionSession:
 
 
 # ----------------------------------------------------------------------
-# Session ops and the SPMD session program.  Module-level picklable
-# objects: the process engine ships each rank's program by pickle.
+# Session ops and the per-rank op runner.
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class IngestOp:
@@ -707,20 +706,21 @@ class SessionRankReport:
 class SessionOpRunner:
     """Per-rank op execution and bookkeeping over one session backend.
 
-    The shared engine room of every session driver: the static
-    :class:`SessionProgram` (a fixed op list known up front) and the
-    service layer's serving loop (ops arriving one at a time over a
-    command channel) both feed ops through :meth:`run_op` and collect
-    the identical :class:`SessionRankReport` from :meth:`report`, so
-    the two paths cannot drift apart.
+    The engine room of the service layer's serving loop (and through it
+    of :class:`~repro.parallel.driver.ParallelSession`): ops arrive one
+    at a time, go through :meth:`run_op`, and :meth:`report` assembles
+    the rank's :class:`SessionRankReport`.
 
-    ``finalize_boundary`` on :meth:`run_op` is the one knob the drivers
-    differ on: a static program finalizes only at the end of each run of
-    consecutive ingests (it can see the next op), while the serving loop
-    finalizes after *every* ingest (the spectrum must be servable the
-    moment the ingest command completes — it cannot see the future).
-    Either way the recompile is charged to the ingest op, so correct
-    ops never pay construction time.
+    A rank is handed only its *share* of an op's block — the rows
+    :meth:`share_bounds` names — together with the block's read count,
+    which is what decides the placement; the relay that ships the
+    shares (``ServingProgram``) asks this class which rows go where, so
+    the placement rule lives in one place.
+
+    The serving state is finalized after *every* ingest (the spectrum
+    must be servable the moment the ingest command completes — the loop
+    cannot see the future), and the recompile is charged to the ingest
+    op, so correct ops never pay construction time.
     """
 
     def __init__(
@@ -756,37 +756,70 @@ class SessionOpRunner:
         self._memory: RankMemoryReport | None = None
         self._last_block = ReadBlock.empty()
 
-    def _my_slice(self, block: ReadBlock) -> ReadBlock:
+    def _placement(self, n_reads: int, turn: int) -> tuple[int, int]:
+        """Grain-aware placement of op ``turn``'s block: ``(parts, first)``.
+
+        A block is never cut below the chunk grain: it goes to
+        ``parts = min(P, ceil(n_reads / chunk_size))`` ranks — a round
+        no larger than one chunk is corrected by one rank against P-1
+        shard servers, so each dependent lookup step costs ``parts x
+        owners`` request frames instead of ``P x owners`` nearly empty
+        ones — and any block of more than (P-1) chunks is placed on all
+        P exactly as before.  The window of ``parts`` ranks starts at
+        rank ``first``, which advances with the op index, so small
+        rounds take turns over the fleet.  Both inputs are the same on
+        every rank: no collective needed.
+        """
+        size = self.comm.size
+        chunk_size = self.session.config.chunk_size
+        parts = max(1, min(size, -(-n_reads // chunk_size)))
+        return parts, turn * parts % size
+
+    def share_bounds(self, n_reads: int, rank: int) -> tuple[int, int]:
+        """Rows of the *next* op's ``n_reads``-read block that ``rank``
+        holds before load balancing (an empty range outside the op's
+        window): what the relay ships to that rank."""
         from repro.parallel.stages import slice_bounds
 
-        comm = self.comm
-        bounds = slice_bounds(len(block), comm.size)
-        with self.timer.phase("read_input"):
-            mine = block.slice(bounds[comm.rank], bounds[comm.rank + 1])
-        if self.heuristics.load_balance:
+        size = self.comm.size
+        parts, first = self._placement(n_reads, len(self._op_kinds))
+        position = (rank - first) % size
+        if position >= parts:
+            return 0, 0
+        bounds = slice_bounds(n_reads, parts)
+        return bounds[position], bounds[position + 1]
+
+    def _my_reads(self, share: ReadBlock, total: int) -> ReadBlock:
+        """The reads this rank works on: its share of the ``total``-read
+        block or — under load balancing, when the op's window is more
+        than one rank — the reads of it whose content hash it owns."""
+        parts, first = self._placement(total, len(self._op_kinds))
+        if self.heuristics.load_balance and parts > 1:
             with self.timer.phase("load_balance"):
-                mine = redistribute_reads(comm, mine)
-        return mine
+                return redistribute_reads(self.comm, share, parts, first)
+        return share
 
     def run_op(
-        self, op: SessionOp, *, finalize_boundary: bool = True
+        self, op: SessionOp, total: int = 0
     ) -> CorrectionResult | None:
-        """Execute one op (collective); returns a correct op's result."""
+        """Execute one op (collective); returns a correct op's result.
+
+        An ingest or correct op carries this rank's share
+        (:meth:`share_bounds`) of a block of ``total`` reads."""
         session = self.session
         before = self.timer.as_dict()
         result: CorrectionResult | None = None
         if isinstance(op, IngestOp):
+            mine = self._my_reads(op.block, total)
             self._op_kinds.append("ingest")
-            mine = self._my_slice(op.block)
             self._last_block = mine
             session.ingest(mine)
-            if finalize_boundary:
-                # Chunk boundary: recompile now, charged to the ingest,
-                # so repeat corrections pay zero build time.
-                session.finalize()
+            # Chunk boundary: recompile now, charged to the ingest,
+            # so repeat corrections pay zero build time.
+            session.finalize()
         elif isinstance(op, CorrectOp):
+            mine = self._my_reads(op.block, total)
             self._op_kinds.append("correct")
-            mine = self._my_slice(op.block)
             self._last_block = mine
             result = session.correct(
                 mine, timer=self.timer, comm_thread=self.comm_thread
@@ -849,41 +882,3 @@ class SessionOpRunner:
             ingest_count=session.ingest_count,
             spectrum=spectrum,
         )
-
-
-@dataclass
-class SessionProgram:
-    """The SPMD rank program driving one :class:`CorrectionSession`.
-
-    Runs the op list in order on every rank: ingest ops slice (and,
-    under load balancing, redistribute) their dataset and feed the
-    session; the serving state is finalized at the end of each *run* of
-    consecutive ingests (the chunk boundary), so correct ops never pay
-    construction time; correct ops slice/redistribute identically and
-    collect per-op results.  The per-op mechanics live in
-    :class:`SessionOpRunner`, shared with the service layer's serving
-    loop."""
-
-    config: ReptileConfig
-    heuristics: HeuristicConfig
-    comm_thread: bool
-    ops: tuple[SessionOp, ...]
-    resume_dir: str | None = None
-    capture_spectrum: bool = False
-
-    def __call__(self, comm: Communicator) -> SessionRankReport:
-        runner = SessionOpRunner(
-            comm, self.config, self.heuristics,
-            comm_thread=self.comm_thread,
-            resume_dir=self.resume_dir,
-            capture_spectrum=self.capture_spectrum,
-        )
-        # The context manager releases the rank's endpoint even when an
-        # op raises mid-program (callers used to leak it on that path).
-        with runner.session:
-            for i, op in enumerate(self.ops):
-                at_boundary = i + 1 == len(self.ops) or not isinstance(
-                    self.ops[i + 1], IngestOp
-                )
-                runner.run_op(op, finalize_boundary=at_boundary)
-            return runner.report()

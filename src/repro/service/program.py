@@ -1,16 +1,16 @@
 """The persistent serving loop and its command wire.
 
 One :class:`ServingProgram` is the whole backend fleet: ``run_spmd``
-runs it on every rank, and instead of a fixed op list (the static
-:class:`~repro.parallel.session.SessionProgram`) it serves commands
-until told to shut down.  The control path is deliberately in-band:
+runs it on every rank, and it serves commands until told to shut down.
+The control path is deliberately in-band:
 
 * the **channel** (:class:`ThreadChannel` in-process,
   :class:`ProcessChannel` across the process engine's spawn boundary)
   carries commands from the front-end to *rank 0 only* — it is the one
   rank that talks to the outside world;
 * rank 0 **relays** each command to the other live ranks as a normal
-  tagged message (:data:`SERVICE_CMD_TAG`), so command delivery obeys
+  tagged message (:data:`SERVICE_CMD_TAG`) — of an op's block, each
+  rank is sent only the rows it holds — so command delivery obeys
   the same transport, accounting and fault injection as every other
   frame, and the cooperative engine's turn-taking sees peers blocked in
   an ordinary ``recv`` with a pending sender;
@@ -179,6 +179,12 @@ class ServingProgram:
     * ``("checkpoint", seq, directory)``
     * ``("shutdown",)``
 
+    That is what the channel carries.  On the relay a block command
+    becomes ``(..., total, ids, codes, lengths, quals)``: the block's
+    read count and only the rows the receiving rank holds
+    (:meth:`_share`) — a rank outside a small round's window gets the
+    count and four empty arrays.
+
     Every command is acknowledged up the channel as ``(seq, payload)``
     once rank 0 has completed it (``payload`` is the merged round for a
     collecting correct, else ``None``); shutdown is acknowledged by the
@@ -225,8 +231,14 @@ class ServingProgram:
                     # frames simply go unread, and the session contract
                     # (a crash round is the session's last collective)
                     # guarantees nothing after the crash waits on it.
+                    with runner.timer.phase("read_input"):
+                        shares = [
+                            self._share(cmd, runner, rank)
+                            for rank in range(comm.size)
+                        ]
                     for peer in range(1, comm.size):
-                        comm.send(peer, cmd, SERVICE_CMD_TAG)
+                        comm.send(peer, shares[peer], SERVICE_CMD_TAG)
+                    cmd = shares[0]
                 elif cmd_stash:
                     cmd = cmd_stash.popleft()
                 else:
@@ -236,12 +248,14 @@ class ServingProgram:
                     break
                 seq = int(cmd[1])
                 if kind == "ingest":
-                    runner.run_op(IngestOp(decode_block(cmd[2:])))
+                    runner.run_op(IngestOp(decode_block(cmd[-4:])), int(cmd[-5]))
                     if comm.rank == 0:
                         self.channel.post_result((seq, None))
                 elif kind == "correct":
                     collect = bool(cmd[2])
-                    result = runner.run_op(CorrectOp(decode_block(cmd[3:])))
+                    result = runner.run_op(
+                        CorrectOp(decode_block(cmd[-4:])), int(cmd[-5])
+                    )
                     if collect:
                         self._gather(comm, result, seq, result_stash)
                     elif comm.rank == 0:
@@ -259,6 +273,21 @@ class ServingProgram:
                         f"{comm.rank}"
                     )
             return runner.report()
+
+    @staticmethod
+    def _share(cmd: tuple, runner: SessionOpRunner, rank: int) -> tuple:
+        """The command as ``rank`` needs it.
+
+        Every rank takes only its own rows of an op's block
+        (:meth:`~repro.parallel.session.SessionOpRunner.share_bounds`),
+        so that is all the relay ships: the block's read count (which
+        fixes the placement on every rank) and the rank's rows.  Other
+        commands relay as they are."""
+        if cmd[0] not in ("ingest", "correct"):
+            return cmd
+        block = decode_block(cmd[-4:])
+        lo, hi = runner.share_bounds(len(block), rank)
+        return (*cmd[:-4], len(block), *encode_block(block.slice(lo, hi)))
 
     def _gather(
         self,

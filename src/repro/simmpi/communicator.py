@@ -95,6 +95,16 @@ class Communicator:
         """
         return self._engine.probe(self._world, self._rank, source, tag)
 
+    def take_ready(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Message | None:
+        """Remove and return a matching message that has *already been
+        delivered*, else None — at once, without giving up the turn.
+
+        The drain primitive: unlike :meth:`iprobe` a miss costs no
+        scheduler hand-off on any engine, so a server can empty its
+        mailbox of queued requests in one go.
+        """
+        return self._engine.take_ready(self._world, self._rank, source, tag)
+
     def isend(self, dest: int, payload: Any, tag: int = 0):
         """Nonblocking send; completes at issue (sends are buffered)."""
         from repro.simmpi.request import SendRequest

@@ -101,6 +101,13 @@ SERVICE_COUNTERS = (
 #: :data:`repro.parallel.lookup.stack.TIER_NAMES`.  These generalize the
 #: legacy flat counters (``local_*``, ``group_*``, ``reads_table_*``,
 #: ``remote_*``), which the tiers keep bumping unchanged.
+#:
+#: The serving side of the ``remote`` tier has two counters of its own:
+#: ``requests_served`` (Step IV count requests answered) and
+#: ``serve_probes`` (table probes made answering them).  A serve turn
+#: answers every request already queued with one probe per kind, so
+#: ``requests_served / serve_probes`` is the mean serve batch;
+#: ``kmer_ids_served`` / ``tile_ids_served`` count the ids.
 LOOKUP_TIER_COUNTER_KINDS = ("requests", "hits", "misses", "bytes")
 
 

@@ -170,7 +170,7 @@ class _ProcessWorld:
 class _ProcessEndpoint:
     """Engine-side of a spawned rank: blocking semantics over the queue.
 
-    Implements the same deposit/wait/probe surface the in-memory engines
+    Implements the same deposit/wait/probe/take surface the in-memory engines
     give the communicator, with the threaded engine's discipline: every
     blocking receive carries a timeout, and expiry raises
     :class:`DeadlockError` instead of hanging the process tree.
@@ -207,6 +207,11 @@ class _ProcessEndpoint:
               tag: int) -> Message | None:
         world.transport.drain(block=False)
         return world.transport.poll(rank, source, tag, remove=False)
+
+    def take_ready(self, world: _ProcessWorld, rank: int, source: int,
+                   tag: int) -> Message | None:
+        world.transport.drain(block=False)
+        return world.transport.poll(rank, source, tag, remove=True)
 
 
 def _portable_exception(exc: BaseException) -> BaseException:

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import pickle
 import struct
+from functools import lru_cache
 from typing import Any
 
 import numpy as np
@@ -208,9 +209,37 @@ def is_wire_codable(payload: Any) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _int_vector_prefix(dtype: np.dtype) -> bytes:
+    """The NDARRAY encoding of a 1-D array of ``dtype`` up to its shape."""
+    dt = dtype.str.encode("ascii")
+    return bytes((_NDARRAY, len(dt))) + dt + b"\x01"
+
+
 def encode_frame(source: int, tag: int, payload: Any) -> bytes:
-    """One complete frame: header (source, tag) plus encoded payload."""
-    return _HEADER.pack(MAGIC, VERSION, source, tag) + encode_payload(payload)
+    """One complete frame: header (source, tag) plus encoded payload.
+
+    A 1-D C-contiguous integer array — every Step IV payload — skips
+    the generic encoder; the bytes produced are the same.
+    """
+    header = _HEADER.pack(MAGIC, VERSION, source, tag)
+    if (
+        type(payload) is np.ndarray
+        and payload.ndim == 1
+        and payload.dtype.kind in "iu"
+        and payload.flags.c_contiguous
+    ):
+        prefix = _int_vector_prefix(payload.dtype)
+        nbytes = len(prefix) + _U64.size + payload.nbytes
+        if nbytes > MAX_FRAME_BYTES:
+            raise WireFormatError(
+                f"payload encodes to {nbytes} bytes, above the "
+                f"{MAX_FRAME_BYTES}-byte frame limit"
+            )
+        return (
+            header + prefix + _U64.pack(payload.shape[0]) + payload.tobytes()
+        )
+    return header + encode_payload(payload)
 
 
 # ----------------------------------------------------------------------
@@ -310,15 +339,52 @@ def frame_header(frame: bytes) -> tuple[int, int]:
     return source, tag
 
 
+@lru_cache(maxsize=64)
+def _int_dtype(raw: bytes) -> np.dtype | None:
+    """The integer dtype a frame's dtype string names, else None."""
+    try:
+        dtype = np.dtype(raw.decode("ascii"))
+    except (TypeError, ValueError):
+        return None
+    return dtype if dtype.kind in "iu" else None
+
+
+def _decode_int_vector(frame: bytes) -> np.ndarray | None:
+    """The payload of a frame holding exactly one 1-D integer array,
+    or None — anything else, a truncated or an over-long frame included,
+    is left to the generic decoder and its error reporting."""
+    at = HEADER_BYTES
+    if len(frame) < at + 2 or frame[at] != _NDARRAY:
+        return None
+    shape_at = at + 2 + frame[at + 1]
+    data_at = shape_at + 1 + _U64.size
+    if len(frame) < data_at or frame[shape_at] != 1:
+        return None
+    dtype = _int_dtype(bytes(frame[at + 2:shape_at]))
+    if dtype is None:
+        return None
+    (count,) = _U64.unpack_from(frame, shape_at + 1)
+    if len(frame) != data_at + count * dtype.itemsize:
+        return None
+    # Same three steps as the generic decoder (view the frame, shape it,
+    # copy): the receiver owns a writable array with no tie to the frame.
+    # The reshape is a no-op kept on purpose: without that short-lived
+    # view static_prefetch_p8 read +10 % peak_rss_mib in 10/10 pairs —
+    # glibc heap layout around the long-lived payloads, not bytes held.
+    return np.frombuffer(frame, dtype, count, data_at).reshape((count,)).copy()
+
+
 def decode_frame(frame: bytes) -> Message:
     """Decode one frame into a delivered :class:`Message`."""
     source, tag = frame_header(frame)
-    r = _Reader(frame, at=HEADER_BYTES)
-    payload = _decode_value(r)
-    if r.at != len(frame):
-        raise WireFormatError(
-            f"{len(frame) - r.at} trailing byte(s) after payload"
-        )
+    payload = _decode_int_vector(frame)
+    if payload is None:
+        r = _Reader(frame, at=HEADER_BYTES)
+        payload = _decode_value(r)
+        if r.at != len(frame):
+            raise WireFormatError(
+                f"{len(frame) - r.at} trailing byte(s) after payload"
+            )
     return Message(source=source, tag=tag, payload=payload)
 
 

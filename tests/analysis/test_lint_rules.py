@@ -93,6 +93,22 @@ class TestTagMismatch:
                 comm.recv(source=0, tag=8)
         """) == []
 
+    def test_take_ready_is_a_receive(self):
+        """The drain primitive names a tag like any receive: a tag nobody
+        sends is MPI002, and a matching one satisfies the sender."""
+        found = lint("""
+            def program(comm):
+                comm.send(1, None, tag=3)
+                comm.take_ready(0, 8)
+        """)
+        assert sorted(f.code for f in found) == ["MPI002", "MPI003"]
+        assert codes("""
+            def program(comm):
+                comm.send(1, None, tag=3)
+                while comm.take_ready(tag=3) is not None:
+                    pass
+        """) == []
+
 
 class TestOrphanedSend:
     def test_send_tag_never_received_flagged(self):
@@ -150,6 +166,20 @@ class TestRecvInProbeLoop:
                     msg = comm.recv()
                     if msg.payload is None:
                         break
+        """) == []
+
+    def test_take_ready_drain_loop_passes(self):
+        """A serve turn that probes, receives by the probed envelope and
+        then drains what else is queued never blocks on the drain."""
+        assert codes("""
+            def serve(comm):
+                while True:
+                    probed = comm.iprobe()
+                    if probed is None:
+                        break
+                    batch = [comm.recv(probed.source, probed.tag)]
+                    while (msg := comm.take_ready(tag=probed.tag)) is not None:
+                        batch.append(msg)
         """) == []
 
 

@@ -149,6 +149,23 @@ class TestRequestProtocol:
                     comm.send(msg.source, None, tag=31)
         """) == []
 
+    def test_take_ready_drain_counts_as_consumer(self):
+        """A server that only ever drains a request tag with the
+        non-blocking take consumes it (fails before take_ready was a
+        receive method: the request looked unanswerable)."""
+        assert codes("""
+            class Tags:
+                SCAN_REQUEST = 31
+
+            def client(comm):
+                comm.send(1, None, tag=Tags.SCAN_REQUEST)
+                return comm.recv()
+
+            def server(comm):
+                while (msg := comm.take_ready(tag=Tags.SCAN_REQUEST)) is not None:
+                    comm.send(msg.source, None, tag=32)
+        """) == []
+
     def test_handler_registration_counts_as_consumer(self, tmp_path):
         paths = write_modules(
             tmp_path, tags=TAGS_MODULE, responder=RESPONDER_MODULE,

@@ -238,6 +238,58 @@ class TestFinalizeAudit:
 
         run_spmd(prog, 2, engine=make_engine(), verify=True)
 
+    @pytest.mark.parametrize("make_engine", ENGINES)
+    @pytest.mark.parametrize("taken", [3, 2], ids=["drained", "one-left"])
+    def test_take_ready_hit_counts_as_a_receive(self, make_engine, taken):
+        """Messages removed by the non-blocking take are matched sends;
+        one it leaves behind is still reported."""
+
+        def prog(comm):
+            if comm.rank == 0:
+                for _ in range(3):
+                    comm.send(1, "queued", tag=7)
+                comm.send(1, None, tag=8)
+            else:
+                comm.recv(source=0, tag=8)
+                for _ in range(taken):
+                    assert comm.take_ready(source=0, tag=7) is not None
+
+        if taken == 3:
+            run_spmd(prog, 2, engine=make_engine(), verify=True)
+            return
+        with pytest.raises(VerifierError) as exc:
+            run_spmd(prog, 2, engine=make_engine(), verify=True)
+        assert "1 message(s) from rank 0 to rank 1 with tag 7" in str(exc.value)
+
+    @pytest.mark.parametrize("make_engine", ENGINES)
+    def test_bulk_served_universal_round_passes_verification(self, make_engine):
+        """The universal pump drains with take_ready and serves queued
+        requests in bulk; every request and response is still matched."""
+        from repro.hashing.counthash import CountHash
+        from repro.hashing.inthash import mix_to_rank
+        from repro.parallel.server import KIND_KMER, CorrectionProtocol
+
+        keys = np.arange(200, dtype=np.uint64)
+
+        def prog(comm):
+            owners = np.asarray(mix_to_rank(keys, comm.size), dtype=np.int64)
+            table = CountHash()
+            table.add_counts(keys[owners == comm.rank], 3)
+            protocol = CorrectionProtocol(comm, table, table, universal=True)
+            foreign = owners != comm.rank
+            for _ in range(3):
+                counts = protocol.request_counts(
+                    KIND_KMER, keys[foreign], owners[foreign]
+                )
+                assert (counts == 3).all()
+                while protocol.pump(block=False):
+                    pass
+            protocol.finish()
+            return comm.stats.get("requests_served")
+
+        res = run_spmd(prog, 4, engine=make_engine(), verify=True)
+        assert sum(res.results) == 4 * 3 * 3
+
     def test_generation_skew_fails_audit(self):
         """Unit-level: skew without a deadlock (a skipped collective
         whose messages happened to be absorbed) is caught at finalize."""

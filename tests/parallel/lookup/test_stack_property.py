@@ -132,7 +132,7 @@ class World:
             tiers.append(
                 RemoteFetchTier(
                     "kmer", 0, _OracleProtocol(self.global_table),
-                    self.nranks, PhaseTimer(),
+                    PhaseTimer(),
                 )
             )
         return LookupStack("kmer", tiers, comm)

@@ -1,0 +1,230 @@
+"""Bulk serving: N queued requests answered in one turn are answered
+exactly as they would have been one by one."""
+
+from functools import partial
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.hashing.counthash import CountHash
+from repro.hashing.inthash import mix_to_rank
+from repro.parallel.lookup.routing import KIND_KMER, KIND_TILE, ShardServer
+from repro.parallel.server import (
+    CorrectionProtocol,
+    request_by_owner,
+    send_request,
+    serve_queued,
+)
+from repro.simmpi import ANY_SOURCE, ANY_TAG, run_spmd
+from repro.simmpi.instrument import CommStats
+from repro.simmpi.message import Message, Tags
+
+SIZE = 4
+SERVER = 0
+WARD = 1  # the dead rank whose replica the server holds
+
+_UNIVERSE = np.arange(400, dtype=np.uint64)
+_OWNERS = np.asarray(mix_to_rank(_UNIVERSE, SIZE), dtype=np.int64)
+#: Ids the server may be asked about once the ward is bound: its own,
+#: the ward's, and (the upper half of the universe) ones in no table.
+POOL = [int(k) for k in _UNIVERSE[np.isin(_OWNERS, (SERVER, WARD))]]
+_PRESENT = 200
+
+
+def _tables(owner, offset):
+    keys = _UNIVERSE[(_OWNERS == owner) & (_UNIVERSE < _PRESENT)]
+    kmers, tiles = CountHash(), CountHash()
+    kmers.add_counts(keys, keys + np.uint64(offset))
+    tiles.add_counts(keys, keys + np.uint64(offset + 1))
+    return kmers, tiles
+
+
+def _shards(ward_bound):
+    shards = ShardServer(SERVER, SIZE, *_tables(SERVER, 1))
+    if ward_bound:
+        shards.bind_ward(WARD, *_tables(WARD, 11))
+    return shards
+
+
+def _oracle(kind, ids):
+    """What the tables above hold, worked out without them."""
+    out = []
+    for key in ids:
+        offset = 1 if _OWNERS[key] == SERVER else 11
+        out.append(key + offset + (kind == KIND_TILE) if key < _PRESENT else 0)
+    return out
+
+
+class Mailbox:
+    """A communicator reduced to what a serve turn touches."""
+
+    def __init__(self, queued=()):
+        self.rank, self.size = SERVER, SIZE
+        self.stats = CommStats()
+        self.queued = list(queued)
+        self.sent = []
+
+    def take_ready(self, source=ANY_SOURCE, tag=ANY_TAG):
+        for i, msg in enumerate(self.queued):
+            if msg.matches(source, tag):
+                return self.queued.pop(i)
+        return None
+
+    def send(self, dest, payload, tag=0):
+        self.sent.append((dest, tag, str(payload.dtype), payload.tolist()))
+
+    def sent_to(self, dest):
+        return [frame[1:] for frame in self.sent if frame[0] == dest]
+
+
+def _frame(mode, number, source, kind, owner, ids):
+    ids = np.array(ids, dtype=np.uint64)
+    if mode == "universal":
+        return Message(source, Tags.UNIVERSAL_REQUEST,
+                       np.concatenate([np.array([kind], np.uint64), ids]))
+    if mode == "base":
+        tag = Tags.KMER_REQUEST if kind == KIND_KMER else Tags.TILE_REQUEST
+        return Message(source, tag, ids)
+    header = np.array([number, owner, kind], dtype=np.uint64)
+    return Message(source, Tags.RESILIENT_REQUEST, np.concatenate([header, ids]))
+
+
+_REQUEST = st.tuples(
+    st.integers(1, SIZE - 1),                       # requester
+    st.sampled_from([KIND_KMER, KIND_TILE]),
+    st.sampled_from([SERVER, WARD]),                # resilient header's owner
+    st.lists(st.sampled_from(POOL), max_size=8),    # ids: empty, duplicates
+)
+_COUNTERS = ("requests_served", "kmer_ids_served", "tile_ids_served",
+             "failover_requests_served")
+
+
+@given(st.sampled_from(["universal", "base", "resilient"]),
+       st.lists(_REQUEST, min_size=1, max_size=7))
+@example("universal", [(1, KIND_KMER, SERVER, []), (1, KIND_KMER, SERVER, [])])
+@example("base", [(2, KIND_TILE, SERVER, [POOL[0]] * 3),
+                  (2, KIND_KMER, SERVER, [POOL[0]]),
+                  (2, KIND_TILE, SERVER, [POOL[1], POOL[0]])])
+@example("resilient", [(3, KIND_KMER, WARD, POOL[:4]), (1, KIND_TILE, SERVER, []),
+                       (3, KIND_KMER, WARD, POOL[:4])])
+@settings(max_examples=150, deadline=None)
+def test_bulk_equals_one_by_one(mode, requests):
+    frames = [
+        _frame(mode, number, *request)
+        for number, request in enumerate(requests)
+    ]
+    shards = _shards(ward_bound=True)
+    bulk = Mailbox(frames[1:])
+    serve_queued(bulk, shards, frames[0])
+    assert bulk.queued == []
+
+    # The reference: the same requests, each served by a turn of its
+    # own, in the order the bulk turn takes them (the one it received,
+    # then what is queued, tag by tag — which in the single-tag modes
+    # is simply arrival order).
+    taken = [frames[0]] + sorted(frames[1:], key=lambda m: m.tag)
+    single = Mailbox()
+    for frame in taken:
+        serve_queued(single, shards, frame)
+
+    for requester in range(1, SIZE):
+        assert bulk.sent_to(requester) == single.sent_to(requester)
+    for name in _COUNTERS:
+        assert bulk.stats.get(name) == single.stats.get(name), name
+    assert bulk.stats.get("requests_served") == len(requests)
+    kinds = {kind for _, kind, _, _ in requests}
+    assert bulk.stats.get("serve_probes") == len(kinds)
+    assert single.stats.get("serve_probes") == len(requests)
+
+    # And one by one is right: each response is its request's counts,
+    # behind the echoed (seq, owner) header in the resilient mode.
+    for frame, (dest, tag, dtype, payload) in zip(taken, single.sent):
+        number, (requester, kind, owner, ids) = next(
+            (n, r) for n, r in enumerate(requests) if frames[n] is frame
+        )
+        assert dest == requester and dtype == "uint32"
+        if mode == "resilient":
+            assert tag == Tags.RESILIENT_RESPONSE
+            assert payload[:2] == [number, owner]
+            payload = payload[2:]
+        else:
+            assert tag == Tags.COUNT_RESPONSE
+        assert payload == _oracle(kind, ids)
+
+
+def test_bulk_without_wards_probes_the_owned_table_once():
+    """No replica bound: the whole batch is one probe of the rank's own
+    table per kind, whatever the ids."""
+    shards = _shards(ward_bound=False)
+    mine = [k for k in POOL if _OWNERS[k] == SERVER]
+    frames = [
+        _frame("universal", 0, 1, KIND_KMER, SERVER, mine[:5]),
+        _frame("universal", 1, 2, KIND_KMER, SERVER, mine[3:9]),
+        _frame("universal", 2, 3, KIND_KMER, SERVER, []),
+    ]
+    comm = Mailbox(frames[1:])
+    serve_queued(comm, shards, frames[0])
+    assert comm.stats.get("serve_probes") == 1
+    assert comm.stats.get("requests_served") == 3
+    assert comm.stats.get("kmer_ids_served") == 11
+    assert comm.sent_to(2) == [
+        (Tags.COUNT_RESPONSE, "uint32", _oracle(KIND_KMER, mine[3:9]))
+    ]
+    assert comm.sent_to(3) == [(Tags.COUNT_RESPONSE, "uint32", [])]
+
+
+def test_serving_leaves_other_traffic_queued_in_order():
+    done = Message(2, Tags.WORKER_DONE, None)
+    response = Message(3, Tags.COUNT_RESPONSE, np.zeros(1, np.uint32))
+    request = _frame("universal", 0, 1, KIND_TILE, SERVER, POOL[:2])
+    comm = Mailbox([done, request, response])
+    serve_queued(comm, _shards(False), _frame("universal", 1, 2, KIND_KMER, SERVER, []))
+    assert comm.queued == [done, response]
+    assert comm.stats.get("requests_served") == 2
+
+
+@pytest.mark.parametrize("universal", [True, False], ids=["universal", "probe"])
+def test_one_pump_turn_answers_every_queued_request(universal):
+    """Through a real engine: three clients' requests are waiting when
+    the server takes its turn; that one turn answers all three (at the
+    parent commit it answered one)."""
+    keys = np.arange(60, dtype=np.uint64)
+    owners = np.asarray(mix_to_rank(keys, SIZE), dtype=np.int64)
+    wanted = keys[owners == SERVER]
+
+    def prog(comm):
+        table = CountHash()
+        table.add_counts(keys[owners == comm.rank], 5)
+        protocol = CorrectionProtocol(comm, table, table, universal=universal)
+        served = None
+        if comm.rank == SERVER:
+            # Every client's "sent" marker follows its request.
+            for peer in range(1, comm.size):
+                comm.recv(source=peer, tag=99)
+            assert protocol.pump(block=False)
+            served = {
+                name: comm.stats.get(name)
+                for name in ("requests_served", "serve_probes", "probe_calls")
+            }
+        else:
+            # A client round whose wait begins by telling the server
+            # "my request is on its way to you".
+            def collect(asked):
+                comm.send(SERVER, None, tag=99)
+                return protocol._collect(asked)
+
+            counts = request_by_owner(
+                comm, wanted, np.full(wanted.size, SERVER),
+                partial(send_request, comm, universal, KIND_KMER), collect,
+            )
+            assert (counts == 5).all()
+        protocol.finish()
+        return served
+
+    served = run_spmd(prog, SIZE, engine="cooperative").results[SERVER]
+    assert served["requests_served"] == SIZE - 1
+    assert served["serve_probes"] == 1
+    # Base mode still pays exactly one counted probe for the turn.
+    assert served["probe_calls"] == (0 if universal else 1)

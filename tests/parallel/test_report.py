@@ -56,6 +56,19 @@ class TestRunReport:
         assert lookup["tiers"]["remote"]["misses"] == 0
         assert lookup["tiers"]["chunk_cache"]["requests"] == 0
 
+    def test_lookup_section_reports_the_serve_batch(self, result):
+        serving = run_report(result)["lookup"]["serving"]
+        assert set(serving) == {"requests_served", "serve_probes", "mean_batch"}
+        assert serving["requests_served"] == sum(
+            s.get("requests_served") for s in result.stats
+        )
+        # A probe answers at least one request, and every answered
+        # request was part of some probe.
+        assert 0 < serving["serve_probes"] <= serving["requests_served"]
+        assert serving["mean_batch"] == pytest.approx(
+            serving["requests_served"] / serving["serve_probes"], abs=1e-3
+        )
+
     def test_json_serializable(self, result):
         json.dumps(run_report(result))
 

@@ -196,6 +196,123 @@ class TestFrames:
         _assert_equal(arr, wire.decode_frame(frame).payload)
 
 
+def _generic_frame(source, tag, payload):
+    """The frame the generic encoder produces (no array fast path)."""
+    header = struct.pack("<BBiq", wire.MAGIC, wire.VERSION, source, tag)
+    return header + wire.encode_payload(payload)
+
+
+def _generic_decode(frame):
+    """A frame's payload through the generic reader only."""
+    return wire.decode_payload(frame[wire.HEADER_BYTES:])
+
+
+INT_DTYPES = [
+    order + kind + width
+    for order in "<>"
+    for kind in "ui"
+    for width in "1248"
+]
+
+
+class TestIntVectorFastPath:
+    """1-D C-contiguous integer arrays skip the generic walk in both
+    directions; the frames, the decoded arrays and the errors are the
+    generic codec's."""
+
+    @pytest.mark.parametrize("dtype", INT_DTYPES)
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_frames_are_byte_identical(self, dtype, n):
+        arr = (np.arange(n) * 37).astype(dtype)
+        frame = wire.encode_frame(3, 11, arr)
+        assert frame == _generic_frame(3, 11, arr)
+        msg = wire.decode_frame(frame)
+        assert (msg.source, msg.tag) == (3, 11)
+        _assert_equal(arr, msg.payload)
+        _assert_equal(_generic_decode(frame), msg.payload)
+
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=40),
+           st.integers(0, 2**31 - 1), st.integers(0, 2**62))
+    @settings(max_examples=50, deadline=None)
+    def test_uint64_frames_match_generic(self, values, source, tag):
+        arr = np.array(values, dtype=np.uint64)
+        frame = wire.encode_frame(source, tag, arr)
+        assert frame == _generic_frame(source, tag, arr)
+        _assert_equal(arr, wire.decode_frame(frame).payload)
+
+    @pytest.mark.parametrize("arr", [
+        np.arange(12, dtype=np.uint64)[::2],               # strided
+        np.arange(12, dtype=np.uint32).reshape(3, 4),      # 2-D
+        np.arange(12, dtype=np.int64).reshape(3, 4).T,     # 2-D, Fortran
+        np.zeros((0, 3), dtype=np.uint8),                  # empty, 2-D
+        np.array(5, dtype=np.int64),                       # 0-D
+        np.linspace(0, 1, 5),                              # float
+        np.array([True, False]),                           # bool
+    ], ids=["strided", "2d", "2d-fortran", "2d-empty", "0d", "float", "bool"])
+    def test_other_arrays_fall_back(self, arr):
+        frame = wire.encode_frame(1, 2, arr)
+        assert frame == _generic_frame(1, 2, arr)
+        _assert_equal(arr, wire.decode_frame(frame).payload)
+
+    def test_decoded_array_owns_its_memory(self):
+        frame = wire.encode_frame(0, 1, np.arange(4, dtype=np.uint64))
+        out = wire.decode_frame(frame).payload
+        assert out.flags.writeable and out.flags.owndata
+        out[:] = 9
+        assert wire.decode_frame(frame).payload.tolist() == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("cut", [1, 6, 7, 14, 15, 18, 19, 20])
+    def test_truncated_frames_raise_as_generic(self, cut):
+        frame = wire.encode_frame(0, 1, np.arange(3, dtype=np.uint16))
+        with pytest.raises(WireFormatError, match="truncated") as fast:
+            wire.decode_frame(frame[:-cut])
+        with pytest.raises(WireFormatError, match="truncated") as generic:
+            _generic_decode(frame[:-cut])
+        # Same diagnosis; the generic reader counts offsets from the
+        # payload's start, decode_frame from the frame's.
+        assert str(fast.value).split(" at ")[0] == \
+            str(generic.value).split(" at ")[0]
+
+    def test_trailing_bytes_raise_as_generic(self):
+        frame = wire.encode_frame(0, 1, np.arange(3, dtype=np.int32))
+        with pytest.raises(WireFormatError, match="trailing") as fast:
+            wire.decode_frame(frame + b"\x00\x00")
+        with pytest.raises(WireFormatError, match="trailing") as generic:
+            _generic_decode(frame + b"\x00\x00")
+        assert str(fast.value) == str(generic.value)
+
+    def test_bad_magic_and_version_still_checked(self):
+        frame = bytearray(wire.encode_frame(0, 1, np.arange(3, dtype=np.uint64)))
+        frame[0] ^= 0xFF
+        with pytest.raises(WireFormatError, match="magic"):
+            wire.decode_frame(bytes(frame))
+        frame[0] ^= 0xFF
+        frame[1] = wire.VERSION + 1
+        with pytest.raises(WireFormatError, match="version"):
+            wire.decode_frame(bytes(frame))
+
+    def test_frame_size_limit(self, monkeypatch):
+        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 64)
+        big = np.zeros(100, dtype=np.uint64)
+        with pytest.raises(WireFormatError, match="frame limit") as fast:
+            wire.encode_frame(0, 1, big)
+        with pytest.raises(WireFormatError, match="frame limit") as generic:
+            wire.encode_payload(big)
+        assert str(fast.value) == str(generic.value)
+        # The limit is on the encoded payload, exactly as in the generic
+        # encoder: 5 + 8 + 6 * 8 = 61 bytes pass, one element more does not.
+        wire.encode_frame(0, 1, np.zeros(6, dtype=np.uint64))
+        with pytest.raises(WireFormatError, match="frame limit"):
+            wire.encode_frame(0, 1, np.zeros(7, dtype=np.uint64))
+
+    def test_array_subclass_is_not_fast_pathed(self):
+        class Tagged(np.ndarray):
+            pass
+
+        arr = np.arange(4, dtype=np.uint64).view(Tagged)
+        assert wire.encode_frame(0, 1, arr) == _generic_frame(0, 1, arr)
+
+
 class TestClone:
     def test_clone_is_deep(self):
         payload = (np.arange(3, dtype=np.int64), [np.ones(2)])
