@@ -4,7 +4,8 @@ Runs the same E.Coli-profile instance under four correction-phase modes —
 base, universal, prefetch, prefetch+universal — and reports the paper's
 aggregation argument as numbers: correction-phase messages, bytes, and
 wall time, each normalized per corrected read.  Prefetch must beat base
-by at least 5x on messages and never block inside ``correct_block``.
+by at least 5x on messages, never block inside ``correct_block``, and
+replay once per rank (``replans <= nranks``), not once per chunk.
 
 Also runnable standalone, emitting the ``repro.experiment/1`` JSON shape::
 
@@ -73,7 +74,8 @@ def run_experiment(scale, nranks=NRANKS) -> ExperimentResult:
         columns=[
             "mode", "messages", "bytes", "wall_s",
             "msgs_per_read", "bytes_per_read", "wall_us_per_read",
-            "blocking_lookups", "replans", "corrections", "tier_hits",
+            "blocking_lookups", "replans", "tail_reads", "miss_fetches",
+            "corrections", "tier_hits",
         ],
     )
     n_reads = len(scale.dataset.block)
@@ -92,6 +94,8 @@ def run_experiment(scale, nranks=NRANKS) -> ExperimentResult:
             round(wall / n_reads * 1e6, 1),
             total.get("blocking_request_counts"),
             total.get("prefetch_replans"),
+            total.get("prefetch_tail_reads"),
+            total.get("prefetch_miss_fetches"),
             result.total_corrections,
             _tier_hits(total),
         )
@@ -103,6 +107,9 @@ def run_experiment(scale, nranks=NRANKS) -> ExperimentResult:
         if heuristics.use_prefetch:
             assert total.get("blocking_request_counts") == 0
             assert messages * 5 <= baseline[0]
+            # One tail per rank (its reads fit one chunk-sized piece
+            # here): a slide back to per-chunk replay multiplies this.
+            assert total.get("prefetch_replans") <= nranks
     out.note(
         "correction-phase traffic only (count + prefetch tags "
         f"{CORRECTION_TAGS}); cooperative engine, {n_reads} reads"

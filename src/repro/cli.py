@@ -344,12 +344,20 @@ def cmd_correct(args: argparse.Namespace) -> int:
                   f"{totals.get(f'lookup_{tier}_hits'):>12,d} "
                   f"{totals.get(f'lookup_{tier}_misses'):>12,d} "
                   f"{totals.get(f'lookup_{tier}_bytes'):>14,d}")
-        from repro.parallel.report import serving_summary
+        from repro.parallel.report import prefetch_summary, serving_summary
 
         serving = serving_summary(totals)
         print(f"{'served':>12} {serving['requests_served']:>12,d} requests in "
               f"{serving['serve_probes']:,d} table probes "
               f"(mean batch {serving['mean_batch']:.2f})")
+        if result.heuristics.use_prefetch:
+            pf = prefetch_summary(totals)
+            print(f"{'prefetch':>12} {pf['fetches']:>12,d} fetches in "
+                  f"{pf['messages']:,d} frames; tail {pf['tail_reads']:,d} "
+                  f"reads, {pf['replans']:,d} replans, "
+                  f"{pf['miss_fetches']:,d} on-miss fetches "
+                  f"(miss ratio {pf['miss_ratio']:.4f}, "
+                  f"cache {pf['cache_bytes']:,d} B)")
         _print_session_row(totals)
     return 0
 

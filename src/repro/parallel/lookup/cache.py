@@ -13,17 +13,21 @@ from repro.hashing.counthash import CountHash
 
 
 class ChunkCountCache:
-    """Counts fetched from owning ranks during the correction phase.
+    """Authoritative global counts gathered during the correction phase.
 
     Keys are inserted with their authoritative global count — including
     an explicit 0 for globally-absent ids, so :meth:`CountHash.contains`
     distinguishes "known absent" from "never fetched".  The executor
     keeps **one** cache for all of a rank's chunks: at sequencing
     coverage ``c`` every genomic k-mer recurs in ~``c`` reads spread
-    across chunks, so later chunks resolve mostly from ids fetched for
-    earlier ones.  The footprint is bounded by the rank's *foreign
-    working set* — the same order as the reads-table heuristic — and is
-    discarded when the correction phase ends.
+    across chunks, so later chunks resolve mostly from ids gathered for
+    earlier ones.  It holds every id a plan enumerated, not only the
+    fetched ones: the planner also deposits what the owned shard or a
+    replication-group table resolved, so the corrector's lookups take
+    one probe.  The footprint is therefore the rank's planned *working
+    set* — window tiles plus the weak sites' candidate neighbourhood,
+    owned and foreign (``prefetch_cache_bytes``) — and is discarded when
+    the correction phase ends.
     """
 
     def __init__(self) -> None:

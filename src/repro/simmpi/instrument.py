@@ -92,6 +92,53 @@ SERVICE_COUNTERS = (
     "service_rounds",
 )
 
+#: The Step IV prefetch counter family (all in
+#: :attr:`CommStats.counters`, bumped only on ``prefetch=True`` runs by
+#: :mod:`repro.parallel.lookup.planner`, :mod:`repro.parallel.prefetch`
+#: and the chunk-cache tier; summed over ranks in ``run_report``'s
+#: ``prefetch`` section and summarized by
+#: :func:`repro.parallel.report.prefetch_summary`):
+#:
+#: * ``prefetch_fetches`` — bulk exchanges issued (planned window and
+#:   candidate fetches, tail re-plans and on-miss fetches alike);
+#:   ``prefetch_messages`` — the request frames they sent, one per owner.
+#: * ``prefetch_{kmer,tile}_ids_fetched`` — unique ids those exchanges
+#:   asked owners for; ``prefetch_{kmer,tile}_ids_deduped`` — ids a plan
+#:   dropped because they repeated or were already cached.
+#: * ``prefetch_{kmer,tile}_hits`` — lookups the chunk cache answered
+#:   (the corrector's, and stage 2's probe of the fetched windows);
+#:   ``prefetch_{kmer,tile}_misses`` — lookups no local tier could
+#:   (answered 0 and tainted in a first pass, fetched at once in the
+#:   tail).
+#: * ``prefetch_tail_reads`` — reads a first-pass miss tainted, replayed
+#:   in the rank's tail; ``prefetch_replans`` — tail drift re-plans (one
+#:   per piece of ≤ ``chunk_size`` tail reads per ``run()``);
+#:   ``prefetch_miss_fetches`` — synchronous fetches the tail replay made
+#:   for ids even the re-plan had not covered.
+#: * ``prefetch_cache_bytes`` — chunk-cache table bytes at the end of the
+#:   phase (not part of ``RankMemoryReport.peak``).
+#: * ``prefetch_requests_served`` / ``prefetch_{kmer,tile}_ids_served``
+#:   — the serving side of those exchanges.
+PREFETCH_COUNTERS = (
+    "prefetch_fetches",
+    "prefetch_messages",
+    "prefetch_kmer_ids_fetched",
+    "prefetch_tile_ids_fetched",
+    "prefetch_kmer_ids_deduped",
+    "prefetch_tile_ids_deduped",
+    "prefetch_kmer_hits",
+    "prefetch_tile_hits",
+    "prefetch_kmer_misses",
+    "prefetch_tile_misses",
+    "prefetch_tail_reads",
+    "prefetch_replans",
+    "prefetch_miss_fetches",
+    "prefetch_cache_bytes",
+    "prefetch_requests_served",
+    "prefetch_kmer_ids_served",
+    "prefetch_tile_ids_served",
+)
+
 #: The per-tier lookup counter family.  Every count resolution runs an
 #: ordered tier stack (:mod:`repro.parallel.lookup`); the stack bumps
 #: ``lookup_<tier>_requests`` / ``_hits`` / ``_misses`` / ``_bytes`` for
@@ -215,15 +262,6 @@ class CommStats:
     def get(self, name: str) -> int:
         """Read a named protocol counter (0 when never bumped)."""
         return self.counters.get(name, 0)
-
-    def prefixed(self, prefix: str) -> dict[str, int]:
-        """All counters whose name starts with ``prefix`` (e.g. the
-        per-phase ``prefetch_*`` family), as a plain dict for reports."""
-        return {
-            name: value
-            for name, value in sorted(self.counters.items())
-            if name.startswith(prefix)
-        }
 
     def merge(self, other: "CommStats") -> None:
         """Fold another rank's counters into this one (for totals)."""

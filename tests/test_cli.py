@@ -63,6 +63,23 @@ class TestCorrect:
         fixed = sum(1 for r in broken if corrected[r] == truths[r])
         assert fixed > 0.6 * len(broken)
 
+    def test_stats_prefetch_row(self, simulated, tmp_path, capsys):
+        _, fasta, qual, _ = simulated
+        args = [
+            "correct", "--fasta", str(fasta), "--quality", str(qual),
+            "--output", str(tmp_path / "c.fa"), "--nranks", "3",
+            "--kmer-threshold", "18", "--tile-threshold", "2", "--stats",
+        ]
+        assert main(args) == 0
+        assert "on-miss fetches" not in capsys.readouterr().out
+        assert main(args + ["--prefetch"]) == 0
+        row = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.lstrip().startswith("prefetch ")
+        ]
+        assert len(row) == 1
+        assert "replans" in row[0] and "on-miss fetches" in row[0]
+
     def test_config_file_path(self, simulated, tmp_path):
         tmp, fasta, qual, _ = simulated
         from repro.config import ReptileConfig
