@@ -32,6 +32,15 @@ _RECOVERY_FORMAT = "repro.recovery/1"
 _SESSION_FORMAT = "repro.session/1"
 
 
+def _load_table(data, kind: str) -> CountHash:
+    """The ``kind`` table of an open bundle.  The first add sizes and places
+    it, so a reloaded table is no larger than the same entries built in
+    place (and a bundle with repeated keys is tolerated)."""
+    table = CountHash()
+    table.add_counts(data[f"{kind}_keys"], data[f"{kind}_counts"])
+    return table
+
+
 def save_spectra(spectra: SpectrumPair, path: str | os.PathLike) -> None:
     """Write a spectrum pair as compressed npz."""
     kmer_keys, kmer_counts = spectra.kmers.items()
@@ -58,14 +67,8 @@ def load_spectra(path: str | os.PathLike) -> SpectrumPair:
                 f"(expected {_FORMAT!r})"
             )
         shape = TileShape(int(data["k"]), int(data["overlap"]))
-        kmers = CountHash(capacity=2 * max(1, data["kmer_keys"].shape[0]))
-        kmers.add_counts(
-            data["kmer_keys"], data["kmer_counts"].astype(np.uint64)
-        )
-        tiles = CountHash(capacity=2 * max(1, data["tile_keys"].shape[0]))
-        tiles.add_counts(
-            data["tile_keys"], data["tile_counts"].astype(np.uint64)
-        )
+        kmers = _load_table(data, "kmer")
+        tiles = _load_table(data, "tile")
     return SpectrumPair(shape=shape, kmers=kmers, tiles=tiles)
 
 
@@ -111,14 +114,8 @@ def load_recovery_bundle(path: str | os.PathLike) -> dict:
                 f"{path}: unsupported recovery format {fmt!r} "
                 f"(expected {_RECOVERY_FORMAT!r})"
             )
-        kmers = CountHash(capacity=2 * max(1, data["kmer_keys"].shape[0]))
-        kmers.add_counts(
-            data["kmer_keys"], data["kmer_counts"].astype(np.uint64)
-        )
-        tiles = CountHash(capacity=2 * max(1, data["tile_keys"].shape[0]))
-        tiles.add_counts(
-            data["tile_keys"], data["tile_counts"].astype(np.uint64)
-        )
+        kmers = _load_table(data, "kmer")
+        tiles = _load_table(data, "tile")
         out = {
             "kmers": kmers,
             "tiles": tiles,
@@ -181,14 +178,8 @@ def load_session_bundle(path: str | os.PathLike) -> dict:
                 f"{path}: unsupported session format {fmt!r} "
                 f"(expected {_SESSION_FORMAT!r})"
             )
-        kmers = CountHash(capacity=2 * max(1, data["kmer_keys"].shape[0]))
-        kmers.add_counts(
-            data["kmer_keys"], data["kmer_counts"].astype(np.uint64)
-        )
-        tiles = CountHash(capacity=2 * max(1, data["tile_keys"].shape[0]))
-        tiles.add_counts(
-            data["tile_keys"], data["tile_counts"].astype(np.uint64)
-        )
+        kmers = _load_table(data, "kmer")
+        tiles = _load_table(data, "tile")
         out = {
             "kmers": kmers,
             "tiles": tiles,

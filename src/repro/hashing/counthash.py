@@ -2,14 +2,24 @@
 
 This is the paper's spectrum container: "we store the k-mer and tile spectrum
 in hash tables instead of arrays; this prevents any need for sorting the
-arrays or for repeated binary searches."  The table is numpy-backed — a
-single ``(capacity, 2)`` uint64 record array holding ``[key, meta]`` per
-slot, where ``meta`` packs an occupancy bit (bit 63) above the uint32 count —
-so batch inserts and lookups are vectorized across whole reads or whole
-incoming messages, one probing round costs a single 16-byte row gather per
-key, and the memory footprint is exactly measurable
-(:attr:`CountHash.nbytes`), which the paper's per-rank memory figures rely
-on.  Capacity is a power of two holding at most 0.60 load.
+arrays or for repeated binary searches."  The table is numpy-backed — two
+parallel 1-D arrays, ``keys`` and ``meta``, where ``meta`` packs an
+occupancy flag (its top bit) above the count — so batch inserts and lookups
+are vectorized across whole reads or whole incoming messages, one probing
+round costs two narrow gathers per key, and the memory footprint is exactly
+measurable (:attr:`CountHash.nbytes`), which the paper's per-rank memory
+figures rely on.  Capacity is a power of two holding at most 0.60 load.
+
+**Slots are as narrow as their contents.**  ``keys`` is uint32 or uint64
+and ``meta`` uint16, uint32 or uint64 (15-, 31- and 32-bit count fields:
+counts saturate at 2**32 - 1 whatever the width).  Every rebuild picks the
+narrowest pair that holds its largest key and largest count; an incremental
+add that meets a wider key or a larger running total widens that one array
+before it writes, and nothing narrows except a rebuild.  A k = 12 k-mer
+table is 6 bytes a slot, a tile table 10, against 16 for two uint64.  The
+caller states nothing and sees nothing: keys go in and come out as uint64,
+counts come out as uint32, and a stored narrow key is compared with the
+64-bit query by promotion, never by truncating the query.
 
 **The slot hash is not the owner hash.**  Ownership is
 ``splitmix64(key) % nranks`` (:func:`~repro.hashing.inthash.mix_to_rank`),
@@ -26,10 +36,11 @@ regression test reads.
 
 **Bulk placement.**  Probing is linear.  Whenever distinct keys enter an
 *empty* table — the first :meth:`~CountHash.add_counts`, a growth rehash,
-:meth:`~CountHash.filter_below`, :meth:`~CountHash.from_counts` — they are
-placed all at once: sort by home slot, and the ``i``-th key of that order
-lands at ``i + max_{j <= i}(home_j - j)``, i.e. at its home or directly
-behind its predecessor, whichever is later.  That is exactly the layout
+:meth:`~CountHash.filter_below`, :meth:`~CountHash.from_counts` — the
+arrays are allocated for them and they are placed all at once: sort by home
+slot, and the ``i``-th key of that order lands at
+``i + max_{j <= i}(home_j - j)``, i.e. at its home or directly behind its
+predecessor, whichever is later.  That is exactly the layout
 inserting the keys one by one in home order would produce, so the linear-
 probing invariant holds by construction: every slot from a key's home up to
 its position is occupied.  The few keys pushed past the last slot wrap to
@@ -41,12 +52,12 @@ the shrinking unresolved subset; keys racing for one free slot all write
 their claim and the one whose key the slot then holds has won, the others
 advance.
 
-**Lookups** probe the home slot of the whole batch unindexed — one row
-gather and a dozen elementwise passes, where most keys resolve at this
-load — and then only the survivors, a window of consecutive slots at a
-time (a hit anywhere in the window stands, because no free slot can lie
-between a key's home and its entry).  Either way the cost is O(rounds)
-numpy passes, never O(n) Python iterations.
+**Lookups** probe the home slot of the whole batch unindexed — a key
+gather, a meta gather and a dozen elementwise passes, where most keys
+resolve at this load — and then only the survivors, a window of consecutive
+slots at a time (a hit anywhere in the window stands, because no free slot
+can lie between a key's home and its entry).  Either way the cost is
+O(rounds) numpy passes, never O(n) Python iterations.
 """
 
 from __future__ import annotations
@@ -60,10 +71,16 @@ _MAX_LOAD = 0.60
 #: Bulk placement packs (home slot, key index) into one uint64 to sort.
 _MAX_CAPACITY = 1 << 32
 
-#: Bit 63 of ``meta``: slot occupied.  The count lives in the low 32 bits.
-_PRESENT = np.uint64(1) << np.uint64(63)
-_COUNT_MASK = np.uint64(0xFFFFFFFF)
 _COUNT_MAX = np.uint64(np.iinfo(np.uint32).max)
+_KEY32_MAX = np.iinfo(np.uint32).max
+#: ``meta`` widths, narrowest first, with the largest count each holds: the
+#: top bit flags an occupied slot, the count lives below it (the widest
+#: keeps a 32-bit field, so saturation does not depend on the width).
+_META_WIDTHS = (
+    (np.uint16, (1 << 15) - 1),
+    (np.uint32, (1 << 31) - 1),
+    (np.uint64, int(_COUNT_MAX)),
+)
 
 #: Slot-hash multipliers (odd, so each step is a bijection of uint64).
 _M1 = np.uint64(0x9E3779B97F4A7C15)
@@ -72,8 +89,8 @@ _S32 = np.uint64(32)
 
 #: A lookup round after the first examines a window of consecutive slots
 #: per unresolved key: as wide as possible while the round gathers at most
-#: _WINDOW_ROWS table rows.  Small batches are bound by the number of numpy
-#: passes, which a window divides; large ones by the rows gathered, which
+#: _WINDOW_ROWS table slots.  Small batches are bound by the number of numpy
+#: passes, which a window divides; large ones by the slots gathered, which
 #: it multiplies — so those step slot by slot.
 _WINDOW_STEPS = np.arange(1, 9, dtype=np.int64)
 _WINDOW_ROWS = 4096
@@ -137,21 +154,34 @@ class CountHash:
         grows automatically; pre-sizing only avoids rehashes.
     """
 
-    __slots__ = ("_table", "_size", "_mask", "_shift")
+    __slots__ = (
+        "_keys", "_meta", "_present", "_count_mask", "_size", "_mask", "_shift"
+    )
 
     def __init__(self, capacity: int = _MIN_CAPACITY) -> None:
         cap = _next_pow2(max(int(capacity), _MIN_CAPACITY))
         self._alloc(cap)
 
-    def _alloc(self, cap: int) -> None:
+    def _alloc(self, cap: int, top_key: int = 0, top_count: int = 0) -> None:
+        """Empty ``cap``-slot table, as narrow as its largest key and count."""
         if cap > _MAX_CAPACITY:
             raise HashTableError(
                 f"capacity {cap} exceeds the {_MAX_CAPACITY}-slot limit"
             )
-        self._table = np.zeros((cap, 2), dtype=np.uint64)
+        self._keys = np.zeros(
+            cap, dtype=np.uint32 if top_key <= _KEY32_MAX else np.uint64
+        )
+        self._set_meta(cap, top_count)
         self._size = 0
         self._mask = cap - 1
         self._shift = np.uint64(64 - (cap.bit_length() - 1))
+
+    def _set_meta(self, cap: int, top_count: int) -> None:
+        """Zeroed ``meta`` of the narrowest width holding ``top_count``."""
+        dtype, limit = next(w for w in _META_WIDTHS if top_count <= w[1])
+        self._meta = np.zeros(cap, dtype=dtype)
+        self._count_mask = dtype(limit)
+        self._present = dtype(1 << (8 * self._meta.itemsize - 1))
 
     @classmethod
     def from_counts(
@@ -169,8 +199,10 @@ class CountHash:
         if min_count > 0:
             keep = counts >= np.uint64(min_count)
             keys, counts = keys[keep], counts[keep]
-        table = cls(_capacity_for(keys.shape[0]))
-        table._place(keys, np.minimum(counts, _COUNT_MAX))
+        table = cls.__new__(cls)
+        table._rebuild(
+            _capacity_for(keys.shape[0]), keys, np.minimum(counts, _COUNT_MAX)
+        )
         return table
 
     # ------------------------------------------------------------------
@@ -182,7 +214,7 @@ class CountHash:
     @property
     def capacity(self) -> int:
         """Current number of slots."""
-        return self._table.shape[0]
+        return self._keys.shape[0]
 
     @property
     def load_factor(self) -> float:
@@ -191,8 +223,8 @@ class CountHash:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the backing array (the rank memory-footprint unit)."""
-        return self._table.nbytes
+        """Bytes held by the backing arrays (the rank memory-footprint unit)."""
+        return self._keys.nbytes + self._meta.nbytes
 
     @property
     def mean_displacement(self) -> float:
@@ -203,8 +235,9 @@ class CountHash:
         """
         if self._size == 0:
             return 0.0
-        at = np.flatnonzero(self._table[:, 1] >= _PRESENT)
-        return float(((at - self._home(self._table[at, 0])) & self._mask).mean())
+        at = np.flatnonzero(self._meta >= self._present)
+        home = self._home(self._keys[at].astype(np.uint64))
+        return float(((at - home) & self._mask).mean())
 
     def __contains__(self, key: int) -> bool:
         return bool(self.contains(np.array([key], dtype=np.uint64))[0])
@@ -236,38 +269,44 @@ class CountHash:
         if keys.size == 0:
             return
         uniq, add = sum_by_key(keys, counts)
-        self._reserve(self._size + uniq.shape[0])
+        cap = max(self.capacity, _capacity_for(self._size + uniq.shape[0]))
         if self._size == 0:
-            self._place(uniq, np.minimum(add, _COUNT_MAX))
+            self._rebuild(cap, uniq, np.minimum(add, _COUNT_MAX))
             return
+        if cap > self.capacity:
+            self._rebuild(cap, *self.items())
+        if uniq[-1] > _KEY32_MAX and self._keys.dtype != np.uint64:
+            self._keys = self._keys.astype(np.uint64)
         slots = self._locate_for_insert(uniq)
-        # Saturating add into the 32-bit count field.
-        total = (self._table[slots, 1] & _COUNT_MASK) + add
+        # Saturating add into the 32-bit count, widening a narrower field.
+        total = (self._meta[slots] & self._count_mask) + add
         np.minimum(total, _COUNT_MAX, out=total)
-        self._table[slots, 1] = _PRESENT | total
+        top = int(total.max())
+        if top > self._count_mask:
+            # The flag is the top bit, so it moves when the field widens.
+            occupied = self._meta >= self._present
+            narrow = self._meta & self._count_mask
+            self._set_meta(self.capacity, top)
+            self._meta[:] = narrow
+            self._meta[occupied] |= self._present
+        self._meta[slots] = total | self._present
 
     def increment(self, keys: np.ndarray) -> None:
         """Shorthand for ``add_counts(keys, 1)``."""
         self.add_counts(keys, 1)
 
-    def _reserve(self, projected_size: int) -> None:
-        needed = _capacity_for(projected_size)
-        if needed > self.capacity:
-            self._rebuild(needed, *self.items())
-
     def _rebuild(self, cap: int, keys: np.ndarray, counts: np.ndarray) -> None:
-        """Become a ``cap``-slot table of exactly these distinct entries."""
-        self._alloc(cap)
-        self._place(keys, counts.astype(np.uint64))
+        """Become a ``cap``-slot table of exactly these distinct uint64 keys
+        (counts <= uint32 max), in the narrowest slots that hold them.
 
-    def _place(self, keys: np.ndarray, counts: np.ndarray) -> None:
-        """Bulk-place distinct keys (counts <= uint32 max) into the empty table.
-
-        One sort by home slot; see the module docstring for the invariant.
+        Bulk placement: one sort by home slot; see the module docstring for
+        the invariant.
         """
         n = keys.shape[0]
         if n == 0:
+            self._alloc(cap)
             return
+        self._alloc(cap, int(keys.max()), int(counts.max()))
         index_bits = np.uint64(n.bit_length())
         packed = self._home(keys).view(np.uint64)
         packed <<= index_bits
@@ -282,17 +321,17 @@ class CountHash:
         pos += ramp
         # pos is strictly increasing: the keys that fit are a prefix.
         fit = int(np.searchsorted(pos, self.capacity))
-        rows = np.empty((n, 2), dtype=np.uint64)
-        rows[:, 0] = keys[order]
-        rows[:, 1] = counts[order]
-        rows[:, 1] |= _PRESENT
-        self._table[pos[:fit]] = rows[:fit]
+        keys = keys[order]
+        meta = counts.astype(self._meta.dtype)[order]
+        meta |= self._present
+        self._keys[pos[:fit]] = keys[:fit]
+        self._meta[pos[:fit]] = meta[:fit]
         self._size = fit
         if fit < n:
             # Every slot from these keys' homes to the end is now taken;
             # they wrap to the front like any later insert would.
-            slots = self._locate_for_insert(rows[fit:, 0])
-            self._table[slots, 1] = rows[fit:, 1]
+            slots = self._locate_for_insert(keys[fit:])
+            self._meta[slots] = meta[fit:]
 
     def _locate_for_insert(self, uniq: np.ndarray) -> np.ndarray:
         """Slot for each distinct key, claiming free slots for new keys.
@@ -300,9 +339,10 @@ class CountHash:
         Per probing round every key at a free slot writes its claim; the
         slot keeps one of them (the keys are distinct, so reading it back
         names the winner) and the rest advance with the keys that met a
-        foreign entry.  New slots are left with a zero count.
+        foreign entry.  New slots are left with a zero count.  The key
+        array must already be wide enough for ``uniq``.
         """
-        table = self._table
+        stored, meta, present = self._keys, self._meta, self._present
         mask = self._mask
         result = self._home(uniq)
         slots, keys, pending = result, uniq, None
@@ -311,16 +351,16 @@ class CountHash:
             rounds += 1
             if rounds > self.capacity + 1:
                 raise HashTableError("probe loop exceeded capacity (table full)")
-            free = table[slots, 1] < _PRESENT
+            free = meta[slots] < present
             if free.any():
                 claimed = slots[free]
-                table[claimed, 0] = keys[free]
-                table[claimed, 1] = _PRESENT
+                stored[claimed] = keys[free]
+                meta[claimed] = present
                 self._size += int(
-                    np.count_nonzero(table[claimed, 0] == keys[free])
+                    np.count_nonzero(stored[claimed] == keys[free])
                 )
             # Every probed slot is occupied now; it is ours iff it holds us.
-            lost = (table[slots, 0] != keys).nonzero()[0]
+            lost = (stored[slots] != keys).nonzero()[0]
             if lost.size == 0:
                 return result
             slots = (slots[lost] + 1) & mask
@@ -337,18 +377,20 @@ class CountHash:
         """Shared probe core: ``(counts, found)`` per key.
 
         Round 1 reads every key's home slot, unindexed over the whole
-        batch — one row gather plus elementwise compares; subsequent
+        batch — two gathers plus elementwise compares; subsequent
         rounds read a window of slots per key of the unresolved remainder.
+        A narrow stored key is promoted to the query's width to compare.
         """
-        table = self._table
+        stored, table, present = self._keys, self._meta, self._present
+        count_mask = self._count_mask
         slots = self._home(keys)
-        rec = table.take(slots, axis=0)
-        meta = rec[:, 1]
-        occ = meta >= _PRESENT
-        found = rec[:, 0] == keys
+        meta = table.take(slots)
+        occ = meta >= present
+        found = stored.take(slots) == keys
         found &= occ
-        # The uint32 truncation of meta is the count; multiplying by the
-        # match mask zeroes the foreign entries in one pass.
+        # Masking off the flag leaves the count; multiplying by the match
+        # mask zeroes the foreign entries in one pass.
+        meta &= count_mask
         out = meta.astype(np.uint32)
         out *= found
         # found is a subset of occ, so xor is the unresolved remainder.
@@ -369,17 +411,18 @@ class CountHash:
             # contiguous memory.
             at = slots + steps[:, None]
             at &= mask
-            rec = table.take(at, axis=0)
-            meta = rec[..., 1]
-            occ = meta >= _PRESENT
-            hit = rec[..., 0] == keys
+            meta = table.take(at)
+            occ = meta >= present
+            hit = stored.take(at) == keys
             hit &= occ
             # No free slot lies between a key's home and its entry, so a
             # hit anywhere in the window stands (and there is at most
             # one: summing picks it); only a fully occupied window
             # without a hit leaves its key unresolved.
             got = hit.any(axis=0)
-            out[pending] = (meta * hit).sum(axis=0)  # truncates to the count
+            counts = (meta * hit).sum(axis=0)
+            counts &= count_mask
+            out[pending] = counts
             found[pending] = got
             more = occ.all(axis=0)
             more &= ~got
@@ -430,8 +473,11 @@ class CountHash:
     # ------------------------------------------------------------------
     def items(self) -> tuple[np.ndarray, np.ndarray]:
         """Copies of all (keys, counts), in unspecified order."""
-        used = self._table[self._table[:, 1] >= _PRESENT]
-        return used[:, 0].copy(), used[:, 1].astype(np.uint32)
+        used = self._meta >= self._present
+        return (
+            self._keys[used].astype(np.uint64, copy=False),
+            (self._meta[used] & self._count_mask).astype(np.uint32, copy=False),
+        )
 
     def filter_below(self, threshold: int) -> int:
         """Drop every entry with count < ``threshold``; returns #removed.
@@ -460,8 +506,7 @@ class CountHash:
     def copy(self) -> "CountHash":
         """Deep copy preserving layout."""
         dup = CountHash.__new__(CountHash)
-        dup._table = self._table.copy()
-        dup._size = self._size
-        dup._mask = self._mask
-        dup._shift = self._shift
+        for name in self.__slots__:
+            setattr(dup, name, getattr(self, name))
+        dup._keys, dup._meta = self._keys.copy(), self._meta.copy()
         return dup

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.kmer.codec import INVALID_CODE, decode_sequence, encode_sequence
+from repro.kmer.codec import INVALID_CODE, decode_rows, encode_sequence
 
 #: Quality placeholder used when no quality data is available.
 DEFAULT_QUALITY = 40
@@ -116,11 +116,7 @@ class ReadBlock:
 
     def to_strings(self) -> list[str]:
         """Decode every read back to a DNA string ('N' for ambiguous)."""
-        out = []
-        for i in range(len(self)):
-            L = int(self.lengths[i])
-            out.append(decode_sequence(self.codes[i, :L]))
-        return out
+        return decode_rows(self.codes, self.lengths)
 
     # ------------------------------------------------------------------
     def select(self, index: np.ndarray) -> "ReadBlock":

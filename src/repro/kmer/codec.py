@@ -32,6 +32,10 @@ for _i, _b in enumerate(_BASES):
     _ENCODE_LUT[ord(_b)] = _i
     _ENCODE_LUT[ord(_b.lower())] = _i
 
+# The inverse: codes 0..3 map to ACGT, every other byte to 'N'.
+_DECODE_LUT = np.full(256, ord("N"), dtype=np.uint8)
+_DECODE_LUT[:4] = np.frombuffer(_BASES.encode("ascii"), dtype=np.uint8)
+
 
 def encode_sequence(
     seq: str | bytes | NDArray[np.uint8],
@@ -198,8 +202,21 @@ def block_window_ids(
 def decode_sequence(codes: NDArray[np.uint8]) -> str:
     """Decode a 2-bit code array back to a DNA string ('N' for invalid)."""
     codes = np.asarray(codes, dtype=np.uint8)
-    lut = np.frombuffer(b"ACGT", dtype=np.uint8)
-    out = np.full(codes.shape, ord("N"), dtype=np.uint8)
-    ok = codes < 4
-    out[ok] = lut[codes[ok]]
-    return out.tobytes().decode("ascii")
+    return _DECODE_LUT[codes].tobytes().decode("ascii")
+
+
+def decode_rows(
+    codes: NDArray[np.uint8], lengths: NDArray[np.integer]
+) -> list[str]:
+    """:func:`decode_sequence` of the first ``lengths[i]`` codes of each row.
+
+    The whole matrix is decoded by one table lookup into a single string
+    and the rows are sliced out of it, so the cost per read is one slice.
+    """
+    codes = np.asarray(codes, dtype=np.uint8)
+    width = codes.shape[1]
+    text = _DECODE_LUT[codes].tobytes().decode("ascii")
+    return [
+        text[i * width : i * width + n]
+        for i, n in enumerate(np.minimum(lengths, width).tolist())
+    ]

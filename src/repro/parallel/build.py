@@ -191,7 +191,7 @@ def fetch_read_table(
         keys[mix_to_rank(keys, comm.size) != comm.rank] if keys.size else keys
     )
     fetched, counts = fetch_global_counts(comm, not_mine, owned)
-    cache = CountHash(capacity=max(64, 2 * fetched.size))
+    cache = CountHash()
     cache.add_counts(fetched, counts)
     return cache
 

@@ -29,8 +29,6 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.hashing.counthash import CountHash
 from repro.io.records import ReadBlock
@@ -59,10 +57,9 @@ def _bundle_payload(spectra, block: ReadBlock) -> tuple:
 
 
 def _tables_from(kmer_keys, kmer_counts, tile_keys, tile_counts):
-    kmers = CountHash(capacity=2 * max(1, int(kmer_keys.shape[0])))
-    kmers.add_counts(kmer_keys, kmer_counts.astype(np.uint64))
-    tiles = CountHash(capacity=2 * max(1, int(tile_keys.shape[0])))
-    tiles.add_counts(tile_keys, tile_counts.astype(np.uint64))
+    kmers, tiles = CountHash(), CountHash()
+    kmers.add_counts(kmer_keys, kmer_counts)
+    tiles.add_counts(tile_keys, tile_counts)
     return kmers, tiles
 
 

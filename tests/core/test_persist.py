@@ -32,6 +32,44 @@ class TestRoundtrip:
             keys, counts = orig.items()
             assert np.array_equal(got.lookup(keys), counts)
 
+    def test_footprint_identical_after_reload(self, built):
+        """A thresholded spectrum is sized by the one rule; reloading it
+        applies the same rule to the same entries, slot widths included."""
+        _, spectra, path = built
+        loaded = load_spectra(path)
+        for attr in ("kmers", "tiles"):
+            orig, got = getattr(spectra, attr), getattr(loaded, attr)
+            assert len(orig) > 0
+            assert got.capacity == orig.capacity
+            assert got.nbytes == orig.nbytes
+        assert loaded.nbytes == spectra.nbytes
+
+    @pytest.mark.parametrize("n_kmers, n_tiles", [(1_200, 700), (38, 39)])
+    def test_reload_is_not_presized_past_the_rule(
+        self, n_kmers, n_tiles, tmp_path
+    ):
+        """1,200 entries fit 2,048 slots; twice the entry count rounded up
+        to a power of two would be 4,096."""
+        from repro.core.spectrum import SpectrumPair
+        from repro.hashing.counthash import CountHash
+        from repro.kmer.tiles import TileShape
+
+        def table(n, top_key):
+            keys = np.linspace(0, top_key, n).astype(np.uint64)
+            return CountHash.from_counts(keys, keys % np.uint64(90) + 1)
+
+        pair = SpectrumPair(
+            shape=TileShape(12, 4),
+            kmers=table(n_kmers, 4**12 - 1),
+            tiles=table(n_tiles, 4**20 - 1),
+        )
+        path = tmp_path / "sized.npz"
+        save_spectra(pair, path)
+        loaded = load_spectra(path)
+        for orig, got in ((pair.kmers, loaded.kmers), (pair.tiles, loaded.tiles)):
+            assert (got.capacity, got.nbytes) == (orig.capacity, orig.nbytes)
+            assert got.mean_displacement == orig.mean_displacement
+
     def test_corrections_identical_after_reload(self, built):
         scale, spectra, path = built
         loaded = load_spectra(path)

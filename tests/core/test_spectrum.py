@@ -90,6 +90,60 @@ class TestBuildSpectra:
         assert spectra.nbytes == spectra.kmers.nbytes + spectra.tiles.nbytes
 
 
+class TestFootprint:
+    """Slots are as narrow as what they hold: a k-mer id is ``2k`` bits, a
+    tile id ``2(2k - overlap)``, and the flag-and-count field is 2 bytes
+    until a count reaches 2**15."""
+
+    @staticmethod
+    def _slot_bytes(table):
+        assert table.nbytes % table.capacity == 0
+        return table.nbytes // table.capacity
+
+    def test_small_ecoli_profile_is_6_and_10_bytes_a_slot(self):
+        from repro.bench.harness import small_scale
+
+        scale = small_scale("E.Coli", genome_size=6_000)
+        block, config = scale.dataset.block, scale.config
+        grown = SpectrumPair(shape=config.tile_shape)
+        for chunk in block.chunks(500):
+            accumulate_block(grown, chunk)
+        for spectra in (
+            build_spectra(block, config),
+            build_spectra(block, config, apply_threshold=False),
+            grown,
+        ):
+            assert len(spectra.kmers) and len(spectra.tiles)
+            assert self._slot_bytes(spectra.kmers) == 6  # 24-bit ids
+            assert self._slot_bytes(spectra.tiles) == 10  # 40-bit ids
+            assert spectra.nbytes == (
+                6 * spectra.kmers.capacity + 10 * spectra.tiles.capacity
+            )
+
+    @pytest.mark.parametrize("k, overlap, kmer_slot", [(16, 0, 6), (17, 2, 10)])
+    def test_key_width_follows_k(self, k, overlap, kmer_slot):
+        """4**16 - 1 is the last id a uint32 slot holds."""
+        cfg = ReptileConfig(
+            kmer_length=k, tile_overlap=overlap,
+            kmer_threshold=1, tile_threshold=1,
+        )
+        spectra = build_spectra(
+            ReadBlock.from_strings(["T" * 40, "ACGT" * 10]), cfg
+        )
+        assert spectra.kmers.get(4**k - 1) == 40 - k + 1  # the all-T k-mer
+        assert self._slot_bytes(spectra.kmers) == kmer_slot
+        assert self._slot_bytes(spectra.tiles) == 10
+
+    def test_count_width_follows_coverage(self, small_cfg):
+        """A repeat seen 2**15 times is ordinary at real coverage."""
+        spectra = SpectrumPair(shape=small_cfg.tile_shape)
+        block = ReadBlock.from_strings(["ACGTAC"] * 2**13)
+        for seen in range(1, 5):
+            accumulate_block(spectra, block)
+            assert spectra.kmers.get(27) == seen * 2**13  # ACGT
+            assert self._slot_bytes(spectra.kmers) == (6 if seen < 4 else 8)
+
+
 class TestLocalSpectrumView:
     def test_lookup_and_stats(self, small_cfg):
         block = ReadBlock.from_strings(["ACGTACGT"] * 3)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.errors import HashTableError
 from repro.hashing.counthash import CountHash
@@ -372,3 +373,312 @@ class TestSlotHashIndependentOfOwnerHash:
 
     def test_displacement_of_an_empty_table(self):
         assert CountHash().mean_displacement == 0.0
+
+    @pytest.mark.parametrize(
+        "nranks, shard_mean, plain_mean",
+        [
+            (2, 0.5895663805595809, 0.6374986066213354),
+            (8, 0.6054631567353232, 0.581561846018284),
+            (64, 0.6335078534031413, 0.6269633507853403),
+        ],
+    )
+    def test_displacement_is_what_two_uint64_slots_gave(
+        self, nranks, shard_mean, plain_mean
+    ):
+        """What a slot is made of does not move a key: the means measured
+        on the ``(capacity, 2)`` uint64 layout, same keys, same order."""
+        from repro.hashing.inthash import mix_to_rank
+
+        rng = np.random.default_rng(17)
+        pool = np.unique(
+            rng.integers(0, 2**40, 9_000 * nranks, dtype=np.uint64)
+        )
+        shard_keys = pool[mix_to_rank(pool, nranks) == nranks - 1]
+        plain_keys = rng.choice(pool, shard_keys.size, replace=False)
+        for keys, mean in ((shard_keys, shard_mean), (plain_keys, plain_mean)):
+            table = CountHash()
+            table.add_counts(keys)
+            assert table.mean_displacement == pytest.approx(mean, rel=1e-12)
+
+
+# ----------------------------------------------------------------------
+# slot widths
+# ----------------------------------------------------------------------
+TOP = 2**32 - 1  # counts saturate here whatever the slot width
+
+
+def _widths(table: CountHash) -> tuple[int, int]:
+    """(key bytes, meta bytes) per slot."""
+    return table._keys.itemsize, table._meta.itemsize
+
+
+def _narrowest(top_key: int, top_count: int) -> tuple[int, int]:
+    """The widths the largest key and largest (saturated) count need: the
+    top bit of ``meta`` is the occupancy flag, so 15 / 31 / 32 count bits."""
+    return (
+        4 if top_key < 2**32 else 8,
+        2 if top_count < 2**15 else 4 if top_count < 2**31 else 8,
+    )
+
+
+def _footprint_is_slots_times_widths(table: CountHash) -> bool:
+    return table.nbytes == table.capacity * sum(_widths(table))
+
+
+#: Below, at and above the first key uint32 cannot hold.
+BOUNDARY_KEYS = [2**32 - 1, 2**32, 2**32 + 1]
+#: Both sides of every count-field boundary, and past saturation.
+BOUNDARY_COUNTS = [2**15 - 1, 2**15, 2**31 - 1, 2**31, TOP, TOP + 10]
+
+
+class TestSlotWidths:
+    def test_a_fresh_table_is_the_narrowest(self):
+        table = CountHash()
+        assert _widths(table) == (4, 2)
+        assert table.nbytes == 64 * 6
+
+    @pytest.mark.parametrize("count", BOUNDARY_COUNTS)
+    @pytest.mark.parametrize("key", BOUNDARY_KEYS)
+    def test_bulk_placement_picks_the_narrowest_pair(self, key, count):
+        keys = np.array([7, key], dtype=np.uint64)
+        counts = np.array([1, count], dtype=np.uint64)
+        added = CountHash()
+        added.add_counts(keys, counts)
+        for table in (CountHash.from_counts(keys, counts), added):
+            assert _widths(table) == _narrowest(key, min(count, TOP))
+            assert _footprint_is_slots_times_widths(table)
+            assert table.lookup(keys).tolist() == [1, min(count, TOP)]
+
+    @pytest.mark.parametrize("count", BOUNDARY_COUNTS)
+    @pytest.mark.parametrize("key", BOUNDARY_KEYS)
+    def test_an_incremental_add_widens_only_what_it_must(self, key, count):
+        table = CountHash()
+        table.add_counts(np.array([7], dtype=np.uint64), 1)
+        assert _widths(table) == (4, 2)
+        # The new key alone widens the key array, the count array stays.
+        table.add_counts(np.array([key], dtype=np.uint64), 1)
+        assert _widths(table) == _narrowest(key, 1)
+        # The running total crosses the boundary, not any single add.
+        table.add_counts(np.array([key], dtype=np.uint64), count - 2)
+        assert _widths(table) == _narrowest(key, count - 1)
+        table.add_counts(np.array([key], dtype=np.uint64), 1)
+        assert _widths(table) == _narrowest(key, min(count, TOP))
+        assert _footprint_is_slots_times_widths(table)
+        assert table.get(key) == min(count, TOP)
+        assert table.get(7) == 1
+        assert len(table) == 2
+
+    def test_only_a_rebuild_narrows(self):
+        table = CountHash()
+        table.add_counts(np.array([7, 8], dtype=np.uint64), 2**31)
+        table.add_counts(np.array([2**40], dtype=np.uint64), 1)
+        assert _widths(table) == (8, 8)
+        assert table.filter_below(1) == 0  # nothing removed, nothing rebuilt
+        assert _widths(table) == (8, 8)
+        assert _widths(table.copy()) == (8, 8)
+        # A growth rehash reads the widths off what it holds: still wide.
+        table.add_counts(np.arange(100, 300, dtype=np.uint64))
+        assert table.capacity > 64
+        assert _widths(table) == (8, 8)
+        # The wide key goes, the wide counts stay.
+        assert table.filter_below(2) == 201
+        assert _widths(table) == (4, 8)
+        table.clear()
+        assert _widths(table) == (4, 2)
+        assert table.nbytes == 64 * 6
+
+    def test_widening_keeps_every_entry_and_every_flag(self):
+        """Entries with count 0 are present; the flag must move with the
+        width or they vanish (and free slots must stay free)."""
+        keys = np.arange(1, 31, dtype=np.uint64)
+        table = CountHash()
+        table.add_counts(keys, np.arange(30, dtype=np.uint64))  # key 1 -> 0
+        before = _as_dict(table)
+        table.add_counts(np.array([30], dtype=np.uint64), 2**15)
+        assert _widths(table) == (4, 4)
+        table.add_counts(np.array([2**33], dtype=np.uint64), 2**31)
+        assert _widths(table) == (8, 8)
+        before[30] += 2**15
+        before[2**33] = 2**31
+        assert _as_dict(table) == before
+        assert len(table) == 31
+        assert 1 in table and table.get(1) == 0
+        absent = np.arange(31, 200, dtype=np.uint64)
+        assert not table.contains(absent).any()
+
+
+def _narrow_keys_homed_at_the_end(capacity: int, last: int, want: int) -> list[int]:
+    """Keys below 2**32 whose home is one of the ``last`` slots of a table."""
+    candidates = np.arange(1, 50_000, dtype=np.uint64)
+    homes = CountHash(capacity)._home(candidates)
+    return candidates[homes >= capacity - last][:want].tolist()
+
+
+#: Small keys crowded into the last 3 of 64 slots: placement must wrap.
+NARROW_TAIL_KEYS = _narrow_keys_homed_at_the_end(64, 3, 11)
+
+
+class TestNarrowKeysDoNotAlias:
+    """A uint32 slot holding k must never answer for 2**32 + k: stored keys
+    are promoted to the query's width, the query is never truncated."""
+
+    def _narrow_table(self):
+        small = np.array([0] + NARROW_TAIL_KEYS, dtype=np.uint64)
+        table = CountHash.from_counts(
+            small, np.arange(1, small.size + 1, dtype=np.uint64)
+        )
+        assert table.capacity == 64
+        assert _widths(table) == (4, 2)
+        assert table.mean_displacement > 1.0  # wrapped round to the front
+        return table, small, small + np.uint64(2**32)
+
+    def test_the_wide_twin_is_a_miss(self):
+        table, small, twins = self._narrow_table()
+        assert table.lookup(twins).tolist() == [0] * twins.size
+        counts, found = table.lookup_found(twins)
+        assert not found.any() and not counts.any()
+        assert not table.contains(twins).any()
+        for k in small.tolist():
+            assert k in table
+            assert k + 2**32 not in table
+            assert table.get(k + 2**32, -1) == -1
+
+    def test_inserting_the_wide_twin_does_not_touch_the_narrow_key(self):
+        table, small, twins = self._narrow_table()
+        table.add_counts(twins, 100)
+        assert table.capacity == 64  # the incremental path, not a rehash
+        assert _widths(table) == (8, 2)
+        assert len(table) == 2 * small.size
+        assert table.lookup(small).tolist() == list(range(1, small.size + 1))
+        assert table.lookup(twins).tolist() == [100] * twins.size
+        for k in twins.tolist():
+            assert k in table
+
+    def test_twins_in_one_bulk_placement(self):
+        _, small, twins = self._narrow_table()
+        both = np.concatenate([small, twins])
+        table = CountHash.from_counts(
+            both, np.arange(both.size, dtype=np.uint64)
+        )
+        assert _widths(table) == (8, 2)
+        assert table.lookup(both).tolist() == list(range(both.size))
+
+
+_ALIASED = [k + high for k in [0, 1, 2] + NARROW_TAIL_KEYS for high in (0, 2**32)]
+width_keys = st.one_of(
+    st.sampled_from(_ALIASED + BOUNDARY_KEYS + [2**64 - 1]),
+    st.integers(0, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+)
+width_counts = st.sampled_from(
+    [0, 1, 2, 5] + [c + d for c in (2**15, 2**31, 2**32) for d in (-2, -1, 0)]
+    + [2**33]
+)
+width_entries = st.lists(st.tuples(width_keys, width_counts), max_size=25)
+
+
+class SlotWidthMachine(RuleBasedStateMachine):
+    """Every mutation, with keys from both sides of 2**32 and running
+    totals crossing every count boundary, against a dict — in contents and
+    in slot widths: never narrower than the entries need, never wider than
+    the entries seen since the last rebuild needed, and exactly what
+    ``from_counts`` picks right after a rebuild."""
+
+    def __init__(self):
+        super().__init__()
+        self.table = CountHash()
+        self.model: dict[int, int] = {}
+        self.seen = (0, 0)  # largest key / count since the last rebuild
+        self.rebuilt = True
+
+    def _needed(self) -> tuple[int, int]:
+        return max(self.model, default=0), max(self.model.values(), default=0)
+
+    def _absorb(self, entries) -> None:
+        for key, count in entries:
+            self.model[key] = min(self.model.get(key, 0) + count, TOP)
+            self.seen = (
+                max(self.seen[0], key), max(self.seen[1], self.model[key])
+            )
+        self.rebuilt = False
+
+    @staticmethod
+    def _arrays(entries) -> tuple[np.ndarray, np.ndarray]:
+        return (
+            np.array([k for k, _ in entries], dtype=np.uint64),
+            np.array([c for _, c in entries], dtype=np.uint64),
+        )
+
+    @rule(entries=width_entries)
+    def add(self, entries):
+        self.table.add_counts(*self._arrays(entries))
+        if entries:
+            self._absorb(entries)
+
+    @rule(entries=width_entries)
+    def merge(self, entries):
+        other = CountHash()
+        other.add_counts(*self._arrays(entries))
+        self.table.merge_from(other)
+        if entries:
+            # merge_from adds each key's saturated total in `other`.
+            merged: dict[int, int] = {}
+            for key, count in entries:
+                merged[key] = min(merged.get(key, 0) + count, TOP)
+            self._absorb(merged.items())
+
+    @rule(threshold=st.sampled_from([1, 2, 2**15, 2**31, TOP]))
+    def filter_below(self, threshold):
+        kept = {k: c for k, c in self.model.items() if c >= threshold}
+        removed = len(self.model) - len(kept)
+        assert self.table.filter_below(threshold) == removed
+        self.model = kept
+        if removed:
+            self.seen, self.rebuilt = self._needed(), True
+
+    @rule()
+    def clear(self):
+        self.table.clear()
+        self.model = {}
+        self.seen, self.rebuilt = (0, 0), True
+
+    @rule()
+    def continue_on_a_copy(self):
+        original, self.table = self.table, self.table.copy()
+        assert _widths(self.table) == _widths(original)
+        assert self.table.nbytes == original.nbytes
+        original.add_counts(np.array([2**50], dtype=np.uint64), TOP)
+
+    @invariant()
+    def contents_match_the_model(self):
+        assert len(self.table) == len(self.model)
+        assert _as_dict(self.table) == self.model
+        probes = list(self.model) + [k ^ 2**32 for k in self.model] + _ALIASED
+        query = np.array(probes, dtype=np.uint64)
+        want_counts = [self.model.get(k, 0) for k in probes]
+        want_found = [k in self.model for k in probes]
+        assert self.table.lookup(query).tolist() == want_counts
+        counts, found = self.table.lookup_found(query)
+        assert counts.tolist() == want_counts
+        assert found.tolist() == want_found
+        assert self.table.contains(query).tolist() == want_found
+
+    @invariant()
+    def widths_are_bounded_by_the_entries(self):
+        widths = _widths(self.table)
+        assert _footprint_is_slots_times_widths(self.table)
+        assert self.table.load_factor <= 0.60 + 1e-9
+        for got, need, most in zip(
+            widths, _narrowest(*self._needed()), _narrowest(*self.seen)
+        ):
+            assert need <= got <= most
+        if self.rebuilt:
+            keys = np.array(list(self.model), dtype=np.uint64)
+            counts = np.array(list(self.model.values()), dtype=np.uint64)
+            assert widths == _widths(CountHash.from_counts(keys, counts))
+
+
+TestSlotWidthsStateful = SlotWidthMachine.TestCase
+TestSlotWidthsStateful.settings = settings(
+    max_examples=40, stateful_step_count=25, deadline=None
+)

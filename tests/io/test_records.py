@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.io.records import DEFAULT_QUALITY, ReadBlock
-from repro.kmer.codec import INVALID_CODE
+from repro.kmer.codec import INVALID_CODE, decode_sequence
 
 
 class TestFromStrings:
@@ -42,6 +42,46 @@ class TestFromStrings:
         b = ReadBlock.from_strings(["ACNGT"])
         assert b.codes[0, 2] == INVALID_CODE
         assert b.to_strings() == ["ACNGT"]
+
+
+class TestToStrings:
+    """The block is decoded by one table lookup; the reference is
+    ``decode_sequence`` read by read."""
+
+    @staticmethod
+    def _per_read(block: ReadBlock) -> list[str]:
+        return [
+            decode_sequence(block.codes[i, : int(block.lengths[i])])
+            for i in range(len(block))
+        ]
+
+    def test_ragged_lengths_and_ambiguous_codes(self):
+        rng = np.random.default_rng(3)
+        n, width = 200, 37
+        codes = rng.integers(0, 4, (n, width)).astype(np.uint8)
+        # Every non-ACGT byte reads 'N', not only INVALID_CODE.
+        codes[rng.random((n, width)) < 0.1] = INVALID_CODE
+        codes[rng.random((n, width)) < 0.05] = 4
+        lengths = rng.integers(0, width + 1, n)
+        lengths[:3] = [0, width, 1]
+        block = ReadBlock(
+            ids=np.arange(n), codes=codes, lengths=lengths,
+            quals=np.zeros((n, width), np.uint8),
+        )
+        got = block.to_strings()
+        assert got == self._per_read(block)
+        assert [len(s) for s in got] == lengths.tolist()
+        assert "N" in "".join(got)
+
+    def test_zero_reads(self):
+        assert ReadBlock.empty(width=12).to_strings() == []
+
+    def test_zero_width(self):
+        block = ReadBlock(
+            ids=np.arange(3), codes=np.empty((3, 0), np.uint8),
+            lengths=np.zeros(3, np.int32), quals=np.empty((3, 0), np.uint8),
+        )
+        assert block.to_strings() == self._per_read(block) == ["", "", ""]
 
 
 class TestValidation:

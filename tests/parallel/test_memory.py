@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.hashing.counthash import CountHash
+from repro.bench.harness import small_scale
+from repro.core.spectrum import block_kmer_ids, block_tile_ids
+from repro.hashing.counthash import CountHash, _capacity_for
 from repro.kmer.tiles import TileShape
-from repro.parallel.build import RankSpectra
+from repro.parallel import HeuristicConfig, ParallelReptile
+from repro.parallel.build import RankSpectra, build_rank_spectra
+from repro.parallel.lookup.cache import ChunkCountCache
 from repro.parallel.memory import RankMemoryReport
+from repro.parallel.session import CorrectionSession
+from repro.simmpi import run_spmd
 
 
 def _spectra(n_keys=100):
@@ -64,3 +70,106 @@ class TestSpectraNbytes:
         assert sp.nbytes > base
         sizes = sp.table_sizes
         assert sizes["reads_kmers"] == 10_000
+
+
+class TestSlotWidthsPerRank:
+    """The paper's claim is a per-rank footprint.  With k = 12 a k-mer id
+    fits 24 bits, a tile id 40, and no count of the small E.Coli profile
+    comes near 2**15: every table of every rank must be 6 bytes a slot for
+    k-mers and 10 for tiles — owned, transient, replicated or cached."""
+
+    KMER_SLOT, TILE_SLOT = 6, 10
+    NRANKS = 8
+
+    @pytest.fixture(scope="class")
+    def scale(self):
+        return small_scale("E.Coli", genome_size=6_000)
+
+    def _rank_spectra(self, scale, heuristics):
+        block, n = scale.dataset.block, len(scale.dataset.block)
+        bounds = [n * r // self.NRANKS for r in range(self.NRANKS + 1)]
+
+        def prog(comm):
+            mine = block.slice(bounds[comm.rank], bounds[comm.rank + 1])
+            return build_rank_spectra(comm, mine, scale.config, heuristics)
+
+        return run_spmd(prog, self.NRANKS, engine="cooperative").results
+
+    @pytest.mark.parametrize(
+        "heuristics, extra",
+        [
+            ({}, ()),
+            ({"batch_reads": True}, ()),
+            ({"read_kmers": True, "read_tiles": True},
+             ("reads_kmers", "reads_tiles")),
+            ({"allgather_kmers": True, "allgather_tiles": True}, ()),
+            ({"replication_group": 2}, ("group_kmers", "group_tiles")),
+        ],
+        ids=["owned", "batch", "read-tables", "allgather", "group-replica"],
+    )
+    def test_every_table_of_every_rank(self, scale, heuristics, extra):
+        for sp in self._rank_spectra(scale, HeuristicConfig(**heuristics)):
+            assert len(sp.kmers) and len(sp.tiles)
+            total = 0
+            for name in ("kmers", "tiles") + extra:
+                table = getattr(sp, name)
+                slot = self.TILE_SLOT if "tiles" in name else self.KMER_SLOT
+                assert table.nbytes == slot * table.capacity, (sp.rank, name)
+                if name.startswith("reads_"):  # one add sizes and places it
+                    assert table.capacity == _capacity_for(len(table))
+                total += table.nbytes
+            assert sp.nbytes == total
+
+    def test_chunk_cache(self, scale):
+        block, shape = scale.dataset.block, scale.config.tile_shape
+        cache = ChunkCountCache()
+        for chunk in list(block.chunks(250))[:4]:  # grows incrementally
+            for ids_of, add in (
+                (block_kmer_ids, cache.add_kmers),
+                (block_tile_ids, cache.add_tiles),
+            ):
+                ids, valid = ids_of(chunk, shape)
+                ids = np.unique(ids[valid])
+                add(ids, (ids % np.uint64(40)).astype(np.uint32))
+        assert cache.kmers.nbytes == self.KMER_SLOT * cache.kmers.capacity
+        assert cache.tiles.nbytes == self.TILE_SLOT * cache.tiles.capacity
+        assert cache.nbytes == cache.kmers.nbytes + cache.tiles.nbytes
+
+    def _build_only(self, scale, nranks):
+        return ParallelReptile(
+            scale.config, HeuristicConfig(), nranks=nranks,
+            engine="cooperative",
+        ).build_only(scale.dataset.block)
+
+    def test_reported_peak_is_the_sum_the_session_noted(
+        self, scale, monkeypatch
+    ):
+        """The peak is reached in Step II, with the transient pending
+        tables beside the owned ones — all four at the narrow widths."""
+        noted: dict[int, int] = {}
+        note_peak = CorrectionSession._note_peak
+
+        def spy(session, pending_kmers, pending_tiles):
+            by_width = self.KMER_SLOT * (
+                session.raw_kmers.capacity + pending_kmers.capacity
+            ) + self.TILE_SLOT * (
+                session.raw_tiles.capacity + pending_tiles.capacity
+            )
+            rank = session.comm.rank
+            noted[rank] = max(noted.get(rank, 0), by_width)
+            note_peak(session, pending_kmers, pending_tiles)
+
+        monkeypatch.setattr(CorrectionSession, "_note_peak", spy)
+        result = self._build_only(scale, self.NRANKS)
+        assert sorted(noted) == list(range(self.NRANKS))
+        for report in result.reports:
+            memory = report.memory
+            assert memory.peak == memory.construction_peak == noted[report.rank]
+            assert memory.after_construction < memory.peak
+
+    def test_peak_falls_as_ranks_are_added(self, scale):
+        peaks = [
+            int(self._build_only(scale, nranks).memory_per_rank().max())
+            for nranks in (2, 4, 8)
+        ]
+        assert peaks[0] > peaks[1] > peaks[2]

@@ -141,6 +141,51 @@ class TestCheckpointResume:
             rr.ingest_count == 2 for rr in resumed.rank_reports
         )
 
+    def test_resumed_tables_are_no_larger_than_checkpointed(
+        self, scale, tmp_path
+    ):
+        """A reloaded table is sized by the one rule every table is sized
+        by, so it never occupies more than the table it was saved from (an
+        incrementally grown one may have reserved past a power-of-two step
+        that a one-shot reload does not need)."""
+        from repro.hashing.counthash import _capacity_for
+        from repro.parallel.session import CorrectionSession
+        from repro.simmpi.engine import run_spmd
+
+        block, nranks = scale.dataset.block, 4
+        ckpt = str(tmp_path / "bundles")
+        bounds = [len(block) * i // (3 * nranks) for i in range(3 * nranks + 1)]
+
+        def raw_tables(session):
+            return [
+                (len(t), t.capacity, t.nbytes, _sorted_items(*t.items()))
+                for t in (session.raw_kmers, session.raw_tiles)
+            ]
+
+        def save(comm):
+            session = CorrectionSession(comm, scale.config, HeuristicConfig())
+            for i in range(3 * comm.rank, 3 * comm.rank + 3):  # grows
+                session.ingest(block.slice(bounds[i], bounds[i + 1]))
+            session.checkpoint(ckpt)
+            return raw_tables(session)
+
+        def load(comm):
+            return raw_tables(
+                CorrectionSession.resume(
+                    comm, scale.config, HeuristicConfig(), ckpt
+                )
+            )
+
+        saved = run_spmd(save, nranks, engine="cooperative").results
+        loaded = run_spmd(load, nranks, engine="cooperative").results
+        for before, after in zip(sum(saved, []), sum(loaded, [])):
+            size, capacity, nbytes, items = before
+            assert size > 0
+            assert after[0] == size
+            assert after[1] <= capacity and after[2] <= nbytes
+            assert all(map(np.array_equal, after[3], items))
+            assert after[1] == _capacity_for(size)
+
     def test_resume_rejects_mismatched_nranks(self, scale, tmp_path):
         from repro.errors import SessionError
 
