@@ -24,7 +24,18 @@ from tests.faults.conftest import run_plan
 
 
 class TestRetryExhaustion:
-    def test_unsurvivable_plan_raises_typed_error(self, scale):
+    """The three retrying clients give up the same way."""
+
+    @pytest.mark.parametrize(
+        "heuristics",
+        [
+            HeuristicConfig(),
+            HeuristicConfig(prefetch=True),
+            HeuristicConfig(read_kmers=True),
+        ],
+        ids=["step4", "prefetch", "read_tables"],
+    )
+    def test_unsurvivable_plan_raises_typed_error(self, scale, heuristics):
         # Every droppable frame is lost forever; the client must give up
         # after max_retries rounds with a typed, diagnosable error.
         plan = FaultPlan(
@@ -35,24 +46,12 @@ class TestRetryExhaustion:
             max_retries=2,
         )
         with pytest.raises(LookupTimeoutError) as err:
-            run_plan(scale, plan, nranks=2)
+            run_plan(scale, plan, nranks=2, heuristics=heuristics)
+        assert err.value.rank in (0, 1)
+        assert err.value.pending  # names what never arrived
         assert err.value.attempts is not None
         assert err.value.attempts > plan.max_retries
-        assert err.value.pending  # names what never arrived
-
-    def test_unsurvivable_plan_with_prefetch(self, scale):
-        plan = FaultPlan(
-            seed=0,
-            drop_rate=1.0,
-            max_drops_per_frame=None,
-            base_timeout_s=0.01,
-            max_retries=2,
-        )
-        with pytest.raises(LookupTimeoutError):
-            run_plan(
-                scale, plan, nranks=2,
-                heuristics=HeuristicConfig(prefetch=True),
-            )
+        assert f"({plan.total_budget():.2f}s budget)" in str(err.value)
 
 
 class TestVerifierInteraction:
