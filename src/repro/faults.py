@@ -24,9 +24,9 @@ and the per-child injectors of the process engine see exactly the same
 Fault scoping
 -------------
 Frame faults apply only to the *lookup plane* (:data:`DROPPABLE_TAGS`):
-count/prefetch/resilient requests and responses plus the fault-mode
-exchange queries.  Control traffic (DONE/SHUTDOWN, replica transfers,
-exchange handshake) and collectives ride a reliable substrate — the
+count/prefetch/resilient requests and responses (which the fault-mode
+Step III read-table exchange uses too).  Control traffic (DONE/SHUTDOWN,
+replica transfers) and collectives ride a reliable substrate — the
 same layering as TeaMPI, which interposes resilience under an unchanged
 MPI-style API.  Crash and stall faults are *phase-gated*: they count
 only correction-phase communication events, announced by the engines'
@@ -61,9 +61,10 @@ from repro.simmpi import wire
 from repro.simmpi.message import Tags
 from repro.simmpi.transport import Transport
 
-#: Tags the injector may drop/corrupt/duplicate/delay — the Step IV/III
-#: lookup plane.  Everything else (DONE, SHUTDOWN, REPLICA, the exchange
-#: handshake, collectives) is delivered reliably.
+#: Tags the injector may drop/corrupt/duplicate/delay — the lookup
+#: plane (the fault-mode Step III exchange is a Step IV round, so it
+#: rides the same tags).  Everything else (DONE, SHUTDOWN, REPLICA,
+#: collectives) is delivered reliably.
 DROPPABLE_TAGS = frozenset({
     Tags.KMER_REQUEST,
     Tags.TILE_REQUEST,
@@ -73,8 +74,6 @@ DROPPABLE_TAGS = frozenset({
     Tags.PREFETCH_RESPONSE,
     Tags.RESILIENT_REQUEST,
     Tags.RESILIENT_RESPONSE,
-    Tags.EXCHANGE_QUERY,
-    Tags.EXCHANGE_ANSWER,
 })
 
 _TWO64 = float(1 << 64)

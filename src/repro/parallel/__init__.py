@@ -11,7 +11,9 @@ not hold:
 * Step III — ``MPI_Alltoallv`` count exchange so owners hold true global
   counts, then thresholding (:mod:`repro.parallel.exchange`),
 * Step IV  — correction with a request/response protocol for remote
-  lookups (:mod:`repro.parallel.correct`, :mod:`repro.parallel.server`),
+  lookups (:mod:`repro.parallel.correct`, :mod:`repro.parallel.server`)
+  over one reliable-request layer that every client waits through
+  (:mod:`repro.parallel.reliable`),
 * static load balancing by hashing whole reads to ranks
   (:mod:`repro.parallel.loadbalance`),
 * the paper's heuristics — universal messages, read-kmer/tile retention,
@@ -31,7 +33,7 @@ from repro.parallel.heuristics import HeuristicConfig
 from repro.parallel.ownership import kmer_owner, tile_owner, sequence_owner
 from repro.parallel.build import RankSpectra, build_rank_spectra
 from repro.parallel.loadbalance import redistribute_reads
-from repro.parallel.correct import DistributedSpectrumView, correct_distributed
+from repro.parallel.correct import correct_distributed
 from repro.parallel.dynamicbalance import correct_dynamic
 from repro.parallel.lookup import (
     CachedChunkView,
@@ -89,7 +91,6 @@ __all__ = [
     "RankSpectra",
     "build_rank_spectra",
     "redistribute_reads",
-    "DistributedSpectrumView",
     "correct_distributed",
     "correct_dynamic",
     "CachedChunkView",

@@ -32,18 +32,15 @@ import numpy as np
 from repro.errors import CommunicatorError
 from repro.hashing.counthash import CountHash
 from repro.parallel.lookup.routing import ShardServer
+from repro.parallel.reliable import IDLE_SLICE, WEDGE_TIMEOUT, ReliableRequests
 from repro.parallel.server import (
+    frame_request,
     is_request,
     request_by_owner,
-    send_request,
     serve_queued,
 )
 from repro.simmpi.communicator import Communicator
 from repro.simmpi.message import ANY_SOURCE, ANY_TAG, Message, Tags
-
-#: How long the worker waits for a single response before concluding the
-#: run is wedged (seconds).
-RESPONSE_TIMEOUT = 120.0
 
 
 class CommThreadProtocol:
@@ -69,7 +66,12 @@ class CommThreadProtocol:
         #: COMMUNICATION THREAD, so they must be thread-safe with respect
         #: to the worker (the prefetch endpoint uses a condition variable).
         self.handlers: dict[int, "callable"] = {}
+        #: Outstanding requests (never armed: comm_thread mode rejects
+        #: fault plans); the prefetch endpoint's fetches share it.
+        self.requests = ReliableRequests(comm)
         self._responses: "queue.Queue[Message]" = queue.Queue()
+        self._received: dict[int, np.ndarray] = {}
+        self._round = -1  # sequence number of the open round
         self._shutdown = threading.Event()
         self._failure: BaseException | None = None
         self._done_seen = 0  # rank 0's comm thread only
@@ -105,24 +107,33 @@ class CommThreadProtocol:
         while the communication thread keeps serving."""
         if self._done_sent and np.size(ids):
             raise CommunicatorError("request_counts after finish()")
-        send = partial(send_request, self.comm, self.universal, kind)
-        return request_by_owner(self.comm, ids, owners, send, self._collect)
+        self._round = self.requests.open()
+        self._received = {}
+        return request_by_owner(
+            self.comm, ids, owners, partial(self._send, kind), self._collect
+        )
+
+    def _send(self, kind: int, owner: int, chunk: np.ndarray) -> None:
+        payload, tag = frame_request(self.universal, kind, chunk)
+        self.requests.send(self._round, owner, owner, payload, tag)
 
     def _collect(self, asked: set[int]) -> dict[int, np.ndarray]:
         """Block on the response queue until every owner answered."""
-        received: dict[int, np.ndarray] = {}
-        while asked - received.keys():
-            self._check_failure()
-            try:
-                msg = self._responses.get(timeout=RESPONSE_TIMEOUT)
-            except queue.Empty:
-                raise CommunicatorError(
-                    f"rank {self.comm.rank} waited more than "
-                    f"{RESPONSE_TIMEOUT}s for count responses from "
-                    f"{asked - received.keys()}"
-                ) from None
-            received[msg.source] = np.asarray(msg.payload, np.uint32)
-        return received
+        self.requests.wait(self._round, self._take_response)
+        return self._received
+
+    def _take_response(self, block: bool) -> bool:
+        """The worker's progress step: one response off the queue the
+        communication thread fills (always blocking, an idle slice at
+        most — this mode admits no fault plan, so no retry loop polls)."""
+        self._check_failure()
+        try:
+            msg = self._responses.get(timeout=IDLE_SLICE)
+        except queue.Empty:
+            return False
+        if self.requests.settle(self._round, msg.source):
+            self._received[msg.source] = np.asarray(msg.payload, np.uint32)
+        return True
 
     def finish(self) -> None:
         """Announce completion; wait for the communication thread to see
@@ -131,7 +142,7 @@ class CommThreadProtocol:
             return
         self._done_sent = True
         self.comm.send(0, None, tag=Tags.WORKER_DONE)
-        self._thread.join(timeout=RESPONSE_TIMEOUT)
+        self._thread.join(timeout=WEDGE_TIMEOUT)
         self._check_failure()
         if self._thread.is_alive():
             raise CommunicatorError(

@@ -1,70 +1,27 @@
-"""Step IV: distributed error correction.
+"""Step IV: distributed error correction, the classic one-shot entry.
 
-:class:`DistributedSpectrumView` implements the corrector's
-:class:`~repro.core.spectrum.SpectrumView` interface over the compiled
-lookup tier stack (:func:`repro.parallel.lookup.compile_stacks`): the
-paper's ladder — owned shard, allgather replica, replication group,
-reads table, message to the owning rank — as an ordered stack of
-composable tiers, compiled once per rank and bottoming out in a
-:class:`~repro.parallel.lookup.tiers.RemoteFetchTier` that runs the
-blocking (or resilient) wire protocol.  See ``docs/RUNTIME.md``.
-
-The same :class:`~repro.core.corrector.ReptileCorrector` used serially
-drives correction, so the distributed result is bit-identical to the
-serial reference on the same spectra.
-
-:func:`correct_distributed` is the classic one-shot entry point.  Since
-the session refactor it is a thin wrapper: it seals the prebuilt spectra
-into a :class:`~repro.parallel.session.CorrectionSession`
+:func:`correct_distributed` seals prebuilt spectra into a
+:class:`~repro.parallel.session.CorrectionSession`
 (:meth:`~repro.parallel.session.CorrectionSession.from_spectra`) and runs
 one correction round, so the one-shot path and the long-lived session
-path execute literally the same code.
+path execute literally the same code: the rank's compiled lookup tier
+stack (:func:`repro.parallel.lookup.compile_stacks` — owned shard,
+allgather replica, replication group, reads table, message to the owning
+rank; see ``docs/RUNTIME.md``) is the spectrum view of the same
+:class:`~repro.core.corrector.ReptileCorrector` used serially, so the
+distributed result is bit-identical to the serial reference on the same
+spectra.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.config import ReptileConfig
 from repro.core.corrector import CorrectionResult
 from repro.io.records import ReadBlock
 from repro.parallel.build import RankSpectra
 from repro.parallel.heuristics import HeuristicConfig
-from repro.parallel.lookup.stack import StackPair, compile_stacks
-from repro.parallel.server import CorrectionProtocol
 from repro.simmpi.communicator import Communicator
 from repro.util.timer import PhaseTimer
-
-
-class DistributedSpectrumView:
-    """Spectrum lookups through the rank's compiled tier stack."""
-
-    def __init__(
-        self,
-        comm: Communicator,
-        spectra: RankSpectra,
-        heuristics: HeuristicConfig,
-        protocol: CorrectionProtocol,
-        timer: PhaseTimer | None = None,
-    ) -> None:
-        self.comm = comm
-        self.spectra = spectra
-        self.heuristics = heuristics
-        self.protocol = protocol
-        self.timer = timer or PhaseTimer()
-        #: Compiled once; every lookup this view serves runs it.
-        self.stacks: StackPair = compile_stacks(
-            comm, spectra, heuristics, protocol=protocol, timer=self.timer
-        )
-
-    # ------------------------------------------------------------------
-    def kmer_counts(self, ids: np.ndarray) -> np.ndarray:
-        """Global k-mer counts via the tier stack (see class doc)."""
-        return self.stacks.kmers.counts(ids)
-
-    def tile_counts(self, ids: np.ndarray) -> np.ndarray:
-        """Global tile counts via the tier stack (see class doc)."""
-        return self.stacks.tiles.counts(ids)
 
 
 def correct_distributed(

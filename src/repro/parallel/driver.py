@@ -46,15 +46,10 @@ from repro.parallel.stages import (
     dynamic_plan,
     empty_rank_report,
     files_plan,
-    slice_bounds,
     static_plan,
 )
 from repro.simmpi.engine import Engine, run_spmd
 from repro.simmpi.instrument import SESSION_COUNTERS, CommStats
-
-#: Backwards-compatible alias: the bounds helper moved to the stages
-#: module with the report type; old imports keep working.
-_slice_bounds = slice_bounds
 
 
 @dataclass

@@ -32,8 +32,8 @@ from repro.config import ReptileConfig
 from repro.core.corrector import CorrectionResult, ReptileCorrector
 from repro.io.records import ReadBlock
 from repro.parallel.build import RankSpectra
-from repro.parallel.correct import DistributedSpectrumView
 from repro.parallel.heuristics import HeuristicConfig
+from repro.parallel.lookup.stack import compile_stacks
 from repro.parallel.server import CorrectionProtocol
 from repro.simmpi.communicator import Communicator
 from repro.simmpi.message import Message
@@ -140,8 +140,8 @@ def _worker(
 
     protocol.handlers[WORK_ASSIGN_TAG] = on_assign
 
-    view = DistributedSpectrumView(comm, spectra, heuristics, protocol)
-    corrector = ReptileCorrector(config, view)
+    stacks = compile_stacks(comm, spectra, heuristics, protocol=protocol)
+    corrector = ReptileCorrector(config, stacks)
     results: list[CorrectionResult] = []
     width = 0
     while True:

@@ -8,16 +8,15 @@ then exchanged and merged into the owners' tables.
 
 from __future__ import annotations
 
-import time
+from dataclasses import replace
 
 import numpy as np
 
-from repro.errors import CommunicatorError, LookupTimeoutError
 from repro.hashing.counthash import CountHash
 from repro.hashing.inthash import mix_to_rank
-from repro.parallel.lookup.routing import partition_by_dest
+from repro.parallel.lookup.routing import KIND_KMER, partition_by_dest
+from repro.parallel.server import CorrectionProtocol
 from repro.simmpi.communicator import Communicator
-from repro.simmpi.message import ANY_SOURCE, ANY_TAG, Tags
 
 
 def bucket_by_owner(
@@ -98,12 +97,16 @@ def fetch_global_counts(
     queries it receives from its own ``owned`` table, and gets its answers
     back (second alltoallv).  Returns ``(keys, counts)`` aligned arrays
     (counts are 0 for globally absent keys).
+
+    Under a plan with frame faults the alltoallv pair would hide the
+    losses the plan scripts (collectives are reliable), so the exchange
+    runs as a Step IV round instead (:func:`_request_global_counts`).
     """
     wanted = np.unique(np.ascontiguousarray(wanted, dtype=np.uint64))
+    owners = np.asarray(mix_to_rank(wanted, comm.size), dtype=np.int64)
     plan = comm.fault_plan
     if plan is not None and plan.has_frame_faults:
-        return _fetch_global_counts_resilient(comm, wanted, owned, plan)
-    owners = np.asarray(mix_to_rank(wanted, comm.size), dtype=np.int64)
+        return wanted, _request_global_counts(comm, wanted, owners, owned, plan)
     order, boundaries = partition_by_dest(owners, comm.size)
     sorted_keys = wanted[order]
     queries = [
@@ -121,125 +124,33 @@ def fetch_global_counts(
     return wanted, counts
 
 
-def _fetch_global_counts_resilient(
-    comm: Communicator, wanted: np.ndarray, owned: CountHash, plan
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fault-mode :func:`fetch_global_counts`: point-to-point with retry.
+def _request_global_counts(
+    comm: Communicator, wanted: np.ndarray, owners: np.ndarray,
+    owned: CountHash, plan,
+) -> np.ndarray:
+    """Fault-mode :func:`fetch_global_counts`: a Step IV round over ``owned``.
 
-    The query/reply alltoallv pair is replaced by sequence-numbered
-    EXCHANGE_QUERY / EXCHANGE_ANSWER point-to-point messages (droppable,
-    hence retried with exponential backoff), closed by a reliable
-    EXCHANGE_DONE / EXCHANGE_RELEASE handshake through rank 0: a rank
-    keeps serving queries until *every* rank has all its answers, so a
-    laggard's retransmitted query always finds its owner listening.
-    The sequence number comes from a per-communicator counter; the call
-    is collective, so all ranks agree on it and late frames from an
-    earlier exchange round are recognizably stale.
-
-    Step IV's crashes all fire later (in the correction phase), so this
-    path needs no replica failover — only frame-loss tolerance.
+    Sequence-numbered requests with retry, then the DONE/SHUTDOWN
+    handshake, which keeps every rank serving until all have their
+    answers — a laggard's retransmitted query always finds its owner
+    listening.  Step IV's crashes all fire later (in the correction
+    phase), so doomed ranks are still alive here: they serve, report
+    DONE and need no failover routing, hence the plan without crashes.
     """
-    seq = getattr(comm, "_exchange_seq", 0) + 1
-    comm._exchange_seq = seq
-    owners = np.asarray(mix_to_rank(wanted, comm.size), dtype=np.int64)
-    order, boundaries = partition_by_dest(owners, comm.size)
-    sorted_keys = wanted[order]
-    counts_sorted = np.zeros(wanted.shape[0], dtype=np.uint64)
-
-    queries: dict[int, np.ndarray] = {}
-    for d in range(comm.size):
-        lo, hi = boundaries[d], boundaries[d + 1]
-        if lo == hi:
-            continue
-        if d == comm.rank:
-            # Serve-side self-answer from the authoritative shard.
-            counts_sorted[lo:hi] = owned.lookup(sorted_keys[lo:hi])  # noqa: MPI007
-            continue
-        queries[d] = np.concatenate(
-            [np.array([seq], dtype=np.uint64), sorted_keys[lo:hi]]
-        )
-        comm.send(d, queries[d], tag=Tags.EXCHANGE_QUERY)
-    pending = set(queries)
-
-    sleep_hint = 0.0 if comm.probe_yields else 0.002
-    attempt = 0
-    deadline = time.monotonic() + plan.timeout_for(attempt)
-    released = False
-    done_sent = False
-    done_seen = 0  # rank 0 only
-
-    def dispatch(msg) -> None:
-        nonlocal done_seen, released
-        if msg.tag == Tags.EXCHANGE_QUERY:
-            payload = np.asarray(msg.payload, dtype=np.uint64)
-            answer = np.concatenate(
-                [payload[:1], owned.lookup(payload[1:]).astype(np.uint64)]  # noqa: MPI007
-            )
-            comm.send(msg.source, answer, tag=Tags.EXCHANGE_ANSWER)
-        elif msg.tag == Tags.EXCHANGE_ANSWER:
-            payload = np.asarray(msg.payload, dtype=np.uint64)
-            if int(payload[0]) == seq and msg.source in pending:
-                lo = boundaries[msg.source]
-                hi = boundaries[msg.source + 1]
-                counts_sorted[lo:hi] = payload[1:]
-                pending.discard(msg.source)
-            else:
-                comm.stats.bump("stale_responses")
-        elif msg.tag == Tags.EXCHANGE_DONE:
-            done_seen += 1
-        elif msg.tag == Tags.EXCHANGE_RELEASE:
-            released = True
-        else:
-            raise CommunicatorError(
-                f"unexpected tag {msg.tag} during resilient exchange"
-            )
-
-    while not released:
-        probed = comm.iprobe(ANY_SOURCE, ANY_TAG)
-        if probed is not None:
-            dispatch(comm.recv(probed.source, probed.tag))
-            if comm.rank == 0 and done_sent and done_seen == comm.size - 1:
-                for d in range(1, comm.size):
-                    comm.send(d, None, tag=Tags.EXCHANGE_RELEASE)
-                released = True
-            continue
-        if pending:
-            if time.monotonic() > deadline:
-                comm.stats.bump("lookup_timeouts")
-                attempt += 1
-                if attempt > plan.max_retries:
-                    raise LookupTimeoutError(
-                        f"rank {comm.rank}: exchange owners "
-                        f"{sorted(pending)} never answered seq {seq} "
-                        f"within {plan.max_retries} retries",
-                        rank=comm.rank,
-                        pending=sorted(pending),
-                        attempts=attempt,
-                    )
-                for d in sorted(pending):
-                    comm.send(d, queries[d], tag=Tags.EXCHANGE_QUERY)
-                    comm.stats.bump("lookup_retries")
-                deadline = time.monotonic() + plan.timeout_for(attempt)
-            elif sleep_hint:
-                time.sleep(sleep_hint)
-            continue
-        if not done_sent:
-            done_sent = True
-            if comm.rank != 0:
-                comm.send(0, None, tag=Tags.EXCHANGE_DONE)
-            elif done_seen == comm.size - 1:
-                for d in range(1, comm.size):
-                    comm.send(d, None, tag=Tags.EXCHANGE_RELEASE)
-                released = True
-            continue
-        if sleep_hint:
-            time.sleep(sleep_hint)
-
-    # Nobody may start the *next* exchange round (different owned table,
-    # next seq) until every rank has left this serving loop — otherwise a
-    # laggard would serve a fresh-seq query from the stale table.  The
+    protocol = CorrectionProtocol(
+        comm, owned, owned, universal=True, faults=replace(plan, crashes=())
+    )
+    mine = owners == comm.rank
+    counts = np.empty(wanted.shape[0], dtype=np.uint64)
+    # Serve-side self-answer from the authoritative shard.
+    counts[mine] = owned.lookup(wanted[mine])  # noqa: MPI007
+    counts[~mine] = protocol.request_counts(
+        KIND_KMER, wanted[~mine], owners[~mine]
+    )
+    protocol.finish()
+    # Nobody may start the *next* exchange round (different owned table)
+    # until every rank has left this one's serving loop — otherwise a
+    # laggard would serve a fresh query from the stale table.  The
     # barrier rides reliable collective tags, so it needs no retries.
     comm.barrier()
-    counts = np.empty_like(counts_sorted)
-    counts[order] = counts_sorted
-    return wanted, counts
+    return counts

@@ -1,9 +1,9 @@
 """Count resolution as an ordered stack of composable tiers.
 
 Every path that resolves k-mer/tile counts — the serial
-:class:`~repro.core.spectrum.LocalSpectrumView`, the blocking
-:class:`~repro.parallel.correct.DistributedSpectrumView`, the prefetch
-planner/executor, and partner-takeover recovery — runs the same
+:class:`~repro.core.spectrum.LocalSpectrumView`, the blocking session
+round, the prefetch planner/executor, and partner-takeover recovery —
+runs the same
 compiled :class:`LookupStack`, built **once per rank** by
 :func:`compile_stacks` from the rank's
 :class:`~repro.parallel.build.RankSpectra` and

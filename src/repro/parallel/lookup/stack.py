@@ -211,6 +211,16 @@ class StackPair:
         """The stack resolving ``"kmer"`` or ``"tile"`` counts."""
         return self.kmers if kind == "kmer" else self.tiles
 
+    # The corrector's SpectrumView interface, so a compiled pair is
+    # handed to ReptileCorrector as is.
+    def kmer_counts(self, ids: NDArray[np.uint64]) -> NDArray[np.uint32]:
+        """Global k-mer counts via the tier stack."""
+        return self.kmers.counts(ids)
+
+    def tile_counts(self, ids: NDArray[np.uint64]) -> NDArray[np.uint32]:
+        """Global tile counts via the tier stack."""
+        return self.tiles.counts(ids)
+
     @property
     def fully_replicated(self) -> bool:
         return self.kmers.fully_replicated and self.tiles.fully_replicated

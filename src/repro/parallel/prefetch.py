@@ -2,30 +2,32 @@
 
 The prefetch engine (:class:`~repro.parallel.lookup.planner.PrefetchExecutor`)
 plans a chunk's lookups ahead of time and resolves them here: ids
-deduplicated, coalesced into **one message per owning rank**, sent with
-nonblocking isends while the pump (or communication thread) services
+deduplicated, coalesced into **one message per owning rank**, sent
+without waiting while the pump (or communication thread) services
 peers.  This module is only the wire half — planning, caching and
-"which ids are foreign" all live in :mod:`repro.parallel.lookup`.
+"which ids are foreign" all live in :mod:`repro.parallel.lookup`; the
+wait, its retries under a fault plan and the stale-answer rule are the
+protocol's :class:`~repro.parallel.reliable.ReliableRequests`.
 
 One ``PREFETCH_REQUEST`` per owner carries
 ``uint64 [req_id, n_kmer, kmer_ids..., tile_ids...]``; the owner answers
-``uint32 [req_id, kmer_counts..., tile_counts...]``; ``req_id``
-disambiguates in-flight fetches.  Handlers ride the protocol's
-``handlers`` hook and serve through its
-:class:`~repro.parallel.lookup.routing.ShardServer`, so a recovery
-partner answers for its bound wards with no extra logic here.
+``uint32 [req_id, kmer_counts..., tile_counts...]``; ``req_id`` — the
+fetch's sequence number in that layer — disambiguates in-flight
+fetches.  Handlers ride the protocol's ``handlers`` hook and serve
+through its :class:`~repro.parallel.lookup.routing.ShardServer`, so a
+recovery partner answers for its bound wards with no extra logic here.
 """
 
 from __future__ import annotations
 
 import threading
-import time
+from functools import partial
 from typing import Callable, Protocol
 
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.errors import CommunicatorError, LookupTimeoutError
+from repro.errors import CommunicatorError
 from repro.hashing.inthash import mix_to_rank
 from repro.parallel.lookup.routing import (
     KIND_KMER,
@@ -34,18 +36,16 @@ from repro.parallel.lookup.routing import (
     ShardServer,
     partition_by_dest,
 )
+from repro.parallel.reliable import IDLE_SLICE, ReliableRequests
 from repro.simmpi.communicator import Communicator
 from repro.simmpi.message import Message, Tags
-
-#: Max seconds a collect may wait on the communication thread before
-#: concluding the run is wedged (pump mode never waits idly).
-PREFETCH_TIMEOUT = 120.0
 
 
 class PrefetchCapable(Protocol):
     """What the endpoint needs from a correction protocol."""
 
     handlers: dict[int, Callable[[Message], None]]
+    requests: ReliableRequests
 
     @property
     def shards(self) -> ShardServer: ...
@@ -62,18 +62,10 @@ class BulkFetch:
         self.tile_ids = tile_ids
         self.kmer_counts = np.zeros(kmer_ids.shape[0], dtype=np.uint32)
         self.tile_counts = np.zeros(tile_ids.shape[0], dtype=np.uint32)
-        #: Owner ranks still owing a response.
-        self.pending: set[int] = set()
-        #: Owner -> (kmer, tile) positions into the result arrays, in
-        #: the order that owner's ids were sent.
+        #: Destination -> (kmer, tile) positions into the result arrays,
+        #: in the order that destination's ids were sent; popped as the
+        #: answers land.
         self.slices: dict[int, tuple[NDArray[np.int64], NDArray[np.int64]]] = {}
-        #: dest -> exact payload sent, retained in fault mode so a
-        #: timed-out collect can resend it verbatim (idempotent).
-        self.payloads: dict[int, NDArray[np.uint64]] = {}
-
-    @property
-    def complete(self) -> bool:
-        return not self.pending
 
 
 class PrefetchEndpoint:
@@ -88,20 +80,20 @@ class PrefetchEndpoint:
     def __init__(self, protocol: PrefetchCapable, comm: Communicator) -> None:
         self.protocol = protocol
         self.comm = comm
+        #: The protocol's reliable-request layer: fetches are rounds in
+        #: the same windows as its blocking lookups, so the retry policy
+        #: and the stale rule are the layer's, not this module's.
+        self.requests = protocol.requests
         self._cond = threading.Condition()
         self._fetches: dict[int, BulkFetch] = {}
-        self._next_req = 0
         # CorrectionProtocol exposes a pump; CommThreadProtocol serves on
         # its own thread and exposes none.
         self._pump = getattr(protocol, "pump", None)
-        #: Active FaultPlan from the protocol (None on fault-free runs;
-        #: comm_thread mode rejects fault plans, so the resilient paths
-        #: below only ever run in pump mode).
-        self.faults = getattr(protocol, "faults", None)
-        self._resilient = self.faults is not None and self.faults.needs_resilient_lookups
         #: Owner -> effective destination (doomed owners route to their
         #: recovery partner from the start of the phase).
-        self.routes = RouteTable.compile(self.faults, comm.size)
+        self.routes = RouteTable.compile(
+            getattr(protocol, "faults", None), comm.size
+        )
         protocol.handlers[Tags.PREFETCH_REQUEST] = self._on_request
         protocol.handlers[Tags.PREFETCH_RESPONSE] = self._on_response
 
@@ -118,25 +110,21 @@ class PrefetchEndpoint:
         kmer_ids = np.ascontiguousarray(kmer_ids, dtype=np.uint64)
         tile_ids = np.ascontiguousarray(tile_ids, dtype=np.uint64)
         stats = self.comm.stats
-        with self._cond:
-            req_id = self._next_req
-            self._next_req += 1
-            if req_id >= 1 << 32:
-                raise CommunicatorError("prefetch req_id overflow")
-            fetch = BulkFetch(req_id, kmer_ids, tile_ids)
-            if kmer_ids.size or tile_ids.size:
-                k_by = self._by_dest(kmer_ids)
-                t_by = self._by_dest(tile_ids)
-                for dest in sorted(set(k_by) | set(t_by)):
-                    kpos = k_by.get(dest, np.empty(0, dtype=np.int64))
-                    tpos = t_by.get(dest, np.empty(0, dtype=np.int64))
-                    fetch.slices[dest] = (kpos, tpos)
-                    fetch.pending.add(dest)
+        req_id = self.requests.open()
+        fetch = BulkFetch(req_id, kmer_ids, tile_ids)
+        if kmer_ids.size or tile_ids.size:
+            k_by = self._by_dest(kmer_ids)
+            t_by = self._by_dest(tile_ids)
+            for dest in sorted(set(k_by) | set(t_by)):
+                kpos = k_by.get(dest, np.empty(0, dtype=np.int64))
+                tpos = t_by.get(dest, np.empty(0, dtype=np.int64))
+                fetch.slices[dest] = (kpos, tpos)
+            with self._cond:
                 self._fetches[req_id] = fetch
-        # isends go out after the fetch is registered, so a response
+        # Requests go out after the fetch is registered, so a response
         # arriving on the communication thread always finds its handle;
         # list() snapshots slices against concurrent pops.
-        if fetch.pending:
+        if fetch.slices:
             stats.bump("prefetch_fetches")
             stats.bump("prefetch_kmer_ids_fetched", int(kmer_ids.size))
             stats.bump("prefetch_tile_ids_fetched", int(tile_ids.size))
@@ -151,87 +139,37 @@ class PrefetchEndpoint:
                         fetch.kmer_counts[kpos] = kc
                         fetch.tile_counts[tpos] = tc
                         fetch.slices.pop(dest, None)
-                        fetch.pending.discard(dest)
                     stats.bump("failover_requests_served")
                     continue
                 header = np.array([req_id, kpos.size], dtype=np.uint64)
                 payload = np.concatenate([header, kmer_ids[kpos], tile_ids[tpos]])
-                if self._resilient:
-                    fetch.payloads[dest] = payload
-                # Fire-and-forget by design: simmpi isend buffers
-                # eagerly, and the matching PREFETCH_RESPONSE (or the
-                # retry path) is the completion signal.
-                self.comm.isend(  # noqa: MPI010
-                    dest, payload, tag=Tags.PREFETCH_REQUEST)
+                self.requests.send(
+                    req_id, dest, dest, payload, Tags.PREFETCH_REQUEST)
                 stats.bump("prefetch_messages")
         return fetch
 
     def collect(self, fetch: BulkFetch) -> tuple[NDArray[np.uint32], NDArray[np.uint32]]:
         """Wait until every owner answered; returns (kmer, tile) counts
         aligned with the issued ids.  In pump mode the wait serves
-        incoming peer requests, which keeps the exchange deadlock-free."""
-        if self._pump is not None:
-            if self._resilient:
-                self._collect_resilient(fetch)
-            else:
-                while not fetch.complete:
-                    self._pump(block=True)
-        else:
-            deadline = time.monotonic() + PREFETCH_TIMEOUT
-            check = getattr(self.protocol, "_check_failure", None)
-            with self._cond:
-                while not fetch.complete:
-                    if check is not None:
-                        check()
-                    self._cond.wait(timeout=1.0)
-                    if not fetch.complete and time.monotonic() > deadline:
-                        raise CommunicatorError(
-                            f"rank {self.comm.rank} waited more than "
-                            f"{PREFETCH_TIMEOUT}s for prefetch responses "
-                            f"from {sorted(fetch.pending)}"
-                        )
+        incoming peer requests, which keeps the exchange deadlock-free;
+        under a fault plan it resends the retained frames on a deadline,
+        and a duplicate answer never reaches the slices (``settle``)."""
+        self.requests.wait(
+            fetch.req_id, self._pump or partial(self._await_thread, fetch.req_id)
+        )
         with self._cond:
             self._fetches.pop(fetch.req_id, None)
         return fetch.kmer_counts, fetch.tile_counts
 
-    def _collect_resilient(self, fetch: BulkFetch) -> None:
-        """Pump-mode wait with timeout + bounded exponential backoff.
-        Each expired deadline resends the retained payloads; the shared
-        ``req_id`` and the slice-pop in :meth:`_on_response` make
-        retransmits and duplicate answers idempotent."""
-        plan = self.faults
-        assert plan is not None and self._pump is not None
-        sleep_hint = 0.0 if self.comm.probe_yields else 0.002
-        attempt = 0
-        deadline = time.monotonic() + plan.timeout_for(attempt)
-        while not fetch.complete:
-            progressed = self._pump(block=False)
-            if fetch.complete:
-                break
-            if progressed:
-                continue
-            if time.monotonic() > deadline:
-                self.comm.stats.bump("lookup_timeouts")
-                attempt += 1
-                if attempt > plan.max_retries:
-                    raise LookupTimeoutError(
-                        f"rank {self.comm.rank}: prefetch owners "
-                        f"{sorted(fetch.pending)} never answered request "
-                        f"{fetch.req_id} within {plan.max_retries} retries "
-                        f"({plan.total_budget():.2f}s budget)",
-                        rank=self.comm.rank,
-                        pending=sorted(fetch.pending),
-                        attempts=attempt,
-                    )
-                for dest in sorted(fetch.pending):
-                    self.comm.isend(  # noqa: MPI010 - retry send; the
-                        # response (or the next retry round) completes it
-                        dest, fetch.payloads[dest], tag=Tags.PREFETCH_REQUEST
-                    )
-                    self.comm.stats.bump("lookup_retries")
-                deadline = time.monotonic() + plan.timeout_for(attempt)
-            elif sleep_hint:
-                time.sleep(sleep_hint)
+    def _await_thread(self, req_id: int, block: bool) -> bool:
+        """Progress when the answers land on the communication thread:
+        sleep until it reports the fetch complete (or an idle slice
+        passes).  Always blocking — that mode admits no fault plan."""
+        self.protocol._check_failure()
+        with self._cond:
+            return self.requests.settled(req_id) or self._cond.wait(
+                timeout=IDLE_SLICE
+            )
 
     def drain(self) -> None:
         """Service any already-arrived peer traffic (pump mode only)."""
@@ -258,7 +196,7 @@ class PrefetchEndpoint:
             lo, hi = int(bounds[dest]), int(bounds[dest + 1])
             if lo == hi:
                 continue
-            if dest == self.comm.rank and not self._resilient:
+            if dest == self.comm.rank and not self.requests.armed:
                 raise CommunicatorError("prefetch given locally-owned ids")
             out[dest] = order[lo:hi]
         return out
@@ -290,19 +228,12 @@ class PrefetchEndpoint:
         payload = np.asarray(msg.payload, dtype=np.uint32)
         req_id = int(payload[0])
         with self._cond:
-            fetch = self._fetches.get(req_id)
-            if fetch is None or msg.source not in fetch.slices:
-                if self._resilient:
-                    # A retry raced its original answer, or a duplicated
-                    # frame: the slice was already filled once.
-                    self.comm.stats.bump("stale_responses")
-                    return
-                raise CommunicatorError(
-                    f"unmatched prefetch response {req_id} from {msg.source}")
+            if not self.requests.settle(req_id, msg.source):
+                return
+            fetch = self._fetches[req_id]
             kpos, tpos = fetch.slices.pop(msg.source)
             counts = payload[1:]
             fetch.kmer_counts[kpos] = counts[: kpos.size]
             fetch.tile_counts[tpos] = counts[kpos.size :]
-            fetch.pending.discard(msg.source)
-            if fetch.complete:
+            if self.requests.settled(req_id):
                 self._cond.notify_all()

@@ -1,0 +1,177 @@
+"""The reliable-request layer: one wait under every count client.
+
+Step IV is one idea — ask the owner, serve peers while you wait — and
+every client of it (the blocking pump protocol, the two-thread protocol,
+the bulk-prefetch endpoint, and the fault-mode Step III read-table
+exchange, which is a Step IV round) keeps its outstanding requests here.
+:class:`ReliableRequests` owns the whole retry *policy*:
+
+* **sequence** — :meth:`open` numbers each round from a per-communicator
+  monotone counter, so a frame that outlives its round (delayed,
+  duplicated, or answered after a retransmit) can never carry the number
+  of a later one, whichever protocol object sent it;
+* **window** — the requests of a round that are still unanswered, with
+  the frames to resend when a :class:`~repro.faults.FaultPlan` needs
+  resilient lookups (and only then: unarmed, nothing is retained);
+* **wait** — :meth:`wait` runs the caller's ``progress`` until the window
+  is empty.  Unarmed that is a plain blocking loop: no clock, no resend.
+  Armed it is the deadline / backoff / resend loop and the one place
+  :class:`~repro.errors.LookupTimeoutError` is built;
+* **stale rule** — :meth:`settle` is the single fresh-or-stale decision
+  for an arriving answer.
+
+Endpoints differ only in who makes progress: a pump endpoint passes its
+``pump`` (receive and dispatch one message), a communication-thread
+endpoint passes a function that blocks on its queue or condition for at
+most :data:`IDLE_SLICE` seconds.
+"""
+
+from __future__ import annotations
+
+import itertools
+import time
+import weakref
+from typing import Any, Callable, Iterator
+
+from repro.errors import CommunicatorError, LookupTimeoutError
+from repro.simmpi.communicator import Communicator
+
+#: Longest one blocking ``progress`` call of a communication-thread
+#: endpoint may wait before reporting "nothing arrived" (a pump's
+#: blocking turn always returns with a message).
+IDLE_SLICE = 1.0
+#: How long a worker waits on its communication thread with nothing
+#: arriving before concluding the run is wedged (seconds).
+WEDGE_TIMEOUT = 120.0
+
+#: ``progress(block) -> arrived``: make one step of communication
+#: progress; ``block=False`` must return at once.
+Progress = Callable[[bool], bool]
+
+_sequences: "weakref.WeakKeyDictionary[Communicator, Iterator[int]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+class ReliableRequests:
+    """One rank's outstanding count requests (see module docstring).
+
+    A request is named ``(seq, who)``: the round it belongs to and whom
+    its answer is for — the owner asked, or the destination of a
+    coalesced frame.  ``plan`` arms the retry policy when it needs
+    resilient lookups; otherwise the layer only tracks what is pending.
+    """
+
+    def __init__(self, comm: Communicator, plan=None) -> None:
+        self.comm = comm
+        #: The retry schedule, or None when lookups cannot be lost.
+        self.plan = (
+            plan if plan is not None and plan.needs_resilient_lookups else None
+        )
+        self._sequence = _sequences.setdefault(comm, itertools.count(1))
+        #: seq -> who -> (dest, payload, tag) retained for resends
+        #: (None when unarmed).
+        self._windows: dict[int, dict[int, tuple[int, Any, int] | None]] = {}
+
+    @property
+    def armed(self) -> bool:
+        """Do requests need sequence headers, retained frames, retries?"""
+        return self.plan is not None
+
+    def open(self) -> int:
+        """Start a round; its sequence number exceeds every earlier one
+        on this communicator (and fits the uint32 response headers)."""
+        seq = next(self._sequence)
+        if seq >= 1 << 32:
+            raise CommunicatorError("request sequence overflow")
+        return seq
+
+    def send(self, seq: int, who: int, dest: int, payload: Any, tag: int) -> None:
+        """Ship one request of round ``seq`` and hold it outstanding."""
+        self._windows.setdefault(seq, {})[who] = (
+            (dest, payload, tag) if self.plan is not None else None
+        )
+        self.comm.send(dest, payload, tag=tag)
+
+    def settled(self, seq: int) -> bool:
+        """Has every request sent so far in round ``seq`` been answered?"""
+        return not self._windows.get(seq)
+
+    def settle(self, seq: int, who: int) -> bool:
+        """An answer for ``(seq, who)`` arrived: is it the first?
+
+        True settles the request.  False means stale — a retry raced its
+        original answer, a duplicated frame, or a round long over —
+        which an armed layer counts and tolerates; unarmed nothing can
+        produce one, so it is a protocol error.
+        """
+        window = self._windows.get(seq)
+        if window is not None and who in window:
+            del window[who]
+            return True
+        if self.plan is None:
+            raise CommunicatorError(
+                f"rank {self.comm.rank}: unmatched answer from {who} "
+                f"to request {seq}"
+            )
+        self.comm.stats.bump("stale_responses")
+        return False
+
+    def wait(self, seq: int, progress: Progress) -> None:
+        """Run ``progress`` until every request of round ``seq`` settled.
+
+        Unarmed: blocking progress, nothing else.  Armed: non-blocking
+        progress against a ``plan.timeout_for(attempt)`` deadline; each
+        expiry resends what is still pending and lengthens the next
+        deadline, up to ``plan.max_retries``.
+        """
+        window = self._windows.get(seq)
+        if window is None:  # nothing was sent
+            return
+        if self.plan is None:
+            self._wait_blocking(window, progress)
+        else:
+            self._wait_retrying(seq, window, progress)
+        del self._windows[seq]
+
+    def _wait_blocking(self, window: dict, progress: Progress) -> None:
+        idle = 0.0
+        while window:
+            if progress(True):
+                idle = 0.0
+            elif (idle := idle + IDLE_SLICE) >= WEDGE_TIMEOUT:
+                raise CommunicatorError(
+                    f"rank {self.comm.rank} waited more than "
+                    f"{WEDGE_TIMEOUT}s for answers from {sorted(window)}"
+                )
+
+    def _wait_retrying(self, seq: int, window: dict, progress: Progress) -> None:
+        comm, plan = self.comm, self.plan
+        # On the cooperative engine an empty probe yields the turn, so
+        # the loop needs no wall-clock sleep to let peers progress.
+        sleep_hint = 0.0 if comm.probe_yields else 0.002
+        attempt = 0
+        deadline = time.monotonic() + plan.timeout_for(attempt)
+        while window:
+            if progress(False):
+                continue
+            if time.monotonic() > deadline:
+                comm.stats.bump("lookup_timeouts")
+                attempt += 1
+                if attempt > plan.max_retries:
+                    pending = sorted(window)
+                    raise LookupTimeoutError(
+                        f"rank {comm.rank}: {pending} never answered "
+                        f"request {seq} within {plan.max_retries} retries "
+                        f"({plan.total_budget():.2f}s budget)",
+                        rank=comm.rank,
+                        pending=pending,
+                        attempts=attempt,
+                    )
+                for who in sorted(window):
+                    dest, payload, tag = window[who]
+                    comm.send(dest, payload, tag=tag)
+                    comm.stats.bump("lookup_retries")
+                deadline = time.monotonic() + plan.timeout_for(attempt)
+            elif sleep_hint:
+                time.sleep(sleep_hint)

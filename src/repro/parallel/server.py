@@ -30,18 +30,19 @@ blocks and never yields), probes the table once per kind for all of
 them, and answers each requester with its own frame
 (:func:`serve_queued`).  The request half — partition by owner, send,
 reassemble — is :func:`request_by_owner`; the pump endpoint here and
-the two-thread endpoint in :mod:`repro.parallel.commthread` share both.
+the two-thread endpoint in :mod:`repro.parallel.commthread` share both,
+and both wait through :mod:`repro.parallel.reliable` (outstanding
+requests, sequence numbers, the retry policy under a fault plan).
 """
 
 from __future__ import annotations
 
-import time
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from repro.errors import CommunicatorError, LookupTimeoutError
+from repro.errors import CommunicatorError
 from repro.hashing.counthash import CountHash
 from repro.parallel.lookup.routing import (
     KIND_KMER,
@@ -50,6 +51,7 @@ from repro.parallel.lookup.routing import (
     ShardServer,
     partition_by_dest,
 )
+from repro.parallel.reliable import ReliableRequests
 from repro.simmpi.communicator import Communicator
 from repro.simmpi.message import ANY_SOURCE, ANY_TAG, Message, Tags
 
@@ -69,16 +71,14 @@ def is_request(msg: Message) -> bool:
     return msg.tag in _SERVED_WITH
 
 
-def send_request(
-    comm: Communicator, universal: bool, kind: int, dest: int, ids: np.ndarray
-) -> None:
-    """One fault-free count request, in the mode's framing."""
+def frame_request(
+    universal: bool, kind: int, ids: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """(payload, tag) of one fault-free count request, in the mode's framing."""
     if universal:
         payload = np.concatenate([np.array([kind], dtype=np.uint64), ids])
-        comm.send(dest, payload, tag=Tags.UNIVERSAL_REQUEST)
-    else:
-        tag = Tags.KMER_REQUEST if kind == KIND_KMER else Tags.TILE_REQUEST
-        comm.send(dest, ids, tag=tag)
+        return payload, Tags.UNIVERSAL_REQUEST
+    return ids, Tags.KMER_REQUEST if kind == KIND_KMER else Tags.TILE_REQUEST
 
 
 def request_by_owner(
@@ -218,17 +218,16 @@ class CorrectionProtocol:
         #: Extra tag -> handler(Message) hooks; lets higher layers (e.g.
         #: the dynamic work-allocation ablation) ride the same pump.
         self.handlers: dict[int, "callable"] = {}
+        #: Outstanding requests and the retry policy
+        #: (:mod:`repro.parallel.reliable`); shared with the prefetch
+        #: endpoint that rides this protocol's pump.
+        self.requests = ReliableRequests(comm, faults)
         self._responses: dict[int, np.ndarray] = {}
+        self._round = -1         # sequence number of the open round
         self._done_seen = 0      # rank 0 only
         self._shutdown = False
         self._done_sent = False
-        self._resilient = faults is not None and faults.needs_resilient_lookups
         self._doomed = faults.doomed_ranks() if faults is not None else frozenset()
-        self._req_seq = 0
-        self._active_seq = -1
-        #: owner rank -> (effective dest, stored request payload); kept
-        #: so a timed-out round can resend the identical frame.
-        self._resilient_pending: dict[int, tuple[int, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     # client side
@@ -245,84 +244,36 @@ class CorrectionProtocol:
 
         Under a fault plan that needs it, the round is resilient: each
         request goes to the owner's *effective* destination (the
-        recovery partner when the owner is doomed) and carries a
-        sequence number (so retransmits and stale responses are
+        recovery partner when the owner is doomed) and carries the
+        round's sequence number (so retransmits and stale responses are
         unambiguous) and the owner id (so the partner knows which shard
-        to answer from); see :meth:`_collect_resilient` for the wait.
+        to answer from); the wait then retries on a deadline.
         """
         if self._done_sent and np.size(ids):
             raise CommunicatorError("request_counts after finish()")
         self._responses = {}
-        if not self._resilient:
-            send = partial(send_request, self.comm, self.universal, kind)
-            return request_by_owner(self.comm, ids, owners, send, self._collect)
-        self._req_seq += 1
-        self._active_seq = self._req_seq
-        self._resilient_pending.clear()
-        try:
-            return request_by_owner(
-                self.comm, ids, owners,
-                partial(self._send_resilient, kind), self._collect_resilient,
-            )
-        finally:
-            self._active_seq = -1
+        self._round = self.requests.open()
+        return request_by_owner(
+            self.comm, ids, owners, partial(self._send, kind), self._collect
+        )
 
-    def _collect(self, asked: set[int]) -> dict[int, np.ndarray]:
-        """Pump — serving whatever arrives — until every owner answered."""
-        while asked - self._responses.keys():
-            self.pump(block=True)
-        return self._responses
-
-    def _send_resilient(self, kind: int, owner: int, chunk: np.ndarray) -> None:
+    def _send(self, kind: int, owner: int, chunk: np.ndarray) -> None:
         dest = self.routes.dest_for(owner)
         if dest == self.comm.rank:
             # This rank is the dead owner's partner: answer from the
             # shard it re-bound, no message needed.
             self._responses[owner] = self.shards.lookup(kind, chunk)
             return
-        payload = np.concatenate(
-            [np.array([self._active_seq, owner, kind], dtype=np.uint64), chunk]
-        )
-        self._resilient_pending[owner] = (dest, payload)
-        self.comm.send(dest, payload, tag=Tags.RESILIENT_REQUEST)
+        if self.requests.armed:
+            header = np.array([self._round, owner, kind], dtype=np.uint64)
+            payload, tag = np.concatenate([header, chunk]), Tags.RESILIENT_REQUEST
+        else:
+            payload, tag = frame_request(self.universal, kind, chunk)
+        self.requests.send(self._round, owner, dest, payload, tag)
 
-    def _collect_resilient(self, asked: set[int]) -> dict[int, np.ndarray]:
-        """Serve-while-waiting with timeout + bounded exponential backoff:
-        each expired deadline resends every still-pending request with an
-        exponentially longer next deadline, up to ``max_retries``.
-
-        On the cooperative engine an empty probe yields the turn, so
-        the loop needs no wall-clock sleep to let peers progress."""
-        plan = self.faults
-        sleep_hint = 0.0 if self.comm.probe_yields else 0.002
-        attempt = 0
-        deadline = time.monotonic() + plan.timeout_for(attempt)
-        while self._resilient_pending:
-            progressed = self.pump(block=False)
-            if not self._resilient_pending:
-                break
-            if progressed:
-                continue
-            if time.monotonic() > deadline:
-                self.comm.stats.bump("lookup_timeouts")
-                attempt += 1
-                if attempt > plan.max_retries:
-                    pending = sorted(self._resilient_pending)
-                    raise LookupTimeoutError(
-                        f"rank {self.comm.rank}: owners {pending} never "
-                        f"answered lookup seq {self._active_seq} within "
-                        f"{plan.max_retries} retries "
-                        f"({plan.total_budget():.2f}s budget)",
-                        rank=self.comm.rank,
-                        pending=pending,
-                        attempts=attempt,
-                    )
-                for owner, (dest, payload) in self._resilient_pending.items():
-                    self.comm.send(dest, payload, tag=Tags.RESILIENT_REQUEST)
-                    self.comm.stats.bump("lookup_retries")
-                deadline = time.monotonic() + plan.timeout_for(attempt)
-            elif sleep_hint:
-                time.sleep(sleep_hint)
+    def _collect(self, asked: set[int]) -> dict[int, np.ndarray]:
+        """Pump — serving whatever arrives — until every owner answered."""
+        self.requests.wait(self._round, self.pump)
         return self._responses
 
     # ------------------------------------------------------------------
@@ -336,14 +287,15 @@ class CorrectionProtocol:
         ``MPI_Probe`` pattern); in universal mode the message is received
         directly and its kind read from the payload — a non-blocking
         turn takes what was already delivered and, on a miss, returns
-        without handing the CPU away.  Only the resilient retry loops
-        still probe there: on the cooperative engine their progress
-        depends on a miss yielding the turn.
+        without handing the CPU away.  Only the armed retry loop
+        (:meth:`ReliableRequests.wait`) still probes there: on the
+        cooperative engine its progress depends on a miss yielding the
+        turn.
         """
         comm = self.comm
         if self.universal and block:
             msg = comm.recv(ANY_SOURCE, ANY_TAG)
-        elif self.universal and not self._resilient:
+        elif self.universal and not self.requests.armed:
             msg = comm.take_ready(ANY_SOURCE, ANY_TAG)
             if msg is None:
                 return False
@@ -365,30 +317,19 @@ class CorrectionProtocol:
         if is_request(msg):
             serve_queued(self.comm, self.shards, msg)
         elif tag == Tags.COUNT_RESPONSE:
-            self._responses[msg.source] = np.asarray(msg.payload, np.uint32)
+            if self.requests.settle(self._round, msg.source):
+                self._responses[msg.source] = np.asarray(msg.payload, np.uint32)
         elif tag == Tags.RESILIENT_RESPONSE:
             payload = np.asarray(msg.payload, np.uint32)
             seq, owner = int(payload[0]), int(payload[1])
-            if seq == self._active_seq and owner in self._resilient_pending:
+            if self.requests.settle(seq, owner):
                 self._responses[owner] = payload[2:]
-                del self._resilient_pending[owner]
-            else:
-                # A retry raced its original answer, or a duplicated
-                # frame: already satisfied, safe to ignore.
-                self.comm.stats.bump("stale_responses")
         elif tag == Tags.WORKER_DONE:
             self._done_seen += 1
         elif tag == Tags.SHUTDOWN:
             self._shutdown = True
         elif tag in self.handlers:
             self.handlers[tag](msg)
-        elif self.faults is not None and tag in (
-            Tags.EXCHANGE_QUERY, Tags.EXCHANGE_ANSWER,
-            Tags.EXCHANGE_DONE, Tags.EXCHANGE_RELEASE,
-        ):
-            # A delayed or duplicated Step III exchange frame flushed out
-            # mid-correction; its sequence round is long satisfied.
-            self.comm.stats.bump("stale_responses")
         else:
             raise CommunicatorError(f"unexpected tag {tag} in correction phase")
 
@@ -402,17 +343,16 @@ class CorrectionProtocol:
         protocol alive across repeated ``correct()`` calls; after each
         round's DONE/SHUTDOWN handshake this clears the round-local
         termination and response state so the next round starts clean.
-        ``_req_seq`` deliberately keeps counting across rounds: a delayed
-        or duplicated frame from *any* earlier round then carries a stale
-        sequence number and is discarded, never mistaken for an answer to
-        the current round's request.
+        Sequence numbers are the communicator's, not this object's, so
+        a delayed or duplicated frame from *any* earlier round — of this
+        protocol or one a finalize replaced — carries a stale number and
+        is discarded, never mistaken for an answer to the current round.
         """
         self._done_sent = False
         self._shutdown = False
         self._done_seen = 0
         self._responses = {}
-        self._resilient_pending.clear()
-        self._active_seq = -1
+        self._round = -1
 
     # ------------------------------------------------------------------
     # termination

@@ -64,24 +64,6 @@ from repro.simmpi.communicator import Communicator
 from repro.util.timer import PhaseTimer
 
 
-class _StackView:
-    """The corrector's spectrum interface over a compiled tier stack.
-
-    The session's internal twin of
-    :class:`~repro.parallel.correct.DistributedSpectrumView` (which
-    compiles its own stack and stays put for external callers); this one
-    wraps a stack the session already owns."""
-
-    def __init__(self, stacks: StackPair) -> None:
-        self.stacks = stacks
-
-    def kmer_counts(self, ids: np.ndarray) -> np.ndarray:
-        return self.stacks.kmers.counts(ids)
-
-    def tile_counts(self, ids: np.ndarray) -> np.ndarray:
-        return self.stacks.tiles.counts(ids)
-
-
 class CorrectionSession:
     """One rank's long-lived endpoint in the distributed spectrum.
 
@@ -495,7 +477,7 @@ class CorrectionSession:
             protocol = self._ensure_protocol(plan, recovery)
             protocol.reset_round()
             stacks = self._ensure_stacks(protocol, timer)
-        corrector = ReptileCorrector(config, _StackView(stacks))
+        corrector = ReptileCorrector(config, stacks)
 
         results: list[CorrectionResult] = []
         with timer.phase("error_correction"):

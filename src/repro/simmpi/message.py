@@ -47,16 +47,6 @@ class Tags:
     #: Response to a resilient request (payload: uint32
     #: ``[seq, owner, counts...]`` — seq/owner echoed from the request).
     RESILIENT_RESPONSE = 10
-    #: Fault-mode Step III read-tables query (payload: uint64
-    #: ``[seq, keys...]``) — the point-to-point replacement for the
-    #: query alltoallv of ``fetch_global_counts``.
-    EXCHANGE_QUERY = 11
-    #: Answer to an exchange query (payload: uint64 ``[seq, counts...]``).
-    EXCHANGE_ANSWER = 12
-    #: A rank telling rank 0 all its exchange queries are answered.
-    EXCHANGE_DONE = 13
-    #: Rank 0 releasing every rank from the exchange serving loop.
-    EXCHANGE_RELEASE = 14
     #: Replica transfer from a doomed rank to its recovery partner
     #: (reliable: never subject to frame faults).
     REPLICA = 15

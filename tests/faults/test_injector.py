@@ -94,8 +94,7 @@ class TestReliableTags:
     def test_control_tags_never_faulted(self):
         plan = FaultPlan(seed=0, drop_rate=1.0, max_drops_per_frame=None)
         inj = FaultInjector(plan, NRANKS)
-        for tag in (Tags.WORKER_DONE, Tags.SHUTDOWN, Tags.REPLICA,
-                    Tags.EXCHANGE_DONE, Tags.EXCHANGE_RELEASE):
+        for tag in (Tags.WORKER_DONE, Tags.SHUTDOWN, Tags.REPLICA):
             assert inj.decide(1, _frame(0, tag=tag)) == "pass"
 
     def test_collective_tags_never_faulted(self):

@@ -137,8 +137,6 @@ class TestDroppableTags:
         for tag in (
             Tags.WORKER_DONE,
             Tags.SHUTDOWN,
-            Tags.EXCHANGE_DONE,
-            Tags.EXCHANGE_RELEASE,
             Tags.REPLICA,
         ):
             assert tag not in DROPPABLE_TAGS

@@ -1,8 +1,6 @@
 """Bulk serving: N queued requests answered in one turn are answered
 exactly as they would have been one by one."""
 
-from functools import partial
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,8 +11,6 @@ from repro.hashing.inthash import mix_to_rank
 from repro.parallel.lookup.routing import KIND_KMER, KIND_TILE, ShardServer
 from repro.parallel.server import (
     CorrectionProtocol,
-    request_by_owner,
-    send_request,
     serve_queued,
 )
 from repro.simmpi import ANY_SOURCE, ANY_TAG, run_spmd
@@ -211,13 +207,15 @@ def test_one_pump_turn_answers_every_queued_request(universal):
         else:
             # A client round whose wait begins by telling the server
             # "my request is on its way to you".
+            wait = protocol._collect
+
             def collect(asked):
                 comm.send(SERVER, None, tag=99)
-                return protocol._collect(asked)
+                return wait(asked)
 
-            counts = request_by_owner(
-                comm, wanted, np.full(wanted.size, SERVER),
-                partial(send_request, comm, universal, KIND_KMER), collect,
+            protocol._collect = collect
+            counts = protocol.request_counts(
+                KIND_KMER, wanted, np.full(wanted.size, SERVER)
             )
             assert (counts == 5).all()
         protocol.finish()

@@ -8,8 +8,9 @@ from repro.hashing.inthash import mix_to_rank
 from repro.io.records import ReadBlock
 from repro.kmer.tiles import TileShape
 from repro.parallel.build import RankSpectra
-from repro.parallel.correct import DistributedSpectrumView, correct_distributed
+from repro.parallel.correct import correct_distributed
 from repro.parallel.heuristics import HeuristicConfig
+from repro.parallel.lookup.stack import compile_stacks
 from repro.parallel.server import CorrectionProtocol
 from repro.simmpi import run_spmd
 
@@ -30,7 +31,7 @@ def _view(comm, heuristics, spectra=None):
     proto = CorrectionProtocol(
         comm, sp.kmers, sp.tiles, universal=heuristics.universal
     )
-    return DistributedSpectrumView(comm, sp, heuristics, proto), proto
+    return compile_stacks(comm, sp, heuristics, protocol=proto), proto
 
 
 class TestLookupLadder:

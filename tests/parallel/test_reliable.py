@@ -1,0 +1,132 @@
+"""The reliable-request layer on its own: sequence, window, wait, stale rule."""
+
+import queue
+import sys
+import threading
+import time
+
+import pytest
+
+from repro.errors import CommunicatorError, LookupTimeoutError
+from repro.faults import FaultPlan
+from repro.parallel import reliable
+from repro.parallel.reliable import ReliableRequests
+from repro.simmpi.instrument import CommStats
+
+PLAN = FaultPlan(drop_rate=0.5, base_timeout_s=0.001, backoff=1.0, max_retries=2)
+
+
+class Wire:
+    """The slice of a communicator the layer uses; sends are recorded."""
+
+    rank = 0
+    probe_yields = True
+
+    def __init__(self):
+        self.stats = CommStats()
+        self.sent = []
+
+    def send(self, dest, payload, tag=0):
+        self.sent.append((dest, payload, tag))
+
+
+def test_sequence_is_per_communicator_and_outlives_the_layer():
+    comm, other = Wire(), Wire()
+    first = [ReliableRequests(comm).open() for _ in range(3)]
+    assert first == sorted(set(first))
+    assert ReliableRequests(comm, PLAN).open() > first[-1]
+    assert ReliableRequests(other).open() == first[0]
+
+
+def test_unarmed_tracks_peers_but_retains_nothing():
+    comm = Wire()
+    layer = ReliableRequests(comm, FaultPlan())  # a plan that drops nothing
+    assert not layer.armed
+    seq = layer.open()
+    layer.send(seq, 3, 3, "ids", 7)
+    assert comm.sent == [(3, "ids", 7)]
+    assert layer._windows[seq] == {3: None}
+    assert not layer.settled(seq)
+    turns = []
+
+    def progress(block):
+        turns.append(block)
+        return layer.settle(seq, 3)
+
+    layer.wait(seq, progress)
+    assert turns == [True]  # one blocking turn, no polling
+    assert layer.settled(seq) and not layer._windows
+    with pytest.raises(CommunicatorError, match="unmatched"):
+        layer.settle(seq, 3)
+
+
+def test_armed_answer_settles_once_then_counts_stale():
+    comm = Wire()
+    layer = ReliableRequests(comm, PLAN)
+    seq = layer.open()
+    layer.send(seq, 1, 2, "ids", 9)  # owner 1 answered for by partner 2
+    assert layer.settle(seq, 1)
+    assert not layer.settle(seq, 1)      # duplicate
+    assert not layer.settle(seq - 1, 1)  # a round long over
+    assert comm.stats.get("stale_responses") == 2
+    layer.wait(seq, lambda block: pytest.fail("nothing left to wait for"))
+
+
+def test_armed_wait_resends_pending_then_gives_up_with_the_budget():
+    comm = Wire()
+    layer = ReliableRequests(comm, PLAN)
+    seq = layer.open()
+    layer.send(seq, 1, 1, "a", 9)
+    layer.send(seq, 2, 2, "b", 9)
+    layer.settle(seq, 2)
+    with pytest.raises(LookupTimeoutError) as err:
+        layer.wait(seq, lambda block: False)
+    assert (err.value.rank, err.value.pending, err.value.attempts) == (0, [1], 3)
+    assert f"({PLAN.total_budget():.2f}s budget)" in str(err.value)
+    # The first send plus one resend per retry, of the pending frame only.
+    assert comm.sent == [(1, "a", 9), (2, "b", 9)] + [(1, "a", 9)] * 2
+    assert comm.stats.get("lookup_retries") == 2
+    assert comm.stats.get("lookup_timeouts") == 3
+
+
+def test_idle_blocking_progress_is_a_wedge(monkeypatch):
+    monkeypatch.setattr(reliable, "WEDGE_TIMEOUT", 3 * reliable.IDLE_SLICE)
+    layer = ReliableRequests(Wire())
+    seq = layer.open()
+    layer.send(seq, 1, 1, "a", 1)
+    idle = []
+    with pytest.raises(CommunicatorError, match="waited more than"):
+        layer.wait(seq, lambda block: idle.append(block))  # None: nothing came
+    assert idle == [True] * 3
+
+
+def test_settling_thread_never_loses_a_request():
+    """A worker sends while a communication thread settles (the prefetch
+    endpoint over CommThreadProtocol): every round must drain, whatever
+    the interleaving."""
+    comm = Wire()
+    layer = ReliableRequests(comm)
+    answers: "queue.Queue[tuple[int, int] | None]" = queue.Queue()
+    comm.send = lambda dest, payload, tag=0: answers.put((payload, dest))
+
+    def comm_thread():
+        while (item := answers.get()) is not None:
+            layer.settle(*item)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    thread = threading.Thread(target=comm_thread, daemon=True)
+    thread.start()
+    try:
+        for _ in range(2000):
+            seq = layer.open()
+            for who in range(4):
+                layer.send(seq, who, who, seq, 1)
+            layer.wait(seq, lambda block: time.sleep(1e-4) or True)
+            assert layer.settled(seq)
+    finally:
+        answers.put(None)
+        thread.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()
+    assert not layer._windows

@@ -283,6 +283,52 @@ class TestSessionReport:
         assert section["session_delta_exchanges"] > 0
 
 
+class TestSequenceAcrossFinalize:
+    def test_rebuilt_protocol_never_reuses_a_sequence_number(self, scale):
+        """finalize() replaces the protocol endpoint, but a delayed or
+        duplicated frame of the old one may still be in flight: the new
+        endpoint's first request must outnumber everything sent before,
+        or that frame could pass for a current answer."""
+        from repro.parallel.session import CorrectionSession
+        from repro.parallel.stages import slice_bounds
+        from repro.simmpi.engine import run_spmd
+        from repro.simmpi.message import Tags
+
+        plan = FaultPlan(
+            seed=5, duplicate_rate=0.1, delay_rate=0.1, base_timeout_s=0.1
+        )
+        block = scale.dataset.block
+        half = len(block) // 2
+
+        def program(comm):
+            sent: list[int] = []
+            send = comm.send
+
+            def spy(dest, payload, tag=0):
+                if tag == Tags.RESILIENT_REQUEST:
+                    sent.append(int(payload[0]))
+                send(dest, payload, tag=tag)
+
+            comm.send = spy
+            session = CorrectionSession(comm, scale.config, HeuristicConfig())
+            rounds, protocols = [], []
+            for part in (block.slice(0, half), block.slice(half, len(block))):
+                bounds = slice_bounds(len(part), comm.size)
+                mine = part.slice(bounds[comm.rank], bounds[comm.rank + 1])
+                session.ingest(mine)
+                before = len(sent)
+                session.correct(mine)
+                rounds.append(sent[before:])
+                protocols.append(session._protocol)
+            assert protocols[0] is not protocols[1]
+            return rounds
+
+        spmd = run_spmd(program, 4, engine="cooperative", faults=plan)
+        for first, second in spmd.results:
+            assert first and second
+            assert min(second) > max(first)
+
+
 class TestSessionValidation:
     def test_empty_op_list_rejected(self, scale):
         with pytest.raises(ValueError):

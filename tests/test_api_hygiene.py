@@ -81,3 +81,26 @@ def test_no_module_imports_pytest():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+@pytest.mark.parametrize(
+    "needles",
+    [
+        (".timeout_for(",),
+        ('bump("lookup_timeouts"', 'bump("lookup_retries"'),
+    ],
+    ids=["deadline", "retry_counters"],
+)
+def test_retry_policy_lives_in_one_module(needles):
+    """The deadline/backoff/resend loop exists once: only the
+    reliable-request layer reads the plan's retry schedule or charges
+    the retry counters (three copies had drifted apart before)."""
+    import pathlib
+
+    parallel = pathlib.Path(repro.__file__).parent / "parallel"
+    users = sorted(
+        path.relative_to(parallel).as_posix()
+        for path in parallel.rglob("*.py")
+        if any(needle in path.read_text(encoding="utf-8") for needle in needles)
+    )
+    assert users == ["reliable.py"]
