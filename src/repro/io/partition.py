@@ -38,6 +38,12 @@ def byte_partition(file_size: int, nranks: int, rank: int) -> tuple[int, int]:
     return start, end
 
 
+def slice_bounds(n: int, nranks: int) -> list[int]:
+    """Contiguous per-rank row bounds of an ``n``-read in-memory dataset
+    (:func:`byte_partition`'s rule, counted in reads)."""
+    return [n * r // nranks for r in range(nranks + 1)]
+
+
 def align_to_record(path: str | os.PathLike, offset: int) -> int:
     """Smallest record-header offset >= ``offset``.
 

@@ -119,6 +119,20 @@ class ReadBlock:
         return decode_rows(self.codes, self.lengths)
 
     # ------------------------------------------------------------------
+    def to_wire(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The block as a message payload: ``(ids, codes, lengths,
+        quals)``.  Every frame that carries reads — load balancing, the
+        work queue, crash replicas, service commands and results — uses
+        this one form."""
+        return (self.ids, self.codes, self.lengths, self.quals)
+
+    @classmethod
+    def from_wire(cls, parts: Sequence[np.ndarray]) -> "ReadBlock":
+        """The block a :meth:`to_wire` payload carries."""
+        ids, codes, lengths, quals = parts
+        return cls(ids=ids, codes=codes, lengths=lengths, quals=quals)
+
+    # ------------------------------------------------------------------
     def select(self, index: np.ndarray) -> "ReadBlock":
         """A new block containing the rows picked by ``index``."""
         return ReadBlock(

@@ -58,23 +58,6 @@ from repro.parallel.session import (
     SessionOpRunner,
     SessionRankReport,
 )
-from repro.parallel.stages import (
-    BuildStage,
-    CorrectStage,
-    FileInputStage,
-    PlanConfig,
-    RedistributeStage,
-    SliceInputStage,
-    SpectrumExchangeStage,
-    Stage,
-    StageContext,
-    StagePlan,
-    WriteBackStage,
-    build_only_plan,
-    dynamic_plan,
-    files_plan,
-    static_plan,
-)
 from repro.parallel.driver import (
     ParallelReptile,
     ParallelRunResult,
@@ -119,19 +102,4 @@ __all__ = [
     "IngestOp",
     "CorrectOp",
     "CheckpointOp",
-    "Stage",
-    "StageContext",
-    "StagePlan",
-    "PlanConfig",
-    "SliceInputStage",
-    "FileInputStage",
-    "RedistributeStage",
-    "BuildStage",
-    "SpectrumExchangeStage",
-    "CorrectStage",
-    "WriteBackStage",
-    "static_plan",
-    "files_plan",
-    "build_only_plan",
-    "dynamic_plan",
 ]

@@ -1,26 +1,31 @@
-"""Top-level distributed Reptile drivers.
+"""Top-level distributed Reptile drivers and the batch rank program.
 
-:class:`ParallelReptile` assembles the whole pipeline — Step I partitioned
-input, optional static load balancing, Steps II-III distributed spectrum
-construction, Step IV messaging correction — and runs it on the chosen
-engine.  Since the stage refactor each run flavour is a *plan selection*:
-a :class:`~repro.parallel.stages.StagePlan` composed from the shared
-stage executors in :mod:`repro.parallel.stages`, one picklable rank
-program per run.  The result bundles everything the paper's figures
-measure: per-rank corrected reads, errors corrected, table sizes, memory
-footprints, phase timings and communication counters.
+:class:`ParallelReptile` runs the paper's pipeline once — Step I
+partitioned input, optional static load balancing, Steps II-III
+distributed spectrum construction, Step IV messaging correction — on the
+chosen engine.  Its rank program, :class:`BatchProgram`, is a few lines
+around the :class:`~repro.parallel.session.SessionOpRunner` the service
+runs: load this rank's share, redistribute it once, open a one-shot
+:class:`~repro.parallel.session.CorrectionSession`, and run the op list
+``[ingest, correct]`` (``[ingest]`` for a build-only run, a
+master-worker correct op for the dynamic ablation).  The result bundles
+everything the paper's figures measure: per-rank corrected reads, errors
+corrected, table sizes, memory footprints, phase timings and
+communication counters.
 
 :class:`ParallelSession` is the long-lived counterpart: it drives a
-:class:`~repro.parallel.session.CorrectionSession` per rank through an
-op list (ingest / correct / checkpoint), so the spectrum is built once
+retained session per rank through an op list (ingest / correct /
+checkpoint) as a client of the service, so the spectrum is built once
 and corrected against repeatedly — or grown incrementally between
-corrections — with no rebuilds.
+corrections — with no rebuilds.  Both drivers end in the same runner
+and report through the same :class:`RankReport`.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 from numpy.typing import NDArray
@@ -28,28 +33,164 @@ from numpy.typing import NDArray
 from repro.config import ReptileConfig
 from repro.core.metrics import AccuracyReport, evaluate_correction
 from repro.datasets.reads import SimulatedDataset
+from repro.errors import ConfigError
 from repro.faults import FaultPlan
+from repro.io.partition import load_rank_block, slice_bounds
 from repro.io.records import ReadBlock
 from repro.parallel.heuristics import HeuristicConfig
+from repro.parallel.loadbalance import redistribute_reads
+from repro.parallel.memory import RankMemoryReport
 from repro.parallel.session import (
     CheckpointOp,
+    CorrectionSession,
     CorrectOp,
+    DynamicCorrectOp,
     IngestOp,
     SessionOp,
+    SessionOpRunner,
     SessionRankReport,
 )
-from repro.parallel.stages import (
-    PlanConfig,
-    RankReport,
-    StagePlan,
-    build_only_plan,
-    dynamic_plan,
-    empty_rank_report,
-    files_plan,
-    static_plan,
-)
+from repro.simmpi.communicator import Communicator
 from repro.simmpi.engine import Engine, run_spmd
 from repro.simmpi.instrument import SESSION_COUNTERS, CommStats
+
+
+@dataclass
+class RankReport:
+    """Everything one rank reports back from an SPMD run."""
+
+    rank: int
+    block: ReadBlock
+    corrections_per_read: NDArray[np.int64]
+    reads_reverted: int
+    tiles_examined: int
+    tiles_below_threshold: int
+    timings: dict[str, float]
+    memory: RankMemoryReport
+    table_sizes: dict[str, int]
+
+    @property
+    def errors_corrected(self) -> int:
+        """Substitutions applied by this rank (Fig. 4's per-rank series)."""
+        return int(self.corrections_per_read.sum())
+
+
+def _uncorrected_report(
+    rank: int,
+    block: ReadBlock,
+    timings: dict[str, float],
+    memory: RankMemoryReport,
+    table_sizes: dict[str, int],
+) -> RankReport:
+    """A rank's reads as they stand, with zeroed correction counters."""
+    return RankReport(
+        rank=rank,
+        block=block,
+        corrections_per_read=np.zeros(len(block), dtype=np.int64),
+        reads_reverted=0,
+        tiles_examined=0,
+        tiles_below_threshold=0,
+        timings=timings,
+        memory=memory,
+        table_sizes=table_sizes,
+    )
+
+
+def _correct_report(
+    report: SessionRankReport, index: int, timings: dict[str, float]
+) -> RankReport:
+    """A session report's ``index``-th correct op as a classic report."""
+    return RankReport(
+        rank=report.rank,
+        block=report.correct_blocks[index],
+        corrections_per_read=report.correct_corrections[index],
+        reads_reverted=report.correct_reverted[index],
+        tiles_examined=report.correct_tiles_examined[index],
+        tiles_below_threshold=report.correct_tiles_below[index],
+        timings=timings,
+        memory=report.memory,
+        table_sizes=report.table_sizes,
+    )
+
+
+def _with_placeholders(
+    reports: list[RankReport | None],
+) -> tuple[list[RankReport], list[int]]:
+    """Stand an empty report in for every crashed rank (``None``).
+
+    A crashed rank's reads live on in its recovery partner's block; an
+    empty entry keeps every per-rank series one-entry-per-rank.  Returns
+    the completed list and the crashed ranks."""
+    width = next(
+        (r.block.max_length for r in reports if r is not None), 0
+    )
+    crashed = [rank for rank, r in enumerate(reports) if r is None]
+    return [
+        r if r is not None else _uncorrected_report(
+            rank, ReadBlock.empty(width), {}, RankMemoryReport(rank=rank), {}
+        )
+        for rank, r in enumerate(reports)
+    ], crashed
+
+
+@dataclass(frozen=True)
+class BatchProgram:
+    """The SPMD rank program of a one-shot run: the pipeline as an op
+    list on a one-shot session.
+
+    Picklable (plain configs, a block or two paths), so the process
+    engine ships the identical program to spawned interpreters."""
+
+    config: ReptileConfig
+    heuristics: HeuristicConfig
+    #: The dataset: an in-memory block (each rank takes its contiguous
+    #: slice — the paper's byte partitioning) or a ``(fasta, quality)``
+    #: path pair (each rank loads its byte range).
+    source: ReadBlock | tuple[str, str | None]
+    #: Step IV scheme: the paper's static one, the master-worker
+    #: ablation, or ``None`` to stop after Steps I-III.
+    correction: Literal["static", "dynamic"] | None = "static"
+    comm_thread: bool = False
+
+    def __call__(self, comm: Communicator) -> RankReport:
+        session = CorrectionSession(
+            comm, self.config, self.heuristics, retain_raw=False
+        )
+        runner = SessionOpRunner(session, comm_thread=self.comm_thread)
+        source = self.source
+        # A rank that raises (or is crashed) mid-run still releases its
+        # endpoint: protocol, compiled stacks, recovery bindings.
+        with session:
+            with runner.timer.phase("read_input"):
+                if isinstance(source, ReadBlock):
+                    bounds = slice_bounds(len(source), comm.size)
+                    mine = source.slice(
+                        bounds[comm.rank], bounds[comm.rank + 1]
+                    )
+                else:
+                    mine = load_rank_block(*source, comm.size, comm.rank)
+            # Section III-A static load balancing, once: the same reads
+            # are ingested and corrected.  The master-worker scheme
+            # balances by itself, at correction time.
+            if self.heuristics.load_balance and self.correction != "dynamic":
+                with runner.timer.phase("load_balance"):
+                    mine = redistribute_reads(comm, mine)
+            runner.run_op(IngestOp(mine))
+            if self.correction == "static":
+                runner.run_op(CorrectOp(mine))
+            elif self.correction == "dynamic":
+                # The master (rank 0) hands out the undivided dataset.
+                whole = source if isinstance(source, ReadBlock) else None
+                runner.run_op(
+                    DynamicCorrectOp(whole if comm.rank == 0 else None)
+                )
+            report = runner.report()
+        if self.correction is None:
+            return _uncorrected_report(
+                comm.rank, mine, report.timings, report.memory,
+                report.table_sizes,
+            )
+        return _correct_report(report, 0, report.timings)
 
 
 @dataclass
@@ -168,8 +309,6 @@ def _validate_run_params(
     if faults is not None:
         faults.validate(nranks)
         if comm_thread and faults.needs_resilient_lookups:
-            from repro.errors import ConfigError
-
             raise ConfigError(
                 "comm_thread=True cannot combine with a FaultPlan "
                 "that drops frames or crashes ranks"
@@ -222,13 +361,6 @@ class ParallelReptile:
         self.comm_thread = comm_thread
         self.faults = faults
 
-    def _plan_config(self) -> PlanConfig:
-        return PlanConfig(
-            config=self.config,
-            heuristics=self.heuristics,
-            comm_thread=self.comm_thread,
-        )
-
     # ------------------------------------------------------------------
     def run(self, block: ReadBlock) -> ParallelRunResult:
         """Correct an in-memory dataset.
@@ -238,7 +370,7 @@ class ParallelReptile:
         what makes localized error bursts land on few ranks unless load
         balancing is on.
         """
-        return self._execute(static_plan(self._plan_config(), block, self.nranks))
+        return self._execute(block)
 
     def run_dynamic(self, block: ReadBlock) -> ParallelRunResult:
         """Correct with the prior work's dynamic master-worker allocation.
@@ -251,16 +383,22 @@ class ParallelReptile:
 
         The prefetch heuristic is not supported here: its per-chunk
         planning assumes the static chunk schedule of
-        :func:`~repro.parallel.correct.correct_distributed`.
+        :func:`~repro.parallel.correct.correct_distributed`.  Neither is
+        a fault plan that drops frames or crashes ranks: the work queue
+        and the ablation's lookups run outside the retry protocol.
         """
-        from repro.errors import ConfigError
-
         if self.heuristics.use_prefetch:
             raise ConfigError(
                 "the dynamic work-allocation ablation does not support "
                 "the prefetch heuristic"
             )
-        return self._execute(dynamic_plan(self._plan_config(), block, self.nranks))
+        if self.faults is not None and self.faults.needs_resilient_lookups:
+            raise ConfigError(
+                "the dynamic work-allocation ablation does not support a "
+                "FaultPlan that drops frames or crashes ranks (its work "
+                "queue is not retried)"
+            )
+        return self._execute(block, "dynamic")
 
     def build_only(self, block: ReadBlock) -> ParallelRunResult:
         """Run Steps I-III only (no correction) — for spectrum studies.
@@ -269,36 +407,30 @@ class ParallelReptile:
         uncorrected; table sizes and memory reports reflect the built
         spectra.  Used by the Fig. 3 uniformity measurement.
         """
-        return self._execute(
-            build_only_plan(self._plan_config(), block, self.nranks)
-        )
+        return self._execute(block, None)
 
     def run_files(self, fasta_path: str, quality_path: str | None) -> ParallelRunResult:
         """Correct a dataset from a fasta (+ quality) file pair (Step I)."""
-        return self._execute(
-            files_plan(self._plan_config(), fasta_path, quality_path)
-        )
+        return self._execute((fasta_path, quality_path))
 
     # ------------------------------------------------------------------
-    def _execute(self, plan: StagePlan) -> ParallelRunResult:
-        spmd = run_spmd(
-            plan, self.nranks, engine=self.engine, faults=self.faults
+    def _execute(
+        self,
+        source: ReadBlock | tuple[str, str | None],
+        correction: Literal["static", "dynamic"] | None = "static",
+    ) -> ParallelRunResult:
+        program = BatchProgram(
+            self.config, self.heuristics, source, correction, self.comm_thread
         )
-        reports: list[RankReport] = []
-        crashed: list[int] = []
-        for r, report in enumerate(spmd.results):
-            if isinstance(report, RankReport):
-                reports.append(report)
-                continue
-            # A CrashedRank sentinel: the plan killed this rank mid-
-            # correction.  Its reads live on in the partner's report.
-            crashed.append(r)
-            width = 0
-            for other in spmd.results:
-                if isinstance(other, RankReport):
-                    width = other.block.max_length
-                    break
-            reports.append(empty_rank_report(r, width))
+        spmd = run_spmd(
+            program, self.nranks, engine=self.engine, faults=self.faults
+        )
+        # Anything but a report is a CrashedRank sentinel: the fault
+        # plan killed that rank mid-correction.
+        reports, crashed = _with_placeholders([
+            report if isinstance(report, RankReport) else None
+            for report in spmd.results
+        ])
         return ParallelRunResult(
             reports=reports,
             stats=spmd.stats,
@@ -350,23 +482,11 @@ class SessionRunResult:
         op_pos = [
             p for p, kind in enumerate(survivor.op_kinds) if kind == "correct"
         ][index]
-        width = survivor.correct_blocks[index].max_length
-        reports: list[RankReport] = []
-        for r, rr in enumerate(self.rank_reports):
-            if rr is None:
-                reports.append(empty_rank_report(r, width))
-                continue
-            reports.append(RankReport(
-                rank=r,
-                block=rr.correct_blocks[index],
-                corrections_per_read=rr.correct_corrections[index],
-                reads_reverted=rr.correct_reverted[index],
-                tiles_examined=rr.correct_tiles_examined[index],
-                tiles_below_threshold=rr.correct_tiles_below[index],
-                timings=rr.op_timings[op_pos],
-                memory=rr.memory,
-                table_sizes=rr.table_sizes,
-            ))
+        reports, _ = _with_placeholders([
+            None if rr is None
+            else _correct_report(rr, index, rr.op_timings[op_pos])
+            for rr in self.rank_reports
+        ])
         return ParallelRunResult(
             reports=reports,
             stats=self.stats,
@@ -539,6 +659,7 @@ class ParallelSession:
 
 
 __all__ = [
+    "BatchProgram",
     "CheckpointOp",
     "CorrectOp",
     "IngestOp",

@@ -26,8 +26,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.config import ReptileConfig
 from repro.core.corrector import CorrectionResult, ReptileCorrector
 from repro.io.records import ReadBlock
@@ -84,16 +82,6 @@ def correct_dynamic(
     return result
 
 
-def _empty_result(width: int = 0) -> CorrectionResult:
-    return CorrectionResult(
-        block=ReadBlock.empty(width),
-        corrections_per_read=np.empty(0, dtype=np.int64),
-        reads_reverted=np.empty(0, dtype=bool),
-        tiles_examined=0,
-        tiles_below_threshold=0,
-    )
-
-
 def _master(
     comm: Communicator,
     full_block: ReadBlock | None,
@@ -111,7 +99,7 @@ def _master(
         if state["next"] < len(chunks):
             chunk = chunks[state["next"]]
             state["next"] += 1
-            payload = (chunk.ids, chunk.codes, chunk.lengths, chunk.quals)
+            payload = chunk.to_wire()
             comm.stats.bump("chunks_assigned")
         else:
             payload = None
@@ -121,7 +109,7 @@ def _master(
     protocol.handlers[WORK_REQUEST_TAG] = on_work_request
     while state["exhausted_workers"] < n_workers:
         protocol.pump(block=True)
-    return _empty_result(full_block.max_length)
+    return CorrectionResult.concat([], full_block.max_length)
 
 
 def _worker(
@@ -152,20 +140,9 @@ def _worker(
         payload = assignment["chunk"]
         if payload is None:
             break
-        ids, codes, lengths, quals = payload
-        chunk = ReadBlock(ids=ids, codes=codes, lengths=lengths, quals=quals)
+        chunk = ReadBlock.from_wire(payload)
         width = max(width, chunk.max_length)
         results.append(corrector.correct_block(chunk))
         comm.stats.bump("chunks_corrected")
 
-    if not results:
-        return _empty_result(width)
-    return CorrectionResult(
-        block=ReadBlock.concat([r.block for r in results]),
-        corrections_per_read=np.concatenate(
-            [r.corrections_per_read for r in results]
-        ),
-        reads_reverted=np.concatenate([r.reads_reverted for r in results]),
-        tiles_examined=sum(r.tiles_examined for r in results),
-        tiles_below_threshold=sum(r.tiles_below_threshold for r in results),
-    )
+    return CorrectionResult.concat(results, width)

@@ -21,22 +21,6 @@ from repro.parallel.ownership import sequence_owner
 from repro.simmpi.communicator import Communicator
 
 
-def _pack_block(block: ReadBlock) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A block as its four arrays (the alltoallv payload)."""
-    return (block.ids, block.codes, block.lengths, block.quals)
-
-
-def _unpack_blocks(parts: list[tuple], width: int) -> ReadBlock:
-    blocks = [
-        ReadBlock(ids=p[0], codes=p[1], lengths=p[2], quals=p[3])
-        for p in parts
-        if p[0].shape[0] > 0
-    ]
-    if not blocks:
-        return ReadBlock.empty(width)
-    return ReadBlock.concat(blocks)
-
-
 def redistribute_reads(
     comm: Communicator, block: ReadBlock, parts: int | None = None, first: int = 0
 ) -> ReadBlock:
@@ -59,11 +43,10 @@ def redistribute_reads(
     chunks = []
     for d in range(comm.size):
         rows = order[boundaries[d] : boundaries[d + 1]]
-        chunks.append(_pack_block(block.select(rows)))
-    received = comm.alltoallv(chunks)
+        chunks.append(block.select(rows).to_wire())
+    received = [ReadBlock.from_wire(p) for p in comm.alltoallv(chunks)]
     # Track the exchanged volume for the performance model.
-    moved = sum(
-        p[0].shape[0] for s, p in enumerate(received) if s != comm.rank
-    )
+    moved = sum(len(b) for s, b in enumerate(received) if s != comm.rank)
     comm.stats.bump("reads_received_in_balance", moved)
-    return _unpack_blocks(received, block.max_length)
+    merged = ReadBlock.concat(received)
+    return merged if len(merged) else ReadBlock.empty(block.max_length)

@@ -50,10 +50,7 @@ class RecoveryState:
 def _bundle_payload(spectra, block: ReadBlock) -> tuple:
     kmer_keys, kmer_counts = spectra.kmers.items()
     tile_keys, tile_counts = spectra.tiles.items()
-    return (
-        kmer_keys, kmer_counts, tile_keys, tile_counts,
-        block.ids, block.codes, block.lengths, block.quals,
-    )
+    return (kmer_keys, kmer_counts, tile_keys, tile_counts, *block.to_wire())
 
 
 def _tables_from(kmer_keys, kmer_counts, tile_keys, tile_counts):
@@ -125,13 +122,7 @@ def replicate_state(
         comm.stats.bump("replicas_sent")
     for _ in wards:
         msg = comm.recv(source=ANY_SOURCE, tag=Tags.REPLICA)
-        (kmer_keys, kmer_counts, tile_keys, tile_counts,
-         ids, codes, lengths, quals) = msg.payload
-        state.replicas[msg.source] = _tables_from(
-            kmer_keys, kmer_counts, tile_keys, tile_counts
-        )
-        state.ward_blocks[msg.source] = ReadBlock(
-            ids=ids, codes=codes, lengths=lengths, quals=quals
-        )
+        state.replicas[msg.source] = _tables_from(*msg.payload[:4])
+        state.ward_blocks[msg.source] = ReadBlock.from_wire(msg.payload[4:])
         comm.stats.bump("replicas_held")
     return state

@@ -30,6 +30,14 @@ incremental path and the classic path cannot drift apart.
 
 Every mutating verb is collective: all ranks of the communicator must
 call it together, in the same order.
+
+:class:`SessionOpRunner` is the one place a rank program sequences
+those verbs: it is handed an open session and executes ops
+(:class:`IngestOp`, :class:`CorrectOp`, :class:`CheckpointOp`, and the
+batch-only :class:`DynamicCorrectOp`) on reads that are already placed.
+A batch run (``BatchProgram`` in :mod:`repro.parallel.driver`) is the op
+list ``[ingest, correct]`` on a one-shot session; the service's
+``ServingProgram`` is an open-ended op stream on a retained one.
 """
 
 from __future__ import annotations
@@ -52,9 +60,9 @@ from repro.parallel.build import (
     fetch_read_table,
     n_batches,
 )
+from repro.parallel.dynamicbalance import correct_dynamic
 from repro.parallel.exchange import exchange_deltas
 from repro.parallel.heuristics import HeuristicConfig
-from repro.parallel.loadbalance import redistribute_reads
 from repro.parallel.lookup.planner import PrefetchExecutor
 from repro.parallel.lookup.stack import StackPair, compile_stacks
 from repro.parallel.memory import RankMemoryReport
@@ -537,24 +545,7 @@ class CorrectionSession:
             # crash plans (a dead rank never arrives at a barrier).
             comm.barrier()
 
-        if not results:
-            empty = ReadBlock.empty(block.max_length)
-            return CorrectionResult(
-                block=empty,
-                corrections_per_read=np.empty(0, dtype=np.int64),
-                reads_reverted=np.empty(0, dtype=bool),
-                tiles_examined=0,
-                tiles_below_threshold=0,
-            )
-        return CorrectionResult(
-            block=ReadBlock.concat([r.block for r in results]),
-            corrections_per_read=np.concatenate(
-                [r.corrections_per_read for r in results]
-            ),
-            reads_reverted=np.concatenate([r.reads_reverted for r in results]),
-            tiles_examined=sum(r.tiles_examined for r in results),
-            tiles_below_threshold=sum(r.tiles_below_threshold for r in results),
-        )
+        return CorrectionResult.concat(results, block.max_length)
 
     def _ensure_protocol(
         self, plan, recovery: RecoveryState
@@ -639,7 +630,8 @@ class CorrectionSession:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class IngestOp:
-    """Ingest a dataset's count deltas (each rank takes its slice)."""
+    """Ingest a dataset's count deltas (a driver is given the whole
+    dataset, a rank's runner the reads placed on that rank)."""
 
     block: ReadBlock
 
@@ -661,6 +653,16 @@ class CheckpointOp:
 SessionOp = IngestOp | CorrectOp | CheckpointOp
 
 
+@dataclass(frozen=True)
+class DynamicCorrectOp:
+    """Correct by the prior work's master-worker allocation
+    (:func:`~repro.parallel.dynamicbalance.correct_dynamic`): rank 0's
+    op carries the whole dataset to hand out, every other rank's
+    ``None``.  A batch-run op — the service has no command for it."""
+
+    block: ReadBlock | None
+
+
 @dataclass
 class SessionRankReport:
     """Everything one rank reports back from a session program."""
@@ -668,9 +670,11 @@ class SessionRankReport:
     rank: int
     #: One entry per op, e.g. ``("ingest", "correct", "correct")``.
     op_kinds: tuple[str, ...]
-    #: Phase-seconds consumed by each op (same indexing as op_kinds).
+    #: Phase-seconds consumed by each op (same indexing as op_kinds):
+    #: what the rank's timer gained since the previous op ended, so the
+    #: input and placement that precede an op are charged to it.
     op_timings: list[dict[str, float]]
-    #: Per-CorrectOp outcomes, in op order.
+    #: Per-correct-op outcomes, in op order.
     correct_blocks: list[ReadBlock]
     correct_corrections: list[np.ndarray]
     correct_reverted: list[int]
@@ -686,18 +690,21 @@ class SessionRankReport:
 
 
 class SessionOpRunner:
-    """Per-rank op execution and bookkeeping over one session backend.
+    """Per-rank op execution and bookkeeping over one session.
 
-    The engine room of the service layer's serving loop (and through it
-    of :class:`~repro.parallel.driver.ParallelSession`): ops arrive one
-    at a time, go through :meth:`run_op`, and :meth:`report` assembles
-    the rank's :class:`SessionRankReport`.
+    The engine room of every rank program.  The service's serving loop
+    (``ServingProgram``, and through it
+    :class:`~repro.parallel.driver.ParallelSession`) and the batch
+    program behind :class:`~repro.parallel.driver.ParallelReptile` each
+    open the session their run calls for — retained or resumed for a
+    service, one-shot for a batch run — hand it over, feed ops one at a
+    time through :meth:`run_op`, and take the rank's
+    :class:`SessionRankReport` from :meth:`report`.
 
-    A rank is handed only its *share* of an op's block — the rows
-    :meth:`share_bounds` names — together with the block's read count,
-    which is what decides the placement; the relay that ships the
-    shares (``ServingProgram``) asks this class which rows go where, so
-    the placement rule lives in one place.
+    An op carries the reads *this rank* works on.  Which rank gets which
+    rows is decided once, where the reads enter (the service relay's
+    grain-aware window, the batch program's one redistribution), never
+    here.
 
     The serving state is finalized after *every* ingest (the spectrum
     must be servable the moment the ingest command completes — the loop
@@ -707,29 +714,21 @@ class SessionOpRunner:
 
     def __init__(
         self,
-        comm: Communicator,
-        config: ReptileConfig,
-        heuristics: HeuristicConfig,
+        session: CorrectionSession,
         *,
         comm_thread: bool = False,
-        resume_dir: str | None = None,
         capture_spectrum: bool = False,
     ) -> None:
-        self.comm = comm
-        self.heuristics = heuristics
+        self.session = session
+        self.comm = session.comm
+        #: The session's timer: phases the rank program times around the
+        #: ops (input, placement) land in the same report.
+        self.timer = session.timer
         self.comm_thread = comm_thread
         self.capture_spectrum = capture_spectrum
-        self.timer = PhaseTimer()
-        if resume_dir is not None:
-            self.session = CorrectionSession.resume(
-                comm, config, heuristics, resume_dir, timer=self.timer
-            )
-        else:
-            self.session = CorrectionSession(
-                comm, config, heuristics, retain_raw=True, timer=self.timer
-            )
         self._op_kinds: list[str] = []
         self._op_timings: list[dict[str, float]] = []
+        self._mark = self.timer.as_dict()
         self._blocks: list[ReadBlock] = []
         self._corrections: list[np.ndarray] = []
         self._reverted: list[int] = []
@@ -738,90 +737,53 @@ class SessionOpRunner:
         self._memory: RankMemoryReport | None = None
         self._last_block = ReadBlock.empty()
 
-    def _placement(self, n_reads: int, turn: int) -> tuple[int, int]:
-        """Grain-aware placement of op ``turn``'s block: ``(parts, first)``.
-
-        A block is never cut below the chunk grain: it goes to
-        ``parts = min(P, ceil(n_reads / chunk_size))`` ranks — a round
-        no larger than one chunk is corrected by one rank against P-1
-        shard servers, so each dependent lookup step costs ``parts x
-        owners`` request frames instead of ``P x owners`` nearly empty
-        ones — and any block of more than (P-1) chunks is placed on all
-        P exactly as before.  The window of ``parts`` ranks starts at
-        rank ``first``, which advances with the op index, so small
-        rounds take turns over the fleet.  Both inputs are the same on
-        every rank: no collective needed.
-        """
-        size = self.comm.size
-        chunk_size = self.session.config.chunk_size
-        parts = max(1, min(size, -(-n_reads // chunk_size)))
-        return parts, turn * parts % size
-
-    def share_bounds(self, n_reads: int, rank: int) -> tuple[int, int]:
-        """Rows of the *next* op's ``n_reads``-read block that ``rank``
-        holds before load balancing (an empty range outside the op's
-        window): what the relay ships to that rank."""
-        from repro.parallel.stages import slice_bounds
-
-        size = self.comm.size
-        parts, first = self._placement(n_reads, len(self._op_kinds))
-        position = (rank - first) % size
-        if position >= parts:
-            return 0, 0
-        bounds = slice_bounds(n_reads, parts)
-        return bounds[position], bounds[position + 1]
-
-    def _my_reads(self, share: ReadBlock, total: int) -> ReadBlock:
-        """The reads this rank works on: its share of the ``total``-read
-        block or — under load balancing, when the op's window is more
-        than one rank — the reads of it whose content hash it owns."""
-        parts, first = self._placement(total, len(self._op_kinds))
-        if self.heuristics.load_balance and parts > 1:
-            with self.timer.phase("load_balance"):
-                return redistribute_reads(self.comm, share, parts, first)
-        return share
+    @property
+    def ops_run(self) -> int:
+        """How many ops this rank has executed (the same on every rank:
+        ops are collective)."""
+        return len(self._op_kinds)
 
     def run_op(
-        self, op: SessionOp, total: int = 0
+        self, op: SessionOp | DynamicCorrectOp
     ) -> CorrectionResult | None:
-        """Execute one op (collective); returns a correct op's result.
-
-        An ingest or correct op carries this rank's share
-        (:meth:`share_bounds`) of a block of ``total`` reads."""
+        """Execute one op (collective); returns a correct op's result."""
         session = self.session
-        before = self.timer.as_dict()
         result: CorrectionResult | None = None
         if isinstance(op, IngestOp):
-            mine = self._my_reads(op.block, total)
             self._op_kinds.append("ingest")
-            self._last_block = mine
-            session.ingest(mine)
+            self._last_block = op.block
+            session.ingest(op.block)
             # Chunk boundary: recompile now, charged to the ingest,
             # so repeat corrections pay zero build time.
             session.finalize()
         elif isinstance(op, CorrectOp):
-            mine = self._my_reads(op.block, total)
             self._op_kinds.append("correct")
-            self._last_block = mine
+            self._last_block = op.block
             result = session.correct(
-                mine, timer=self.timer, comm_thread=self.comm_thread
+                op.block, timer=self.timer, comm_thread=self.comm_thread
             )
-            self._blocks.append(result.block)
-            self._corrections.append(result.corrections_per_read)
-            self._reverted.append(int(result.reads_reverted.sum()))
-            self._examined.append(result.tiles_examined)
-            self._below.append(result.tiles_below_threshold)
+        elif isinstance(op, DynamicCorrectOp):
+            self._op_kinds.append("correct")
+            with self.timer.phase("error_correction"):
+                result = correct_dynamic(self.comm, op.block, session)
         elif isinstance(op, CheckpointOp):
             self._op_kinds.append("checkpoint")
             session.checkpoint(op.directory)
         else:
             raise SessionError(f"unknown session op {op!r}")
+        if result is not None:
+            self._blocks.append(result.block)
+            self._corrections.append(result.corrections_per_read)
+            self._reverted.append(int(result.reads_reverted.sum()))
+            self._examined.append(result.tiles_examined)
+            self._below.append(result.tiles_below_threshold)
         after = self.timer.as_dict()
         self._op_timings.append({
-            name: seconds - before.get(name, 0.0)
+            name: seconds - self._mark.get(name, 0.0)
             for name, seconds in after.items()
-            if seconds - before.get(name, 0.0) > 0.0
+            if seconds - self._mark.get(name, 0.0) > 0.0
         })
+        self._mark = after
         if self._memory is None and session.finalized:
             self._memory = RankMemoryReport.capture(
                 self.comm.rank, session.spectra, self._last_block,

@@ -23,7 +23,6 @@ from repro.service.program import (
     ProcessChannel,
     ServingProgram,
     ThreadChannel,
-    encode_block,
 )
 from repro.simmpi.engine import ProcessEngine, run_spmd
 
@@ -109,13 +108,13 @@ class ServiceExecutor:
     # ------------------------------------------------------------------
     def ingest(self, block: ReadBlock) -> int:
         seq = self._next_seq()
-        self.channel.submit(("ingest", seq, *encode_block(block)))
+        self.channel.submit(("ingest", seq, *block.to_wire()))
         return seq
 
     def correct(self, block: ReadBlock, *, collect: bool = True) -> int:
         seq = self._next_seq()
         self.channel.submit(
-            ("correct", seq, int(collect), *encode_block(block))
+            ("correct", seq, int(collect), *block.to_wire())
         )
         return seq
 

@@ -45,10 +45,13 @@ import numpy as np
 from repro.config import ReptileConfig
 from repro.core.corrector import CorrectionResult
 from repro.errors import ServiceError
+from repro.io.partition import slice_bounds
 from repro.io.records import ReadBlock
 from repro.parallel.heuristics import HeuristicConfig
+from repro.parallel.loadbalance import redistribute_reads
 from repro.parallel.session import (
     CheckpointOp,
+    CorrectionSession,
     CorrectOp,
     IngestOp,
     SessionOpRunner,
@@ -65,21 +68,10 @@ SERVICE_RESULT_TAG = 19
 # ----------------------------------------------------------------------
 # wire helpers (tuples of arrays/scalars only — wire-codable, MPI006)
 # ----------------------------------------------------------------------
-def encode_block(block: ReadBlock) -> tuple:
-    """A block's four arrays, in :class:`ReadBlock` field order."""
-    return (block.ids, block.codes, block.lengths, block.quals)
-
-
-def decode_block(parts: tuple) -> ReadBlock:
-    return ReadBlock(
-        ids=parts[0], codes=parts[1], lengths=parts[2], quals=parts[3]
-    )
-
-
 def encode_result(result: CorrectionResult) -> tuple:
     """One rank's correct-round outcome as a RESULT frame payload."""
     return (
-        *encode_block(result.block),
+        *result.block.to_wire(),
         result.corrections_per_read,
         result.reads_reverted.astype(np.uint8),
         int(result.tiles_examined),
@@ -95,14 +87,13 @@ def merge_results(parts: list[tuple]) -> tuple:
     sort by read id; corrected codes are invariant to which rank held a
     read, so the merged round is bit-identical to any other execution
     order."""
-    blocks = [decode_block(p) for p in parts]
-    merged = ReadBlock.concat(blocks)
+    merged = ReadBlock.concat(ReadBlock.from_wire(p[:4]) for p in parts)
     corrections = np.concatenate([p[4] for p in parts])
     reverted = np.concatenate([p[5] for p in parts])
     order = np.argsort(merged.ids, kind="stable")
     merged = merged.select(order)
     return (
-        *encode_block(merged),
+        *merged.to_wire(),
         corrections[order],
         reverted[order],
         int(sum(p[6] for p in parts)),
@@ -182,7 +173,7 @@ class ServingProgram:
     That is what the channel carries.  On the relay a block command
     becomes ``(..., total, ids, codes, lengths, quals)``: the block's
     read count and only the rows the receiving rank holds
-    (:meth:`_share`) — a rank outside a small round's window gets the
+    (:meth:`_shares`) — a rank outside a small round's window gets the
     count and four empty arrays.
 
     Every command is acknowledged up the channel as ``(seq, payload)``
@@ -199,10 +190,15 @@ class ServingProgram:
     capture_spectrum: bool = False
 
     def __call__(self, comm: Communicator) -> SessionRankReport:
+        if self.resume_dir is not None:
+            session = CorrectionSession.resume(
+                comm, self.config, self.heuristics, self.resume_dir
+            )
+        else:
+            session = CorrectionSession(comm, self.config, self.heuristics)
         runner = SessionOpRunner(
-            comm, self.config, self.heuristics,
+            session,
             comm_thread=self.comm_thread,
-            resume_dir=self.resume_dir,
             capture_spectrum=self.capture_spectrum,
         )
         # Stashes for frames the session's round-tail pump would
@@ -213,16 +209,16 @@ class ServingProgram:
         cmd_stash: deque[tuple] = deque()
         result_stash: dict[int, deque] = {}
         if comm.rank == 0:
-            runner.session.protocol_handlers[SERVICE_RESULT_TAG] = (
+            session.protocol_handlers[SERVICE_RESULT_TAG] = (
                 lambda msg: result_stash.setdefault(
                     msg.source, deque()
                 ).append(msg.payload)
             )
         else:
-            runner.session.protocol_handlers[SERVICE_CMD_TAG] = (
+            session.protocol_handlers[SERVICE_CMD_TAG] = (
                 lambda msg: cmd_stash.append(msg.payload)
             )
-        with runner.session:
+        with session:
             while True:
                 if comm.rank == 0:
                     cmd = self.channel.next_command()
@@ -232,10 +228,7 @@ class ServingProgram:
                     # (a crash round is the session's last collective)
                     # guarantees nothing after the crash waits on it.
                     with runner.timer.phase("read_input"):
-                        shares = [
-                            self._share(cmd, runner, rank)
-                            for rank in range(comm.size)
-                        ]
+                        shares = self._shares(cmd, runner.ops_run, comm.size)
                     for peer in range(1, comm.size):
                         comm.send(peer, shares[peer], SERVICE_CMD_TAG)
                     cmd = shares[0]
@@ -248,14 +241,12 @@ class ServingProgram:
                     break
                 seq = int(cmd[1])
                 if kind == "ingest":
-                    runner.run_op(IngestOp(decode_block(cmd[-4:])), int(cmd[-5]))
+                    runner.run_op(IngestOp(self._place(runner, cmd)))
                     if comm.rank == 0:
                         self.channel.post_result((seq, None))
                 elif kind == "correct":
                     collect = bool(cmd[2])
-                    result = runner.run_op(
-                        CorrectOp(decode_block(cmd[-4:])), int(cmd[-5])
-                    )
+                    result = runner.run_op(CorrectOp(self._place(runner, cmd)))
                     if collect:
                         self._gather(comm, result, seq, result_stash)
                     elif comm.rank == 0:
@@ -274,20 +265,61 @@ class ServingProgram:
                     )
             return runner.report()
 
-    @staticmethod
-    def _share(cmd: tuple, runner: SessionOpRunner, rank: int) -> tuple:
-        """The command as ``rank`` needs it.
+    # ------------------------------------------------------------------
+    # placement: decided here, where a block enters the fleet
+    # ------------------------------------------------------------------
+    def _window(self, n_reads: int, turn: int, size: int) -> tuple[int, int]:
+        """Grain-aware placement of op ``turn``'s block: ``(parts, first)``.
 
-        Every rank takes only its own rows of an op's block
-        (:meth:`~repro.parallel.session.SessionOpRunner.share_bounds`),
-        so that is all the relay ships: the block's read count (which
-        fixes the placement on every rank) and the rank's rows.  Other
-        commands relay as they are."""
+        A block is never cut below the chunk grain: it goes to
+        ``parts = min(P, ceil(n_reads / chunk_size))`` ranks — a round
+        no larger than one chunk is corrected by one rank against P-1
+        shard servers, so each dependent lookup step costs ``parts x
+        owners`` request frames instead of ``P x owners`` nearly empty
+        ones — and any block of more than (P-1) chunks is placed on all
+        P, as a batch run places its dataset.  The window of ``parts``
+        ranks starts at rank ``first``, which advances with the op
+        index, so small rounds take turns over the fleet.  All inputs
+        are the same on every rank: no collective needed.
+        """
+        parts = max(1, min(size, -(-n_reads // self.config.chunk_size)))
+        return parts, turn * parts % size
+
+    def _shares(self, cmd: tuple, turn: int, size: int) -> list[tuple]:
+        """The command as each rank needs it (indexed by rank).
+
+        Of op ``turn``'s block a rank is shipped the block's read count
+        (which fixes the placement on every rank) and only the rows it
+        holds before load balancing: its contiguous slice of the
+        window, an empty range outside it.  Other commands relay as
+        they are."""
         if cmd[0] not in ("ingest", "correct"):
-            return cmd
-        block = decode_block(cmd[-4:])
-        lo, hi = runner.share_bounds(len(block), rank)
-        return (*cmd[:-4], len(block), *encode_block(block.slice(lo, hi)))
+            return [cmd] * size
+        block = ReadBlock.from_wire(cmd[-4:])
+        parts, first = self._window(len(block), turn, size)
+        bounds = slice_bounds(len(block), parts)
+        rows = [(0, 0)] * size
+        for position in range(parts):
+            rows[(first + position) % size] = (
+                bounds[position], bounds[position + 1]
+            )
+        return [
+            (*cmd[:-4], len(block), *block.slice(lo, hi).to_wire())
+            for lo, hi in rows
+        ]
+
+    def _place(self, runner: SessionOpRunner, cmd: tuple) -> ReadBlock:
+        """The reads of a relayed block command this rank works on: its
+        share or — under load balancing, when the op's window is more
+        than one rank — the reads of the block whose content hash it
+        owns."""
+        share, total = ReadBlock.from_wire(cmd[-4:]), int(cmd[-5])
+        comm = runner.comm
+        parts, first = self._window(total, runner.ops_run, comm.size)
+        if self.heuristics.load_balance and parts > 1:
+            with runner.timer.phase("load_balance"):
+                return redistribute_reads(comm, share, parts, first)
+        return share
 
     def _gather(
         self,
@@ -320,8 +352,6 @@ __all__ = [
     "SERVICE_RESULT_TAG",
     "ServingProgram",
     "ThreadChannel",
-    "decode_block",
-    "encode_block",
     "encode_result",
     "merge_results",
 ]

@@ -76,3 +76,32 @@ class TestDynamicCorrectness:
             engine="threaded",
         ).run_dynamic(scale.dataset.block)
         assert np.array_equal(res.corrected_block.codes, serial_codes)
+
+
+class TestUnsupportedCombinations:
+    def test_prefetch_is_rejected(self, scale):
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="prefetch"):
+            ParallelReptile(
+                scale.config, HeuristicConfig(prefetch=True), nranks=4
+            ).run_dynamic(scale.dataset.block)
+
+    def test_a_lossy_fault_plan_is_rejected_up_front(self, scale):
+        """The work queue (tags 16/17) and the ablation's lookups run
+        outside the retry protocol: a dropped frame used to end the run
+        in the engine's DeadlockError."""
+        from repro.errors import ConfigError
+        from repro.faults import FaultPlan, StallFault
+
+        with pytest.raises(ConfigError, match="FaultPlan"):
+            ParallelReptile(
+                scale.config, HeuristicConfig(), nranks=4,
+                faults=FaultPlan(seed=3, drop_rate=0.05),
+            ).run_dynamic(scale.dataset.block)
+        # A plan that only slows a rank down loses nothing: still runs.
+        stalled = ParallelReptile(
+            scale.config, HeuristicConfig(), nranks=4,
+            faults=FaultPlan(stalls=(StallFault(rank=1, seconds=0.01),)),
+        ).run_dynamic(scale.dataset.block)
+        assert stalled.total_corrections > 0

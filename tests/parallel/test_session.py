@@ -289,8 +289,8 @@ class TestSequenceAcrossFinalize:
         duplicated frame of the old one may still be in flight: the new
         endpoint's first request must outnumber everything sent before,
         or that frame could pass for a current answer."""
+        from repro.io.partition import slice_bounds
         from repro.parallel.session import CorrectionSession
-        from repro.parallel.stages import slice_bounds
         from repro.simmpi.engine import run_spmd
         from repro.simmpi.message import Tags
 

@@ -16,7 +16,7 @@ from repro.parallel.heuristics import HeuristicConfig
 from repro.parallel.ownership import sequence_owner
 from repro.parallel.session import CorrectOp, IngestOp
 from repro.service import SpectrumService
-from repro.service.program import SERVICE_CMD_TAG, encode_block
+from repro.service.program import SERVICE_CMD_TAG
 from repro.simmpi import wire
 
 P = 4
@@ -126,7 +126,7 @@ class TestRelay:
         one block's bytes, where relaying the whole block to every peer
         took three blocks' worth."""
         block = scale.dataset.block
-        whole = command_frame_bytes("ingest", 0, *encode_block(block))
+        whole = command_frame_bytes("ingest", 0, *block.to_wire())
         relayed = relayed_bytes(scale, [IngestOp(block)])
         assert 0.74 * whole < relayed < 0.78 * whole
 
@@ -135,7 +135,7 @@ class TestRelay:
         other two peers the read count and four empty arrays."""
         block = scale.dataset.block
         small = head(block, 80)
-        whole = command_frame_bytes("correct", 1, 1, *encode_block(small))
+        whole = command_frame_bytes("correct", 1, 1, *small.to_wire())
         ingest = relayed_bytes(scale, [IngestOp(block)])
         both = relayed_bytes(scale, [IngestOp(block), CorrectOp(small)])
         assert whole < both - ingest < 1.05 * whole

@@ -104,3 +104,62 @@ def test_retry_policy_lives_in_one_module(needles):
         if any(needle in path.read_text(encoding="utf-8") for needle in needles)
     )
     assert users == ["reliable.py"]
+
+
+STAGE_FAMILY = [
+    "Stage", "StageContext", "StageResult", "PlanConfig", "StagePlan",
+    "SliceInputStage", "FileInputStage", "RedistributeStage", "BuildStage",
+    "SpectrumExchangeStage", "CorrectStage", "DynamicCorrectStage",
+    "WriteBackStage", "static_plan", "files_plan", "build_only_plan",
+    "dynamic_plan",
+]
+
+
+def test_the_stage_family_is_gone():
+    """One rank-program family: no stage module, no alias left behind."""
+    import importlib.util
+
+    import repro.parallel
+
+    assert importlib.util.find_spec("repro.parallel.stages") is None
+    for name in STAGE_FAMILY:
+        assert name not in repro.parallel.__all__
+        assert not hasattr(repro.parallel, name)
+        assert not hasattr(repro.parallel.driver, name)
+
+
+def test_every_rank_program_runs_its_ops_through_the_runner():
+    """Whatever ``src/`` hands to ``run_spmd`` delegates to
+    ``SessionOpRunner``: the launch sites are the two drivers', and
+    neither program calls a session verb itself."""
+    import ast
+    import pathlib
+
+    from repro.parallel.driver import BatchProgram
+    from repro.service.program import ServingProgram
+
+    src = pathlib.Path(repro.__file__).parent
+
+    def launches(path):
+        return any(
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == "run_spmd"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        )
+
+    launchers = sorted(
+        path.relative_to(src).as_posix()
+        for path in src.rglob("*.py") if launches(path)
+    )
+    assert launchers == ["parallel/driver.py", "service/executor.py"]
+    for module, program in (
+        ("repro.parallel.driver", BatchProgram),
+        ("repro.service.executor", ServingProgram),
+    ):
+        assert getattr(importlib.import_module(module), program.__name__) \
+            is program
+        body = inspect.getsource(program.__call__)
+        assert "SessionOpRunner(" in body and "runner.run_op(" in body
+        for verb in (".ingest(", ".finalize(", ".correct(", "correct_dynamic("):
+            assert verb not in body
