@@ -62,7 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--kmer-threshold", type=int, default=0,
                    help="0 = derive from the data")
     c.add_argument("--tile-threshold", type=int, default=0)
-    c.add_argument("--chunk-size", type=int, default=2000)
+    c.add_argument("--chunk-size", type=int, default=2000,
+                   help="reads per --batch-reads round / --prefetch "
+                        "piece; not the blocking Step IV grain")
     c.add_argument("--universal", action="store_true",
                    help="universal message heuristic")
     c.add_argument("--prefetch", action="store_true",

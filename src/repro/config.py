@@ -47,8 +47,10 @@ class ReptileConfig:
     max_corrections_per_read:
         Reads needing more substitutions than this are left uncorrected.
     chunk_size:
-        Reads per processing chunk (Step I "read in chunks by each rank";
-        also the batch size of the *batch reads table* heuristic).
+        The paper's ``BatchSize`` (Step I "read in chunks by each rank"):
+        reads per *batch reads table* round, prefetch planning piece,
+        dynamic work unit and service placement part.  Not a Step IV
+        grain: blocking correction runs a rank's share as one wavefront.
     count_reverse_complement:
         Also count every window's reverse complement into the spectra.
         Real sequencing reads come from both genome strands, so a read's

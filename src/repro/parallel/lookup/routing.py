@@ -53,9 +53,10 @@ def partition_by_dest(
     destination and ``bounds[d]:bounds[d+1]`` slices destination ``d``'s
     positions out of ``order`` — the per-destination discipline shared
     by the alltoallv packers, the blocking request path and the prefetch
-    coalescer.
+    coalescer.  Ranks fit an unsigned type of 8 or 16 bits, which numpy's
+    stable sort handles by radix, not by comparing int64 keys.
     """
-    order = np.argsort(dests, kind="stable")
+    order = np.argsort(dests.astype(np.min_scalar_type(size)), kind="stable")
     bounds = np.searchsorted(dests[order], np.arange(size + 1))
     return order, bounds
 

@@ -485,12 +485,7 @@ class CorrectionSession:
             protocol = self._ensure_protocol(plan, recovery)
             protocol.reset_round()
             stacks = self._ensure_stacks(protocol, timer)
-        corrector = ReptileCorrector(config, stacks)
-
-        results: list[CorrectionResult] = []
         with timer.phase("error_correction"):
-            chunks = list(block.chunks(config.chunk_size)) if len(block) else []
-            executor = None
             if heuristics.use_prefetch:
                 # Bulk-prefetch engine: plan, fetch, and pipeline so the
                 # corrector itself never blocks on request_counts.
@@ -499,15 +494,24 @@ class CorrectionSession:
                 )
                 if comm_thread:
                     protocol.start()
-                results = executor.run(chunks)
             else:
-                for chunk in chunks:
-                    results.append(corrector.correct_block(chunk))
-                    if not comm_thread:
-                        # Give the "communication thread" a turn between
-                        # chunks even when no remote lookups were needed.
-                        while protocol.pump(block=False):
-                            pass
+                executor = None
+                corrector = ReptileCorrector(config, stacks)
+
+            def step_iv(reads: ReadBlock) -> list[CorrectionResult]:
+                """Correct one share: the rank's own, then each ward's."""
+                if executor is not None:
+                    # chunk_size is a real bound here: the planner holds
+                    # a whole piece's candidate neighbourhood and fetches
+                    # piece N+1 under piece N's correction.
+                    return executor.run(list(reads.chunks(config.chunk_size)))
+                # A blocking wavefront holds one tile column at a time and
+                # overlaps nothing, so pieces would only multiply the
+                # per-step request frames: the share is one wavefront.
+                # (correct_dynamic keeps chunk_size: its unit of balance.)
+                return [corrector.correct_block(reads)] if len(reads) else []
+
+            results = step_iv(block)
             if plan is not None and comm.rank in doomed:
                 # Surviving one's own scripted crash means the plan was
                 # mis-calibrated (after_events beyond the rank's event
@@ -522,17 +526,7 @@ class CorrectionSession:
             for ward in sorted(recovery.ward_blocks):
                 wblock = recovery.ward_blocks[ward]
                 comm.stats.bump("takeover_reads", len(wblock))
-                wchunks = (
-                    list(wblock.chunks(config.chunk_size))
-                    if len(wblock) else []
-                )
-                if executor is not None:
-                    results.extend(executor.run(wchunks))
-                else:
-                    for chunk in wchunks:
-                        results.append(corrector.correct_block(chunk))
-                        while protocol.pump(block=False):
-                            pass
+                results.extend(step_iv(wblock))
             protocol.finish()
         if self.retain_raw and not doomed:
             # Round separator.  finish() lets rank 0 leave while peers

@@ -7,6 +7,8 @@ run produces.  Recovery correctness is output *identity*, not output
 plausibility.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,28 @@ class TestPartnerRecovery:
         )
         assert result.crashed_ranks == [2]
         assert_identical(result, serial_reference, scale)
+
+    def test_ward_replay_is_chunk_size_invariant(self, scale, serial_reference):
+        """The partner replays its ward's reads as one share, like its
+        own: the same recovery, request for request, at any chunk_size."""
+        plan = FaultPlan(
+            seed=1, crashes=(CrashFault(rank=1, after_events=4),)
+        )
+        ledgers = []
+        for chunk_size in (1, 7, 250, 10**6):
+            sized = dataclasses.replace(
+                scale, config=dataclasses.replace(scale.config, chunk_size=chunk_size)
+            )
+            result = run_plan(sized, plan, nranks=4)
+            assert result.crashed_ranks == [1]
+            assert_identical(result, serial_reference, scale)
+            ledgers.append((
+                result.counter_per_rank("takeover_reads").tolist(),
+                result.counter_per_rank("blocking_request_counts").tolist(),
+            ))
+        takeover = ledgers[0][0]
+        assert takeover[2] > 0 and sum(takeover) == takeover[2]
+        assert all(ledger == ledgers[0] for ledger in ledgers[1:])
 
     def test_misfire_is_an_error(self, scale):
         # after_events far beyond the rank's event count: the crash

@@ -371,14 +371,36 @@ class TestStructuralClaims:
         assert without.get("blocking_request_counts") > 0
 
     def test_fewer_correction_messages(self, scale):
-        """Aggregation collapses per-lookup round trips into a handful of
-        bulk exchanges per chunk."""
+        """Each side's frames are its own alpha-beta line, exactly.
+        Blocking pays one request/response pair per other rank per
+        lookup step of a rank's share (chunk_size does not enter);
+        prefetch pays one pair per owner per bulk exchange: two planned
+        per chunk, plus the tail's re-plans and on-miss fetches."""
         tags = (1, 2, 3, 4, 7, 8)
-        base = _totals(_run(scale, HeuristicConfig()))
-        pf = _totals(_run(scale, HeuristicConfig(prefetch=True)))
+        nranks = 4
+        base_run = _run(scale, HeuristicConfig(), nranks=nranks)
+        base = _totals(base_run)
+        pf = _totals(_run(scale, HeuristicConfig(prefetch=True), nranks=nranks))
         base_msgs = sum(base.messages_by_tag.get(t, 0) for t in tags)
         pf_msgs = sum(pf.messages_by_tag.get(t, 0) for t in tags)
-        assert pf_msgs * 5 <= base_msgs
+
+        steps = base.get("blocking_request_counts")
+        assert base.get("requests_served") == (nranks - 1) * steps
+        assert base_msgs == 2 * (nranks - 1) * steps
+
+        chunk = scale.config.chunk_size
+        chunks = sum(-(-int(n) // chunk) for n in base_run.reads_per_rank())
+        fetches = pf.get("prefetch_fetches")
+        assert fetches == (
+            2 * chunks
+            + pf.get("prefetch_replans")
+            + pf.get("prefetch_miss_fetches")
+        )
+        frames = pf.get("prefetch_messages")
+        assert 2 * chunks * (nranks - 1) <= frames <= fetches * (nranks - 1)
+        assert pf_msgs == 2 * frames
+        assert pf.get("blocking_request_counts") == 0
+        assert pf_msgs < base_msgs
 
     def test_remote_ids_deduped_counter(self, scale):
         """The blocking view also dedups in-batch ids and accounts for

@@ -8,13 +8,18 @@ the single-build spectrum exactly, and repeated corrections must reuse
 the built state (zero construction time after the first finalize).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.harness import small_scale
+from repro.core.corrector import ReptileCorrector
+from repro.core.spectrum import LocalSpectrumView, build_spectra
 from repro.faults import CrashFault, FaultPlan
+from repro.hashing.inthash import mix_to_rank
 from repro.parallel.driver import ParallelReptile, ParallelSession
 from repro.parallel.heuristics import HeuristicConfig
 from repro.parallel.session import CheckpointOp, CorrectOp, IngestOp
@@ -281,6 +286,81 @@ class TestSessionReport:
         section = run_report(result)["session"]
         assert section["session_ingests"] == 4
         assert section["session_delta_exchanges"] > 0
+
+
+class _ForeignStepCounter:
+    """Serial view that counts a rank's *lookup steps*: view calls that
+    carry at least one id the rank does not own (each is one blocking
+    request), and the owners those ids reach (each is one request frame
+    and one response frame)."""
+
+    def __init__(self, spectra, rank, size):
+        self._inner = LocalSpectrumView(spectra)
+        self._rank, self._size = rank, size
+        self.steps = 0
+        self.owners = 0
+
+    def _note(self, ids):
+        owners = mix_to_rank(ids, self._size)
+        foreign = np.unique(owners[owners != self._rank])
+        self.steps += bool(foreign.size)
+        self.owners += foreign.size
+
+    def kmer_counts(self, ids):
+        self._note(ids)
+        return self._inner.kmer_counts(ids)
+
+    def tile_counts(self, ids):
+        self._note(ids)
+        return self._inner.tile_counts(ids)
+
+
+class TestStepIVGrain:
+    """The blocking Step IV works at the rank's share: ``chunk_size``
+    (Step I reading, ``batch_reads`` rounds, prefetch pieces, dynamic
+    work units) must never reach its traffic."""
+
+    CHUNK_SIZES = (1, 7, 250, 10**6)  # the last exceeds every share
+    STEP_IV_TAGS = (1, 2, 3, 4)  # k-mer / tile / response / universal
+
+    @pytest.mark.parametrize("universal", [False, True], ids=["base", "universal"])
+    def test_traffic_is_independent_of_chunk_size(
+        self, universal, scale, classic_codes
+    ):
+        block = scale.dataset.block
+        spectra = build_spectra(block, scale.config)
+        ledgers = []
+        for chunk_size in self.CHUNK_SIZES:
+            config = dataclasses.replace(scale.config, chunk_size=chunk_size)
+            result = ParallelReptile(
+                config, HeuristicConfig(universal=universal), nranks=4,
+                engine="cooperative",
+            ).run(block)
+            assert np.array_equal(result.corrected_block.codes, classic_codes)
+            ledgers.append((
+                result.counter_per_rank("blocking_request_counts").tolist(),
+                result.counter_per_rank("requests_served").tolist(),
+                {
+                    tag: sum(s.messages_by_tag.get(tag, 0) for s in result.stats)
+                    for tag in self.STEP_IV_TAGS
+                },
+            ))
+        assert all(ledger == ledgers[0] for ledger in ledgers[1:])
+
+        # ... and equal to what the shares themselves call for: one
+        # blocking request per lookup step, one frame pair per owner.
+        steps, owners = [], 0
+        for report in result.reports:
+            share = block.select(np.searchsorted(block.ids, report.block.ids))
+            view = _ForeignStepCounter(spectra, report.rank, 4)
+            ReptileCorrector(scale.config, view).correct_block(share)
+            steps.append(view.steps)
+            owners += view.owners
+        requests, served, frames = ledgers[0]
+        assert requests == steps
+        assert sum(served) == owners == 3 * sum(steps)
+        assert sum(frames.values()) == 2 * owners
+        assert frames[3] == owners  # every request frame is answered once
 
 
 class TestSequenceAcrossFinalize:
