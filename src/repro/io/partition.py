@@ -18,13 +18,20 @@ the paper's "look up the same sequence number").
 from __future__ import annotations
 
 import os
+from typing import BinaryIO, Iterable
 
 import numpy as np
 
 from repro.errors import FileFormatError
-from repro.io.fasta import read_fasta_range
-from repro.io.quality import read_quality_range
 from repro.io.records import ReadBlock
+from repro.io.scan import Piece, align, file_size, scan_records
+
+
+_NO_RECORDS = Piece(
+    np.empty(0, dtype=np.int64),
+    np.empty(0, dtype=np.int64),
+    np.empty(0, dtype=np.uint8),
+)
 
 
 def byte_partition(file_size: int, nranks: int, rank: int) -> tuple[int, int]:
@@ -50,35 +57,8 @@ def align_to_record(path: str | os.PathLike, offset: int) -> int:
     A record header is a ``>`` at the start of a line.  Offset 0 is always
     aligned.  Returns the file size when no header follows ``offset``.
     """
-    size = os.path.getsize(path)
-    if offset <= 0:
-        return 0
-    if offset >= size:
-        return size
     with open(path, "rb") as fh:
-        # Step back one byte so a '>' exactly at `offset` preceded by '\n'
-        # is detected as line-initial.
-        fh.seek(offset - 1)
-        prev = fh.read(1)
-        pos = offset
-        if prev == b"\n":
-            nxt = fh.read(1)
-            if nxt == b">":
-                return offset
-            pos = offset + 1 if nxt else size
-        # Scan forward line by line.
-        fh.seek(offset)
-        # Discard the (possibly partial) current line.
-        line = fh.readline()
-        pos = offset + len(line)
-        while pos < size:
-            line = fh.readline()
-            if not line:
-                return size
-            if line.startswith(b">"):
-                return pos
-            pos += len(line)
-    return size
+        return align(fh, file_size(fh), offset)
 
 
 def partition_fasta(path: str | os.PathLike, nranks: int) -> list[tuple[int, int]]:
@@ -87,10 +67,17 @@ def partition_fasta(path: str | os.PathLike, nranks: int) -> list[tuple[int, int
     Adjacent ranges share boundaries, so every record belongs to exactly one
     rank.  A rank may legitimately receive an empty range for tiny files.
     """
-    size = os.path.getsize(path)
-    cuts = [align_to_record(path, byte_partition(size, nranks, r)[0]) for r in range(nranks)]
-    cuts.append(size)
+    with open(path, "rb") as fh:
+        cuts = [_cut(fh, nranks, r) for r in range(nranks + 1)]
     return [(cuts[r], cuts[r + 1]) for r in range(nranks)]
+
+
+def _cut(fh: BinaryIO, nranks: int, rank: int) -> int:
+    """Where rank ``rank``'s aligned range of the open file starts (the file
+    size for ``rank == nranks``): a rank finds its own two cuts, and a
+    neighbour's only when its quality window widens, never all ``P``."""
+    size = file_size(fh)
+    return align(fh, size, size * rank // nranks)
 
 
 def load_rank_block(
@@ -103,73 +90,132 @@ def load_rank_block(
 
     This is the complete Step I for one rank: byte-partition the fasta file,
     align, read records, then fetch the same sequence numbers from the
-    quality file.
+    quality file.  Each file is opened once and the rank's byte range goes
+    from the scanner's flat arrays straight into the block.
     """
-    ranges = partition_fasta(fasta_path, nranks)
-    start, end = ranges[rank]
-    records = list(read_fasta_range(fasta_path, start, end))
-    if not records:
+    with open(fasta_path, "rb") as fh:
+        size = file_size(fh)
+        lo, hi = (
+            align(fh, size, at) for at in byte_partition(size, nranks, rank)
+        )
+        ids, lengths, bases = _joined(scan_records(fh, lo, hi, "fasta"))
+    if not ids.shape[0]:
         return ReadBlock.empty()
-    ids = [rid for rid, _ in records]
-    seqs = [seq for _, seq in records]
-    if qual_path is None:
-        return ReadBlock.from_strings(seqs, ids=ids)
-    quals = _quality_for_ids(qual_path, nranks, rank, ids)
-    return ReadBlock.from_strings(seqs, ids=ids, quals=quals)
+    _sorted_distinct(ids, fasta_path)
+    scores = None
+    if qual_path is not None:
+        scores = _scores_for_ids(qual_path, nranks, rank, ids, lengths)
+    return ReadBlock.from_flat(ids, lengths, bases, scores)
 
 
-def _quality_for_ids(
+def _joined(pieces: Iterable[Piece]) -> Piece:
+    """Consecutive pieces (or none) as one."""
+    return Piece(*map(np.concatenate, zip(_NO_RECORDS, *pieces)))
+
+
+def _sorted_distinct(
+    names: np.ndarray, path: str | os.PathLike
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, names[order])`` ascending; a sequence number held twice is
+    a :class:`FileFormatError`, since two records would answer for it."""
+    order = np.argsort(names, kind="stable")
+    ascending = names[order]
+    twice = ascending[1:] == ascending[:-1]
+    if twice.any():
+        raise FileFormatError(
+            f"sequence number {ascending[1:][twice][0]} appears twice",
+            path=str(path),
+        )
+    return order, ascending
+
+
+def _scores_for_ids(
     qual_path: str | os.PathLike,
     nranks: int,
     rank: int,
-    wanted_ids: list[int],
-) -> list[np.ndarray]:
-    """Quality rows for the given sequence numbers.
+    ids: np.ndarray,
+    lengths: np.ndarray,
+) -> np.ndarray:
+    """The quality scores of the reads ``ids``, back to back in that order.
 
     Starts from the rank's aligned byte range of the quality file and widens
     the window (previous/next ranges) until every wanted sequence number is
     found — mirroring the paper's resynchronization by sequence number.
     Each widening scans only the bytes it adds, and a scan stops at the
-    last wanted record, so no record is parsed twice.
+    last wanted record, so no byte is parsed twice; only wanted records are
+    kept.
     """
-    size = os.path.getsize(qual_path)
-    ranges = partition_fasta(qual_path, nranks)
-    wanted = set(wanted_ids)
-    first, last = min(wanted), max(wanted)
-    found: dict[int, np.ndarray] = {}
+    wanted, lowest, highest = ids.shape[0], ids.min(), ids.max()
+    kept: list[Piece] = []
+    found = 0
+    first = last = False
 
     def scan(lo: int, hi: int) -> None:
-        if len(found) == len(wanted):
+        nonlocal found, first, last
+        if found >= wanted:
             return
-        for rid, scores in read_quality_range(qual_path, lo, hi):
-            if rid in wanted:
-                found[rid] = scores
-                if len(found) == len(wanted):
-                    return
-
-    lo_rank = hi_rank = rank
-    start, end = ranges[rank]
-    scan(start, end)
-    while len(found) < len(wanted):
-        widened = False
-        if first not in found and lo_rank > 0:
-            lo_rank -= 1
-            scan(ranges[lo_rank][0], start)
-            start = ranges[lo_rank][0]
-            widened = True
-        if last not in found and hi_rank < nranks - 1:
-            hi_rank += 1
-            scan(end, ranges[hi_rank][1])
-            end = ranges[hi_rank][1]
-            widened = True
-        if not widened:
-            # Neither end explains the gap: look everywhere else, once.
-            scan(0, start)
-            scan(end, size)
-            if len(found) < len(wanted):
-                missing = sorted(wanted - set(found))[:5]
-                raise FileFormatError(
-                    f"quality file lacks sequence numbers {missing}...",
-                    path=str(qual_path),
+        for piece in scan_records(fh, lo, hi, "quality"):
+            hit = np.isin(piece.names, ids)
+            if not hit.all():
+                piece = Piece(
+                    piece.names[hit], piece.lengths[hit],
+                    piece.values[np.repeat(hit, piece.lengths)],
                 )
-    return [found[rid] for rid in wanted_ids]
+            kept.append(piece)
+            found += piece.names.shape[0]
+            first |= bool((piece.names == lowest).any())
+            last |= bool((piece.names == highest).any())
+            if found >= wanted:
+                return
+
+    with open(qual_path, "rb") as fh:
+        lo_rank, hi_rank = rank, rank + 1
+        start, end = _cut(fh, nranks, lo_rank), _cut(fh, nranks, hi_rank)
+        scan(start, end)
+        while found < wanted:
+            widened = False
+            if not first and lo_rank > 0:
+                lo_rank -= 1
+                below = _cut(fh, nranks, lo_rank)
+                scan(below, start)
+                start = below
+                widened = True
+            if not last and hi_rank < nranks:
+                hi_rank += 1
+                above = _cut(fh, nranks, hi_rank)
+                scan(end, above)
+                end = above
+                widened = True
+            if not widened:
+                # Neither end explains the gap: look everywhere else, once.
+                scan(0, start)
+                scan(end, file_size(fh))
+                break
+    names, counts, scores = _joined(kept)
+    order, ascending = _sorted_distinct(names, qual_path)
+    missing = ~np.isin(ids, names)
+    if missing.any():
+        raise FileFormatError(
+            f"quality file lacks sequence numbers "
+            f"{np.sort(ids[missing])[:5].tolist()}...",
+            path=str(qual_path),
+        )
+    take = order[np.searchsorted(ascending, ids)]
+    uneven = counts[take] != lengths
+    if uneven.any():
+        i = int(np.flatnonzero(uneven)[0])
+        raise FileFormatError(
+            f"{counts[take[i]]} quality scores for the {lengths[i]} bases "
+            f"of sequence number {ids[i]}",
+            path=str(qual_path),
+        )
+    # Rows are copied a run of consecutive records at a time: one run when
+    # both files name their records in the same order.
+    stops = np.cumsum(counts)
+    breaks = np.flatnonzero(np.diff(take) != 1) + 1
+    runs = zip(
+        take[np.concatenate(([0], breaks))],
+        take[np.concatenate((breaks - 1, [-1]))],
+    )
+    rows = [scores[stops[a] - counts[a] : stops[b]] for a, b in runs]
+    return rows[0] if len(rows) == 1 else np.concatenate(rows)

@@ -13,8 +13,11 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.errors import FileFormatError
-from repro.io.fasta import range_records
+from repro.io.fasta import write_fasta
+from repro.io.scan import read_range
+
+# The text of every score a quality file can hold.
+_TOKEN = {q: str(q) for q in range(256)}
 
 
 def write_quality(
@@ -22,20 +25,29 @@ def write_quality(
     quals: Iterable[Sequence[int]],
     start_id: int = 1,
 ) -> int:
-    """Write per-read quality rows with ascending numeric names."""
-    n = 0
-    with open(path, "w", encoding="ascii") as fh:
-        for i, row in enumerate(quals, start=start_id):
-            fh.write(f">{i}\n")
-            fh.write(" ".join(str(int(q)) for q in row))
-            fh.write("\n")
-            n += 1
-    return n
+    """Write per-read quality rows with ascending numeric names.
+
+    A score outside 0-255 is a :class:`ValueError`: no reader accepts it.
+    """
+    token = _TOKEN.__getitem__
+    rows = (
+        " ".join(map(
+            token, row.tolist() if isinstance(row, np.ndarray) else row
+        ))
+        for row in quals
+    )
+    try:
+        # A quality file is fasta-shaped: score text where the bases go.
+        return write_fasta(path, rows, start_id)
+    except KeyError as exc:
+        raise ValueError(
+            f"{path}: quality score {exc.args[0]!r} is outside 0-255"
+        ) from None
 
 
 def read_quality(path: str | os.PathLike) -> Iterator[tuple[int, np.ndarray]]:
     """Iterate (sequence_number, scores) over a whole quality file."""
-    yield from read_quality_range(path, 0, os.path.getsize(path))
+    return read_quality_range(path, 0, os.path.getsize(path))
 
 
 def read_quality_range(
@@ -45,16 +57,7 @@ def read_quality_range(
 
     Same contract as :func:`repro.io.fasta.read_fasta_range`.
     """
-    for name, rows in range_records(path, start, end, "quality"):
-        yield name, _parse_scores(rows, str(path))
-
-
-def _parse_scores(rows: list[str], path: str) -> np.ndarray:
-    text = " ".join(rows)
-    tokens = text.split()
-    if not tokens:
-        return np.empty(0, dtype=np.uint8)
-    try:
-        return np.array([int(t) for t in tokens], dtype=np.uint8)
-    except (ValueError, OverflowError) as exc:
-        raise FileFormatError(f"malformed quality row: {exc}", path=path) from None
+    for names, lengths, scores in read_range(path, start, end, "quality"):
+        yield from zip(
+            names.tolist(), np.split(scores, np.cumsum(lengths)[:-1])
+        )

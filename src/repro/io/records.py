@@ -10,11 +10,17 @@ per-rank memory footprint directly measurable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.kmer.codec import INVALID_CODE, decode_rows, encode_sequence
+from repro.kmer.codec import (
+    INVALID_CODE,
+    decode_rows,
+    encode_sequence,
+    pad_rows,
+)
 
 #: Quality placeholder used when no quality data is available.
 DEFAULT_QUALITY = 40
@@ -74,6 +80,30 @@ class ReadBlock:
 
     # ------------------------------------------------------------------
     @classmethod
+    def from_flat(
+        cls,
+        ids: np.ndarray,
+        lengths: np.ndarray,
+        bases: np.ndarray,
+        scores: np.ndarray | None = None,
+    ) -> "ReadBlock":
+        """Build a block from reads laid back to back: ``bases`` holds the
+        ASCII bases of all reads and ``scores`` (optional) their quality
+        scores, ``lengths[i]`` of each belonging to read ``ids[i]``.
+
+        Raises :class:`ValueError` unless both hold ``sum(lengths)`` values.
+        """
+        lengths = np.asarray(lengths, dtype=np.int32)
+        if scores is None:
+            scores = np.full(bases.shape[0], DEFAULT_QUALITY, dtype=np.uint8)
+        return cls(
+            ids=ids,
+            codes=pad_rows(encode_sequence(bases), lengths, INVALID_CODE),
+            lengths=lengths,
+            quals=pad_rows(scores, lengths, 0),
+        )
+
+    @classmethod
     def from_strings(
         cls,
         seqs: Sequence[str],
@@ -86,23 +116,24 @@ class ReadBlock:
             ids_arr = np.arange(1, n + 1, dtype=np.int64)
         else:
             ids_arr = np.asarray(ids, dtype=np.int64)
-        lengths = np.array([len(s) for s in seqs], dtype=np.int32)
-        width = int(lengths.max()) if n else 0
-        codes = np.full((n, width), INVALID_CODE, dtype=np.uint8)
-        qarr = np.zeros((n, width), dtype=np.uint8)
-        for i, s in enumerate(seqs):
-            codes[i, : len(s)] = encode_sequence(s)
-            if quals is None:
-                qarr[i, : len(s)] = DEFAULT_QUALITY
-            else:
-                q = np.asarray(quals[i], dtype=np.uint8)
-                if q.shape[0] != len(s):
-                    raise ValueError(
-                        f"quality length {q.shape[0]} != read length {len(s)} "
-                        f"for read index {i}"
-                    )
-                qarr[i, : len(s)] = q
-        return cls(ids=ids_arr, codes=codes, lengths=lengths, quals=qarr)
+        lengths = np.fromiter(map(len, seqs), dtype=np.int32, count=n)
+        bases = np.frombuffer(
+            "".join(seqs).encode("ascii", errors="replace"), dtype=np.uint8
+        )
+        scores = None
+        if quals is not None:
+            rows = np.fromiter(map(len, quals), dtype=np.int32, count=n)
+            if (rows != lengths).any():
+                i = int(np.flatnonzero(rows != lengths)[0])
+                raise ValueError(
+                    f"quality length {rows[i]} != read length {lengths[i]} "
+                    f"for read index {i}"
+                )
+            scores = np.fromiter(
+                chain.from_iterable(quals), dtype=np.uint8,
+                count=bases.shape[0],
+            )
+        return cls.from_flat(ids_arr, lengths, bases, scores)
 
     @classmethod
     def empty(cls, width: int = 0) -> "ReadBlock":

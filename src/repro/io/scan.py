@@ -1,0 +1,311 @@
+"""The one byte-range scanner behind every fasta / quality reader.
+
+A fasta-shaped file is a run of records, each a header line (``>`` at a
+line start, then the sequence number) followed by body lines up to the next
+header.  :func:`scan_records` turns the bytes ``[lo, hi)`` of such a file —
+a whole number of records, ``lo`` and ``hi`` being header offsets from
+:func:`align` — into flat arrays: the line starts come from one
+``flatnonzero(buf == LF)``, header and body lines are told apart by their
+first byte, and every base or score of the range is produced by whole-array
+passes, so no ``str``, list or array exists per record.
+
+The grammar enforced (see ``docs/FORMATS.md``):
+
+* a header is ``>`` immediately followed by 1–18 decimal digits, then the
+  end of the line or a blank and anything;
+* LF ends a line; CR is ignored (CRLF files read the same), so blank lines
+  and multi-line bodies vanish into the record they belong to;
+* a fasta body is any ASCII byte (what is not ``ACGTacgt`` is ambiguous);
+* a quality body is decimal scores ``0``–``255`` of 1–3 digits separated by
+  space, tab or line breaks — no sign, no underscore, nothing else.
+
+Anything else is a :class:`~repro.errors.FileFormatError` carrying the
+path, the line and, where one is known, the sequence number.
+
+Temporaries are bounded: the range is read and parsed in pieces of
+:data:`PIECE_BYTES`, a record cut by a piece boundary being carried into
+the next, so the index arrays a piece needs (several bytes per input byte)
+never scale with the size of a rank's range.
+"""
+
+from __future__ import annotations
+
+import os
+from typing import BinaryIO, Iterator, Literal, NamedTuple, NoReturn
+
+import numpy as np
+from numpy.typing import NDArray
+
+from repro.errors import FileFormatError
+
+#: Bytes read and parsed at a time.  The parser's temporaries are ~10x the
+#: piece, so this bounds Step I's transient memory whatever the range size;
+#: it is a constant, not a knob (a piece only grows, by doubling, while a
+#: single record does not fit).
+PIECE_BYTES = 1 << 16
+
+#: Which body grammar a scan applies.
+Kind = Literal["fasta", "quality"]
+
+_LF, _CR, _GT = 10, 13, 62
+
+# Byte classes: a decimal digit maps to its value, blanks (tab, LF, CR,
+# space) to _BLANK, every other byte to _OTHER.
+_BLANK, _OTHER = 10, 11
+_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_CLASS[48:58] = np.arange(10, dtype=np.uint8)
+_CLASS[[9, _LF, _CR, 32]] = _BLANK
+
+#: Sequence numbers of up to this many digits fit an int64.
+_MAX_DIGITS = 18
+
+
+class Piece(NamedTuple):
+    """Some consecutive records of a range, flat.
+
+    ``values`` concatenates the records' bodies — ASCII bases for a fasta
+    scan, scores for a quality scan — and ``lengths[i]`` of them belong to
+    the record named ``names[i]``.
+    """
+
+    names: NDArray[np.int64]
+    lengths: NDArray[np.int64]
+    values: NDArray[np.uint8]
+
+
+def file_size(fh: BinaryIO) -> int:
+    """Size in bytes of an open file."""
+    return os.fstat(fh.fileno()).st_size
+
+
+def align(fh: BinaryIO, size: int, offset: int) -> int:
+    """Smallest record-header offset >= ``offset`` in the open file.
+
+    A record header is a ``>`` at the start of a line.  Offset 0 is always
+    aligned; ``size`` is returned when no header follows ``offset``.
+    """
+    if offset <= 0:
+        return 0
+    if offset >= size:
+        return size
+    # From one byte back, so a '>' exactly at `offset` is seen to follow
+    # its LF; blocks overlap by a byte so a pair is never split.
+    pos = offset - 1
+    block_bytes = 4096
+    while True:
+        fh.seek(pos)
+        block = fh.read(block_bytes)
+        at = block.find(b"\n>")
+        if at >= 0:
+            return pos + at + 1
+        if len(block) < block_bytes:
+            return size
+        pos += block_bytes - 1
+
+
+def _fail(fh: BinaryIO, offset: int, message: str) -> NoReturn:
+    """Raise ``message`` located at byte ``offset`` of the file."""
+    fh.seek(0)
+    line, left = 1, offset
+    while left > 0:
+        block = fh.read(min(left, 1 << 20))
+        if not block:
+            break
+        line += block.count(b"\n")
+        left -= len(block)
+    raise FileFormatError(message, path=str(fh.name), line=line)
+
+
+def _sequence_numbers(
+    fh: BinaryIO,
+    base: int,
+    kind: Kind,
+    buf: NDArray[np.uint8],
+    heads: NDArray[np.intp],
+    ends: NDArray[np.intp],
+) -> NDArray[np.int64]:
+    """The numbers of the header lines ``[heads[i], ends[i])`` of ``buf``.
+
+    One pass per digit column over all headers at once, not one ``int()``
+    per header.
+    """
+    names = np.zeros(heads.shape[0], dtype=np.int64)
+    pos = heads + 1
+    last = buf.shape[0] - 1
+    for _ in range(_MAX_DIGITS + 1):
+        # A header at the very end of the file may stop at `pos == size`;
+        # the clamped byte is not read as a digit since `pos < ends` fails.
+        after = _CLASS.take(buf.take(np.minimum(pos, last)))
+        live = (pos < ends) & (after < _BLANK)
+        if not live.any():
+            break
+        names = np.where(live, names * 10 + after, names)
+        pos += live
+    # A name is digits (not too many: `live` survived the loop) that are
+    # there at all and end at a blank or the end of the line.
+    bad = live | (pos == heads + 1) | ((pos < ends) & (after != _BLANK))
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0])
+        line = buf[int(heads[k]) + 1 : int(ends[k])].tobytes()
+        token = b"" if line[:1].isspace() else b"".join(line.split()[:1])
+        _fail(
+            fh, base + int(heads[k]),
+            f"{kind} record name {token.decode('ascii', 'replace')!r} "
+            "is not a sequence number",
+        )
+    return names
+
+
+def _scores(
+    fh: BinaryIO,
+    base: int,
+    buf: NDArray[np.uint8],
+    in_header: NDArray[np.bool_],
+    heads: NDArray[np.intp],
+    names: NDArray[np.int64],
+) -> tuple[NDArray[np.int64], NDArray[np.uint8]]:
+    """``(scores per record, scores)`` of a quality piece.
+
+    Every byte is classed by one table lookup; a score is read off at the
+    last digit of each digit run as ``d0 + 10·d1 + 100·d2``, the class of
+    the bytes before it saying how many of those digits belong to the run.
+    """
+
+    def fail(at: int, why: str) -> NoReturn:
+        name = int(names[np.searchsorted(heads, at, side="right") - 1])
+        _fail(fh, base + at, f"{why} in the scores of sequence number {name}")
+
+    cls = _CLASS.take(buf)
+    # A header's own digits are not scores: its line reads as blank here.
+    cls[in_header] = _BLANK
+    if cls.max() == _OTHER:
+        at = int(np.flatnonzero(cls == _OTHER)[0])
+        fail(at, f"byte {bytes(buf[at : at + 1])!r} is not a digit or a blank")
+    digit = cls < _BLANK
+    run_end = digit.copy()
+    run_end[:-1] &= ~digit[1:]
+    stops = np.flatnonzero(run_end)
+    # A valid first header holds three bytes at least (">", a digit, LF), so
+    # the three bytes before any score's last digit exist.
+    d1, d2, d3 = cls[stops - 1], cls[stops - 2], cls[stops - 3]
+    two = d1 < _BLANK
+    three = two & (d2 < _BLANK)
+    scores = cls[stops].astype(np.int16)
+    scores += np.where(two, d1, 0) * np.int16(10)
+    scores += np.where(three, d2, 0) * np.int16(100)
+    over = (three & (d3 < _BLANK)) | (scores > 255)
+    if over.any():
+        fail(int(stops[np.flatnonzero(over)[0]]), "a score above 255")
+    first = np.searchsorted(stops, np.append(heads, buf.shape[0]))
+    return np.diff(first), scores.astype(np.uint8)
+
+
+def _bases(
+    fh: BinaryIO,
+    base: int,
+    buf: NDArray[np.uint8],
+    in_header: NDArray[np.bool_],
+    heads: NDArray[np.intp],
+) -> tuple[NDArray[np.int64], NDArray[np.uint8]]:
+    """``(bases per record, ASCII bases)`` of a fasta piece."""
+    keep = ~in_header
+    keep &= buf != _LF
+    keep &= buf != _CR
+    bases = buf[keep]
+    if bases.shape[0] and bases.max() > 127:
+        at = int(np.flatnonzero(keep & (buf > 127))[0])
+        _fail(fh, base + at, f"non-ASCII byte {bytes(buf[at : at + 1])!r}")
+    return np.add.reduceat(keep, heads, dtype=np.int64), bases
+
+
+def _parse(
+    fh: BinaryIO, base: int, kind: Kind, buf: NDArray[np.uint8], final: bool
+) -> tuple[Piece | None, int]:
+    """Parse the whole records at the front of ``buf`` (file offset
+    ``base``); returns them and the bytes they took.  Unless ``final``,
+    the record of the last header in ``buf`` may be cut short and is left
+    for the next piece."""
+    size = buf.shape[0]
+    if not size:
+        return None, 0
+    line_ends = np.flatnonzero(buf == _LF) + 1
+    if buf[-1] != _LF:
+        line_ends = np.append(line_ends, size)
+    line_starts = np.concatenate(([0], line_ends[:-1]))
+    is_header = buf[line_starts] == _GT
+    header_lines = np.flatnonzero(is_header)
+    if not final:
+        if header_lines.shape[0] < 2:
+            return None, 0
+        lines = int(header_lines[-1])
+        size = int(line_starts[lines])
+        buf = buf[:size]
+        header_lines = header_lines[:-1]
+        line_starts, line_ends = line_starts[:lines], line_ends[:lines]
+        is_header = is_header[:lines]
+    heads = line_starts[header_lines]
+    # Only line breaks may come before the first header.
+    before = buf[: int(heads[0]) if heads.shape[0] else size]
+    stray = (before != _LF) & (before != _CR)
+    if stray.any():
+        _fail(
+            fh, base + int(np.flatnonzero(stray)[0]),
+            f"{kind} data before any '>' header",
+        )
+    if not heads.shape[0]:
+        return None, size
+    names = _sequence_numbers(
+        fh, base, kind, buf, heads, line_ends[header_lines]
+    )
+    in_header = np.repeat(is_header, line_ends - line_starts)
+    if kind == "fasta":
+        lengths, values = _bases(fh, base, buf, in_header, heads)
+    else:
+        lengths, values = _scores(fh, base, buf, in_header, heads, names)
+    return Piece(names, lengths, values), size
+
+
+def scan_records(
+    fh: BinaryIO, lo: int, hi: int, kind: Kind
+) -> Iterator[Piece]:
+    """The records in bytes ``[lo, hi)`` of an open file, piece by piece.
+
+    ``lo`` and ``hi`` must each be 0, the file size or a header offset
+    (:func:`align`), so the range holds whole records; exactly those bytes
+    are read, each once.
+    """
+    carry = b""  # the cut-short record before `pos`, read but not parsed
+    want = PIECE_BYTES
+    pos = lo
+    while pos < hi:
+        fh.seek(pos)
+        chunk = fh.read(min(want, hi - pos))
+        pos += len(chunk)
+        data = carry + chunk
+        # A file cut short under us ends the range where the bytes end.
+        final = not chunk or pos >= hi
+        piece, used = _parse(
+            fh, pos - len(data), kind, np.frombuffer(data, dtype=np.uint8),
+            final,
+        )
+        if piece is not None:
+            yield piece
+        if final:
+            return
+        # No whole record yet: read twice as much before parsing again.
+        want = PIECE_BYTES if used else 2 * want
+        carry = data[used:]
+
+
+def read_range(
+    path: str | os.PathLike[str], start: int, end: int, kind: Kind
+) -> Iterator[Piece]:
+    """The records whose header byte lies in ``[start, end)`` of a file.
+
+    ``start`` must be 0 or a header offset; a record whose header starts
+    before ``end`` is read whole even if its body runs past ``end`` — the
+    next range starts at the next header, so adjacent ranges share no
+    record.
+    """
+    with open(path, "rb") as fh:
+        yield from scan_records(fh, start, align(fh, file_size(fh), end), kind)

@@ -27,14 +27,17 @@ INVALID_CODE = np.uint8(0xFF)
 _BASES = "ACGT"
 
 # ASCII lookup table: both cases of ACGT map to 0..3, everything else to 0xFF.
-_ENCODE_LUT = np.full(256, INVALID_CODE, dtype=np.uint8)
-for _i, _b in enumerate(_BASES):
-    _ENCODE_LUT[ord(_b)] = _i
-    _ENCODE_LUT[ord(_b.lower())] = _i
+# Both tables are ``bytes.translate`` tables: that is the lookup at one byte
+# per base, where indexing a numpy table with a uint8 array first widens
+# every index to 8 bytes.
+_ENCODE_LUT = bytes(
+    # A byte that is not a base is not found: -1, i.e. INVALID_CODE.
+    _BASES.find(chr(b).upper()) & 0xFF if b < 128 else 0xFF
+    for b in range(256)
+)
 
 # The inverse: codes 0..3 map to ACGT, every other byte to 'N'.
-_DECODE_LUT = np.full(256, ord("N"), dtype=np.uint8)
-_DECODE_LUT[:4] = np.frombuffer(_BASES.encode("ascii"), dtype=np.uint8)
+_DECODE_LUT = (_BASES + "N" * 252).encode("ascii")
 
 
 def encode_sequence(
@@ -51,12 +54,17 @@ def encode_sequence(
         A ``str``, ``bytes``, or uint8 array of ASCII codes.
     """
     if isinstance(seq, str):
-        raw = np.frombuffer(seq.encode("ascii", errors="replace"), dtype=np.uint8)
+        raw = seq.encode("ascii", errors="replace")
+        shape: tuple[int, ...] = (len(raw),)
     elif isinstance(seq, (bytes, bytearray, memoryview)):
-        raw = np.frombuffer(bytes(seq), dtype=np.uint8)
+        raw = bytes(seq)
+        shape = (len(raw),)
     else:
-        raw = np.asarray(seq, dtype=np.uint8)
-    codes: NDArray[np.uint8] = _ENCODE_LUT[raw]
+        array = np.asarray(seq, dtype=np.uint8)
+        raw, shape = array.tobytes(), array.shape
+    codes: NDArray[np.uint8] = np.frombuffer(
+        bytearray(raw.translate(_ENCODE_LUT)), dtype=np.uint8
+    ).reshape(shape)
     return codes
 
 
@@ -202,7 +210,7 @@ def block_window_ids(
 def decode_sequence(codes: NDArray[np.uint8]) -> str:
     """Decode a 2-bit code array back to a DNA string ('N' for invalid)."""
     codes = np.asarray(codes, dtype=np.uint8)
-    return _DECODE_LUT[codes].tobytes().decode("ascii")
+    return codes.tobytes().translate(_DECODE_LUT).decode("ascii")
 
 
 def decode_rows(
@@ -215,8 +223,26 @@ def decode_rows(
     """
     codes = np.asarray(codes, dtype=np.uint8)
     width = codes.shape[1]
-    text = _DECODE_LUT[codes].tobytes().decode("ascii")
+    text = codes.tobytes().translate(_DECODE_LUT).decode("ascii")
     return [
         text[i * width : i * width + n]
         for i, n in enumerate(np.minimum(lengths, width).tolist())
     ]
+
+
+def pad_rows(
+    flat: NDArray[np.uint8], lengths: NDArray[np.integer], fill: int
+) -> NDArray[np.uint8]:
+    """The other way round from :func:`decode_rows`: ``flat`` holds the
+    rows back to back, ``lengths[i]`` values each, and comes back as one
+    ``(len(lengths), max(lengths))`` matrix padded with ``fill`` — one
+    masked assignment for the batch, not one row write per read.
+
+    Raises :class:`ValueError` when ``flat`` does not hold exactly
+    ``sum(lengths)`` values.
+    """
+    n = lengths.shape[0]
+    width = int(lengths.max()) if n else 0
+    rows = np.full((n, width), fill, dtype=np.uint8)
+    rows[np.arange(width) < lengths[:, None]] = flat
+    return rows

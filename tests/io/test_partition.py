@@ -120,7 +120,7 @@ class TestLoadRankBlock:
 
 class TestQualityScannedOnce:
     """Step I lines the two files up by sequence number; however far the
-    quality window has to widen, each record is parsed at most once."""
+    quality window has to widen, one rank parses no quality byte twice."""
 
     N_READS = 240
 
@@ -141,19 +141,26 @@ class TestQualityScannedOnce:
 
     @pytest.fixture
     def parsed(self, monkeypatch):
-        """Sequence numbers of the quality records parsed, in order."""
+        """The quality byte ranges ``load_rank_block`` hands the scanner
+        (which reads exactly those bytes, each once), in order."""
         from repro.io import partition
 
-        seen: list[int] = []
-        real = partition.read_quality_range
+        seen: list[tuple[int, int]] = []
+        real = partition.scan_records
 
-        def counting(path, start, end):
-            for rid, scores in real(path, start, end):
-                seen.append(rid)
-                yield rid, scores
+        def recording(fh, lo, hi, kind):
+            if kind == "quality":
+                seen.append((lo, hi))
+            return real(fh, lo, hi, kind)
 
-        monkeypatch.setattr(partition, "read_quality_range", counting)
+        monkeypatch.setattr(partition, "scan_records", recording)
         return seen
+
+    @staticmethod
+    def assert_disjoint(ranges):
+        ranges = sorted(ranges)
+        for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
+            assert hi <= lo, ranges
 
     @pytest.mark.parametrize("nranks", [1, 2, 8, 17])
     def test_no_record_parsed_twice(self, skewed_pair, parsed, nranks):
@@ -165,7 +172,7 @@ class TestQualityScannedOnce:
         for rank in range(nranks):
             del parsed[:]
             block = load_rank_block(fa, qual, nranks, rank)
-            assert len(parsed) == len(set(parsed))
+            self.assert_disjoint(parsed)
             ids = block.ids.tolist()
             loaded.extend(ids)
             for i, rid in enumerate(ids):
@@ -200,5 +207,5 @@ class TestQualityScannedOnce:
                 raised += 1
             else:
                 assert 101 not in block.ids.tolist()
-            assert len(parsed) == len(set(parsed))
+            self.assert_disjoint(parsed)
         assert raised == 1
