@@ -10,15 +10,11 @@ what a release would ship as the "figure data" artifact.
 from __future__ import annotations
 
 import csv
-import json
 import os
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from repro.bench.harness import ExperimentResult
-from repro.util.logging import get_logger
-
-logger = get_logger("bench.export")
 
 
 def write_csv(result: ExperimentResult, path: str | os.PathLike) -> None:
@@ -33,37 +29,6 @@ def write_csv(result: ExperimentResult, path: str | os.PathLike) -> None:
         writer.writerow(result.columns)
         for row in result.rows:
             writer.writerow(row)
-
-
-def _json_default(value: Any):
-    # numpy scalars (np.int64 counts, np.float64 timings) leak into rows;
-    # .item() converts them without importing numpy here.
-    item = getattr(value, "item", None)
-    if callable(item):
-        return item()
-    raise TypeError(f"not JSON-serializable: {value!r}")
-
-
-def write_json(result: ExperimentResult, path: str | os.PathLike) -> None:
-    """Write one experiment as JSON — the ``bench_*`` interchange shape.
-
-    The payload mirrors :class:`ExperimentResult` field-for-field under a
-    versioned ``schema`` key, so perf-trajectory tooling can diff runs of
-    the same experiment across commits.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "schema": "repro.experiment/1",
-        "experiment": result.experiment,
-        "title": result.title,
-        "columns": list(result.columns),
-        "rows": [list(row) for row in result.rows],
-        "notes": list(result.notes),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, default=_json_default)
-        fh.write("\n")
 
 
 def slug(name: str) -> str:
@@ -97,7 +62,6 @@ def export_all(
     for name, fn in experiments.items():
         if name not in chosen:
             continue
-        logger.info("exporting %s", name)
         result = fn()
         path = directory / f"{slug(name)}.csv"
         write_csv(result, path)

@@ -34,6 +34,43 @@ from repro.parallel.driver import ParallelReptile
 from repro.parallel.heuristics import HeuristicConfig
 
 
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """The run flags ``correct``, ``session`` and ``serve`` share: fleet
+    size and engine, the Reptile parameters, and the heuristics."""
+    p.add_argument("--nranks", type=int, default=4,
+                   help="simulated MPI ranks (default 4)")
+    p.add_argument("--engine",
+                   choices=["cooperative", "sequential", "threaded",
+                            "process"],
+                   default="cooperative",
+                   help="rank scheduler: cooperative/sequential "
+                        "(deterministic turns), threaded (free threads), "
+                        "process (shared-nothing spawned interpreters)")
+    p.add_argument("--kmer-length", type=int, default=12)
+    p.add_argument("--tile-overlap", type=int, default=4)
+    p.add_argument("--kmer-threshold", type=int, default=0,
+                   help="0 = derive from the (first) input")
+    p.add_argument("--tile-threshold", type=int, default=0)
+    p.add_argument("--chunk-size", type=int, default=2000,
+                   help="reads per --batch-reads round / --prefetch "
+                        "piece; not the blocking Step IV grain")
+    p.add_argument("--universal", action="store_true",
+                   help="universal message heuristic")
+    p.add_argument("--prefetch", action="store_true",
+                   help="bulk-prefetch Step IV lookups per chunk "
+                        "(deduplicated, coalesced per owner, pipelined)")
+    p.add_argument("--batch-reads", action="store_true",
+                   help="batch reads table heuristic")
+    p.add_argument("--read-tables", action="store_true",
+                   help="retain read k-mer/tile tables")
+    p.add_argument("--allgather", choices=["none", "kmers", "tiles", "both"],
+                   default="none", help="spectrum replication")
+    p.add_argument("--replication-group", type=int, default=1,
+                   help="partial replication group size (Sec. V)")
+    p.add_argument("--no-load-balance", action="store_true",
+                   help="disable the static read redistribution")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -48,38 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--fasta", help="input fasta (numeric record names)")
     c.add_argument("--quality", help="input quality file")
     c.add_argument("--output", required=True, help="corrected fasta path")
-    c.add_argument("--nranks", type=int, default=4,
-                   help="simulated MPI ranks (default 4)")
-    c.add_argument("--engine",
-                   choices=["cooperative", "sequential", "threaded",
-                            "process"],
-                   default="cooperative",
-                   help="rank scheduler: cooperative/sequential "
-                        "(deterministic turns), threaded (free threads), "
-                        "process (shared-nothing spawned interpreters)")
-    c.add_argument("--kmer-length", type=int, default=12)
-    c.add_argument("--tile-overlap", type=int, default=4)
-    c.add_argument("--kmer-threshold", type=int, default=0,
-                   help="0 = derive from the data")
-    c.add_argument("--tile-threshold", type=int, default=0)
-    c.add_argument("--chunk-size", type=int, default=2000,
-                   help="reads per --batch-reads round / --prefetch "
-                        "piece; not the blocking Step IV grain")
-    c.add_argument("--universal", action="store_true",
-                   help="universal message heuristic")
-    c.add_argument("--prefetch", action="store_true",
-                   help="bulk-prefetch Step IV lookups per chunk "
-                        "(deduplicated, coalesced per owner, pipelined)")
-    c.add_argument("--batch-reads", action="store_true",
-                   help="batch reads table heuristic")
-    c.add_argument("--read-tables", action="store_true",
-                   help="retain read k-mer/tile tables")
-    c.add_argument("--allgather", choices=["none", "kmers", "tiles", "both"],
-                   default="none", help="spectrum replication")
-    c.add_argument("--replication-group", type=int, default=1,
-                   help="partial replication group size (Sec. V)")
-    c.add_argument("--no-load-balance", action="store_true",
-                   help="disable the static read redistribution")
+    _add_run_flags(c)
     c.add_argument("--stats", action="store_true",
                    help="print per-rank statistics")
     c.add_argument("--report", help="write a JSON run report to this path")
@@ -99,33 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("--quality", action="append", default=[],
                     help="quality file matching each --fasta (all or none)")
     se.add_argument("--output", required=True, help="corrected fasta path")
-    se.add_argument("--nranks", type=int, default=4,
-                    help="simulated MPI ranks (default 4)")
-    se.add_argument("--engine",
-                    choices=["cooperative", "sequential", "threaded",
-                             "process"],
-                    default="cooperative",
-                    help="rank scheduler (see 'repro correct --help')")
-    se.add_argument("--kmer-length", type=int, default=12)
-    se.add_argument("--tile-overlap", type=int, default=4)
-    se.add_argument("--kmer-threshold", type=int, default=0,
-                    help="0 = derive from the first input")
-    se.add_argument("--tile-threshold", type=int, default=0)
-    se.add_argument("--chunk-size", type=int, default=2000)
-    se.add_argument("--universal", action="store_true",
-                    help="universal message heuristic")
-    se.add_argument("--prefetch", action="store_true",
-                    help="bulk-prefetch Step IV lookups per chunk")
-    se.add_argument("--batch-reads", action="store_true",
-                    help="batch reads table heuristic")
-    se.add_argument("--read-tables", action="store_true",
-                    help="retain read k-mer/tile tables")
-    se.add_argument("--allgather", choices=["none", "kmers", "tiles", "both"],
-                    default="none", help="spectrum replication")
-    se.add_argument("--replication-group", type=int, default=1,
-                    help="partial replication group size (Sec. V)")
-    se.add_argument("--no-load-balance", action="store_true",
-                    help="disable the static read redistribution")
+    _add_run_flags(se)
     se.add_argument("--checkpoint-dir",
                     help="write per-rank session bundles here after the run")
     se.add_argument("--resume-dir",
@@ -151,33 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--output-dir", required=True,
                     help="corrected batches are written here as "
                          "client<N>.fasta")
-    sv.add_argument("--nranks", type=int, default=4,
-                    help="simulated MPI ranks (default 4)")
-    sv.add_argument("--engine",
-                    choices=["cooperative", "sequential", "threaded",
-                             "process"],
-                    default="cooperative",
-                    help="rank scheduler (see 'repro correct --help')")
-    sv.add_argument("--kmer-length", type=int, default=12)
-    sv.add_argument("--tile-overlap", type=int, default=4)
-    sv.add_argument("--kmer-threshold", type=int, default=0,
-                    help="0 = derive from the first input")
-    sv.add_argument("--tile-threshold", type=int, default=0)
-    sv.add_argument("--chunk-size", type=int, default=2000)
-    sv.add_argument("--universal", action="store_true",
-                    help="universal message heuristic")
-    sv.add_argument("--prefetch", action="store_true",
-                    help="bulk-prefetch Step IV lookups per chunk")
-    sv.add_argument("--batch-reads", action="store_true",
-                    help="batch reads table heuristic")
-    sv.add_argument("--read-tables", action="store_true",
-                    help="retain read k-mer/tile tables")
-    sv.add_argument("--allgather", choices=["none", "kmers", "tiles", "both"],
-                    default="none", help="spectrum replication")
-    sv.add_argument("--replication-group", type=int, default=1,
-                    help="partial replication group size (Sec. V)")
-    sv.add_argument("--no-load-balance", action="store_true",
-                    help="disable the static read redistribution")
+    _add_run_flags(sv)
     sv.add_argument("--max-pending", type=int, default=64,
                     help="admission queue bound (jobs beyond it are "
                          "rejected with ServiceOverloadError)")
@@ -258,15 +212,23 @@ def _heuristics_from_args(args: argparse.Namespace) -> HeuristicConfig:
     )
 
 
-def _config_from_args(args: argparse.Namespace) -> ReptileConfig:
-    if args.config:
-        cfg = ReptileConfig.from_file(args.config)
-        if args.fasta:
-            cfg = cfg.with_updates(fasta_file=args.fasta)
-        if args.quality:
-            cfg = cfg.with_updates(quality_file=args.quality)
+def _config_from_args(
+    args: argparse.Namespace,
+    fasta: str | None,
+    quality: str | None,
+    config_file: str | None = None,
+) -> ReptileConfig:
+    """The run configuration: a ``--config`` file (``correct`` only) with
+    any ``fasta`` / ``quality`` override, else the flags, with zero
+    thresholds read off ``fasta``."""
+    if config_file:
+        cfg = ReptileConfig.from_file(config_file)
+        if fasta:
+            cfg = cfg.with_updates(fasta_file=fasta)
+        if quality:
+            cfg = cfg.with_updates(quality_file=quality)
         return cfg
-    if not args.fasta:
+    if not fasta:
         raise ReproError("either --config or --fasta is required")
     kt, tt = args.kmer_threshold, args.tile_threshold
     if not kt or not tt:
@@ -277,15 +239,13 @@ def _config_from_args(args: argparse.Namespace) -> ReptileConfig:
         base = ReptileConfig(
             kmer_length=args.kmer_length, tile_overlap=args.tile_overlap
         )
-        est_kt, est_tt = estimate_thresholds_from_file(
-            args.fasta, args.quality, base
-        )
+        est_kt, est_tt = estimate_thresholds_from_file(fasta, quality, base)
         kt = kt or est_kt
         tt = tt or est_tt
         print(f"auto thresholds from count histograms: kmer>={kt}, tile>={tt}")
     return ReptileConfig(
-        fasta_file=args.fasta,
-        quality_file=args.quality or "",
+        fasta_file=fasta,
+        quality_file=quality or "",
         kmer_length=args.kmer_length,
         tile_overlap=args.tile_overlap,
         kmer_threshold=kt,
@@ -294,10 +254,26 @@ def _config_from_args(args: argparse.Namespace) -> ReptileConfig:
     )
 
 
-def cmd_correct(args: argparse.Namespace) -> int:
-    from repro.io.fasta import write_fasta
+def _load_inputs(args: argparse.Namespace) -> tuple[list, ReptileConfig]:
+    """``session`` / ``serve`` input: every ``--fasta`` (with its
+    ``--quality``) loaded whole, and the configuration read against the
+    first of them."""
+    from repro.io.partition import load_rank_block
 
-    cfg = _config_from_args(args)
+    if not args.fasta:
+        raise ReproError("at least one --fasta is required")
+    quals = args.quality or [None] * len(args.fasta)
+    if len(quals) != len(args.fasta):
+        raise ReproError(
+            "--quality must be repeated once per --fasta (or omitted)"
+        )
+    # nranks=1 partitioning: the SPMD program slices each block per rank.
+    blocks = [load_rank_block(f, q, 1, 0) for f, q in zip(args.fasta, quals)]
+    return blocks, _config_from_args(args, args.fasta[0], quals[0])
+
+
+def cmd_correct(args: argparse.Namespace) -> int:
+    cfg = _config_from_args(args, args.fasta, args.quality, args.config)
     heur = _heuristics_from_args(args)
     faults = None
     if getattr(args, "faults", None):
@@ -308,9 +284,8 @@ def cmd_correct(args: argparse.Namespace) -> int:
         cfg, heur, nranks=args.nranks, engine=args.engine, faults=faults
     )
     result = runner.run_files(cfg.fasta_file, cfg.quality_file or None)
-    block = result.corrected_block
-    write_fasta(args.output, block.to_strings(), start_id=int(block.ids[0]))
-    print(f"corrected {len(block)} reads "
+    n = result.write_outputs(args.output)
+    print(f"corrected {n} reads "
           f"({result.total_corrections} substitutions) -> {args.output}")
     if result.crashed_ranks:
         print(f"recovered from injected crash of rank(s) "
@@ -377,31 +352,12 @@ def _print_session_row(totals) -> None:
 def cmd_session(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from repro.io.fasta import write_fasta
-    from repro.io.partition import load_rank_block
     from repro.io.records import ReadBlock
     from repro.parallel.driver import ParallelSession
     from repro.parallel.session import CheckpointOp, CorrectOp, IngestOp
 
-    if not args.fasta:
-        raise ReproError("at least one --fasta is required")
-    if args.quality and len(args.quality) != len(args.fasta):
-        raise ReproError(
-            "--quality must be repeated once per --fasta (or omitted)"
-        )
-    # Each file is one delta: load it whole (nranks=1 partitioning) and
-    # let the SPMD session program slice it per rank.
-    blocks = [
-        load_rank_block(
-            fasta, args.quality[i] if args.quality else None, 1, 0
-        )
-        for i, fasta in enumerate(args.fasta)
-    ]
-    cfg_ns = argparse.Namespace(**vars(args))
-    cfg_ns.config = None
-    cfg_ns.fasta = args.fasta[0]
-    cfg_ns.quality = args.quality[0] if args.quality else None
-    cfg = _config_from_args(cfg_ns)
+    # Each file is one delta.
+    blocks, cfg = _load_inputs(args)
     heur = _heuristics_from_args(args)
     # The corrected dataset is the union of every ingested delta,
     # renumbered so the merged output keeps one global order.
@@ -416,14 +372,10 @@ def cmd_session(args: argparse.Namespace) -> int:
     )
     out = driver.run(ops, resume_dir=args.resume_dir)
     result = out.result_for(0)
-    block = result.corrected_block
-    write_fasta(
-        args.output, block.to_strings(),
-        start_id=int(block.ids[0]) if len(block) else 1,
-    )
+    n = result.write_outputs(args.output)
     totals = out.session_totals()
     print(f"session: {len(blocks)} delta(s) ingested, corrected "
-          f"{len(block)} reads ({result.total_corrections} substitutions) "
+          f"{n} reads ({result.total_corrections} substitutions) "
           f"-> {args.output}")
     if args.checkpoint_dir:
         print(f"session checkpoint -> {args.checkpoint_dir}")
@@ -453,26 +405,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import os
 
     from repro.io.fasta import write_fasta
-    from repro.io.partition import load_rank_block
     from repro.service import ServicePolicy, SpectrumService
 
-    if not args.fasta:
-        raise ReproError("at least one --fasta is required")
-    if args.quality and len(args.quality) != len(args.fasta):
-        raise ReproError(
-            "--quality must be repeated once per --fasta (or omitted)"
-        )
-    blocks = [
-        load_rank_block(
-            fasta, args.quality[i] if args.quality else None, 1, 0
-        )
-        for i, fasta in enumerate(args.fasta)
-    ]
-    cfg_ns = argparse.Namespace(**vars(args))
-    cfg_ns.config = None
-    cfg_ns.fasta = args.fasta[0]
-    cfg_ns.quality = args.quality[0] if args.quality else None
-    cfg = _config_from_args(cfg_ns)
+    blocks, cfg = _load_inputs(args)
     heur = _heuristics_from_args(args)
     policy = ServicePolicy(
         max_pending=args.max_pending,

@@ -258,7 +258,9 @@ class LocalSpectrumView:
 
     @property
     def tier_counters(self) -> dict[str, int]:
-        """Per-tier ``lookup_*`` (and ladder) counters of this view."""
+        """Counters of this view's one-tier stacks: the per-tier
+        ``lookup_allgather_*`` family (both spectra summed) and the
+        per-kind ``kmer_lookups`` / ``tile_lookups`` entry counts."""
         return dict(self._comm.stats.counters)
 
     def kmer_counts(self, ids: np.ndarray) -> np.ndarray:

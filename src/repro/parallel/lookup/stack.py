@@ -82,7 +82,6 @@ class LookupStack:
         self.comm = comm
         # Counter names, built once: resolve() runs per lookup batch.
         self._lookups_counter = f"{kind}_lookups"
-        self._local_counter = f"local_{kind}_lookups"
         self._tier_counters = tuple(
             tuple(
                 f"lookup_{t.name}_{what}"
@@ -139,7 +138,7 @@ class LookupStack:
         ``local_only=True`` skips messaging tiers (the prefetch
         planner's probe: what is left unresolved is exactly what a plan
         must fetch).  ``record_stats=False`` suppresses *all* counters —
-        legacy and per-tier alike — for side-effect-free probes.
+        per-kind and per-tier alike — for side-effect-free probes.
         """
         ids = np.ascontiguousarray(ids, dtype=np.uint64)
         stats = self.comm.stats
@@ -191,7 +190,6 @@ class LookupStack:
                 stats.bump(self._lookups_counter, n)
                 if n:
                     requests, hit, miss, nbytes = self._tier_counters[0]
-                    stats.bump(self._local_counter, n)
                     stats.bump(requests, n)
                     stats.bump(hit, n)
                     stats.bump(miss, 0)

@@ -12,16 +12,20 @@ prepends the chunk cache as tier 0.
 Two counter families are recorded into
 :class:`~repro.simmpi.instrument.CommStats`:
 
-* the **legacy ladder counters** (``local_{kind}_lookups``,
-  ``group_{kind}_lookups``, ``reads_table_{kind}_hits``,
-  ``remote_{kind}_lookups``, ``remote_{kind}_ids_deduped``,
-  ``prefetch_{kind}_hits``), bumped *inside* each tier with exactly the
-  pre-refactor semantics so the performance model and the equivalence
-  tests see unchanged numbers;
 * the **per-tier family** ``lookup_<tier>_{requests,hits,misses,bytes}``
   (bumped by the stack around each tier), where at every tier
   ``hits + misses == requests`` and ``bytes`` counts the key+count
-  payload resolved there (12 bytes per hit).
+  payload resolved there (12 bytes per hit);
+* the **per-kind counters**, split by spectrum (``kmer`` / ``tile``),
+  which the per-tier family is not: ``reads_table_{kind}_hits``,
+  ``remote_{kind}_lookups``, ``remote_{kind}_ids_deduped`` and
+  ``prefetch_{kind}_hits``, bumped *inside* those four tiers (beside
+  the stack's ``{kind}_lookups`` entry count).  They remain because
+  :mod:`repro.perfmodel.workload` and the end-to-end ledger
+  (``benchmarks/e2e/ledger.py``) read them per kind.  The owned,
+  allgather and group tiers bump none: their hits are
+  ``lookup_owned_hits``, ``lookup_allgather_hits`` and
+  ``lookup_group_hits``.
 """
 
 from __future__ import annotations
@@ -98,7 +102,7 @@ class LookupTier:
     messaging: bool = False
 
     def __init__(self, kind: str) -> None:
-        #: ``"kmer"`` or ``"tile"`` — selects the legacy counter names.
+        #: ``"kmer"`` or ``"tile"`` — selects the per-kind counter names.
         self.kind = kind
 
     def resolve(
@@ -108,7 +112,7 @@ class LookupTier:
 
         Returns the mask (aligned with ``req.ids``) of ids newly
         resolved here; must only resolve ids with ``req.unresolved``
-        set.  Bumps this tier's *legacy* counters when
+        set.  Bumps this tier's per-kind counters, if it has any, when
         ``record_stats``; the per-tier family is the stack's job.
         """
         raise NotImplementedError
@@ -162,11 +166,6 @@ class OwnedShardTier(LookupTier):
         mine = req.unresolved & (req.owners == self.rank)
         if mine.any():
             req.counts[mine] = self.table.lookup(req.ids[mine])
-            if record_stats:
-                stats.bump(
-                    f"local_{self.kind}_lookups",
-                    int(np.count_nonzero(mine)),
-                )
         return mine
 
 
@@ -196,10 +195,6 @@ class AllgatherReplicaTier(LookupTier):
             req.counts[:] = self.table.lookup(req.ids)
         else:
             req.counts[sel] = self.table.lookup(req.ids[sel])
-        if record_stats:
-            stats.bump(
-                f"local_{self.kind}_lookups", int(np.count_nonzero(sel))
-            )
         return sel
 
 
@@ -226,11 +221,6 @@ class ReplicationGroupTier(LookupTier):
         in_group = req.unresolved & np.isin(req.owners, self.group_ranks)
         if in_group.any():
             req.counts[in_group] = self.table.lookup(req.ids[in_group])
-            if record_stats:
-                stats.bump(
-                    f"group_{self.kind}_lookups",
-                    int(np.count_nonzero(in_group)),
-                )
         return in_group
 
 

@@ -39,15 +39,11 @@ Anchor derivations
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 from repro.datasets.profiles import DROSOPHILA, ECOLI, HUMAN, DatasetProfile
 from repro.errors import ModelError
 from repro.perfmodel.workload import DatasetWorkload
-
-if TYPE_CHECKING:
-    from repro.perfmodel.machine import BGQMachine
 
 
 def workload_for_profile(profile: DatasetProfile) -> DatasetWorkload:
@@ -75,28 +71,6 @@ def workload_for_profile(profile: DatasetProfile) -> DatasetWorkload:
             imbalance_ratio=2.5,
         )
     raise ModelError(f"no calibrated workload for profile {profile.name!r}")
-
-
-def machine_with_compute_speedup(
-    machine: "BGQMachine", speedup: float
-) -> "BGQMachine":
-    """Recalibrate a machine's compute term from a measured kernel speedup.
-
-    The compute primitives (``compute_per_read``, ``compute_per_candidate``)
-    were fitted against the paper's reference implementation.  When the
-    correction kernels get faster — e.g. the bit-packed kernels measured by
-    ``benchmarks/bench_kernels.py`` — the same α–β communication model still
-    holds but the compute term shrinks by the measured whole-corrector
-    speedup.  Feeding that ratio back here lets the Fig-replication sweeps
-    show how the balance between compute and communication shifts.
-    """
-    if speedup <= 0:
-        raise ModelError("speedup must be positive")
-    return replace(
-        machine,
-        compute_per_read=machine.compute_per_read / speedup,
-        compute_per_candidate=machine.compute_per_candidate / speedup,
-    )
 
 
 @dataclass(frozen=True)

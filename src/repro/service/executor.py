@@ -12,6 +12,7 @@ original type intact.
 
 from __future__ import annotations
 
+import multiprocessing
 import queue
 import threading
 
@@ -19,11 +20,7 @@ from repro.config import ReptileConfig
 from repro.errors import ServiceError
 from repro.io.records import ReadBlock
 from repro.parallel.heuristics import HeuristicConfig
-from repro.service.program import (
-    ProcessChannel,
-    ServingProgram,
-    ThreadChannel,
-)
+from repro.service.program import CommandChannel, ServingProgram
 from repro.simmpi.engine import ProcessEngine, run_spmd
 
 #: How often a blocked await wakes to check that the fleet is alive.
@@ -62,9 +59,10 @@ class ServiceExecutor:
         self.engine = engine
         self.verify = verify
         self.faults = faults
-        self.channel = (
-            ProcessChannel() if _needs_process_channel(engine)
-            else ThreadChannel()
+        self.channel = CommandChannel(
+            multiprocessing.get_context("spawn").Queue
+            if _needs_process_channel(engine)
+            else queue.Queue
         )
         self.program = ServingProgram(
             config=config,
@@ -75,7 +73,6 @@ class ServiceExecutor:
             capture_spectrum=capture_spectrum,
         )
         self._seq = 0
-        self._stashed: dict[int, object] = {}
         self._outcome = None
         self._error: BaseException | None = None
         self._shut_down = False
@@ -128,10 +125,11 @@ class ServiceExecutor:
         """Block until command ``seq``'s answer arrives (its payload).
 
         Polls the result channel so a fleet that died mid-command turns
-        into the original exception instead of a hang."""
+        into the original exception instead of a hang.  Commands are
+        answered in order and awaited one at a time (the front-end runs
+        one drainer), so an answer to any other command is a protocol
+        bug and raises :class:`~repro.errors.ServiceError`."""
         while True:
-            if seq in self._stashed:
-                return self._stashed.pop(seq)
             try:
                 got, payload = self.channel.next_result(
                     timeout=_POLL_SECONDS
@@ -145,10 +143,11 @@ class ServiceExecutor:
                         f"{seq}"
                     )
                 continue
-            if got == seq:
-                return payload
-            # Out-of-order pickup (another waiter's answer): stash it.
-            self._stashed[got] = payload
+            if got != seq:
+                raise ServiceError(
+                    f"awaited the answer to command {seq}, got {got}'s"
+                )
+            return payload
 
     def shutdown(self):
         """Stop the fleet and return its :class:`SpmdResult`.

@@ -4,8 +4,8 @@ One :class:`ServingProgram` is the whole backend fleet: ``run_spmd``
 runs it on every rank, and it serves commands until told to shut down.
 The control path is deliberately in-band:
 
-* the **channel** (:class:`ThreadChannel` in-process,
-  :class:`ProcessChannel` across the process engine's spawn boundary)
+* the **channel** (:class:`CommandChannel`, over thread queues
+  in-process or spawn-safe ones across the process engine's boundary)
   carries commands from the front-end to *rank 0 only* — it is the one
   rank that talks to the outside world;
 * rank 0 **relays** each command to the other live ranks as a normal
@@ -34,11 +34,9 @@ the verb name, then the sequence number, then the verb's payload.
 
 from __future__ import annotations
 
-import multiprocessing
-import queue
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -104,13 +102,18 @@ def merge_results(parts: list[tuple]) -> tuple:
 # ----------------------------------------------------------------------
 # command channels
 # ----------------------------------------------------------------------
-class ThreadChannel:
-    """Front-end <-> rank 0 command/result queues for in-process fleets
-    (the cooperative and threaded engines share the parent's memory)."""
+class CommandChannel:
+    """Front-end <-> rank 0 command/result queues.
 
-    def __init__(self) -> None:
-        self._commands: queue.Queue = queue.Queue()
-        self._results: queue.Queue = queue.Queue()
+    ``make_queue`` builds the two queues: :class:`queue.Queue` for the
+    in-process engines, a spawn-context ``multiprocessing.Queue`` for the
+    process engine, which ships the serving program (channel included)
+    to each child through ``Process(args=...)`` — the supported way to
+    move an ``mp.Queue`` across the spawn boundary."""
+
+    def __init__(self, make_queue: Callable[[], Any]) -> None:
+        self._commands = make_queue()
+        self._results = make_queue()
 
     def submit(self, command: tuple) -> None:
         """Front-end side: enqueue one command for rank 0."""
@@ -127,32 +130,6 @@ class ThreadChannel:
     def next_result(self, timeout: float | None = None) -> tuple:
         """Front-end side: next answer (raises ``queue.Empty`` on
         timeout, so the caller can interleave liveness checks)."""
-        return self._results.get(timeout=timeout)
-
-
-class ProcessChannel:
-    """The same channel over the process engine's spawn boundary.
-
-    Built on spawn-context :class:`multiprocessing.Queue` pairs; the
-    engine ships the serving program (channel included) to each child
-    through ``Process(args=...)``, which is the supported way to move an
-    ``mp.Queue`` across the boundary."""
-
-    def __init__(self) -> None:
-        ctx = multiprocessing.get_context("spawn")
-        self._commands = ctx.Queue()
-        self._results = ctx.Queue()
-
-    def submit(self, command: tuple) -> None:
-        self._commands.put(command)
-
-    def next_command(self) -> tuple:
-        return self._commands.get()
-
-    def post_result(self, result: tuple) -> None:
-        self._results.put(result)
-
-    def next_result(self, timeout: float | None = None) -> tuple:
         return self._results.get(timeout=timeout)
 
 
@@ -347,11 +324,10 @@ class ServingProgram:
 
 
 __all__ = [
-    "ProcessChannel",
+    "CommandChannel",
     "SERVICE_CMD_TAG",
     "SERVICE_RESULT_TAG",
     "ServingProgram",
-    "ThreadChannel",
     "encode_result",
     "merge_results",
 ]

@@ -145,9 +145,14 @@ PREFETCH_COUNTERS = (
 #: each tier it presents ids to, where ``hits + misses == requests`` at
 #: every tier and ``bytes`` charges 12 bytes (id + count) per hit.
 #: ``<tier>`` is one of
-#: :data:`repro.parallel.lookup.stack.TIER_NAMES`.  These generalize the
-#: legacy flat counters (``local_*``, ``group_*``, ``reads_table_*``,
-#: ``remote_*``), which the tiers keep bumping unchanged.
+#: :data:`repro.parallel.lookup.stack.TIER_NAMES`.  The family is not
+#: split by spectrum; the per-kind counters that remain beside it —
+#: ``{kind}_lookups``, ``reads_table_{kind}_hits``, ``remote_{kind}_*``
+#: and ``prefetch_{kind}_*`` — are the ones
+#: :mod:`repro.perfmodel.workload` and ``benchmarks/e2e/ledger.py`` read
+#: per kind.  The owned, allgather and group tiers have no per-kind
+#: counter: ``lookup_owned_hits`` / ``lookup_allgather_hits`` /
+#: ``lookup_group_hits`` are their counts.
 #:
 #: The serving side of the ``remote`` tier has two counters of its own:
 #: ``requests_served`` (Step IV count requests answered) and

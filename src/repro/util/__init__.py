@@ -1,8 +1,7 @@
-"""Small shared utilities: phase timers, logging, summary statistics."""
+"""Small shared utilities: phase timers and summary statistics."""
 
 from repro.util.timer import PhaseTimer, Timing
 from repro.util.stats import Summary, summarize, relative_spread
-from repro.util.logging import get_logger
 
 __all__ = [
     "PhaseTimer",
@@ -10,5 +9,4 @@ __all__ = [
     "Summary",
     "summarize",
     "relative_spread",
-    "get_logger",
 ]

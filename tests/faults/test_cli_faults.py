@@ -65,13 +65,16 @@ class TestFaultsFlag:
         assert res["takeover_reads"] > 0
 
     def test_report_is_all_zero_without_plan(self, simulated):
+        """No plan, no resilience trace — on the blocking path and on
+        the prefetch endpoint's resilient-capable collect alike."""
         tmp, fasta, qual = simulated
         report_path = tmp / "clean_run.json"
-        rc = _correct(
-            tmp, fasta, qual, tmp / "clean2.fa",
-            "--report", str(report_path),
-        )
-        assert rc == 0
-        res = json.loads(report_path.read_text())["resilience"]
-        assert res.pop("crashed_ranks") == []
-        assert set(res.values()) == {0}
+        for heuristics in ([], ["--prefetch"]):
+            rc = _correct(
+                tmp, fasta, qual, tmp / "clean2.fa",
+                "--report", str(report_path), *heuristics,
+            )
+            assert rc == 0
+            res = json.loads(report_path.read_text())["resilience"]
+            assert res.pop("crashed_ranks") == []
+            assert set(res.values()) == {0}, heuristics

@@ -1,7 +1,6 @@
-"""The lookup-matrix smoke: real engines × tier-stack configurations.
+"""The lookup matrix: real engines × tier-stack configurations.
 
-The CI ``lookup-matrix`` job runs exactly this module.  It drives the
-two engines that use genuinely concurrent transports (threads and OS
+This module drives the two engines that use genuinely concurrent transports (threads and OS
 processes) through stacks with a replication-group tier compiled in,
 with and without the chunk-cache tier (prefetch), and pins the corrected
 output bit for bit to the serial reference — the acceptance bar of the

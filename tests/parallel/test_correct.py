@@ -43,7 +43,7 @@ class TestLookupLadder:
             proto.finish()
             assert np.array_equal(counts, (keys + 1).astype(np.uint32))
             # Some lookups were local, the rest remote.
-            assert comm.stats.get("local_kmer_lookups") > 0
+            assert comm.stats.get("lookup_owned_hits") > 0
             assert comm.stats.get("remote_kmer_lookups") > 0
             return True
 
@@ -124,7 +124,7 @@ class TestLookupLadder:
             counts = view.kmer_counts(keys)
             proto.finish()
             assert np.array_equal(counts, (keys + 1).astype(np.uint32))
-            assert comm.stats.get("group_kmer_lookups") > 0
+            assert comm.stats.get("lookup_group_hits") > 0
             return True
 
         run_spmd(prog, 4, engine="cooperative")

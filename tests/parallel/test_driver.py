@@ -105,7 +105,7 @@ class TestResultAccessors:
     def test_counters(self, result):
         assert result.counter_per_rank("remote_tile_lookups").sum() > 0
         assert result.counter_per_rank("tile_lookups").sum() > 0
-        assert result.counter_per_rank("local_tile_lookups").sum() > 0
+        assert result.counter_per_rank("lookup_owned_hits").sum() > 0
 
     def test_table_sizes(self, result):
         assert result.table_sizes_per_rank("kmers").sum() > 0

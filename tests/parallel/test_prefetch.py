@@ -28,6 +28,11 @@ from repro.simmpi import run_spmd
 from repro.simmpi.instrument import PREFETCH_COUNTERS
 
 
+#: Correction-phase tags: count requests/responses (per kind and
+#: universal) and the two prefetch bulk tags.
+CORRECTION_TAGS = (1, 2, 3, 4, 7, 8)
+
+
 @pytest.fixture(scope="module")
 def scale():
     """Small E.Coli-profile instance shared by the equivalence tests."""
@@ -63,6 +68,25 @@ def _totals(result):
     return total
 
 
+def _ledger(result):
+    """Correction-phase frames, bytes, and the corrections they bought."""
+    total = _totals(result)
+    return (
+        sum(total.messages_by_tag.get(t, 0) for t in CORRECTION_TAGS),
+        sum(total.bytes_by_tag.get(t, 0) for t in CORRECTION_TAGS),
+        result.total_corrections,
+    )
+
+
+@pytest.fixture(scope="module")
+def cooperative_ledgers(scale):
+    """Prefetch off/on -> the cooperative engine's correction ledger."""
+    return {
+        prefetch: _ledger(_run(scale, HeuristicConfig(prefetch=prefetch)))
+        for prefetch in (False, True)
+    }
+
+
 def _assert_identical(result, reference):
     block = result.corrected_block
     assert np.array_equal(block.codes, reference.block.codes)
@@ -82,7 +106,9 @@ class TestProtocolEquivalence:
             ("process", True),
         ],
     )
-    def test_engines(self, scale, serial_reference, engine, comm_thread):
+    def test_engines(
+        self, scale, serial_reference, cooperative_ledgers, engine, comm_thread
+    ):
         for prefetch in (False, True):
             res = _run(
                 scale,
@@ -91,6 +117,9 @@ class TestProtocolEquivalence:
                 comm_thread=comm_thread,
             )
             _assert_identical(res, serial_reference)
+            # Engines are transports, not algorithms: the same frames,
+            # byte for byte, and the same corrections on every one.
+            assert _ledger(res) == cooperative_ledgers[prefetch]
 
     @pytest.mark.parametrize(
         "heuristics",
@@ -108,11 +137,23 @@ class TestProtocolEquivalence:
         ids=["universal", "batch_reads", "replication_group", "allgather_kmers"],
     )
     def test_composed_heuristics(self, scale, serial_reference, heuristics):
-        _assert_identical(_run(scale, heuristics), serial_reference)
-        corrections = _run(scale, heuristics).reports
-        plain = _run(scale, heuristics.with_updates(prefetch=False)).reports
-        for a, b in zip(corrections, plain):
+        res = _run(scale, heuristics)
+        plain = _run(scale, heuristics.with_updates(prefetch=False))
+        _assert_identical(res, serial_reference)
+        for a, b in zip(res.reports, plain.reports):
             assert np.array_equal(a.corrections_per_read, b.corrections_per_read)
+        # Each side's frames sit on its own line — prefetch: a pair per
+        # bulk exchange per owner, never a blocking lookup; blocking: a
+        # pair per request served, at most P-1 per lookup step — and
+        # prefetch sends fewer.
+        total, blocking = _totals(res), _totals(plain)
+        frames, plain_frames = _ledger(res)[0], _ledger(plain)[0]
+        assert total.get("blocking_request_counts") == 0
+        assert frames == 2 * total.get("prefetch_messages")
+        served = blocking.get("requests_served")
+        assert plain_frames == 2 * served
+        assert served <= (res.nranks - 1) * blocking.get("blocking_request_counts")
+        assert frames < plain_frames
 
     def test_bursty_errors_exercise_replay(self, bursty_reference):
         """Localized error bursts drift many windows, forcing the tail
@@ -206,7 +247,7 @@ class TestRankWideTail:
         total = _totals(res)
         assert total.get("prefetch_tail_reads") > 0
         assert total.get("blocking_request_counts") == 0
-        frames = sum(total.messages_by_tag.get(t, 0) for t in (1, 2, 3, 4, 7, 8))
+        frames = sum(total.messages_by_tag.get(t, 0) for t in CORRECTION_TAGS)
         assert frames <= FRAME_CEILINGS[chunk_size, nranks]
 
     def test_long_tail_is_cut_into_chunk_sized_pieces(self, bursty_reference):
@@ -376,13 +417,12 @@ class TestStructuralClaims:
         lookup step of a rank's share (chunk_size does not enter);
         prefetch pays one pair per owner per bulk exchange: two planned
         per chunk, plus the tail's re-plans and on-miss fetches."""
-        tags = (1, 2, 3, 4, 7, 8)
         nranks = 4
         base_run = _run(scale, HeuristicConfig(), nranks=nranks)
         base = _totals(base_run)
         pf = _totals(_run(scale, HeuristicConfig(prefetch=True), nranks=nranks))
-        base_msgs = sum(base.messages_by_tag.get(t, 0) for t in tags)
-        pf_msgs = sum(pf.messages_by_tag.get(t, 0) for t in tags)
+        base_msgs = sum(base.messages_by_tag.get(t, 0) for t in CORRECTION_TAGS)
+        pf_msgs = sum(pf.messages_by_tag.get(t, 0) for t in CORRECTION_TAGS)
 
         steps = base.get("blocking_request_counts")
         assert base.get("requests_served") == (nranks - 1) * steps

@@ -91,33 +91,48 @@ class TestBitIdentityMatrix:
         assert np.array_equal(merged.codes, classic_codes)
 
 
+#: Default heuristics, and the construction-heavy regime sessions exist
+#: for: batched reads tables plus read k-mer/tile retention.
+REPEAT_MODES = (
+    HeuristicConfig(),
+    HeuristicConfig(read_kmers=True, read_tiles=True, batch_reads=True),
+)
+
+
 class TestRepeatedCorrection:
+    """One build, three corrections: what a session amortizes."""
+
     @pytest.fixture(scope="class")
-    def repeat_out(self, scale):
+    def repeat_outs(self, scale):
         block = scale.dataset.block
-        return ParallelSession(
-            scale.config, HeuristicConfig(), nranks=4, engine="cooperative"
-        ).run([IngestOp(block), CorrectOp(block),
-               CorrectOp(block), CorrectOp(block)])
+        return [
+            ParallelSession(
+                scale.config, heuristics, nranks=4, engine="cooperative"
+            ).run([IngestOp(block)] + [CorrectOp(block)] * 3)
+            for heuristics in REPEAT_MODES
+        ]
 
-    def test_every_round_bit_identical(self, repeat_out, classic_codes):
-        for i in range(3):
-            assert np.array_equal(
-                repeat_out.result_for(i).corrected_block.codes, classic_codes
-            )
+    def test_every_round_bit_identical(self, repeat_outs, classic_codes):
+        for out in repeat_outs:
+            for i in range(3):
+                assert np.array_equal(
+                    out.result_for(i).corrected_block.codes, classic_codes
+                )
 
-    def test_corrections_pay_no_construction(self, repeat_out):
+    def test_corrections_pay_no_construction(self, repeat_outs):
         """After the chunk-boundary finalize, correct rounds never touch
         the build phase: its per-op timing delta is exactly zero."""
-        for rr in repeat_out.rank_reports:
-            for kind, timing in zip(rr.op_kinds, rr.op_timings):
-                if kind == "correct":
-                    assert "kmer_construction" not in timing
+        for out in repeat_outs:
+            for rr in out.rank_reports:
+                for kind, timing in zip(rr.op_kinds, rr.op_timings):
+                    if kind == "correct":
+                        assert "kmer_construction" not in timing
 
-    def test_single_recompile_across_rounds(self, repeat_out):
-        totals = repeat_out.session_totals()
-        assert totals["session_ingests"] == 4  # one per rank
-        assert totals["session_recompiles"] == 4
+    def test_single_recompile_across_rounds(self, repeat_outs):
+        for out in repeat_outs:
+            totals = out.session_totals()
+            assert totals["session_ingests"] == 4  # one per rank
+            assert totals["session_recompiles"] == 4
 
 
 class TestCheckpointResume:

@@ -18,7 +18,8 @@ from repro.errors import ServiceError, ServiceOverloadError
 from repro.parallel.driver import ParallelReptile, ParallelSession
 from repro.parallel.heuristics import HeuristicConfig
 from repro.parallel.session import CorrectOp, IngestOp
-from repro.service import ServicePolicy, SpectrumService
+from repro.service import ServiceExecutor, ServicePolicy, SpectrumService
+from repro.simmpi.message import Tags
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +45,17 @@ def client_batches(block, n):
     ]
 
 
+def p2p_frames(run):
+    """Point-to-point frames over all ranks (tags below the collective
+    range): the lookup protocol and the service command/result relay."""
+    return sum(
+        n
+        for s in run.stats
+        for tag, n in s.messages_by_tag.items()
+        if tag < Tags.COLLECTIVE_BASE
+    )
+
+
 def expected_codes(classic_codes, batch):
     """The classic run's rows for a batch (ids are 1-based and the
     classic corrected block is id-sorted)."""
@@ -60,27 +72,46 @@ class TestCoalescedBitIdentity:
     ):
         block = scale.dataset.block
         batches = client_batches(block, 3)
-        service = SpectrumService(
-            scale.config, 4, heuristics=HeuristicConfig(), engine=engine
-        )
 
-        async def drive():
-            async with service:
-                await service.ingest(block)
-                return await asyncio.gather(*(
-                    service.correct(b, client=f"client{i}")
-                    for i, b in enumerate(batches)
-                ))
+        def run(coalesce):
+            service = SpectrumService(
+                scale.config, 4, heuristics=HeuristicConfig(), engine=engine
+            )
 
-        results = asyncio.run(drive())
-        for batch, result in zip(batches, results):
+            async def drive():
+                async with service:
+                    await service.ingest(block)
+                    if coalesce:
+                        return await asyncio.gather(*(
+                            service.correct(b, client=f"client{i}")
+                            for i, b in enumerate(batches)
+                        ))
+                    return [
+                        await service.correct(b, client=f"client{i}")
+                        for i, b in enumerate(batches)
+                    ]
+
+            return asyncio.run(drive()), service.result
+
+        results, coalesced = run(coalesce=True)
+        one_by_one, solo = run(coalesce=False)
+        for batch, result, alone in zip(batches, results, one_by_one):
             np.testing.assert_array_equal(
                 result.block.codes, expected_codes(classic_codes, batch)
             )
+            np.testing.assert_array_equal(alone.block.ids, result.block.ids)
+            np.testing.assert_array_equal(alone.block.codes, result.block.codes)
+            np.testing.assert_array_equal(
+                alone.corrections_per_read, result.corrections_per_read
+            )
             assert np.all(np.diff(result.block.ids) > 0)
+        # One shared round pays the relay, termination and gather once,
+        # not once per client (ingest traffic is the same in both runs).
+        assert p2p_frames(coalesced) < p2p_frames(solo)
+        assert (solo.report.rounds, solo.report.coalesced) == (3, 0)
         # All three corrects piled up behind the drainer and ran as one
         # coalesced collective round.
-        report = service.result.report
+        report = coalesced.report
         assert report.rounds == 1
         assert report.coalesced == 3
         assert report.submitted == 4  # the ingest + three corrects
@@ -288,3 +319,15 @@ class TestAccountingAndLifecycle:
 
         result = asyncio.run(resume())
         np.testing.assert_array_equal(result.block.codes, classic_codes)
+
+    def test_answer_to_another_command_is_a_protocol_error(self, scale):
+        """Commands are answered in order and awaited one at a time, so
+        an answer carrying another sequence number is never stashed: it
+        is a typed protocol error."""
+        executor = ServiceExecutor(scale.config, HeuristicConfig(), 4)
+        try:
+            executor.channel.post_result((7, None))
+            with pytest.raises(ServiceError, match="command 1, got 7"):
+                executor.await_result(executor.ingest(scale.dataset.block))
+        finally:
+            executor.shutdown()

@@ -97,6 +97,20 @@ class TestCorrect:
         assert rc == 0
         assert out.exists()
 
+    def test_empty_input_writes_empty_fasta(self, tmp_path, capsys):
+        fasta, qual = tmp_path / "e.fa", tmp_path / "e.qual"
+        fasta.write_text("")
+        qual.write_text("")
+        out = tmp_path / "o.fa"
+        rc = main([
+            "correct", "--fasta", str(fasta), "--quality", str(qual),
+            "--output", str(out),
+            "--kmer-threshold", "2", "--tile-threshold", "2",
+        ])
+        assert rc == 0
+        assert out.read_text() == ""
+        assert "corrected 0 reads" in capsys.readouterr().out
+
     def test_missing_input_is_error(self, tmp_path, capsys):
         rc = main(["correct", "--output", str(tmp_path / "x.fa")])
         assert rc == 2
@@ -144,6 +158,79 @@ class TestParser:
             build_parser().parse_args(
                 ["correct", "--output", "x", "--engine", "mpi"]
             )
+
+    #: Every run flag the three run subcommands share, set off-default.
+    RUN_FLAGS = [
+        "--nranks", "5", "--engine", "threaded", "--kmer-length", "11",
+        "--tile-overlap", "3", "--kmer-threshold", "7",
+        "--tile-threshold", "3", "--chunk-size", "300", "--universal",
+        "--prefetch", "--batch-reads", "--read-tables",
+        "--allgather", "both", "--replication-group", "2",
+        "--no-load-balance",
+    ]
+    RUN_SET = dict(
+        nranks=5, engine="threaded", kmer_length=11, tile_overlap=3,
+        kmer_threshold=7, tile_threshold=3, chunk_size=300, universal=True,
+        prefetch=True, batch_reads=True, read_tables=True, allgather="both",
+        replication_group=2, no_load_balance=True,
+    )
+    RUN_DEFAULTS = dict(
+        nranks=4, engine="cooperative", kmer_length=12, tile_overlap=4,
+        kmer_threshold=0, tile_threshold=0, chunk_size=2000, universal=False,
+        prefetch=False, batch_reads=False, read_tables=False,
+        allgather="none", replication_group=1, no_load_balance=False,
+    )
+
+    @pytest.mark.parametrize("full", [True, False], ids=["full", "defaults"])
+    def test_run_subcommands_parse_unchanged(self, full):
+        """The parsed namespace of each run subcommand, flag for flag."""
+        run = self.RUN_FLAGS if full else []
+        both = ["--fasta", "a.fa", "--fasta", "b.fa",
+                "--quality", "a.q", "--quality", "b.q"] if full else []
+        lines = {
+            "correct": [
+                "correct", "--output", "o.fa", *run,
+                *(["--config", "r.conf", "--fasta", "a.fa", "--quality",
+                   "a.qual", "--stats", "--report", "r.json",
+                   "--faults", "f.json"] if full else []),
+            ],
+            "session": [
+                "session", "--output", "o.fa", *run, *both,
+                *(["--checkpoint-dir", "ck", "--resume-dir", "rs",
+                   "--stats", "--report", "r.json"] if full else []),
+            ],
+            "serve": [
+                "serve", "--output-dir", "od", *run, *both,
+                *(["--max-pending", "9", "--max-pending-per-client", "3",
+                   "--stats"] if full else []),
+            ],
+        }
+        files = dict(fasta=["a.fa", "b.fa"] if full else [],
+                     quality=["a.q", "b.q"] if full else [])
+        own = {
+            "correct": dict(
+                output="o.fa", config="r.conf" if full else None,
+                fasta="a.fa" if full else None,
+                quality="a.qual" if full else None, stats=full,
+                report="r.json" if full else None,
+                faults="f.json" if full else None,
+            ),
+            "session": dict(
+                output="o.fa", **files, stats=full,
+                checkpoint_dir="ck" if full else None,
+                resume_dir="rs" if full else None,
+                report="r.json" if full else None,
+            ),
+            "serve": dict(
+                output_dir="od", **files, stats=full,
+                max_pending=9 if full else 64,
+                max_pending_per_client=3 if full else 8,
+            ),
+        }
+        shared = self.RUN_SET if full else self.RUN_DEFAULTS
+        for command, argv in lines.items():
+            parsed = vars(build_parser().parse_args(argv))
+            assert parsed == {"command": command, **shared, **own[command]}
 
 
 class TestLint:
