@@ -325,7 +325,7 @@ def cmd_correct(args: argparse.Namespace) -> int:
 
         serving = serving_summary(totals)
         print(f"{'served':>12} {serving['requests_served']:>12,d} requests in "
-              f"{serving['serve_probes']:,d} table probes "
+              f"{serving['serve_probes']:,d} shard probes "
               f"(mean batch {serving['mean_batch']:.2f})")
         if result.heuristics.use_prefetch:
             pf = prefetch_summary(totals)

@@ -95,6 +95,10 @@ _S32 = np.uint64(32)
 _WINDOW_STEPS = np.arange(1, 9, dtype=np.int64)
 _WINDOW_ROWS = 4096
 
+#: Lookups probe at most this many keys at a time (see
+#: :meth:`CountHash._probe_sliced`).
+PROBE_SLICE = 1 << 15
+
 
 def _next_pow2(n: int) -> int:
     p = 1
@@ -432,6 +436,25 @@ class CountHash:
             keys = keys[more]
         return out, found
 
+    def _probe_sliced(
+        self, keys: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_probe` over slices of at most :data:`PROBE_SLICE` keys.
+
+        A probe's temporaries are a dozen arrays as long as its batch;
+        slicing bounds them, so looking up a whole block's tiles in one
+        call needs no more probe memory than one slice of them.
+        """
+        n = keys.shape[0]
+        if n <= PROBE_SLICE:
+            return self._probe(keys)
+        counts = np.empty(n, dtype=np.uint32)
+        found = np.empty(n, dtype=bool)
+        for lo in range(0, n, PROBE_SLICE):
+            hi = lo + PROBE_SLICE
+            counts[lo:hi], found[lo:hi] = self._probe(keys[lo:hi])
+        return counts, found
+
     def lookup(self, keys: np.ndarray) -> np.ndarray:
         """Counts for each key (0 for absent keys); duplicates allowed.
 
@@ -441,7 +464,7 @@ class CountHash:
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         if keys.size == 0 or self._size == 0:
             return np.zeros(keys.shape[0], dtype=np.uint32)
-        return self._probe(keys)[0]
+        return self._probe_sliced(keys)[0]
 
     def lookup_found(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(counts, found)`` for each key in a single probe sequence.
@@ -457,7 +480,7 @@ class CountHash:
                 np.zeros(keys.shape[0], dtype=np.uint32),
                 np.zeros(keys.shape[0], dtype=bool),
             )
-        return self._probe(keys)
+        return self._probe_sliced(keys)
 
     def contains(self, keys: np.ndarray) -> np.ndarray:
         """Boolean membership per key (a key inserted with count 0 is
@@ -466,7 +489,7 @@ class CountHash:
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         if keys.size == 0 or self._size == 0:
             return np.zeros(keys.shape[0], dtype=bool)
-        return self._probe(keys)[1]
+        return self._probe_sliced(keys)[1]
 
     # ------------------------------------------------------------------
     # bulk access / maintenance

@@ -192,19 +192,31 @@ def _extract(
     starts: NDArray[np.int64],
     w: int,
 ) -> NDArray[np.uint64]:
-    """The two-word shift/OR window extraction on one packed plane."""
-    q = starts >> 5
-    r2 = ((starts & 31) << 1).astype(np.uint64)  # 2r, <= 62
+    """The two-word shift/OR window extraction on one packed plane.
+
+    In place wherever it can be: a whole block's tiles go through here
+    at once, so every temporary is as long as the block has tiles.
+    ``rows`` and ``starts`` broadcast, and the shifts are computed at the
+    shape of ``starts`` alone."""
     # Flat takes instead of 2-D fancy gathers; indices were validated by
     # the caller, so bounds re-checking (mode="raise") buys nothing.
-    flat_idx = rows * matrix.shape[1] + q
+    flat_idx = rows * matrix.shape[1] + (starts >> 5)
     flat = matrix.reshape(-1)
     hi = flat.take(flat_idx, mode="clip")
-    lo = flat.take(flat_idx + 1, mode="clip")
+    flat_idx += 1
+    lo = flat.take(flat_idx, mode="clip")
+    del flat_idx
+    r2 = (starts & 31).astype(np.uint64)
+    r2 <<= _U64(1)  # 2r, <= 62
+    hi <<= r2
     # (lo >> (64 - 2r)) via two shifts: 64 - 2r can be 64, which a single
     # uint64 shift must not perform; (63 - 2r) + 1 never exceeds 63 + 1.
-    combined = (hi << r2) | ((lo >> (_U64(63) - r2)) >> _U64(1))
-    return combined >> _U64(64 - 2 * w)
+    np.subtract(_U64(63), r2, out=r2)
+    lo >>= r2
+    lo >>= _U64(1)
+    hi |= lo
+    hi >>= _U64(64 - 2 * w)
+    return hi
 
 
 def windows_at(
@@ -249,9 +261,12 @@ def windows_at_unchecked(
     """:func:`windows_at` without argument validation or an all-ones mask.
 
     For callers that construct ``(rows, starts)`` from a validated tile
-    geometry (the correction wavefront): returns ``valid=None`` when the
+    geometry (the corrector's lookahead): returns ``valid=None`` when the
     block has no ambiguous base at all, so fully clean blocks skip both
-    the validity gathers and the mask allocation.
+    the validity gathers and the mask allocation.  ``rows`` and
+    ``starts`` broadcast: a ``(n, 1)`` column of rows against a
+    ``(n, tiles)`` start matrix — or one ``(1, tiles)`` row of starts
+    every read shares — extracts a whole block's tiles.
     """
     ids = _extract(packed.words, rows, starts, w)
     prefix = packed.bad_prefix
@@ -334,7 +349,7 @@ def substitute_many(
     of differing bases per site.
 
     Sites must target distinct rows within one call (the corrector's
-    wavefront guarantees this: one site per read per step) — overlapping
+    lookahead guarantees this: one site per read per round) — overlapping
     windows in a single batch would race their fancy-index writes.
     """
     _check_window(w)
@@ -348,26 +363,37 @@ def substitute_many(
     if rows.size == 0:
         return applied
     # Byte matrix: write only the differing bases (typically one or two
-    # per site, versus a full w-wide window rewrite).
-    shifts = ((w - 1 - np.arange(w, dtype=np.int64)) * 2).astype(np.uint64)
-    site_i, col_i = np.nonzero((diff[:, None] >> shifts[None, :]) & _U64(3))
-    codes[rows[site_i], starts[site_i] + col_i] = (
-        (new[site_i] >> shifts[col_i]) & _U64(3)
-    ).astype(np.uint8)
+    # per site, versus a full w-wide window rewrite), lowest first: one
+    # pass per base still to write, over the sites that have one.
+    last = starts + (w - 1)
+    sites = np.flatnonzero(one_bit)
+    bits = one_bit[sites]
+    while sites.size:
+        low = bits & (~bits + _U64(1))
+        # low is a power of two, exact in a float64 exponent.
+        shift = np.frexp(low.astype(np.float64))[1] - 1
+        codes[rows[sites], last[sites] - (shift >> 1)] = (
+            (new[sites] >> shift.astype(np.uint64)) & _U64(3)
+        ).astype(np.uint8)
+        bits = bits ^ low
+        more = bits != 0
+        sites, bits = sites[more], bits[more]
     # Packed words: XOR the diff into the (at most two) covering words.
     q = starts >> 5
     r = starts & 31
+    flat_words = packed.words.reshape(-1)
+    word_at = rows * packed.words.shape[1] + q
     # Bases of the window landing in the second word (0 when it fits).
     low_n = np.maximum(0, w - (BASES_PER_WORD - r))
     hi_part = diff >> (low_n.astype(np.uint64) << _U64(1))
     # hi occupies bases r .. r + (w - low_n) - 1 of word q; the shift is
     # 0 when the window spans into word q+1 and <= 62 otherwise.
     hi_shift = (64 - 2 * r - 2 * (w - low_n)).astype(np.uint64)
-    packed.words[rows, q] ^= hi_part << hi_shift
+    flat_words[word_at] ^= hi_part << hi_shift
     two_low = (low_n << 1).astype(np.uint64)
     lo_mask = (_U64(1) << two_low) - _U64(1)
     lo_part = diff & lo_mask
     # Shift 64 - 2*low_n can be 64 (low_n = 0, lo_part = 0): split it.
     lo_shifted = (lo_part << (_U64(63) - two_low)) << _U64(1)
-    packed.words[rows, q + 1] ^= lo_shifted
+    flat_words[word_at + 1] ^= lo_shifted
     return applied

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import queue
 import threading
-from functools import partial
 
 import numpy as np
 
@@ -36,6 +35,8 @@ from repro.parallel.reliable import IDLE_SLICE, WEDGE_TIMEOUT, ReliableRequests
 from repro.parallel.server import (
     frame_request,
     is_request,
+    join_answers,
+    read_answer,
     request_by_owner,
     serve_queued,
 )
@@ -101,26 +102,33 @@ class CommThreadProtocol:
     # worker side
     # ------------------------------------------------------------------
     def request_counts(
-        self, kind: int, ids: np.ndarray, owners: np.ndarray
-    ) -> np.ndarray:
-        """Global counts for foreign ids; blocks on the response queue
-        while the communication thread keeps serving."""
-        if self._done_sent and np.size(ids):
+        self,
+        kmer_ids: np.ndarray,
+        kmer_owners: np.ndarray,
+        tile_ids: np.ndarray,
+        tile_owners: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Global ``(k-mer counts, tile counts)`` for foreign ids in one
+        round; blocks on the response queue while the communication
+        thread keeps serving."""
+        if self._done_sent and (np.size(kmer_ids) or np.size(tile_ids)):
             raise CommunicatorError("request_counts after finish()")
         self._round = self.requests.open()
         self._received = {}
         return request_by_owner(
-            self.comm, ids, owners, partial(self._send, kind), self._collect
+            self.comm, kmer_ids, kmer_owners, tile_ids, tile_owners,
+            self._send, self._collect,
         )
 
-    def _send(self, kind: int, owner: int, chunk: np.ndarray) -> None:
-        payload, tag = frame_request(self.universal, kind, chunk)
-        self.requests.send(self._round, owner, owner, payload, tag)
+    def _send(self, owner: int, chunk: np.ndarray, n_kmer: int) -> None:
+        size = self.comm.size
+        for payload, tag, slot in frame_request(self.universal, chunk, n_kmer):
+            self.requests.send(self._round, owner + slot * size, owner, payload, tag)
 
     def _collect(self, asked: set[int]) -> dict[int, np.ndarray]:
         """Block on the response queue until every owner answered."""
         self.requests.wait(self._round, self._take_response)
-        return self._received
+        return join_answers(self._received, asked, self.comm.size)
 
     def _take_response(self, block: bool) -> bool:
         """The worker's progress step: one response off the queue the
@@ -131,8 +139,9 @@ class CommThreadProtocol:
             msg = self._responses.get(timeout=IDLE_SLICE)
         except queue.Empty:
             return False
-        if self.requests.settle(self._round, msg.source):
-            self._received[msg.source] = np.asarray(msg.payload, np.uint32)
+        key, counts = read_answer(self.universal, msg, self.comm.size)
+        if self.requests.settle(self._round, key):
+            self._received[key] = counts
         return True
 
     def finish(self) -> None:

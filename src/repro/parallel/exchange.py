@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.hashing.counthash import CountHash
 from repro.hashing.inthash import mix_to_rank
-from repro.parallel.lookup.routing import KIND_KMER, partition_by_dest
+from repro.parallel.lookup.routing import partition_by_dest
 from repro.parallel.server import CorrectionProtocol
 from repro.simmpi.communicator import Communicator
 
@@ -145,8 +145,8 @@ def _request_global_counts(
     # Serve-side self-answer from the authoritative shard.
     counts[mine] = owned.lookup(wanted[mine])  # noqa: MPI007
     counts[~mine] = protocol.request_counts(
-        KIND_KMER, wanted[~mine], owners[~mine]
-    )
+        wanted[~mine], owners[~mine], wanted[:0], owners[:0]
+    )[0]
     protocol.finish()
     # Nobody may start the *next* exchange round (different owned table)
     # until every rank has left this one's serving loop — otherwise a

@@ -28,6 +28,7 @@ from numpy.typing import NDArray
 from repro.errors import CommunicatorError
 from repro.hashing.counthash import CountHash
 from repro.hashing.inthash import mix_to_rank
+from repro.parallel.lookup.tiers import StatsSink, probe
 
 #: Request kinds carried in universal payloads (and the wire protocol's
 #: canonical encoding of "which spectrum").
@@ -143,32 +144,45 @@ class ShardServer:
         """Ranks this shard currently answers for besides its own."""
         return tuple(sorted(self._replicas))
 
-    def table_for(self, kind: int) -> CountHash:
-        """This rank's own table of the given kind."""
-        return self.kmers if kind == KIND_KMER else self.tiles
-
-    def lookup(self, kind: int, ids: NDArray[np.uint64]) -> NDArray[np.uint32]:
-        """Authoritative counts for ids owned here or by a bound ward.
+    def lookup(
+        self,
+        kmer_ids: NDArray[np.uint64],
+        tile_ids: NDArray[np.uint64],
+        stats: StatsSink,
+    ) -> tuple[NDArray[np.uint32], NDArray[np.uint32]]:
+        """Authoritative ``(k-mer counts, tile counts)`` for ids owned
+        here or by a bound ward.
 
         A count of 0 means the key does not exist anywhere — "If a k-mer
         or tile does not exist at its owning rank, it can be inferred
         that the k-mer or tile does not exist at all" (the paper's -1
         response).  Raises :class:`CommunicatorError` for an id owned by
-        a rank this shard holds no replica for.
+        a rank this shard holds no replica for.  Every table probe is
+        counted into ``stats`` (``table_probe_*``).
         """
-        table = self.table_for(kind)
+        return (
+            self._lookup(KIND_KMER, kmer_ids, stats),
+            self._lookup(KIND_TILE, tile_ids, stats),
+        )
+
+    def _lookup(
+        self, kind: int, ids: NDArray[np.uint64], stats: StatsSink
+    ) -> NDArray[np.uint32]:
+        table = self.kmers if kind == KIND_KMER else self.tiles
+        if ids.size == 0:
+            return np.empty(0, dtype=np.uint32)
         if not self._replicas:
-            return np.asarray(table.lookup(ids), dtype=np.uint32)
+            return probe(table.lookup, ids, stats)
         owners = np.asarray(mix_to_rank(ids, self.size), dtype=np.int64)
         counts = np.zeros(ids.shape[0], dtype=np.uint32)
         for owner in np.unique(owners):
             sel = owners == owner
             if int(owner) == self.rank:
-                counts[sel] = table.lookup(ids[sel])
+                counts[sel] = probe(table.lookup, ids[sel], stats)
             elif int(owner) in self._replicas:
                 pair = self._replicas[int(owner)]
                 rep = pair[0] if kind == KIND_KMER else pair[1]
-                counts[sel] = rep.lookup(ids[sel])
+                counts[sel] = probe(rep.lookup, ids[sel], stats)
             else:
                 raise CommunicatorError(
                     f"rank {self.rank} asked for ids owned by rank "

@@ -11,10 +11,16 @@ protocol (its resilient request path and partner routing), so a
 recovering partner re-binds its ward onto the serving shard rather than
 growing a bespoke failover path — see
 :mod:`repro.parallel.lookup.routing`.
+
+A :class:`LookupStack` resolves what its local tiers can.  What is left
+for the owners goes out from the :class:`StackPair`, for both spectra
+at once: one lookup round is one request per owner, whatever mix of
+k-mer and tile ids it carries (:meth:`StackPair.resolve`).
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, Sequence
 
@@ -30,12 +36,12 @@ if TYPE_CHECKING:
     # import cycle through build/heuristics.
     from repro.parallel.build import RankSpectra
     from repro.parallel.heuristics import HeuristicConfig
-from repro.parallel.lookup.routing import KIND_KMER, KIND_TILE
 from repro.parallel.lookup.tiers import (
     BYTES_PER_HIT,
     AllgatherReplicaTier,
     ChunkCacheTier,
     LookupTier,
+    Outstanding,
     OwnedShardTier,
     ReadsTableTier,
     RemoteFetchTier,
@@ -43,8 +49,12 @@ from repro.parallel.lookup.tiers import (
     RemoteProtocol,
     Resolution,
     StatsSink,
+    probe,
 )
 from repro.util.timer import PhaseTimer
+
+_NO_IDS = np.empty(0, dtype=np.uint64)
+_NO_OWNERS = np.empty(0, dtype=np.int64)
 
 #: Every tier name a compiled stack can contain, in canonical resolution
 #: order (reports iterate this).
@@ -125,20 +135,24 @@ class LookupStack:
         ``"owned->group->reads_table->remote"``."""
         return "->".join(t.name for t in self.tiers)
 
+    @property
+    def remote(self) -> RemoteFetchTier | None:
+        """The stack's remote tier, or None when it resolves locally."""
+        tier = self.tiers[-1]
+        return tier if isinstance(tier, RemoteFetchTier) else None
+
     # ------------------------------------------------------------------
     def resolve(
-        self,
-        ids: NDArray[np.uint64],
-        *,
-        record_stats: bool = True,
-        local_only: bool = False,
+        self, ids: NDArray[np.uint64], *, record_stats: bool = True
     ) -> Resolution:
-        """Run ``ids`` down the stack; returns the full resolution state.
+        """Run ``ids`` down the local tiers; returns the resolution state.
 
-        ``local_only=True`` skips messaging tiers (the prefetch
-        planner's probe: what is left unresolved is exactly what a plan
-        must fetch).  ``record_stats=False`` suppresses *all* counters —
-        per-kind and per-tier alike — for side-effect-free probes.
+        What no local tier could answer stays unresolved: in a stack that
+        ends in a remote tier that is what its round asks the owners for
+        (:meth:`StackPair.resolve`), in a prefetch stack it is exactly
+        what a plan must fetch.  ``record_stats=False`` suppresses *all*
+        counters — per-kind and per-tier alike — for side-effect-free
+        probes.
         """
         ids = np.ascontiguousarray(ids, dtype=np.uint64)
         stats = self.comm.stats
@@ -154,38 +168,74 @@ class LookupStack:
         if ids.size == 0:
             return req
         for index, tier in enumerate(self.tiers):
-            if local_only and tier.messaging:
-                continue
+            if tier.messaging:
+                break
             presented = int(np.count_nonzero(req.unresolved))
             if presented == 0:
                 break
             newly = tier.resolve(req, stats, record_stats)
-            hits = int(np.count_nonzero(newly))
-            if hits:
-                req.resolved_by[newly] = index
-                req.unresolved &= ~newly
-            if record_stats:
-                requests, hit, miss, nbytes = self._tier_counters[index]
-                stats.bump(requests, presented)
-                stats.bump(hit, hits)
-                stats.bump(miss, presented - hits)
-                stats.bump(nbytes, BYTES_PER_HIT * hits)
+            self._resolved(req, index, presented, newly, record_stats)
         return req
+
+    def outstanding(
+        self, req: Resolution, record_stats: bool = True
+    ) -> Outstanding | None:
+        """What ``req`` still needs from the owners (None: nothing)."""
+        remote = self.remote
+        if remote is None or not req.unresolved.any():
+            return None
+        return remote.outstanding(req, self.comm.stats, record_stats)
+
+    def settle(
+        self,
+        req: Resolution,
+        open_: Outstanding,
+        fetched: NDArray[np.uint32],
+        record_stats: bool = True,
+    ) -> None:
+        """Hand the owners' answers for ``open_`` to the remote tier."""
+        remote = self.remote
+        assert remote is not None
+        presented = int(np.count_nonzero(req.unresolved))
+        newly = remote.settle(req, open_, fetched)
+        self._resolved(
+            req, len(self.tiers) - 1, presented, newly, record_stats
+        )
+
+    def _resolved(
+        self,
+        req: Resolution,
+        index: int,
+        presented: int,
+        newly: NDArray[np.bool_],
+        record_stats: bool,
+    ) -> None:
+        """Book tier ``index``'s answers into ``req`` and its counters."""
+        hits = int(np.count_nonzero(newly))
+        if hits:
+            req.resolved_by[newly] = index
+            req.unresolved &= ~newly
+        if record_stats:
+            requests, hit, miss, nbytes = self._tier_counters[index]
+            stats = self.comm.stats
+            stats.bump(requests, presented)
+            stats.bump(hit, hits)
+            stats.bump(miss, presented - hits)
+            stats.bump(nbytes, BYTES_PER_HIT * hits)
 
     def counts(
         self, ids: NDArray[np.uint64], *, record_stats: bool = True
     ) -> NDArray[np.uint32]:
-        """Fully resolved counts (the stack must end in an authoritative
-        tier — remote or replica — for every configuration reachable
-        here)."""
+        """Counts from a stack that resolves everything locally (an
+        authoritative replica tier — the serial view's one-tier stack)."""
         tier = self._sole_replica
         if tier is not None:
             # Bumps exactly the counters a full resolve() would: the
             # replica tier answers every id, so requests == hits.
             ids = np.ascontiguousarray(ids, dtype=np.uint64)
-            out = tier.table.lookup(ids)
+            stats = self.comm.stats
+            out = probe(tier.table.lookup, ids, stats, record_stats)
             if record_stats:
-                stats = self.comm.stats
                 n = int(ids.size)
                 stats.bump(self._lookups_counter, n)
                 if n:
@@ -209,15 +259,61 @@ class StackPair:
         """The stack resolving ``"kmer"`` or ``"tile"`` counts."""
         return self.kmers if kind == "kmer" else self.tiles
 
+    def resolve(
+        self,
+        kmer_ids: NDArray[np.uint64],
+        tile_ids: NDArray[np.uint64],
+        *,
+        record_stats: bool = True,
+    ) -> tuple[Resolution, Resolution]:
+        """One lookup round: both spectra through their local tiers, then
+        whatever is left in one request per owner.
+
+        Both remote tiers share the rank's protocol; the round's wait is
+        booked to ``comm_kmer`` / ``comm_tile`` in proportion to the ids
+        of each kind it carried.
+        """
+        kres = self.kmers.resolve(kmer_ids, record_stats=record_stats)
+        tres = self.tiles.resolve(tile_ids, record_stats=record_stats)
+        kopen = self.kmers.outstanding(kres, record_stats)
+        topen = self.tiles.outstanding(tres, record_stats)
+        if kopen is None and topen is None:
+            return kres, tres
+        remote = self.kmers.remote if kopen is not None else self.tiles.remote
+        assert remote is not None
+        start = time.perf_counter()
+        kcounts, tcounts = remote.protocol.request_counts(
+            kopen.ids if kopen is not None else _NO_IDS,
+            kopen.owners if kopen is not None else _NO_OWNERS,
+            topen.ids if topen is not None else _NO_IDS,
+            topen.owners if topen is not None else _NO_OWNERS,
+        )
+        elapsed = time.perf_counter() - start
+        nk, nt = kcounts.shape[0], tcounts.shape[0]
+        remote.timer.add("comm_kmer", elapsed * nk / (nk + nt))
+        remote.timer.add("comm_tile", elapsed * nt / (nk + nt))
+        if kopen is not None:
+            self.kmers.settle(kres, kopen, kcounts, record_stats)
+        if topen is not None:
+            self.tiles.settle(tres, topen, tcounts, record_stats)
+        return kres, tres
+
     # The corrector's SpectrumView interface, so a compiled pair is
     # handed to ReptileCorrector as is.
+    def pair_counts(
+        self, kmer_ids: NDArray[np.uint64], tile_ids: NDArray[np.uint64]
+    ) -> tuple[NDArray[np.uint32], NDArray[np.uint32]]:
+        """Global k-mer and tile counts, in one lookup round."""
+        kres, tres = self.resolve(kmer_ids, tile_ids)
+        return kres.counts, tres.counts
+
     def kmer_counts(self, ids: NDArray[np.uint64]) -> NDArray[np.uint32]:
         """Global k-mer counts via the tier stack."""
-        return self.kmers.counts(ids)
+        return self.pair_counts(ids, _NO_IDS)[0]
 
     def tile_counts(self, ids: NDArray[np.uint64]) -> NDArray[np.uint32]:
         """Global tile counts via the tier stack."""
-        return self.tiles.counts(ids)
+        return self.pair_counts(_NO_IDS, ids)[1]
 
     @property
     def fully_replicated(self) -> bool:
@@ -242,16 +338,16 @@ def compile_stacks(
     """Build the rank's tier stacks from its spectra + heuristics.
 
     Compiled once per rank and shared by every resolution path.  With a
-    ``cache`` the stacks are prefetch-mode (chunk cache first, and the
-    caller is expected to resolve ``local_only``); with a ``protocol``
-    they bottom out in a :class:`RemoteFetchTier`, otherwise resolution
-    must terminate locally (serial, or fully replicated).
+    ``cache`` the stacks are prefetch-mode (chunk cache first, no remote
+    tier: what they leave unresolved is what a plan fetches); with a
+    ``protocol`` they bottom out in a :class:`RemoteFetchTier`, whose
+    lookup rounds go through :meth:`StackPair.resolve`, otherwise
+    resolution must terminate locally (serial, or fully replicated).
     """
     timer = timer or PhaseTimer()
 
     def build(
         kind: str,
-        kind_code: int,
         owned: CountHash,
         replicated: bool,
         group_table: CountHash | None,
@@ -279,11 +375,7 @@ def compile_stacks(
                 )
                 tiers.append(
                     RemoteFetchTier(
-                        kind,
-                        kind_code,
-                        protocol,
-                        timer,
-                        write_back=write_back,
+                        kind, protocol, timer, write_back=write_back
                     )
                 )
         return LookupStack(kind, tiers, comm)
@@ -291,7 +383,6 @@ def compile_stacks(
     return StackPair(
         kmers=build(
             "kmer",
-            KIND_KMER,
             spectra.kmers,
             spectra.kmers_replicated,
             spectra.group_kmers,
@@ -300,7 +391,6 @@ def compile_stacks(
         ),
         tiles=build(
             "tile",
-            KIND_TILE,
             spectra.tiles,
             spectra.tiles_replicated,
             spectra.group_tiles,

@@ -26,13 +26,23 @@ Two counter families are recorded into
   allgather and group tiers bump none: their hits are
   ``lookup_owned_hits``, ``lookup_allgather_hits`` and
   ``lookup_group_hits``.
+
+Every :class:`~repro.hashing.counthash.CountHash` call a tier makes is
+also counted, as ``table_probe_calls`` and ``table_probe_ids``
+(:func:`probe`; the serving side counts its own the same way).
+
+The remote tier is the one tier that cannot resolve on its own: a
+lookup round asks the owners for *both* spectra at once, so
+:class:`~repro.parallel.lookup.stack.StackPair` collects what each
+stack's :class:`RemoteFetchTier` still needs (:meth:`~RemoteFetchTier.
+outstanding`), makes the one pair request, and hands each tier its
+answers back (:meth:`~RemoteFetchTier.settle`).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence, TypeVar
 
 import numpy as np
 from numpy.typing import NDArray
@@ -53,14 +63,34 @@ class StatsSink(Protocol):
 
 
 class RemoteProtocol(Protocol):
-    """What :class:`RemoteFetchTier` needs from a correction protocol."""
+    """What a remote lookup round needs from a correction protocol: one
+    request per owner for both spectra, answered as ``(k-mer counts,
+    tile counts)``."""
 
     def request_counts(
         self,
-        kind: int,
-        ids: NDArray[np.uint64],
-        owners: NDArray[np.int64],
-    ) -> NDArray[np.uint32]: ...
+        kmer_ids: NDArray[np.uint64],
+        kmer_owners: NDArray[np.int64],
+        tile_ids: NDArray[np.uint64],
+        tile_owners: NDArray[np.int64],
+    ) -> tuple[NDArray[np.uint32], NDArray[np.uint32]]: ...
+
+
+_Answer = TypeVar("_Answer")
+
+
+def probe(
+    lookup: Callable[[NDArray[np.uint64]], _Answer],
+    ids: NDArray[np.uint64],
+    stats: StatsSink,
+    record_stats: bool = True,
+) -> _Answer:
+    """``lookup(ids)`` — a :class:`CountHash` ``lookup`` or
+    ``lookup_found`` — counted as one table probe of ``ids.size`` ids."""
+    if record_stats:
+        stats.bump("table_probe_calls")
+        stats.bump("table_probe_ids", int(ids.size))
+    return lookup(ids)
 
 
 @dataclass
@@ -139,7 +169,9 @@ class ChunkCacheTier(LookupTier):
         self, req: Resolution, stats: StatsSink, record_stats: bool
     ) -> NDArray[np.bool_]:
         idx = np.nonzero(req.unresolved)[0]
-        counts, found = self.table.lookup_found(req.ids[idx])
+        counts, found = probe(
+            self.table.lookup_found, req.ids[idx], stats, record_stats
+        )
         hit = idx[found]
         newly = np.zeros_like(req.unresolved)
         if hit.size:
@@ -165,7 +197,9 @@ class OwnedShardTier(LookupTier):
     ) -> NDArray[np.bool_]:
         mine = req.unresolved & (req.owners == self.rank)
         if mine.any():
-            req.counts[mine] = self.table.lookup(req.ids[mine])
+            req.counts[mine] = probe(
+                self.table.lookup, req.ids[mine], stats, record_stats
+            )
         return mine
 
 
@@ -192,9 +226,13 @@ class AllgatherReplicaTier(LookupTier):
         if sel.all():
             # Common case (first authoritative tier): skip the masked
             # gather/scatter copies and look the whole batch up directly.
-            req.counts[:] = self.table.lookup(req.ids)
+            req.counts[:] = probe(
+                self.table.lookup, req.ids, stats, record_stats
+            )
         else:
-            req.counts[sel] = self.table.lookup(req.ids[sel])
+            req.counts[sel] = probe(
+                self.table.lookup, req.ids[sel], stats, record_stats
+            )
         return sel
 
 
@@ -220,7 +258,9 @@ class ReplicationGroupTier(LookupTier):
     ) -> NDArray[np.bool_]:
         in_group = req.unresolved & np.isin(req.owners, self.group_ranks)
         if in_group.any():
-            req.counts[in_group] = self.table.lookup(req.ids[in_group])
+            req.counts[in_group] = probe(
+                self.table.lookup, req.ids[in_group], stats, record_stats
+            )
         return in_group
 
 
@@ -242,11 +282,13 @@ class ReadsTableTier(LookupTier):
         self, req: Resolution, stats: StatsSink, record_stats: bool
     ) -> NDArray[np.bool_]:
         idx = np.nonzero(req.unresolved)[0]
-        cached = self.table.contains(req.ids[idx])
+        counts, cached = probe(
+            self.table.lookup_found, req.ids[idx], stats, record_stats
+        )
         hit = idx[cached]
         newly = np.zeros_like(req.unresolved)
         if hit.size:
-            req.counts[hit] = self.table.lookup(req.ids[hit])
+            req.counts[hit] = counts[cached]
             newly[hit] = True
             if record_stats:
                 stats.bump(
@@ -255,16 +297,33 @@ class ReadsTableTier(LookupTier):
         return newly
 
 
-class RemoteFetchTier(LookupTier):
-    """The bottom of the stack: message the owning ranks.
+@dataclass
+class Outstanding:
+    """What one stack still needs from the owners in a lookup round."""
 
-    Dedups the batch (each distinct id travels once), requests counts
-    through the protocol — which transparently runs either the blocking
-    or the sequence-numbered resilient wire exchange, and routes doomed
-    owners to their recovery partners — then scatters the answers back
-    and optionally writes them into the reads table
-    (*add remote lookups*).  Always resolves everything it is given:
-    an owner that cannot answer is a protocol error, not a miss.
+    #: Positions (into the resolution) of the ids left open.
+    idx: NDArray[np.int64]
+    #: The distinct open ids, each travelling once, and their owners.
+    ids: NDArray[np.uint64]
+    owners: NDArray[np.int64]
+    #: ``ids[inverse]`` is the open ids in resolution order.
+    inverse: NDArray[np.int64]
+
+
+class RemoteFetchTier(LookupTier):
+    """The bottom of the stack: what the owning ranks must answer.
+
+    The tier does not message by itself.  A lookup round resolves both
+    spectra down to here, then makes one request per owner for both
+    (:meth:`repro.parallel.lookup.stack.StackPair.resolve`) through the
+    protocol — which transparently runs either the blocking or the
+    sequence-numbered resilient wire exchange, and routes doomed owners
+    to their recovery partners.  The tier's half is to dedup its open
+    ids (each distinct id travels once; :meth:`outstanding`), then
+    scatter the answers back and optionally write them into the reads
+    table (*add remote lookups*; :meth:`settle`).  It always resolves
+    everything it is given: an owner that cannot answer is a protocol
+    error, not a miss.
     """
 
     name = "remote"
@@ -273,22 +332,21 @@ class RemoteFetchTier(LookupTier):
     def __init__(
         self,
         kind: str,
-        kind_code: int,
         protocol: RemoteProtocol,
         timer: PhaseTimer,
         write_back: CountHash | None = None,
     ) -> None:
         super().__init__(kind)
-        self.kind_code = kind_code
         self.protocol = protocol
         self.timer = timer
         #: Reads table to cache fetched counts into (the *add remote
         #: lookups* heuristic), or None.
         self.write_back = write_back
 
-    def resolve(
+    def outstanding(
         self, req: Resolution, stats: StatsSink, record_stats: bool
-    ) -> NDArray[np.bool_]:
+    ) -> Outstanding:
+        """The distinct open ids of ``req`` and their owners."""
         idx = np.nonzero(req.unresolved)[0]
         remote_ids = req.ids[idx]
         if record_stats:
@@ -303,17 +361,19 @@ class RemoteFetchTier(LookupTier):
                 f"remote_{self.kind}_ids_deduped",
                 int(remote_ids.size - uniq.size),
             )
-        start = time.perf_counter()
-        fetched = self.protocol.request_counts(
-            self.kind_code, uniq, req.owners[idx[first]]
-        )
-        self.timer.add(f"comm_{self.kind}", time.perf_counter() - start)
-        req.counts[idx] = fetched[inverse]
+        return Outstanding(idx, uniq, req.owners[idx[first]], inverse)
+
+    def settle(
+        self, req: Resolution, open_: Outstanding, fetched: NDArray[np.uint32]
+    ) -> NDArray[np.bool_]:
+        """Scatter the owners' answers into ``req``; returns the mask of
+        ids resolved here (every open one)."""
+        req.counts[open_.idx] = fetched[open_.inverse]
         if self.write_back is not None:
             # Cache what we learned (including global absence as 0).
-            fresh = ~self.write_back.contains(uniq)
+            fresh = ~self.write_back.contains(open_.ids)
             if fresh.any():
                 self.write_back.add_counts(
-                    uniq[fresh], fetched[fresh].astype(np.uint64)
+                    open_.ids[fresh], fetched[fresh].astype(np.uint64)
                 )
         return req.unresolved.copy()

@@ -30,8 +30,6 @@ from numpy.typing import NDArray
 from repro.errors import CommunicatorError
 from repro.hashing.inthash import mix_to_rank
 from repro.parallel.lookup.routing import (
-    KIND_KMER,
-    KIND_TILE,
     RouteTable,
     ShardServer,
     partition_by_dest,
@@ -133,8 +131,9 @@ class PrefetchEndpoint:
                     # Fault mode only: this rank is a dead owner's
                     # partner, so the ward's ids resolve from the
                     # re-bound shard — no message at all.
-                    kc = self.protocol.shards.lookup(KIND_KMER, kmer_ids[kpos])
-                    tc = self.protocol.shards.lookup(KIND_TILE, tile_ids[tpos])
+                    kc, tc = self.protocol.shards.lookup(
+                        kmer_ids[kpos], tile_ids[tpos], stats
+                    )
                     with self._cond:
                         fetch.kmer_counts[kpos] = kc
                         fetch.tile_counts[tpos] = tc
@@ -210,8 +209,10 @@ class PrefetchEndpoint:
         ids = payload[2:]
         # A payload may mix our own ids with a bound ward's; the shard
         # recomputes ownership per id when it holds replicas.
-        kcounts = self.protocol.shards.lookup(KIND_KMER, ids[:n_kmer])
-        tcounts = self.protocol.shards.lookup(KIND_TILE, ids[n_kmer:])
+        stats = self.comm.stats
+        kcounts, tcounts = self.protocol.shards.lookup(
+            ids[:n_kmer], ids[n_kmer:], stats
+        )
         response = np.concatenate(
             [np.array([req_id], dtype=np.uint32), kcounts, tcounts])
         # Responses are fire-and-forget: the requester's collect() is
@@ -219,7 +220,6 @@ class PrefetchEndpoint:
         # send at the call.
         self.comm.isend(  # noqa: MPI010
             msg.source, response, tag=Tags.PREFETCH_RESPONSE)
-        stats = self.comm.stats
         stats.bump("prefetch_requests_served")
         stats.bump("prefetch_kmer_ids_served", n_kmer)
         stats.bump("prefetch_tile_ids_served", int(ids.size) - n_kmer)

@@ -57,8 +57,9 @@ class ReliableRequests:
     """One rank's outstanding count requests (see module docstring).
 
     A request is named ``(seq, who)``: the round it belongs to and whom
-    its answer is for — the owner asked, or the destination of a
-    coalesced frame.  ``plan`` arms the retry policy when it needs
+    its answer is for — the owner asked (``owner + size`` for a
+    base-mode tile frame, the owner's second of the round), or the
+    destination of a coalesced frame.  ``plan`` arms the retry policy when it needs
     resilient lookups; otherwise the layer only tracks what is pending.
     """
 

@@ -137,10 +137,19 @@ def run_report(result: ParallelRunResult) -> dict[str, Any]:
                 for tier in TIER_NAMES
             },
             # The serving side of the remote tier: count requests this
-            # fleet answered and the table probes that took — a serve
-            # turn answers every queued request with one probe per
-            # kind, so the mean batch is requests per probe.
+            # fleet answered and the shard probes that took — a serve
+            # turn answers every queued request with one shard probe,
+            # so the mean batch is requests per probe.
             "serving": serving_summary(total),
+            # Calls into the count tables (tiers and serving shards
+            # alike) and the ids they carried, summed over ranks; and
+            # the dependent lookup rounds of the busiest rank (one
+            # blocking request each).
+            "probe_calls": total.get("table_probe_calls"),
+            "probe_ids": total.get("table_probe_ids"),
+            "lookup_rounds": int(
+                result.counter_per_rank("blocking_request_counts").max()
+            ),
         },
         # The Step IV prefetch ledger summed over ranks (all zero
         # without the prefetch heuristic); see PREFETCH_COUNTERS for

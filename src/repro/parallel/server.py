@@ -19,14 +19,18 @@ Termination follows the paper: each rank reports DONE to rank 0 when its
 own reads are finished and keeps serving; rank 0 broadcasts SHUTDOWN once
 every rank has reported, and only then do ranks stop their pumps.
 
-In **universal** mode a request carries its kind (k-mer vs tile) inside
-the payload under a single tag, so the receiver never probes for the tag
-("makes the call to MPI_Probe unwarranted"); in the base mode the receiver
-probes first, then receives by the probed tag.
+A lookup round asks each owner for k-mer and tile counts together.  In
+**universal** mode that is one frame per owner, ``uint64 [n_kmer,
+kmer_ids..., tile_ids...]`` under a single tag, so the receiver never
+probes for the tag ("makes the call to MPI_Probe unwarranted"); in the
+base mode the kind travels as the tag — one frame per kind per owner —
+and the receiver probes first, then receives by the probed tag.  An
+owner answers each frame with the counts of its ids, in order; a
+base-mode answer leads with the kind it answers.
 
 Serving is **bulk**: a turn that receives a request also takes every
 request already delivered (:meth:`Communicator.take_ready`, which never
-blocks and never yields), probes the table once per kind for all of
+blocks and never yields), probes the shard once per kind for all of
 them, and answers each requester with its own frame
 (:func:`serve_queued`).  The request half — partition by owner, send,
 reassemble — is :func:`request_by_owner`; the pump endpoint here and
@@ -37,7 +41,6 @@ requests, sequence numbers, the retry policy under a fault plan).
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -72,44 +75,94 @@ def is_request(msg: Message) -> bool:
 
 
 def frame_request(
-    universal: bool, kind: int, ids: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """(payload, tag) of one fault-free count request, in the mode's framing."""
+    universal: bool, chunk: np.ndarray, n_kmer: int
+) -> list[tuple[np.ndarray, int, int]]:
+    """The fault-free frames of one owner's share of a round.
+
+    ``chunk`` is ``[kmer ids | tile ids]`` with ``n_kmer`` k-mer ids.
+    Returns ``(payload, tag, slot)`` per frame; the frame's request is
+    named ``owner + slot * size`` (see :func:`read_answer`): slot 0 for
+    the universal frame or a base-mode k-mer frame, 1 for a base-mode
+    tile frame.
+    """
     if universal:
-        payload = np.concatenate([np.array([kind], dtype=np.uint64), ids])
-        return payload, Tags.UNIVERSAL_REQUEST
-    return ids, Tags.KMER_REQUEST if kind == KIND_KMER else Tags.TILE_REQUEST
+        header = np.array([n_kmer], dtype=np.uint64)
+        return [(np.concatenate([header, chunk]), Tags.UNIVERSAL_REQUEST, 0)]
+    frames = []
+    if n_kmer:
+        frames.append((chunk[:n_kmer], Tags.KMER_REQUEST, KIND_KMER))
+    if n_kmer < chunk.shape[0]:
+        frames.append((chunk[n_kmer:], Tags.TILE_REQUEST, KIND_TILE))
+    return frames
+
+
+def read_answer(universal: bool, msg: Message, size: int) -> tuple[int, np.ndarray]:
+    """(request name, counts) of one ``COUNT_RESPONSE``.
+
+    A base-mode answer leads with the kind it answers: an owner may take
+    one client's tile frame before its k-mer frame (a serve turn sweeps
+    the queued requests kind by kind, while more arrive), so arrival
+    order cannot tell them apart."""
+    counts = np.asarray(msg.payload, np.uint32)
+    if universal:
+        return msg.source, counts
+    return msg.source + int(counts[0]) * size, counts[1:]
+
+
+def join_answers(
+    answers: dict[int, np.ndarray], asked: set[int], size: int
+) -> dict[int, np.ndarray]:
+    """Owner -> counts aligned with the chunk it was sent, from answers
+    keyed by request name (a base-mode owner answers two frames)."""
+    joined = {}
+    for owner in asked:
+        parts = [answers[key] for key in (owner, owner + size) if key in answers]
+        joined[owner] = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return joined
 
 
 def request_by_owner(
     comm: Communicator,
-    ids: np.ndarray,
-    owners: np.ndarray,
-    send: Callable[[int, np.ndarray], None],
+    kmer_ids: np.ndarray,
+    kmer_owners: np.ndarray,
+    tile_ids: np.ndarray,
+    tile_owners: np.ndarray,
+    send: Callable[[int, np.ndarray, int], None],
     collect: Callable[[set[int]], dict[int, np.ndarray]],
-) -> np.ndarray:
-    """The client half of a lookup round: counts aligned with ``ids``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The client half of a lookup round: ``(k-mer counts, tile
+    counts)`` aligned with the ids.
 
-    ``send(owner, chunk)`` ships one owner's ids; ``collect(asked)``
-    waits however the endpoint waits and returns owner -> counts for
-    every owner asked.  Owners answer in the order their ids were sent,
-    so reassembly is a concatenation in owner order, then the inverse
-    of the partitioning sort.
+    One partition by owner sorts both kinds at once (k-mer ids first in
+    each owner's chunk, a stable sort keeps them there).
+    ``send(owner, chunk, n_kmer)`` ships one owner's ``[kmer ids | tile
+    ids]``; ``collect(asked)`` waits however the endpoint waits and
+    returns owner -> counts for every owner asked, aligned with its
+    chunk.  Reassembly is a concatenation in owner order, then the
+    inverse of the partitioning sort.
     """
-    ids = np.ascontiguousarray(ids, dtype=np.uint64)
+    kmer_ids = np.ascontiguousarray(kmer_ids, dtype=np.uint64)
+    tile_ids = np.ascontiguousarray(tile_ids, dtype=np.uint64)
+    nk = kmer_ids.shape[0]
+    ids = np.concatenate([kmer_ids, tile_ids])
     if ids.size == 0:
-        return np.empty(0, dtype=np.uint32)
+        return np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.uint32)
     # Every synchronous round trip is accounted: the prefetch engine's
     # zero-mid-correction-messaging guarantee is asserted on this.
     comm.stats.bump("blocking_request_counts")
+    owners = np.concatenate([
+        np.asarray(kmer_owners, dtype=np.int64),
+        np.asarray(tile_owners, dtype=np.int64),
+    ])
     order, bounds = partition_by_dest(owners, comm.size)
     sorted_ids = ids[order]
+    kmers_at = np.bincount(owners[:nk], minlength=comm.size).tolist()
     bounds = bounds.tolist()
     asked = [d for d in range(comm.size) if bounds[d] != bounds[d + 1]]
     if comm.rank in asked:
         raise CommunicatorError("request_counts given locally-owned ids")
     for owner in asked:
-        send(owner, sorted_ids[bounds[owner]:bounds[owner + 1]])
+        send(owner, sorted_ids[bounds[owner]:bounds[owner + 1]], kmers_at[owner])
     responses = collect(set(asked))
     assembled = np.empty(ids.shape[0], dtype=np.uint32)
     at = 0
@@ -123,34 +176,45 @@ def request_by_owner(
         )
     out = np.empty_like(assembled)
     out[order] = assembled
-    return out
+    return out[:nk], out[nk:]
 
 
-def _parse_request(msg: Message) -> tuple[int, int, np.ndarray, np.ndarray | None]:
-    """(source, kind, ids, response header) of one request frame.
+_KMER_HEADER = np.array([KIND_KMER], dtype=np.uint32)
+_TILE_HEADER = np.array([KIND_TILE], dtype=np.uint32)
+_NO_HEADER = np.empty(0, dtype=np.uint32)
 
-    A resilient request's (seq, owner) header is echoed in the response
+
+def _parse_request(
+    msg: Message,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(k-mer ids, tile ids, response header) of one request.
+
+    A base-mode answer leads with its kind (see :func:`read_answer`); a
+    resilient request's (seq, owner) header is echoed in the response
     so the client can discard answers from superseded retry rounds."""
     payload = np.asarray(msg.payload, dtype=np.uint64)
     tag = msg.tag
     if tag == Tags.KMER_REQUEST:
-        return msg.source, KIND_KMER, payload, None
+        return payload, payload[:0], _KMER_HEADER
     if tag == Tags.TILE_REQUEST:
-        return msg.source, KIND_TILE, payload, None
+        return payload[:0], payload, _TILE_HEADER
     if tag == Tags.UNIVERSAL_REQUEST:
-        kind, ids, header = int(payload[0]), payload[1:], None
+        header, ids = _NO_HEADER, payload[1:]
+        n_kmer = int(payload[0])
     elif tag == Tags.RESILIENT_REQUEST:
-        kind, ids, header = int(payload[2]), payload[3:], payload[:2].astype(np.uint32)
+        header, ids = payload[:2].astype(np.uint32), payload[3:]
+        n_kmer = int(payload[2])
     else:
         raise CommunicatorError(f"tag {tag} is not a count request")
-    return msg.source, (KIND_KMER if kind == KIND_KMER else KIND_TILE), ids, header
+    return ids[:n_kmer], ids[n_kmer:], header
 
 
 def serve_queued(comm: Communicator, shards: ShardServer, first: Message) -> None:
     """Answer ``first`` and every count request already delivered.
 
-    One table probe per kind for the whole batch, then one response
-    frame per request, in the order the requests were taken.  A count
+    One shard probe (a table probe per kind) for the whole batch, then
+    one response frame per request, in the order the requests were
+    taken: the counts of its k-mer ids, then of its tile ids.  A count
     of 0 means the key does not exist anywhere — "If a k-mer or tile
     does not exist at its owning rank, it can be inferred that the k-mer
     or tile does not exist at all" (the paper's -1 response).
@@ -161,23 +225,27 @@ def serve_queued(comm: Communicator, shards: ShardServer, first: Message) -> Non
             batch.append(msg)
     requests = [_parse_request(msg) for msg in batch]
     stats = comm.stats
-    counts: dict[int, np.ndarray] = {}
-    for kind, counter in ((KIND_KMER, "kmer_ids_served"), (KIND_TILE, "tile_ids_served")):
-        asked = [ids for _, k, ids, _ in requests if k == kind]
-        if asked:
-            counts[kind] = shards.lookup(
-                kind, asked[0] if len(asked) == 1 else np.concatenate(asked)
-            )
-            stats.bump("serve_probes")
-            stats.bump(counter, int(counts[kind].shape[0]))
-    at = {KIND_KMER: 0, KIND_TILE: 0}
-    for source, kind, ids, header in requests:
-        mine = counts[kind][at[kind] : at[kind] + ids.shape[0]]
-        at[kind] += ids.shape[0]
-        if header is None:
-            comm.send(source, mine, tag=Tags.COUNT_RESPONSE)
+    kmer_counts, tile_counts = shards.lookup(
+        np.concatenate([kmers for kmers, _, _ in requests]),
+        np.concatenate([tiles for _, tiles, _ in requests]),
+        stats,
+    )
+    stats.bump("serve_probes")
+    stats.bump("kmer_ids_served", int(kmer_counts.shape[0]))
+    stats.bump("tile_ids_served", int(tile_counts.shape[0]))
+    k_at = t_at = 0
+    for msg, (kmers, tiles, header) in zip(batch, requests):
+        answer = np.concatenate([
+            header,
+            kmer_counts[k_at : k_at + kmers.shape[0]],
+            tile_counts[t_at : t_at + tiles.shape[0]],
+        ])
+        k_at += kmers.shape[0]
+        t_at += tiles.shape[0]
+        if msg.tag != Tags.RESILIENT_REQUEST:
+            comm.send(msg.source, answer, tag=Tags.COUNT_RESPONSE)
             continue
-        comm.send(source, np.concatenate([header, mine]), tag=Tags.RESILIENT_RESPONSE)
+        comm.send(msg.source, answer, tag=Tags.RESILIENT_RESPONSE)
         if int(header[1]) != comm.rank:
             stats.bump("failover_requests_served")
     stats.bump("requests_served", len(batch))
@@ -233,14 +301,20 @@ class CorrectionProtocol:
     # client side
     # ------------------------------------------------------------------
     def request_counts(
-        self, kind: int, ids: np.ndarray, owners: np.ndarray
-    ) -> np.ndarray:
-        """Global counts for ids owned by other ranks.
+        self,
+        kmer_ids: np.ndarray,
+        kmer_owners: np.ndarray,
+        tile_ids: np.ndarray,
+        tile_owners: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Global ``(k-mer counts, tile counts)`` for ids owned by other
+        ranks, in one round.
 
-        ``owners[i]`` must be the owning rank of ``ids[i]`` (none equal to
-        this rank).  One request message goes to each distinct owner; the
-        caller's "communication thread" (the pump) serves incoming
-        requests while the responses are in flight.
+        ``*_owners[i]`` must be the owning rank of ``*_ids[i]`` (none
+        equal to this rank).  Each distinct owner gets one request (one
+        per kind in the base mode); the caller's "communication thread"
+        (the pump) serves incoming requests while the responses are in
+        flight.
 
         Under a fault plan that needs it, the round is resilient: each
         request goes to the owner's *effective* destination (the
@@ -249,32 +323,39 @@ class CorrectionProtocol:
         unambiguous) and the owner id (so the partner knows which shard
         to answer from); the wait then retries on a deadline.
         """
-        if self._done_sent and np.size(ids):
+        if self._done_sent and (np.size(kmer_ids) or np.size(tile_ids)):
             raise CommunicatorError("request_counts after finish()")
         self._responses = {}
         self._round = self.requests.open()
         return request_by_owner(
-            self.comm, ids, owners, partial(self._send, kind), self._collect
+            self.comm, kmer_ids, kmer_owners, tile_ids, tile_owners,
+            self._send, self._collect,
         )
 
-    def _send(self, kind: int, owner: int, chunk: np.ndarray) -> None:
+    def _send(self, owner: int, chunk: np.ndarray, n_kmer: int) -> None:
         dest = self.routes.dest_for(owner)
         if dest == self.comm.rank:
             # This rank is the dead owner's partner: answer from the
             # shard it re-bound, no message needed.
-            self._responses[owner] = self.shards.lookup(kind, chunk)
+            self._responses[owner] = np.concatenate(self.shards.lookup(
+                chunk[:n_kmer], chunk[n_kmer:], self.comm.stats
+            ))
             return
         if self.requests.armed:
-            header = np.array([self._round, owner, kind], dtype=np.uint64)
-            payload, tag = np.concatenate([header, chunk]), Tags.RESILIENT_REQUEST
-        else:
-            payload, tag = frame_request(self.universal, kind, chunk)
-        self.requests.send(self._round, owner, dest, payload, tag)
+            header = np.array([self._round, owner, n_kmer], dtype=np.uint64)
+            self.requests.send(
+                self._round, owner, dest, np.concatenate([header, chunk]),
+                Tags.RESILIENT_REQUEST,
+            )
+            return
+        size = self.comm.size
+        for payload, tag, slot in frame_request(self.universal, chunk, n_kmer):
+            self.requests.send(self._round, owner + slot * size, dest, payload, tag)
 
     def _collect(self, asked: set[int]) -> dict[int, np.ndarray]:
         """Pump — serving whatever arrives — until every owner answered."""
         self.requests.wait(self._round, self.pump)
-        return self._responses
+        return join_answers(self._responses, asked, self.comm.size)
 
     # ------------------------------------------------------------------
     # server side (the "communication thread")
@@ -317,8 +398,9 @@ class CorrectionProtocol:
         if is_request(msg):
             serve_queued(self.comm, self.shards, msg)
         elif tag == Tags.COUNT_RESPONSE:
-            if self.requests.settle(self._round, msg.source):
-                self._responses[msg.source] = np.asarray(msg.payload, np.uint32)
+            key, counts = read_answer(self.universal, msg, self.comm.size)
+            if self.requests.settle(self._round, key):
+                self._responses[key] = counts
         elif tag == Tags.RESILIENT_RESPONSE:
             payload = np.asarray(msg.payload, np.uint32)
             seq, owner = int(payload[0]), int(payload[1])

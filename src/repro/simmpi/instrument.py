@@ -156,10 +156,16 @@ PREFETCH_COUNTERS = (
 #:
 #: The serving side of the ``remote`` tier has two counters of its own:
 #: ``requests_served`` (Step IV count requests answered) and
-#: ``serve_probes`` (table probes made answering them).  A serve turn
-#: answers every request already queued with one probe per kind, so
+#: ``serve_probes`` (shard probes made answering them).  A serve turn
+#: answers every request already queued with one shard probe, so
 #: ``requests_served / serve_probes`` is the mean serve batch;
 #: ``kmer_ids_served`` / ``tile_ids_served`` count the ids.
+#:
+#: ``table_probe_calls`` / ``table_probe_ids`` count every call the
+#: tiers and the serving shards make into a count table, and the ids it
+#: carried; ``blocking_request_counts`` counts a rank's dependent lookup
+#: rounds (each one blocking request, of one frame per owner — or one
+#: per owner and kind in the base mode).
 LOOKUP_TIER_COUNTER_KINDS = ("requests", "hits", "misses", "bytes")
 
 

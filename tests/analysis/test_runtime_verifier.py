@@ -143,7 +143,6 @@ class TestNoFalsePositives:
         wait-for edges or spurious deadlocks."""
         from repro.hashing.counthash import CountHash
         from repro.parallel.commthread import CommThreadProtocol
-        from repro.parallel.server import KIND_KMER
 
         def prog(comm):
             table = CountHash(capacity=64)
@@ -156,7 +155,9 @@ class TestNoFalsePositives:
                 dtype=np.int64,
             )
             wanted = (others + 10).astype(np.uint64)
-            counts = protocol.request_counts(KIND_KMER, wanted, others)
+            counts, _ = protocol.request_counts(
+                wanted, others, wanted[:0], others[:0]
+            )
             protocol.finish()
             return counts.tolist()
 
@@ -267,7 +268,7 @@ class TestFinalizeAudit:
         requests in bulk; every request and response is still matched."""
         from repro.hashing.counthash import CountHash
         from repro.hashing.inthash import mix_to_rank
-        from repro.parallel.server import KIND_KMER, CorrectionProtocol
+        from repro.parallel.server import CorrectionProtocol
 
         keys = np.arange(200, dtype=np.uint64)
 
@@ -278,10 +279,10 @@ class TestFinalizeAudit:
             protocol = CorrectionProtocol(comm, table, table, universal=True)
             foreign = owners != comm.rank
             for _ in range(3):
-                counts = protocol.request_counts(
-                    KIND_KMER, keys[foreign], owners[foreign]
+                counts, tcounts = protocol.request_counts(
+                    keys[foreign], owners[foreign], keys[foreign], owners[foreign]
                 )
-                assert (counts == 3).all()
+                assert (counts == 3).all() and (tcounts == 3).all()
                 while protocol.pump(block=False):
                     pass
             protocol.finish()

@@ -6,7 +6,8 @@ import pytest
 from repro.config import ReptileConfig
 from repro.core.corrector import ReptileCorrector
 from repro.core.spectrum import LocalSpectrumView, SpectrumPair
-from repro.kmer.codec import encode_sequence, window_ids
+from repro.kmer.bitpack import pack_block, substitute_many, unpack_block
+from repro.kmer.codec import decode_sequence, encode_sequence, window_ids
 
 
 def _corrector(k=4, overlap=2, **cfg_kwargs):
@@ -69,24 +70,34 @@ class TestGatherTiles:
         assert valid.tolist() == [False, True]
 
 
+def _substitute(codes, old, new):
+    """One site at (row 0, start 0) through the batched kernel; returns
+    the bases it changed and the packed words after the write."""
+    packed = pack_block(codes, np.array([codes.shape[1]]))
+    applied = substitute_many(
+        codes, packed, np.array([0]), np.array([0]),
+        np.array([old], dtype=np.uint64), np.array([new], dtype=np.uint64), 6,
+    )
+    return int(applied[0]), packed
+
+
 class TestSubstitute:
     def test_writes_only_differing_bases(self):
-        corr = _corrector()
         seq = "ACGTTG"
         codes = encode_sequence(seq)[None, :].copy()
         old, _ = window_ids(encode_sequence(seq), 6)
         new, _ = window_ids(encode_sequence("ACCTTA"), 6)
-        applied = corr._substitute(codes, 0, 0, int(old[0]), int(new[0]))
+        applied, packed = _substitute(codes, old[0], new[0])
         assert applied == 2
-        from repro.kmer.codec import decode_sequence
-
         assert decode_sequence(codes[0]) == "ACCTTA"
+        assert np.array_equal(unpack_block(packed), codes)
 
     def test_identical_tiles_zero(self):
-        corr = _corrector()
         codes = encode_sequence("ACGTTG")[None, :].copy()
         old, _ = window_ids(encode_sequence("ACGTTG"), 6)
-        assert corr._substitute(codes, 0, 0, int(old[0]), int(old[0])) == 0
+        applied, _ = _substitute(codes, old[0], old[0])
+        assert applied == 0
+        assert decode_sequence(codes[0]) == "ACGTTG"
 
 
 class TestGeometryGenerality:

@@ -120,6 +120,63 @@ class TestLookupAndContains:
         assert h.lookup(np.empty(0, np.uint64)).shape == (0,)
 
 
+def _probe_fixture(n_queries):
+    """A table of 2,858 keys (one stored with count 0) and a query batch
+    mixing hits, the zero-count key and misses."""
+    table = CountHash()
+    keys = np.arange(0, 20_000, 7, dtype=np.uint64) * np.uint64(2_654_435_761)
+    table.add_counts(keys, np.arange(keys.size, dtype=np.uint64) % 5)
+    rng = np.random.default_rng(3)
+    queries = rng.integers(0, 2**40, n_queries, dtype=np.uint64)
+    queries[::3] = keys[rng.integers(0, keys.size, queries[::3].size)]
+    return table, queries
+
+
+class TestSlicedProbe:
+    """Lookups probe in slices of at most PROBE_SLICE keys."""
+
+    def test_results_identical_across_slice_boundaries(self, monkeypatch):
+        import repro.hashing.counthash as counthash
+
+        table, queries = _probe_fixture(1_000)
+        whole = (
+            table.lookup(queries), *table.lookup_found(queries),
+            table.contains(queries),
+        )
+        # 7 divides nothing here: every slice boundary falls mid-batch.
+        monkeypatch.setattr(counthash, "PROBE_SLICE", 7)
+        sliced = (
+            table.lookup(queries), *table.lookup_found(queries),
+            table.contains(queries),
+        )
+        for a, b in zip(whole, sliced):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        assert whole[2].any() and not whole[2].all()
+        assert (whole[0][whole[2]] == 0).any()  # the zero-count key
+
+    def test_peak_memory_of_a_million_key_lookup_is_bounded(self):
+        """A probe's temporaries are a dozen arrays as long as its batch
+        (about 20 MiB at a million keys); sliced, the peak is the output
+        plus one slice's worth."""
+        import tracemalloc
+
+        from repro.hashing.counthash import PROBE_SLICE
+
+        n = 10**6
+        assert n > 4 * PROBE_SLICE
+        table, queries = _probe_fixture(n)
+        for probe in (table.lookup, table.lookup_found, table.contains):
+            tracemalloc.start()
+            try:
+                probe(queries)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # Counts (4 B) and found flags (1 B) per key, plus 2 MiB.
+            assert peak < 5 * n + 2 * 2**20, probe.__name__
+
+
 class TestMaintenance:
     def test_items_roundtrip(self):
         h = CountHash()

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.hashing.counthash import CountHash
 from repro.hashing.inthash import mix_to_rank
-from repro.parallel.lookup.stack import LookupStack, TIER_NAMES
+from repro.parallel.lookup.stack import LookupStack, StackPair, TIER_NAMES
 from repro.parallel.lookup.tiers import (
     AllgatherReplicaTier,
     ChunkCacheTier,
@@ -59,10 +59,14 @@ class _OracleProtocol:
         self.table = table
         self.calls = 0
 
-    def request_counts(self, kind, ids, owners):
+    def request_counts(self, kmer_ids, kmer_owners, tile_ids, tile_owners):
         self.calls += 1
-        assert ids.size == np.unique(ids).size, "remote batch not deduped"
-        return self.table.lookup(ids).astype(np.uint32)
+        for ids in (kmer_ids, tile_ids):
+            assert ids.size == np.unique(ids).size, "remote batch not deduped"
+        return (
+            self.table.lookup(kmer_ids).astype(np.uint32),
+            self.table.lookup(tile_ids).astype(np.uint32),
+        )
 
 
 def _table(pairs):
@@ -131,11 +135,22 @@ class World:
                 tiers.append(ReadsTableTier("kmer", self.reads_table))
             tiers.append(
                 RemoteFetchTier(
-                    "kmer", 0, _OracleProtocol(self.global_table),
-                    PhaseTimer(),
+                    "kmer", _OracleProtocol(self.global_table), PhaseTimer(),
                 )
             )
         return LookupStack("kmer", tiers, comm)
+
+    def resolve(self, comm, ids, record_stats=True):
+        """``ids`` as the k-mer side of one lookup round (an empty tile
+        side): the stack and its resolution."""
+        stack = self.build_stack(comm)
+        tiles = LookupStack(
+            "tile", [AllgatherReplicaTier("tile", CountHash())], comm
+        )
+        res, _ = StackPair(stack, tiles).resolve(
+            ids, np.empty(0, dtype=np.uint64), record_stats=record_stats
+        )
+        return stack, res
 
     def oracle(self, ids):
         """The pre-refactor ladder, re-derived independently."""
@@ -204,10 +219,9 @@ def worlds(draw):
 def test_stack_matches_legacy_ladder(case):
     world, query = case
     comm = _Comm(world.rank, world.nranks)
-    stack = world.build_stack(comm)
     ids = np.asarray(query, dtype=np.uint64)
 
-    res = stack.resolve(ids)
+    stack, res = world.resolve(comm, ids)
 
     assert np.array_equal(res.counts, world.oracle(ids))
     assert not res.unresolved.any()
@@ -236,9 +250,8 @@ def test_stack_matches_legacy_ladder(case):
 def test_record_stats_false_is_silent(case):
     world, query = case
     comm = _Comm(world.rank, world.nranks)
-    stack = world.build_stack(comm)
     ids = np.asarray(query, dtype=np.uint64)
-    res = stack.resolve(ids, record_stats=False)
+    _, res = world.resolve(comm, ids, record_stats=False)
     assert np.array_equal(res.counts, world.oracle(ids))
     assert comm.stats.counters == {}
 
@@ -246,13 +259,13 @@ def test_record_stats_false_is_silent(case):
 @settings(max_examples=60, deadline=None)
 @given(worlds())
 def test_local_only_leaves_exactly_foreign_unresolved(case):
-    """``local_only`` is the planner's probe: what stays unresolved is
-    exactly what no local tier could answer."""
+    """A stack alone resolves locally (the planner's probe): what stays
+    unresolved is exactly what no local tier could answer."""
     world, query = case
     comm = _Comm(world.rank, world.nranks)
     stack = world.build_stack(comm)
     ids = np.asarray(query, dtype=np.uint64)
-    res = stack.resolve(ids, record_stats=False, local_only=True)
+    res = stack.resolve(ids, record_stats=False)
     full = world.oracle(ids)
     assert np.array_equal(res.counts[~res.unresolved], full[~res.unresolved])
     if world.replicated:
@@ -279,9 +292,8 @@ class TestRecordedFixtures:
                 case["cache_subset"],
             )
             comm = _Comm(world.rank, world.nranks)
-            stack = world.build_stack(comm)
             ids = np.asarray(case["query"], dtype=np.uint64)
-            res = stack.resolve(ids)
+            stack, res = world.resolve(comm, ids)
             assert stack.describe() == case["order"], case["name"]
             assert res.counts.tolist() == case["expected_counts"], case["name"]
             resolved_by = [

@@ -76,14 +76,17 @@ class Mailbox:
 
 
 def _frame(mode, number, source, kind, owner, ids):
+    """One request for ``ids`` of one kind (a pair request whose other
+    side is empty, in the modes that carry both)."""
     ids = np.array(ids, dtype=np.uint64)
+    n_kmer = ids.size if kind == KIND_KMER else 0
     if mode == "universal":
         return Message(source, Tags.UNIVERSAL_REQUEST,
-                       np.concatenate([np.array([kind], np.uint64), ids]))
+                       np.concatenate([np.array([n_kmer], np.uint64), ids]))
     if mode == "base":
         tag = Tags.KMER_REQUEST if kind == KIND_KMER else Tags.TILE_REQUEST
         return Message(source, tag, ids)
-    header = np.array([number, owner, kind], dtype=np.uint64)
+    header = np.array([number, owner, n_kmer], dtype=np.uint64)
     return Message(source, Tags.RESILIENT_REQUEST, np.concatenate([header, ids]))
 
 
@@ -130,12 +133,15 @@ def test_bulk_equals_one_by_one(mode, requests):
     for name in _COUNTERS:
         assert bulk.stats.get(name) == single.stats.get(name), name
     assert bulk.stats.get("requests_served") == len(requests)
-    kinds = {kind for _, kind, _, _ in requests}
-    assert bulk.stats.get("serve_probes") == len(kinds)
+    # One shard probe a turn, one table probe per kind it was asked for.
+    kinds = {kind for _, kind, _, ids in requests if ids}
+    assert bulk.stats.get("serve_probes") == 1
+    assert bulk.stats.get("table_probe_calls") <= 2 * len(kinds)
     assert single.stats.get("serve_probes") == len(requests)
 
     # And one by one is right: each response is its request's counts,
-    # behind the echoed (seq, owner) header in the resilient mode.
+    # behind the echoed (seq, owner) header in the resilient mode and
+    # the kind in the base mode.
     for frame, (dest, tag, dtype, payload) in zip(taken, single.sent):
         number, (requester, kind, owner, ids) = next(
             (n, r) for n, r in enumerate(requests) if frames[n] is frame
@@ -147,6 +153,10 @@ def test_bulk_equals_one_by_one(mode, requests):
             payload = payload[2:]
         else:
             assert tag == Tags.COUNT_RESPONSE
+        if mode == "base":
+            # The kind leads a base-mode answer: it is not in the frame.
+            assert payload[0] == kind
+            payload = payload[1:]
         assert payload == _oracle(kind, ids)
 
 
@@ -163,6 +173,8 @@ def test_bulk_without_wards_probes_the_owned_table_once():
     comm = Mailbox(frames[1:])
     serve_queued(comm, shards, frames[0])
     assert comm.stats.get("serve_probes") == 1
+    assert comm.stats.get("table_probe_calls") == 1
+    assert comm.stats.get("table_probe_ids") == 11
     assert comm.stats.get("requests_served") == 3
     assert comm.stats.get("kmer_ids_served") == 11
     assert comm.sent_to(2) == [
@@ -214,8 +226,8 @@ def test_one_pump_turn_answers_every_queued_request(universal):
                 return wait(asked)
 
             protocol._collect = collect
-            counts = protocol.request_counts(
-                KIND_KMER, wanted, np.full(wanted.size, SERVER)
+            counts, _ = protocol.request_counts(
+                wanted, np.full(wanted.size, SERVER), wanted[:0], owners[:0]
             )
             assert (counts == 5).all()
         protocol.finish()

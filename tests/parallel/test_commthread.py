@@ -9,7 +9,6 @@ from repro.hashing.counthash import CountHash
 from repro.hashing.inthash import mix_to_rank
 from repro.parallel import HeuristicConfig, ParallelReptile
 from repro.parallel.commthread import CommThreadProtocol
-from repro.parallel.server import KIND_KMER
 from repro.simmpi import run_spmd
 
 
@@ -31,8 +30,11 @@ class TestProtocol:
             keys = np.arange(200, dtype=np.uint64)
             owners = np.asarray(mix_to_rank(keys, comm.size))
             sel = owners != comm.rank
-            counts = proto.request_counts(KIND_KMER, keys[sel], owners[sel])
+            counts, tcounts = proto.request_counts(
+                keys[sel], owners[sel], keys[sel], owners[sel]
+            )
             assert np.array_equal(counts, (keys[sel] + 1).astype(np.uint32))
+            assert np.array_equal(tcounts, (keys[sel] + 2).astype(np.uint32))
             proto.finish()
             return comm.stats.get("requests_served")
 
@@ -56,7 +58,9 @@ class TestProtocol:
             owners = np.asarray(mix_to_rank(keys, comm.size))
             sel = owners != comm.rank
             for _ in range(10):
-                counts = proto.request_counts(KIND_KMER, keys[sel], owners[sel])
+                counts, _ = proto.request_counts(
+                    keys[sel], owners[sel], keys[:0], owners[:0]
+                )
                 assert np.array_equal(
                     counts, (keys[sel] + 1).astype(np.uint32)
                 )

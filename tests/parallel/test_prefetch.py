@@ -144,16 +144,20 @@ class TestProtocolEquivalence:
             assert np.array_equal(a.corrections_per_read, b.corrections_per_read)
         # Each side's frames sit on its own line — prefetch: a pair per
         # bulk exchange per owner, never a blocking lookup; blocking: a
-        # pair per request served, at most P-1 per lookup step — and
-        # prefetch sends fewer.
+        # pair per request served, at most one per other rank per lookup
+        # round (one per kind in the base mode, where the kind is the
+        # tag).  Which line is lower depends on the pieces per rank; see
+        # test_fewer_correction_messages.
         total, blocking = _totals(res), _totals(plain)
         frames, plain_frames = _ledger(res)[0], _ledger(plain)[0]
         assert total.get("blocking_request_counts") == 0
         assert frames == 2 * total.get("prefetch_messages")
         served = blocking.get("requests_served")
         assert plain_frames == 2 * served
-        assert served <= (res.nranks - 1) * blocking.get("blocking_request_counts")
-        assert frames < plain_frames
+        kinds = 1 if heuristics.universal else 2
+        assert served <= kinds * (res.nranks - 1) * blocking.get(
+            "blocking_request_counts"
+        )
 
     def test_bursty_errors_exercise_replay(self, bursty_reference):
         """Localized error bursts drift many windows, forcing the tail
@@ -413,22 +417,29 @@ class TestStructuralClaims:
 
     def test_fewer_correction_messages(self, scale):
         """Each side's frames are its own alpha-beta line, exactly.
-        Blocking pays one request/response pair per other rank per
-        lookup step of a rank's share (chunk_size does not enter);
+        Blocking pays one request/response pair per other rank and kind
+        per lookup round of a rank's share (chunk_size does not enter);
         prefetch pays one pair per owner per bulk exchange: two planned
-        per chunk, plus the tail's re-plans and on-miss fetches."""
+        per piece, plus the tail's re-plans and on-miss fetches.  So
+        prefetch sends fewer only while a rank's exchanges stay below
+        its lookup rounds: with one piece per rank, as here (at this
+        instance's chunk_size of 100 it sends more)."""
         nranks = 4
-        base_run = _run(scale, HeuristicConfig(), nranks=nranks)
+        one_piece = small_scale("E.Coli", genome_size=4_000, chunk_size=10**6)
+        base_run = _run(one_piece, HeuristicConfig(), nranks=nranks)
         base = _totals(base_run)
-        pf = _totals(_run(scale, HeuristicConfig(prefetch=True), nranks=nranks))
+        pf = _totals(
+            _run(one_piece, HeuristicConfig(prefetch=True), nranks=nranks)
+        )
         base_msgs = sum(base.messages_by_tag.get(t, 0) for t in CORRECTION_TAGS)
         pf_msgs = sum(pf.messages_by_tag.get(t, 0) for t in CORRECTION_TAGS)
 
-        steps = base.get("blocking_request_counts")
-        assert base.get("requests_served") == (nranks - 1) * steps
-        assert base_msgs == 2 * (nranks - 1) * steps
+        rounds = base.get("blocking_request_counts")
+        served = base.get("requests_served")
+        assert 0 < served <= 2 * (nranks - 1) * rounds
+        assert base_msgs == 2 * served
 
-        chunk = scale.config.chunk_size
+        chunk = one_piece.config.chunk_size
         chunks = sum(-(-int(n) // chunk) for n in base_run.reads_per_rank())
         fetches = pf.get("prefetch_fetches")
         assert fetches == (

@@ -69,6 +69,31 @@ class TestRunReport:
             serving["requests_served"] / serving["serve_probes"], abs=1e-3
         )
 
+    def test_lookup_section_counts_probes_and_rounds(self):
+        """A 4-rank owned -> remote run: every table probe is an owned
+        tier hit or an id served, and the round count is the busiest
+        rank's blocking requests."""
+        from repro.bench.harness import small_scale
+
+        scale = small_scale(genome_size=4_000, chunk_size=200)
+        result = ParallelReptile(
+            scale.config, HeuristicConfig(), nranks=4, engine="cooperative",
+        ).run(scale.dataset.block)
+        lookup = run_report(result)["lookup"]
+        total = result.stats[0].__class__()
+        for s in result.stats:
+            total.merge(s)
+        assert lookup["probe_ids"] == (
+            total.get("lookup_owned_hits")
+            + total.get("kmer_ids_served")
+            + total.get("tile_ids_served")
+        )
+        assert 0 < lookup["probe_calls"] <= lookup["probe_ids"]
+        rounds = result.counter_per_rank("blocking_request_counts")
+        assert lookup["lookup_rounds"] == int(rounds.max()) > 0
+        # Rounds, not tile columns (12 per read here, three lookups each).
+        assert lookup["lookup_rounds"] < 3 * 12
+
     def test_json_serializable(self, result):
         json.dumps(run_report(result))
 

@@ -6,8 +6,10 @@ import pytest
 from repro.errors import CommunicatorError
 from repro.hashing.counthash import CountHash
 from repro.hashing.inthash import mix_to_rank
-from repro.parallel.server import KIND_KMER, KIND_TILE, CorrectionProtocol
+from repro.parallel.server import CorrectionProtocol
 from repro.simmpi import run_spmd
+
+_NONE = np.empty(0, np.uint64)
 
 
 def _owned_tables(rank, nranks, universe=500):
@@ -30,14 +32,19 @@ class TestRequestResponse:
             keys = np.arange(100, dtype=np.uint64)
             owners = np.asarray(mix_to_rank(keys, comm.size))
             foreign = keys[owners != comm.rank]
-            counts = proto.request_counts(
-                KIND_KMER, foreign, owners[owners != comm.rank]
+            # One round asks for both kinds of the same ids.
+            foreign_owners = owners[owners != comm.rank]
+            counts, tcounts = proto.request_counts(
+                foreign, foreign_owners, foreign, foreign_owners
             )
             assert np.array_equal(counts, (foreign + 1).astype(np.uint32))
-            tcounts = proto.request_counts(
-                KIND_TILE, foreign, owners[owners != comm.rank]
-            )
             assert np.array_equal(tcounts, (foreign + 2).astype(np.uint32))
+            # And each kind alone.
+            only_tiles = proto.request_counts(
+                _NONE, foreign_owners[:0], foreign, foreign_owners
+            )
+            assert only_tiles[0].shape == (0,)
+            assert np.array_equal(only_tiles[1], tcounts)
             proto.finish()
             return comm.stats.get("requests_served")
 
@@ -52,10 +59,10 @@ class TestRequestResponse:
                 keys = np.array([123456789], dtype=np.uint64)
                 owner = int(mix_to_rank(keys, comm.size)[0])
                 if owner != 0:
-                    counts = proto.request_counts(
-                        KIND_KMER, keys, np.array([owner])
+                    counts, tcounts = proto.request_counts(
+                        keys, np.array([owner]), keys, np.array([owner])
                     )
-                    assert counts.tolist() == [0]
+                    assert counts.tolist() == tcounts.tolist() == [0]
             proto.finish()
 
         run_spmd(prog, 3, engine="cooperative")
@@ -67,8 +74,11 @@ class TestRequestResponse:
             keys = np.array([7, 7, 13, 7], dtype=np.uint64)
             owners = np.asarray(mix_to_rank(keys, comm.size))
             if (owners != comm.rank).all():
-                counts = proto.request_counts(KIND_KMER, keys, owners)
+                counts, tcounts = proto.request_counts(
+                    keys, owners, keys[:2], owners[:2]
+                )
                 assert counts.tolist() == [8, 8, 14, 8]
+                assert tcounts.tolist() == [9, 9]
             proto.finish()
 
         run_spmd(prog, 2, engine="cooperative")
@@ -79,9 +89,10 @@ class TestRequestResponse:
                 comm, CountHash(), CountHash(), universal=universal
             )
             out = proto.request_counts(
-                KIND_KMER, np.empty(0, np.uint64), np.empty(0, np.int64)
+                _NONE, np.empty(0, np.int64), _NONE, np.empty(0, np.int64)
             )
-            assert out.shape == (0,)
+            assert [o.shape for o in out] == [(0,), (0,)]
+            assert comm.stats.get("blocking_request_counts") == 0
             proto.finish()
 
         run_spmd(prog, 2, engine="cooperative")
@@ -104,9 +115,10 @@ class TestTermination:
             if comm.rank == 0:
                 with pytest.raises(CommunicatorError):
                     proto.request_counts(
-                        KIND_KMER,
                         np.array([1], np.uint64),
                         np.array([1], np.int64),
+                        _NONE,
+                        np.empty(0, np.int64),
                     )
             return True
 
@@ -124,8 +136,8 @@ class TestTermination:
                     keys = np.arange(50, dtype=np.uint64)
                     owners = np.asarray(mix_to_rank(keys, comm.size))
                     sel = owners != comm.rank
-                    counts = proto.request_counts(
-                        KIND_KMER, keys[sel], owners[sel]
+                    counts, _ = proto.request_counts(
+                        keys[sel], owners[sel], _NONE, owners[:0]
                     )
                     assert np.array_equal(
                         counts, (keys[sel] + 1).astype(np.uint32)
@@ -146,7 +158,7 @@ class TestTermination:
             if mine.size:
                 with pytest.raises(CommunicatorError):
                     proto.request_counts(
-                        KIND_KMER, mine, np.full(mine.size, comm.rank)
+                        _NONE, owners[:0], mine, np.full(mine.size, comm.rank)
                     )
             proto.finish()
 
@@ -161,8 +173,11 @@ class TestThreadedEngineProtocol:
             keys = np.arange(200, dtype=np.uint64)
             owners = np.asarray(mix_to_rank(keys, comm.size))
             sel = owners != comm.rank
-            counts = proto.request_counts(KIND_KMER, keys[sel], owners[sel])
+            counts, tcounts = proto.request_counts(
+                keys[sel], owners[sel], keys[sel], owners[sel]
+            )
             assert np.array_equal(counts, (keys[sel] + 1).astype(np.uint32))
+            assert np.array_equal(tcounts, (keys[sel] + 2).astype(np.uint32))
             proto.finish()
             return True
 

@@ -303,37 +303,39 @@ class TestSessionReport:
         assert section["session_delta_exchanges"] > 0
 
 
-class _ForeignStepCounter:
-    """Serial view that counts a rank's *lookup steps*: view calls that
-    carry at least one id the rank does not own (each is one blocking
-    request), and the owners those ids reach (each is one request frame
-    and one response frame)."""
+class _ForeignRoundCounter:
+    """Serial view that counts a rank's Step IV traffic the way the rank
+    sends it: a lookup round that carries at least one id the rank does
+    not own is one blocking request, and every owner it reaches is one
+    request frame and one response frame — in the base mode one of each
+    per kind that reaches the owner, since the kind travels as the tag."""
 
-    def __init__(self, spectra, rank, size):
+    def __init__(self, spectra, rank, size, universal):
         self._inner = LocalSpectrumView(spectra)
         self._rank, self._size = rank, size
-        self.steps = 0
-        self.owners = 0
+        self._universal = universal
+        self.rounds = 0
+        self.frames = 0
 
-    def _note(self, ids):
+    def _owners(self, ids):
         owners = mix_to_rank(ids, self._size)
-        foreign = np.unique(owners[owners != self._rank])
-        self.steps += bool(foreign.size)
-        self.owners += foreign.size
+        return np.unique(owners[owners != self._rank])
 
-    def kmer_counts(self, ids):
-        self._note(ids)
-        return self._inner.kmer_counts(ids)
-
-    def tile_counts(self, ids):
-        self._note(ids)
-        return self._inner.tile_counts(ids)
+    def pair_counts(self, kmer_ids, tile_ids):
+        kmer_owners, tile_owners = self._owners(kmer_ids), self._owners(tile_ids)
+        frames = (
+            np.union1d(kmer_owners, tile_owners).size if self._universal
+            else kmer_owners.size + tile_owners.size
+        )
+        self.rounds += bool(frames)
+        self.frames += frames
+        return self._inner.kmer_counts(kmer_ids), self._inner.tile_counts(tile_ids)
 
 
 class TestStepIVGrain:
-    """The blocking Step IV works at the rank's share: ``chunk_size``
-    (Step I reading, ``batch_reads`` rounds, prefetch pieces, dynamic
-    work units) must never reach its traffic."""
+    """The blocking Step IV works at the rank's share, one lookup round
+    at a time: ``chunk_size`` (Step I reading, ``batch_reads`` rounds,
+    prefetch pieces, dynamic work units) must never reach its traffic."""
 
     CHUNK_SIZES = (1, 7, 250, 10**6)  # the last exceeds every share
     STEP_IV_TAGS = (1, 2, 3, 4)  # k-mer / tile / response / universal
@@ -363,19 +365,23 @@ class TestStepIVGrain:
         assert all(ledger == ledgers[0] for ledger in ledgers[1:])
 
         # ... and equal to what the shares themselves call for: one
-        # blocking request per lookup step, one frame pair per owner.
-        steps, owners = [], 0
+        # blocking request per lookup round the rank's share needs, one
+        # frame pair per owner (per kind, in the base mode) it asks.
+        rounds, frames = [], 0
         for report in result.reports:
             share = block.select(np.searchsorted(block.ids, report.block.ids))
-            view = _ForeignStepCounter(spectra, report.rank, 4)
+            view = _ForeignRoundCounter(spectra, report.rank, 4, universal)
             ReptileCorrector(scale.config, view).correct_block(share)
-            steps.append(view.steps)
-            owners += view.owners
-        requests, served, frames = ledgers[0]
-        assert requests == steps
-        assert sum(served) == owners == 3 * sum(steps)
-        assert sum(frames.values()) == 2 * owners
-        assert frames[3] == owners  # every request frame is answered once
+            rounds.append(view.rounds)
+            frames += view.frames
+        requests, served, by_tag = ledgers[0]
+        assert requests == rounds
+        assert sum(served) == frames
+        assert sum(by_tag.values()) == 2 * frames
+        assert by_tag[3] == frames  # every request frame is answered once
+        # A lookup round, not a tile column, is the unit: no share needs
+        # more than a dozen rounds here, against 36 column steps.
+        assert 0 < max(rounds) <= 12
 
 
 class TestSequenceAcrossFinalize:

@@ -54,7 +54,7 @@ class TestCorrect:
         captured = capsys.readouterr().out
         assert "substitutions" in captured
         assert "remote_tiles" in captured  # --stats table
-        assert "table probes (mean batch" in captured  # the serve row
+        assert "shard probes (mean batch" in captured  # the serve row
         corrected = {rid: seq for rid, seq in read_fasta(out)}
         truths = {rid: seq for rid, seq in read_fasta(truth)}
         original = {rid: seq for rid, seq in read_fasta(fasta)}
