@@ -521,9 +521,8 @@ register(Rule(
 #: Spectrum-construction internals only the parallel layer may call
 #: (MPI012): the machinery the SessionBackend verbs are built from.
 BACKEND_INTERNAL_CALLS = frozenset(
-    {"build_rank_spectra", "accumulate_block", "exchange_deltas",
-     "apply_replication", "fetch_read_table", "compile_stacks",
-     "replicate_state"}
+    {"build_rank_spectra", "exchange_deltas", "apply_replication",
+     "fetch_read_table", "compile_stacks", "replicate_state"}
 )
 
 #: Backend-owned types that outside code must not construct directly.
@@ -627,7 +626,7 @@ register(Rule(
         "backend layers (repro.parallel, repro.core, repro.hashing) — "
         "touches spectrum state directly: it calls the construction "
         "machinery (`build_rank_spectra`, `exchange_deltas`, "
-        "`accumulate_block`, ...), probes a count table with "
+        "`apply_replication`, ...), probes a count table with "
         "`.lookup`/`.lookup_found`, constructs `RankSpectra` or "
         "`CorrectionProtocol` itself, or reads the raw checkpoint "
         "arrays (`.raw_kmers`/`.raw_tiles`).  The service tier's one "

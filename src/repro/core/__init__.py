@@ -18,7 +18,6 @@ from repro.core.spectrum import (
     SpectrumPair,
     SpectrumView,
     LocalSpectrumView,
-    accumulate_block,
     build_spectra,
 )
 from repro.core.corrector import ReptileCorrector, CorrectionResult
@@ -41,7 +40,6 @@ __all__ = [
     "SpectrumPair",
     "SpectrumView",
     "LocalSpectrumView",
-    "accumulate_block",
     "build_spectra",
     "ReptileCorrector",
     "CorrectionResult",

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core.spectrum import SpectrumPair
 from repro.errors import SpectrumError
-from repro.hashing.counthash import CountHash
+from repro.hashing.counthash import CountHash, merge_pairs
 from repro.kmer.tiles import TileShape
 
 #: Format marker stored in the file.
@@ -168,9 +168,10 @@ def save_session_bundle(
 def load_session_bundle(path: str | os.PathLike) -> dict:
     """Read a bundle written by :func:`save_session_bundle`.
 
-    Returns a dict with ``kmers``/``tiles`` rebuilt as raw
-    :class:`CountHash` tables, the ``read_kmer_keys``/``read_tile_keys``
-    unions, and the geometry/identity scalars for validation."""
+    Returns a dict with ``kmers``/``tiles`` as the raw ascending
+    ``(keys, counts)`` pairs at table width (a bundle with repeated keys
+    is tolerated), the ``read_kmer_keys``/``read_tile_keys`` unions, and
+    the geometry/identity scalars for validation."""
     with np.load(path) as data:
         fmt = str(data["format"])
         if fmt != _SESSION_FORMAT:
@@ -178,8 +179,8 @@ def load_session_bundle(path: str | os.PathLike) -> dict:
                 f"{path}: unsupported session format {fmt!r} "
                 f"(expected {_SESSION_FORMAT!r})"
             )
-        kmers = _load_table(data, "kmer")
-        tiles = _load_table(data, "tile")
+        kmers = merge_pairs([(data["kmer_keys"], data["kmer_counts"])])
+        tiles = merge_pairs([(data["tile_keys"], data["tile_counts"])])
         out = {
             "kmers": kmers,
             "tiles": tiles,

@@ -105,20 +105,7 @@ def _block_window_ids(
     )
 
 
-def accumulate_block(
-    spectra: SpectrumPair,
-    block: ReadBlock,
-    count_reverse_complement: bool = False,
-) -> None:
-    """Add one read block's k-mers and tiles into the spectra."""
-    kmer_ids, tile_ids = _block_window_ids(
-        block, spectra.shape, count_reverse_complement
-    )
-    spectra.kmers.add_counts(kmer_ids)
-    spectra.tiles.add_counts(tile_ids)
-
-
-def _window_counts(
+def window_counts(
     blocks: Iterable[ReadBlock],
     shape: TileShape,
     count_reverse_complement: bool,
@@ -126,7 +113,8 @@ def _window_counts(
     """Distinct k-mer and tile ids of the blocks with their occurrences.
 
     Each block contributes one sorted ``np.unique`` run per spectrum;
-    :func:`sum_by_key` merges the runs.
+    :func:`sum_by_key` merges the runs.  This is Step II, serial and per
+    rank alike: both spectra come back as ascending ``(keys, counts)``.
     """
     # Seeded with an empty run so that no blocks is not a special case.
     no_windows = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.intp))
@@ -161,7 +149,7 @@ def build_spectra(
     if isinstance(blocks, ReadBlock):
         blocks = [blocks]
     shape = config.tile_shape
-    kmers, tiles = _window_counts(
+    kmers, tiles = window_counts(
         blocks, shape, config.count_reverse_complement
     )
     kmer_min, tile_min = (

@@ -148,6 +148,27 @@ def sum_by_key(
     return keys[starts], np.add.reduceat(counts[order], starts)
 
 
+def merge_pairs(
+    runs: list[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Runs of ``(keys, counts)`` summed by key, at table width.
+
+    The distinct keys come back ascending — uint32 when the largest fits,
+    else uint64 — with their counts saturated into uint32: a table's slot
+    widths without its free slots, 8 B a pair for a k = 12 k-mer and 12 B
+    for a tile.  A single ascending run is only narrowed.
+    """
+    keys, counts = sum_by_key(
+        np.concatenate([keys for keys, _ in runs]),
+        np.concatenate([counts for _, counts in runs]),
+    )
+    wide = keys.size and int(keys[-1]) > _KEY32_MAX
+    return (
+        keys.astype(np.uint64 if wide else np.uint32, copy=False),
+        np.minimum(counts, _COUNT_MAX).astype(np.uint32),
+    )
+
+
 class CountHash:
     """Mutable uint64 → uint32 count map with vectorized batch operations.
 

@@ -49,6 +49,8 @@ def mix_to_rank(keys: int | np.ndarray, nranks: int) -> np.ndarray | int:
     """
     if nranks <= 0:
         raise ValueError(f"nranks must be positive, got {nranks}")
+    if nranks == 1:  # one rank owns everything: nothing to mix
+        return 0 if np.ndim(keys) == 0 else np.zeros(np.shape(keys), np.int64)
     mixed = splitmix64(keys)
     if np.isscalar(mixed):
         return int(mixed % nranks)

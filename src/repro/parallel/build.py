@@ -1,22 +1,25 @@
 """Steps II–III: distributed construction of the k-mer and tile spectra.
 
-Each rank splits the k-mers (tiles) of its reads by ownership: owned ones
-go straight into ``hashKmer`` (``hashTile``); the rest accumulate locally
-in ``readsKmer`` (``readsTile``).  An ``MPI_Alltoallv`` then routes every
-non-owned count to its owner, after which owners hold true global counts
-and apply the threshold.  In *batch reads table* mode the exchange runs
-after every chunk of reads — the reads tables never hold more than one
-chunk's keys, which is what fits the human dataset in 512 MB/rank — with an
-``MPI_Reduce``-style maximum so every rank participates in the same number
-of collective rounds.
+Each rank counts its reads' windows by sort with the serial counter
+(:func:`~repro.core.spectrum.window_counts`) and splits the distinct
+``(key, count)`` pairs by owner: it keeps its own bucket, and one
+``MPI_Alltoallv`` routes the rest — the paper's ``readsKmer`` /
+``readsTile`` tables, here sorted pairs — to their owners
+(:func:`~repro.parallel.exchange.exchange_deltas`).  Owners sum what
+arrives into their raw pairs, then threshold while they insert
+(:meth:`~repro.hashing.counthash.CountHash.from_counts`): no hash table
+exists before the serving shard.  In *batch reads table* mode the
+exchange runs after every chunk of reads — the transient pairs never
+cover more than one chunk, which is what fits the human dataset in
+512 MB/rank — with an ``MPI_Reduce``-style maximum so every rank
+participates in the same number of collective rounds.
 
-Since the stage/session refactor the build machinery lives here as
-reusable pieces — :func:`accumulate_block`, :func:`fetch_read_table`,
-:func:`apply_replication` — and the classic one-call build,
-:func:`build_rank_spectra`, is a thin wrapper over a one-shot
-:class:`~repro.parallel.session.CorrectionSession` (ingest once,
-finalize once), so the incremental and the batch path share one
-implementation and stay bit-identical by construction.
+The rest of the build lives here as reusable pieces —
+:func:`fetch_read_table`, :func:`apply_replication` — and the classic
+one-call build, :func:`build_rank_spectra`, is a thin wrapper over a
+one-shot :class:`~repro.parallel.session.CorrectionSession` (ingest
+once, finalize once), so the incremental and the batch path share one
+implementation.
 """
 
 from __future__ import annotations
@@ -26,16 +29,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.config import ReptileConfig
-from repro.core.spectrum import (
-    block_kmer_ids,
-    block_tile_ids,
-    block_window_ids_both_strands,
-)
 from repro.hashing.counthash import CountHash
 from repro.hashing.inthash import mix_to_rank
 from repro.io.records import ReadBlock
 from repro.kmer.tiles import TileShape
-from repro.parallel.exchange import add_packed, fetch_global_counts
+from repro.parallel.exchange import add_packed, fetch_global_counts, pack_pairs
 from repro.parallel.heuristics import HeuristicConfig
 from repro.simmpi.communicator import Communicator
 from repro.util.timer import PhaseTimer
@@ -66,9 +64,9 @@ class RankSpectra:
     group_ranks: tuple[int, ...] = ()
     group_kmers: CountHash | None = None
     group_tiles: CountHash | None = None
-    #: Largest total table footprint observed *during* construction —
-    #: includes the transient reads tables, which is exactly what the
-    #: batch-reads heuristic bounds.
+    #: Largest footprint observed *during* construction — a round's
+    #: counted pairs beside the raw pairs and any serving tables; the
+    #: batch-reads heuristic bounds the first.
     peak_construction_bytes: int = 0
 
     @property
@@ -96,22 +94,6 @@ class RankSpectra:
         return sizes
 
 
-def _split_flat_by_ownership(
-    flat: np.ndarray,
-    rank: int,
-    nranks: int,
-    owned: CountHash,
-    reads: CountHash,
-) -> None:
-    """Step II core: owned ids into the hash table, the rest into reads."""
-    if flat.size == 0:
-        return
-    owners = mix_to_rank(flat, nranks)
-    mine = owners == rank
-    owned.add_counts(flat[mine])
-    reads.add_counts(flat[~mine])
-
-
 def build_rank_spectra(
     comm: Communicator,
     block: ReadBlock,
@@ -136,42 +118,6 @@ def build_rank_spectra(
     session.ingest(block)
     session.finalize()
     return session.spectra
-
-
-def n_batches(n_reads: int, chunk_size: int) -> int:
-    """Batch-reads rounds a rank needs for ``n_reads`` (0 when empty)."""
-    return (n_reads + chunk_size - 1) // chunk_size if n_reads else 0
-
-
-def accumulate_block(
-    block: ReadBlock,
-    shape: TileShape,
-    rank: int,
-    nranks: int,
-    owned_kmers: CountHash,
-    owned_tiles: CountHash,
-    reads_kmers: CountHash,
-    reads_tiles: CountHash,
-    count_reverse_complement: bool = False,
-) -> None:
-    """Step II for one block: split its k-mer/tile ids by ownership.
-
-    Owned ids accumulate into ``owned_kmers``/``owned_tiles``; non-owned
-    ids into the transient ``reads_kmers``/``reads_tiles`` awaiting the
-    owner-routed exchange.
-    """
-    if len(block) == 0:
-        return
-    kids, kvalid = block_kmer_ids(block, shape)
-    flat_k = block_window_ids_both_strands(
-        kids, kvalid, shape.k, count_reverse_complement
-    )
-    _split_flat_by_ownership(flat_k, rank, nranks, owned_kmers, reads_kmers)
-    tids, tvalid = block_tile_ids(block, shape)
-    flat_t = block_window_ids_both_strands(
-        tids, tvalid, shape.length, count_reverse_complement
-    )
-    _split_flat_by_ownership(flat_t, rank, nranks, owned_tiles, reads_tiles)
 
 
 def fetch_read_table(
@@ -229,7 +175,7 @@ def apply_replication(
 def _allgather_into(comm: Communicator, table: CountHash) -> None:
     """Replace ``table``'s contents with the union over all ranks."""
     keys, counts = table.items()
-    payload = np.concatenate([keys, counts.astype(np.uint64)])
+    payload = pack_pairs(keys, counts)
     everyone = comm.allgather(payload)
     # Shards are disjoint and `everyone` includes this rank's own, so the
     # union is rebuilt from empty — one bulk placement, no probing.
@@ -244,7 +190,7 @@ def _group_gather(group_comm, table: CountHash) -> CountHash:
     traffic never leaves the group.
     """
     keys, counts = table.items()
-    payload = np.concatenate([keys, counts.astype(np.uint64)])
+    payload = pack_pairs(keys, counts)
     merged = CountHash()
     add_packed(merged, group_comm.allgather(payload))
     return merged

@@ -1,9 +1,11 @@
 """Owner-directed collective exchanges (the Step III machinery).
 
-Keys+counts headed for the same owner are packed into one contiguous
-uint64 array per destination (keys in the first half, counts in the
-second) — the buffer-per-destination discipline of ``MPI_Alltoallv`` —
-then exchanged and merged into the owners' tables.
+Step II hands :func:`exchange_deltas` a round's distinct ``(key, count)``
+pairs.  The rank keeps its own bucket; the pairs headed for each other
+owner are packed into one contiguous uint64 array (keys in the first
+half, counts in the second) — the buffer-per-destination discipline of
+``MPI_Alltoallv`` — and the owner sums what it receives with
+:func:`~repro.hashing.counthash.merge_pairs`.
 """
 
 from __future__ import annotations
@@ -18,32 +20,34 @@ from repro.parallel.lookup.routing import partition_by_dest
 from repro.parallel.server import CorrectionProtocol
 from repro.simmpi.communicator import Communicator
 
+#: ``(keys, counts)`` arrays of equal length.
+Pairs = tuple[np.ndarray, np.ndarray]
+
 
 def bucket_by_owner(
     keys: np.ndarray, counts: np.ndarray, nranks: int
-) -> list[np.ndarray]:
-    """Pack (keys, counts) into one send buffer per owning rank.
+) -> list[Pairs]:
+    """Split ``(keys, counts)`` into one bucket per owning rank.
 
-    Buffer layout: ``[k0..k_{m-1}, c0..c_{m-1}]`` as uint64 — a single
-    contiguous array per destination, cheap to concatenate and split.
+    The split is stable, so ascending pairs give ascending buckets.
     """
-    keys = np.ascontiguousarray(keys, dtype=np.uint64)
-    counts = np.ascontiguousarray(counts, dtype=np.uint64)
     if keys.shape != counts.shape:
         raise ValueError("keys and counts must have equal shapes")
     owners = np.asarray(mix_to_rank(keys, nranks), dtype=np.int64)
-    order, boundaries = partition_by_dest(owners, nranks)
-    sorted_keys = keys[order]
-    sorted_counts = counts[order]
-    out: list[np.ndarray] = []
-    for d in range(nranks):
-        lo, hi = boundaries[d], boundaries[d + 1]
-        out.append(np.concatenate([sorted_keys[lo:hi], sorted_counts[lo:hi]]))
-    return out
+    order, bounds = partition_by_dest(owners, nranks)
+    keys, counts = keys[order], counts[order]
+    return [
+        (keys[lo:hi], counts[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
 
 
-def unpack_pairs(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of the per-destination packing: (keys, counts)."""
+def pack_pairs(keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """One ``[keys | counts]`` uint64 buffer: the wire form of a bucket."""
+    return np.concatenate([keys, counts], dtype=np.uint64)
+
+
+def unpack_pairs(buf: np.ndarray) -> Pairs:
+    """Inverse of :func:`pack_pairs`: (keys, counts)."""
     buf = np.asarray(buf, dtype=np.uint64)
     m = buf.shape[0] // 2
     return buf[:m], buf[m:]
@@ -62,29 +66,33 @@ def add_packed(target: CountHash, bufs: list[np.ndarray]) -> int:
 
 
 def exchange_deltas(
-    comm: Communicator, table: CountHash, target: CountHash
-) -> int:
-    """Send every (key, count) of ``table`` to its owner; merge arrivals.
+    comm: Communicator, keys: np.ndarray, counts: np.ndarray
+) -> list[Pairs]:
+    """Send each ``(key, count)`` pair to its owner; return what arrives.
 
-    This is the Step III ``MPI_Alltoallv`` — keys+counts packed per
-    destination — run as the session DELTA exchange: afterwards
-    ``target`` (the rank's owned table) holds contributions from every
-    rank for the keys this rank owns.  Because the exchange rides the
+    This is the Step III ``MPI_Alltoallv``, run as the session DELTA
+    exchange.  The rank's own bucket never leaves it; every other bucket
+    travels packed, 16 B a pair.  Because the exchange rides the
     collective tags, it is automatically reliable under a
     :class:`~repro.faults.FaultPlan` (collectives never drop).  It also
     keeps the session ledger: every call bumps
     ``session_delta_exchanges`` and charges the payload bytes routed to
-    *other* ranks to ``session_delta_bytes``.  Returns the number of
-    key/count pairs received.
+    other ranks to ``session_delta_bytes``.  Returns the runs of pairs
+    this rank owns — its own bucket, then one per sender, each ascending
+    when ``keys`` were.
     """
-    keys, counts = table.items()
-    sendbufs = bucket_by_owner(keys, counts.astype(np.uint64), comm.size)
+    buckets = bucket_by_owner(keys, counts, comm.size)
+    sendbufs = [
+        np.empty(0, dtype=np.uint64) if dest == comm.rank
+        else pack_pairs(*bucket)
+        for dest, bucket in enumerate(buckets)
+    ]
     comm.stats.bump("session_delta_exchanges")
-    comm.stats.bump(
-        "session_delta_bytes",
-        sum(int(b.nbytes) for d, b in enumerate(sendbufs) if d != comm.rank),
-    )
-    return add_packed(target, comm.alltoallv(sendbufs))
+    comm.stats.bump("session_delta_bytes", sum(int(b.nbytes) for b in sendbufs))
+    received = comm.alltoallv(sendbufs)
+    return [buckets[comm.rank]] + [
+        unpack_pairs(buf) for src, buf in enumerate(received) if src != comm.rank
+    ]
 
 
 def fetch_global_counts(

@@ -33,8 +33,11 @@ def redistribute_reads(
     By default every rank owns reads (``hash % np``).  A caller whose
     block is too small to be worth cutting ``np`` ways names the window
     of owners instead: the ``parts`` ranks starting at ``first``
-    (wrapping), with ``hash % parts`` choosing among them.
+    (wrapping), with ``hash % parts`` choosing among them.  On one rank
+    the block comes back as it is: there is nowhere to move a read.
     """
+    if comm.size == 1:
+        return block
     if parts is None:
         parts = comm.size
     owners = (sequence_owner(block, parts) + first) % comm.size

@@ -7,10 +7,12 @@ endpoint and its recovery bindings), and exposes the pipeline as three
 verbs instead of one fused program:
 
 * :meth:`ingest` — merge a block's k-mer/tile count *deltas* into the
-  distributed spectrum.  Owned deltas accumulate locally; foreign ones
-  travel to their owners over the reliable DELTA exchange
+  distributed spectrum.  The block's windows are counted by sort, and
+  each distinct ``(key, count)`` pair goes to its owner over the
+  reliable DELTA exchange
   (:func:`~repro.parallel.exchange.exchange_deltas`), which rides the
-  same alltoallv frames as the classic Step III build.
+  same alltoallv frames as the classic Step III build; the owner sums
+  what arrives into its raw pairs.
 * :meth:`correct` — correct a block against the current spectrum,
   repeatedly, with no rebuild in between: the serving tables, protocol
   and compiled lookup stack persist across calls.
@@ -19,14 +21,14 @@ verbs instead of one fused program:
   session up in a later process.
 
 Serving state is *derived*: thresholds are lossy, so a resumable session
-keeps the unfiltered raw tables and recompiles the serving side (filter,
+keeps the unfiltered raw pairs and recompiles the serving side (filter,
 read tables, replication, lookup stacks) at the next chunk boundary —
 :meth:`finalize`, run lazily by :meth:`correct`.  A **one-shot** session
-(``retain_raw=False``) skips the raw/serving split and accumulates
-straight into the serving tables, which is byte-for-byte the classic
-:func:`~repro.parallel.build.build_rank_spectra` build; that function is
-now literally ``ingest() + finalize()`` on a one-shot session, so the
-incremental path and the classic path cannot drift apart.
+(``retain_raw=False``) drops its raw pairs once finalize has built the
+serving tables from them; the classic
+:func:`~repro.parallel.build.build_rank_spectra` build is literally
+``ingest() + finalize()`` on a one-shot session, so the incremental path
+and the classic path cannot drift apart.
 
 Every mutating verb is collective: all ranks of the communicator must
 call it together, in the same order.
@@ -49,17 +51,11 @@ import numpy as np
 
 from repro.config import ReptileConfig
 from repro.core.corrector import CorrectionResult, ReptileCorrector
-from repro.core.spectrum import block_kmer_ids, block_tile_ids
+from repro.core.spectrum import block_kmer_ids, block_tile_ids, window_counts
 from repro.errors import ConfigError, SessionError
-from repro.hashing.counthash import CountHash
+from repro.hashing.counthash import CountHash, merge_pairs
 from repro.io.records import ReadBlock
-from repro.parallel.build import (
-    RankSpectra,
-    accumulate_block,
-    apply_replication,
-    fetch_read_table,
-    n_batches,
-)
+from repro.parallel.build import RankSpectra, apply_replication, fetch_read_table
 from repro.parallel.dynamicbalance import correct_dynamic
 from repro.parallel.exchange import exchange_deltas
 from repro.parallel.heuristics import HeuristicConfig
@@ -70,6 +66,9 @@ from repro.parallel.recovery import RecoveryState, replicate_state
 from repro.parallel.server import CorrectionProtocol
 from repro.simmpi.communicator import Communicator
 from repro.util.timer import PhaseTimer
+
+#: A raw shard with no keys yet.
+_NO_PAIRS = (np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.uint32))
 
 
 class CorrectionSession:
@@ -84,11 +83,10 @@ class CorrectionSession:
         session's lifetime.
     retain_raw:
         ``True`` (the session default) keeps the raw pre-threshold
-        tables alongside the serving tables, so the session can keep
-        ingesting after a finalize and can checkpoint/resume.
-        ``False`` builds a **one-shot** session: accumulation happens
-        directly in the serving tables (the classic build, byte for
-        byte), a single finalize seals them, and further ingests raise
+        pairs after a finalize, so the session can keep ingesting and
+        can checkpoint/resume.  ``False`` builds a **one-shot**
+        session: a single finalize builds the serving tables, drops the
+        raw pairs and seals the session; further ingests raise
         :class:`~repro.errors.SessionError`.
     timer:
         Default :class:`~repro.util.timer.PhaseTimer` phases accumulate
@@ -111,19 +109,10 @@ class CorrectionSession:
         self.timer = timer or PhaseTimer()
         shape = config.tile_shape
         self._shape = shape
-        if retain_raw:
-            #: Raw, unfiltered owned counts — the durable truth.
-            self.raw_kmers = CountHash()
-            self.raw_tiles = CountHash()
-            self._spectra: RankSpectra | None = None
-        else:
-            # One-shot: the serving tables ARE the accumulation target,
-            # exactly as in the classic builder.
-            self._spectra = RankSpectra(
-                shape=shape, rank=comm.rank, nranks=comm.size
-            )
-            self.raw_kmers = self._spectra.kmers
-            self.raw_tiles = self._spectra.tiles
+        #: Raw, unfiltered owned counts — the durable truth: distinct
+        #: ascending ``(keys, counts)`` pairs at table width.
+        self.raw_kmers = self.raw_tiles = _NO_PAIRS
+        self._spectra: RankSpectra | None = None
         #: Union of the rank's reads' unique k-mer/tile ids, accumulated
         #: per ingest (the read-table heuristics fetch counts for these).
         self._read_kmer_keys = np.empty(0, dtype=np.uint64)
@@ -163,8 +152,6 @@ class CorrectionSession:
         sealed session whose :meth:`correct` runs immediately."""
         session = cls(comm, config, heuristics, retain_raw=False, timer=timer)
         session._spectra = spectra
-        session.raw_kmers = spectra.kmers
-        session.raw_tiles = spectra.tiles
         session._sealed = True
         session._peak = spectra.peak_construction_bytes
         return session
@@ -268,17 +255,15 @@ class CorrectionSession:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    def _note_peak(self, pending_kmers: CountHash, pending_tiles: CountHash) -> None:
-        footprint = (
-            self.raw_kmers.nbytes
-            + self.raw_tiles.nbytes
-            + pending_kmers.nbytes
-            + pending_tiles.nbytes
-        )
-        if self.retain_raw and self._spectra is not None:
+    def _note_peak(self, *transient) -> None:
+        """Raise the construction peak to what the rank holds now: the
+        ``transient`` arrays or tables, the raw pairs and any serving
+        tables."""
+        held = (*transient, *self.raw_kmers, *self.raw_tiles)
+        footprint = sum(part.nbytes for part in held)
+        if self._spectra is not None:
             footprint += self._spectra.nbytes
-        if footprint > self._peak:
-            self._peak = footprint
+        self._peak = max(self._peak, footprint)
 
     # ------------------------------------------------------------------
     # ingest
@@ -286,11 +271,12 @@ class CorrectionSession:
     def ingest(self, block: ReadBlock, timer: PhaseTimer | None = None) -> None:
         """Merge one block's count deltas into the distributed spectrum.
 
-        Collective.  Owned window ids accumulate straight into the raw
-        shard; foreign ids ride the DELTA exchange to their owners —
-        under the *batch reads table* heuristic once per chunk (with an
-        allreduce so every rank joins the same number of collective
-        rounds), otherwise once per ingest.  Saturating addition is
+        Collective.  The block's windows are counted by sort and each
+        distinct ``(key, count)`` pair rides the DELTA exchange to its
+        owner, which sums it into its raw pairs — under the *batch
+        reads table* heuristic once per chunk (with an allreduce so
+        every rank joins the same number of collective rounds),
+        otherwise once per ingest.  Saturating addition is
         order-independent, so any split of a dataset across ingests
         yields the same shard counts as one big build."""
         self._require_open("ingest")
@@ -300,51 +286,38 @@ class CorrectionSession:
                 "with retain_raw=True to keep ingesting"
             )
         timer = timer or self.timer
-        comm = self.comm
-        config = self.config
-        pending_kmers = CountHash()
-        pending_tiles = CountHash()
         with timer.phase("kmer_construction"):
+            rounds = [block]
             if self.heuristics.batch_reads:
-                mine = n_batches(len(block), config.chunk_size)
-                max_batches = comm.allreduce(mine, op=max)
-                chunk_iter = list(block.chunks(config.chunk_size))
-                for b in range(max_batches):
-                    chunk = (
-                        chunk_iter[b]
-                        if b < len(chunk_iter)
-                        else ReadBlock.empty()
-                    )
-                    accumulate_block(
-                        chunk, self._shape, comm.rank, comm.size,
-                        self.raw_kmers, self.raw_tiles,
-                        pending_kmers, pending_tiles,
-                        config.count_reverse_complement,
-                    )
-                    self._note_peak(pending_kmers, pending_tiles)
-                    # Every rank joins every round's exchange even when
-                    # out of reads: alltoallv is collective.
-                    exchange_deltas(comm, pending_kmers, self.raw_kmers)
-                    exchange_deltas(comm, pending_tiles, self.raw_tiles)
-                    pending_kmers.clear()
-                    pending_tiles.clear()
-            else:
-                accumulate_block(
-                    block, self._shape, comm.rank, comm.size,
-                    self.raw_kmers, self.raw_tiles,
-                    pending_kmers, pending_tiles,
-                    config.count_reverse_complement,
-                )
-                self._note_peak(pending_kmers, pending_tiles)
-                exchange_deltas(comm, pending_kmers, self.raw_kmers)
-                exchange_deltas(comm, pending_tiles, self.raw_tiles)
-                pending_kmers.clear()
-                pending_tiles.clear()
-            self._note_peak(pending_kmers, pending_tiles)
+                rounds = list(block.chunks(self.config.chunk_size))
+                # Every rank joins every round's exchange even when out
+                # of reads: alltoallv is collective.
+                total = self.comm.allreduce(len(rounds), op=max)
+                rounds += [ReadBlock.empty()] * (total - len(rounds))
+            for reads in rounds:
+                self._count_and_route(reads)
             self._track_read_keys(block)
-        comm.stats.bump("session_ingests")
+        self.comm.stats.bump("session_ingests")
         self._ingest_count += 1
         self._dirty = True
+
+    def _count_and_route(self, reads: ReadBlock) -> None:
+        """Steps II-III for one round: count the reads' windows by sort,
+        send each distinct pair to its owner, and sum what this rank
+        owns into its raw pairs."""
+        counted = window_counts(
+            [reads] if len(reads) else [], self._shape,
+            self.config.count_reverse_complement,
+        )
+        kmers, tiles = (merge_pairs([pairs]) for pairs in counted)
+        self._note_peak(*kmers, *tiles)
+        self.raw_kmers = merge_pairs(
+            [self.raw_kmers, *exchange_deltas(self.comm, *kmers)]
+        )
+        self.raw_tiles = merge_pairs(
+            [self.raw_tiles, *exchange_deltas(self.comm, *tiles)]
+        )
+        self._note_peak()
 
     def _track_read_keys(self, block: ReadBlock) -> None:
         """Grow the read-table key unions with this block's unique ids."""
@@ -373,7 +346,7 @@ class CorrectionSession:
         performed, and the compiled lookup stack invalidated — the
         chunk-boundary recompile.  A no-op when nothing was ingested
         since the last finalize.  For a ``retain_raw`` session the raw
-        tables stay untouched (the serving side is a filtered copy), so
+        pairs stay untouched (the serving side is a filtered copy), so
         ingest → finalize → ingest keeps exact counts throughout."""
         if not self._dirty:
             return
@@ -382,24 +355,20 @@ class CorrectionSession:
         config = self.config
         heuristics = self.heuristics
         with timer.phase("kmer_construction"):
-            # Owners hold true global counts; apply the thresholds.
-            if self.retain_raw:
-                serving = RankSpectra(
-                    shape=self._shape, rank=comm.rank, nranks=comm.size,
-                    kmers=CountHash.from_counts(
-                        *self.raw_kmers.items(),
-                        min_count=config.kmer_threshold,
-                    ),
-                    tiles=CountHash.from_counts(
-                        *self.raw_tiles.items(),
-                        min_count=config.tile_threshold,
-                    ),
-                )
-            else:
-                serving = self.spectra
+            # Owners hold true global counts: threshold, then insert.
+            serving = RankSpectra(
+                shape=self._shape, rank=comm.rank, nranks=comm.size,
+                kmers=CountHash.from_counts(
+                    *self.raw_kmers, min_count=config.kmer_threshold
+                ),
+                tiles=CountHash.from_counts(
+                    *self.raw_tiles, min_count=config.tile_threshold
+                ),
+            )
+            self._note_peak(serving.kmers, serving.tiles)
+            if not self.retain_raw:
+                self.raw_kmers = self.raw_tiles = _NO_PAIRS
                 self._sealed = True
-                serving.kmers.filter_below(config.kmer_threshold)
-                serving.tiles.filter_below(config.tile_threshold)
             serving.peak_construction_bytes = self._peak
             if heuristics.read_kmers:
                 serving.reads_kmers = fetch_read_table(
@@ -599,8 +568,9 @@ class CorrectionSession:
 
         os.makedirs(directory, exist_ok=True)
         path = os.path.join(os.fspath(directory), f"rank{self.comm.rank}.npz")
-        kmer_keys, kmer_counts = self.raw_kmers.items()
-        tile_keys, tile_counts = self.raw_tiles.items()
+        (kmer_keys, kmer_counts), (tile_keys, tile_counts) = (
+            self.raw_kmers, self.raw_tiles
+        )
         save_session_bundle(
             path,
             k=self._shape.k,
@@ -608,9 +578,9 @@ class CorrectionSession:
             nranks=self.comm.size,
             rank=self.comm.rank,
             n_ingests=self._ingest_count,
-            kmer_keys=kmer_keys,
+            kmer_keys=kmer_keys.astype(np.uint64),
             kmer_counts=kmer_counts,
-            tile_keys=tile_keys,
+            tile_keys=tile_keys.astype(np.uint64),
             tile_counts=tile_counts,
             read_kmer_keys=self._read_kmer_keys,
             read_tile_keys=self._read_tile_keys,
@@ -795,6 +765,8 @@ class SessionOpRunner:
                 self.comm.rank, session.spectra, self._last_block,
                 phase="construction",
             )
+        # Captured at the first finalize: later ingests' peaks land here.
+        memory.construction_peak = session.spectra.peak_construction_bytes
         if self._blocks:
             RankMemoryReport.capture(
                 self.comm.rank, session.spectra, self._last_block,

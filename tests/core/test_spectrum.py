@@ -8,7 +8,6 @@ from repro.core.spectrum import (
     LocalSpectrumView,
     SpectrumPair,
     SpectrumView,
-    accumulate_block,
     block_kmer_ids,
     block_tile_ids,
     build_spectra,
@@ -77,9 +76,9 @@ class TestBuildSpectra:
         assert len(keys) == 1
 
     def test_accumulate_block_incremental(self, small_cfg):
-        spectra = SpectrumPair(shape=small_cfg.tile_shape)
-        accumulate_block(spectra, ReadBlock.from_strings(["ACGTAC"]))
-        accumulate_block(spectra, ReadBlock.from_strings(["ACGTAC"]))
+        """A list of blocks counts as their concatenation."""
+        block = ReadBlock.from_strings(["ACGTAC"])
+        spectra = build_spectra([block, block], small_cfg, apply_threshold=False)
         kid, _ = window_ids(encode_sequence("ACGT"), 4)
         assert spectra.kmers.get(int(kid[0])) == 2
 
@@ -105,9 +104,9 @@ class TestFootprint:
 
         scale = small_scale("E.Coli", genome_size=6_000)
         block, config = scale.dataset.block, scale.config
-        grown = SpectrumPair(shape=config.tile_shape)
-        for chunk in block.chunks(500):
-            accumulate_block(grown, chunk)
+        grown = build_spectra(
+            list(block.chunks(500)), config, apply_threshold=False
+        )
         for spectra in (
             build_spectra(block, config),
             build_spectra(block, config, apply_threshold=False),
@@ -136,10 +135,11 @@ class TestFootprint:
 
     def test_count_width_follows_coverage(self, small_cfg):
         """A repeat seen 2**15 times is ordinary at real coverage."""
-        spectra = SpectrumPair(shape=small_cfg.tile_shape)
         block = ReadBlock.from_strings(["ACGTAC"] * 2**13)
         for seen in range(1, 5):
-            accumulate_block(spectra, block)
+            spectra = build_spectra(
+                [block] * seen, small_cfg, apply_threshold=False
+            )
             assert spectra.kmers.get(27) == seen * 2**13  # ACGT
             assert self._slot_bytes(spectra.kmers) == (6 if seen < 4 else 8)
 

@@ -84,6 +84,19 @@ class TestRankCounts:
         result = runner.run(dataset_mod.block)
         assert np.array_equal(result.corrected_block.codes, serial_reference)
 
+    def test_one_rank_is_serial(
+        self, dataset_mod, config_mod, serial_reference
+    ):
+        """P = 1 is the degenerate world: serial's corrections, and a
+        run that places nothing and sends nothing."""
+        result = ParallelReptile(
+            config_mod, HeuristicConfig(universal=True), nranks=1,
+            engine="cooperative",
+        ).run(dataset_mod.block)
+        assert np.array_equal(result.corrected_block.codes, serial_reference)
+        assert result.counter_per_rank("reads_received_in_balance").tolist() == [0]
+        assert sum(s.messages_sent for s in result.stats) == 0
+
     def test_rejects_bad_nranks(self, config_mod):
         with pytest.raises(ValueError):
             ParallelReptile(config_mod, nranks=0)

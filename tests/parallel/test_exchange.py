@@ -2,37 +2,42 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.hashing.counthash import CountHash
+from repro.hashing.counthash import CountHash, merge_pairs
 from repro.hashing.inthash import mix_to_rank
 from repro.parallel.exchange import (
     bucket_by_owner,
     exchange_deltas,
     fetch_global_counts,
+    pack_pairs,
     unpack_pairs,
 )
 from repro.simmpi import run_spmd
+
+COUNT_MAX = 2**32 - 1
 
 
 class TestBucketing:
     def test_pack_unpack_roundtrip(self):
         keys = np.arange(100, dtype=np.uint64)
         counts = (keys * 2 + 1).astype(np.uint64)
-        bufs = bucket_by_owner(keys, counts, 4)
-        assert len(bufs) == 4
+        buckets = bucket_by_owner(keys, counts, 4)
+        assert len(buckets) == 4
         seen = {}
-        for d, buf in enumerate(bufs):
-            k, c = unpack_pairs(buf)
+        for d, bucket in enumerate(buckets):
+            k, c = unpack_pairs(pack_pairs(*bucket))
             assert np.array_equal(mix_to_rank(k, 4), np.full(k.shape, d))
-            for kk, cc in zip(k.tolist(), c.tolist()):
-                seen[kk] = cc
+            assert (k[1:] > k[:-1]).all()  # the split is stable
+            seen.update(zip(k.tolist(), c.tolist()))
         assert seen == {int(k): int(k) * 2 + 1 for k in keys}
 
     def test_empty(self):
-        bufs = bucket_by_owner(
+        buckets = bucket_by_owner(
             np.empty(0, np.uint64), np.empty(0, np.uint64), 3
         )
-        assert all(b.shape == (0,) for b in bufs)
+        assert all(k.shape == c.shape == (0,) for k, c in buckets)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -48,35 +53,87 @@ class TestExchangeCounts:
         nranks = 4
 
         def prog(comm):
-            local = CountHash()
             # Every rank contributes count=rank+1 for the same 50 keys.
             keys = np.arange(50, dtype=np.uint64)
-            local.add_counts(keys, np.full(50, comm.rank + 1, dtype=np.uint64))
-            owned = CountHash()
-            received = exchange_deltas(comm, local, owned)
-            got_keys, got_counts = owned.items()
+            runs = exchange_deltas(
+                comm, keys, np.full(50, comm.rank + 1, dtype=np.uint32)
+            )
+            got_keys, got_counts = merge_pairs(runs)
             assert (mix_to_rank(got_keys, comm.size) == comm.rank).all()
             expected = sum(r + 1 for r in range(comm.size))
             assert (got_counts == expected).all()
-            return len(owned), received
+            return len(got_keys), comm.stats.get("session_delta_bytes")
 
         res = run_spmd(prog, nranks, engine="cooperative")
         assert sum(n for n, _ in res.results) == 50
+        # A rank's own bucket never travels: 16 B for each foreign pair.
+        assert sum(b for _, b in res.results) == 16 * (nranks - 1) * 50
 
     def test_disjoint_contributions(self):
         def prog(comm):
-            local = CountHash()
             keys = np.arange(comm.rank * 20, (comm.rank + 1) * 20, dtype=np.uint64)
-            local.add_counts(keys)
-            owned = CountHash()
-            exchange_deltas(comm, local, owned)
-            return owned.items()
+            return merge_pairs(
+                exchange_deltas(comm, keys, np.ones(20, dtype=np.uint32))
+            )
 
         res = run_spmd(prog, 3, engine="cooperative")
         all_keys = np.concatenate([k for k, _ in res.results])
         all_counts = np.concatenate([c for _, c in res.results])
         assert sorted(all_keys.tolist()) == list(range(60))
         assert (all_counts == 1).all()
+
+
+class TestSaturatingMerge:
+    """Held pairs plus every rank's contributions, summed by the owner,
+    saturate at the uint32 maximum exactly where a dict of Python ints
+    crosses it."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_owner_sums_saturate(self, data):
+        nranks = data.draw(st.sampled_from([1, 2, 3, 8]), label="P")
+        keys = st.integers(0, 2**40)
+        counts = st.sampled_from([1, 7, 2**31, COUNT_MAX - 1, COUNT_MAX])
+        sent = [
+            data.draw(st.dictionaries(keys, counts, max_size=20))
+            for _ in range(nranks)
+        ]
+        held = [
+            data.draw(st.dictionaries(keys, counts, max_size=10))
+            for _ in range(nranks)
+        ]
+
+        def pairs(entries):
+            ks = np.array(sorted(entries), dtype=np.uint64)
+            cs = np.array([entries[k] for k in sorted(entries)], np.uint32)
+            return ks, cs
+
+        def prog(comm):
+            mine = {
+                k: c for k, c in held[comm.rank].items()
+                if mix_to_rank(k, comm.size) == comm.rank
+            }
+            raw = merge_pairs([pairs(mine)])
+            return merge_pairs(
+                [raw, *exchange_deltas(comm, *pairs(sent[comm.rank]))]
+            )
+
+        results = run_spmd(prog, nranks, engine="cooperative").results
+        expected: dict[int, int] = {}
+        for rank, entries in enumerate(held):
+            for k, c in entries.items():
+                if mix_to_rank(k, nranks) == rank:
+                    expected[k] = expected.get(k, 0) + c
+        for entries in sent:
+            for k, c in entries.items():
+                expected[k] = expected.get(k, 0) + c
+        for rank, (ks, cs) in enumerate(results):
+            assert cs.dtype == np.uint32
+            assert (ks[1:] > ks[:-1]).all()
+            assert (mix_to_rank(ks, nranks) == rank).all()
+            for k, c in zip(ks.tolist(), cs.tolist()):
+                assert c == min(expected.pop(k), COUNT_MAX)
+        assert not expected
 
 
 class TestFetchGlobalCounts:

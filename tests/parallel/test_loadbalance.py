@@ -97,6 +97,21 @@ class TestRedistribution:
         res = run_spmd(prog, nranks, engine="cooperative")
         assert sum(res.results) > 0
 
+    def test_one_rank_moves_nothing(self):
+        """On one rank the block is already placed: no copy, no frame."""
+        block = _make_block(30)
+
+        def prog(comm):
+            placed = redistribute_reads(comm, block)
+            return (
+                placed is block,
+                comm.stats.get("reads_received_in_balance"),
+                comm.stats.messages_sent,
+            )
+
+        res = run_spmd(prog, 1, engine="cooperative")
+        assert res.results == [(True, 0, 0)]
+
     def test_empty_rank_input(self):
         block = _make_block(2)
         parts = _run_redistribution(block, 4)  # 2 reads over 4 ranks

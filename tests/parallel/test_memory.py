@@ -141,23 +141,27 @@ class TestSlotWidthsPerRank:
             engine="cooperative",
         ).build_only(scale.dataset.block)
 
+    KMER_PAIR, TILE_PAIR = 8, 12
+
     def test_reported_peak_is_the_sum_the_session_noted(
         self, scale, monkeypatch
     ):
-        """The peak is reached in Step II, with the transient pending
-        tables beside the owned ones — all four at the narrow widths."""
+        """The peak is reached in Step II: a round's counted pairs beside
+        the raw pairs, 8 B a k-mer pair and 12 B a tile pair with no load
+        factor (nothing else is held before the serving shard)."""
         noted: dict[int, int] = {}
         note_peak = CorrectionSession._note_peak
 
-        def spy(session, pending_kmers, pending_tiles):
-            by_width = self.KMER_SLOT * (
-                session.raw_kmers.capacity + pending_kmers.capacity
-            ) + self.TILE_SLOT * (
-                session.raw_tiles.capacity + pending_tiles.capacity
-            )
-            rank = session.comm.rank
-            noted[rank] = max(noted.get(rank, 0), by_width)
-            note_peak(session, pending_kmers, pending_tiles)
+        def spy(session, *transient):
+            if not any(isinstance(t, CountHash) for t in transient):
+                kmer_keys = [session.raw_kmers[0], *transient[:1]]
+                tile_keys = [session.raw_tiles[0], *transient[2:3]]
+                by_width = self.KMER_PAIR * sum(map(len, kmer_keys)) + (
+                    self.TILE_PAIR * sum(map(len, tile_keys))
+                )
+                rank = session.comm.rank
+                noted[rank] = max(noted.get(rank, 0), by_width)
+            note_peak(session, *transient)
 
         monkeypatch.setattr(CorrectionSession, "_note_peak", spy)
         result = self._build_only(scale, self.NRANKS)
@@ -166,6 +170,38 @@ class TestSlotWidthsPerRank:
             memory = report.memory
             assert memory.peak == memory.construction_peak == noted[report.rank]
             assert memory.after_construction < memory.peak
+
+    def test_every_ingest_lands_in_the_reported_peak(
+        self, scale, monkeypatch
+    ):
+        """A session's report carries the peak over all its ingests, not
+        the one its first finalize saw: here the second, larger ingest
+        sets it."""
+        from repro.parallel.driver import ParallelSession
+        from repro.parallel.session import IngestOp
+
+        noted: dict[int, int] = {}
+        note_peak = CorrectionSession._note_peak
+
+        def spy(session, *transient):
+            note_peak(session, *transient)
+            noted[session.comm.rank] = session._peak
+
+        monkeypatch.setattr(CorrectionSession, "_note_peak", spy)
+        block = scale.dataset.block
+        small = block.slice(0, len(block) // 4)
+
+        def peaks(ops):
+            out = ParallelSession(
+                scale.config, HeuristicConfig(), nranks=self.NRANKS,
+                engine="cooperative",
+            ).run(ops)
+            return {r.rank: r.memory.construction_peak for r in out.rank_reports}
+
+        first = peaks([IngestOp(small)])
+        both = peaks([IngestOp(small), IngestOp(block)])
+        for rank in range(self.NRANKS):
+            assert both[rank] == noted[rank] > first[rank]
 
     def test_peak_falls_as_ranks_are_added(self, scale):
         peaks = [

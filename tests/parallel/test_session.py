@@ -164,11 +164,9 @@ class TestCheckpointResume:
     def test_resumed_tables_are_no_larger_than_checkpointed(
         self, scale, tmp_path
     ):
-        """A reloaded table is sized by the one rule every table is sized
-        by, so it never occupies more than the table it was saved from (an
-        incrementally grown one may have reserved past a power-of-two step
-        that a one-shot reload does not need)."""
-        from repro.hashing.counthash import _capacity_for
+        """The raw shard is sorted pairs at table width, with no slack to
+        lose: a reload holds exactly the pairs, dtypes and bytes that
+        were saved."""
         from repro.parallel.session import CorrectionSession
         from repro.simmpi.engine import run_spmd
 
@@ -178,8 +176,9 @@ class TestCheckpointResume:
 
         def raw_tables(session):
             return [
-                (len(t), t.capacity, t.nbytes, _sorted_items(*t.items()))
-                for t in (session.raw_kmers, session.raw_tiles)
+                (len(keys), keys.dtype, keys.nbytes + counts.nbytes,
+                 (keys, counts))
+                for keys, counts in (session.raw_kmers, session.raw_tiles)
             ]
 
         def save(comm):
@@ -199,12 +198,11 @@ class TestCheckpointResume:
         saved = run_spmd(save, nranks, engine="cooperative").results
         loaded = run_spmd(load, nranks, engine="cooperative").results
         for before, after in zip(sum(saved, []), sum(loaded, [])):
-            size, capacity, nbytes, items = before
+            size, dtype, nbytes, items = before
             assert size > 0
-            assert after[0] == size
-            assert after[1] <= capacity and after[2] <= nbytes
+            assert after[:3] == (size, dtype, nbytes)
             assert all(map(np.array_equal, after[3], items))
-            assert after[1] == _capacity_for(size)
+            assert nbytes == size * (dtype.itemsize + 4)
 
     def test_resume_rejects_mismatched_nranks(self, scale, tmp_path):
         from repro.errors import SessionError
@@ -270,6 +268,110 @@ class TestSplitInvariance:
                 np.array_equal(a, b)
                 for a, b in zip(_sorted_items(stk, stc), _sorted_items(wtk, wtc))
             )
+
+
+class TestShardsMatchSerial:
+    """Every rank's serving shard — and its raw pairs when retained — is
+    serial ``build_spectra`` restricted to the keys the rank owns, for any
+    rank count, split across ingests, strand counting and batching.  A
+    checkpoint seeds some counts near the uint32 maximum, so the sums
+    cross it and must saturate there."""
+
+    SEED_COUNT = 2**32 - 3
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_every_rank_holds_its_share_of_serial(self, scale, data, tmp_path_factory):
+        from repro.core.persist import save_session_bundle
+        from repro.io.partition import slice_bounds
+        from repro.parallel.session import CorrectionSession
+        from repro.simmpi.engine import run_spmd
+
+        nranks = data.draw(st.sampled_from([1, 2, 3, 8]), label="P")
+        k = data.draw(st.integers(1, 3), label="K")
+        config = dataclasses.replace(
+            scale.config,
+            count_reverse_complement=data.draw(st.booleans(), label="rc"),
+        )
+        heuristics = HeuristicConfig(
+            batch_reads=data.draw(st.booleans(), label="batch_reads")
+        )
+        retain = data.draw(st.booleans(), label="retain_raw")
+        seeded = retain and data.draw(st.booleans(), label="seeded")
+        block = scale.dataset.block
+        cuts = sorted(data.draw(
+            st.lists(st.integers(0, len(block)), min_size=k - 1, max_size=k - 1),
+            label="cuts",
+        ))
+        bounds = [0, *cuts, len(block)]
+        parts = [block.slice(bounds[i], bounds[i + 1]) for i in range(k)]
+
+        raw = build_spectra(block, config, apply_threshold=False)
+        expected = []
+        for table in (raw.kmers, raw.tiles):
+            keys, counts = _sorted_items(*table.items())
+            counts = counts.astype(np.uint64)
+            seed = np.zeros_like(counts)
+            if seeded:
+                seed[::5] = self.SEED_COUNT
+            expected.append((
+                keys, np.minimum(counts + seed, 2**32 - 1), seed,
+            ))
+        seed_dir = None
+        if seeded:
+            seed_dir = str(tmp_path_factory.mktemp("seed"))
+            shape = config.tile_shape
+            for rank in range(nranks):
+                (kk, _, ks), (tk, _, ts) = expected
+                km = (ks > 0) & (mix_to_rank(kk, nranks) == rank)
+                tm = (ts > 0) & (mix_to_rank(tk, nranks) == rank)
+                save_session_bundle(
+                    f"{seed_dir}/rank{rank}.npz", k=shape.k,
+                    overlap=shape.overlap, nranks=nranks, rank=rank,
+                    n_ingests=0, kmer_keys=kk[km],
+                    kmer_counts=ks[km].astype(np.uint32), tile_keys=tk[tm],
+                    tile_counts=ts[tm].astype(np.uint32),
+                    read_kmer_keys=np.empty(0, np.uint64),
+                    read_tile_keys=np.empty(0, np.uint64),
+                )
+
+        def program(comm):
+            if seeded:
+                session = CorrectionSession.resume(
+                    comm, config, heuristics, seed_dir
+                )
+            else:
+                session = CorrectionSession(
+                    comm, config, heuristics, retain_raw=retain
+                )
+            for part in parts:
+                cut = slice_bounds(len(part), comm.size)
+                session.ingest(part.slice(cut[comm.rank], cut[comm.rank + 1]))
+            session.finalize()
+            shard = session.spectra
+            return (
+                (shard.kmers.items(), shard.tiles.items()),
+                (session.raw_kmers, session.raw_tiles),
+            )
+
+        results = run_spmd(program, nranks, engine="cooperative").results
+        thresholds = (config.kmer_threshold, config.tile_threshold)
+        for rank, (serving, held) in enumerate(results):
+            for (keys, counts), (ek, ec, _), threshold in zip(
+                serving, expected, thresholds
+            ):
+                keep = (mix_to_rank(ek, nranks) == rank) & (ec >= threshold)
+                got_keys, got_counts = _sorted_items(keys, counts)
+                assert np.array_equal(got_keys, ek[keep])
+                assert np.array_equal(got_counts, ec[keep])
+            for (keys, counts), (ek, ec, _) in zip(held, expected):
+                if not retain:
+                    assert keys.size == counts.size == 0
+                    continue
+                mine = mix_to_rank(ek, nranks) == rank
+                assert counts.dtype == np.uint32
+                assert np.array_equal(keys, ek[mine])
+                assert np.array_equal(counts, ec[mine])
 
 
 class TestSessionReport:
