@@ -4,8 +4,13 @@ The paper replaced Shah/Jammula's sorted lists ("look-up operations
 involving repeated binary searches", later improved with a cache-aware
 layout) with hash tables.  This benchmark measures batch lookup throughput
 of the three backends on a realistic spectrum-sized key set and mixed
-hit/miss query stream — the access pattern of the correction phase.
+hit/miss query stream — the access pattern of the correction phase — and
+sweeps the batch size, which is what decides between the hash and the
+sealed sorted form: whole-share batches favour the hash, Step IV's
+per-owner serving batches (about a dozen ids) the binary search.
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -63,19 +68,92 @@ def test_backends_agree(benchmark, backends, spectrum_data):
 def test_memory_comparison(benchmark, backends, capsys):
     """What "hash tables instead of sorted arrays" costs in bytes.
 
-    A sorted array is 12 B per entry (uint64 key + uint32 count); the hash
-    table pays its <= 0.60 load on top of a slot that is as narrow as its
-    contents (uint64 key + uint16 flag-and-count here: 10 B).  Two uint64
-    per slot measured 3.5x the sorted array on this key set.
+    The sealed sorted form is as narrow as its contents and has no free
+    slots: uint64 key + uint16 count here, exactly 10 B per entry, and
+    6 B for a k = 12 k-mer spectrum (24-bit keys fit uint32).  The hash
+    table pays its <= 0.60 load on top of a slot just as narrow (uint64
+    key + uint16 flag-and-count: 10 B), 26 B per entry on this key set.
     """
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     per_entry = {name: sp.nbytes / len(sp) for name, sp in backends.items()}
+    rng = np.random.default_rng(5)
+    kmer_keys = np.unique(rng.integers(0, 1 << 24, 50_000, dtype=np.uint64))
+    kmers = SortedSpectrum.from_sorted(
+        kmer_keys, np.full(kmer_keys.shape, 40, dtype=np.uint32)
+    )
     with capsys.disabled():
         print("\n== Ablation: spectrum backend memory ==")
         for name, sp in backends.items():
             print(f"  {name:10s} {sp.nbytes / 2**20:7.2f} MiB "
                   f"({len(sp):,d} entries, {per_entry[name]:.1f} B/entry)")
-    assert per_entry["hash"] <= 2.5 * per_entry["sorted"]
+        print(f"  {'sorted k=12':10s} {kmers.nbytes / 2**20:7.2f} MiB "
+              f"({len(kmers):,d} entries, "
+              f"{kmers.nbytes / len(kmers):.1f} B/entry)")
+    assert per_entry["sorted"] == 10
+    assert kmers.nbytes == 6 * len(kmers)
+    # At most 30 B an entry: 2.5x the prior work's 12 B sorted pairs.
+    assert per_entry["hash"] <= 3 * per_entry["sorted"]
+
+
+def _us_per_call(lookup, queries, calls):
+    """Best of three runs of ``calls`` lookups, in µs per call."""
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        for _ in range(calls):
+            lookup(queries)
+        best = min(best, (time.perf_counter() - start) / calls)
+    return best * 1e6
+
+
+def test_batch_size_sweep(benchmark, capsys):
+    """Lookup cost per call against the batch size, hash vs sealed.
+
+    A hash probe is a couple of dozen numpy passes whatever the batch, a
+    binary search a handful, so the sealed form wins small batches by
+    4-8x.  Per id, the hash's O(1) probe wins from the crossover up: 2k
+    ids on the 250k-key table on a 2-vCPU host, while on the 9k-key table
+    the two meet between 4k and 32k ids (at and above 1k ids a sealed
+    lookup sorts its queries first, which keeps its per-id cost falling).
+    The tables are a 9k-key k-mer table (24-bit keys) and a 250k-key
+    tile table (40-bit keys); an 8-rank run's shards hold 0.7-1.6k keys
+    on the e2e inputs and 25k on 188k reads.
+    """
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    rng = np.random.default_rng(13)
+    lines = ["\n== Ablation: lookup cost vs batch size (µs per call) =="]
+    sealed_wins_small = True
+    for n_keys, key_bits in ((9_000, 24), (250_000, 40)):
+        keys = np.unique(
+            rng.integers(0, 1 << key_bits, n_keys, dtype=np.uint64)
+        )
+        counts = rng.integers(1, 200, keys.shape[0]).astype(np.uint32)
+        hashed = CountHash.from_counts(keys, counts)
+        sealed = SortedSpectrum.from_sorted(keys, counts)
+        lines.append(f"  {keys.shape[0]:,d} keys ({key_bits}-bit)")
+        lines.append(f"  {'ids':>7} {'hash':>9} {'sealed':>9}")
+        crossover = None
+        for batch in (8 << i for i in range(13)):  # 8 .. 32,768
+            queries = np.concatenate([
+                rng.choice(keys, batch // 2),
+                rng.integers(0, 1 << key_bits, batch - batch // 2,
+                             dtype=np.uint64),
+            ])
+            rng.shuffle(queries)
+            calls = max(3, 16_384 // batch)
+            t_hash = _us_per_call(hashed.lookup, queries, calls)
+            t_sealed = _us_per_call(sealed.lookup, queries, calls)
+            assert np.array_equal(hashed.lookup(queries), sealed.lookup(queries))
+            if crossover is None and t_hash <= t_sealed:
+                crossover = batch
+            if batch <= 16:
+                sealed_wins_small &= t_sealed < t_hash
+            lines.append(f"  {batch:>7,d} {t_hash:>9.1f} {t_sealed:>9.1f}")
+        lines.append(f"  crossover: {crossover:,} ids" if crossover
+                     else "  crossover: above 32,768 ids")
+    with capsys.disabled():
+        print("\n".join(lines))
+    assert sealed_wins_small
 
 
 def test_size_sweep(benchmark, capsys):
@@ -85,8 +163,6 @@ def test_size_sweep(benchmark, capsys):
     costs grow with log(N) *and* cache misses; the hash table stays
     O(1).  This sweep shows the scaling of each backend.
     """
-    import time
-
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     rng = np.random.default_rng(11)
     lines = ["\n== Ablation: lookup cost vs spectrum size (ns/query) =="]

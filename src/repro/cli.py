@@ -309,7 +309,7 @@ def cmd_correct(args: argparse.Namespace) -> int:
         totals = result.stats[0].__class__()
         for s in result.stats:
             totals.merge(s)
-        order = resolution_order(result.heuristics)
+        order = resolution_order(result.heuristics, result.nranks)
         print(f"lookup order: kmers={order['kmers']} tiles={order['tiles']}")
         print(f"{'tier':>12} {'requests':>12} {'hits':>12} "
               f"{'misses':>12} {'bytes':>14}")

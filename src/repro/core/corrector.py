@@ -243,9 +243,13 @@ class ReptileCorrector:
         # belongs to, so a miss can be replayed for just that read.
         self._note_rows = getattr(view, "note_rows", None)
         # A view that messages answers a round's two sides as one pair
-        # (one request per owner); any other view answers with its
-        # kmer_counts / tile_counts calls.
-        self._pair_counts = getattr(view, "pair_counts", None)
+        # (one request per owner); any other view — a fully replicated
+        # stack pair included — answers with its kmer_counts /
+        # tile_counts calls.
+        self._pair_counts = (
+            None if getattr(view, "fully_replicated", False)
+            else getattr(view, "pair_counts", None)
+        )
 
     # ------------------------------------------------------------------
     def correct_block(self, block: ReadBlock) -> CorrectionResult:

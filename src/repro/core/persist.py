@@ -19,6 +19,7 @@ import numpy as np
 from repro.core.spectrum import SpectrumPair
 from repro.errors import SpectrumError
 from repro.hashing.counthash import CountHash, merge_pairs
+from repro.hashing.sortedspectrum import SortedSpectrum
 from repro.kmer.tiles import TileShape
 
 #: Format marker stored in the file.
@@ -104,9 +105,11 @@ def save_recovery_bundle(
 def load_recovery_bundle(path: str | os.PathLike) -> dict:
     """Read a bundle written by :func:`save_recovery_bundle`.
 
-    Returns a dict with ``kmers``/``tiles`` rebuilt as
-    :class:`CountHash` tables plus the raw ``codes``/``lengths``/
-    ``quals`` arrays of the read partition."""
+    Returns a dict with ``kmers``/``tiles`` rebuilt as sealed
+    :class:`~repro.hashing.sortedspectrum.SortedSpectrum` tables (a
+    recovery replica only answers lookups; a bundle with repeated keys
+    is tolerated) plus the raw ``codes``/``lengths``/``quals`` arrays of
+    the read partition."""
     with np.load(path) as data:
         fmt = str(data["format"])
         if fmt != _RECOVERY_FORMAT:
@@ -114,8 +117,12 @@ def load_recovery_bundle(path: str | os.PathLike) -> dict:
                 f"{path}: unsupported recovery format {fmt!r} "
                 f"(expected {_RECOVERY_FORMAT!r})"
             )
-        kmers = _load_table(data, "kmer")
-        tiles = _load_table(data, "tile")
+        kmers, tiles = (
+            SortedSpectrum.from_sorted(
+                *merge_pairs([(data[f"{kind}_keys"], data[f"{kind}_counts"])])
+            )
+            for kind in ("kmer", "tile")
+        )
         out = {
             "kmers": kmers,
             "tiles": tiles,

@@ -10,6 +10,17 @@ round costs two narrow gathers per key, and the memory footprint is exactly
 measurable (:attr:`CountHash.nbytes`), which the paper's per-rank memory
 figures rely on.  Capacity is a power of two holding at most 0.60 load.
 
+That holds where the paper meant it: every table probed in whole-block or
+whole-share batches, or written to — serial spectra, allgather replicas, a
+one-rank world's shard, read tables and the chunk cache — is a
+``CountHash``.  The sharded read-only tables that Step IV serves in
+per-owner batches of about a dozen ids are sealed instead
+(:class:`~repro.hashing.sortedspectrum.SortedSpectrum`: one binary search
+per batch, 6 / 10 B a key), which answers this class's read API
+(``lookup``, ``lookup_found``, ``contains``, ``items``, ``get``, ``len``,
+``nbytes``) with the same semantics.  Each table's form is fixed by its
+role when it is built.
+
 **Slots are as narrow as their contents.**  ``keys`` is uint32 or uint64
 and ``meta`` uint16, uint32 or uint64 (15-, 31- and 32-bit count fields:
 counts saturate at 2**32 - 1 whatever the width).  Every rebuild picks the
@@ -158,14 +169,28 @@ def merge_pairs(
     widths without its free slots, 8 B a pair for a k = 12 k-mer and 12 B
     for a tile.  A single ascending run is only narrowed.
     """
-    keys, counts = sum_by_key(
+    return narrow_pairs(*sum_by_key(
         np.concatenate([keys for keys, _ in runs]),
         np.concatenate([counts for _, counts in runs]),
-    )
+    ))
+
+
+def narrow_pairs(
+    keys: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending distinct ``keys`` and their counts at table width.
+
+    The one place the key width is decided: uint32 keys when the largest
+    fits, else uint64.  Counts come back as uint32, saturated at its
+    maximum.  Both table forms are built from pairs at this width.
+    """
     wide = keys.size and int(keys[-1]) > _KEY32_MAX
+    counts = np.asarray(counts)
+    if counts.size and int(counts.max()) > _COUNT_MAX:
+        counts = np.minimum(counts, int(_COUNT_MAX))
     return (
         keys.astype(np.uint64 if wide else np.uint32, copy=False),
-        np.minimum(counts, _COUNT_MAX).astype(np.uint32),
+        counts.astype(np.uint32, copy=False),
     )
 
 

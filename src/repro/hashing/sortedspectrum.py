@@ -1,4 +1,4 @@
-"""The prior work's spectrum layouts: sorted arrays with binary search.
+"""Sealed spectra: sorted, width-narrow arrays probed by binary search.
 
 The paper contrasts its hash tables with Shah/Jammula's design: "K-mer and
 tile spectrums are stored as sorted lists with look-up operations involving
@@ -6,14 +6,28 @@ repeated binary searches over the spectrum.  A cache-aware layout ...
 lowered the search time from the original O(log2 N) to O(log_{B+1} N)
 where B represents the number of elements that can fit into a cache line."
 
-Both layouts are implemented here so the ablation benchmark can measure
-what the hash-table switch buys:
+That trade holds for whole-block batches, where a hash probe's couple of
+dozen numpy passes are spread over tens of thousands of ids.  Step IV's
+serving shards are probed in per-owner batches of about a dozen ids, and
+there one binary search — a handful of numpy calls whatever the batch —
+costs a fraction of a probe.  So each table's form is fixed by its role
+when it is built (see ``docs/ALGORITHM.md``, "Count hash tables"):
 
-* :class:`SortedSpectrum` — plain sorted key array, ``np.searchsorted``
-  binary search (the original layout);
-* :class:`EytzingerSpectrum` — the cache-aware variant, keys permuted into
-  the Eytzinger (BFS heap) order so each probe step touches a predictable
-  cache line; the search itself is a vectorized level-by-level descent.
+* :class:`SortedSpectrum` — the **sealed** form: parallel sorted key and
+  count arrays, ``np.searchsorted`` lookup.  The sharded read-only tables
+  are sealed: the owned shards of a multi-rank world (for a kind that is
+  not allgathered), replication-group tables and recovery ward replicas.
+  Both arrays are as narrow as their contents — uint32 keys when the
+  largest fits, else uint64; uint16 counts below 2**16, else uint32 — so
+  a k = 12 shard costs exactly 6 B a k-mer and 10 B a tile, with no free
+  slots.  It answers :class:`~repro.hashing.counthash.CountHash`'s read
+  API (``lookup``, ``lookup_found``, ``contains``, ``items``, ``get``,
+  ``len``, ``nbytes``) with the same semantics, so tiers and shard
+  servers take either form.
+* :class:`EytzingerSpectrum` — the prior work's cache-aware variant, keys
+  permuted into the Eytzinger (BFS heap) order so each probe step touches
+  a predictable cache line; the search is a vectorized level-by-level
+  descent.  Only the layout ablation builds it.
 
 Both are immutable after construction (the prior work sorted once after
 the global exchange), which is exactly the operating regime of the
@@ -25,23 +39,50 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import HashTableError
+from repro.hashing.counthash import narrow_pairs
+
+_COUNT16_MAX = np.iinfo(np.uint16).max
+
+#: A lookup of at least this many ids searches them in ascending order
+#: (one argsort, then a scatter back): the searches then walk the table
+#: front to back, which measured about 2-3x cheaper per id from 4k ids up;
+#: below this the argsort costs more than it saves.  See
+#: ``benchmarks/bench_ablation_spectrum_layout.py``'s batch-size sweep.
+_SORT_CUTOVER = 1024
 
 
 class SortedSpectrum:
-    """Immutable key->count map backed by parallel sorted arrays."""
+    """Immutable key -> count map backed by parallel sorted arrays."""
 
     __slots__ = ("_keys", "_counts")
 
     def __init__(self, keys: np.ndarray, counts: np.ndarray) -> None:
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        counts = np.ascontiguousarray(counts, dtype=np.uint32)
-        if keys.shape != counts.shape:
+        """Distinct ``keys`` in any order (sorted here) with their counts."""
+        keys = np.asarray(keys, dtype=np.uint64)
+        if keys.shape != np.shape(counts):
             raise HashTableError("keys and counts must have equal shapes")
         order = np.argsort(keys, kind="stable")
-        self._keys = keys[order]
-        self._counts = counts[order]
-        if self._keys.size > 1 and (self._keys[1:] == self._keys[:-1]).any():
+        keys = keys[order]
+        if keys.size > 1 and (keys[1:] == keys[:-1]).any():
             raise HashTableError("duplicate keys in sorted spectrum")
+        self._seal(keys, np.asarray(counts)[order])
+
+    @classmethod
+    def from_sorted(
+        cls, keys: np.ndarray, counts: np.ndarray, min_count: int = 0
+    ) -> "SortedSpectrum":
+        """Table of distinct *ascending* ``keys`` whose count reaches
+        ``min_count`` — count → threshold → seal, with no sort: the raw
+        pairs a session merges (:func:`~repro.hashing.counthash.
+        merge_pairs`) are already in this order."""
+        if np.shape(keys) != np.shape(counts):
+            raise HashTableError("keys and counts must have equal shapes")
+        if min_count > 0:
+            keep = counts >= min_count
+            keys, counts = keys[keep], counts[keep]
+        table = cls.__new__(cls)
+        table._seal(keys, counts)
+        return table
 
     @classmethod
     def from_counthash(cls, table) -> "SortedSpectrum":
@@ -49,30 +90,82 @@ class SortedSpectrum:
         keys, counts = table.items()
         return cls(keys, counts)
 
+    def _seal(self, keys: np.ndarray, counts: np.ndarray) -> None:
+        """Hold ascending distinct ``keys`` and their counts at table
+        width (:func:`~repro.hashing.counthash.narrow_pairs`), counts
+        narrowed further to uint16 when they all fit."""
+        keys, counts = narrow_pairs(keys, counts)
+        self._keys = np.ascontiguousarray(keys)
+        top = int(counts.max()) if counts.size else 0
+        self._counts = np.ascontiguousarray(
+            counts, dtype=np.uint16 if top <= _COUNT16_MAX else np.uint32
+        )
+
+    # ------------------------------------------------------------------
+    # introspection
+    # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self._keys.shape[0]
 
     @property
     def nbytes(self) -> int:
+        """Exactly ``len × (key width + count width)``."""
         return self._keys.nbytes + self._counts.nbytes
 
-    def lookup(self, keys: np.ndarray) -> np.ndarray:
-        """Counts per key (0 when absent) via batched binary search."""
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        out = np.zeros(keys.shape[0], dtype=np.uint32)
-        if self._keys.size == 0 or keys.size == 0:
-            return out
-        pos = np.searchsorted(self._keys, keys)
-        in_range = pos < self._keys.shape[0]
-        hit = in_range.copy()
-        hit[in_range] = self._keys[pos[in_range]] == keys[in_range]
-        out[hit] = self._counts[pos[hit]]
-        return out
+    def __contains__(self, key: int) -> bool:
+        return bool(self.contains(np.array([key], dtype=np.uint64))[0])
 
     def get(self, key: int, default: int = 0) -> int:
-        """Scalar lookup."""
-        c = self.lookup(np.array([key], dtype=np.uint64))[0]
-        return int(c) if c or key in self._keys else default
+        """Count stored for ``key`` (``default`` when absent)."""
+        counts, found = self.lookup_found(np.array([key], dtype=np.uint64))
+        return int(counts[0]) if found[0] else default
+
+    # ------------------------------------------------------------------
+    # batch queries
+    # ------------------------------------------------------------------
+    def lookup_found(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(counts, found)`` per key: one binary search each.
+
+        The queries are narrowed to the table's key width first —
+        otherwise numpy would widen the whole table on every call — and
+        the match is checked at full width, so a query above 2**32 - 1
+        never matches a uint32 key it was truncated onto.
+        """
+        keys = np.ascontiguousarray(keys, dtype=np.uint64)
+        stored = self._keys
+        if keys.size == 0 or stored.size == 0:
+            return (
+                np.zeros(keys.shape[0], dtype=np.uint32),
+                np.zeros(keys.shape[0], dtype=bool),
+            )
+        narrow = keys.astype(stored.dtype, copy=False)
+        # Searching all but the last key clips every position to the
+        # table, and a key equal to the last one still lands on it.
+        head = stored[:-1]
+        if keys.size < _SORT_CUTOVER:
+            pos = head.searchsorted(narrow)
+        else:
+            order = narrow.argsort()
+            pos = np.empty(keys.shape[0], dtype=np.intp)
+            pos[order] = head.searchsorted(narrow[order])
+        found = stored.take(pos) == keys
+        counts = self._counts.take(pos).astype(np.uint32)
+        counts *= found
+        return counts, found
+
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """Counts per key (0 when absent); duplicates allowed."""
+        return self.lookup_found(keys)[0]
+
+    def contains(self, keys: np.ndarray) -> np.ndarray:
+        """Boolean membership per key (a key sealed with count 0 is
+        present, as in :meth:`CountHash.contains
+        <repro.hashing.counthash.CountHash.contains>`)."""
+        return self.lookup_found(keys)[1]
+
+    def items(self) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of all (keys, counts) as uint64 / uint32, ascending."""
+        return self._keys.astype(np.uint64), self._counts.astype(np.uint32)
 
 
 class EytzingerSpectrum:
@@ -89,9 +182,7 @@ class EytzingerSpectrum:
     __slots__ = ("_keys", "_counts", "_levels", "_n")
 
     def __init__(self, keys: np.ndarray, counts: np.ndarray) -> None:
-        base = SortedSpectrum(keys, counts)
-        sorted_keys = base._keys
-        sorted_counts = base._counts
+        sorted_keys, sorted_counts = SortedSpectrum(keys, counts).items()
         n = sorted_keys.shape[0]
         self._n = n
         # Eytzinger permutation: index 1..n in BFS order of the implicit

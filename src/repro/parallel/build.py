@@ -7,8 +7,10 @@ Each rank counts its reads' windows by sort with the serial counter
 ``readsTile`` tables, here sorted pairs — to their owners
 (:func:`~repro.parallel.exchange.exchange_deltas`).  Owners sum what
 arrives into their raw pairs, then threshold while they insert
-(:meth:`~repro.hashing.counthash.CountHash.from_counts`): no hash table
-exists before the serving shard.  In *batch reads table* mode the
+(:meth:`~repro.hashing.sortedspectrum.SortedSpectrum.from_sorted` for a
+sharded kind, :meth:`~repro.hashing.counthash.CountHash.from_counts` for
+an allgathered kind or a one-rank world): no table exists before the
+serving shard.  In *batch reads table* mode the
 exchange runs after every chunk of reads — the transient pairs never
 cover more than one chunk, which is what fits the human dataset in
 512 MB/rank — with an ``MPI_Reduce``-style maximum so every rank
@@ -29,11 +31,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.config import ReptileConfig
-from repro.hashing.counthash import CountHash
+from repro.hashing.counthash import CountHash, merge_pairs
 from repro.hashing.inthash import mix_to_rank
+from repro.hashing.sortedspectrum import SortedSpectrum
 from repro.io.records import ReadBlock
 from repro.kmer.tiles import TileShape
-from repro.parallel.exchange import add_packed, fetch_global_counts, pack_pairs
+from repro.parallel.exchange import (
+    add_packed, fetch_global_counts, pack_pairs, unpack_pairs,
+)
 from repro.parallel.heuristics import HeuristicConfig
 from repro.simmpi.communicator import Communicator
 from repro.util.timer import PhaseTimer
@@ -47,14 +52,23 @@ class RankSpectra:
     Step III).  ``reads_kmers``/``reads_tiles`` exist only under the *read
     k-mers/tiles* heuristics (global-count caches for this rank's own
     reads; also the target of *add remote lookups*).  Under allgather
-    replication the owned tables simply hold the whole spectrum.
+    replication the owned tables simply hold the whole spectrum, and in
+    a one-rank world the owned shard *is* the spectrum, so both kinds
+    count as replicated there.
+
+    Each table's form is fixed by its role: the sharded read-only ones
+    — owned shards of a kind that is not replicated, group tables — are
+    sealed :class:`~repro.hashing.sortedspectrum.SortedSpectrum` arrays
+    (probed in per-owner batches); replicated spectra and the read
+    tables are :class:`~repro.hashing.counthash.CountHash` tables
+    (probed in whole-share batches, or written to).
     """
 
     shape: TileShape
     rank: int
     nranks: int
-    kmers: CountHash = field(default_factory=CountHash)
-    tiles: CountHash = field(default_factory=CountHash)
+    kmers: CountHash | SortedSpectrum = field(default_factory=CountHash)
+    tiles: CountHash | SortedSpectrum = field(default_factory=CountHash)
     reads_kmers: CountHash | None = None
     reads_tiles: CountHash | None = None
     #: True when `kmers`/`tiles` hold the full spectrum (replicated).
@@ -62,8 +76,8 @@ class RankSpectra:
     tiles_replicated: bool = False
     #: Partial replication: owners covered by the local group tables.
     group_ranks: tuple[int, ...] = ()
-    group_kmers: CountHash | None = None
-    group_tiles: CountHash | None = None
+    group_kmers: SortedSpectrum | None = None
+    group_tiles: SortedSpectrum | None = None
     #: Largest footprint observed *during* construction — a round's
     #: counted pairs beside the raw pairs and any serving tables; the
     #: batch-reads heuristic bounds the first.
@@ -121,7 +135,7 @@ def build_rank_spectra(
 
 
 def fetch_read_table(
-    comm: Communicator, keys: np.ndarray, owned: CountHash
+    comm: Communicator, keys: np.ndarray, owned: CountHash | SortedSpectrum
 ) -> CountHash:
     """Read k-mers/tiles heuristic: a global-count cache for ``keys``.
 
@@ -183,14 +197,13 @@ def _allgather_into(comm: Communicator, table: CountHash) -> None:
     add_packed(table, everyone)
 
 
-def _group_gather(group_comm, table: CountHash) -> CountHash:
-    """Union of the owned tables across a replication group.
+def _group_gather(group_comm, table: SortedSpectrum) -> SortedSpectrum:
+    """Union of the owned shards across a replication group, sealed.
 
     ``group_comm`` is the group's sub-communicator, so the allgather's
-    traffic never leaves the group.
+    traffic never leaves the group.  The shards are disjoint ascending
+    runs, so the union is one merge.
     """
-    keys, counts = table.items()
-    payload = pack_pairs(keys, counts)
-    merged = CountHash()
-    add_packed(merged, group_comm.allgather(payload))
-    return merged
+    payload = pack_pairs(*table.items())
+    runs = [unpack_pairs(buf) for buf in group_comm.allgather(payload)]
+    return SortedSpectrum.from_sorted(*merge_pairs(runs))

@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.errors import CommunicatorError
 from repro.hashing.counthash import CountHash
+from repro.hashing.sortedspectrum import SortedSpectrum
 from repro.parallel.lookup.routing import ShardServer
 from repro.parallel.reliable import IDLE_SLICE, WEDGE_TIMEOUT, ReliableRequests
 from repro.parallel.server import (
@@ -50,8 +51,8 @@ class CommThreadProtocol:
     def __init__(
         self,
         comm: Communicator,
-        owned_kmers: CountHash,
-        owned_tiles: CountHash,
+        owned_kmers: CountHash | SortedSpectrum,
+        owned_tiles: CountHash | SortedSpectrum,
         universal: bool = False,
         autostart: bool = True,
     ) -> None:

@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro.hashing.counthash import CountHash
+from repro.hashing.sortedspectrum import SortedSpectrum
 from repro.hashing.inthash import mix_to_rank
 from repro.parallel.lookup.routing import partition_by_dest
 from repro.parallel.server import CorrectionProtocol
@@ -96,7 +97,7 @@ def exchange_deltas(
 
 
 def fetch_global_counts(
-    comm: Communicator, wanted: np.ndarray, owned: CountHash
+    comm: Communicator, wanted: np.ndarray, owned: CountHash | SortedSpectrum
 ) -> tuple[np.ndarray, np.ndarray]:
     """Collective lookup: global counts of ``wanted`` keys from their owners.
 
@@ -134,7 +135,7 @@ def fetch_global_counts(
 
 def _request_global_counts(
     comm: Communicator, wanted: np.ndarray, owners: np.ndarray,
-    owned: CountHash, plan,
+    owned: CountHash | SortedSpectrum, plan,
 ) -> np.ndarray:
     """Fault-mode :func:`fetch_global_counts`: a Step IV round over ``owned``.
 

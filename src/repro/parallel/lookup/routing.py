@@ -27,6 +27,7 @@ from numpy.typing import NDArray
 
 from repro.errors import CommunicatorError
 from repro.hashing.counthash import CountHash
+from repro.hashing.sortedspectrum import SortedSpectrum
 from repro.hashing.inthash import mix_to_rank
 from repro.parallel.lookup.tiers import StatsSink, probe
 
@@ -117,7 +118,7 @@ class ShardServer:
     """One rank's authoritative count tables, plus bound ward replicas.
 
     The serving half of every Step IV protocol answers through this
-    object instead of touching :class:`CountHash` tables directly:
+    object instead of touching the count tables directly:
     with no replicas bound, :meth:`lookup` is a single table probe (the
     fault-free fast path); once recovery binds a ward, ownership is
     recomputed per id so one payload may mix the partner's own ids with
@@ -125,16 +126,20 @@ class ShardServer:
     """
 
     def __init__(
-        self, rank: int, size: int, kmers: CountHash, tiles: CountHash
+        self,
+        rank: int,
+        size: int,
+        kmers: CountHash | SortedSpectrum,
+        tiles: CountHash | SortedSpectrum,
     ) -> None:
         self.rank = rank
         self.size = size
         self.kmers = kmers
         self.tiles = tiles
-        self._replicas: dict[int, tuple[CountHash, CountHash]] = {}
+        self._replicas: dict[int, tuple[SortedSpectrum, SortedSpectrum]] = {}
 
     def bind_ward(
-        self, ward: int, kmers: CountHash, tiles: CountHash
+        self, ward: int, kmers: SortedSpectrum, tiles: SortedSpectrum
     ) -> None:
         """Take over serving for a dead ward from its replica tables."""
         self._replicas[ward] = (kmers, tiles)

@@ -28,6 +28,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.hashing.counthash import CountHash
+from repro.hashing.sortedspectrum import SortedSpectrum
 from repro.parallel.lookup.cache import ChunkCountCache
 
 if TYPE_CHECKING:
@@ -228,22 +229,21 @@ class LookupStack:
     ) -> NDArray[np.uint32]:
         """Counts from a stack that resolves everything locally (an
         authoritative replica tier — the serial view's one-tier stack)."""
+        ids = np.ascontiguousarray(ids, dtype=np.uint64)
         tier = self._sole_replica
-        if tier is not None:
+        if tier is not None and ids.size:
             # Bumps exactly the counters a full resolve() would: the
             # replica tier answers every id, so requests == hits.
-            ids = np.ascontiguousarray(ids, dtype=np.uint64)
             stats = self.comm.stats
             out = probe(tier.table.lookup, ids, stats, record_stats)
             if record_stats:
                 n = int(ids.size)
                 stats.bump(self._lookups_counter, n)
-                if n:
-                    requests, hit, miss, nbytes = self._tier_counters[0]
-                    stats.bump(requests, n)
-                    stats.bump(hit, n)
-                    stats.bump(miss, 0)
-                    stats.bump(nbytes, BYTES_PER_HIT * n)
+                requests, hit, miss, nbytes = self._tier_counters[0]
+                stats.bump(requests, n)
+                stats.bump(hit, n)
+                stats.bump(miss, 0)
+                stats.bump(nbytes, BYTES_PER_HIT * n)
             return out
         return self.resolve(ids, record_stats=record_stats).counts
 
@@ -304,6 +304,13 @@ class StackPair:
         self, kmer_ids: NDArray[np.uint64], tile_ids: NDArray[np.uint64]
     ) -> tuple[NDArray[np.uint32], NDArray[np.uint32]]:
         """Global k-mer and tile counts, in one lookup round."""
+        if (
+            self.kmers._sole_replica is not None
+            and self.tiles._sole_replica is not None
+        ):
+            # Serial, one-rank or fully allgathered: nothing to message,
+            # so skip the Resolution bookkeeping (same counters).
+            return self.kmers.counts(kmer_ids), self.tiles.counts(tile_ids)
         kres, tres = self.resolve(kmer_ids, tile_ids)
         return kres.counts, tres.counts
 
@@ -348,9 +355,9 @@ def compile_stacks(
 
     def build(
         kind: str,
-        owned: CountHash,
+        owned: CountHash | SortedSpectrum,
         replicated: bool,
-        group_table: CountHash | None,
+        group_table: SortedSpectrum | None,
         reads_table: CountHash | None,
         cache_table: CountHash | None,
     ) -> LookupStack:
@@ -401,20 +408,27 @@ def compile_stacks(
 
 
 def tier_order(
-    heuristics: HeuristicConfig, kind: str, *, prefetch: bool | None = None
+    heuristics: HeuristicConfig,
+    kind: str,
+    nranks: int,
+    *,
+    prefetch: bool | None = None,
 ) -> tuple[str, ...]:
-    """The tier names :func:`compile_stacks` would emit for a kind.
+    """The tier names :func:`compile_stacks` would emit for a kind in a
+    world of ``nranks``.
 
-    Derivable from the heuristics alone (no rank state), which is what
-    lets the run report print the resolution order without access to
-    the per-rank stack objects.  ``prefetch`` defaults to the config's
-    own :attr:`~repro.parallel.heuristics.HeuristicConfig.use_prefetch`.
+    Derivable from the heuristics and the world size alone (no rank
+    state), which is what lets the run report print the resolution order
+    without access to the per-rank stack objects.  A one-rank world's
+    shard is the whole spectrum, so it resolves through ``allgather``
+    like a replicated kind.  ``prefetch`` defaults to the config's own
+    :attr:`~repro.parallel.heuristics.HeuristicConfig.use_prefetch`.
     """
     if kind not in ("kmer", "tile"):
         raise ValueError(f"unknown lookup kind {kind!r}")
     if prefetch is None:
         prefetch = heuristics.use_prefetch
-    replicated = (
+    replicated = nranks == 1 or (
         heuristics.allgather_kmers
         if kind == "kmer"
         else heuristics.allgather_tiles
@@ -438,9 +452,11 @@ def tier_order(
     return tuple(order)
 
 
-def resolution_order(heuristics: HeuristicConfig) -> dict[str, str]:
+def resolution_order(
+    heuristics: HeuristicConfig, nranks: int
+) -> dict[str, str]:
     """Report-ready ``{"kmers": "...", "tiles": "..."}`` order strings."""
     return {
-        "kmers": "->".join(tier_order(heuristics, "kmer")),
-        "tiles": "->".join(tier_order(heuristics, "tile")),
+        "kmers": "->".join(tier_order(heuristics, "kmer", nranks)),
+        "tiles": "->".join(tier_order(heuristics, "tile", nranks)),
     }

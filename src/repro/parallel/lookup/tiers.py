@@ -27,7 +27,10 @@ Two counter families are recorded into
   ``lookup_owned_hits``, ``lookup_allgather_hits`` and
   ``lookup_group_hits``.
 
-Every :class:`~repro.hashing.counthash.CountHash` call a tier makes is
+Every count-table call a tier makes — a
+:class:`~repro.hashing.counthash.CountHash` or a sealed
+:class:`~repro.hashing.sortedspectrum.SortedSpectrum`, which answer the
+same read API — is
 also counted, as ``table_probe_calls`` and ``table_probe_ids``
 (:func:`probe`; the serving side counts its own the same way).
 
@@ -48,6 +51,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.hashing.counthash import CountHash
+from repro.hashing.sortedspectrum import SortedSpectrum
 from repro.hashing.inthash import mix_to_rank
 from repro.util.timer import PhaseTimer
 
@@ -85,7 +89,7 @@ def probe(
     stats: StatsSink,
     record_stats: bool = True,
 ) -> _Answer:
-    """``lookup(ids)`` — a :class:`CountHash` ``lookup`` or
+    """``lookup(ids)`` — a count table's ``lookup`` or
     ``lookup_found`` — counted as one table probe of ``ids.size`` ids."""
     if record_stats:
         stats.bump("table_probe_calls")
@@ -187,7 +191,7 @@ class OwnedShardTier(LookupTier):
 
     name = "owned"
 
-    def __init__(self, kind: str, table: CountHash, rank: int) -> None:
+    def __init__(self, kind: str, table: CountHash | SortedSpectrum, rank: int) -> None:
         super().__init__(kind)
         self.table = table
         self.rank = rank
@@ -215,7 +219,7 @@ class AllgatherReplicaTier(LookupTier):
 
     name = "allgather"
 
-    def __init__(self, kind: str, table: CountHash) -> None:
+    def __init__(self, kind: str, table: CountHash | SortedSpectrum) -> None:
         super().__init__(kind)
         self.table = table
 
@@ -247,7 +251,7 @@ class ReplicationGroupTier(LookupTier):
     name = "group"
 
     def __init__(
-        self, kind: str, table: CountHash, group_ranks: Sequence[int]
+        self, kind: str, table: SortedSpectrum, group_ranks: Sequence[int]
     ) -> None:
         super().__init__(kind)
         self.table = table

@@ -30,7 +30,8 @@ from __future__ import annotations
 import os
 
 from repro.errors import ConfigError
-from repro.hashing.counthash import CountHash
+from repro.hashing.counthash import merge_pairs
+from repro.hashing.sortedspectrum import SortedSpectrum
 from repro.io.records import ReadBlock
 from repro.parallel.lookup.routing import RouteTable
 from repro.simmpi.communicator import Communicator
@@ -41,8 +42,8 @@ class RecoveryState:
     """What one rank holds on behalf of its doomed wards."""
 
     def __init__(self) -> None:
-        #: ward rank -> (kmer CountHash, tile CountHash) replica tables.
-        self.replicas: dict[int, tuple[CountHash, CountHash]] = {}
+        #: ward rank -> (k-mer, tile) replica tables, sealed.
+        self.replicas: dict[int, tuple[SortedSpectrum, SortedSpectrum]] = {}
         #: ward rank -> the ward's read partition, to be replayed.
         self.ward_blocks: dict[int, ReadBlock] = {}
 
@@ -54,10 +55,12 @@ def _bundle_payload(spectra, block: ReadBlock) -> tuple:
 
 
 def _tables_from(kmer_keys, kmer_counts, tile_keys, tile_counts):
-    kmers, tiles = CountHash(), CountHash()
-    kmers.add_counts(kmer_keys, kmer_counts)
-    tiles.add_counts(tile_keys, tile_counts)
-    return kmers, tiles
+    """A ward's shard pairs as sealed replica tables (a ward replica
+    only answers lookups, in per-owner batches)."""
+    return (
+        SortedSpectrum.from_sorted(*merge_pairs([(kmer_keys, kmer_counts)])),
+        SortedSpectrum.from_sorted(*merge_pairs([(tile_keys, tile_counts)])),
+    )
 
 
 def replicate_state(

@@ -123,12 +123,12 @@ def run_report(result: ParallelRunResult) -> dict[str, Any]:
             "max_rank_memory_bytes": int(result.memory_per_rank().max()),
         },
         # Per-tier resolution ledger: the order each stack runs its
-        # tiers in (derived from the heuristics, identical on every
-        # rank) and requests/hits/misses/bytes summed over ranks for
+        # tiers in (derived from the heuristics and the world size,
+        # identical on every rank) and requests/hits/misses/bytes summed over ranks for
         # every tier a stack can contain (zeros when the tier was
         # compiled out).  hits + misses == requests at every tier.
         "lookup": {
-            "order": resolution_order(heur),
+            "order": resolution_order(heur, result.nranks),
             "tiers": {
                 tier: {
                     kind: total.get(f"lookup_{tier}_{kind}")

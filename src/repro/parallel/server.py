@@ -47,6 +47,7 @@ import numpy as np
 
 from repro.errors import CommunicatorError
 from repro.hashing.counthash import CountHash
+from repro.hashing.sortedspectrum import SortedSpectrum
 from repro.parallel.lookup.routing import (
     KIND_KMER,
     KIND_TILE,
@@ -265,8 +266,8 @@ class CorrectionProtocol:
     def __init__(
         self,
         comm: Communicator,
-        owned_kmers: CountHash,
-        owned_tiles: CountHash,
+        owned_kmers: CountHash | SortedSpectrum,
+        owned_tiles: CountHash | SortedSpectrum,
         universal: bool = False,
         faults=None,
     ) -> None:

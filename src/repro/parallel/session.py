@@ -54,6 +54,7 @@ from repro.core.corrector import CorrectionResult, ReptileCorrector
 from repro.core.spectrum import block_kmer_ids, block_tile_ids, window_counts
 from repro.errors import ConfigError, SessionError
 from repro.hashing.counthash import CountHash, merge_pairs
+from repro.hashing.sortedspectrum import SortedSpectrum
 from repro.io.records import ReadBlock
 from repro.parallel.build import RankSpectra, apply_replication, fetch_read_table
 from repro.parallel.dynamicbalance import correct_dynamic
@@ -69,6 +70,19 @@ from repro.util.timer import PhaseTimer
 
 #: A raw shard with no keys yet.
 _NO_PAIRS = (np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.uint32))
+
+
+def _serving_table(
+    raw: tuple[np.ndarray, np.ndarray], min_count: int, *, hashed: bool
+) -> CountHash | SortedSpectrum:
+    """An owned shard from its raw ascending pairs, in the form its role
+    fixes: a :class:`CountHash` for a kind that will hold the whole
+    spectrum (allgathered, or a one-rank world), probed in whole-share
+    batches; otherwise sealed, for the per-owner batches that serving
+    it takes."""
+    if hashed:
+        return CountHash.from_counts(*raw, min_count=min_count)
+    return SortedSpectrum.from_sorted(*raw, min_count=min_count)
 
 
 class CorrectionSession:
@@ -355,15 +369,21 @@ class CorrectionSession:
         config = self.config
         heuristics = self.heuristics
         with timer.phase("kmer_construction"):
-            # Owners hold true global counts: threshold, then insert.
+            # Owners hold true global counts: threshold, then insert.  A
+            # one-rank world's shard is the whole spectrum: replicated.
+            whole = comm.size == 1
             serving = RankSpectra(
                 shape=self._shape, rank=comm.rank, nranks=comm.size,
-                kmers=CountHash.from_counts(
-                    *self.raw_kmers, min_count=config.kmer_threshold
+                kmers=_serving_table(
+                    self.raw_kmers, config.kmer_threshold,
+                    hashed=whole or heuristics.allgather_kmers,
                 ),
-                tiles=CountHash.from_counts(
-                    *self.raw_tiles, min_count=config.tile_threshold
+                tiles=_serving_table(
+                    self.raw_tiles, config.tile_threshold,
+                    hashed=whole or heuristics.allgather_tiles,
                 ),
+                kmers_replicated=whole,
+                tiles_replicated=whole,
             )
             self._note_peak(serving.kmers, serving.tiles)
             if not self.retain_raw:

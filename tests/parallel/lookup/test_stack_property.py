@@ -258,6 +258,33 @@ def test_record_stats_false_is_silent(case):
 
 @settings(max_examples=60, deadline=None)
 @given(worlds())
+def test_pair_counts_books_what_resolve_books(case):
+    """A round through ``pair_counts`` — which skips the resolution
+    bookkeeping when both stacks are one replica tier — answers and
+    counts exactly as a full ``resolve``, either side empty or not."""
+    world, query = case
+    ids = np.asarray(query, dtype=np.uint64)
+    for kmer_ids, tile_ids in ((ids, ids[:0]), (ids[:0], ids), (ids, ids)):
+        booked = []
+        for fast in (True, False):
+            comm = _Comm(world.rank, world.nranks)
+            tiles = LookupStack(
+                "tile", [AllgatherReplicaTier("tile", world.global_table)], comm
+            )
+            pair = StackPair(world.build_stack(comm), tiles)
+            if fast:
+                kcounts, tcounts = pair.pair_counts(kmer_ids, tile_ids)
+            else:
+                kres, tres = pair.resolve(kmer_ids, tile_ids)
+                kcounts, tcounts = kres.counts, tres.counts
+            assert np.array_equal(kcounts, world.oracle(kmer_ids))
+            assert np.array_equal(tcounts, world.global_table.lookup(tile_ids))
+            booked.append(comm.stats.counters)
+        assert booked[0] == booked[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(worlds())
 def test_local_only_leaves_exactly_foreign_unresolved(case):
     """A stack alone resolves locally (the planner's probe): what stays
     unresolved is exactly what no local tier could answer."""

@@ -4,10 +4,13 @@ import pytest
 
 from repro.config import ReptileConfig
 from repro.core.spectrum import build_spectra
+from repro.hashing.counthash import CountHash
 from repro.hashing.inthash import mix_to_rank
+from repro.hashing.sortedspectrum import SortedSpectrum
 from repro.io.records import ReadBlock
 from repro.parallel.build import build_rank_spectra
 from repro.parallel.heuristics import HeuristicConfig
+from repro.parallel.lookup.stack import compile_stacks, tier_order
 from repro.simmpi import run_spmd
 
 
@@ -166,3 +169,81 @@ class TestUnevenRanks:
         total = sum(len(sp.kmers) for sp in res.results)
         serial = build_spectra(tiny, cfg)
         assert total == len(serial.kmers)
+
+
+_ROLE_OPTIONS = [
+    {},
+    {"universal": True},
+    {"batch_reads": True},
+    {"read_kmers": True, "read_tiles": True},
+    {"read_kmers": True, "add_remote_lookups": True},
+    {"allgather_kmers": True},
+    {"allgather_kmers": True, "allgather_tiles": True},
+    {"replication_group": 2},
+    {"replication_group": 2, "allgather_tiles": True},
+    {"prefetch": True, "replication_group": 2},
+]
+
+
+@pytest.mark.parametrize(
+    "options, nranks",
+    [
+        pytest.param(
+            options, nranks,
+            id=f"{','.join(options) or 'plain'}-p{nranks}",
+        )
+        for options in _ROLE_OPTIONS
+        for nranks in (1, 4)
+        # A replication group needs more than one rank.
+        if nranks > 1 or "replication_group" not in options
+    ],
+)
+class TestTableRoles:
+    """Each table's form is fixed by its role when it is built: sharded
+    read-only tables (owned shards of a kind that is not replicated,
+    group tables) are sealed; replicated spectra — allgathered, or a
+    one-rank world's whole shard — and read tables are hash tables."""
+
+    def _spectra(self, block_and_config, heuristics, nranks):
+        block, cfg = block_and_config
+        return _distributed_union(block, cfg, heuristics, nranks=nranks)
+
+    def test_every_table_has_the_form_of_its_role(
+        self, block_and_config, options, nranks
+    ):
+        heuristics = HeuristicConfig(**options)
+        for sp in self._spectra(block_and_config, heuristics, nranks):
+            for kind in ("kmers", "tiles"):
+                replicated = nranks == 1 or options.get(f"allgather_{kind}", False)
+                assert getattr(sp, f"{kind}_replicated") == replicated
+                owned = getattr(sp, kind)
+                assert type(owned) is (
+                    CountHash if replicated else SortedSpectrum
+                ), (sp.rank, kind)
+                group = getattr(sp, f"group_{kind}")
+                if options.get("replication_group", 1) > 1 and not replicated:
+                    assert type(group) is SortedSpectrum, (sp.rank, kind)
+                else:
+                    assert group is None
+                reads = getattr(sp, f"reads_{kind}")
+                if options.get(f"read_{kind}"):
+                    assert type(reads) is CountHash, (sp.rank, kind)
+                else:
+                    assert reads is None
+
+    def test_tier_order_names_what_compile_stacks_builds(
+        self, block_and_config, options, nranks
+    ):
+        heuristics = HeuristicConfig(**options)
+
+        class _World:
+            rank, size = 0, nranks
+            stats = None
+
+        (sp, *_) = self._spectra(block_and_config, heuristics, nranks)
+        stacks = compile_stacks(
+            _World(), sp, heuristics, protocol=object(),
+        )
+        for kind, stack in (("kmer", stacks.kmers), ("tile", stacks.tiles)):
+            expected = tier_order(heuristics, kind, nranks, prefetch=False)
+            assert stack.describe() == "->".join(expected)

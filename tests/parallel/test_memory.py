@@ -6,6 +6,7 @@ import pytest
 from repro.bench.harness import small_scale
 from repro.core.spectrum import block_kmer_ids, block_tile_ids
 from repro.hashing.counthash import CountHash, _capacity_for
+from repro.hashing.sortedspectrum import SortedSpectrum
 from repro.kmer.tiles import TileShape
 from repro.parallel import HeuristicConfig, ParallelReptile
 from repro.parallel.build import RankSpectra, build_rank_spectra
@@ -75,8 +76,11 @@ class TestSpectraNbytes:
 class TestSlotWidthsPerRank:
     """The paper's claim is a per-rank footprint.  With k = 12 a k-mer id
     fits 24 bits, a tile id 40, and no count of the small E.Coli profile
-    comes near 2**15: every table of every rank must be 6 bytes a slot for
-    k-mers and 10 for tiles — owned, transient, replicated or cached."""
+    comes near 2**15: every table of every rank must be 6 bytes a slot
+    (sealed: a key) for k-mers and 10 for tiles.  Sealed tables — owned
+    and group shards of a sharded kind — hold no free slots; hash tables
+    — read tables, allgather replicas, the chunk cache — pay their
+    capacity."""
 
     KMER_SLOT, TILE_SLOT = 6, 10
     NRANKS = 8
@@ -108,13 +112,23 @@ class TestSlotWidthsPerRank:
         ids=["owned", "batch", "read-tables", "allgather", "group-replica"],
     )
     def test_every_table_of_every_rank(self, scale, heuristics, extra):
+        sealed = {"kmers", "tiles", "group_kmers", "group_tiles"}
+        if heuristics.get("allgather_kmers"):
+            sealed -= {"kmers", "tiles"}
         for sp in self._rank_spectra(scale, HeuristicConfig(**heuristics)):
             assert len(sp.kmers) and len(sp.tiles)
             total = 0
             for name in ("kmers", "tiles") + extra:
                 table = getattr(sp, name)
                 slot = self.TILE_SLOT if "tiles" in name else self.KMER_SLOT
-                assert table.nbytes == slot * table.capacity, (sp.rank, name)
+                if name in sealed:
+                    assert isinstance(table, SortedSpectrum), (sp.rank, name)
+                    assert table.nbytes == slot * len(table), (sp.rank, name)
+                else:
+                    assert isinstance(table, CountHash), (sp.rank, name)
+                    assert table.nbytes == slot * table.capacity, (
+                        sp.rank, name
+                    )
                 if name.startswith("reads_"):  # one add sizes and places it
                     assert table.capacity == _capacity_for(len(table))
                 total += table.nbytes

@@ -94,6 +94,30 @@ class TestRunReport:
         # Rounds, not tile columns (12 per read here, three lookups each).
         assert lookup["lookup_rounds"] < 3 * 12
 
+    def test_one_rank_reports_what_runs(self):
+        """A one-rank world's shard is the whole spectrum: the report
+        names the replica tier that resolved every lookup, not a remote
+        tier that never ran."""
+        from repro.bench.harness import small_scale
+
+        scale = small_scale(genome_size=3_000, chunk_size=200)
+        for heuristics, order in (
+            (HeuristicConfig(universal=True), "allgather"),
+            (HeuristicConfig(read_kmers=True), "allgather"),
+            (HeuristicConfig(prefetch=True), "chunk_cache->allgather"),
+        ):
+            result = ParallelReptile(
+                scale.config, heuristics, nranks=1, engine="cooperative",
+            ).run(scale.dataset.block)
+            lookup = run_report(result)["lookup"]
+            assert lookup["order"] == {"kmers": order, "tiles": order}
+            ran = {
+                tier for tier, counters in lookup["tiers"].items()
+                if counters["requests"]
+            }
+            assert ran == set(order.split("->"))
+            assert lookup["tiers"]["allgather"]["misses"] == 0
+
     def test_json_serializable(self, result):
         json.dumps(run_report(result))
 
@@ -126,3 +150,20 @@ class TestCliReport:
         ]) == 0
         loaded = json.loads(rep.read_text())
         assert loaded["totals"]["reads"] > 0
+
+    def test_stats_name_the_one_rank_order(self, tmp_path, capsys):
+        from repro.cli import main
+
+        fasta = tmp_path / "r.fa"
+        qual = tmp_path / "r.qual"
+        assert main([
+            "simulate", "--genome-size", "3000", "--fasta", str(fasta),
+            "--quality", str(qual),
+        ]) == 0
+        assert main([
+            "correct", "--fasta", str(fasta), "--quality", str(qual),
+            "--output", str(tmp_path / "c.fa"), "--nranks", "1",
+            "--kmer-threshold", "18", "--tile-threshold", "2", "--stats",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "lookup order: kmers=allgather tiles=allgather" in out
