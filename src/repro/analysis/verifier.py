@@ -48,10 +48,10 @@ class RuntimeVerifier:
 
     def __init__(self, world: "_World") -> None:
         self._world = world
-        #: rank -> {thread ident -> (source, tag)}.  A rank can have
-        #: several simultaneous waits in the two-thread Step IV mode
-        #: (its communication thread blocks on ANY_SOURCE while the
-        #: worker blocks elsewhere).
+        #: rank -> {thread ident -> (source, tag)}.  A rank whose
+        #: program runs several threads can have several simultaneous
+        #: waits (one blocks on ANY_SOURCE while another blocks
+        #: elsewhere).
         self._waits: dict[int, dict[int, tuple[int, int]]] = {
             r: {} for r in range(world.nranks)
         }

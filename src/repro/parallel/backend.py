@@ -80,11 +80,7 @@ class SessionBackend(Protocol):
         ...
 
     def correct(
-        self,
-        block: ReadBlock,
-        *,
-        timer: PhaseTimer | None = None,
-        comm_thread: bool = False,
+        self, block: ReadBlock, *, timer: PhaseTimer | None = None
     ) -> CorrectionResult:
         """Correct one block against the current spectrum."""
         ...

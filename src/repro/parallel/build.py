@@ -37,7 +37,7 @@ from repro.hashing.sortedspectrum import SortedSpectrum
 from repro.io.records import ReadBlock
 from repro.kmer.tiles import TileShape
 from repro.parallel.exchange import (
-    add_packed, fetch_global_counts, pack_pairs, unpack_pairs,
+    fetch_global_counts, pack_pairs, unpack_pairs,
 )
 from repro.parallel.heuristics import HeuristicConfig
 from repro.simmpi.communicator import Communicator
@@ -163,10 +163,10 @@ def apply_replication(
 ) -> None:
     """Allgather (full) and group (partial) spectrum replication."""
     if heuristics.allgather_kmers:
-        _allgather_into(comm, spectra.kmers)
+        spectra.kmers = _allgather(comm, spectra.kmers)
         spectra.kmers_replicated = True
     if heuristics.allgather_tiles:
-        _allgather_into(comm, spectra.tiles)
+        spectra.tiles = _allgather(comm, spectra.tiles)
         spectra.tiles_replicated = True
 
     g = heuristics.replication_group
@@ -186,15 +186,14 @@ def apply_replication(
             spectra.group_tiles = _group_gather(group_comm, spectra.tiles)
 
 
-def _allgather_into(comm: Communicator, table: CountHash) -> None:
-    """Replace ``table``'s contents with the union over all ranks."""
-    keys, counts = table.items()
-    payload = pack_pairs(keys, counts)
-    everyone = comm.allgather(payload)
+def _allgather(comm: Communicator, table: CountHash) -> CountHash:
+    """The union of every rank's ``table``, as one replica."""
+    everyone = comm.allgather(pack_pairs(*table.items()))
     # Shards are disjoint and `everyone` includes this rank's own, so the
-    # union is rebuilt from empty — one bulk placement, no probing.
-    table.clear()
-    add_packed(table, everyone)
+    # replica is built in one bulk placement, no probing.
+    return CountHash.from_counts(
+        *merge_pairs([unpack_pairs(buf) for buf in everyone])
+    )
 
 
 def _group_gather(group_comm, table: SortedSpectrum) -> SortedSpectrum:

@@ -31,7 +31,6 @@ def correct_distributed(
     heuristics: HeuristicConfig,
     spectra: RankSpectra,
     timer: PhaseTimer | None = None,
-    comm_thread: bool = False,
 ) -> CorrectionResult:
     """Correct one rank's reads against the distributed spectra.
 
@@ -39,10 +38,9 @@ def correct_distributed(
     handshake ends the phase globally).  Returns this rank's corrected
     block and counters.
 
-    ``comm_thread=True`` forks the paper's literal per-rank communication
-    thread (requires the free-threaded engine); the default services
-    requests at communication points instead, which behaves identically
-    and also runs on the deterministic engine.
+    The paper's per-rank communication thread is the protocol's pump:
+    the rank serves peers' requests at its communication points, which
+    runs on every engine, the deterministic one included.
 
     When a :class:`~repro.faults.FaultPlan` is armed on the communicator,
     the phase becomes survivable: doomed ranks replicate their spectrum
@@ -58,4 +56,4 @@ def correct_distributed(
     session = CorrectionSession.from_spectra(
         comm, config, heuristics, spectra, timer=timer
     )
-    return session.correct(block, timer=timer, comm_thread=comm_thread)
+    return session.correct(block, timer=timer)

@@ -150,13 +150,12 @@ class BatchProgram:
     #: Step IV scheme: the paper's static one, the master-worker
     #: ablation, or ``None`` to stop after Steps I-III.
     correction: Literal["static", "dynamic"] | None = "static"
-    comm_thread: bool = False
 
     def __call__(self, comm: Communicator) -> RankReport:
         session = CorrectionSession(
             comm, self.config, self.heuristics, retain_raw=False
         )
-        runner = SessionOpRunner(session, comm_thread=self.comm_thread)
+        runner = SessionOpRunner(session)
         source = self.source
         # A rank that raises (or is crashed) mid-run still releases its
         # endpoint: protocol, compiled stacks, recovery bindings.
@@ -288,31 +287,20 @@ class ParallelRunResult:
 
 def _validate_run_params(
     nranks: int,
-    engine: Engine | str,
-    comm_thread: bool,
+    heuristics: HeuristicConfig,
     faults: FaultPlan | None,
 ) -> None:
-    """The shared driver-construction checks (both driver classes)."""
+    """The shared construction checks (both drivers and the service),
+    so a bad run raises before any rank starts."""
     if nranks < 1:
         raise ValueError("nranks must be >= 1")
-    if comm_thread:
-        from repro.simmpi.engine import ProcessEngine, ThreadedEngine
-
-        concurrent = engine in ("threaded", "process") or isinstance(
-            engine, (ThreadedEngine, ProcessEngine)
+    if nranks % heuristics.replication_group != 0:
+        raise ConfigError(
+            f"replication_group {heuristics.replication_group} must divide "
+            f"the rank count {nranks}"
         )
-        if not concurrent:
-            raise ValueError(
-                "comm_thread=True (the paper's two-thread Step IV) "
-                "requires the threaded or process engine"
-            )
     if faults is not None:
         faults.validate(nranks)
-        if comm_thread and faults.needs_resilient_lookups:
-            raise ConfigError(
-                "comm_thread=True cannot combine with a FaultPlan "
-                "that drops frames or crashes ranks"
-            )
 
 
 class ParallelReptile:
@@ -331,10 +319,6 @@ class ParallelReptile:
         ``"sequential"``), ``"threaded"``, ``"process"``
         (shared-nothing, one spawned interpreter per rank), or an
         :class:`~repro.simmpi.engine.Engine` instance.
-    comm_thread:
-        The paper's two-thread Step IV (worker + communication thread
-        per rank); needs real concurrency inside a rank, so it requires
-        the threaded or process engine.
     faults:
         An optional :class:`~repro.faults.FaultPlan`.  Frame faults are
         injected into the transport, scripted crashes/stalls into the
@@ -350,15 +334,13 @@ class ParallelReptile:
         heuristics: HeuristicConfig | None = None,
         nranks: int = 4,
         engine: Engine | str = "cooperative",
-        comm_thread: bool = False,
         faults: FaultPlan | None = None,
     ) -> None:
-        _validate_run_params(nranks, engine, comm_thread, faults)
-        self.config = config
         self.heuristics = heuristics or HeuristicConfig()
+        _validate_run_params(nranks, self.heuristics, faults)
+        self.config = config
         self.nranks = nranks
         self.engine = engine
-        self.comm_thread = comm_thread
         self.faults = faults
 
     # ------------------------------------------------------------------
@@ -419,9 +401,7 @@ class ParallelReptile:
         source: ReadBlock | tuple[str, str | None],
         correction: Literal["static", "dynamic"] | None = "static",
     ) -> ParallelRunResult:
-        program = BatchProgram(
-            self.config, self.heuristics, source, correction, self.comm_thread
-        )
+        program = BatchProgram(self.config, self.heuristics, source, correction)
         spmd = run_spmd(
             program, self.nranks, engine=self.engine, faults=self.faults
         )
@@ -503,22 +483,6 @@ class SessionRunResult:
             for name in SESSION_COUNTERS
         }
 
-    def spectrum_items(
-        self, rank: int
-    ) -> tuple[NDArray[np.uint64], NDArray[np.uint64],
-               NDArray[np.uint64], NDArray[np.uint64]]:
-        """One rank's captured serving tables (requires the run to have
-        been launched with ``capture_spectrum=True``)."""
-        report = self.rank_reports[rank]
-        if report is None:
-            raise ValueError(f"rank {rank} crashed; no spectrum captured")
-        if report.spectrum is None:
-            raise ValueError(
-                "run the session with capture_spectrum=True to keep "
-                "the serving tables"
-            )
-        return report.spectrum
-
 
 class ParallelSession:
     """Driver for long-lived, incrementally-fed correction sessions.
@@ -552,15 +516,13 @@ class ParallelSession:
         heuristics: HeuristicConfig | None = None,
         nranks: int = 4,
         engine: Engine | str = "cooperative",
-        comm_thread: bool = False,
         faults: FaultPlan | None = None,
     ) -> None:
-        _validate_run_params(nranks, engine, comm_thread, faults)
-        self.config = config
         self.heuristics = heuristics or HeuristicConfig()
+        _validate_run_params(nranks, self.heuristics, faults)
+        self.config = config
         self.nranks = nranks
         self.engine = engine
-        self.comm_thread = comm_thread
         self.faults = faults
         self._active = None
 
@@ -592,14 +554,11 @@ class ParallelSession:
         ops: "list[SessionOp] | tuple[SessionOp, ...]",
         *,
         resume_dir: str | None = None,
-        capture_spectrum: bool = False,
     ) -> SessionRunResult:
         """Run the op sequence on every rank (SPMD) and collect results.
 
         ``resume_dir`` starts each rank's session from a
-        :class:`CheckpointOp` directory written by an earlier run;
-        ``capture_spectrum`` ships the final serving tables back in the
-        per-rank reports (for spectrum-identity checks)."""
+        :class:`CheckpointOp` directory written by an earlier run."""
         import asyncio
 
         from repro.errors import SessionError
@@ -615,7 +574,6 @@ class ParallelSession:
                 self.nranks,
                 heuristics=self.heuristics,
                 engine=self.engine,
-                comm_thread=self.comm_thread,
                 faults=self.faults,
                 # The op list is the whole workload; admission control
                 # exists for concurrent tenants, not for a solo driver.
@@ -624,7 +582,6 @@ class ParallelSession:
                     max_pending_per_client=len(ops) + 1,
                 ),
                 resume_dir=resume_dir,
-                capture_spectrum=capture_spectrum,
             )
             self._active = service
             async with service:

@@ -54,18 +54,6 @@ def unpack_pairs(buf: np.ndarray) -> Pairs:
     return buf[:m], buf[m:]
 
 
-def add_packed(target: CountHash, bufs: list[np.ndarray]) -> int:
-    """Merge packed (keys, counts) buffers into ``target``; returns #pairs.
-
-    One ``add_counts`` over the concatenation, not one per buffer: a key
-    that several senders contribute is summed first and probed once.
-    """
-    pairs = [unpack_pairs(buf) for buf in bufs]
-    keys = np.concatenate([k for k, _ in pairs])
-    target.add_counts(keys, np.concatenate([c for _, c in pairs]))
-    return int(keys.shape[0])
-
-
 def exchange_deltas(
     comm: Communicator, keys: np.ndarray, counts: np.ndarray
 ) -> list[Pairs]:

@@ -13,9 +13,9 @@ independently; :class:`RouteTable` is now the single compiled answer.
 owned tables, plus any ward replicas bound onto it by crash recovery.
 Recovery is thereby a **re-bind, not a special path** — a partner
 taking over a dead ward calls :meth:`ShardServer.bind_ward` and every
-protocol that serves through the shard (pump, communication thread,
-prefetch endpoint) starts answering for the ward with no further
-routing logic of its own.
+path that serves through the shard (the pump's count requests, the
+prefetch endpoint riding it) starts answering for the ward with no
+further routing logic of its own.
 """
 
 from __future__ import annotations

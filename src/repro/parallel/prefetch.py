@@ -3,9 +3,9 @@
 The prefetch engine (:class:`~repro.parallel.lookup.planner.PrefetchExecutor`)
 plans a chunk's lookups ahead of time and resolves them here: ids
 deduplicated, coalesced into **one message per owning rank**, sent
-without waiting while the pump (or communication thread) services
-peers.  This module is only the wire half — planning, caching and
-"which ids are foreign" all live in :mod:`repro.parallel.lookup`; the
+without waiting while the protocol's pump services peers.  This module
+is only the wire half — planning, caching and "which ids are foreign"
+all live in :mod:`repro.parallel.lookup`; the
 wait, its retries under a fault plan and the stale-answer rule are the
 protocol's :class:`~repro.parallel.reliable.ReliableRequests`.
 
@@ -20,9 +20,7 @@ recovery partner answers for its bound wards with no extra logic here.
 
 from __future__ import annotations
 
-import threading
-from functools import partial
-from typing import Callable, Protocol
+from typing import Any, Callable, Protocol
 
 import numpy as np
 from numpy.typing import NDArray
@@ -34,7 +32,7 @@ from repro.parallel.lookup.routing import (
     ShardServer,
     partition_by_dest,
 )
-from repro.parallel.reliable import IDLE_SLICE, ReliableRequests
+from repro.parallel.reliable import ReliableRequests
 from repro.simmpi.communicator import Communicator
 from repro.simmpi.message import Message, Tags
 
@@ -44,9 +42,13 @@ class PrefetchCapable(Protocol):
 
     handlers: dict[int, Callable[[Message], None]]
     requests: ReliableRequests
+    #: The active fault plan (or None): doomed owners' routes.
+    faults: Any
 
     @property
     def shards(self) -> ShardServer: ...
+
+    def pump(self, block: bool = False) -> bool: ...
 
 
 class BulkFetch:
@@ -70,10 +72,7 @@ class PrefetchEndpoint:
     """One rank's client+server endpoint for bulk prefetch messages.
 
     Registers handlers for the two prefetch tags on the given protocol,
-    so peers are served wherever that protocol serves its own traffic.
-    One condition variable guards all shared state because under
-    ``CommThreadProtocol`` the handlers run on the communication thread
-    while ``issue``/``collect`` run on the worker."""
+    so peers are served wherever that protocol pumps its own traffic."""
 
     def __init__(self, protocol: PrefetchCapable, comm: Communicator) -> None:
         self.protocol = protocol
@@ -82,16 +81,10 @@ class PrefetchEndpoint:
         #: the same windows as its blocking lookups, so the retry policy
         #: and the stale rule are the layer's, not this module's.
         self.requests = protocol.requests
-        self._cond = threading.Condition()
         self._fetches: dict[int, BulkFetch] = {}
-        # CorrectionProtocol exposes a pump; CommThreadProtocol serves on
-        # its own thread and exposes none.
-        self._pump = getattr(protocol, "pump", None)
         #: Owner -> effective destination (doomed owners route to their
         #: recovery partner from the start of the phase).
-        self.routes = RouteTable.compile(
-            getattr(protocol, "faults", None), comm.size
-        )
+        self.routes = RouteTable.compile(protocol.faults, comm.size)
         protocol.handlers[Tags.PREFETCH_REQUEST] = self._on_request
         protocol.handlers[Tags.PREFETCH_RESPONSE] = self._on_response
 
@@ -117,11 +110,7 @@ class PrefetchEndpoint:
                 kpos = k_by.get(dest, np.empty(0, dtype=np.int64))
                 tpos = t_by.get(dest, np.empty(0, dtype=np.int64))
                 fetch.slices[dest] = (kpos, tpos)
-            with self._cond:
-                self._fetches[req_id] = fetch
-        # Requests go out after the fetch is registered, so a response
-        # arriving on the communication thread always finds its handle;
-        # list() snapshots slices against concurrent pops.
+            self._fetches[req_id] = fetch
         if fetch.slices:
             stats.bump("prefetch_fetches")
             stats.bump("prefetch_kmer_ids_fetched", int(kmer_ids.size))
@@ -134,10 +123,9 @@ class PrefetchEndpoint:
                     kc, tc = self.protocol.shards.lookup(
                         kmer_ids[kpos], tile_ids[tpos], stats
                     )
-                    with self._cond:
-                        fetch.kmer_counts[kpos] = kc
-                        fetch.tile_counts[tpos] = tc
-                        fetch.slices.pop(dest, None)
+                    fetch.kmer_counts[kpos] = kc
+                    fetch.tile_counts[tpos] = tc
+                    del fetch.slices[dest]
                     stats.bump("failover_requests_served")
                     continue
                 header = np.array([req_id, kpos.size], dtype=np.uint64)
@@ -149,32 +137,18 @@ class PrefetchEndpoint:
 
     def collect(self, fetch: BulkFetch) -> tuple[NDArray[np.uint32], NDArray[np.uint32]]:
         """Wait until every owner answered; returns (kmer, tile) counts
-        aligned with the issued ids.  In pump mode the wait serves
-        incoming peer requests, which keeps the exchange deadlock-free;
-        under a fault plan it resends the retained frames on a deadline,
-        and a duplicate answer never reaches the slices (``settle``)."""
-        self.requests.wait(
-            fetch.req_id, self._pump or partial(self._await_thread, fetch.req_id)
-        )
-        with self._cond:
-            self._fetches.pop(fetch.req_id, None)
+        aligned with the issued ids.  The wait pumps, serving incoming
+        peer requests, which keeps the exchange deadlock-free; under a
+        fault plan it resends the retained frames on a deadline, and a
+        duplicate answer never reaches the slices (``settle``)."""
+        self.requests.wait(fetch.req_id, self.protocol.pump)
+        self._fetches.pop(fetch.req_id, None)
         return fetch.kmer_counts, fetch.tile_counts
 
-    def _await_thread(self, req_id: int, block: bool) -> bool:
-        """Progress when the answers land on the communication thread:
-        sleep until it reports the fetch complete (or an idle slice
-        passes).  Always blocking — that mode admits no fault plan."""
-        self.protocol._check_failure()
-        with self._cond:
-            return self.requests.settled(req_id) or self._cond.wait(
-                timeout=IDLE_SLICE
-            )
-
     def drain(self) -> None:
-        """Service any already-arrived peer traffic (pump mode only)."""
-        if self._pump is not None:
-            while self._pump(block=False):
-                pass
+        """Service any already-arrived peer traffic."""
+        while self.protocol.pump(block=False):
+            pass
 
     def _by_dest(self, ids: NDArray[np.uint64]) -> dict[int, NDArray[np.int64]]:
         """Positions of ``ids`` grouped by effective destination rank.
@@ -227,13 +201,10 @@ class PrefetchEndpoint:
     def _on_response(self, msg: Message) -> None:
         payload = np.asarray(msg.payload, dtype=np.uint32)
         req_id = int(payload[0])
-        with self._cond:
-            if not self.requests.settle(req_id, msg.source):
-                return
-            fetch = self._fetches[req_id]
-            kpos, tpos = fetch.slices.pop(msg.source)
-            counts = payload[1:]
-            fetch.kmer_counts[kpos] = counts[: kpos.size]
-            fetch.tile_counts[tpos] = counts[kpos.size :]
-            if self.requests.settled(req_id):
-                self._cond.notify_all()
+        if not self.requests.settle(req_id, msg.source):
+            return
+        fetch = self._fetches[req_id]
+        kpos, tpos = fetch.slices.pop(msg.source)
+        counts = payload[1:]
+        fetch.kmer_counts[kpos] = counts[: kpos.size]
+        fetch.tile_counts[tpos] = counts[kpos.size :]

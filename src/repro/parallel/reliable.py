@@ -1,9 +1,10 @@
 """The reliable-request layer: one wait under every count client.
 
 Step IV is one idea — ask the owner, serve peers while you wait — and
-every client of it (the blocking pump protocol, the two-thread protocol,
-the bulk-prefetch endpoint, and the fault-mode Step III read-table
-exchange, which is a Step IV round) keeps its outstanding requests here.
+every client of it (the blocking lookups of the pump protocol, the
+bulk-prefetch endpoint riding that pump, and the fault-mode Step III
+read-table exchange, which is a Step IV round) keeps its outstanding
+requests here.
 :class:`ReliableRequests` owns the whole retry *policy*:
 
 * **sequence** — :meth:`open` numbers each round from a per-communicator
@@ -13,17 +14,16 @@ exchange, which is a Step IV round) keeps its outstanding requests here.
 * **window** — the requests of a round that are still unanswered, with
   the frames to resend when a :class:`~repro.faults.FaultPlan` needs
   resilient lookups (and only then: unarmed, nothing is retained);
-* **wait** — :meth:`wait` runs the caller's ``progress`` until the window
-  is empty.  Unarmed that is a plain blocking loop: no clock, no resend.
-  Armed it is the deadline / backoff / resend loop and the one place
-  :class:`~repro.errors.LookupTimeoutError` is built;
+* **wait** — :meth:`wait` runs the caller's ``progress`` (the
+  protocol's ``pump``: receive and dispatch one message) until the
+  window is empty.  Unarmed that is a plain blocking loop: no clock, no
+  resend.  Armed it is the deadline / backoff / resend loop and the one
+  place :class:`~repro.errors.LookupTimeoutError` is built;
 * **stale rule** — :meth:`settle` is the single fresh-or-stale decision
   for an arriving answer.
 
-Endpoints differ only in who makes progress: a pump endpoint passes its
-``pump`` (receive and dispatch one message), a communication-thread
-endpoint passes a function that blocks on its queue or condition for at
-most :data:`IDLE_SLICE` seconds.
+A wait that never ends is not this layer's to detect: the engines'
+deadlock detection and receive timeouts are the wedge guard.
 """
 
 from __future__ import annotations
@@ -36,16 +36,9 @@ from typing import Any, Callable, Iterator
 from repro.errors import CommunicatorError, LookupTimeoutError
 from repro.simmpi.communicator import Communicator
 
-#: Longest one blocking ``progress`` call of a communication-thread
-#: endpoint may wait before reporting "nothing arrived" (a pump's
-#: blocking turn always returns with a message).
-IDLE_SLICE = 1.0
-#: How long a worker waits on its communication thread with nothing
-#: arriving before concluding the run is wedged (seconds).
-WEDGE_TIMEOUT = 120.0
-
 #: ``progress(block) -> arrived``: make one step of communication
-#: progress; ``block=False`` must return at once.
+#: progress; ``block=False`` must return at once, ``block=True`` must
+#: return with a message (or raise).
 Progress = Callable[[bool], bool]
 
 _sequences: "weakref.WeakKeyDictionary[Communicator, Iterator[int]]" = (
@@ -136,14 +129,12 @@ class ReliableRequests:
         del self._windows[seq]
 
     def _wait_blocking(self, window: dict, progress: Progress) -> None:
-        idle = 0.0
         while window:
-            if progress(True):
-                idle = 0.0
-            elif (idle := idle + IDLE_SLICE) >= WEDGE_TIMEOUT:
+            if not progress(True):
                 raise CommunicatorError(
-                    f"rank {self.comm.rank} waited more than "
-                    f"{WEDGE_TIMEOUT}s for answers from {sorted(window)}"
+                    f"rank {self.comm.rank}: a blocking progress turn "
+                    f"returned empty-handed, answers from {sorted(window)} "
+                    "still pending"
                 )
 
     def _wait_retrying(self, seq: int, window: dict, progress: Progress) -> None:

@@ -10,10 +10,8 @@ The paper's per-rank *communication thread* is realized here as a message
 pump every rank runs at its communication points: while a rank awaits
 responses it serves whatever requests arrive, so request/response cycles
 between ranks can never deadlock (a rank blocked on a response always has
-its peer's request sitting in some mailbox).  Under the free-threaded
-engine the pump can also be run on a genuine second thread
-(:class:`repro.parallel.driver.ParallelReptile` with ``comm_thread=True``
-on the threaded engine), matching the paper's structure literally.
+its peer's request sitting in some mailbox).  The same pump runs on
+every engine — cooperative, threaded and process alike.
 
 Termination follows the paper: each rank reports DONE to rank 0 when its
 own reads are finished and keeps serving; rank 0 broadcasts SHUTDOWN once
@@ -33,10 +31,9 @@ request already delivered (:meth:`Communicator.take_ready`, which never
 blocks and never yields), probes the shard once per kind for all of
 them, and answers each requester with its own frame
 (:func:`serve_queued`).  The request half — partition by owner, send,
-reassemble — is :func:`request_by_owner`; the pump endpoint here and
-the two-thread endpoint in :mod:`repro.parallel.commthread` share both,
-and both wait through :mod:`repro.parallel.reliable` (outstanding
-requests, sequence numbers, the retry policy under a fault plan).
+reassemble — is :func:`request_by_owner`; the endpoint waits through
+:mod:`repro.parallel.reliable` (outstanding requests, sequence numbers,
+the retry policy under a fault plan).
 """
 
 from __future__ import annotations

@@ -415,17 +415,12 @@ class CorrectionSession:
         block: ReadBlock,
         *,
         timer: PhaseTimer | None = None,
-        comm_thread: bool = False,
     ) -> CorrectionResult:
         """Correct one block against the current spectrum (collective).
 
         Repeated calls reuse the serving tables, the protocol endpoint
         and the compiled lookup stack — nothing is rebuilt unless an
         ingest dirtied the session (then a finalize runs first).
-
-        ``comm_thread=True`` runs the paper's literal two-thread Step IV;
-        the thread is joined by the round's DONE/SHUTDOWN handshake, so
-        that mode forks a fresh thread per call.
 
         Under a fault plan with scripted crashes the session's crash
         round must be its last collective operation (a dead rank joins
@@ -439,12 +434,6 @@ class CorrectionSession:
         self.finalize(timer=timer)
         spectra = self.spectra
         plan = comm.fault_plan
-        resilient = plan is not None and plan.needs_resilient_lookups
-        if comm_thread and resilient:
-            raise ConfigError(
-                "comm_thread=True cannot combine with a FaultPlan that "
-                "drops frames or crashes ranks; use the pump-mode protocol"
-            )
         doomed = plan.doomed_ranks() if plan is not None else frozenset()
         if doomed and self._recovery is None:
             self._recovery = replicate_state(comm, plan, spectra, block)
@@ -454,26 +443,9 @@ class CorrectionSession:
             # Scripted crash/stall triggers count communication events
             # only from here on — replication traffic stays reliable.
             injector.enter_phase(comm.rank, "correction")
-        if comm_thread:
-            from repro.parallel.commthread import CommThreadProtocol
-
-            # The handshake joins the thread, so each round gets a fresh
-            # one; under prefetch the endpoint's handlers must register
-            # before the thread serves its first message.
-            protocol = CommThreadProtocol(
-                comm,
-                owned_kmers=spectra.kmers,
-                owned_tiles=spectra.tiles,
-                universal=heuristics.universal,
-                autostart=not heuristics.use_prefetch,
-            )
-            stacks = compile_stacks(
-                comm, spectra, heuristics, protocol=protocol, timer=timer
-            )
-        else:
-            protocol = self._ensure_protocol(plan, recovery)
-            protocol.reset_round()
-            stacks = self._ensure_stacks(protocol, timer)
+        protocol = self._ensure_protocol(plan, recovery)
+        protocol.reset_round()
+        stacks = self._ensure_stacks(protocol, timer)
         with timer.phase("error_correction"):
             if heuristics.use_prefetch:
                 # Bulk-prefetch engine: plan, fetch, and pipeline so the
@@ -481,8 +453,6 @@ class CorrectionSession:
                 executor = PrefetchExecutor(
                     comm, config, heuristics, spectra, protocol, timer
                 )
-                if comm_thread:
-                    protocol.start()
             else:
                 executor = None
                 corrector = ReptileCorrector(config, stacks)
@@ -668,9 +638,6 @@ class SessionRankReport:
     memory: RankMemoryReport
     table_sizes: dict[str, int]
     ingest_count: int
-    #: Serving-table contents ((kmer_keys, kmer_counts, tile_keys,
-    #: tile_counts)) when the program was asked to capture them.
-    spectrum: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
 class SessionOpRunner:
@@ -696,20 +663,12 @@ class SessionOpRunner:
     op, so correct ops never pay construction time.
     """
 
-    def __init__(
-        self,
-        session: CorrectionSession,
-        *,
-        comm_thread: bool = False,
-        capture_spectrum: bool = False,
-    ) -> None:
+    def __init__(self, session: CorrectionSession) -> None:
         self.session = session
         self.comm = session.comm
         #: The session's timer: phases the rank program times around the
         #: ops (input, placement) land in the same report.
         self.timer = session.timer
-        self.comm_thread = comm_thread
-        self.capture_spectrum = capture_spectrum
         self._op_kinds: list[str] = []
         self._op_timings: list[dict[str, float]] = []
         self._mark = self.timer.as_dict()
@@ -743,9 +702,7 @@ class SessionOpRunner:
         elif isinstance(op, CorrectOp):
             self._op_kinds.append("correct")
             self._last_block = op.block
-            result = session.correct(
-                op.block, timer=self.timer, comm_thread=self.comm_thread
-            )
+            result = session.correct(op.block, timer=self.timer)
         elif isinstance(op, DynamicCorrectOp):
             self._op_kinds.append("correct")
             with self.timer.phase("error_correction"):
@@ -792,11 +749,6 @@ class SessionOpRunner:
                 self.comm.rank, session.spectra, self._last_block,
                 phase="correction", into=memory,
             )
-        spectrum = None
-        if self.capture_spectrum:
-            kk, kc = session.spectra.kmers.items()
-            tk, tc = session.spectra.tiles.items()
-            spectrum = (kk, kc, tk, tc)
         return SessionRankReport(
             rank=self.comm.rank,
             op_kinds=tuple(self._op_kinds),
@@ -810,5 +762,4 @@ class SessionOpRunner:
             memory=memory,
             table_sizes=session.spectra.table_sizes,
             ingest_count=session.ingest_count,
-            spectrum=spectrum,
         )

@@ -49,11 +49,9 @@ class ServiceExecutor:
         nranks: int,
         *,
         engine="cooperative",
-        comm_thread: bool = False,
         verify: bool = False,
         faults=None,
         resume_dir: str | None = None,
-        capture_spectrum: bool = False,
     ) -> None:
         self.nranks = nranks
         self.engine = engine
@@ -68,9 +66,7 @@ class ServiceExecutor:
             config=config,
             heuristics=heuristics,
             channel=self.channel,
-            comm_thread=comm_thread,
             resume_dir=resume_dir,
-            capture_spectrum=capture_spectrum,
         )
         self._seq = 0
         self._outcome = None

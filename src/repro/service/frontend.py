@@ -108,26 +108,22 @@ class SpectrumService:
         *,
         heuristics: HeuristicConfig | None = None,
         engine="cooperative",
-        comm_thread: bool = False,
         verify: bool = False,
         faults=None,
         policy: ServicePolicy | None = None,
         resume_dir: str | None = None,
-        capture_spectrum: bool = False,
     ) -> None:
         from repro.parallel.driver import _validate_run_params
 
-        _validate_run_params(nranks, engine, comm_thread, faults)
+        self.heuristics = heuristics or HeuristicConfig()
+        _validate_run_params(nranks, self.heuristics, faults)
         self.config = config
         self.nranks = nranks
-        self.heuristics = heuristics or HeuristicConfig()
         self.engine = engine
-        self.comm_thread = comm_thread
         self.verify = verify
         self.faults = faults
         self.policy = policy or ServicePolicy()
         self.resume_dir = resume_dir
-        self.capture_spectrum = capture_spectrum
         self._queue = JobQueue(self.policy)
         self._executor: ServiceExecutor | None = None
         self._drainer: asyncio.Task | None = None
@@ -151,11 +147,9 @@ class SpectrumService:
             self._executor = ServiceExecutor(
                 self.config, self.heuristics, self.nranks,
                 engine=self.engine,
-                comm_thread=self.comm_thread,
                 verify=self.verify,
                 faults=self.faults,
                 resume_dir=self.resume_dir,
-                capture_spectrum=self.capture_spectrum,
             )
         return self
 

@@ -162,9 +162,7 @@ class ServingProgram:
     config: ReptileConfig
     heuristics: HeuristicConfig
     channel: Any
-    comm_thread: bool = False
     resume_dir: str | None = None
-    capture_spectrum: bool = False
 
     def __call__(self, comm: Communicator) -> SessionRankReport:
         if self.resume_dir is not None:
@@ -173,11 +171,7 @@ class ServingProgram:
             )
         else:
             session = CorrectionSession(comm, self.config, self.heuristics)
-        runner = SessionOpRunner(
-            session,
-            comm_thread=self.comm_thread,
-            capture_spectrum=self.capture_spectrum,
-        )
+        runner = SessionOpRunner(session)
         # Stashes for frames the session's round-tail pump would
         # otherwise trip over: a rank still wildcard-pumping in
         # finish() may pick up the next command (peers) or an early

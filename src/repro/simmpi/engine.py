@@ -14,10 +14,10 @@ hold identically everywhere.  The engines differ only in scheduling:
   hanging.
 
 * :class:`ThreadedEngine` — ranks run freely on threads of one process
-  and block on condition variables; this exercises the paper's
-  two-threads-per-rank correction design under real concurrency.
-  Blocking receives take a timeout so an accidental deadlock surfaces as
-  an error.
+  and block on condition variables; this exercises the Step IV protocol
+  (each rank serving peers from its pump while it waits) under real
+  concurrency.  Blocking receives take a timeout so an accidental
+  deadlock surfaces as an error.
 
 * :class:`ProcessEngine` — every rank is a spawned interpreter with
   shared-nothing state; frames cross real process boundaries over the

@@ -208,8 +208,8 @@ class CommStats:
     #: Protocol-level counters maintained by the Reptile driver, e.g.
     #: "remote_tile_lookups", "remote_kmer_lookups", "served_requests".
     counters: dict[str, int] = field(default_factory=dict)
-    #: A rank's worker and communication threads both account traffic
-    #: (the two-thread Step IV mode), so updates are locked.
+    #: Every thread of a rank's program may account traffic, so
+    #: updates are locked.
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     # The process engine ships each child's ledger back to the parent by

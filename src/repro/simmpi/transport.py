@@ -92,8 +92,8 @@ class ProcessTransport(Transport):
     One instance lives inside each spawned rank.  ``queues[d]`` is rank
     ``d``'s delivery queue; sending is a queue put of the raw frame
     bytes, receiving drains this rank's own queue into ``inbox``.  The
-    inbox lock makes the transport safe for the two-thread Step IV mode
-    (worker and communication thread of one rank share the inbox).
+    inbox lock keeps the transport safe when several threads of one
+    rank's program share the inbox.
     """
 
     def __init__(self, queues, rank: int) -> None:

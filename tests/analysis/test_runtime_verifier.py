@@ -137,18 +137,19 @@ class TestNoFalsePositives:
         res = run_spmd(prog, 3, engine=make_engine(), verify=True)
         assert all(len(r) == 3 for r in res.results)
 
-    def test_commthread_any_source_service_loop_passes(self):
-        """Satellite edge case: the two-thread Step IV commthread blocks
-        forever on recv(ANY_SOURCE, ANY_TAG); its waits must not create
-        wait-for edges or spurious deadlocks."""
+    def test_pump_any_source_service_loop_passes(self):
+        """Satellite edge case: Step IV's finish() serves peers from
+        blocking recv(ANY_SOURCE, ANY_TAG) turns until the shutdown;
+        those waits must not create wait-for edges or spurious
+        deadlocks under real concurrency."""
         from repro.hashing.counthash import CountHash
-        from repro.parallel.commthread import CommThreadProtocol
+        from repro.parallel.server import CorrectionProtocol
 
         def prog(comm):
             table = CountHash(capacity=64)
             keys = np.array([10 + comm.rank], dtype=np.uint64)
             table.add_counts(keys, 1)
-            protocol = CommThreadProtocol(comm, table, table)
+            protocol = CorrectionProtocol(comm, table, table, universal=True)
             # Ask every other rank for its key.
             others = np.array(
                 [r for r in range(comm.size) if r != comm.rank],

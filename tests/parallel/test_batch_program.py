@@ -98,9 +98,7 @@ class TestPickle:
         assert (copy.config, copy.heuristics) == (
             program.config, program.heuristics
         )
-        assert (copy.correction, copy.comm_thread) == (
-            program.correction, program.comm_thread
-        )
+        assert copy.correction == program.correction
         return copy
 
     def test_in_memory_source(self, scale):

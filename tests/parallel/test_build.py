@@ -96,15 +96,33 @@ class TestReplication:
     def test_allgather_both_replicates_serial(self, block_and_config):
         block, cfg = block_and_config
         serial = build_spectra(block, cfg)
-        spectra_list = _distributed_union(
-            block, cfg,
-            HeuristicConfig(allgather_kmers=True, allgather_tiles=True),
-        )
         ref_k, ref_c = serial.kmers.items()
-        for sp in spectra_list:
-            assert sp.kmers_replicated and sp.tiles_replicated
-            assert len(sp.kmers) == len(serial.kmers)
-            assert (sp.kmers.lookup(ref_k) == ref_c).all()
+        ref_tk, ref_tc = serial.tiles.items()
+        for tiles_too in (True, False):
+            spectra_list = _distributed_union(
+                block, cfg,
+                HeuristicConfig(allgather_kmers=True, allgather_tiles=tiles_too),
+            )
+            for sp in spectra_list:
+                assert sp.kmers_replicated
+                assert isinstance(sp.kmers, CountHash)
+                assert len(sp.kmers) == len(serial.kmers)
+                assert (sp.kmers.lookup(ref_k) == ref_c).all()
+                assert sp.tiles_replicated == tiles_too
+            if tiles_too:
+                assert all(
+                    (sp.tiles.lookup(ref_tk) == ref_tc).all()
+                    for sp in spectra_list
+                )
+                continue
+            # allgather_kmers alone: the tiles stay sharded by owner and
+            # their union is the serial tile spectrum.
+            combined = {}
+            for sp in spectra_list:
+                keys, counts = sp.tiles.items()
+                assert (mix_to_rank(keys, len(spectra_list)) == sp.rank).all()
+                combined.update(zip(keys.tolist(), counts.tolist()))
+            assert combined == dict(zip(ref_tk.tolist(), ref_tc.tolist()))
 
     def test_partial_replication_groups(self, block_and_config):
         block, cfg = block_and_config

@@ -5,8 +5,16 @@ import pytest
 
 from repro.core.corrector import ReptileCorrector
 from repro.core.spectrum import LocalSpectrumView, build_spectra
-from repro.parallel.driver import ParallelReptile
+from repro.errors import ConfigError
+from repro.parallel.driver import ParallelReptile, ParallelSession
 from repro.parallel.heuristics import HeuristicConfig
+from repro.service import SpectrumService
+
+
+def _service(config, heuristics, nranks):
+    """SpectrumService with the drivers' positional order (constructing
+    one starts no fleet: that waits for the first submission)."""
+    return SpectrumService(config, nranks, heuristics=heuristics)
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +108,18 @@ class TestRankCounts:
     def test_rejects_bad_nranks(self, config_mod):
         with pytest.raises(ValueError):
             ParallelReptile(config_mod, nranks=0)
+
+    @pytest.mark.parametrize(
+        "make", [ParallelReptile, ParallelSession, _service],
+        ids=["reptile", "session", "service"],
+    )
+    def test_replication_group_must_divide_nranks(self, make, config_mod):
+        """A group that does not divide the rank count is refused at
+        construction, before any rank starts."""
+        group2 = HeuristicConfig(replication_group=2)
+        with pytest.raises(ConfigError, match="must divide"):
+            make(config_mod, group2, 3)
+        make(config_mod, group2, 4)
 
 
 class TestResultAccessors:

@@ -47,17 +47,9 @@ def serial_reference(scale):
     return ReptileCorrector(cfg, LocalSpectrumView(spectra)).correct_block(block)
 
 
-def _run(
-    scale, heuristics, nranks=4, engine="cooperative", comm_thread=False,
-    faults=None,
-):
+def _run(scale, heuristics, nranks=4, engine="cooperative", faults=None):
     return ParallelReptile(
-        scale.config,
-        heuristics,
-        nranks=nranks,
-        engine=engine,
-        comm_thread=comm_thread,
-        faults=faults,
+        scale.config, heuristics, nranks=nranks, engine=engine, faults=faults
     ).run(scale.dataset.block)
 
 
@@ -94,32 +86,18 @@ def _assert_identical(result, reference):
 
 
 class TestProtocolEquivalence:
-    """Prefetch on/off must be byte-identical, whatever it rides on."""
+    """Prefetch on/off must be byte-identical, whatever engine it runs on."""
 
-    @pytest.mark.parametrize(
-        "engine,comm_thread",
-        [
-            ("cooperative", False),
-            ("threaded", False),
-            ("threaded", True),
-            ("process", False),
-            ("process", True),
-        ],
-    )
+    @pytest.mark.parametrize("prefetch", [False, True])
+    @pytest.mark.parametrize("engine", ["cooperative", "threaded", "process"])
     def test_engines(
-        self, scale, serial_reference, cooperative_ledgers, engine, comm_thread
+        self, scale, serial_reference, cooperative_ledgers, engine, prefetch
     ):
-        for prefetch in (False, True):
-            res = _run(
-                scale,
-                HeuristicConfig(prefetch=prefetch),
-                engine=engine,
-                comm_thread=comm_thread,
-            )
-            _assert_identical(res, serial_reference)
-            # Engines are transports, not algorithms: the same frames,
-            # byte for byte, and the same corrections on every one.
-            assert _ledger(res) == cooperative_ledgers[prefetch]
+        res = _run(scale, HeuristicConfig(prefetch=prefetch), engine=engine)
+        _assert_identical(res, serial_reference)
+        # Engines are transports, not algorithms: the same frames,
+        # byte for byte, and the same corrections on every one.
+        assert _ledger(res) == cooperative_ledgers[prefetch]
 
     @pytest.mark.parametrize(
         "heuristics",
@@ -280,24 +258,9 @@ class TestRankWideTail:
                 0, len(report.block) % 100
             )
 
-    @pytest.mark.parametrize(
-        "engine,comm_thread",
-        [
-            ("cooperative", False),
-            ("threaded", False),
-            ("threaded", True),
-            ("process", False),
-        ],
-    )
-    def test_on_miss_fetch_across_engines(
-        self, bursty_reference, engine, comm_thread
-    ):
-        res = _run(
-            _bursty(100),
-            HeuristicConfig(prefetch=True),
-            engine=engine,
-            comm_thread=comm_thread,
-        )
+    @pytest.mark.parametrize("engine", ["cooperative", "threaded", "process"])
+    def test_on_miss_fetch_across_engines(self, bursty_reference, engine):
+        res = _run(_bursty(100), HeuristicConfig(prefetch=True), engine=engine)
         _assert_identical(res, bursty_reference)
         total = _totals(res)
         assert total.get("prefetch_miss_fetches") > 0

@@ -1,15 +1,9 @@
 """The reliable-request layer on its own: sequence, window, wait, stale rule."""
 
-import queue
-import sys
-import threading
-import time
-
 import pytest
 
 from repro.errors import CommunicatorError, LookupTimeoutError
 from repro.faults import FaultPlan
-from repro.parallel import reliable
 from repro.parallel.reliable import ReliableRequests
 from repro.simmpi.instrument import CommStats
 
@@ -89,44 +83,14 @@ def test_armed_wait_resends_pending_then_gives_up_with_the_budget():
     assert comm.stats.get("lookup_timeouts") == 3
 
 
-def test_idle_blocking_progress_is_a_wedge(monkeypatch):
-    monkeypatch.setattr(reliable, "WEDGE_TIMEOUT", 3 * reliable.IDLE_SLICE)
+def test_empty_blocking_progress_is_a_protocol_error():
+    """A blocking turn returns with a message or raises; one that comes
+    back empty-handed fails the wait at once instead of spinning."""
     layer = ReliableRequests(Wire())
     seq = layer.open()
     layer.send(seq, 1, 1, "a", 1)
-    idle = []
-    with pytest.raises(CommunicatorError, match="waited more than"):
-        layer.wait(seq, lambda block: idle.append(block))  # None: nothing came
-    assert idle == [True] * 3
+    turns = []
+    with pytest.raises(CommunicatorError, match="empty-handed"):
+        layer.wait(seq, lambda block: turns.append(block))  # None: nothing came
+    assert turns == [True]
 
-
-def test_settling_thread_never_loses_a_request():
-    """A worker sends while a communication thread settles (the prefetch
-    endpoint over CommThreadProtocol): every round must drain, whatever
-    the interleaving."""
-    comm = Wire()
-    layer = ReliableRequests(comm)
-    answers: "queue.Queue[tuple[int, int] | None]" = queue.Queue()
-    comm.send = lambda dest, payload, tag=0: answers.put((payload, dest))
-
-    def comm_thread():
-        while (item := answers.get()) is not None:
-            layer.settle(*item)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    thread = threading.Thread(target=comm_thread, daemon=True)
-    thread.start()
-    try:
-        for _ in range(2000):
-            seq = layer.open()
-            for who in range(4):
-                layer.send(seq, who, who, seq, 1)
-            layer.wait(seq, lambda block: time.sleep(1e-4) or True)
-            assert layer.settled(seq)
-    finally:
-        answers.put(None)
-        thread.join(timeout=10)
-        sys.setswitchinterval(interval)
-    assert not thread.is_alive()
-    assert not layer._windows

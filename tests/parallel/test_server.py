@@ -166,10 +166,11 @@ class TestTermination:
 
 
 class TestThreadedEngineProtocol:
-    def test_protocol_under_real_concurrency(self):
+    @pytest.mark.parametrize("universal", [False, True], ids=["base", "universal"])
+    def test_protocol_under_real_concurrency(self, universal):
         def prog(comm):
             kmers, tiles = _owned_tables(comm.rank, comm.size)
-            proto = CorrectionProtocol(comm, kmers, tiles, universal=True)
+            proto = CorrectionProtocol(comm, kmers, tiles, universal=universal)
             keys = np.arange(200, dtype=np.uint64)
             owners = np.asarray(mix_to_rank(keys, comm.size))
             sel = owners != comm.rank

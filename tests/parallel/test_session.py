@@ -16,13 +16,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.harness import small_scale
+from repro.config import ReptileConfig
 from repro.core.corrector import ReptileCorrector
 from repro.core.spectrum import LocalSpectrumView, build_spectra
 from repro.faults import CrashFault, FaultPlan
 from repro.hashing.inthash import mix_to_rank
+from repro.io.partition import slice_bounds
+from repro.io.records import ReadBlock
 from repro.parallel.driver import ParallelReptile, ParallelSession
 from repro.parallel.heuristics import HeuristicConfig
-from repro.parallel.session import CheckpointOp, CorrectOp, IngestOp
+from repro.parallel.session import (
+    CheckpointOp, CorrectionSession, CorrectOp, IngestOp,
+)
+from repro.simmpi import run_spmd
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +230,28 @@ def _sorted_items(keys, counts):
     return keys[order], counts[order]
 
 
+@dataclasses.dataclass(frozen=True)
+class _IngestShardItems:
+    """Rank program: ingest each part (this rank's contiguous slice of
+    it), finalize, and return the serving shard's (kmer keys, kmer
+    counts, tile keys, tile counts).  Module-level, so the process
+    engine can ship it."""
+
+    config: ReptileConfig
+    parts: tuple[ReadBlock, ...]
+
+    def __call__(self, comm):
+        with CorrectionSession(comm, self.config, HeuristicConfig()) as session:
+            for part in self.parts:
+                bounds = slice_bounds(len(part), comm.size)
+                session.ingest(
+                    part.slice(bounds[comm.rank], bounds[comm.rank + 1])
+                )
+            session.finalize()
+            spectra = session.spectra
+            return (*spectra.kmers.items(), *spectra.tiles.items())
+
+
 class TestSplitInvariance:
     """Any K-way split of the dataset across ingests yields shard
     counts identical to one full build (saturating add is
@@ -248,16 +276,15 @@ class TestSplitInvariance:
         parts = [
             block.slice(bounds[i], bounds[i + 1]) for i in range(k)
         ]
-        driver = ParallelSession(
-            scale.config, HeuristicConfig(), nranks=2, engine=engine
-        )
-        split = driver.run(
-            [IngestOp(p) for p in parts], capture_spectrum=True
-        )
-        whole = driver.run([IngestOp(block)], capture_spectrum=True)
+        split = run_spmd(
+            _IngestShardItems(scale.config, tuple(parts)), 2, engine=engine
+        ).results
+        whole = run_spmd(
+            _IngestShardItems(scale.config, (block,)), 2, engine=engine
+        ).results
         for rank in range(2):
-            sk, sc, stk, stc = split.spectrum_items(rank)
-            wk, wc, wtk, wtc = whole.spectrum_items(rank)
+            sk, sc, stk, stc = split[rank]
+            wk, wc, wtk, wtc = whole[rank]
             # Compare in key order: CountHash iteration order depends on
             # insertion history, which legitimately differs by split.
             assert all(
