@@ -6,10 +6,11 @@ spectrum* counts tiles at the tiling stride.  Both live in
 layout, replacing the earlier sorted-array + binary-search design).
 
 :class:`SpectrumView` is the lookup interface the corrector programs
-against.  The serial reference uses :class:`LocalSpectrumView`; the
-distributed implementation substitutes a view that consults the owned
-tables first and sends messages for the rest — the corrector does not know
-the difference, which is what makes serial-vs-parallel equivalence testable.
+against.  The serial reference uses :class:`LocalSpectrumView`, which
+reads the two whole tables directly; the distributed implementation
+substitutes its compiled lookup stacks, which consult the local tables
+first and send messages for the rest — the corrector does not know the
+difference, which is what makes serial-vs-parallel equivalence testable.
 """
 
 from __future__ import annotations
@@ -192,75 +193,29 @@ class LookupStats:
         self.tile_hits += other.tile_hits
 
 
-class _SerialStats:
-    """Minimal stats sink for the serial view's private tier stack."""
-
-    def __init__(self) -> None:
-        self.counters: dict[str, int] = {}
-
-    def bump(self, name: str, amount: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + int(amount)
-
-    def get(self, name: str) -> int:
-        return self.counters.get(name, 0)
-
-
-class _SerialComm:
-    """The degenerate single-rank "communicator" of the serial stack."""
-
-    rank = 0
-    size = 1
-
-    def __init__(self) -> None:
-        self.stats = _SerialStats()
-
-
 class LocalSpectrumView:
-    """Serial view: a one-tier lookup stack per spectrum.
+    """Serial view: each count read straight from its spectrum's table.
 
-    Serial is the degenerate world where every table is "replicated", so
-    each stack is a single
-    :class:`~repro.parallel.lookup.tiers.AllgatherReplicaTier` over the
-    whole spectrum — the same machinery every distributed view runs,
-    which is what makes serial-vs-parallel equivalence exact by
-    construction.  The per-tier counters land in :attr:`tier_counters`;
-    the public :attr:`stats` keeps its historical semantics (hits are
-    ids with count > 0).
+    Serial is the degenerate world where every table is "replicated",
+    so a lookup is one table probe — what a one-rank or fully
+    replicated lookup stack does too.  :attr:`stats` counts the ids
+    asked and the hits (ids with count > 0).
     """
 
     def __init__(self, spectra: SpectrumPair) -> None:
-        # Imported here, not at module top: repro.parallel imports this
-        # module, so a top-level import would be circular.
-        from repro.parallel.lookup.stack import LookupStack
-        from repro.parallel.lookup.tiers import AllgatherReplicaTier
-
         self._spectra = spectra
         self.stats = LookupStats()
-        self._comm = _SerialComm()
-        self._kmer_stack = LookupStack(
-            "kmer", [AllgatherReplicaTier("kmer", spectra.kmers)], self._comm
-        )
-        self._tile_stack = LookupStack(
-            "tile", [AllgatherReplicaTier("tile", spectra.tiles)], self._comm
-        )
-
-    @property
-    def tier_counters(self) -> dict[str, int]:
-        """Counters of this view's one-tier stacks: the per-tier
-        ``lookup_allgather_*`` family (both spectra summed) and the
-        per-kind ``kmer_lookups`` / ``tile_lookups`` entry counts."""
-        return dict(self._comm.stats.counters)
 
     def kmer_counts(self, ids: np.ndarray) -> np.ndarray:
-        """K-mer counts through the one-tier stack (with stats)."""
-        counts = self._kmer_stack.counts(ids)
+        """K-mer counts (with stats)."""
+        counts = self._spectra.kmers.lookup(ids)
         self.stats.kmer_lookups += int(np.asarray(ids).size)
         self.stats.kmer_hits += int(np.count_nonzero(counts))
         return counts
 
     def tile_counts(self, ids: np.ndarray) -> np.ndarray:
-        """Tile counts through the one-tier stack (with stats)."""
-        counts = self._tile_stack.counts(ids)
+        """Tile counts (with stats)."""
+        counts = self._spectra.tiles.lookup(ids)
         self.stats.tile_lookups += int(np.asarray(ids).size)
         self.stats.tile_hits += int(np.count_nonzero(counts))
         return counts

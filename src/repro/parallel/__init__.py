@@ -19,10 +19,12 @@ not hold:
 * the paper's heuristics — universal messages, read-kmer/tile retention,
   allgather replication, remote-lookup caching, batched reads tables,
   and the future-work partial replication
-  (:mod:`repro.parallel.heuristics`, :mod:`repro.parallel.replication`),
-* count resolution as an ordered stack of composable tiers, compiled
-  once per rank and shared by every resolution path
-  (:mod:`repro.parallel.lookup`),
+  (:mod:`repro.parallel.heuristics`; the replication itself is
+  :func:`repro.parallel.build.apply_replication`),
+* count resolution as a stack of local tiers per spectrum — the
+  authoritative tables, then the caches — and one lookup round to the
+  owners for what both leave open, compiled once per rank and shared
+  by every resolution path (:mod:`repro.parallel.lookup`),
 * Step IV lookup aggregation: deduplicated per-owner bulk prefetch with
   pipelined chunk correction (:mod:`repro.parallel.prefetch` for the
   wire endpoint, :mod:`repro.parallel.lookup.planner` for the engine).

@@ -4,10 +4,11 @@
 :class:`~repro.parallel.session.CorrectionSession`
 (:meth:`~repro.parallel.session.CorrectionSession.from_spectra`) and runs
 one correction round, so the one-shot path and the long-lived session
-path execute literally the same code: the rank's compiled lookup tier
-stack (:func:`repro.parallel.lookup.compile_stacks` — owned shard,
-allgather replica, replication group, reads table, message to the owning
-rank; see ``docs/RUNTIME.md``) is the spectrum view of the same
+path execute literally the same code: the rank's compiled lookup
+stacks (:func:`repro.parallel.lookup.compile_stacks` — owned shard,
+allgather replica, replication group, reads table, then one lookup round
+to the owning ranks for both spectra; see ``docs/RUNTIME.md``) are the
+spectrum view of the same
 :class:`~repro.core.corrector.ReptileCorrector` used serially, so the
 distributed result is bit-identical to the serial reference on the same
 spectra.

@@ -293,7 +293,7 @@ def _validate_run_params(
     """The shared construction checks (both drivers and the service),
     so a bad run raises before any rank starts."""
     if nranks < 1:
-        raise ValueError("nranks must be >= 1")
+        raise ConfigError("nranks must be >= 1")
     if nranks % heuristics.replication_group != 0:
         raise ConfigError(
             f"replication_group {heuristics.replication_group} must divide "

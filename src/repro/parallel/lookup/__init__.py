@@ -1,26 +1,30 @@
-"""Count resolution as an ordered stack of composable tiers.
+"""Count resolution: local tiers, then one lookup round to the owners.
 
-Every path that resolves k-mer/tile counts — the serial
-:class:`~repro.core.spectrum.LocalSpectrumView`, the blocking session
-round, the prefetch planner/executor, and partner-takeover recovery —
-runs the same
-compiled :class:`LookupStack`, built **once per rank** by
+Every distributed path that resolves k-mer/tile counts — the blocking
+session round, the prefetch planner/executor, and partner-takeover
+recovery — runs the same compiled :class:`StackPair` (one
+:class:`LookupStack` per spectrum), built **once per rank** by
 :func:`compile_stacks` from the rank's
 :class:`~repro.parallel.build.RankSpectra` and
-:class:`~repro.parallel.heuristics.HeuristicConfig`.  See
-``docs/RUNTIME.md`` ("The lookup tier stack") for the layer diagram.
+:class:`~repro.parallel.heuristics.HeuristicConfig`.  A stack reads
+each count from the cheapest local table that holds it — an
+:class:`AuthorityTier` (owned shard, replication group, replica) or a
+:class:`CacheTier` (chunk cache, reads table); what is left goes to
+the owners in the pair's lookup round.  See ``docs/RUNTIME.md`` ("The
+lookup tier stack") for the layer diagram.
 
 Modules:
 
-* :mod:`~repro.parallel.lookup.tiers` — the tier classes and the
+* :mod:`~repro.parallel.lookup.tiers` — the two tier types and the
   :class:`Resolution` state they fill in;
-* :mod:`~repro.parallel.lookup.stack` — :class:`LookupStack`,
-  :func:`compile_stacks`, and the report-facing order helpers;
+* :mod:`~repro.parallel.lookup.stack` — :class:`LookupStack`, the
+  :class:`StackPair` and its lookup round, :func:`compile_stacks`, and
+  the order helpers it compiles from;
 * :mod:`~repro.parallel.lookup.routing` — owner→destination routing
   (:class:`RouteTable`) and the serving-side :class:`ShardServer` that
   recovery re-binds wards onto;
 * :mod:`~repro.parallel.lookup.cache` — the :class:`ChunkCountCache`
-  backing the prefetch stack's tier 0;
+  backing the prefetch stack's first tier;
 * :mod:`~repro.parallel.lookup.planner` — the prefetch planner view and
   pipelined :class:`PrefetchExecutor`.
 
@@ -46,32 +50,22 @@ from repro.parallel.lookup.stack import (
 )
 from repro.parallel.lookup.tiers import (
     BYTES_PER_HIT,
-    AllgatherReplicaTier,
-    ChunkCacheTier,
-    LookupTier,
-    OwnedShardTier,
-    ReadsTableTier,
-    RemoteFetchTier,
-    ReplicationGroupTier,
+    AuthorityTier,
+    CacheTier,
     Resolution,
 )
 from repro.parallel.lookup.planner import CachedChunkView, PrefetchExecutor
 
 __all__ = [
-    "AllgatherReplicaTier",
+    "AuthorityTier",
     "BYTES_PER_HIT",
+    "CacheTier",
     "CachedChunkView",
-    "ChunkCacheTier",
     "ChunkCountCache",
     "KIND_KMER",
     "KIND_TILE",
     "LookupStack",
-    "LookupTier",
-    "OwnedShardTier",
     "PrefetchExecutor",
-    "ReadsTableTier",
-    "RemoteFetchTier",
-    "ReplicationGroupTier",
     "Resolution",
     "RouteTable",
     "ShardServer",

@@ -1,4 +1,4 @@
-"""The chunk count cache: tier 0 of the prefetch-mode lookup stack.
+"""The chunk count cache: the first tier of the prefetch-mode lookup stack.
 
 Moved here from ``repro.parallel.prefetch`` when count resolution was
 unified into :mod:`repro.parallel.lookup`; the semantics are unchanged.
@@ -10,6 +10,26 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.hashing.counthash import CountHash
+
+
+def add_fresh(
+    table: CountHash, ids: NDArray[np.uint64], counts: NDArray[np.uint32]
+) -> None:
+    """Cache authoritative ``counts`` of ``ids`` in ``table``, each id
+    once; an id already cached keeps its entry.
+
+    ``add_counts`` *accumulates*, so keys fetched by an earlier stage
+    must not be re-added (stage-2 plans overlap stage-1's windows, and
+    a lookup round may ask for an id twice), and duplicate keys within
+    one batch must collapse to one entry.
+    """
+    if ids.size == 0:
+        return
+    ids, first = np.unique(ids, return_index=True)
+    counts = counts[first]
+    fresh = ~table.contains(ids)
+    if fresh.any():
+        table.add_counts(ids[fresh], counts[fresh].astype(np.uint64))
 
 
 class ChunkCountCache:
@@ -38,30 +58,13 @@ class ChunkCountCache:
         self, ids: NDArray[np.uint64], counts: NDArray[np.uint32]
     ) -> None:
         """Deposit authoritative k-mer counts (idempotent per key)."""
-        self._add(self.kmers, ids, counts)
+        add_fresh(self.kmers, ids, counts)
 
     def add_tiles(
         self, ids: NDArray[np.uint64], counts: NDArray[np.uint32]
     ) -> None:
         """Deposit authoritative tile counts (idempotent per key)."""
-        self._add(self.tiles, ids, counts)
-
-    @staticmethod
-    def _add(
-        table: CountHash,
-        ids: NDArray[np.uint64],
-        counts: NDArray[np.uint32],
-    ) -> None:
-        if ids.size == 0:
-            return
-        # add_counts *accumulates*, so keys fetched by an earlier stage
-        # must not be re-added (stage-2 plans overlap stage-1's windows),
-        # and duplicate keys within one batch must collapse to one entry.
-        ids, first = np.unique(ids, return_index=True)
-        counts = counts[first]
-        fresh = ~table.contains(ids)
-        if fresh.any():
-            table.add_counts(ids[fresh], counts[fresh].astype(np.uint64))
+        add_fresh(self.tiles, ids, counts)
 
     def table_for(self, kind: str) -> CountHash:
         """The cache table for a lookup kind (``"kmer"`` or ``"tile"``)."""
@@ -74,7 +77,7 @@ class ChunkCountCache:
         counts: NDArray[np.uint32],
     ) -> None:
         """Deposit authoritative counts for a lookup kind (idempotent)."""
-        self._add(self.table_for(kind), ids, counts)
+        add_fresh(self.table_for(kind), ids, counts)
 
     @property
     def nbytes(self) -> int:

@@ -4,8 +4,9 @@ The wire endpoint (:class:`~repro.parallel.prefetch.PrefetchEndpoint`)
 is a message protocol, not a resolution tier, and lives one package up;
 everything that *resolves counts* here rides the compiled
 :class:`~repro.parallel.lookup.stack.LookupStack` pair: the chunk cache
-is tier 0, the messaging-free ladder tiers follow, and whatever is left
-unresolved is by definition what a plan must fetch.
+is the first tier, the ladder's local tiers follow, nothing goes to the
+owners, and whatever is left unresolved is by definition what a plan
+must fetch.
 
 **First pass, per chunk.**  Stage 1 enumerates every window tile id and
 bulk-fetches the foreign unknowns; stage 2, with real window counts
@@ -240,7 +241,7 @@ class PrefetchExecutor:
     (window) fetch is issued before chunk N is corrected, so its
     responses stream in while this rank computes.  The rank's tier
     stacks are compiled once here — chunk cache first, then the
-    messaging-free ladder tiers, no remote tier (what the stack cannot
+    ladder's local tiers, no lookup round (what the stack cannot
     resolve is what a plan fetches) — and one view and one corrector
     over them serve every first pass and the tail.
     """

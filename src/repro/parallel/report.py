@@ -136,7 +136,7 @@ def run_report(result: ParallelRunResult) -> dict[str, Any]:
                 }
                 for tier in TIER_NAMES
             },
-            # The serving side of the remote tier: count requests this
+            # The serving side of the lookup rounds: count requests this
             # fleet answered and the shard probes that took — a serve
             # turn answers every queued request with one shard probe,
             # so the mean batch is requests per probe.

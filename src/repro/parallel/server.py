@@ -30,7 +30,8 @@ Serving is **bulk**: a turn that receives a request also takes every
 request already delivered (:meth:`Communicator.take_ready`, which never
 blocks and never yields), probes the shard once per kind for all of
 them, and answers each requester with its own frame
-(:func:`serve_queued`).  The request half — partition by owner, send,
+(:func:`serve_queued`).  The request half — one ordering of the round's
+ids by (owner, kind, id) that buckets them and drops repeats, send,
 reassemble — is :func:`request_by_owner`; the endpoint waits through
 :mod:`repro.parallel.reliable` (outstanding requests, sequence numbers,
 the retry policy under a fault plan).
@@ -129,15 +130,18 @@ def request_by_owner(
     collect: Callable[[set[int]], dict[int, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """The client half of a lookup round: ``(k-mer counts, tile
-    counts)`` aligned with the ids.
+    counts)`` aligned with the ids, which may repeat.
 
-    One partition by owner sorts both kinds at once (k-mer ids first in
-    each owner's chunk, a stable sort keeps them there).
-    ``send(owner, chunk, n_kmer)`` ships one owner's ``[kmer ids | tile
-    ids]``; ``collect(asked)`` waits however the endpoint waits and
+    One ordering of the round's ids, by (owner, kind, id), does both
+    jobs: it buckets them by owner, and it puts each id beside its
+    repeats of the same kind, so every distinct id travels once (the
+    repeats are booked as ``remote_{kind}_ids_deduped``).
+    ``send(owner, chunk, n_kmer)`` ships one owner's chunk, its
+    ``n_kmer`` distinct k-mer ids ascending, then its distinct tile ids
+    ascending; ``collect(asked)`` waits however the endpoint waits and
     returns owner -> counts for every owner asked, aligned with its
-    chunk.  Reassembly is a concatenation in owner order, then the
-    inverse of the partitioning sort.
+    chunk.  Reassembly is a concatenation in owner order, then each id
+    reads the answer of its distinct copy.
     """
     kmer_ids = np.ascontiguousarray(kmer_ids, dtype=np.uint64)
     tile_ids = np.ascontiguousarray(tile_ids, dtype=np.uint64)
@@ -147,33 +151,47 @@ def request_by_owner(
         return np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.uint32)
     # Every synchronous round trip is accounted: the prefetch engine's
     # zero-mid-correction-messaging guarantee is asserted on this.
-    comm.stats.bump("blocking_request_counts")
-    owners = np.concatenate([
+    stats = comm.stats
+    stats.bump("blocking_request_counts")
+    # Bucket 2 * owner + kind: an owner's k-mer ids, then its tile ids.
+    buckets = 2 * np.concatenate([
         np.asarray(kmer_owners, dtype=np.int64),
         np.asarray(tile_owners, dtype=np.int64),
     ])
-    order, bounds = partition_by_dest(owners, comm.size)
+    buckets[nk:] += 1
+    # The ordering: ids by value, then a stable partition by bucket.
+    by_id = np.argsort(ids)
+    part, bounds = partition_by_dest(buckets[by_id], 2 * comm.size)
+    order = by_id[part]
     sorted_ids = ids[order]
-    kmers_at = np.bincount(owners[:nk], minlength=comm.size).tolist()
-    bounds = bounds.tolist()
-    asked = [d for d in range(comm.size) if bounds[d] != bounds[d + 1]]
+    sorted_buckets = buckets[order]
+    first = np.ones(ids.shape[0], dtype=bool)
+    first[1:] = (sorted_ids[1:] != sorted_ids[:-1]) | (sorted_buckets[1:] != sorted_buckets[:-1])
+    distinct = sorted_ids[first]
+    # slot[i]: the distinct copy of sorted id i; bucket b's distinct ids
+    # are distinct[edges[b]:edges[b + 1]].
+    slot = np.cumsum(first)
+    edges = np.concatenate([[0], slot])[bounds]
+    slot -= 1
+    kept = np.diff(edges)
+    stats.bump("remote_kmer_ids_deduped", nk - int(kept[0::2].sum()))
+    stats.bump("remote_tile_ids_deduped", ids.shape[0] - nk - int(kept[1::2].sum()))
+    edges = edges.tolist()
+    asked = [d for d in range(comm.size) if edges[2 * d] != edges[2 * d + 2]]
     if comm.rank in asked:
         raise CommunicatorError("request_counts given locally-owned ids")
     for owner in asked:
-        send(owner, sorted_ids[bounds[owner]:bounds[owner + 1]], kmers_at[owner])
+        lo, mid, hi = edges[2 * owner : 2 * owner + 3]
+        send(owner, distinct[lo:hi], mid - lo)
     responses = collect(set(asked))
-    assembled = np.empty(ids.shape[0], dtype=np.uint32)
-    at = 0
-    for owner in asked:
-        resp = responses[owner]
-        assembled[at : at + resp.shape[0]] = resp
-        at += resp.shape[0]
-    if at != ids.shape[0]:
+    assembled = np.concatenate([responses[owner] for owner in asked])
+    if assembled.shape[0] != distinct.shape[0]:
         raise CommunicatorError(
-            f"response length mismatch: got {at}, wanted {ids.shape[0]}"
+            f"response length mismatch: got {assembled.shape[0]}, "
+            f"wanted {distinct.shape[0]}"
         )
-    out = np.empty_like(assembled)
-    out[order] = assembled
+    out = np.empty(ids.shape[0], dtype=np.uint32)
+    out[order] = assembled[slot]
     return out[:nk], out[nk:]
 
 

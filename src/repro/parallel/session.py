@@ -528,7 +528,7 @@ class CorrectionSession:
         """The session's compiled lookup stack (lazy, local).
 
         Recompiled only when finalize invalidated it or the caller's
-        timer changed (the remote tier attributes its comm time there)."""
+        timer changed (the lookup round attributes its comm time there)."""
         if self._stacks is None or self._stack_timer is not timer:
             self._stacks = compile_stacks(
                 self.comm, self.spectra, self.heuristics,

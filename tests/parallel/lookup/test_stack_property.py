@@ -19,17 +19,8 @@ from hypothesis import strategies as st
 
 from repro.hashing.counthash import CountHash
 from repro.hashing.inthash import mix_to_rank
-from repro.parallel.lookup.stack import LookupStack, StackPair, TIER_NAMES
-from repro.parallel.lookup.tiers import (
-    AllgatherReplicaTier,
-    ChunkCacheTier,
-    LookupTier,
-    OwnedShardTier,
-    ReadsTableTier,
-    RemoteFetchTier,
-    ReplicationGroupTier,
-)
-from repro.util.timer import PhaseTimer
+from repro.parallel.lookup.stack import LookupStack, StackPair
+from repro.parallel.lookup.tiers import AuthorityTier, CacheTier
 
 FIXTURES = Path(__file__).with_name("fixtures.json")
 
@@ -53,16 +44,15 @@ class _Comm:
 
 
 class _OracleProtocol:
-    """Wire stand-in: answers from the authoritative global table."""
+    """Wire stand-in: answers from the authoritative global table.
+
+    What the real protocol puts on the wire for a round — each distinct
+    id once per owner — is pinned by ``test_wire_round.py``."""
 
     def __init__(self, table):
         self.table = table
-        self.calls = 0
 
     def request_counts(self, kmer_ids, kmer_owners, tile_ids, tile_owners):
-        self.calls += 1
-        for ids in (kmer_ids, tile_ids):
-            assert ids.size == np.unique(ids).size, "remote batch not deduped"
         return (
             self.table.lookup(kmer_ids).astype(np.uint32),
             self.table.lookup(tile_ids).astype(np.uint32),
@@ -118,39 +108,43 @@ class World:
 
     def build_stack(self, comm):
         """Mirror compile_stacks' ordering for this configuration."""
-        tiers: list[LookupTier] = []
+        tiers = []
         if self.cache_table is not None:
-            tiers.append(ChunkCacheTier("kmer", self.cache_table))
-        if self.replicated:
-            tiers.append(AllgatherReplicaTier("kmer", self.owned))
-        else:
-            tiers.append(OwnedShardTier("kmer", self.owned, self.rank))
-            if self.group_table is not None:
-                tiers.append(
-                    ReplicationGroupTier(
-                        "kmer", self.group_table, self.group_ranks
-                    )
-                )
-            if self.reads_table is not None:
-                tiers.append(ReadsTableTier("kmer", self.reads_table))
             tiers.append(
-                RemoteFetchTier(
-                    "kmer", _OracleProtocol(self.global_table), PhaseTimer(),
-                )
+                CacheTier("chunk_cache", self.cache_table, "prefetch_kmer_hits")
             )
-        return LookupStack("kmer", tiers, comm)
+        if self.replicated:
+            tiers.append(AuthorityTier("allgather", self.owned, None))
+            return LookupStack("kmer", tiers, comm)
+        tiers.append(AuthorityTier("owned", self.owned, (self.rank,)))
+        if self.group_table is not None:
+            tiers.append(
+                AuthorityTier("group", self.group_table, self.group_ranks)
+            )
+        if self.reads_table is not None:
+            tiers.append(CacheTier(
+                "reads_table", self.reads_table, "reads_table_kmer_hits"
+            ))
+        return LookupStack("kmer", tiers, comm, to_owners=True)
+
+    def build_pair(self, comm, tile_table):
+        """The k-mer stack beside a replicated tile stack over
+        ``tile_table``, with the oracle as the round's protocol."""
+        tiles = LookupStack(
+            "tile", [AuthorityTier("allgather", tile_table, None)], comm
+        )
+        return StackPair(
+            self.build_stack(comm), tiles, _OracleProtocol(self.global_table)
+        )
 
     def resolve(self, comm, ids, record_stats=True):
         """``ids`` as the k-mer side of one lookup round (an empty tile
         side): the stack and its resolution."""
-        stack = self.build_stack(comm)
-        tiles = LookupStack(
-            "tile", [AllgatherReplicaTier("tile", CountHash())], comm
-        )
-        res, _ = StackPair(stack, tiles).resolve(
+        pair = self.build_pair(comm, CountHash())
+        res, _ = pair.resolve(
             ids, np.empty(0, dtype=np.uint64), record_stats=record_stats
         )
-        return stack, res
+        return pair.kmers, res
 
     def oracle(self, ids):
         """The pre-refactor ladder, re-derived independently."""
@@ -225,24 +219,24 @@ def test_stack_matches_legacy_ladder(case):
 
     assert np.array_equal(res.counts, world.oracle(ids))
     assert not res.unresolved.any()
-    # resolved_by indexes real tiers, in stack order.
+    # resolved_by indexes the stack's names (tiers, then remote).
     if ids.size:
         assert res.resolved_by.min() >= 0
-        assert res.resolved_by.max() < len(stack.tiers)
+        assert res.resolved_by.max() < len(stack.names)
     # Per-tier ledger invariants: hits + misses == requests at every
     # tier, and the entry counter charges the whole batch once.
     stats = comm.stats
     assert stats.get("kmer_lookups") == ids.size
     resolved_per_tier = np.bincount(
-        res.resolved_by[res.resolved_by >= 0], minlength=len(stack.tiers)
+        res.resolved_by[res.resolved_by >= 0], minlength=len(stack.names)
     )
-    for index, tier in enumerate(stack.tiers):
-        requests = stats.get(f"lookup_{tier.name}_requests")
-        hits = stats.get(f"lookup_{tier.name}_hits")
-        misses = stats.get(f"lookup_{tier.name}_misses")
+    for index, name in enumerate(stack.names):
+        requests = stats.get(f"lookup_{name}_requests")
+        hits = stats.get(f"lookup_{name}_hits")
+        misses = stats.get(f"lookup_{name}_misses")
         assert hits + misses == requests
         assert hits == int(resolved_per_tier[index])
-        assert stats.get(f"lookup_{tier.name}_bytes") == 12 * hits
+        assert stats.get(f"lookup_{name}_bytes") == 12 * hits
 
 
 @settings(max_examples=60, deadline=None)
@@ -268,10 +262,7 @@ def test_pair_counts_books_what_resolve_books(case):
         booked = []
         for fast in (True, False):
             comm = _Comm(world.rank, world.nranks)
-            tiles = LookupStack(
-                "tile", [AllgatherReplicaTier("tile", world.global_table)], comm
-            )
-            pair = StackPair(world.build_stack(comm), tiles)
+            pair = world.build_pair(comm, world.global_table)
             if fast:
                 kcounts, tcounts = pair.pair_counts(kmer_ids, tile_ids)
             else:
@@ -323,7 +314,5 @@ class TestRecordedFixtures:
             stack, res = world.resolve(comm, ids)
             assert stack.describe() == case["order"], case["name"]
             assert res.counts.tolist() == case["expected_counts"], case["name"]
-            resolved_by = [
-                stack.tiers[i].name for i in res.resolved_by.tolist()
-            ]
+            resolved_by = [stack.names[i] for i in res.resolved_by.tolist()]
             assert resolved_by == case["expected_tiers"], case["name"]

@@ -1,8 +1,10 @@
 """Tests for the distributed spectrum view's lookup ladder."""
 
 import numpy as np
+import pytest
 
 from repro.config import ReptileConfig
+from repro.errors import SpectrumError
 from repro.hashing.counthash import CountHash
 from repro.hashing.inthash import mix_to_rank
 from repro.io.records import ReadBlock
@@ -118,7 +120,9 @@ class TestLookupLadder:
             for r in sp.group_ranks:
                 rk = keys[mix_to_rank(keys, comm.size) == r]
                 merged.add_counts(rk, rk + np.uint64(1))
-            sp.group_kmers = merged
+            # Both kinds, as apply_replication builds them: the compiled
+            # order has a group tier per kind.
+            sp.group_kmers = sp.group_tiles = merged
             view, proto = _view(comm, HeuristicConfig(replication_group=g),
                                 spectra=sp)
             counts = view.kmer_counts(keys)
@@ -128,6 +132,24 @@ class TestLookupLadder:
             return True
 
         run_spmd(prog, 4, engine="cooperative")
+
+    def test_stack_counts_refuses_ids_owned_elsewhere(self):
+        """A stack alone runs only its local tiers: asked for k-mers
+        another rank owns it raises, where it used to answer 0; the
+        pair's round answers them."""
+        def prog(comm):
+            view, proto = _view(comm, HeuristicConfig(universal=True))
+            keys = np.arange(300, dtype=np.uint64)
+            foreign = keys[mix_to_rank(keys, comm.size) != comm.rank][:50]
+            assert foreign.size == 50
+            with pytest.raises(SpectrumError, match="50 kmer ids"):
+                view.kmers.counts(foreign)
+            counts = view.kmer_counts(foreign)
+            proto.finish()
+            assert np.array_equal(counts, (foreign + 1).astype(np.uint32))
+            return True
+
+        assert run_spmd(prog, 3, engine="cooperative").results == [True] * 3
 
     def test_empty_lookup(self):
         def prog(comm):

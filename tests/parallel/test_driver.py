@@ -105,9 +105,15 @@ class TestRankCounts:
         assert result.counter_per_rank("reads_received_in_balance").tolist() == [0]
         assert sum(s.messages_sent for s in result.stats) == 0
 
-    def test_rejects_bad_nranks(self, config_mod):
-        with pytest.raises(ValueError):
-            ParallelReptile(config_mod, nranks=0)
+    @pytest.mark.parametrize(
+        "make", [ParallelReptile, ParallelSession, _service],
+        ids=["reptile", "session", "service"],
+    )
+    def test_rejects_bad_nranks(self, make, config_mod):
+        """A world with no ranks is a configuration error, refused at
+        construction (the CLI prints it instead of a traceback)."""
+        with pytest.raises(ConfigError, match="nranks must be >= 1"):
+            make(config_mod, HeuristicConfig(), 0)
 
     @pytest.mark.parametrize(
         "make", [ParallelReptile, ParallelSession, _service],

@@ -1,8 +1,10 @@
 """API hygiene: docstrings, __all__ consistency, import cleanliness."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +67,24 @@ def test_public_classes_have_documented_public_methods(package_name):
             assert meth.__doc__, (
                 f"{package_name}.{name}.{meth_name} lacks a docstring"
             )
+
+
+def test_core_does_not_import_parallel():
+    """The serial core sits below the distributed layer: no module of
+    ``repro.core`` imports ``repro.parallel``, even lazily."""
+    core = Path(repro.__file__).parent / "core"
+    for path in sorted(core.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            assert not any(
+                n == "repro.parallel" or n.startswith("repro.parallel.")
+                for n in names
+            ), f"{path.name} imports {names}"
 
 
 def test_no_module_imports_pytest():
