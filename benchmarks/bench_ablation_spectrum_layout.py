@@ -186,3 +186,54 @@ def test_size_sweep(benchmark, capsys):
         lines.append(" ".join(row))
     with capsys.disabled():
         print("\n".join(lines))
+
+
+def _best_ms(lookup, queries):
+    """Best of five runs of one lookup, in ms."""
+    best = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        lookup(queries)
+        best = min(best, time.perf_counter() - start)
+    return best * 1e3
+
+
+def test_whole_share_lookup(benchmark, capsys):
+    """A sealed lookup of a whole share — 400k ids, a quarter absent —
+    shuffled, already ascending, and a bare ``searchsorted``.
+
+    A lookup round orders its ids once, so the rank's own share reaches
+    its shard ascending; the sealed lookup sees that in one O(n) pass
+    and searches as the ids come, where a shuffled batch pays an argsort
+    and a scatter back.  The bare ``np.searchsorted`` of the same
+    ascending ids (no narrowing, no match check, no count gather) is the
+    floor.  Tables of 25k / 250k / 1.8M keys span an 8-rank shard of the
+    e2e inputs up to a whole 188k-read spectrum.
+    """
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    rng = np.random.default_rng(17)
+    lines = ["\n== Ablation: sealed whole-share lookup, 400k ids (ms) =="]
+    lines.append(f"  {'keys':>10} {'shuffled':>9} {'ascending':>10} {'bare':>7}")
+    for n_keys in (25_000, 250_000, 1_800_000):
+        keys = np.unique(rng.integers(0, 1 << 40, n_keys, dtype=np.uint64))
+        counts = rng.integers(1, 200, keys.shape[0]).astype(np.uint32)
+        sealed = SortedSpectrum.from_sorted(keys, counts)
+        queries = np.concatenate([
+            rng.choice(keys, 300_000),
+            rng.integers(0, 1 << 40, 100_000, dtype=np.uint64),
+        ])
+        rng.shuffle(queries)
+        ascending = np.sort(queries)
+        t_shuffled = _best_ms(sealed.lookup, queries)
+        t_ascending = _best_ms(sealed.lookup, ascending)
+        t_bare = _best_ms(keys[:-1].searchsorted, ascending)
+        order = np.argsort(queries, kind="stable")
+        assert np.array_equal(
+            sealed.lookup(queries)[order], sealed.lookup(ascending)
+        )
+        lines.append(
+            f"  {keys.shape[0]:>10,} {t_shuffled:>9.1f} "
+            f"{t_ascending:>10.1f} {t_bare:>7.1f}"
+        )
+    with capsys.disabled():
+        print("\n".join(lines))

@@ -10,7 +10,11 @@ That trade holds for whole-block batches, where a hash probe's couple of
 dozen numpy passes are spread over tens of thousands of ids.  Step IV's
 serving shards are probed in per-owner batches of about a dozen ids, and
 there one binary search — a handful of numpy calls whatever the batch —
-costs a fraction of a probe.  So each table's form is fixed by its role
+costs a fraction of a probe.  A sealed owned shard also answers the
+rank's own share of every lookup round, whole-share sized; the round
+orders its ids once and hands that share over ascending, which
+:meth:`SortedSpectrum.lookup_found` detects and searches without a sort
+(see ``_SORT_CUTOVER``).  So each table's form is fixed by its role
 when it is built (see ``docs/ALGORITHM.md``, "Count hash tables"):
 
 * :class:`SortedSpectrum` — the **sealed** form: parallel sorted key and
@@ -43,12 +47,20 @@ from repro.hashing.counthash import narrow_pairs
 
 _COUNT16_MAX = np.iinfo(np.uint16).max
 
-#: A lookup of at least this many ids searches them in ascending order
-#: (one argsort, then a scatter back): the searches then walk the table
-#: front to back, which measured about 2-3x cheaper per id from 4k ids up;
-#: below this the argsort costs more than it saves.  See
-#: ``benchmarks/bench_ablation_spectrum_layout.py``'s batch-size sweep.
+#: Searching ids in ascending order walks the table front to back, which
+#: measured about 2-3x cheaper per id from 4k ids up.  Ids that already
+#: ascend — a lookup round's own share, ordered once by the round — are
+#: searched as they come, at any batch size: one O(n) pass checks that.
+#: An unsorted lookup of at least this many ids is argsorted first (and
+#: its positions scattered back); below this the argsort costs more than
+#: it saves.  See ``benchmarks/bench_ablation_spectrum_layout.py``'s
+#: batch-size sweep and whole-share table.
 _SORT_CUTOVER = 1024
+
+
+def _ascending(keys: np.ndarray) -> bool:
+    """Are ``keys`` in non-decreasing order?"""
+    return bool((keys[1:] >= keys[:-1]).all())
 
 
 class SortedSpectrum:
@@ -142,7 +154,7 @@ class SortedSpectrum:
         # Searching all but the last key clips every position to the
         # table, and a key equal to the last one still lands on it.
         head = stored[:-1]
-        if keys.size < _SORT_CUTOVER:
+        if keys.size < _SORT_CUTOVER or _ascending(narrow):
             pos = head.searchsorted(narrow)
         else:
             order = narrow.argsort()

@@ -15,11 +15,13 @@ lookup tier stack") for the layer diagram.
 
 Modules:
 
-* :mod:`~repro.parallel.lookup.tiers` — the two tier types and the
-  :class:`Resolution` state they fill in;
+* :mod:`~repro.parallel.lookup.tiers` — the two tier types, which
+  answer a lookup round's open positions or fill in the prefetch
+  planner's :class:`Resolution`;
 * :mod:`~repro.parallel.lookup.stack` — :class:`LookupStack`, the
-  :class:`StackPair` and its lookup round, :func:`compile_stacks`, and
-  the order helpers it compiles from;
+  :class:`StackPair` and its lookup round (ordered once, as a
+  :class:`~repro.parallel.lookup.stack.LookupRound`),
+  :func:`compile_stacks`, and the order helpers it compiles from;
 * :mod:`~repro.parallel.lookup.routing` — owner→destination routing
   (:class:`RouteTable`) and the serving-side :class:`ShardServer` that
   recovery re-binds wards onto;

@@ -16,8 +16,19 @@ shard rather than growing a bespoke failover path — see
 A :class:`LookupStack` resolves what its local tiers can.  What is left
 for the owners goes out from the :class:`StackPair`, for both spectra
 at once: one lookup round is one request per owner, whatever mix of
-k-mer and tile ids it carries (:meth:`StackPair.resolve`).  The round
-is not a tier; it is booked as ``remote`` all the same.
+k-mer and tile ids it carries (:meth:`StackPair.pair_counts`).  The
+round is not a tier; it is booked as ``remote`` all the same.
+
+A round is ordered once (:class:`LookupRound`): every id of both kinds,
+own and foreign, by (kind, owner, id), with the owners computed in one
+pass.  Each stack then walks its tiers over its kind's run of that
+order — the rank's own segment is the ``owned`` probe, ascending as the
+sealed shard wants it; a replication group takes its owners' segments;
+the reads table sees what is still open — and what is left of each
+foreign segment, deduplicated, is that owner's chunk on the wire.  No
+per-id mask or :class:`~repro.parallel.lookup.tiers.Resolution` is
+built on the way; :meth:`LookupStack.resolve` builds one only for the
+prefetch planner, which needs to know which tier answered each id.
 """
 
 from __future__ import annotations
@@ -29,10 +40,12 @@ from typing import TYPE_CHECKING, Protocol, Sequence, TypeGuard
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.errors import SpectrumError
+from repro.errors import CommunicatorError, SpectrumError
 from repro.hashing.counthash import CountHash
+from repro.hashing.inthash import mix_to_rank
 from repro.hashing.sortedspectrum import SortedSpectrum
 from repro.parallel.lookup.cache import ChunkCountCache, add_fresh
+from repro.parallel.lookup.routing import KIND_KMER, KIND_TILE, partition_by_dest
 
 if TYPE_CHECKING:
     # Type-only: build imports the wire protocol, which imports this
@@ -51,7 +64,7 @@ from repro.parallel.lookup.tiers import (
 from repro.util.timer import PhaseTimer
 
 _NO_IDS = np.empty(0, dtype=np.uint64)
-_NO_OWNERS = _NO_POS = np.empty(0, dtype=np.int64)
+_NO_POS = np.empty(0, dtype=np.intp)
 
 #: Every tier name a compiled stack can contain, in canonical resolution
 #: order (reports iterate this); ``remote`` is the lookup round.
@@ -66,17 +79,27 @@ TIER_NAMES = (
 
 
 class RemoteProtocol(Protocol):
-    """What a remote lookup round needs from a correction protocol: one
-    request per owner for both spectra, answered as ``(k-mer counts,
-    tile counts)``."""
+    """What a lookup round needs from a correction protocol: ship each
+    owner its chunk, as ordered, and wait for the answers.
 
-    def request_counts(
-        self,
-        kmer_ids: NDArray[np.uint64],
-        kmer_owners: NDArray[np.int64],
-        tile_ids: NDArray[np.uint64],
-        tile_owners: NDArray[np.int64],
-    ) -> tuple[NDArray[np.uint32], NDArray[np.uint32]]: ...
+    ``chunks`` maps owner -> ``(ids, n_kmer)``: the owner's distinct
+    k-mer ids ascending, then its distinct tile ids ascending, ``n_kmer``
+    of them k-mers.  The answer maps every owner asked to the counts of
+    its chunk, in chunk order."""
+
+    def request_chunks(
+        self, chunks: dict[int, tuple[NDArray[np.uint64], int]]
+    ) -> dict[int, NDArray[np.uint32]]: ...
+
+
+class _Mute:
+    """A ledger that keeps nothing (``record_stats=False``)."""
+
+    def bump(self, name: str, amount: int = 1) -> None:
+        pass
+
+
+_MUTE = _Mute()
 
 
 class CommLike(Protocol):
@@ -157,14 +180,14 @@ class LookupStack:
     def resolve(
         self, ids: NDArray[np.uint64], *, record_stats: bool = True
     ) -> Resolution:
-        """Run ``ids`` down the local tiers; returns the resolution state.
+        """Run ``ids`` down the local tiers; returns the resolution state,
+        which records the tier that answered each id.
 
-        What no tier could answer stays unresolved: in a stack that goes
-        to the owners that is what its round asks them for
-        (:meth:`StackPair.resolve`), in a prefetch stack it is exactly
-        what a plan must fetch.  ``record_stats=False`` suppresses *all*
-        counters — per-kind and per-tier alike — for side-effect-free
-        probes.
+        What no tier could answer stays unresolved: in a prefetch stack
+        it is exactly what a plan must fetch.  (A lookup round does not
+        come here: :meth:`walk` runs its tiers over the round's order.)
+        ``record_stats=False`` suppresses *all* counters — per-kind and
+        per-tier alike — for side-effect-free probes.
         """
         ids = np.ascontiguousarray(ids, dtype=np.uint64)
         stats = self.comm.stats
@@ -202,12 +225,36 @@ class LookupStack:
             req.resolved_by[newly] = index
             req.unresolved &= ~newly
         if record_stats:
-            requests, hit, miss, nbytes = self._counters[index]
-            stats = self.comm.stats
-            stats.bump(requests, presented)
-            stats.bump(hit, hits)
-            stats.bump(miss, presented - hits)
-            stats.bump(nbytes, BYTES_PER_HIT * hits)
+            self._book(self.comm.stats, index, presented, hits)
+
+    def _book(
+        self, stats: StatsSink, index: int, presented: int, hits: int
+    ) -> None:
+        """Book ``hits`` of ``presented`` ids answered by ``names[index]``."""
+        requests, hit, miss, nbytes = self._counters[index]
+        stats.bump(requests, presented)
+        stats.bump(hit, hits)
+        stats.bump(miss, presented - hits)
+        stats.bump(nbytes, BYTES_PER_HIT * hits)
+
+    def walk(
+        self, rnd: LookupRound, kind: int, stats: StatsSink
+    ) -> NDArray[np.intp]:
+        """Answer this stack's kind of a lookup round from the local
+        tiers; returns the round positions (ascending) still open.
+
+        Each tier sees what the tiers before it left open, and the
+        counters are booked as :meth:`resolve` books them.
+        """
+        pos = rnd.positions(kind)
+        stats.bump(self._lookups_counter, pos.shape[0])
+        for index, tier in enumerate(self.tiers):
+            presented = pos.shape[0]
+            if presented == 0:
+                break
+            pos = tier.answer(rnd, kind, pos, stats)
+            self._book(stats, index, presented, presented - pos.shape[0])
+        return pos
 
     def counts(
         self, ids: NDArray[np.uint64], *, record_stats: bool = True
@@ -225,11 +272,7 @@ class LookupStack:
             if record_stats:
                 n = int(ids.size)
                 stats.bump(self._lookups_counter, n)
-                requests, hit, miss, nbytes = self._counters[0]
-                stats.bump(requests, n)
-                stats.bump(hit, n)
-                stats.bump(miss, 0)
-                stats.bump(nbytes, BYTES_PER_HIT * n)
+                self._book(stats, 0, n, n)
             return out
         req = self.resolve(ids, record_stats=record_stats)
         left = int(np.count_nonzero(req.unresolved))
@@ -244,6 +287,141 @@ class LookupStack:
 def _replica(tier: Tier) -> TypeGuard[AuthorityTier]:
     """Is ``tier`` a replicated spectrum (authoritative for every id)?"""
     return isinstance(tier, AuthorityTier) and tier.owners is None
+
+
+class LookupRound:
+    """One lookup round's ids, both kinds, ordered once.
+
+    The order is (kind, owner, id): :attr:`ids` holds the round's ids in
+    that order and :attr:`counts` fills in beside them as tiers and
+    owners answer.  Each kind is one run of positions and each (kind,
+    owner) segment a run within it, ascending, repeats adjacent — so
+    the rank's own segment is an ascending probe of its shard, and what
+    is left of a foreign segment is that owner's chunk, deduplicated by
+    one comparison with its neighbour.  The ordering is an argsort by id
+    and a stable radix partition on the segment (kind · size + owner).
+    """
+
+    def __init__(
+        self,
+        kmer_ids: NDArray[np.uint64],
+        tile_ids: NDArray[np.uint64],
+        size: int,
+        owners: NDArray[np.int64] | None = None,
+    ) -> None:
+        """``owners``: the owner of every id, k-mers then tiles, a
+        function of the id (default: the ownership rule, in one pass
+        over the round)."""
+        ids = np.concatenate([kmer_ids, tile_ids])
+        self.size = size
+        self._nk = kmer_ids.shape[0]
+        segments = np.array(
+            mix_to_rank(ids, size) if owners is None else owners,
+            dtype=np.int64,
+        )
+        segments[self._nk:] += size
+        by_id = ids.argsort()
+        part, self.bounds = partition_by_dest(segments[by_id], 2 * size)
+        self._order = by_id[part]
+        #: The round's ids in (kind, owner, id) order; segment (kind,
+        #: owner) is ``bounds[kind * size + owner]`` up to the next bound.
+        self.ids = ids[self._order]
+        #: Counts at those positions, filled in as they are answered.
+        self.counts = np.zeros(ids.shape[0], dtype=np.uint32)
+
+    def positions(self, kind: int) -> NDArray[np.intp]:
+        """Every position of a kind (``KIND_KMER`` / ``KIND_TILE``)."""
+        base = kind * self.size
+        return np.arange(self.bounds[base], self.bounds[base + self.size])
+
+    def split(
+        self, kind: int, pos: NDArray[np.intp], owners: NDArray[np.int64]
+    ) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
+        """Ascending positions ``pos`` of a kind, split into those in
+        the segments of ``owners`` (ascending ranks) and the rest."""
+        segment = kind * self.size + owners
+        edges = np.column_stack(
+            (self.bounds[segment], self.bounds[segment + 1])
+        ).ravel()
+        cuts = [0, *pos.searchsorted(edges).tolist(), pos.shape[0]]
+        return (
+            _join([pos[a:b] for a, b in zip(cuts[1::2], cuts[2::2])]),
+            _join([pos[a:b] for a, b in zip(cuts[0::2], cuts[1::2])]),
+        )
+
+    def ask(
+        self,
+        kmer_pos: NDArray[np.intp],
+        tile_pos: NDArray[np.intp],
+        protocol: RemoteProtocol,
+        rank: int,
+        stats: StatsSink,
+    ) -> tuple[tuple[NDArray[np.uint64], NDArray[np.uint32]], ...]:
+        """Ask the owners for the ids at the open positions of each kind
+        (ascending), each distinct id once, and fill in their counts.
+
+        Returns, per kind, the distinct ids asked and their counts.  A
+        repeat is booked as ``remote_{kind}_ids_deduped``; the round as
+        one ``blocking_request_counts``.
+        """
+        kinds = []
+        for kind, pos in ((KIND_KMER, kmer_pos), (KIND_TILE, tile_pos)):
+            ids = self.ids[pos]
+            # Equal ids are adjacent, and never in two segments of a
+            # kind: an id has one owner.
+            first = np.ones(ids.shape[0], dtype=bool)
+            np.not_equal(ids[1:], ids[:-1], out=first[1:])
+            slot = np.cumsum(first)
+            slot -= 1
+            base = kind * self.size
+            edges = pos[first].searchsorted(
+                self.bounds[base : base + self.size + 1]
+            ).tolist()
+            kinds.append((pos, ids[first], slot, edges))
+        (_, kmers, _, kedges), (_, tiles, _, tedges) = kinds
+        # Every synchronous round trip is accounted: the prefetch engine's
+        # zero-mid-correction-messaging guarantee is asserted on this.
+        stats.bump("blocking_request_counts")
+        stats.bump("remote_kmer_ids_deduped", kmer_pos.shape[0] - kmers.shape[0])
+        stats.bump("remote_tile_ids_deduped", tile_pos.shape[0] - tiles.shape[0])
+        chunks: dict[int, tuple[NDArray[np.uint64], int]] = {}
+        for owner in range(self.size):
+            klo, khi = kedges[owner], kedges[owner + 1]
+            tlo, thi = tedges[owner], tedges[owner + 1]
+            if klo == khi and tlo == thi:
+                continue
+            if owner == rank:
+                raise CommunicatorError("a lookup round given locally-owned ids")
+            chunks[owner] = (
+                np.concatenate([kmers[klo:khi], tiles[tlo:thi]]), khi - klo
+            )
+        answers = protocol.request_chunks(chunks)
+        kcounts, tcounts = [], []
+        for owner, (chunk, n_kmer) in chunks.items():
+            answer = answers[owner]
+            if answer.shape[0] != chunk.shape[0]:
+                raise CommunicatorError(
+                    f"response length mismatch from rank {owner}: got "
+                    f"{answer.shape[0]}, wanted {chunk.shape[0]}"
+                )
+            kcounts.append(answer[:n_kmer])
+            tcounts.append(answer[n_kmer:])
+        asked = []
+        for (pos, distinct, slot, _), parts in zip(kinds, (kcounts, tcounts)):
+            counts = np.concatenate(parts).astype(np.uint32, copy=False)
+            self.counts[pos] = counts[slot]
+            asked.append((distinct, counts))
+        return tuple(asked)
+
+    def answers(self) -> tuple[NDArray[np.uint32], NDArray[np.uint32]]:
+        """``(k-mer counts, tile counts)`` in the order the ids came."""
+        out = np.empty_like(self.counts)
+        out[self._order] = self.counts
+        return out[: self._nk], out[self._nk :]
+
+
+def _join(parts: list[NDArray[np.intp]]) -> NDArray[np.intp]:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 @dataclass(frozen=True)
@@ -263,59 +441,64 @@ class StackPair:
         """The stack resolving ``"kmer"`` or ``"tile"`` counts."""
         return self.kmers if kind == "kmer" else self.tiles
 
-    def resolve(
+    # The corrector's SpectrumView interface, so a compiled pair is
+    # handed to ReptileCorrector as is.
+    def pair_counts(
         self,
         kmer_ids: NDArray[np.uint64],
         tile_ids: NDArray[np.uint64],
         *,
         record_stats: bool = True,
-    ) -> tuple[Resolution, Resolution]:
-        """One lookup round: both spectra through their local tiers, then
-        whatever is left in one request per owner.
-
-        The round's wait is booked to ``comm_kmer`` / ``comm_tile`` in
-        proportion to the ids of each kind it carried; its answers as the
-        ``remote`` tier of their stack.
-        """
-        kres = self.kmers.resolve(kmer_ids, record_stats=record_stats)
-        tres = self.tiles.resolve(tile_ids, record_stats=record_stats)
-        # Positions of the ids the owners must answer.
-        kopen = np.nonzero(kres.unresolved)[0] if self.kmers.to_owners else _NO_POS
-        topen = np.nonzero(tres.unresolved)[0] if self.tiles.to_owners else _NO_POS
-        nk, nt = kopen.shape[0], topen.shape[0]
-        if nk + nt == 0:
-            return kres, tres
-        if self.protocol is None:
-            raise SpectrumError("a lookup round needs a wire protocol")
-        start = time.perf_counter()
-        kcounts, tcounts = self.protocol.request_counts(
-            kres.ids[kopen], kres.owners[kopen] if nk else _NO_OWNERS,
-            tres.ids[topen], tres.owners[topen] if nt else _NO_OWNERS,
-        )
-        elapsed = time.perf_counter() - start
-        self.timer.add("comm_kmer", elapsed * nk / (nk + nt))
-        self.timer.add("comm_tile", elapsed * nt / (nk + nt))
-        if nk:
-            _book_round(self.kmers, kres, kopen, kcounts, record_stats)
-        if nt:
-            _book_round(self.tiles, tres, topen, tcounts, record_stats)
-        return kres, tres
-
-    # The corrector's SpectrumView interface, so a compiled pair is
-    # handed to ReptileCorrector as is.
-    def pair_counts(
-        self, kmer_ids: NDArray[np.uint64], tile_ids: NDArray[np.uint64]
     ) -> tuple[NDArray[np.uint32], NDArray[np.uint32]]:
-        """Global k-mer and tile counts, in one lookup round."""
-        if (
-            self.kmers._sole_replica is not None
-            and self.tiles._sole_replica is not None
-        ):
-            # One rank or fully allgathered: nothing to message, so skip
-            # the Resolution bookkeeping (same counters).
-            return self.kmers.counts(kmer_ids), self.tiles.counts(tile_ids)
-        kres, tres = self.resolve(kmer_ids, tile_ids)
-        return kres.counts, tres.counts
+        """Global k-mer and tile counts, in one lookup round.
+
+        The ids of each kind whose stack goes to the owners — own and
+        foreign alike — are ordered once (:class:`LookupRound`), walked
+        down their local tiers (:meth:`LookupStack.walk`), and what is
+        left goes out in one request per owner.  A kind that stays local
+        (replicated) answers from its own tiers.  The round's wait is
+        booked to ``comm_kmer`` / ``comm_tile`` in proportion to the
+        open ids of each kind; its answers as the ``remote`` tier of
+        their stack.  ``record_stats=False`` books no counter.
+        """
+        kmer_ids = np.ascontiguousarray(kmer_ids, dtype=np.uint64)
+        tile_ids = np.ascontiguousarray(tile_ids, dtype=np.uint64)
+        stacks = (self.kmers, self.tiles)
+        local = [
+            None if stack.to_owners
+            else stack.counts(ids, record_stats=record_stats)
+            for stack, ids in zip(stacks, (kmer_ids, tile_ids))
+        ]
+        if local[0] is not None and local[1] is not None:
+            return local[0], local[1]
+        comm = self.kmers.comm
+        stats = comm.stats if record_stats else _MUTE
+        rnd = LookupRound(
+            _NO_IDS if local[0] is not None else kmer_ids,
+            _NO_IDS if local[1] is not None else tile_ids,
+            comm.size,
+        )
+        kopen, topen = (
+            _NO_POS if counts is not None else stack.walk(rnd, kind, stats)
+            for stack, kind, counts in zip(stacks, (KIND_KMER, KIND_TILE), local)
+        )
+        nk, nt = kopen.shape[0], topen.shape[0]
+        if nk + nt:
+            if self.protocol is None:
+                raise SpectrumError("a lookup round needs a wire protocol")
+            start = time.perf_counter()
+            asked = rnd.ask(kopen, topen, self.protocol, comm.rank, stats)
+            elapsed = time.perf_counter() - start
+            self.timer.add("comm_kmer", elapsed * nk / (nk + nt))
+            self.timer.add("comm_tile", elapsed * nt / (nk + nt))
+            for stack, n, (ids, counts) in zip(stacks, (nk, nt), asked):
+                if n:
+                    _book_round(stack, n, ids, counts, stats)
+        kcounts, tcounts = rnd.answers()
+        return (
+            kcounts if local[0] is None else local[0],
+            tcounts if local[1] is None else local[1],
+        )
 
     def kmer_counts(self, ids: NDArray[np.uint64]) -> NDArray[np.uint32]:
         """Global k-mer counts via the tier stack."""
@@ -332,23 +515,19 @@ class StackPair:
 
 def _book_round(
     stack: LookupStack,
-    req: Resolution,
-    idx: NDArray[np.int64],
-    fetched: NDArray[np.uint32],
-    record_stats: bool,
+    n: int,
+    ids: NDArray[np.uint64],
+    counts: NDArray[np.uint32],
+    stats: StatsSink,
 ) -> None:
-    """Scatter the owners' answers for ``req.ids[idx]`` (every open id)
-    into ``req``, book them as ``remote``, and cache them in the stack's
-    reads table under *add remote lookups*."""
-    if record_stats:
-        stack.comm.stats.bump(stack._remote_counter, int(idx.shape[0]))
-    req.counts[idx] = fetched
+    """Book the round's answers to ``n`` open ids of ``stack`` — the
+    distinct ``ids`` with their ``counts`` — as ``remote``, and cache
+    them in the stack's reads table under *add remote lookups*."""
+    stats.bump(stack._remote_counter, n)
+    stack._book(stats, len(stack.tiers), n, n)
     if stack.write_back is not None:
         # Global absence is cached too, as 0.
-        add_fresh(stack.write_back, req.ids[idx], fetched)
-    stack._resolved(
-        req, len(stack.tiers), idx.shape[0], req.unresolved.copy(), record_stats
-    )
+        add_fresh(stack.write_back, ids, counts)
 
 
 def compile_stacks(
@@ -368,7 +547,7 @@ def compile_stacks(
     goes to the owners: what they leave unresolved is what a plan
     fetches); otherwise a stack whose kind is not replicated sends what
     its tiers leave open to the owners through ``protocol``, in the
-    pair's lookup rounds (:meth:`StackPair.resolve`), whose wait is
+    pair's lookup rounds (:meth:`StackPair.pair_counts`), whose wait is
     booked on ``timer``.
     """
 

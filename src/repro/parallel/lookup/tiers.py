@@ -17,8 +17,15 @@ The paper's Section III-B "lookup ladder" is the ordering
 :func:`repro.parallel.lookup.stack.compile_stacks` builds from a
 :class:`~repro.parallel.heuristics.HeuristicConfig`; the prefetch engine
 puts the chunk cache first.  What no tier answers goes to the owners in
-one lookup round (:meth:`~repro.parallel.lookup.stack.StackPair.resolve`),
+one lookup round (:meth:`~repro.parallel.lookup.stack.StackPair.pair_counts`),
 which is not a tier: it answers both spectra at once.
+
+A tier answers in two shapes.  In a lookup round it sees the round's
+one ordering (:class:`~repro.parallel.lookup.stack.LookupRound`) and the
+positions still open (:meth:`AuthorityTier.answer` takes its owners'
+segments, :meth:`CacheTier.answer` probes what is open); for the
+prefetch planner it fills in a :class:`Resolution`, which records the
+tier that answered each id (``resolve``).
 
 Two counter families are recorded into
 :class:`~repro.simmpi.instrument.CommStats`:
@@ -49,7 +56,7 @@ also counted, as ``table_probe_calls`` and ``table_probe_ids``
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Protocol, Sequence, TypeVar
 
 import numpy as np
 from numpy.typing import NDArray
@@ -57,6 +64,10 @@ from numpy.typing import NDArray
 from repro.hashing.counthash import CountHash
 from repro.hashing.sortedspectrum import SortedSpectrum
 from repro.hashing.inthash import mix_to_rank
+
+if TYPE_CHECKING:
+    # Type-only: the round lives beside the stacks, which import this.
+    from repro.parallel.lookup.stack import LookupRound
 
 #: Bytes of resolved payload charged per hit in the per-tier ``bytes``
 #: counter: an 8-byte key plus a 4-byte count.
@@ -134,8 +145,9 @@ class AuthorityTier:
         #: Stable tier name used in counters, reports and MPI007 docs.
         self.name = name
         self.table = table
+        #: Ascending and distinct, as :meth:`LookupRound.split` wants.
         self.owners: NDArray[np.int64] | None = (
-            None if owners is None else np.asarray(owners, dtype=np.int64)
+            None if owners is None else np.unique(np.asarray(owners, dtype=np.int64))
         )
 
     def resolve(
@@ -159,6 +171,24 @@ class AuthorityTier:
                 self.table.lookup, req.ids[sel], stats, record_stats
             )
         return sel
+
+    def answer(
+        self,
+        rnd: LookupRound,
+        kind: int,
+        pos: NDArray[np.intp],
+        stats: StatsSink,
+    ) -> NDArray[np.intp]:
+        """Fill in the counts of the open round positions ``pos`` this
+        table covers — its owners' segments, each ascending, repeats
+        kept; returns the positions still open."""
+        if self.owners is None:
+            covered, rest = pos, pos[:0]
+        else:
+            covered, rest = rnd.split(kind, pos, self.owners)
+        if covered.size:
+            rnd.counts[covered] = probe(self.table.lookup, rnd.ids[covered], stats)
+        return rest
 
 
 class CacheTier:
@@ -194,6 +224,22 @@ class CacheTier:
             if record_stats:
                 stats.bump(self.hit_counter, int(hit.size))
         return newly
+
+    def answer(
+        self,
+        rnd: LookupRound,
+        kind: int,
+        pos: NDArray[np.intp],
+        stats: StatsSink,
+    ) -> NDArray[np.intp]:
+        """Fill in the counts of the open round positions ``pos`` the
+        table holds; returns the positions still open."""
+        counts, found = probe(self.table.lookup_found, rnd.ids[pos], stats)
+        hit = pos[found]
+        if hit.size:
+            rnd.counts[hit] = counts[found]
+            stats.bump(self.hit_counter, int(hit.size))
+        return pos[~found]
 
 
 #: A local tier of either kind.

@@ -30,16 +30,18 @@ Serving is **bulk**: a turn that receives a request also takes every
 request already delivered (:meth:`Communicator.take_ready`, which never
 blocks and never yields), probes the shard once per kind for all of
 them, and answers each requester with its own frame
-(:func:`serve_queued`).  The request half — one ordering of the round's
-ids by (owner, kind, id) that buckets them and drops repeats, send,
-reassemble — is :func:`request_by_owner`; the endpoint waits through
-:mod:`repro.parallel.reliable` (outstanding requests, sequence numbers,
-the retry policy under a fault plan).
+(:func:`serve_queued`).  The request half ships what the round left
+for each owner as the round ordered it
+(:meth:`CorrectionProtocol.request_chunks`): the one ordering of a
+round's ids — by (kind, owner, id), which buckets them, drops repeats
+and hands the rank's own segment to its shard — is the lookup stack's
+(:class:`~repro.parallel.lookup.stack.LookupRound`), not sorted again
+here.  The endpoint waits through :mod:`repro.parallel.reliable`
+(outstanding requests, sequence numbers, the retry policy under a
+fault plan).
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -51,8 +53,8 @@ from repro.parallel.lookup.routing import (
     KIND_TILE,
     RouteTable,
     ShardServer,
-    partition_by_dest,
 )
+from repro.parallel.lookup.stack import LookupRound
 from repro.parallel.reliable import ReliableRequests
 from repro.simmpi.communicator import Communicator
 from repro.simmpi.message import ANY_SOURCE, ANY_TAG, Message, Tags
@@ -118,81 +120,6 @@ def join_answers(
         parts = [answers[key] for key in (owner, owner + size) if key in answers]
         joined[owner] = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return joined
-
-
-def request_by_owner(
-    comm: Communicator,
-    kmer_ids: np.ndarray,
-    kmer_owners: np.ndarray,
-    tile_ids: np.ndarray,
-    tile_owners: np.ndarray,
-    send: Callable[[int, np.ndarray, int], None],
-    collect: Callable[[set[int]], dict[int, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """The client half of a lookup round: ``(k-mer counts, tile
-    counts)`` aligned with the ids, which may repeat.
-
-    One ordering of the round's ids, by (owner, kind, id), does both
-    jobs: it buckets them by owner, and it puts each id beside its
-    repeats of the same kind, so every distinct id travels once (the
-    repeats are booked as ``remote_{kind}_ids_deduped``).
-    ``send(owner, chunk, n_kmer)`` ships one owner's chunk, its
-    ``n_kmer`` distinct k-mer ids ascending, then its distinct tile ids
-    ascending; ``collect(asked)`` waits however the endpoint waits and
-    returns owner -> counts for every owner asked, aligned with its
-    chunk.  Reassembly is a concatenation in owner order, then each id
-    reads the answer of its distinct copy.
-    """
-    kmer_ids = np.ascontiguousarray(kmer_ids, dtype=np.uint64)
-    tile_ids = np.ascontiguousarray(tile_ids, dtype=np.uint64)
-    nk = kmer_ids.shape[0]
-    ids = np.concatenate([kmer_ids, tile_ids])
-    if ids.size == 0:
-        return np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.uint32)
-    # Every synchronous round trip is accounted: the prefetch engine's
-    # zero-mid-correction-messaging guarantee is asserted on this.
-    stats = comm.stats
-    stats.bump("blocking_request_counts")
-    # Bucket 2 * owner + kind: an owner's k-mer ids, then its tile ids.
-    buckets = 2 * np.concatenate([
-        np.asarray(kmer_owners, dtype=np.int64),
-        np.asarray(tile_owners, dtype=np.int64),
-    ])
-    buckets[nk:] += 1
-    # The ordering: ids by value, then a stable partition by bucket.
-    by_id = np.argsort(ids)
-    part, bounds = partition_by_dest(buckets[by_id], 2 * comm.size)
-    order = by_id[part]
-    sorted_ids = ids[order]
-    sorted_buckets = buckets[order]
-    first = np.ones(ids.shape[0], dtype=bool)
-    first[1:] = (sorted_ids[1:] != sorted_ids[:-1]) | (sorted_buckets[1:] != sorted_buckets[:-1])
-    distinct = sorted_ids[first]
-    # slot[i]: the distinct copy of sorted id i; bucket b's distinct ids
-    # are distinct[edges[b]:edges[b + 1]].
-    slot = np.cumsum(first)
-    edges = np.concatenate([[0], slot])[bounds]
-    slot -= 1
-    kept = np.diff(edges)
-    stats.bump("remote_kmer_ids_deduped", nk - int(kept[0::2].sum()))
-    stats.bump("remote_tile_ids_deduped", ids.shape[0] - nk - int(kept[1::2].sum()))
-    edges = edges.tolist()
-    asked = [d for d in range(comm.size) if edges[2 * d] != edges[2 * d + 2]]
-    if comm.rank in asked:
-        raise CommunicatorError("request_counts given locally-owned ids")
-    for owner in asked:
-        lo, mid, hi = edges[2 * owner : 2 * owner + 3]
-        send(owner, distinct[lo:hi], mid - lo)
-    responses = collect(set(asked))
-    assembled = np.concatenate([responses[owner] for owner in asked])
-    if assembled.shape[0] != distinct.shape[0]:
-        raise CommunicatorError(
-            f"response length mismatch: got {assembled.shape[0]}, "
-            f"wanted {distinct.shape[0]}"
-        )
-    out = np.empty(ids.shape[0], dtype=np.uint32)
-    out[order] = assembled[slot]
-    return out[:nk], out[nk:]
 
 
 _KMER_HEADER = np.array([KIND_KMER], dtype=np.uint32)
@@ -327,10 +254,12 @@ class CorrectionProtocol:
         ranks, in one round.
 
         ``*_owners[i]`` must be the owning rank of ``*_ids[i]`` (none
-        equal to this rank).  Each distinct owner gets one request (one
-        per kind in the base mode); the caller's "communication thread"
-        (the pump) serves incoming requests while the responses are in
-        flight.
+        equal to this rank).  The ids are ordered once, as a
+        :class:`~repro.parallel.lookup.stack.LookupRound` with no local
+        tier, and each distinct owner gets one request (one per kind in
+        the base mode, :meth:`request_chunks`); the caller's
+        "communication thread" (the pump) serves incoming requests while
+        the responses are in flight.
 
         Under a fault plan that needs it, the round is resilient: each
         request goes to the owner's *effective* destination (the
@@ -339,14 +268,30 @@ class CorrectionProtocol:
         unambiguous) and the owner id (so the partner knows which shard
         to answer from); the wait then retries on a deadline.
         """
-        if self._done_sent and (np.size(kmer_ids) or np.size(tile_ids)):
-            raise CommunicatorError("request_counts after finish()")
+        kmer_ids = np.ascontiguousarray(kmer_ids, dtype=np.uint64)
+        tile_ids = np.ascontiguousarray(tile_ids, dtype=np.uint64)
+        rnd = LookupRound(
+            kmer_ids, tile_ids, self.comm.size,
+            np.concatenate([kmer_owners, tile_owners]),
+        )
+        kmer_pos, tile_pos = rnd.positions(KIND_KMER), rnd.positions(KIND_TILE)
+        if kmer_pos.size or tile_pos.size:
+            rnd.ask(kmer_pos, tile_pos, self, self.comm.rank, self.comm.stats)
+        return rnd.answers()
+
+    def request_chunks(
+        self, chunks: dict[int, tuple[np.ndarray, int]]
+    ) -> dict[int, np.ndarray]:
+        """Ship each owner its chunk of a round as ordered — owner ->
+        ``(ids, n_kmer)``, k-mer ids first — and pump until all have
+        answered; returns owner -> counts in chunk order."""
+        if self._done_sent:
+            raise CommunicatorError("a lookup round after finish()")
         self._responses = {}
         self._round = self.requests.open()
-        return request_by_owner(
-            self.comm, kmer_ids, kmer_owners, tile_ids, tile_owners,
-            self._send, self._collect,
-        )
+        for owner, (chunk, n_kmer) in chunks.items():
+            self._send(owner, chunk, n_kmer)
+        return self._collect(set(chunks))
 
     def _send(self, owner: int, chunk: np.ndarray, n_kmer: int) -> None:
         dest = self.routes.dest_for(owner)

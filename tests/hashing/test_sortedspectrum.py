@@ -113,8 +113,9 @@ class TestAgreementAcrossLayouts:
 
 _KEY_EDGES = (0, 2**32 - 1, 2**32, 2**64 - 1)
 _COUNT_EDGES = (0, 1, 2**16 - 1, 2**16, 2**32 - 1)
-#: Batch sizes on both sides of the sort cut-over.
-_BATCHES = (1, 12, _SORT_CUTOVER - 1, _SORT_CUTOVER, 3 * _SORT_CUTOVER + 7)
+#: Batch sizes on both sides of the sort cut-over (1,024 ids), kept as
+#: literals so that moving the cut-over cannot move what is covered.
+_BATCHES = (1, 12, 1023, 1024, 3079)
 
 
 def _widths(keys, counts):
@@ -147,20 +148,28 @@ class TestSealedEqualsHashEqualsDict:
         extra=st.lists(st.integers(0, 2**64 - 1), max_size=20),
         batch=st.sampled_from(_BATCHES),
         seed=st.integers(0, 2**16),
+        ascending=st.booleans(),
+        absent_only=st.booleans(),
     )
-    @settings(max_examples=80, deadline=None)
-    def test_read_api(self, ref, extra, batch, seed):
+    @settings(max_examples=120, deadline=None)
+    def test_read_api(self, ref, extra, batch, seed, ascending, absent_only):
         keys = np.array(sorted(ref), dtype=np.uint64)
         counts = np.array([ref[k] for k in sorted(ref)], dtype=np.uint32)
         sealed = SortedSpectrum.from_sorted(keys, counts)
         hashed = CountHash.from_counts(keys, counts)
         # Present keys, 64-bit edges (above a uint32 table's range) and
-        # random ids, repeated and shuffled up to the batch size.
-        pool = np.array(
-            [*ref, *_KEY_EDGES, *extra], dtype=np.uint64
-        )
-        queries = np.resize(pool, batch)
+        # random ids, repeated up to the batch size, shuffled or
+        # ascending (as a lookup round's own share arrives); or only ids
+        # the table does not hold.
+        pool = [*ref, *_KEY_EDGES, *extra]
+        if absent_only:
+            pool = [q for q in pool if q not in ref] or [
+                next(i for i in range(len(ref) + 1) if i not in ref)
+            ]
+        queries = np.resize(np.array(pool, dtype=np.uint64), batch)
         np.random.default_rng(seed).shuffle(queries)
+        if ascending:
+            queries.sort()
         want = np.array([ref.get(int(q), 0) for q in queries], np.uint32)
         present = np.array([int(q) in ref for q in queries], dtype=bool)
         for table in (sealed, hashed):
@@ -190,10 +199,14 @@ class TestSealedEqualsHashEqualsDict:
         queries = np.array(
             [2**32 + 5, 2**33 + 2**32 - 1, 5, 2**32 - 1], np.uint64
         )
-        for batch in (queries, np.resize(queries, 4 * _SORT_CUTOVER)):
+        want = {2**32 + 5: 0, 2**33 + 2**32 - 1: 0, 5: 7, 2**32 - 1: 9}
+        long = np.resize(queries, 4 * _SORT_CUTOVER)
+        # Short and long, shuffled and ascending (a wide query truncated
+        # to the table's width need not ascend with the rest).
+        for batch in (queries, long, np.sort(queries), np.sort(long)):
             got, found = sealed.lookup_found(batch)
-            assert got.tolist()[:4] == [0, 0, 7, 9]
-            assert found.tolist()[:4] == [False, False, True, True]
+            assert got.tolist() == [want[int(q)] for q in batch]
+            assert found.tolist() == [want[int(q)] > 0 for q in batch]
 
     def test_from_sorted_thresholds(self):
         keys = np.arange(10, dtype=np.uint32)

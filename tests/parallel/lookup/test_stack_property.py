@@ -6,7 +6,9 @@ exactly the counts the old hand-rolled ladder (owned → group →
 reads-table → remote, with an optional chunk cache in front) produced.
 Hypothesis drives random tables, flags and query batches through both;
 ``fixtures.json`` pins a handful of recorded cases so the behavior
-stays fixed even where generation strategies drift.
+stays fixed even where generation strategies drift.  The round a
+:class:`StackPair` orders once is also held, counter by counter, to the
+tier-by-tier round (``ladder.py``).
 """
 
 import json
@@ -21,6 +23,7 @@ from repro.hashing.counthash import CountHash
 from repro.hashing.inthash import mix_to_rank
 from repro.parallel.lookup.stack import LookupStack, StackPair
 from repro.parallel.lookup.tiers import AuthorityTier, CacheTier
+from tests.parallel.lookup.ladder import ladder_round, oracle_fetch
 
 FIXTURES = Path(__file__).with_name("fixtures.json")
 
@@ -52,11 +55,11 @@ class _OracleProtocol:
     def __init__(self, table):
         self.table = table
 
-    def request_counts(self, kmer_ids, kmer_owners, tile_ids, tile_owners):
-        return (
-            self.table.lookup(kmer_ids).astype(np.uint32),
-            self.table.lookup(tile_ids).astype(np.uint32),
-        )
+    def request_chunks(self, chunks):
+        return {
+            owner: self.table.lookup(ids).astype(np.uint32)
+            for owner, (ids, _) in chunks.items()
+        }
 
 
 def _table(pairs):
@@ -139,12 +142,22 @@ class World:
 
     def resolve(self, comm, ids, record_stats=True):
         """``ids`` as the k-mer side of one lookup round (an empty tile
-        side): the stack and its resolution."""
+        side): the stack and the counts."""
         pair = self.build_pair(comm, CountHash())
-        res, _ = pair.resolve(
+        counts, _ = pair.pair_counts(
             ids, np.empty(0, dtype=np.uint64), record_stats=record_stats
         )
-        return pair.kmers, res
+        return pair.kmers, counts
+
+    def ladder(self, comm, ids):
+        """The same round, tier by tier (``ladder.py``): the k-mer
+        resolution, which records what answered each id."""
+        pair = self.build_pair(comm, CountHash())
+        res, _ = ladder_round(
+            pair, ids, np.empty(0, dtype=np.uint64),
+            oracle_fetch(comm.stats, self.global_table),
+        )
+        return res
 
     def oracle(self, ids):
         """The pre-refactor ladder, re-derived independently."""
@@ -215,11 +228,14 @@ def test_stack_matches_legacy_ladder(case):
     comm = _Comm(world.rank, world.nranks)
     ids = np.asarray(query, dtype=np.uint64)
 
-    stack, res = world.resolve(comm, ids)
+    stack, counts = world.resolve(comm, ids)
 
-    assert np.array_equal(res.counts, world.oracle(ids))
+    assert np.array_equal(counts, world.oracle(ids))
+    # What answered each id, from the tier-by-tier round: every id is
+    # answered, by a tier or the owners (the stack's names, in order).
+    res = world.ladder(_Comm(world.rank, world.nranks), ids)
     assert not res.unresolved.any()
-    # resolved_by indexes the stack's names (tiers, then remote).
+    assert np.array_equal(res.counts, counts)
     if ids.size:
         assert res.resolved_by.min() >= 0
         assert res.resolved_by.max() < len(stack.names)
@@ -245,28 +261,32 @@ def test_record_stats_false_is_silent(case):
     world, query = case
     comm = _Comm(world.rank, world.nranks)
     ids = np.asarray(query, dtype=np.uint64)
-    _, res = world.resolve(comm, ids, record_stats=False)
-    assert np.array_equal(res.counts, world.oracle(ids))
+    _, counts = world.resolve(comm, ids, record_stats=False)
+    assert np.array_equal(counts, world.oracle(ids))
     assert comm.stats.counters == {}
 
 
 @settings(max_examples=60, deadline=None)
 @given(worlds())
 def test_pair_counts_books_what_resolve_books(case):
-    """A round through ``pair_counts`` — which skips the resolution
-    bookkeeping when both stacks are one replica tier — answers and
-    counts exactly as a full ``resolve``, either side empty or not."""
+    """A round through ``pair_counts`` — ordered once, its tiers walked
+    over the order, no per-id resolution state — answers and counts
+    exactly as the tier-by-tier round of per-stack ``resolve`` calls
+    (``ladder.py``), either side empty or not."""
     world, query = case
     ids = np.asarray(query, dtype=np.uint64)
     for kmer_ids, tile_ids in ((ids, ids[:0]), (ids[:0], ids), (ids, ids)):
         booked = []
-        for fast in (True, False):
+        for ordered in (True, False):
             comm = _Comm(world.rank, world.nranks)
             pair = world.build_pair(comm, world.global_table)
-            if fast:
+            if ordered:
                 kcounts, tcounts = pair.pair_counts(kmer_ids, tile_ids)
             else:
-                kres, tres = pair.resolve(kmer_ids, tile_ids)
+                kres, tres = ladder_round(
+                    pair, kmer_ids, tile_ids,
+                    oracle_fetch(comm.stats, world.global_table),
+                )
                 kcounts, tcounts = kres.counts, tres.counts
             assert np.array_equal(kcounts, world.oracle(kmer_ids))
             assert np.array_equal(tcounts, world.global_table.lookup(tile_ids))
@@ -311,8 +331,10 @@ class TestRecordedFixtures:
             )
             comm = _Comm(world.rank, world.nranks)
             ids = np.asarray(case["query"], dtype=np.uint64)
-            stack, res = world.resolve(comm, ids)
+            stack, counts = world.resolve(comm, ids)
             assert stack.describe() == case["order"], case["name"]
+            assert counts.tolist() == case["expected_counts"], case["name"]
+            res = world.ladder(_Comm(world.rank, world.nranks), ids)
             assert res.counts.tolist() == case["expected_counts"], case["name"]
             resolved_by = [stack.names[i] for i in res.resolved_by.tolist()]
             assert resolved_by == case["expected_tiers"], case["name"]

@@ -3,11 +3,15 @@
 A rank's round asks the owners for k-mer and tile counts together.  Run
 through the real :class:`~repro.parallel.server.CorrectionProtocol` on
 the cooperative engine — base and universal mode, ids repeating within
-a kind, the same numeric id in both kinds — each owner must be sent,
-once per round, its distinct k-mer ids ascending, then its distinct
-tile ids ascending; the answers must be the global counts; and under
-*add remote lookups* the reads table must gain each fetched id once,
-with its global count (0 when globally absent).
+a kind, the same numeric id in both kinds, behind a replication group,
+a prefilled reads table (with or without *add remote lookups*) or a
+replicated k-mer spectrum — each owner must be sent, once per round,
+the distinct k-mer ids no local tier answers, ascending, then those
+tiles, ascending; the answers must be the global counts; under *add
+remote lookups* the reads table must gain each fetched id once, with
+its global count (0 when globally absent); and every counter and frame
+of the round must be what the tier-by-tier round (``ladder.py``) books
+on the same queries.
 """
 
 from collections import defaultdict
@@ -19,12 +23,14 @@ from hypothesis import strategies as st
 
 from repro.hashing.counthash import CountHash
 from repro.hashing.inthash import mix_to_rank
+from repro.hashing.sortedspectrum import SortedSpectrum
 from repro.kmer.tiles import TileShape
 from repro.parallel.build import RankSpectra
 from repro.parallel.heuristics import HeuristicConfig
 from repro.parallel.lookup.stack import compile_stacks
 from repro.parallel.server import CorrectionProtocol
 from repro.simmpi import run_spmd
+from tests.parallel.lookup.ladder import ladder_round
 
 _ID_RANGE = 2**16
 
@@ -46,9 +52,15 @@ def _table(counts, ids=None):
     keys = np.array(sorted(counts if ids is None else ids), dtype=np.uint64)
     if keys.size:
         table.add_counts(
-            keys, np.array([counts[int(k)] for k in keys], dtype=np.uint64)
+            keys, np.array([counts.get(int(k), 0) for k in keys], dtype=np.uint64)
         )
     return table
+
+
+def _group(rank, nranks, size):
+    """The replication group of ``rank`` (itself alone without one)."""
+    first = rank // size * size
+    return tuple(range(first, first + size))
 
 
 @st.composite
@@ -73,25 +85,33 @@ def rounds(draw):
             np.array(draw(st.permutations(kq)), dtype=np.uint64),
             np.array(draw(st.permutations(tq)), dtype=np.uint64),
         ))
-    universal = draw(st.booleans())
-    write_back = draw(st.booleans())
-    return nranks, kmers, tiles, queries, universal, write_back
+    reads = draw(st.booleans())
+    heuristics = HeuristicConfig(
+        universal=draw(st.booleans()),
+        read_kmers=reads,
+        read_tiles=reads,
+        add_remote_lookups=reads and draw(st.booleans()),
+        allgather_kmers=draw(st.booleans()),
+        replication_group=2 if nranks % 2 == 0 and draw(st.booleans()) else 1,
+    )
+    # What each rank's reads tables already hold (global counts).
+    prefill = [
+        draw(st.lists(st.sampled_from(pool), unique=True)) if reads else []
+        for _ in range(nranks)
+    ]
+    return nranks, kmers, tiles, queries, heuristics, prefill
 
 
 def _foreign_of(ids, rank, nranks):
     return ids[mix_to_rank(ids, nranks) != rank] if ids.size else ids
 
 
-@settings(max_examples=40, deadline=None)
-@given(rounds())
-def test_round_sends_each_owner_its_distinct_ids_once(case):
-    nranks, kmers, tiles, queries, universal, write_back = case
-    heuristics = HeuristicConfig(
-        universal=universal,
-        read_kmers=write_back,
-        read_tiles=write_back,
-        add_remote_lookups=write_back,
-    )
+def _run(case, ordered):
+    """One round per rank, ordered once (``pair_counts``) or tier by
+    tier (``ladder_round`` over the protocol's ``request_counts``): per
+    rank its counts, ledger and reads tables, and the chunks it sent."""
+    nranks, kmers, tiles, queries, heuristics, prefill = case
+    group = heuristics.replication_group
     sent = defaultdict(list)
     real_send = CorrectionProtocol._send
 
@@ -102,61 +122,109 @@ def test_round_sends_each_owner_its_distinct_ids_once(case):
     def prog(comm):
         rank = comm.rank
 
-        def mine(counts):
-            return [i for i in counts if _owner(i, comm.size) == rank]
+        def owned_by(counts, ranks):
+            return [i for i in counts if _owner(i, comm.size) in ranks]
 
         sp = RankSpectra(
             shape=TileShape(12, 4), rank=rank, nranks=comm.size,
-            kmers=_table(kmers, mine(kmers)), tiles=_table(tiles, mine(tiles)),
+            kmers=_table(kmers, owned_by(kmers, (rank,))),
+            tiles=_table(tiles, owned_by(tiles, (rank,))),
         )
-        if write_back:
-            sp.reads_kmers, sp.reads_tiles = CountHash(), CountHash()
-        proto = CorrectionProtocol(comm, sp.kmers, sp.tiles, universal=universal)
+        if heuristics.allgather_kmers:
+            sp.kmers, sp.kmers_replicated = _table(kmers), True
+        if group > 1:
+            sp.group_ranks = _group(rank, comm.size, group)
+            sp.group_tiles = SortedSpectrum.from_counthash(
+                _table(tiles, owned_by(tiles, sp.group_ranks))
+            )
+            if not heuristics.allgather_kmers:
+                sp.group_kmers = SortedSpectrum.from_counthash(
+                    _table(kmers, owned_by(kmers, sp.group_ranks))
+                )
+        if heuristics.read_kmers:
+            sp.reads_kmers = _table(kmers, prefill[rank])
+            sp.reads_tiles = _table(tiles, prefill[rank])
+        proto = CorrectionProtocol(
+            comm, sp.kmers, sp.tiles, universal=heuristics.universal
+        )
         stacks = compile_stacks(comm, sp, heuristics, protocol=proto)
-        stats = comm.stats
-        before = stats.get("blocking_request_counts")
-        kres, tres = stacks.resolve(*queries[rank])
-        rounds_run = stats.get("blocking_request_counts") - before
+        if ordered:
+            kcounts, tcounts = stacks.pair_counts(*queries[rank])
+        else:
+            kres, tres = ladder_round(stacks, *queries[rank], proto.request_counts)
+            kcounts, tcounts = kres.counts, tres.counts
         proto.finish()
         cached = [
             dict(zip(*(a.tolist() for a in t.items())))
             for t in (sp.reads_kmers, sp.reads_tiles) if t is not None
         ]
-        return (
-            kres.counts, tres.counts, rounds_run,
-            stats.get("remote_kmer_ids_deduped"),
-            stats.get("remote_tile_ids_deduped"),
-            cached,
-        )
+        stats = comm.stats
+        ledger = (dict(stats.counters), stats.messages_sent, stats.bytes_sent)
+        return kcounts, tcounts, ledger, cached
 
     with mock.patch.object(CorrectionProtocol, "_send", spy):
         results = run_spmd(prog, nranks, engine="cooperative").results
+    return results, sent
+
+
+@settings(max_examples=40, deadline=None)
+@given(rounds())
+def test_round_sends_each_owner_its_distinct_ids_once(case):
+    nranks, kmers, tiles, queries, heuristics, prefill = case
+    results, sent = _run(case, ordered=True)
+    reference, reference_sent = _run(case, ordered=False)
 
     for rank, (kq, tq) in enumerate(queries):
-        kcounts, tcounts, rounds_run, kdup, tdup, cached = results[rank]
+        kcounts, tcounts, ledger, cached = results[rank]
         assert kcounts.tolist() == [kmers.get(int(i), 0) for i in kq]
         assert tcounts.tolist() == [tiles.get(int(i), 0) for i in tq]
-        assert rounds_run == 1
-        kforeign = _foreign_of(kq, rank, nranks)
-        tforeign = _foreign_of(tq, rank, nranks)
-        assert kdup == kforeign.size - np.unique(kforeign).size
-        assert tdup == tforeign.size - np.unique(tforeign).size
+        stats = ledger[0]
+        # What no local tier answers: not this rank's (or its group's),
+        # not replicated, not already in the reads table.
+        local = _group(rank, nranks, heuristics.replication_group)
+        remote = []
+        for ids, replicated in (
+            (kq, heuristics.allgather_kmers), (tq, False)
+        ):
+            if replicated:
+                ids = ids[:0]
+            ids = ids[~np.isin(mix_to_rank(ids, nranks), local)]
+            remote.append(ids[~np.isin(ids, prefill[rank])])
+        kremote, tremote = remote
+        asked = kremote.size + tremote.size > 0
+        assert stats.get("blocking_request_counts", 0) == int(asked)
+        if asked:
+            assert stats["remote_kmer_ids_deduped"] == (
+                kremote.size - np.unique(kremote).size
+            )
+            assert stats["remote_tile_ids_deduped"] == (
+                tremote.size - np.unique(tremote).size
+            )
         # The wire: one chunk per owner, distinct k-mers then distinct
         # tiles, each ascending.
         expected = {}
         for owner in range(nranks):
-            k = np.unique(kforeign[mix_to_rank(kforeign, nranks) == owner])
-            t = np.unique(tforeign[mix_to_rank(tforeign, nranks) == owner])
+            k = np.unique(kremote[mix_to_rank(kremote, nranks) == owner])
+            t = np.unique(tremote[mix_to_rank(tremote, nranks) == owner])
             if k.size or t.size:
                 expected[owner] = (np.concatenate([k, t]).tolist(), k.size)
         chunks = sent[rank]
         assert sorted(owner for owner, _, _ in chunks) == sorted(expected)
         for owner, chunk, n_kmer in chunks:
             assert (chunk.tolist(), n_kmer) == expected[owner], owner
-        if write_back:
+        if heuristics.add_remote_lookups:
             # Every fetched id once, with its global count: nothing
             # doubled, absence cached as 0.
             assert cached == [
-                {int(i): kmers.get(int(i), 0) for i in kforeign},
-                {int(i): tiles.get(int(i), 0) for i in tforeign},
+                {int(i): kmers.get(int(i), 0) for i in np.append(kremote, prefill[rank])},
+                {int(i): tiles.get(int(i), 0) for i in np.append(tremote, prefill[rank])},
             ]
+        # Counts, counters, frames, bytes and tables as the tier-by-tier
+        # round books them, and the same chunks on the wire.
+        kref, tref, ref_ledger, ref_cached = reference[rank]
+        assert np.array_equal(kcounts, kref) and np.array_equal(tcounts, tref)
+        assert ledger == ref_ledger
+        assert cached == ref_cached
+        assert [(o, c.tolist(), n) for o, c, n in chunks] == [
+            (o, c.tolist(), n) for o, c, n in reference_sent[rank]
+        ]

@@ -143,8 +143,14 @@ class TestProtocolEquivalence:
         res = _run(_bursty(100), HeuristicConfig(prefetch=True))
         _assert_identical(res, bursty_reference)
         total = _totals(res)
-        assert 0 < total.get("prefetch_replans") <= res.nranks
+        assert total.get("prefetch_replans") > 0
         assert total.get("prefetch_tail_reads") > 0
+        # One replay per chunk-sized piece of each rank's tail (however
+        # placement spread the bursts over the ranks).
+        for stats in res.stats:
+            assert stats.get("prefetch_replans") == _pieces(
+                stats.get("prefetch_tail_reads"), 100
+            )
 
 
 def _bursty(chunk_size, genome_size=4_000):
