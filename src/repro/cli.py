@@ -40,10 +40,9 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nranks", type=int, default=4,
                    help="simulated MPI ranks (default 4)")
     p.add_argument("--engine",
-                   choices=["cooperative", "sequential", "threaded",
-                            "process"],
+                   choices=["cooperative", "threaded", "process"],
                    default="cooperative",
-                   help="rank scheduler: cooperative/sequential "
+                   help="rank scheduler: cooperative "
                         "(deterministic turns), threaded (free threads), "
                         "process (shared-nothing spawned interpreters)")
     p.add_argument("--kmer-length", type=int, default=12)

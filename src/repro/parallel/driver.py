@@ -315,10 +315,9 @@ class ParallelReptile:
     nranks:
         Number of simulated MPI ranks.
     engine:
-        ``"cooperative"`` (deterministic; default, alias
-        ``"sequential"``), ``"threaded"``, ``"process"``
-        (shared-nothing, one spawned interpreter per rank), or an
-        :class:`~repro.simmpi.engine.Engine` instance.
+        ``"cooperative"`` (deterministic; default), ``"threaded"``,
+        ``"process"`` (shared-nothing, one spawned interpreter per
+        rank), or an :class:`~repro.simmpi.engine.Engine` instance.
     faults:
         An optional :class:`~repro.faults.FaultPlan`.  Frame faults are
         injected into the transport, scripted crashes/stalls into the

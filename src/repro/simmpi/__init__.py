@@ -18,15 +18,15 @@ so this package implements those semantics in three layers:
     are exactly reproducible (used by tests and by the instrumented runs
     that feed the performance model).
   - :class:`~repro.simmpi.engine.ThreadedEngine` — ranks run as free
-    concurrent threads (used to exercise the paper's
-    correction-thread/communication-thread structure under real
-    concurrency).
+    concurrent threads (used to exercise the Step IV protocol under
+    real concurrency).
   - :class:`~repro.simmpi.engine.ProcessEngine` — one spawned
     interpreter per rank, shared-nothing state, frames over pipes: the
     closest analogue of the paper's MPI deployment, and the only engine
     that scales past the GIL.
 
-The communicator/collectives API is identical on every engine.  Each
+The communicator/collectives API is identical on every engine, and a
+group from ``comm.split`` is a communicator with that same API.  Each
 rank's traffic is counted by :class:`~repro.simmpi.instrument.CommStats`
 as exact encoded frame lengths, which the performance model consumes.
 """

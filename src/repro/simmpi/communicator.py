@@ -1,10 +1,19 @@
 """The per-rank communicator: tagged p2p plus MPI-style collectives.
 
-All collectives are built on the engine's point-to-point layer with
-reserved tags.  Each collective call consumes one *generation* number per
-rank; SPMD programs invoke collectives in the same order on every rank
-(the MPI contract), so generations line up and messages from different
-collectives can never cross-match even when buffered out of order.
+Every verb reaches the engine through one internal point-to-point path,
+:meth:`Communicator._send` / :meth:`Communicator._receive`, in the
+communicator's own rank and tag coordinates.  The public verbs check the
+tag first: user tags lie in ``[0, Tags.COLLECTIVE_BASE)`` (``ANY_TAG``
+too, for receives and probes).  The collectives are built on the
+internal path with reserved tags.  Each collective call consumes one
+*generation* number per rank; SPMD programs invoke collectives in the
+same order on every rank (the MPI contract), so generations line up and
+messages from different collectives can never cross-match even when
+buffered out of order.
+
+A group from :meth:`Communicator.split` is a communicator too
+(:class:`~repro.simmpi.subcomm.SubCommunicator`): it overrides only its
+identity and the internal path, so it has every verb and collective.
 """
 
 from __future__ import annotations
@@ -15,6 +24,15 @@ from repro.errors import CommunicatorError, RankMismatchError
 from repro.simmpi import wire
 from repro.simmpi.instrument import CommStats
 from repro.simmpi.message import ANY_SOURCE, ANY_TAG, Message, Tags
+
+
+def _check_tag(tag: int, wildcard: bool) -> None:
+    """Refuse a tag outside the user range (reserved for collectives and
+    groups); ``ANY_TAG`` passes where ``wildcard`` allows it."""
+    if not (0 <= tag < Tags.COLLECTIVE_BASE or (wildcard and tag == ANY_TAG)):
+        raise CommunicatorError(
+            f"tag {tag} is outside the user range [0, {Tags.COLLECTIVE_BASE})"
+        )
 
 
 class Communicator:
@@ -68,24 +86,19 @@ class Communicator:
     def send(self, dest: int, payload: Any, tag: int = 0) -> None:
         """Deliver ``payload`` to ``dest`` under ``tag`` (non-blocking).
 
-        The payload is encoded to a wire frame here, at the communicator
+        The payload is encoded to a wire frame at the communicator
         boundary: the receiver always gets an independent deep copy
         (copy-on-send, on every engine), and the stats ledger records
         the frame's exact encoded length.  Self-sends are legal (the
         message lands in this rank's own mailbox).
         """
-        self._check_peer(dest)
-        if tag < 0:
-            raise CommunicatorError(f"tag must be non-negative, got {tag}")
-        if self._injector is not None:
-            self._injector.at_event(self._rank)
-        frame = wire.encode_frame(self._rank, tag, payload)
-        self.stats.record_send(tag, payload, dest=dest, nbytes=len(frame))
-        self._engine.deposit(self._world, self._rank, dest, frame)
+        _check_tag(tag, wildcard=False)
+        self._send(dest, payload, tag)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Message:
         """Block until a matching message arrives; remove and return it."""
-        return self._engine.wait_message(self._world, self._rank, source, tag)
+        _check_tag(tag, wildcard=True)
+        return self._receive(self._engine.wait_message, source, tag)
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Message | None:
         """Non-blocking probe: the first matching message, left in place.
@@ -93,7 +106,8 @@ class Communicator:
         Mirrors ``MPI_Iprobe`` — the universal heuristic exists precisely to
         avoid this call, so the driver uses it only in non-universal mode.
         """
-        return self._engine.probe(self._world, self._rank, source, tag)
+        _check_tag(tag, wildcard=True)
+        return self._receive(self._engine.probe, source, tag)
 
     def take_ready(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Message | None:
         """Remove and return a matching message that has *already been
@@ -103,7 +117,8 @@ class Communicator:
         scheduler hand-off on any engine, so a server can empty its
         mailbox of queued requests in one go.
         """
-        return self._engine.take_ready(self._world, self._rank, source, tag)
+        _check_tag(tag, wildcard=True)
+        return self._receive(self._engine.take_ready, source, tag)
 
     def isend(self, dest: int, payload: Any, tag: int = 0):
         """Nonblocking send; completes at issue (sends are buffered)."""
@@ -123,7 +138,8 @@ class Communicator:
 
         Collective.  Returns this rank's group as a
         :class:`~repro.simmpi.subcomm.SubCommunicator` with dense local
-        ranks in world-rank order.
+        ranks in world-rank order; a group has every verb and collective
+        of this class.
         """
         from repro.simmpi.subcomm import split as _split
 
@@ -134,6 +150,27 @@ class Communicator:
             raise CommunicatorError(
                 f"peer rank {peer} out of range for size {self.size}"
             )
+
+    # ------------------------------------------------------------------
+    # the internal point-to-point path (any tag; groups override it)
+    # ------------------------------------------------------------------
+    def _send(self, dest: int, payload: Any, tag: int) -> None:
+        """Encode, account and deposit one frame."""
+        self._check_peer(dest)
+        if self._injector is not None:
+            self._injector.at_event(self._rank)
+        frame = wire.encode_frame(self._rank, tag, payload)
+        self.stats.record_send(tag, payload, dest=dest, nbytes=len(frame))
+        self._engine.deposit(self._world, self._rank, dest, frame)
+
+    def _receive(self, call, source: int, tag: int) -> Message | None:
+        """``call`` — the engine's ``wait_message``, ``probe`` or
+        ``take_ready`` — on this rank's mailbox."""
+        return call(self._world, self._rank, source, tag)
+
+    def _recv(self, source: int, tag: int) -> Message:
+        """Blocking receive on the internal path."""
+        return self._receive(self._engine.wait_message, source, tag)
 
     # ------------------------------------------------------------------
     # collectives
@@ -148,12 +185,12 @@ class Communicator:
         tag = self._next_tag()
         if self._rank == 0:
             for _ in range(self.size - 1):
-                self.recv(source=ANY_SOURCE, tag=tag)
+                self._recv(ANY_SOURCE, tag)
             for dest in range(1, self.size):
-                self.send(dest, None, tag=tag)
+                self._send(dest, None, tag)
         else:
-            self.send(0, None, tag=tag)
-            self.recv(source=0, tag=tag)
+            self._send(0, None, tag)
+            self._recv(0, tag)
 
     def alltoallv(self, chunks: Sequence[Any]) -> list[Any]:
         """Exchange one chunk with every rank (cf. ``MPI_Alltoallv``).
@@ -174,9 +211,9 @@ class Communicator:
                 # as if it had: a wire round-trip is the exact semantics.
                 out[dest] = wire.clone(chunks[dest])
             else:
-                self.send(dest, chunks[dest], tag=tag)
+                self._send(dest, chunks[dest], tag)
         for _ in range(self.size - 1):
-            msg = self.recv(source=ANY_SOURCE, tag=tag)
+            msg = self._recv(ANY_SOURCE, tag)
             out[msg.source] = msg.payload
         return out
 
@@ -192,10 +229,10 @@ class Communicator:
             out: list[Any] = [None] * self.size
             out[root] = value
             for _ in range(self.size - 1):
-                msg = self.recv(source=ANY_SOURCE, tag=tag)
+                msg = self._recv(ANY_SOURCE, tag)
                 out[msg.source] = msg.payload
             return out
-        self.send(root, value, tag=tag)
+        self._send(root, value, tag)
         return None
 
     def bcast(self, value: Any, root: int = 0) -> Any:
@@ -205,9 +242,9 @@ class Communicator:
         if self._rank == root:
             for dest in range(self.size):
                 if dest != root:
-                    self.send(dest, value, tag=tag)
+                    self._send(dest, value, tag)
             return value
-        return self.recv(source=root, tag=tag).payload
+        return self._recv(root, tag).payload
 
     def reduce(
         self,

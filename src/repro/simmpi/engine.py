@@ -3,7 +3,13 @@
 Delivery itself lives one layer down, in :mod:`repro.simmpi.transport`:
 every engine receives *encoded wire frames* from the communicator and
 hands them to a transport, so copy-on-send and exact byte accounting
-hold identically everywhere.  The engines differ only in scheduling:
+hold identically everywhere.  The engines differ only in scheduling.
+
+The two in-memory engines share one skeleton, :class:`Engine`: delivery,
+the blocking receive, probe and take, the rank body of ``run`` (verifier
+calls, the scripted-crash mapping, first-error recording) and the
+fault-transport wrap.  Each supplies only how a rank parks, how a
+delivery wakes it, what a probe miss does and how its ranks start:
 
 * :class:`CooperativeEngine` — exactly one rank runs at a time, and control
   switches only at communication points (blocking receive, probe-yield,
@@ -19,15 +25,17 @@ hold identically everywhere.  The engines differ only in scheduling:
   concurrency.  Blocking receives take a timeout so an accidental
   deadlock surfaces as an error.
 
-* :class:`ProcessEngine` — every rank is a spawned interpreter with
-  shared-nothing state; frames cross real process boundaries over the
-  :class:`~repro.simmpi.transport.ProcessTransport`.  This is the
-  closest analogue of the paper's MPI deployment and the only engine
-  that scales past the GIL.
+:class:`ProcessEngine` keeps its own parent/child split: every rank is a
+spawned interpreter with shared-nothing state, and frames cross real
+process boundaries over the
+:class:`~repro.simmpi.transport.ProcessTransport`.  This is the closest
+analogue of the paper's MPI deployment and the only engine that scales
+past the GIL.
 """
 
 from __future__ import annotations
 
+import functools
 import queue as queue_mod
 import threading
 import time
@@ -35,7 +43,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.errors import CommunicatorError, DeadlockError
+from repro.errors import CommunicatorError, DeadlockError, RankCrashError
 from repro.simmpi.instrument import CommStats
 from repro.simmpi.message import Message
 from repro.simmpi.transport import LocalTransport, process_rank_main
@@ -77,38 +85,78 @@ class _World:
 
 
 class Engine:
-    """Interface all engines implement (see module docstring).
+    """How ranks run and reach their mailboxes (see module docstring).
 
-    A rank has three ways to look at its mailbox, and they differ in
-    what they do on a miss: :meth:`wait_message` blocks until a match
-    arrives, :meth:`probe` peeks and may hand the CPU to another rank,
-    and :meth:`take_ready` removes a match that was *already
-    delivered* and otherwise returns None at once — it never blocks and
-    never gives up the rank's turn, so a drain loop over it costs one
-    mailbox scan per call and no scheduler hand-off.
+    The communicator calls an engine through ``deposit``,
+    ``wait_message``, ``probe`` and ``take_ready``, and ``run_spmd``
+    through ``run``.  A rank has three ways to look at its mailbox, and
+    they differ in what they do on a miss: :meth:`wait_message` blocks
+    until a match arrives, :meth:`probe` peeks and may hand the CPU to
+    another rank, and :meth:`take_ready` removes a match that was
+    *already delivered* and otherwise returns None at once — it never
+    blocks and never gives up the rank's turn, so a drain loop over it
+    costs one mailbox scan per call and no scheduler hand-off.
+
+    This class is the in-memory skeleton: every entry point above, the
+    rank body of :meth:`run`, the verifier calls, the scripted crash →
+    :class:`~repro.faults.CrashedRank` mapping and the fault-transport
+    wrap live here once, all under ``world.lock``.  A subclass supplies
+    only its scheduling, through these hooks (each called with the lock
+    held):
+
+    * :meth:`_delivered` — how a delivery wakes a parked receiver;
+    * :meth:`_park` — how a rank blocks until something is delivered;
+    * :meth:`_wake_all` — how every parked rank is released after a failure;
+    * :meth:`_probe_miss` — what a probe that found nothing does;
+    * :meth:`_enter` / :meth:`_leave` — how a rank's turn starts and ends.
     """
 
     def create_world(self, nranks: int) -> _World:
-        raise NotImplementedError
+        """The state one run's ranks share."""
+        return _World(nranks)
 
     def deposit(self, world: _World, rank: int, dest: int, frame: bytes) -> None:
         """Deliver an encoded frame into ``dest``'s mailbox (called by ``rank``)."""
-        raise NotImplementedError
+        with world.lock:
+            if world.error is not None:
+                raise world.error
+            # enqueue returns None when a fault injector swallowed the
+            # frame (dropped / corrupted / delayed): nothing to match.
+            self._delivered(world, dest, world.transport.enqueue(dest, frame))
 
     def wait_message(self, world: _World, rank: int, source: int, tag: int) -> Message:
         """Block ``rank`` until a matching message arrives; remove it."""
-        raise NotImplementedError
+        with world.lock:
+            while True:
+                if world.error is not None:
+                    raise world.error
+                msg = world.find_message(rank, source, tag, remove=True)
+                if msg is not None:
+                    if world.verifier is not None:
+                        world.verifier.end_wait(rank)
+                    return msg
+                if world.verifier is not None:
+                    err = world.verifier.begin_wait(rank, source, tag)
+                    if err is not None:
+                        self._abort(world, err)
+                        raise err
+                self._park(world, rank, source, tag)
 
     def probe(self, world: _World, rank: int, source: int, tag: int) -> Message | None:
-        """Non-blocking peek; may yield control to let senders progress."""
-        raise NotImplementedError
+        """Non-blocking peek; a miss is the engine's :meth:`_probe_miss`."""
+        with world.lock:
+            if world.error is not None:
+                raise world.error
+            msg = world.find_message(rank, source, tag, remove=False)
+            if msg is not None:
+                return msg
+            return self._probe_miss(world, rank, source, tag)
 
     def take_ready(self, world: _World, rank: int, source: int, tag: int) -> Message | None:
         """Remove and return an already delivered match, else None.
 
-        The in-memory engines share this body: one locked mailbox scan,
-        no scheduling.  A hit completes a receive as far as the runtime
-        verifier is concerned.
+        One locked mailbox scan, no scheduling.  A hit completes a
+        receive as far as the runtime verifier is concerned.
         """
         with world.lock:
             if world.error is not None:
@@ -120,33 +168,111 @@ class Engine:
 
     def run(self, fn: Callable[[Any], Any], world: _World,
             make_comm: Callable[[_World, int], Any]) -> list[Any]:
-        """Execute ``fn(comm)`` on every rank; returns per-rank results."""
-        raise NotImplementedError
+        """Execute ``fn(comm)`` on one thread per rank; returns per-rank results."""
+        from repro.faults import CrashedRank
+
+        results: list[Any] = [None] * world.nranks
+
+        def body(rank: int) -> None:
+            if not self._enter(world, rank):
+                return
+            try:
+                results[rank] = fn(make_comm(world, rank))
+            except RankCrashError:
+                # A scripted crash: this rank is dead, the run goes on —
+                # recovery (replay by the partner) happens at the
+                # protocol layer, not here.
+                results[rank] = CrashedRank(rank)
+            except BaseException as exc:  # noqa: BLE001 - repropagated below
+                with world.lock:
+                    # A rank's own exception explains a deadlock the
+                    # others then diagnosed, so it replaces one.
+                    if world.error is None or isinstance(world.error, DeadlockError):
+                        world.error = exc
+                    self._wake_all(world)
+            finally:
+                with world.lock:
+                    if world.verifier is not None:
+                        err = world.verifier.mark_finished(rank)
+                        if err is not None:
+                            self._abort(world, err)
+                    self._leave(world, rank)
+
+        threads = [
+            threading.Thread(target=body, args=(rank,), name=f"rank-{rank}",
+                             daemon=True)
+            for rank in range(world.nranks)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        if world.error is not None:
+            raise world.error
+        return results
 
     def attach_faults(self, world: _World, plan) -> None:
         """Arm a :class:`~repro.faults.FaultPlan` on this world.
 
-        In-memory engines build the injector and wrap the transport here
-        (wiring their own wake-up hook for delayed frames); the process
-        engine ships the plan to each child instead, which builds its
-        private injector in ``process_rank_main``.
+        Builds the injector and wraps the transport.  A frame that a
+        delay releases later is flushed inside some deposit or poll,
+        under the lock, and wakes its receiver as a deposit does.
         """
+        from repro.faults import FaultInjector, FaultyTransport
+
+        world.fault_plan = plan
+        world.injector = FaultInjector(plan, world.nranks, stats=world.stats)
+        transport = FaultyTransport(world.transport, world.injector)
+        transport.on_deliver = functools.partial(self._delivered, world)
+        world.transport = transport
+
+    # -- scheduling hooks (callers hold world.lock) ----------------------
+    def _abort(self, world: _World, error: BaseException) -> None:
+        """Record the run's first error and release every parked rank."""
+        world.fail(error)
+        self._wake_all(world)
+
+    def _delivered(self, world: _World, dest: int, msg: Message | None) -> None:
+        """A message (None: swallowed by a fault) reached ``dest``."""
         raise NotImplementedError
+
+    def _park(self, world: _World, rank: int, source: int, tag: int) -> None:
+        """Block ``rank`` until a delivery may match; lock held throughout
+        except while parked."""
+        raise NotImplementedError
+
+    def _wake_all(self, world: _World) -> None:
+        """Release every parked rank so it can see ``world.error``."""
+        raise NotImplementedError
+
+    def _probe_miss(self, world: _World, rank: int, source: int,
+                    tag: int) -> Message | None:
+        """A probe found nothing: report that."""
+        return None
+
+    def _enter(self, world: _World, rank: int) -> bool:
+        """A rank thread starts; False when the run already failed."""
+        return True
+
+    def _leave(self, world: _World, rank: int) -> None:
+        """A rank's program returned or raised."""
 
 
 # ----------------------------------------------------------------------
 # Cooperative (deterministic) engine
 # ----------------------------------------------------------------------
 class _CoopState:
-    """Scheduler bookkeeping attached to a cooperative world."""
+    """Scheduler bookkeeping attached to a cooperative world: rank 0
+    holds the first turn, the others queue behind it in rank order."""
 
     def __init__(self, nranks: int) -> None:
         self.events = [threading.Event() for _ in range(nranks)]
-        self.runnable: deque[int] = deque()
+        self.runnable: deque[int] = deque(range(1, nranks))
         # rank -> (source, tag) it blocks on; only set while waiting.
         self.waiting: dict[int, tuple[int, int]] = {}
         self.finished: set[int] = set()
-        self.current: int | None = None
+        self.current: int | None = 0
+        self.events[0].set()
 
 
 class CooperativeEngine(Engine):
@@ -162,28 +288,6 @@ class CooperativeEngine(Engine):
         world.coop = _CoopState(nranks)  # type: ignore[attr-defined]
         return world
 
-    def attach_faults(self, world: _World, plan) -> None:
-        """Wrap the transport; delayed-frame flushes re-arm receivers."""
-        from repro.faults import FaultInjector, FaultyTransport
-
-        injector = FaultInjector(plan, world.nranks, stats=world.stats)
-        transport = FaultyTransport(world.transport, injector)
-        st: _CoopState = world.coop  # type: ignore[attr-defined]
-
-        def on_deliver(dest: int, msg: Message) -> None:
-            # Caller already holds world.lock (flushes happen inside
-            # deposit/poll): same re-arm as a direct deposit.
-            pattern = st.waiting.get(dest)
-            if msg is not None and pattern is not None and msg.matches(*pattern):
-                del st.waiting[dest]
-                st.runnable.append(dest)
-
-        transport.on_deliver = on_deliver
-        world.fault_plan = plan
-        world.injector = injector
-        world.transport = transport
-
-    # -- scheduling core (callers hold world.lock) ----------------------
     def _schedule_next(self, world: _World) -> None:
         st: _CoopState = world.coop  # type: ignore[attr-defined]
         if st.runnable:
@@ -208,7 +312,7 @@ class CooperativeEngine(Engine):
             for r in live_waiting:
                 st.events[r].set()
 
-    def _yield_and_wait(self, world: _World, rank: int) -> None:
+    def _hand_over(self, world: _World, rank: int) -> None:
         """Give up the CPU; return when scheduled again (lock held on entry
         and re-acquired before returning)."""
         st: _CoopState = world.coop  # type: ignore[attr-defined]
@@ -219,126 +323,51 @@ class CooperativeEngine(Engine):
             st.events[rank].wait()
         finally:
             world.lock.acquire()
-        if world.error is not None:
-            raise world.error
 
-    # -- Engine interface ----------------------------------------------
-    def deposit(self, world: _World, rank: int, dest: int, frame: bytes) -> None:
-        """Decode and deliver a frame; re-arm a waiting destination."""
-        with world.lock:
-            if world.error is not None:
-                raise world.error
-            # enqueue returns None when a fault injector swallowed the
-            # frame (dropped / corrupted / delayed): nothing to match.
-            msg = world.transport.enqueue(dest, frame)
-            st: _CoopState = world.coop  # type: ignore[attr-defined]
-            pattern = st.waiting.get(dest)
-            if msg is not None and pattern is not None and msg.matches(*pattern):
-                del st.waiting[dest]
-                st.runnable.append(dest)
-
-    def wait_message(self, world: _World, rank: int, source: int, tag: int) -> Message:
-        """Blocking receive: park the rank and hand the CPU over."""
-        with world.lock:
-            while True:
-                if world.error is not None:
-                    raise world.error
-                msg = world.find_message(rank, source, tag, remove=True)
-                if msg is not None:
-                    if world.verifier is not None:
-                        world.verifier.end_wait(rank)
-                    return msg
-                st: _CoopState = world.coop  # type: ignore[attr-defined]
-                st.waiting[rank] = (source, tag)
-                if world.verifier is not None:
-                    err = world.verifier.begin_wait(rank, source, tag)
-                    if err is not None:
-                        world.fail(err)
-                        for r in range(world.nranks):
-                            st.events[r].set()
-                        raise world.error
-                st.events[rank].clear()
-                self._schedule_next(world)
-                world.lock.release()
-                try:
-                    st.events[rank].wait()
-                finally:
-                    world.lock.acquire()
-                st.current = rank
-                if world.error is not None:
-                    raise world.error
-
-    def probe(self, world: _World, rank: int, source: int, tag: int) -> Message | None:
-        """Non-blocking peek; yields one turn on a miss (progress)."""
-        with world.lock:
-            if world.error is not None:
-                raise world.error
-            msg = world.find_message(rank, source, tag, remove=False)
-            if msg is not None:
-                return msg
-            # Nothing there: yield one turn so producers can run, then
-            # re-check once.  Spin loops thus make progress round-robin.
-            st: _CoopState = world.coop  # type: ignore[attr-defined]
-            st.runnable.append(rank)
-            self._yield_and_wait(world, rank)
-            st.current = rank
-            return world.find_message(rank, source, tag, remove=False)
-
-    def run(self, fn, world: _World, make_comm) -> list[Any]:
-        """Launch all rank threads; rank 0 runs first; join and report."""
+    # -- scheduling hooks -----------------------------------------------
+    def _delivered(self, world: _World, dest: int, msg: Message | None) -> None:
+        """Re-arm ``dest`` if it is parked on a pattern ``msg`` matches."""
         st: _CoopState = world.coop  # type: ignore[attr-defined]
-        n = world.nranks
-        results: list[Any] = [None] * n
-        threads: list[threading.Thread] = []
+        pattern = st.waiting.get(dest)
+        if msg is not None and pattern is not None and msg.matches(*pattern):
+            del st.waiting[dest]
+            st.runnable.append(dest)
 
-        def body(rank: int) -> None:
-            from repro.errors import RankCrashError
-            from repro.faults import CrashedRank
+    def _park(self, world: _World, rank: int, source: int, tag: int) -> None:
+        """Record the pattern and hand the CPU over until re-armed."""
+        st: _CoopState = world.coop  # type: ignore[attr-defined]
+        st.waiting[rank] = (source, tag)
+        self._hand_over(world, rank)
+        st.current = rank
 
-            st.events[rank].wait()
-            if world.error is not None:
-                return
-            try:
-                results[rank] = fn(make_comm(world, rank))
-            except RankCrashError:
-                # A scripted crash: this rank is dead, the run goes on —
-                # recovery (replay by the partner) happens at the
-                # protocol layer, not here.
-                results[rank] = CrashedRank(rank)
-            except BaseException as exc:  # noqa: BLE001 - repropagated below
-                with world.lock:
-                    if world.error is None or isinstance(world.error, DeadlockError):
-                        world.error = exc
-                    for r in range(n):
-                        st.events[r].set()
-            finally:
-                with world.lock:
-                    st.finished.add(rank)
-                    st.waiting.pop(rank, None)
-                    if world.verifier is not None:
-                        err = world.verifier.mark_finished(rank)
-                        if err is not None:
-                            world.fail(err)
-                            for r in range(n):
-                                st.events[r].set()
-                    if st.current == rank:
-                        self._schedule_next(world)
+    def _wake_all(self, world: _World) -> None:
+        for event in world.coop.events:  # type: ignore[attr-defined]
+            event.set()
 
-        for rank in range(n):
-            t = threading.Thread(
-                target=body, args=(rank,), name=f"coop-rank-{rank}", daemon=True
-            )
-            threads.append(t)
-            t.start()
-        with world.lock:
-            st.runnable.extend(range(1, n))
-            st.current = 0
-            st.events[0].set()
-        for t in threads:
-            t.join()
+    def _probe_miss(self, world: _World, rank: int, source: int,
+                    tag: int) -> Message | None:
+        """Yield one turn so producers can run, then re-check once: spin
+        loops thus make progress round-robin."""
+        st: _CoopState = world.coop  # type: ignore[attr-defined]
+        st.runnable.append(rank)
+        self._hand_over(world, rank)
         if world.error is not None:
             raise world.error
-        return results
+        st.current = rank
+        return world.find_message(rank, source, tag, remove=False)
+
+    def _enter(self, world: _World, rank: int) -> bool:
+        """Wait for the rank's first turn."""
+        world.coop.events[rank].wait()  # type: ignore[attr-defined]
+        return world.error is None
+
+    def _leave(self, world: _World, rank: int) -> None:
+        """Retire the rank and pass its turn on."""
+        st: _CoopState = world.coop  # type: ignore[attr-defined]
+        st.finished.add(rank)
+        st.waiting.pop(rank, None)
+        if st.current == rank:
+            self._schedule_next(world)
 
 
 # ----------------------------------------------------------------------
@@ -364,112 +393,26 @@ class ThreadedEngine(Engine):
         ]
         return world
 
-    def attach_faults(self, world: _World, plan) -> None:
-        """Wrap the transport; delayed-frame flushes notify receivers."""
-        from repro.faults import FaultInjector, FaultyTransport
+    def _delivered(self, world: _World, dest: int, msg: Message | None) -> None:
+        world.conds[dest].notify_all()  # type: ignore[attr-defined]
 
-        injector = FaultInjector(plan, world.nranks, stats=world.stats)
-        transport = FaultyTransport(world.transport, injector)
+    def _park(self, world: _World, rank: int, source: int, tag: int) -> None:
+        """Wait on the rank's condition, at most ``timeout`` seconds."""
+        if not world.conds[rank].wait(timeout=self.timeout):  # type: ignore[attr-defined]
+            from repro.faults import describe_faults
 
-        def on_deliver(dest: int, msg: Message) -> None:
-            # Caller holds world.lock (the conds share it).
-            world.conds[dest].notify_all()  # type: ignore[attr-defined]
-
-        transport.on_deliver = on_deliver
-        world.fault_plan = plan
-        world.injector = injector
-        world.transport = transport
-
-    def deposit(self, world: _World, rank: int, dest: int, frame: bytes) -> None:
-        """Decode and deliver a frame; wake any blocked receiver."""
-        with world.lock:
-            if world.error is not None:
-                raise world.error
-            world.transport.enqueue(dest, frame)
-            world.conds[dest].notify_all()  # type: ignore[attr-defined]
-
-    def wait_message(self, world: _World, rank: int, source: int, tag: int) -> Message:
-        """Blocking receive on a condition variable (with timeout)."""
-        cond = world.conds[rank]  # type: ignore[attr-defined]
-        with world.lock:
-            while True:
-                if world.error is not None:
-                    raise world.error
-                msg = world.find_message(rank, source, tag, remove=True)
-                if msg is not None:
-                    if world.verifier is not None:
-                        world.verifier.end_wait(rank)
-                    return msg
-                if world.verifier is not None:
-                    err = world.verifier.begin_wait(rank, source, tag)
-                    if err is not None:
-                        world.fail(err)
-                        for c in world.conds:  # type: ignore[attr-defined]
-                            c.notify_all()
-                        raise world.error
-                if not cond.wait(timeout=self.timeout):
-                    from repro.faults import describe_faults
-
-                    err = DeadlockError.from_blocked(
-                        {rank: (source, tag)},
-                        detail=f"no matching message within the "
-                               f"{self.timeout}s receive timeout",
-                        faults=describe_faults(world),
-                    )
-                    world.fail(err)
-                    for c in world.conds:  # type: ignore[attr-defined]
-                        c.notify_all()
-                    raise err
-
-    def probe(self, world: _World, rank: int, source: int, tag: int) -> Message | None:
-        """Non-blocking peek at the mailbox."""
-        with world.lock:
-            if world.error is not None:
-                raise world.error
-            return world.find_message(rank, source, tag, remove=False)
-
-    def run(self, fn, world: _World, make_comm) -> list[Any]:
-        """Launch all ranks as free threads; join and report."""
-        n = world.nranks
-        results: list[Any] = [None] * n
-        threads: list[threading.Thread] = []
-
-        def body(rank: int) -> None:
-            from repro.errors import RankCrashError
-            from repro.faults import CrashedRank
-
-            try:
-                results[rank] = fn(make_comm(world, rank))
-            except RankCrashError:
-                # Scripted crash: the rank dies quietly; survivors (and
-                # the recovery partner's replay) finish the run.
-                results[rank] = CrashedRank(rank)
-            except BaseException as exc:  # noqa: BLE001 - repropagated below
-                with world.lock:
-                    if world.error is None or isinstance(world.error, DeadlockError):
-                        world.error = exc
-                    for c in world.conds:  # type: ignore[attr-defined]
-                        c.notify_all()
-            finally:
-                with world.lock:
-                    if world.verifier is not None:
-                        err = world.verifier.mark_finished(rank)
-                        if err is not None:
-                            world.fail(err)
-                            for c in world.conds:  # type: ignore[attr-defined]
-                                c.notify_all()
-
-        for rank in range(n):
-            t = threading.Thread(
-                target=body, args=(rank,), name=f"rank-{rank}", daemon=True
+            err = DeadlockError.from_blocked(
+                {rank: (source, tag)},
+                detail=f"no matching message within the "
+                       f"{self.timeout}s receive timeout",
+                faults=describe_faults(world),
             )
-            threads.append(t)
-            t.start()
-        for t in threads:
-            t.join()
-        if world.error is not None:
-            raise world.error
-        return results
+            self._abort(world, err)
+            raise err
+
+    def _wake_all(self, world: _World) -> None:
+        for cond in world.conds:  # type: ignore[attr-defined]
+            cond.notify_all()
 
 
 # ----------------------------------------------------------------------
@@ -483,7 +426,9 @@ class ProcessEngine(Engine):
     picklable callable object — the driver's rank programs are).  Each
     child builds its own world, communicator and stats ledger; the
     parent only distributes the program, collects results and folds the
-    children's :class:`CommStats` back into ``world.stats``.
+    children's :class:`CommStats` back into ``world.stats``.  The
+    parent's world holds ``nranks`` and, after the run, those stats; its
+    transport and mailboxes are never used.
 
     ``timeout`` bounds every blocking receive inside the children, as on
     the threaded engine; the parent additionally watches for child
@@ -499,40 +444,20 @@ class ProcessEngine(Engine):
             raise CommunicatorError("timeout must be positive")
         self.timeout = timeout
 
-    def create_world(self, nranks: int) -> _World:
-        """A parent-side world: holds ``nranks`` and, after the run, the
-        per-rank stats shipped back from the children.  Its transport
-        and mailboxes are never used — ranks communicate entirely inside
-        their own processes."""
-        return _World(nranks)
-
     def attach_faults(self, world: _World, plan) -> None:
         """Record the plan; each spawned child builds its own injector
         (equivalent decisions — they are content-hash based)."""
         world.fault_plan = plan
 
-    def _no_endpoint(self) -> CommunicatorError:
-        return CommunicatorError(
+    def _no_endpoint(self, *args) -> None:
+        """The parent has no mailboxes: each spawned rank talks through
+        its own :class:`~repro.simmpi.transport.ProcessTransport`."""
+        raise CommunicatorError(
             "the process engine has no parent-side endpoint; "
             "communicators exist only inside the spawned ranks"
         )
 
-    def deposit(self, world: _World, rank: int, dest: int, frame: bytes) -> None:
-        """Unavailable in the parent: each spawned rank deposits through
-        its own :class:`~repro.simmpi.transport.ProcessTransport`."""
-        raise self._no_endpoint()
-
-    def wait_message(self, world: _World, rank: int, source: int, tag: int) -> Message:
-        """Unavailable in the parent (see :meth:`deposit`)."""
-        raise self._no_endpoint()
-
-    def probe(self, world: _World, rank: int, source: int, tag: int) -> Message | None:
-        """Unavailable in the parent (see :meth:`deposit`)."""
-        raise self._no_endpoint()
-
-    def take_ready(self, world: _World, rank: int, source: int, tag: int) -> Message | None:
-        """Unavailable in the parent (see :meth:`deposit`)."""
-        raise self._no_endpoint()
+    deposit = wait_message = probe = take_ready = _no_endpoint  # type: ignore[assignment]
 
     def run(self, fn, world: _World, make_comm) -> list[Any]:
         """Spawn all ranks, collect per-rank results and stats."""
@@ -661,8 +586,7 @@ def run_spmd(
     """Run ``fn(comm)`` as an SPMD program on ``nranks`` ranks.
 
     ``engine`` may be an :class:`Engine` instance or one of the names
-    ``"cooperative"`` (alias ``"sequential"``), ``"threaded"``, or
-    ``"process"``.  With ``verify=True`` the run is instrumented by
+    ``"cooperative"``, ``"threaded"``, or ``"process"``.  With ``verify=True`` the run is instrumented by
     :class:`~repro.analysis.verifier.RuntimeVerifier`: wait-for-graph
     deadlock detection at every blocking receive, and a finalize-time
     audit (undrained mailboxes, unmatched sends, collective generation
@@ -686,7 +610,7 @@ def run_spmd(
     if nranks < 1:
         raise CommunicatorError("nranks must be >= 1")
     if isinstance(engine, str):
-        if engine in ("cooperative", "sequential"):
+        if engine == "cooperative":
             engine = CooperativeEngine()
         elif engine == "threaded":
             engine = ThreadedEngine()

@@ -1,9 +1,13 @@
 """Message envelope and tag space.
 
-User code may use any tag in ``[0, Tags.COLLECTIVE_BASE)``; tags at and
-above ``COLLECTIVE_BASE`` are reserved for the collectives implemented in
-:mod:`repro.simmpi.communicator` (each collective call consumes one
-generation number so concurrent-in-flight collectives never cross-match).
+User code may use any tag in ``[0, Tags.COLLECTIVE_BASE)``.  Tags at and
+above ``COLLECTIVE_BASE`` are reserved: the collectives of
+:mod:`repro.simmpi.communicator` use them (each collective call consumes
+one generation number so concurrent-in-flight collectives never
+cross-match), and so do the groups of :mod:`repro.simmpi.subcomm`, from
+``SUBCOMM_TAG_BASE`` up.  Every communicator, the world included,
+refuses a reserved tag on ``send``, ``recv``, ``iprobe`` and
+``take_ready``; ``ANY_TAG`` stays legal on the receiving calls.
 """
 
 from __future__ import annotations

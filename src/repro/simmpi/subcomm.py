@@ -5,23 +5,28 @@ local ranks 0..n-1, so group algorithms (the paper's Section V partial
 replication exchanges, for instance) are written naturally instead of
 filtering a world-wide collective.
 
-Isolation is by tag translation: each split consumes one world collective
-generation, giving every group member the same *split ordinal*, and the
-sub-communicator maps its tags into a reserved stride of the parent's tag
-space.  Messages inside different sub-communicators (or the parent)
-therefore can never cross-match.  The one restriction this scheme imposes
-is that ``ANY_TAG`` receives are not available inside a sub-communicator
-(the members' traffic shares the parent mailbox, and a wildcard would see
-through the translation); every call must name its tag, which group
-algorithms naturally do.
+A group *is* a :class:`~repro.simmpi.communicator.Communicator`: it
+overrides only its identity (rank, size, members, stats) and the
+internal point-to-point path every verb and collective shares.  That
+path maps group ranks to world ranks and shifts tags into a reserved
+region of the world's tag space.  Each split consumes one world
+collective generation, which gives every member the same *split
+ordinal*; the ordinal picks the group's stride of tags.  Messages inside
+different groups (or the world) therefore can never cross-match.
+
+The scheme imposes two restrictions.  ``ANY_TAG`` receives are not
+available inside a group: the members' traffic shares the world mailbox,
+and a wildcard would see through the translation.  And a group does not
+split further; split the world instead.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
-from repro.errors import CommunicatorError, RankMismatchError
-from repro.simmpi.message import ANY_SOURCE, ANY_TAG, Message, Tags
+from repro.errors import CommunicatorError
+from repro.simmpi.communicator import Communicator
+from repro.simmpi.message import ANY_SOURCE, ANY_TAG, Message
 
 #: Base of the tag region reserved for sub-communicators.
 SUBCOMM_TAG_BASE = 1 << 28
@@ -29,10 +34,11 @@ SUBCOMM_TAG_BASE = 1 << 28
 SUBCOMM_TAG_STRIDE = 1 << 22
 
 
-class SubCommunicator:
-    """A dense-rank view over a subset of a parent communicator."""
+class SubCommunicator(Communicator):
+    """A dense-rank group over a subset of the world communicator."""
 
-    def __init__(self, parent, members: Sequence[int], ordinal: int) -> None:
+    def __init__(self, parent: Communicator, members: Sequence[int],
+                 ordinal: int) -> None:
         members = list(members)
         if parent.rank not in members:
             raise CommunicatorError(
@@ -40,20 +46,16 @@ class SubCommunicator:
             )
         if len(set(members)) != len(members):
             raise CommunicatorError("split group has duplicate members")
+        super().__init__(parent._world, members.index(parent.rank),
+                         parent._engine)
         self._parent = parent
         self._members = members
-        self._rank = members.index(parent.rank)
         self._tag_base = SUBCOMM_TAG_BASE + ordinal * SUBCOMM_TAG_STRIDE
-        self._generation = 0
 
     # ------------------------------------------------------------------
     @property
-    def rank(self) -> int:
-        """This process's rank within the group."""
-        return self._rank
-
-    @property
     def size(self) -> int:
+        """Number of ranks in the group."""
         return len(self._members)
 
     @property
@@ -67,126 +69,40 @@ class SubCommunicator:
         return self._parent.stats
 
     # ------------------------------------------------------------------
-    def _translate_tag(self, tag: int) -> int:
+    def _send(self, dest: int, payload: Any, tag: int) -> None:
+        """Send to a group rank under the group's shifted tag."""
+        self._check_peer(dest)
+        if tag >= SUBCOMM_TAG_STRIDE:
+            raise CommunicatorError("sub-communicator generation overflow")
+        self._parent._send(self._members[dest], payload, self._tag_base + tag)
+
+    def _receive(self, call, source: int, tag: int) -> Message | None:
+        """``call`` on the parent's mailbox, translated both ways."""
         if tag == ANY_TAG:
             raise CommunicatorError(
                 "ANY_TAG is not supported inside a sub-communicator"
             )
-        if not 0 <= tag < Tags.COLLECTIVE_BASE:
-            raise CommunicatorError(
-                f"sub-communicator tags must be in [0, {Tags.COLLECTIVE_BASE})"
-            )
-        return self._tag_base + tag
-
-    def _check_peer(self, peer: int) -> None:
-        if not 0 <= peer < self.size:
-            raise CommunicatorError(
-                f"peer rank {peer} out of range for group size {self.size}"
-            )
-
-    def _localize(self, msg: Message) -> Message:
-        """Translate a delivered message back into group coordinates."""
-        return Message(
-            source=self._members.index(msg.source),
-            tag=msg.tag - self._tag_base,
-            payload=msg.payload,
-        )
-
-    # ------------------------------------------------------------------
-    def send(self, dest: int, payload: Any, tag: int = 0) -> None:
-        """Send to a group rank."""
-        self._check_peer(dest)
-        self._parent.send(self._members[dest], payload,
-                          tag=self._translate_tag(tag))
-
-    def recv(self, source: int = ANY_SOURCE, tag: int = 0) -> Message:
-        """Receive from a group rank (tag required; no ANY_TAG)."""
-        parent_source = (
-            ANY_SOURCE if source == ANY_SOURCE else self._members[source]
-        )
-        msg = self._parent.recv(parent_source, self._translate_tag(tag))
-        return self._localize(msg)
-
-    def iprobe(self, source: int = ANY_SOURCE, tag: int = 0) -> Message | None:
-        parent_source = (
-            ANY_SOURCE if source == ANY_SOURCE else self._members[source]
-        )
-        msg = self._parent.iprobe(parent_source, self._translate_tag(tag))
-        return None if msg is None else self._localize(msg)
-
-    # ------------------------------------------------------------------
-    # collectives over the group (mirroring Communicator's algorithms)
-    # ------------------------------------------------------------------
-    def _next_tag(self) -> int:
-        tag = Tags.COLLECTIVE_BASE + self._generation
-        self._generation += 1
-        # Collective tags live above the user range inside the stride.
-        if tag >= SUBCOMM_TAG_STRIDE:
-            raise CommunicatorError("sub-communicator generation overflow")
-        return tag
-
-    def _coll_send(self, dest: int, payload: Any, tag: int) -> None:
-        self._parent.send(self._members[dest], payload, tag=self._tag_base + tag)
-
-    def _coll_recv(self, source: int, tag: int) -> Message:
-        parent_source = (
-            ANY_SOURCE if source == ANY_SOURCE else self._members[source]
-        )
-        msg = self._parent.recv(parent_source, self._tag_base + tag)
-        return self._localize(msg)
-
-    def barrier(self) -> None:
-        tag = self._next_tag()
-        if self._rank == 0:
-            for _ in range(self.size - 1):
-                self._coll_recv(ANY_SOURCE, tag)
-            for dest in range(1, self.size):
-                self._coll_send(dest, None, tag)
-        else:
-            self._coll_send(0, None, tag)
-            self._coll_recv(0, tag)
-
-    def alltoallv(self, chunks: Sequence[Any]) -> list[Any]:
-        if len(chunks) != self.size:
-            raise RankMismatchError(
-                f"alltoallv needs exactly {self.size} chunks, got {len(chunks)}"
-            )
-        from repro.simmpi import wire
-
-        tag = self._next_tag()
-        out: list[Any] = [None] * self.size
-        for dest in range(self.size):
-            if dest == self._rank:
-                out[dest] = wire.clone(chunks[dest])
-            else:
-                self._coll_send(dest, chunks[dest], tag)
-        for _ in range(self.size - 1):
-            msg = self._coll_recv(ANY_SOURCE, tag)
-            out[msg.source] = msg.payload
-        return out
-
-    def allgather(self, value: Any) -> list[Any]:
-        return self.alltoallv([value] * self.size)
-
-    def allreduce(
-        self, value: Any, op: Callable[[Any, Any], Any] = lambda a, b: a + b
-    ) -> Any:
-        gathered = self.allgather(value)
-        acc = gathered[0]
-        for v in gathered[1:]:
-            acc = op(acc, v)
-        return acc
+        if source != ANY_SOURCE:
+            self._check_peer(source)
+            source = self._members[source]
+        msg = self._parent._receive(call, source, self._tag_base + tag)
+        if msg is None:
+            return None
+        return Message(self._members.index(msg.source), tag, msg.payload)
 
 
-def split(parent, color: int, ordinal_tag: int | None = None) -> SubCommunicator:
+def split(parent: Communicator, color: int) -> SubCommunicator:
     """Partition the parent communicator by ``color`` (collective).
 
     Every rank calls with its color; ranks sharing a color form one group
     with local ranks in parent-rank order.  Returns this rank's group.
     """
+    if isinstance(parent, SubCommunicator):
+        raise CommunicatorError(
+            "a sub-communicator does not split further; split the world"
+        )
     infos = parent.allgather((int(color), parent.rank))
     # The allgather consumed one parent generation; reuse it as the split
     # ordinal so all members agree without more traffic.
-    ordinal = parent._generation if ordinal_tag is None else ordinal_tag
     members = [r for c, r in sorted(infos, key=lambda x: x[1]) if c == color]
-    return SubCommunicator(parent, members, ordinal)
+    return SubCommunicator(parent, members, parent._generation)

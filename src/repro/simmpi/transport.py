@@ -9,7 +9,7 @@ blocks when its poll comes up empty — stays with the engines.
 Two implementations:
 
 * :class:`LocalTransport` — one decoded-message deque per rank in shared
-  memory, used by both in-memory engines (the sequential/cooperative
+  memory, used by both in-memory engines (the cooperative
   scheduler and the free-threaded one).  Frames are decoded on enqueue,
   so delivery is a deep copy and the caller's engine can match against
   :class:`~repro.simmpi.message.Message` objects directly.  Callers

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import CommunicatorError, RankMismatchError
-from repro.simmpi import ANY_SOURCE, ANY_TAG, run_spmd
+from repro.simmpi import ANY_SOURCE, ANY_TAG, Tags, run_spmd
 
 ENGINES = ["cooperative", "threaded"]
 
@@ -20,12 +20,20 @@ class TestPointToPoint:
         run_spmd(prog, 2, engine=engine)
 
     def test_negative_tag_rejected(self, engine):
+        """Negative and reserved tags are refused on every verb; a
+        reserved one would otherwise pose as a collective's frame."""
         def prog(comm):
-            with pytest.raises(CommunicatorError):
-                comm.send(0, None, tag=-5)
+            for tag in (-5, Tags.COLLECTIVE_BASE):
+                for call in (lambda: comm.send(0, None, tag=tag),
+                             lambda: comm.recv(tag=tag),
+                             lambda: comm.iprobe(tag=tag),
+                             lambda: comm.take_ready(tag=tag)):
+                    with pytest.raises(CommunicatorError):
+                        call()
             comm.barrier()
+            return comm.iprobe()
 
-        run_spmd(prog, 2, engine=engine)
+        assert run_spmd(prog, 2, engine=engine).results == [None, None]
 
     def test_iprobe_nonblocking(self, engine):
         def prog(comm):

@@ -149,8 +149,9 @@ class TestCooperativeDeterminism:
 
 class TestEngineConstruction:
     def test_unknown_engine_name(self):
-        with pytest.raises(CommunicatorError):
-            run_spmd(lambda c: None, 2, engine="quantum")
+        for name in ("quantum", "sequential"):
+            with pytest.raises(CommunicatorError):
+                run_spmd(lambda c: None, 2, engine=name)
 
     def test_nranks_validation(self):
         with pytest.raises(CommunicatorError):

@@ -9,8 +9,28 @@ from repro.simmpi import ANY_SOURCE, ANY_TAG, run_spmd
 ENGINES = ["cooperative", "threaded"]
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+def _collectives(comm):
+    """Every collective once, on whatever communicator it is given; the
+    values depend only on the rank within ``comm``."""
+    chunks = [np.array([comm.rank * 10 + d]) for d in range(comm.size)]
+    return (
+        comm.allreduce(comm.rank + 1),
+        comm.allgather(comm.rank),
+        [int(a[0]) for a in comm.alltoallv(chunks)],
+        comm.gather(comm.rank * 3, root=comm.size - 1),
+        comm.bcast(f"from {comm.rank}", root=comm.size - 1),
+        comm.reduce(comm.rank + 1, op=max, root=comm.size - 1),
+        comm.barrier(),
+    )
+
+
+def _group_collectives(comm):
+    # Module level, so the process engine can pickle it.
+    return _collectives(comm.split(comm.rank % 2))
+
+
 class TestSplit:
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_group_membership_and_ranks(self, engine):
         def prog(comm):
             group = comm.split(comm.rank % 2)
@@ -25,6 +45,7 @@ class TestSplit:
             assert g_size == 3
             assert members[g_rank] == world_rank
 
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_p2p_within_group(self, engine):
         def prog(comm):
             group = comm.split(comm.rank // 2)  # pairs
@@ -39,6 +60,7 @@ class TestSplit:
             partner = world_rank + 1 if world_rank % 2 == 0 else world_rank - 1
             assert payload == f"from {partner}"
 
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_groups_do_not_cross_talk(self, engine):
         """Same tags in two groups stay separate."""
 
@@ -60,22 +82,17 @@ class TestSplit:
         assert res.results[0] == [2, 4]  # even group members only
         assert res.results[1] == [3, 5]  # odd group members only
 
+    @pytest.mark.parametrize("engine", [*ENGINES, "process"])
     def test_group_collectives(self, engine):
-        def prog(comm):
-            group = comm.split(comm.rank % 2)
-            total = group.allreduce(comm.rank)
-            gathered = group.allgather(comm.rank)
-            group.barrier()
-            chunks = [np.array([comm.rank * 10 + d]) for d in range(group.size)]
-            got = group.alltoallv(chunks)
-            return total, gathered, [int(a[0]) for a in got]
+        """Each group of two answers every collective as a world of two
+        does, on every engine."""
+        groups = run_spmd(_group_collectives, 4, engine=engine).results
+        world = run_spmd(_collectives, 2, engine=engine).results
+        assert groups == [world[0], world[0], world[1], world[1]]
+        assert world[0] == (3, [0, 1], [0, 10], None, "from 1", None, None)
+        assert world[1] == (3, [0, 1], [1, 11], [0, 3], "from 1", 2, None)
 
-        res = run_spmd(prog, 4, engine=engine)
-        total0, gathered0, a2a0 = res.results[0]
-        assert total0 == 0 + 2
-        assert gathered0 == [0, 2]
-        assert a2a0 == [0 * 10 + 0, 2 * 10 + 0]
-
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_parent_usable_alongside_group(self, engine):
         def prog(comm):
             group = comm.split(comm.rank % 2)
@@ -87,6 +104,7 @@ class TestSplit:
         res = run_spmd(prog, 6, engine=engine)
         assert all(w == 6 and g == 3 for w, g in res.results)
 
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_singleton_group(self, engine):
         def prog(comm):
             group = comm.split(comm.rank)  # every rank alone
@@ -138,6 +156,16 @@ class TestRestrictions:
             return True
 
         run_spmd(prog, 3, engine="cooperative")
+
+    def test_group_does_not_split(self):
+        def prog(comm):
+            group = comm.split(0)
+            with pytest.raises(CommunicatorError):
+                group.split(0)
+            comm.barrier()
+            return True
+
+        assert all(run_spmd(prog, 2, engine="cooperative").results)
 
     def test_consecutive_splits_isolated(self):
         """Two sequential splits of the same world don't collide."""
