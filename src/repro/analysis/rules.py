@@ -88,11 +88,6 @@ def get_rule(code: str) -> Rule | None:
     return _REGISTRY.get(code)
 
 
-def rule_codes() -> frozenset[str]:
-    """The set of registered codes (for --disable validation)."""
-    return frozenset(_REGISTRY)
-
-
 class _RuleCatalogue(Mapping[str, str]):
     """Live code -> one-line-summary view of the registry.
 

@@ -403,7 +403,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import os
 
-    from repro.io.fasta import write_fasta
+    from repro.io.partition import write_block
     from repro.service import ServicePolicy, SpectrumService
 
     blocks, cfg = _load_inputs(args)
@@ -437,10 +437,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     for i, batch in enumerate(batches):
         path = os.path.join(args.output_dir, f"client{i}.fasta")
         block = batch.block
-        write_fasta(
-            path, block.to_strings(),
-            start_id=int(block.ids[0]) if len(block) else 1,
-        )
+        write_block(block, path)
         corrections = int(batch.corrections_per_read.sum())
         total += corrections
         print(f"client{i}: {len(block)} reads "
@@ -457,7 +454,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.io.fasta import write_fasta
-    from repro.io.quality import write_quality
+    from repro.io.partition import write_block
     from repro.kmer.codec import decode_sequence
 
     profile = PROFILES[args.profile]
@@ -466,11 +463,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         localized_errors=args.localized_errors or None,
     )
     block = dataset.block
-    write_fasta(args.fasta, block.to_strings())
-    write_quality(
-        args.quality,
-        [block.quals[i, : block.lengths[i]].tolist() for i in range(len(block))],
-    )
+    write_block(block, args.fasta, args.quality)
     print(f"{args.profile}: {len(block)} reads of {block.max_length} bp, "
           f"{dataset.n_errors} injected errors -> {args.fasta}, {args.quality}")
     if args.truth:

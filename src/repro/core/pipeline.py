@@ -105,12 +105,9 @@ def correct_files(
     auto_thresholds: bool = True,
 ) -> PipelineOutcome:
     """File-to-file serial correction (fasta [+ quality] in, fasta out)."""
-    from repro.io.fasta import write_fasta
-    from repro.io.partition import load_rank_block
+    from repro.io.partition import load_rank_block, write_block
 
     block = load_rank_block(fasta_path, quality_path, 1, 0)
     outcome = correct_reads(block, config, auto_thresholds=auto_thresholds)
-    out = outcome.block
-    start = int(out.ids[0]) if len(out) else 1
-    write_fasta(output_path, out.to_strings(), start_id=start)
+    write_block(outcome.block, output_path)
     return outcome

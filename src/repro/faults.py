@@ -24,11 +24,11 @@ and the per-child injectors of the process engine see exactly the same
 Fault scoping
 -------------
 Frame faults apply only to the *lookup plane* (:data:`DROPPABLE_TAGS`):
-count/prefetch/resilient requests and responses (which the fault-mode
-Step III read-table exchange uses too).  Control traffic (DONE/SHUTDOWN,
-replica transfers) and collectives ride a reliable substrate — the
-same layering as TeaMPI, which interposes resilience under an unchanged
-MPI-style API.  Crash and stall faults are *phase-gated*: they count
+Step IV's count/prefetch/resilient requests and responses.  Control
+traffic (DONE/SHUTDOWN, replica transfers) and collectives (the whole
+of Step III, the read-table exchange included) ride a reliable
+substrate — the same layering as TeaMPI, which interposes resilience
+under an unchanged MPI-style API.  Crash and stall faults are *phase-gated*: they count
 only correction-phase communication events, announced by the engines'
 ``enter_phase`` hook, because the recovery protocol replicates state at
 the phase boundary (crashing earlier would be unsurvivable by design,
@@ -61,10 +61,9 @@ from repro.simmpi import wire
 from repro.simmpi.message import Tags
 from repro.simmpi.transport import Transport
 
-#: Tags the injector may drop/corrupt/duplicate/delay — the lookup
-#: plane (the fault-mode Step III exchange is a Step IV round, so it
-#: rides the same tags).  Everything else (DONE, SHUTDOWN, REPLICA,
-#: collectives) is delivered reliably.
+#: Tags the injector may drop/corrupt/duplicate/delay — Step IV's
+#: lookup plane.  Everything else (DONE, SHUTDOWN, REPLICA, service
+#: control, collectives — all of Step III) is delivered reliably.
 DROPPABLE_TAGS = frozenset({
     Tags.KMER_REQUEST,
     Tags.TILE_REQUEST,

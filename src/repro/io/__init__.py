@@ -16,6 +16,7 @@ from repro.io.partition import (
     align_to_record,
     partition_fasta,
     load_rank_block,
+    write_block,
 )
 
 __all__ = [
@@ -33,4 +34,5 @@ __all__ = [
     "align_to_record",
     "partition_fasta",
     "load_rank_block",
+    "write_block",
 ]

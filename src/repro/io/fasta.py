@@ -10,7 +10,7 @@ is always single-line.
 from __future__ import annotations
 
 import os
-from itertools import islice
+from itertools import count, islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -25,15 +25,18 @@ WRITE_BATCH = 4096
 def write_fasta(path: str | os.PathLike, seqs: Iterable[str],
                 start_id: int = 1) -> int:
     """Write reads with ascending numeric names; returns #records written."""
-    seqs = iter(seqs)
+    return write_records(path, count(start_id), seqs)
+
+
+def write_records(path: str | os.PathLike, names: Iterable[int],
+                  rows: Iterable[str]) -> int:
+    """Write fasta-shaped records, each of ``rows`` under the next of
+    ``names``; returns #records written."""
+    records = zip(names, rows)
     n = 0
     with open(path, "w", encoding="ascii") as fh:
-        while batch := list(islice(seqs, WRITE_BATCH)):
-            lines = [""] * (2 * len(batch))
-            first = start_id + n
-            lines[0::2] = [f">{i}" for i in range(first, first + len(batch))]
-            lines[1::2] = batch
-            fh.write("\n".join(lines) + "\n")
+        while batch := list(islice(records, WRITE_BATCH)):
+            fh.write("".join([f">{name}\n{row}\n" for name, row in batch]))
             n += len(batch)
     return n
 

@@ -23,6 +23,8 @@ from typing import BinaryIO, Iterable
 import numpy as np
 
 from repro.errors import FileFormatError
+from repro.io.fasta import write_records
+from repro.io.quality import write_scores
 from repro.io.records import ReadBlock
 from repro.io.scan import Piece, align, file_size, scan_records
 
@@ -106,6 +108,23 @@ def load_rank_block(
     if qual_path is not None:
         scores = _scores_for_ids(qual_path, nranks, rank, ids, lengths)
     return ReadBlock.from_flat(ids, lengths, bases, scores)
+
+
+def write_block(
+    block: ReadBlock,
+    fasta_path: str | os.PathLike,
+    qual_path: str | os.PathLike | None = None,
+) -> int:
+    """The inverse of :func:`load_rank_block`: write ``block`` as the
+    fasta (+ quality) pair, each record named by its own read id, so the
+    output lines up with the input whatever names it used.  Returns the
+    number of reads written."""
+    ids = block.ids.tolist()
+    if qual_path is not None:
+        write_scores(qual_path, ids, map(
+            lambda row, n: row[:n], block.quals, block.lengths
+        ))
+    return write_records(fasta_path, ids, block.to_strings())
 
 
 def _joined(pieces: Iterable[Piece]) -> Piece:

@@ -9,11 +9,12 @@ partitioning as the fasta file, then lines the two up by sequence number.
 from __future__ import annotations
 
 import os
+from itertools import count
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.io.fasta import write_fasta
+from repro.io.fasta import write_records
 from repro.io.scan import read_range
 
 # The text of every score a quality file can hold.
@@ -25,10 +26,18 @@ def write_quality(
     quals: Iterable[Sequence[int]],
     start_id: int = 1,
 ) -> int:
-    """Write per-read quality rows with ascending numeric names.
+    """Write per-read quality rows with ascending numeric names."""
+    return write_scores(path, count(start_id), quals)
 
-    A score outside 0-255 is a :class:`ValueError`: no reader accepts it.
-    """
+
+def write_scores(
+    path: str | os.PathLike,
+    names: Iterable[int],
+    quals: Iterable[Sequence[int]],
+) -> int:
+    """Write quality rows, each under the next of ``names``; returns
+    #records written.  A score outside 0-255 is a :class:`ValueError`:
+    no reader accepts it."""
     token = _TOKEN.__getitem__
     rows = (
         " ".join(map(
@@ -38,7 +47,7 @@ def write_quality(
     )
     try:
         # A quality file is fasta-shaped: score text where the bases go.
-        return write_fasta(path, rows, start_id)
+        return write_records(path, names, rows)
     except KeyError as exc:
         raise ValueError(
             f"{path}: quality score {exc.args[0]!r} is outside 0-255"

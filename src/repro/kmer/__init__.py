@@ -12,7 +12,6 @@ from repro.kmer.codec import (
     MAX_K,
     encode_sequence,
     decode_kmer,
-    kmer_ids,
     window_ids,
     block_window_ids,
     reverse_complement_id,
@@ -30,7 +29,6 @@ __all__ = [
     "MAX_K",
     "encode_sequence",
     "decode_kmer",
-    "kmer_ids",
     "window_ids",
     "block_window_ids",
     "reverse_complement_id",

@@ -111,13 +111,6 @@ def window_ids(
     return ids, valid
 
 
-def kmer_ids(
-    codes: NDArray[np.uint8], k: int
-) -> tuple[NDArray[np.uint64], NDArray[np.bool_]]:
-    """Alias of :func:`window_ids` named for the k-mer use case."""
-    return window_ids(codes, k)
-
-
 def decode_kmer(kid: int, k: int) -> str:
     """Decode a window id back to its DNA string (inverse of encoding)."""
     _check_window(k)

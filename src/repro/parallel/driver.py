@@ -263,26 +263,13 @@ class ParallelRunResult:
         """Write the corrected reads (and optionally their qualities).
 
         Both paths accept anything path-like (``str`` or
-        ``pathlib.Path``).  Sequence numbers are preserved from the
-        input, so the output lines up record-for-record with the
+        ``pathlib.Path``).  Each record keeps its input sequence number
+        as its name, so the output lines up record-for-record with the
         original files.  Returns the number of reads written.
         """
-        from repro.io.fasta import write_fasta
-        from repro.io.quality import write_quality
+        from repro.io.partition import write_block
 
-        block = self.corrected_block
-        start = int(block.ids[0]) if len(block) else 1
-        n = write_fasta(os.fspath(fasta_path), block.to_strings(), start_id=start)
-        if quality_path is not None:
-            write_quality(
-                os.fspath(quality_path),
-                [
-                    block.quals[i, : block.lengths[i]].tolist()
-                    for i in range(len(block))
-                ],
-                start_id=start,
-            )
-        return n
+        return write_block(self.corrected_block, fasta_path, quality_path)
 
 
 def _validate_run_params(

@@ -10,15 +10,12 @@ half, counts in the second) — the buffer-per-destination discipline of
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from repro.hashing.counthash import CountHash
 from repro.hashing.sortedspectrum import SortedSpectrum
 from repro.hashing.inthash import mix_to_rank
 from repro.parallel.lookup.routing import partition_by_dest
-from repro.parallel.server import CorrectionProtocol
 from repro.simmpi.communicator import Communicator
 
 #: ``(keys, counts)`` arrays of equal length.
@@ -95,15 +92,12 @@ def fetch_global_counts(
     back (second alltoallv).  Returns ``(keys, counts)`` aligned arrays
     (counts are 0 for globally absent keys).
 
-    Under a plan with frame faults the alltoallv pair would hide the
-    losses the plan scripts (collectives are reliable), so the exchange
-    runs as a Step IV round instead (:func:`_request_global_counts`).
+    This is the paper's "additional collective communication step", and
+    like the DELTA exchange it rides the collective tags, so it is
+    reliable under a :class:`~repro.faults.FaultPlan` too.
     """
     wanted = np.unique(np.ascontiguousarray(wanted, dtype=np.uint64))
     owners = np.asarray(mix_to_rank(wanted, comm.size), dtype=np.int64)
-    plan = comm.fault_plan
-    if plan is not None and plan.has_frame_faults:
-        return wanted, _request_global_counts(comm, wanted, owners, owned, plan)
     order, boundaries = partition_by_dest(owners, comm.size)
     sorted_keys = wanted[order]
     queries = [
@@ -119,35 +113,3 @@ def fetch_global_counts(
     counts = np.empty_like(counts_sorted)
     counts[order] = counts_sorted
     return wanted, counts
-
-
-def _request_global_counts(
-    comm: Communicator, wanted: np.ndarray, owners: np.ndarray,
-    owned: CountHash | SortedSpectrum, plan,
-) -> np.ndarray:
-    """Fault-mode :func:`fetch_global_counts`: a Step IV round over ``owned``.
-
-    Sequence-numbered requests with retry, then the DONE/SHUTDOWN
-    handshake, which keeps every rank serving until all have their
-    answers — a laggard's retransmitted query always finds its owner
-    listening.  Step IV's crashes all fire later (in the correction
-    phase), so doomed ranks are still alive here: they serve, report
-    DONE and need no failover routing, hence the plan without crashes.
-    """
-    protocol = CorrectionProtocol(
-        comm, owned, owned, universal=True, faults=replace(plan, crashes=())
-    )
-    mine = owners == comm.rank
-    counts = np.empty(wanted.shape[0], dtype=np.uint64)
-    # Serve-side self-answer from the authoritative shard.
-    counts[mine] = owned.lookup(wanted[mine])  # noqa: MPI007
-    counts[~mine] = protocol.request_counts(
-        wanted[~mine], owners[~mine], wanted[:0], owners[:0]
-    )[0]
-    protocol.finish()
-    # Nobody may start the *next* exchange round (different owned table)
-    # until every rank has left this one's serving loop — otherwise a
-    # laggard would serve a fresh query from the stale table.  The
-    # barrier rides reliable collective tags, so it needs no retries.
-    comm.barrier()
-    return counts

@@ -90,10 +90,6 @@ class RouteTable:
             {d: plan.partner_of(d, size) for d in plan.doomed_ranks()},
         )
 
-    @property
-    def has_redirects(self) -> bool:
-        return bool(self.redirects)
-
     def dest_for(self, owner: int) -> int:
         """Where a request for ``owner``'s shard must be sent."""
         return self.redirects.get(owner, owner)

@@ -1,9 +1,8 @@
 """The reliable-request layer: one wait under every count client.
 
 Step IV is one idea — ask the owner, serve peers while you wait — and
-every client of it (the blocking lookups of the pump protocol, the
-bulk-prefetch endpoint riding that pump, and the fault-mode Step III
-read-table exchange, which is a Step IV round) keeps its outstanding
+both clients of it (the blocking lookups of the pump protocol and the
+bulk-prefetch endpoint riding that pump) keep their outstanding
 requests here.
 :class:`ReliableRequests` owns the whole retry *policy*:
 

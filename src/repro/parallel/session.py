@@ -140,11 +140,6 @@ class CorrectionSession:
         self._stacks: StackPair | None = None
         self._stack_timer: PhaseTimer | None = None
         self._recovery: RecoveryState | None = None
-        #: Extra tag handlers merged into the session's pump-mode
-        #: protocol endpoint (re-applied after every finalize rebinds
-        #: the protocol).  The serving loop uses this to stash service
-        #: control frames that arrive while a round is still pumping.
-        self.protocol_handlers: dict = {}
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -249,8 +244,9 @@ class CorrectionSession:
         """Release the rank's endpoint state (local, idempotent).
 
         The wire is already quiescent — every :meth:`correct` round ends
-        with its own DONE/SHUTDOWN handshake (and, for retained-raw
-        rounds, a separating barrier) — so closing is purely a local
+        with its own DONE/SHUTDOWN handshake, and a rank still pumping
+        in that handshake cannot take a collective's frames (a wildcard
+        receive matches user tags only) — so closing is purely a local
         release: the protocol endpoint, the compiled lookup stacks and
         any recovery bindings are dropped, and further mutating verbs
         raise :class:`~repro.errors.SessionError`.  Safe to call twice;
@@ -487,16 +483,6 @@ class CorrectionSession:
                 comm.stats.bump("takeover_reads", len(wblock))
                 results.extend(step_iv(wblock))
             protocol.finish()
-        if self.retain_raw and not doomed:
-            # Round separator.  finish() lets rank 0 leave while peers
-            # still pump with a wildcard probe that would swallow the
-            # next round's collective frames; the barrier's rank-0-
-            # centric, tag-filtered pattern is safe to enter early and
-            # guarantees every rank has left finish() before any rank
-            # starts the next collective.  Skipped for one-shot sessions
-            # (their ledger must match the classic run exactly) and for
-            # crash plans (a dead rank never arrives at a barrier).
-            comm.barrier()
 
         return CorrectionResult.concat(results, block.max_length)
 
@@ -518,8 +504,6 @@ class CorrectionSession:
             # ward with no special casing.
             for ward, (wk, wt) in recovery.replicas.items():
                 self._protocol.shards.bind_ward(ward, wk, wt)
-        if self.protocol_handlers:
-            self._protocol.handlers.update(self.protocol_handlers)
         return self._protocol
 
     def _ensure_stacks(

@@ -122,10 +122,6 @@ class PhaseBreakdown:
         )
 
     @property
-    def slowest_rank_correction(self) -> float:
-        return self.correction_total * self.imbalance_factor
-
-    @property
     def memory_peak(self) -> float:
         return max(self.memory_construction_peak, self.memory_after_correction)
 

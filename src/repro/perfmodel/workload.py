@@ -84,10 +84,6 @@ class DatasetWorkload:
         return self.kmer_lookups_per_read * self.n_reads
 
     @property
-    def total_candidates(self) -> float:
-        return self.candidates_per_read * self.n_reads
-
-    @property
     def total_bases(self) -> float:
         return float(self.n_reads) * self.read_length
 

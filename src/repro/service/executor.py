@@ -104,11 +104,9 @@ class ServiceExecutor:
         self.channel.submit(("ingest", seq, *block.to_wire()))
         return seq
 
-    def correct(self, block: ReadBlock, *, collect: bool = True) -> int:
+    def correct(self, block: ReadBlock) -> int:
         seq = self._next_seq()
-        self.channel.submit(
-            ("correct", seq, int(collect), *block.to_wire())
-        )
+        self.channel.submit(("correct", seq, *block.to_wire()))
         return seq
 
     def checkpoint(self, directory: str) -> int:

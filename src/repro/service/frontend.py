@@ -131,10 +131,6 @@ class SpectrumService:
         self._result: ServiceRunResult | None = None
         self._coalesced = 0
         self._rounds = 0
-        # A scripted crash leaves dead ranks that can answer no gather;
-        # those runs defer results to the final rank reports, exactly
-        # like the one-shot driver.
-        self._collect = faults is None or not faults.doomed_ranks()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -231,11 +227,11 @@ class SpectrumService:
 
     async def correct(
         self, block: ReadBlock, *, client: str = "default"
-    ) -> ServiceBatchResult | None:
+    ) -> ServiceBatchResult:
         """Correct a batch against the served spectrum.
 
-        Returns ``None`` only under a crash fault plan (results then
-        live in the closed service's rank reports)."""
+        Under a crash fault plan too: the round's dead ranks' reads come
+        back from their recovery partners' replay."""
         return await self._submit("correct", client, block=block)
 
     async def checkpoint(
@@ -310,11 +306,7 @@ class SpectrumService:
             merged.ids = np.arange(1, len(merged) + 1, dtype=np.int64)
             self._coalesced += len(jobs)
         self._rounds += 1
-        payload = executor.await_result(
-            executor.correct(merged, collect=self._collect)
-        )
-        if payload is None:
-            return [None] * len(jobs)
+        payload = executor.await_result(executor.correct(merged))
         ids, codes, lengths, quals, corrections, reverted, examined, below = (
             payload
         )

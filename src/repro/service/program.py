@@ -19,14 +19,13 @@ The control path is deliberately in-band:
   never touches spectrum state except through the
   :class:`~repro.parallel.backend.SessionBackend` verbs.
 
-Correct commands normally gather per-rank results back to rank 0
-(:data:`SERVICE_RESULT_TAG`) and post the merged round up the channel;
-the gather doubles as the synchronization that makes the *next* relay
-race-free.  Under a fault plan with scripted crashes the gather is
-skipped (``collect=False``: a dead rank can answer nothing), results
-are deferred to the final rank reports, and a stash handler on the
-session's pump protocol absorbs any control frame that arrives while a
-rank is still serving a round's tail.
+Every correct command gathers per-rank results back to rank 0
+(:data:`SERVICE_RESULT_TAG`), which posts the merged round up the
+channel; a crash round too, from the ranks the fault plan does not doom
+(a partner's result carries its dead ward's replayed reads).  A peer
+sends its result only after leaving the round's DONE/SHUTDOWN
+handshake, and rank 0 relays the next command only after the gather, so
+no control frame ever arrives at a rank that is still pumping.
 
 Command frames are wire-codable tuples (no dicts — MPI006): the head is
 the verb name, then the sequence number, then the verb's payload.
@@ -34,7 +33,6 @@ the verb name, then the sequence number, then the verb's payload.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -143,7 +141,7 @@ class ServingProgram:
     Commands (wire-codable tuples):
 
     * ``("ingest", seq, ids, codes, lengths, quals)``
-    * ``("correct", seq, collect, ids, codes, lengths, quals)``
+    * ``("correct", seq, ids, codes, lengths, quals)``
     * ``("checkpoint", seq, directory)``
     * ``("shutdown",)``
 
@@ -155,7 +153,7 @@ class ServingProgram:
 
     Every command is acknowledged up the channel as ``(seq, payload)``
     once rank 0 has completed it (``payload`` is the merged round for a
-    collecting correct, else ``None``); shutdown is acknowledged by the
+    correct, else ``None``); shutdown is acknowledged by the
     fleet's ``run_spmd`` return value itself — each rank's
     :class:`~repro.parallel.session.SessionRankReport`."""
 
@@ -172,23 +170,6 @@ class ServingProgram:
         else:
             session = CorrectionSession(comm, self.config, self.heuristics)
         runner = SessionOpRunner(session)
-        # Stashes for frames the session's round-tail pump would
-        # otherwise trip over: a rank still wildcard-pumping in
-        # finish() may pick up the next command (peers) or an early
-        # peer's result frame (rank 0); the protocol-handler hook
-        # diverts them here instead of raising on the unknown tag.
-        cmd_stash: deque[tuple] = deque()
-        result_stash: dict[int, deque] = {}
-        if comm.rank == 0:
-            session.protocol_handlers[SERVICE_RESULT_TAG] = (
-                lambda msg: result_stash.setdefault(
-                    msg.source, deque()
-                ).append(msg.payload)
-            )
-        else:
-            session.protocol_handlers[SERVICE_CMD_TAG] = (
-                lambda msg: cmd_stash.append(msg.payload)
-            )
         with session:
             while True:
                 if comm.rank == 0:
@@ -203,8 +184,6 @@ class ServingProgram:
                     for peer in range(1, comm.size):
                         comm.send(peer, shares[peer], SERVICE_CMD_TAG)
                     cmd = shares[0]
-                elif cmd_stash:
-                    cmd = cmd_stash.popleft()
                 else:
                     cmd = comm.recv(0, SERVICE_CMD_TAG).payload
                 kind = cmd[0]
@@ -216,15 +195,8 @@ class ServingProgram:
                     if comm.rank == 0:
                         self.channel.post_result((seq, None))
                 elif kind == "correct":
-                    collect = bool(cmd[2])
                     result = runner.run_op(CorrectOp(self._place(runner, cmd)))
-                    if collect:
-                        self._gather(comm, result, seq, result_stash)
-                    elif comm.rank == 0:
-                        # Crash-plan mode: a dead rank can answer no
-                        # gather, so results are deferred to the final
-                        # rank reports (exactly like the static driver).
-                        self.channel.post_result((seq, None))
+                    self._gather(comm, result, seq)
                 elif kind == "checkpoint":
                     runner.run_op(CheckpointOp(str(cmd[2])))
                     if comm.rank == 0:
@@ -293,27 +265,24 @@ class ServingProgram:
         return share
 
     def _gather(
-        self,
-        comm: Communicator,
-        result: CorrectionResult,
-        seq: int,
-        result_stash: dict[int, deque],
+        self, comm: Communicator, result: CorrectionResult, seq: int
     ) -> None:
         """Collect the round: peers ship their slice to rank 0, which
-        merges and answers the channel.  The rank-ordered receive is
-        also the synchronization point that makes the next command
-        relay safe — every live rank has left its round before rank 0
-        can possibly relay again."""
+        merges and answers the channel.  Ranks the fault plan dooms are
+        skipped — their partners' slices carry their replayed reads.
+        The rank-ordered receive is also the synchronization point that
+        makes the next command relay safe — every live rank has left its
+        round before rank 0 can possibly relay again."""
         if comm.rank != 0:
             comm.send(0, encode_result(result), SERVICE_RESULT_TAG)
             return
-        parts = [encode_result(result)]
-        for peer in range(1, comm.size):
-            stashed = result_stash.get(peer)
-            if stashed:
-                parts.append(stashed.popleft())
-            else:
-                parts.append(comm.recv(peer, SERVICE_RESULT_TAG).payload)
+        plan = comm.fault_plan
+        doomed = plan.doomed_ranks() if plan is not None else frozenset()
+        parts = [encode_result(result)] + [
+            comm.recv(peer, SERVICE_RESULT_TAG).payload
+            for peer in range(1, comm.size)
+            if peer not in doomed
+        ]
         self.channel.post_result((seq, merge_results(parts)))
 
 

@@ -7,7 +7,10 @@ one generation number so concurrent-in-flight collectives never
 cross-match), and so do the groups of :mod:`repro.simmpi.subcomm`, from
 ``SUBCOMM_TAG_BASE`` up.  Every communicator, the world included,
 refuses a reserved tag on ``send``, ``recv``, ``iprobe`` and
-``take_ready``; ``ANY_TAG`` stays legal on the receiving calls.
+``take_ready``; ``ANY_TAG`` stays legal on the receiving calls and, as
+``MPI_ANY_TAG`` does, matches user tags only (:meth:`Message.matches`).
+A rank still draining its mailbox with a wildcard can therefore never
+take the frames of a collective its peers have already entered.
 """
 
 from __future__ import annotations
@@ -68,7 +71,12 @@ class Message:
     payload: Any
 
     def matches(self, source: int, tag: int) -> bool:
-        """Does this message match a (source, tag) pattern with wildcards?"""
-        return (source in (ANY_SOURCE, self.source)) and (
-            tag in (ANY_TAG, self.tag)
+        """Does this message match a (source, tag) pattern with wildcards?
+
+        As in MPI, ``ANY_TAG`` matches user tags only: a reserved tag (a
+        collective generation, a group's window) is matched only when
+        named, so a wildcard receive never takes a collective's frame."""
+        return source in (ANY_SOURCE, self.source) and (
+            tag == self.tag
+            or (tag == ANY_TAG and self.tag < Tags.COLLECTIVE_BASE)
         )

@@ -5,8 +5,8 @@ A fast end-to-end smoke of the three claims this repository makes:
 1. **Correctness** — the serial Reptile reference fixes injected errors
    with high precision on a fresh synthetic dataset;
 2. **Equivalence** — the distributed implementation (a sample of
-   heuristics on all three engines) is bit-identical to the serial
-   reference;
+   heuristics on all three engines, and two back-to-back rounds of a
+   retained session) is bit-identical to the serial reference;
 3. **Fidelity** — every performance-model anchor sits within its
    tolerance of the paper-reported value.
 
@@ -43,7 +43,9 @@ def _check_correctness() -> str:
 def _check_equivalence() -> str:
     from repro.bench.harness import small_scale
     from repro.core import LocalSpectrumView, ReptileCorrector, build_spectra
-    from repro.parallel import HeuristicConfig, ParallelReptile
+    from repro.parallel import (
+        CorrectOp, HeuristicConfig, IngestOp, ParallelReptile, ParallelSession,
+    )
 
     scale = small_scale(genome_size=6_000, seed=102, chunk_size=200)
     spectra = build_spectra(scale.dataset.block, scale.config)
@@ -66,7 +68,19 @@ def _check_equivalence() -> str:
         assert np.array_equal(result.corrected_block.codes, ref), (
             f"{heur.describe()} on {engine} diverged from serial"
         )
-    return f"{len(cases)} heuristic/engine combinations bit-identical to serial"
+    # A retained session's rounds run back to back with no fence between
+    # them; under real concurrency each must still equal serial.
+    block = scale.dataset.block
+    rounds = ParallelSession(
+        scale.config, HeuristicConfig(), nranks=4, engine="threaded"
+    ).run([IngestOp(block), CorrectOp(block), CorrectOp(block)])
+    for index in range(rounds.n_correct_ops):
+        assert np.array_equal(
+            rounds.result_for(index).corrected_block.codes, ref
+        ), f"retained session round {index} on threaded diverged from serial"
+    return (f"{len(cases)} heuristic/engine combinations and "
+            f"{rounds.n_correct_ops} retained session rounds bit-identical "
+            "to serial")
 
 
 def _check_anchors() -> str:

@@ -15,7 +15,6 @@ from repro.kmer.codec import (
     decode_sequence,
     encode_sequence,
     is_valid_sequence,
-    kmer_ids,
     reverse_complement_id,
     window_ids,
 )
@@ -73,13 +72,6 @@ class TestWindowIds:
             window_ids(encode_sequence("ACGT"), 0)
         with pytest.raises(CodecError):
             window_ids(encode_sequence("ACGT"), MAX_K + 1)
-
-    def test_kmer_ids_alias(self):
-        codes = encode_sequence("ACGTACGT")
-        a, av = kmer_ids(codes, 4)
-        b, bv = window_ids(codes, 4)
-        assert np.array_equal(a, b)
-        assert np.array_equal(av, bv)
 
     @given(dna, st.integers(min_value=1, max_value=12))
     @settings(max_examples=60)

@@ -62,3 +62,58 @@ class TestWriteOutputs:
         result.write_outputs(str(str_fa))
         assert fa.read_text() == str_fa.read_text()
         assert qual.stat().st_size > 0
+
+
+def _gapped_inputs(block, tmp_path):
+    """``block`` as a fasta + quality pair named 10, 20, 30, ... — names
+    need only be distinct."""
+    names = [10 * (i + 1) for i in range(len(block))]
+    rows = [
+        " ".join(map(str, block.quals[i, :length].tolist()))
+        for i, length in enumerate(block.lengths)
+    ]
+    fa, qual = tmp_path / "gapped.fa", tmp_path / "gapped.qual"
+    fa.write_text("".join(
+        f">{name}\n{seq}\n" for name, seq in zip(names, block.to_strings())
+    ))
+    qual.write_text("".join(
+        f">{name}\n{row}\n" for name, row in zip(names, rows)
+    ))
+    return names, fa, qual
+
+
+class TestGappedNames:
+    """Output records keep their input names, even when those skip
+    numbers: renaming them ``first, first + 1, ...`` would misalign the
+    output with its input."""
+
+    def test_write_outputs_round_trip(self, run, tmp_path):
+        scale, _ = run
+        names, fa, qual = _gapped_inputs(scale.dataset.block, tmp_path)
+        result = ParallelReptile(
+            scale.config, HeuristicConfig(), nranks=3, engine="cooperative"
+        ).run_files(str(fa), str(qual))
+        out_fa, out_qual = tmp_path / "out.fa", tmp_path / "out.qual"
+        assert result.write_outputs(out_fa, out_qual) == len(names)
+        records = list(read_fasta(out_fa))
+        assert [rid for rid, _ in records] == names
+        assert [seq for _, seq in records] == (
+            result.corrected_block.to_strings()
+        )
+        written, given = list(read_quality(out_qual)), list(read_quality(qual))
+        assert [rid for rid, _ in written] == names
+        for (_, got), (_, want) in zip(written, given, strict=True):
+            assert got.tolist() == want.tolist()
+
+    def test_correct_files_round_trip(self, run, tmp_path):
+        from repro.core.pipeline import correct_files
+
+        scale, _ = run
+        names, fa, qual = _gapped_inputs(scale.dataset.block, tmp_path)
+        out = tmp_path / "serial.fa"
+        outcome = correct_files(
+            str(fa), str(qual), str(out), scale.config, auto_thresholds=False
+        )
+        records = list(read_fasta(out))
+        assert [rid for rid, _ in records] == names
+        assert [seq for _, seq in records] == outcome.block.to_strings()

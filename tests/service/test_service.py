@@ -15,6 +15,7 @@ import pytest
 
 from repro.bench.harness import small_scale
 from repro.errors import ServiceError, ServiceOverloadError
+from repro.faults import CrashFault, FaultPlan
 from repro.parallel.driver import ParallelReptile, ParallelSession
 from repro.parallel.heuristics import HeuristicConfig
 from repro.parallel.session import CorrectOp, IngestOp
@@ -319,6 +320,47 @@ class TestAccountingAndLifecycle:
 
         result = asyncio.run(resume())
         np.testing.assert_array_equal(result.block.codes, classic_codes)
+
+    def test_crash_round_answers_every_read(self, scale):
+        """A round in which a scripted crash kills a rank still answers
+        its caller: the gather skips the dead rank, whose reads come back
+        from its partner's replay, bit-identical to a fault-free round."""
+        plan = FaultPlan(
+            seed=1234,
+            drop_rate=0.05,
+            duplicate_rate=0.02,
+            delay_rate=0.02,
+            max_drops_per_frame=2,
+            crashes=(CrashFault(rank=2, after_events=4),),
+            base_timeout_s=0.1,
+            max_retries=8,
+        )
+        block = scale.dataset.block
+
+        def run(faults):
+            service = SpectrumService(
+                scale.config, 4, heuristics=HeuristicConfig(), faults=faults
+            )
+
+            async def drive():
+                async with service:
+                    await service.ingest(block)
+                    return await service.correct(block)
+
+            return asyncio.run(drive()), service.result
+
+        clean, _ = run(None)
+        crashed, record = run(plan)
+        assert record.crashed_ranks == (2,)
+        for got, want in (
+            (crashed.block.ids, clean.block.ids),
+            (crashed.block.codes, clean.block.codes),
+            (crashed.block.quals, clean.block.quals),
+            (crashed.corrections_per_read, clean.corrections_per_read),
+            (crashed.reads_reverted, clean.reads_reverted),
+        ):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(crashed.block.ids, block.ids)
 
     def test_answer_to_another_command_is_a_protocol_error(self, scale):
         """Commands are answered in order and awaited one at a time, so

@@ -1,10 +1,14 @@
 """Tests for communicator p2p semantics and collectives."""
 
+import functools
+import time
+
 import numpy as np
 import pytest
 
 from repro.errors import CommunicatorError, RankMismatchError
 from repro.simmpi import ANY_SOURCE, ANY_TAG, Tags, run_spmd
+from repro.simmpi.engine import ProcessEngine, ThreadedEngine
 
 ENGINES = ["cooperative", "threaded"]
 
@@ -187,3 +191,41 @@ class TestCollectives:
 
         res = run_spmd(prog, 3, engine=engine)
         assert res.results == [0, 1, 2]
+
+
+def _wildcard_beside_collective(comm, grouped):
+    """Rank 0 takes one wildcard receive while rank 2's arrival at a
+    barrier — the world's, or with ``grouped`` the barrier of the group
+    {0, 2} — already waits in its mailbox; rank 1's tag-7 frame lands
+    after it.  Module level, so the process engine can pickle it."""
+    coll = comm.split(int(comm.rank == 1)) if grouped else comm
+    if comm.rank == 0:
+        msg = comm.recv(ANY_SOURCE, ANY_TAG)
+        coll.barrier()
+        return msg.source, msg.tag, msg.payload
+    if comm.rank == 1:
+        comm.recv(2, tag=3)
+        time.sleep(0.05)  # rank 2 is in the barrier by now
+        comm.send(0, "user", tag=7)
+    else:
+        comm.send(1, None, tag=3)
+    coll.barrier()
+    return None
+
+
+@pytest.mark.parametrize("grouped", [False, True], ids=["world", "group"])
+@pytest.mark.parametrize("engine", ["cooperative", "threaded", "process"])
+def test_wildcard_never_matches_a_collective(engine, grouped):
+    """``ANY_TAG`` matches user tags only, as in MPI: a wildcard receive
+    skips a collective's frame (a barrier arrival under a reserved tag)
+    and returns the user frame, and the barrier still completes."""
+    engine = {
+        "cooperative": "cooperative",
+        "threaded": ThreadedEngine(timeout=10.0),
+        "process": ProcessEngine(timeout=10.0),
+    }[engine]
+    res = run_spmd(
+        functools.partial(_wildcard_beside_collective, grouped=grouped), 3,
+        engine=engine,
+    )
+    assert res.results == [(1, 7, "user"), None, None]
