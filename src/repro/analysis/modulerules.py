@@ -5,7 +5,7 @@ MPI004/MPI005 the service-loop and buffer-reuse hazards, MPI006 the
 wire-codec contract, MPI007 the lookup-tier layering, MPI010
 request-object hygiene, and MPI012 the session-backend layering (the
 service tier and other non-parallel code may touch spectrum state only
-through the :class:`~repro.parallel.backend.SessionBackend` verbs).
+through the :class:`~repro.parallel.session.CorrectionSession` verbs).
 Each rule is a plain function registered with the framework in
 :mod:`repro.analysis.rules`; none of them may mutate the summary it is
 given.
@@ -516,13 +516,13 @@ register(Rule(
 
 
 # ----------------------------------------------------------------------
-# MPI012 — spectrum state touched outside the SessionBackend verbs
+# MPI012 — spectrum state touched outside the CorrectionSession verbs
 # ----------------------------------------------------------------------
 #: Spectrum-construction internals only the parallel layer may call
-#: (MPI012): the machinery the SessionBackend verbs are built from.
+#: (MPI012): the machinery the CorrectionSession verbs are built from.
 BACKEND_INTERNAL_CALLS = frozenset(
-    {"build_rank_spectra", "exchange_deltas", "apply_replication",
-     "fetch_read_table", "compile_stacks", "replicate_state"}
+    {"exchange_deltas", "apply_replication", "fetch_read_table",
+     "compile_stacks", "replicate_state"}
 )
 
 #: Backend-owned types that outside code must not construct directly.
@@ -551,14 +551,14 @@ def _polices_backend_verbs(path: str) -> bool:
 
 
 def check_backend_verb_bypass(summary: ModuleSummary) -> list[Finding]:
-    """Flag spectrum-state access that bypasses the SessionBackend verbs.
+    """Flag spectrum-state access that bypasses the CorrectionSession verbs.
 
     The service front-end (and everything else above the parallel
-    layer) holds exactly one handle on spectrum state: a
-    :class:`~repro.parallel.backend.SessionBackend` and its four verbs
-    — ``ingest``/``correct``/``finalize``/``checkpoint``.  Calling the
-    construction machinery (``build_rank_spectra``,
-    ``exchange_deltas``, ...), probing a count table, constructing
+    layer) holds exactly one handle on spectrum state: a rank's
+    :class:`~repro.parallel.session.CorrectionSession` and its four
+    verbs — ``ingest``/``correct``/``finalize``/``checkpoint``.  Calling
+    the construction machinery (``exchange_deltas``,
+    ``apply_replication``, ...), probing a count table, constructing
     :class:`RankSpectra`/:class:`CorrectionProtocol` directly, or
     reading the raw checkpoint arrays from outside skips the verbs'
     collectives, accounting and recompilation tracking — precisely the
@@ -581,7 +581,7 @@ def check_backend_verb_bypass(summary: ModuleSummary) -> list[Finding]:
                     summary.path, node, "MPI012",
                     f"spectrum-construction call '{name}(...)' outside "
                     "the parallel layer; reach spectrum state only "
-                    "through the SessionBackend verbs "
+                    "through the CorrectionSession verbs "
                     "(ingest/correct/finalize/checkpoint)",
                 ))
             elif name in BACKEND_INTERNAL_TYPES:
@@ -589,7 +589,8 @@ def check_backend_verb_bypass(summary: ModuleSummary) -> list[Finding]:
                     summary.path, node, "MPI012",
                     f"direct {name}(...) construction outside the "
                     "parallel layer; the backend owns its spectra and "
-                    "protocol — hold a SessionBackend and use its verbs",
+                    "protocol — hold a CorrectionSession and use its "
+                    "verbs",
                 ))
             elif name in TABLE_PROBE_METHODS and \
                     isinstance(func, ast.Attribute):
@@ -602,7 +603,7 @@ def check_backend_verb_bypass(summary: ModuleSummary) -> list[Finding]:
                         summary.path, node, "MPI012",
                         f"spectrum-table probe '{recv}.{name}' outside "
                         "the parallel layer; counts are backend state — "
-                        "submit reads through SessionBackend.correct() "
+                        "submit reads through CorrectionSession.correct() "
                         "instead of probing tables",
                     ))
         elif isinstance(node, ast.Attribute) and \
@@ -611,7 +612,7 @@ def check_backend_verb_bypass(summary: ModuleSummary) -> list[Finding]:
                 summary.path, node, "MPI012",
                 f"raw session state '.{node.attr}' read outside the "
                 "parallel layer; persistence goes through "
-                "SessionBackend.checkpoint(), not the raw arrays",
+                "CorrectionSession.checkpoint(), not the raw arrays",
             ))
     return findings
 
@@ -620,17 +621,17 @@ register(Rule(
     code="MPI012",
     name="backend-verb-bypass",
     severity="error",
-    summary="spectrum state touched outside the SessionBackend verbs",
+    summary="spectrum state touched outside the CorrectionSession verbs",
     doc=(
         "Code in repro.service — or any repro package other than the "
         "backend layers (repro.parallel, repro.core, repro.hashing) — "
         "touches spectrum state directly: it calls the construction "
-        "machinery (`build_rank_spectra`, `exchange_deltas`, "
-        "`apply_replication`, ...), probes a count table with "
+        "machinery (`exchange_deltas`, `apply_replication`, "
+        "`compile_stacks`, ...), probes a count table with "
         "`.lookup`/`.lookup_found`, constructs `RankSpectra` or "
         "`CorrectionProtocol` itself, or reads the raw checkpoint "
         "arrays (`.raw_kmers`/`.raw_tiles`).  The service tier's one "
-        "handle on spectrum state is a SessionBackend and its verbs "
+        "handle on spectrum state is a CorrectionSession and its verbs "
         "(ingest/correct/finalize/checkpoint); anything else skips the "
         "verbs' collectives, accounting and recompile tracking.  A "
         "deliberate exception suppresses with `# noqa: MPI012` and a "

@@ -11,8 +11,8 @@ not hold:
 * Step III — ``MPI_Alltoallv`` count exchange so owners hold true global
   counts, then thresholding (:mod:`repro.parallel.exchange`),
 * Step IV  — correction with a request/response protocol for remote
-  lookups (:mod:`repro.parallel.correct`, :mod:`repro.parallel.server`)
-  over one reliable-request layer that every client waits through
+  lookups (:meth:`~repro.parallel.session.CorrectionSession.correct`,
+  :mod:`repro.parallel.server`) over one reliable-request layer that every client waits through
   (:mod:`repro.parallel.reliable`),
 * static load balancing by hashing whole reads to ranks
   (:mod:`repro.parallel.loadbalance`),
@@ -30,12 +30,10 @@ not hold:
   wire endpoint, :mod:`repro.parallel.lookup.planner` for the engine).
 """
 
-from repro.parallel.backend import SessionBackend
 from repro.parallel.heuristics import HeuristicConfig
 from repro.parallel.ownership import kmer_owner, tile_owner, sequence_owner
-from repro.parallel.build import RankSpectra, build_rank_spectra
+from repro.parallel.build import RankSpectra
 from repro.parallel.loadbalance import redistribute_reads
-from repro.parallel.correct import correct_distributed
 from repro.parallel.dynamicbalance import correct_dynamic
 from repro.parallel.lookup import (
     CachedChunkView,
@@ -74,9 +72,7 @@ __all__ = [
     "tile_owner",
     "sequence_owner",
     "RankSpectra",
-    "build_rank_spectra",
     "redistribute_reads",
-    "correct_distributed",
     "correct_dynamic",
     "CachedChunkView",
     "ChunkCountCache",
@@ -98,7 +94,6 @@ __all__ = [
     "RankReport",
     "SessionRunResult",
     "CorrectionSession",
-    "SessionBackend",
     "SessionOpRunner",
     "SessionRankReport",
     "IngestOp",

@@ -16,12 +16,13 @@ cover more than one chunk, which is what fits the human dataset in
 512 MB/rank — with an ``MPI_Reduce``-style maximum so every rank
 participates in the same number of collective rounds.
 
-The rest of the build lives here as reusable pieces —
-:func:`fetch_read_table`, :func:`apply_replication` — and the classic
-one-call build, :func:`build_rank_spectra`, is a thin wrapper over a
-one-shot :class:`~repro.parallel.session.CorrectionSession` (ingest
-once, finalize once), so the incremental and the batch path share one
-implementation.
+The build runs as the verbs of a
+:class:`~repro.parallel.session.CorrectionSession` (``ingest`` counts
+and routes, ``finalize`` thresholds and replicates); this module holds
+the pieces they assemble — :class:`RankSpectra`,
+:func:`fetch_read_table`, :func:`apply_replication`.  A one-call build
+is a one-shot session (ingest once, finalize once), so the incremental
+and the batch path share one implementation.
 """
 
 from __future__ import annotations
@@ -30,18 +31,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.config import ReptileConfig
 from repro.hashing.counthash import CountHash, merge_pairs
 from repro.hashing.inthash import mix_to_rank
 from repro.hashing.sortedspectrum import SortedSpectrum
-from repro.io.records import ReadBlock
 from repro.kmer.tiles import TileShape
 from repro.parallel.exchange import (
     fetch_global_counts, pack_pairs, unpack_pairs,
 )
 from repro.parallel.heuristics import HeuristicConfig
 from repro.simmpi.communicator import Communicator
-from repro.util.timer import PhaseTimer
 
 
 @dataclass
@@ -106,32 +104,6 @@ class RankSpectra:
         if self.group_tiles is not None:
             sizes["group_tiles"] = len(self.group_tiles)
         return sizes
-
-
-def build_rank_spectra(
-    comm: Communicator,
-    block: ReadBlock,
-    config: ReptileConfig,
-    heuristics: HeuristicConfig,
-    timer: PhaseTimer | None = None,
-) -> RankSpectra:
-    """Steps II-III for one rank's reads; returns its share of the spectra.
-
-    Collective: every rank must call this with its own block.  The
-    heuristics control batching, reads-table retention and replication.
-    Implemented as a one-shot session (ingest + finalize), which is why
-    the incremental :meth:`~repro.parallel.session.CorrectionSession.ingest`
-    path reproduces this builder's counts exactly.
-    """
-    # Runtime import: session.py builds on this module's helpers.
-    from repro.parallel.session import CorrectionSession
-
-    session = CorrectionSession(
-        comm, config, heuristics, retain_raw=False, timer=timer
-    )
-    session.ingest(block)
-    session.finalize()
-    return session.spectra
 
 
 def fetch_read_table(

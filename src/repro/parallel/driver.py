@@ -349,11 +349,15 @@ class ParallelReptile:
         nothing itself).  Exists for the ablation against the paper's
         static scheme; requires ``nranks >= 2`` to be meaningful.
 
-        The prefetch heuristic is not supported here: its per-chunk
-        planning assumes the static chunk schedule of
-        :func:`~repro.parallel.correct.correct_distributed`.  Neither is
-        a fault plan that drops frames or crashes ranks: the work queue
-        and the ablation's lookups run outside the retry protocol.
+        The correction round runs on each rank's session endpoint
+        (:func:`~repro.parallel.dynamicbalance.correct_dynamic`), so its
+        comm time lands in the same phases a static run books.  The
+        prefetch heuristic is not supported here: its per-chunk planning
+        assumes the static chunk schedule of
+        :meth:`~repro.parallel.session.CorrectionSession.correct`.
+        Neither is a fault plan that drops frames or crashes ranks: the
+        work queue and the ablation's lookups run outside the retry
+        protocol.
         """
         if self.heuristics.use_prefetch:
             raise ConfigError(

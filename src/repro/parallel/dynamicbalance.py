@@ -26,18 +26,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.config import ReptileConfig
 from repro.core.corrector import CorrectionResult, ReptileCorrector
 from repro.io.records import ReadBlock
-from repro.parallel.build import RankSpectra
-from repro.parallel.heuristics import HeuristicConfig
-from repro.parallel.lookup.stack import compile_stacks
 from repro.parallel.server import CorrectionProtocol
 from repro.simmpi.communicator import Communicator
 from repro.simmpi.message import Message
 
 if TYPE_CHECKING:
-    from repro.parallel.backend import SessionBackend
+    from repro.parallel.session import CorrectionSession
 
 #: Worker -> master: "give me a chunk" (payload: None).
 WORK_REQUEST_TAG = 16
@@ -46,39 +42,34 @@ WORK_ASSIGN_TAG = 17
 
 
 def correct_dynamic(
-    comm: Communicator,
-    full_block: ReadBlock | None,
-    backend: "SessionBackend",
-    chunk_size: int | None = None,
+    session: "CorrectionSession", full_block: ReadBlock | None
 ) -> CorrectionResult:
     """Correct with master-coordinated dynamic chunk allocation.
 
-    ``backend`` is the rank's :class:`~repro.parallel.backend.
-    SessionBackend` (configuration, heuristics and serving spectra all
-    come from it — the caller hands over one endpoint, not loose
-    tables).  ``full_block`` must be the complete read set on rank 0
-    (ignored elsewhere).  Returns each rank's corrected reads; the
-    master (rank 0) returns an empty result.  Collective.
+    ``session`` is the rank's finalized
+    :class:`~repro.parallel.session.CorrectionSession`: the round runs
+    on its Step IV endpoint — the same protocol and compiled lookup
+    stacks :meth:`~repro.parallel.session.CorrectionSession.correct`
+    uses, so the lookup round books its comm time on the session's
+    timer.  ``full_block`` must be the complete read set on rank 0
+    (ignored elsewhere); the master hands it out in pieces of
+    ``config.chunk_size`` reads.  Returns each rank's corrected reads;
+    the master (rank 0) returns an empty result.  Collective.
     """
-    config = backend.config
-    heuristics = backend.heuristics
-    spectra = backend.spectra
-    chunk_size = chunk_size or config.chunk_size
+    comm = session.comm
     if comm.size == 1:
         # Degenerate case: nobody to coordinate; correct directly.
-        from repro.parallel.correct import correct_distributed
-
-        return correct_distributed(
-            comm, full_block or ReadBlock.empty(), config, heuristics, spectra
-        )
-    protocol = CorrectionProtocol(
-        comm, spectra.kmers, spectra.tiles, universal=heuristics.universal
-    )
-    if comm.rank == 0:
-        result = _master(comm, full_block, protocol, chunk_size)
-    else:
-        result = _worker(comm, config, heuristics, spectra, protocol)
-    protocol.finish()
+        return session.correct(full_block or ReadBlock.empty())
+    with session.timer.phase("error_correction"):
+        protocol, stacks = session._open_round(session.timer)
+        if comm.rank == 0:
+            result = _master(
+                comm, full_block, protocol, session.config.chunk_size
+            )
+        else:
+            corrector = ReptileCorrector(session.config, stacks)
+            result = _worker(comm, corrector, protocol)
+        protocol.finish()
     return result
 
 
@@ -114,9 +105,7 @@ def _master(
 
 def _worker(
     comm: Communicator,
-    config: ReptileConfig,
-    heuristics: HeuristicConfig,
-    spectra: RankSpectra,
+    corrector: ReptileCorrector,
     protocol: CorrectionProtocol,
 ) -> CorrectionResult:
     """Fetch chunks from the master until the queue drains; correct them."""
@@ -127,9 +116,6 @@ def _worker(
         assignment["pending"] = False
 
     protocol.handlers[WORK_ASSIGN_TAG] = on_assign
-
-    stacks = compile_stacks(comm, spectra, heuristics, protocol=protocol)
-    corrector = ReptileCorrector(config, stacks)
     results: list[CorrectionResult] = []
     width = 0
     while True:

@@ -222,7 +222,7 @@ class CorrectionProtocol:
         #: sequence-numbered RESILIENT_* tags with timeout + retry.
         self.faults = faults
         #: The serving half: this rank's owned tables plus any ward
-        #: replicas recovery binds on (see correct_distributed).
+        #: replicas recovery binds on (see CorrectionSession.correct).
         self.shards = ShardServer(comm.rank, comm.size, owned_kmers, owned_tiles)
         #: Owner -> effective destination under the fault plan.
         self.routes = RouteTable.compile(faults, comm.size)

@@ -25,10 +25,9 @@ keeps the unfiltered raw pairs and recompiles the serving side (filter,
 read tables, replication, lookup stacks) at the next chunk boundary —
 :meth:`finalize`, run lazily by :meth:`correct`.  A **one-shot** session
 (``retain_raw=False``) drops its raw pairs once finalize has built the
-serving tables from them; the classic
-:func:`~repro.parallel.build.build_rank_spectra` build is literally
+serving tables from them: a batch run's Steps II-III are literally
 ``ingest() + finalize()`` on a one-shot session, so the incremental path
-and the classic path cannot drift apart.
+and the batch path cannot drift apart.
 
 Every mutating verb is collective: all ranks of the communicator must
 call it together, in the same order.
@@ -144,27 +143,6 @@ class CorrectionSession:
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
-    @classmethod
-    def from_spectra(
-        cls,
-        comm: Communicator,
-        config: ReptileConfig,
-        heuristics: HeuristicConfig | None,
-        spectra: RankSpectra,
-        *,
-        timer: PhaseTimer | None = None,
-    ) -> "CorrectionSession":
-        """Wrap already-finalized spectra in a one-shot session.
-
-        This is how :func:`~repro.parallel.correct.correct_distributed`
-        keeps its public signature: callers with prebuilt spectra get a
-        sealed session whose :meth:`correct` runs immediately."""
-        session = cls(comm, config, heuristics, retain_raw=False, timer=timer)
-        session._spectra = spectra
-        session._sealed = True
-        session._peak = spectra.peak_construction_bytes
-        return session
-
     @classmethod
     def resume(
         cls,
@@ -439,9 +417,7 @@ class CorrectionSession:
             # Scripted crash/stall triggers count communication events
             # only from here on — replication traffic stays reliable.
             injector.enter_phase(comm.rank, "correction")
-        protocol = self._ensure_protocol(plan, recovery)
-        protocol.reset_round()
-        stacks = self._ensure_stacks(protocol, timer)
+        protocol, stacks = self._open_round(timer)
         with timer.phase("error_correction"):
             if heuristics.use_prefetch:
                 # Bulk-prefetch engine: plan, fetch, and pipeline so the
@@ -486,10 +462,20 @@ class CorrectionSession:
 
         return CorrectionResult.concat(results, block.max_length)
 
-    def _ensure_protocol(
-        self, plan, recovery: RecoveryState
-    ) -> CorrectionProtocol:
-        """The session's persistent pump-mode endpoint (lazy, local)."""
+    def _open_round(
+        self, timer: PhaseTimer
+    ) -> tuple[CorrectionProtocol, StackPair]:
+        """The rank's Step IV endpoint, re-armed for one round (local).
+
+        Every round — :meth:`correct`, and the master-worker ablation
+        (:func:`~repro.parallel.dynamicbalance.correct_dynamic`) — runs
+        on the session's one pump-mode protocol and ends with its
+        ``finish()``.  The protocol is built lazily, each recovery ward
+        replica bound into its serving shard (recovery as a re-bind:
+        every protocol path answers for the ward with no special
+        casing).  The compiled lookup stacks are rebuilt only when
+        finalize invalidated them or ``timer`` changed (the lookup round
+        books its comm time there)."""
         if self._protocol is None:
             spectra = self.spectra
             self._protocol = CorrectionProtocol(
@@ -497,29 +483,20 @@ class CorrectionSession:
                 owned_kmers=spectra.kmers,
                 owned_tiles=spectra.tiles,
                 universal=self.heuristics.universal,
-                faults=plan,
+                faults=self.comm.fault_plan,
             )
-            # Recovery as a re-bind: each ward replica becomes part of
-            # the serving shard, so every protocol path answers for the
-            # ward with no special casing.
-            for ward, (wk, wt) in recovery.replicas.items():
-                self._protocol.shards.bind_ward(ward, wk, wt)
-        return self._protocol
-
-    def _ensure_stacks(
-        self, protocol: CorrectionProtocol, timer: PhaseTimer
-    ) -> StackPair:
-        """The session's compiled lookup stack (lazy, local).
-
-        Recompiled only when finalize invalidated it or the caller's
-        timer changed (the lookup round attributes its comm time there)."""
+            if self._recovery is not None:
+                for ward, (wk, wt) in self._recovery.replicas.items():
+                    self._protocol.shards.bind_ward(ward, wk, wt)
+        protocol = self._protocol
+        protocol.reset_round()
         if self._stacks is None or self._stack_timer is not timer:
             self._stacks = compile_stacks(
                 self.comm, self.spectra, self.heuristics,
                 protocol=protocol, timer=timer,
             )
             self._stack_timer = timer
-        return self._stacks
+        return protocol, self._stacks
 
     # ------------------------------------------------------------------
     # checkpoint / resume
@@ -686,11 +663,10 @@ class SessionOpRunner:
         elif isinstance(op, CorrectOp):
             self._op_kinds.append("correct")
             self._last_block = op.block
-            result = session.correct(op.block, timer=self.timer)
+            result = session.correct(op.block)
         elif isinstance(op, DynamicCorrectOp):
             self._op_kinds.append("correct")
-            with self.timer.phase("error_correction"):
-                result = correct_dynamic(self.comm, op.block, session)
+            result = correct_dynamic(session, op.block)
         elif isinstance(op, CheckpointOp):
             self._op_kinds.append("checkpoint")
             session.checkpoint(op.directory)

@@ -26,8 +26,8 @@ asyncio front-end; :class:`ServiceExecutor` owns the backend fleet — a
 background ``run_spmd`` of the persistent :class:`ServingProgram`
 serving loop, commands relayed in-band by rank 0 — and everything below
 the front-end touches spectrum state only through the
-:class:`~repro.parallel.backend.SessionBackend` verbs (lint rule MPI012
-enforces this statically).
+:class:`~repro.parallel.session.CorrectionSession` verbs (lint rule
+MPI012 enforces this statically).
 """
 
 from repro.errors import ServiceError, ServiceOverloadError

@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.errors import ServiceOverloadError
+from repro.errors import ConfigError, ServiceOverloadError
 
 if TYPE_CHECKING:
     from repro.io.records import ReadBlock
@@ -32,13 +32,17 @@ class ServicePolicy:
 
     ``max_pending`` bounds the whole queue; ``max_pending_per_client``
     bounds any one client's share of it (so a single aggressive client
-    cannot starve the rest); ``max_round_jobs`` optionally caps how many
-    correct jobs one collective round may coalesce (``None`` = take the
-    whole consecutive run)."""
+    cannot starve the rest).  Both must admit at least one job."""
 
     max_pending: int = 64
     max_pending_per_client: int = 8
-    max_round_jobs: int | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("max_pending", "max_pending_per_client"):
+            if getattr(self, name) < 1:
+                raise ConfigError(
+                    f"{name} must be >= 1, got {getattr(self, name)}"
+                )
 
 
 @dataclass
@@ -121,20 +125,15 @@ class JobQueue:
     def take_round(self) -> list[Job]:
         """The next collective round's jobs (empty when idle).
 
-        A mutation (ingest/checkpoint) at the head runs alone; a run of
-        consecutive correct jobs is taken together up to
-        ``max_round_jobs`` — the coalescing window."""
+        A mutation (ingest/checkpoint) at the head runs alone; the whole
+        run of consecutive correct jobs is taken together — the
+        coalescing window."""
         if not self._pending:
             return []
         if self._pending[0].kind != "correct":
             return [self._pop()]
-        cap = self.policy.max_round_jobs
         batch: list[Job] = []
-        while (
-            self._pending
-            and self._pending[0].kind == "correct"
-            and (cap is None or len(batch) < cap)
-        ):
+        while self._pending and self._pending[0].kind == "correct":
             batch.append(self._pop())
         return batch
 

@@ -17,7 +17,7 @@ The control path is deliberately in-band:
 * every rank then executes the command through the shared
   :class:`~repro.parallel.session.SessionOpRunner` — the service layer
   never touches spectrum state except through the
-  :class:`~repro.parallel.backend.SessionBackend` verbs.
+  :class:`~repro.parallel.session.CorrectionSession` verbs.
 
 Every correct command gathers per-rank results back to rank 0
 (:data:`SERVICE_RESULT_TAG`), which posts the merged round up the

@@ -302,7 +302,7 @@ class TestDirectSpectrumLookup:
     """MPI007: repro.parallel modules must resolve counts through the
     lookup tier stack, never by probing a count table directly."""
 
-    PARALLEL = "src/repro/parallel/correct.py"
+    PARALLEL = "src/repro/parallel/session.py"
 
     def lint_at(self, code, path=PARALLEL):
         return lint_source(textwrap.dedent(code), path)
@@ -362,7 +362,7 @@ class TestDirectSpectrumLookup:
 class TestServiceLayering:
     """MPI012: the service tier (and every repro package above the
     backend layers) touches spectrum state only through the
-    SessionBackend verbs."""
+    CorrectionSession verbs."""
 
     SERVICE = "src/repro/service/frontend.py"
 
@@ -371,11 +371,11 @@ class TestServiceLayering:
 
     def test_construction_call_in_service_flagged(self):
         found = self.lint_at("""
-            def build(self, comm, block):
-                return build_rank_spectra(comm, block, self.config)
+            def build(self, comm, keys, counts):
+                return exchange_deltas(comm, keys, counts)
         """)
         assert [f.code for f in found] == ["MPI012"]
-        assert "build_rank_spectra" in found[0].message
+        assert "exchange_deltas" in found[0].message
 
     def test_table_probe_in_service_flagged(self):
         found = self.lint_at("""
@@ -383,7 +383,7 @@ class TestServiceLayering:
                 return self.spectra.kmers.lookup(ids)
         """)
         assert [f.code for f in found] == ["MPI012"]
-        assert "SessionBackend.correct" in found[0].message
+        assert "CorrectionSession.correct" in found[0].message
 
     def test_direct_backend_type_construction_flagged(self):
         found = self.lint_at("""

@@ -186,10 +186,8 @@ class TestNoFalsePositives:
         """The real driver is deadlock-free and drains every mailbox."""
         from repro.config import ReptileConfig
         from repro.datasets.profiles import PROFILES
-        from repro.parallel.build import build_rank_spectra
-        from repro.parallel.correct import correct_distributed
         from repro.parallel.heuristics import HeuristicConfig
-        from repro.util.timer import PhaseTimer
+        from repro.parallel.session import CorrectionSession
 
         dataset = PROFILES["E.Coli"].scaled(genome_size=4_000, seed=3)
         config = ReptileConfig(
@@ -202,12 +200,9 @@ class TestNoFalsePositives:
 
         def prog(comm):
             mine = block.slice(bounds[comm.rank], bounds[comm.rank + 1])
-            spectra = build_rank_spectra(
-                comm, mine, config, heur, PhaseTimer()
-            )
-            result = correct_distributed(
-                comm, mine, config, heur, spectra, PhaseTimer()
-            )
+            session = CorrectionSession(comm, config, heur, retain_raw=False)
+            session.ingest(mine)
+            result = session.correct(mine)
             return int(result.corrections_per_read.sum())
 
         res = run_spmd(prog, 3, engine=make_engine(), verify=True)

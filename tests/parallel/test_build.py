@@ -8,9 +8,9 @@ from repro.hashing.counthash import CountHash
 from repro.hashing.inthash import mix_to_rank
 from repro.hashing.sortedspectrum import SortedSpectrum
 from repro.io.records import ReadBlock
-from repro.parallel.build import build_rank_spectra
 from repro.parallel.heuristics import HeuristicConfig
 from repro.parallel.lookup.stack import compile_stacks, tier_order
+from repro.parallel.session import CorrectionSession
 from repro.simmpi import run_spmd
 
 
@@ -34,6 +34,14 @@ def tiny_dataset_mod():
     return sim.simulate(coverage=20)
 
 
+def _build(comm, block, cfg, heuristics):
+    """Steps II-III on a one-shot session: ingest, finalize, spectra."""
+    session = CorrectionSession(comm, cfg, heuristics, retain_raw=False)
+    session.ingest(block)
+    session.finalize()
+    return session.spectra
+
+
 def _distributed_union(block, cfg, heuristics, nranks=4):
     """Run the distributed build; return the union of owned tables."""
     n = len(block)
@@ -41,8 +49,7 @@ def _distributed_union(block, cfg, heuristics, nranks=4):
 
     def prog(comm):
         mine = block.slice(bounds[comm.rank], bounds[comm.rank + 1])
-        spectra = build_rank_spectra(comm, mine, cfg, heuristics)
-        return spectra
+        return _build(comm, mine, cfg, heuristics)
 
     res = run_spmd(prog, nranks, engine="cooperative")
     return res.results
@@ -179,9 +186,7 @@ class TestUnevenRanks:
             mine = tiny.slice(comm.rank, comm.rank + 1) if comm.rank < 3 else (
                 ReadBlock.empty(tiny.max_length)
             )
-            return build_rank_spectra(
-                comm, mine, cfg, HeuristicConfig(batch_reads=True)
-            )
+            return _build(comm, mine, cfg, HeuristicConfig(batch_reads=True))
 
         res = run_spmd(prog, 5, engine="cooperative")
         total = sum(len(sp.kmers) for sp in res.results)

@@ -10,10 +10,10 @@ from repro.hashing.inthash import mix_to_rank
 from repro.io.records import ReadBlock
 from repro.kmer.tiles import TileShape
 from repro.parallel.build import RankSpectra
-from repro.parallel.correct import correct_distributed
 from repro.parallel.heuristics import HeuristicConfig
 from repro.parallel.lookup.stack import compile_stacks
 from repro.parallel.server import CorrectionProtocol
+from repro.parallel.session import CorrectionSession
 from repro.simmpi import run_spmd
 
 
@@ -167,15 +167,16 @@ class TestCorrectDistributedEmpty:
         cfg = ReptileConfig(kmer_length=12, tile_overlap=4)
 
         def prog(comm):
-            sp = _spectra_for(comm.rank, comm.size)
             block = (
                 ReadBlock.from_strings(["ACGTACGTACGTACGTACGTACGT"])
                 if comm.rank == 0
                 else ReadBlock.empty(24)
             )
-            result = correct_distributed(
-                comm, block, cfg, HeuristicConfig(), sp
+            session = CorrectionSession(
+                comm, cfg, HeuristicConfig(), retain_raw=False
             )
+            session.ingest(block)
+            result = session.correct(block)
             return len(result.block)
 
         res = run_spmd(prog, 3, engine="cooperative")

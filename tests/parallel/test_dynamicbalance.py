@@ -77,6 +77,20 @@ class TestDynamicCorrectness:
         ).run_dynamic(scale.dataset.block)
         assert np.array_equal(res.corrected_block.codes, serial_codes)
 
+    def test_workers_book_their_lookup_wait(self, scale, serial_codes):
+        """The round runs on the session's endpoint, so a worker's remote
+        lookups book their wait in comm_kmer / comm_tile as a static
+        run's do."""
+        res = ParallelReptile(
+            scale.config, HeuristicConfig(universal=True), nranks=4,
+            engine="cooperative",
+        ).run_dynamic(scale.dataset.block)
+        remote = res.counter_per_rank("remote_tile_lookups")
+        comm = res.timing_per_rank("comm_kmer") + res.timing_per_rank("comm_tile")
+        assert (remote[1:] > 0).all()
+        assert (comm[remote > 0] > 0).all(), comm
+        assert np.array_equal(res.corrected_block.codes, serial_codes)
+
 
 class TestUnsupportedCombinations:
     def test_prefetch_is_rejected(self, scale):

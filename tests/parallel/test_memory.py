@@ -9,7 +9,7 @@ from repro.hashing.counthash import CountHash, _capacity_for
 from repro.hashing.sortedspectrum import SortedSpectrum
 from repro.kmer.tiles import TileShape
 from repro.parallel import HeuristicConfig, ParallelReptile
-from repro.parallel.build import RankSpectra, build_rank_spectra
+from repro.parallel.build import RankSpectra
 from repro.parallel.lookup.cache import ChunkCountCache
 from repro.parallel.memory import RankMemoryReport
 from repro.parallel.session import CorrectionSession
@@ -95,7 +95,12 @@ class TestSlotWidthsPerRank:
 
         def prog(comm):
             mine = block.slice(bounds[comm.rank], bounds[comm.rank + 1])
-            return build_rank_spectra(comm, mine, scale.config, heuristics)
+            session = CorrectionSession(
+                comm, scale.config, heuristics, retain_raw=False
+            )
+            session.ingest(mine)
+            session.finalize()
+            return session.spectra
 
         return run_spmd(prog, self.NRANKS, engine="cooperative").results
 

@@ -568,7 +568,7 @@ class TestSessionValidation:
             ).run([])
 
     def test_one_shot_session_seals(self, scale):
-        """build_rank_spectra's one-shot session refuses further ingests."""
+        """A one-shot session (a batch build) refuses further ingests."""
         from repro.errors import SessionError
         from repro.parallel.session import CorrectionSession
         from repro.simmpi.engine import run_spmd

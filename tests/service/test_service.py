@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.bench.harness import small_scale
-from repro.errors import ServiceError, ServiceOverloadError
+from repro.errors import ConfigError, ServiceError, ServiceOverloadError
 from repro.faults import CrashFault, FaultPlan
 from repro.parallel.driver import ParallelReptile, ParallelSession
 from repro.parallel.heuristics import HeuristicConfig
@@ -235,6 +235,14 @@ class TestAdmissionControl:
         assert observed["depth"] == 2
         assert observed["pressure"] == pytest.approx(0.5)
         assert observed["after"] == 0
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    @pytest.mark.parametrize("field", ["max_pending", "max_pending_per_client"])
+    def test_a_bound_below_one_is_refused(self, field, bound):
+        """A queue that admits nothing would refuse every submission and
+        divide by zero in ``pressure``: the policy refuses it up front."""
+        with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
+            ServicePolicy(**{field: bound})
 
 
 class TestAccountingAndLifecycle:

@@ -148,6 +148,22 @@ def test_the_stage_family_is_gone():
         assert not hasattr(repro.parallel.driver, name)
 
 
+def test_the_pre_session_step_iv_entries_are_gone():
+    """A rank's ``CorrectionSession`` is its only Step IV handle: no
+    one-shot build or correct wrapper, no backend protocol beside it."""
+    import importlib.util
+
+    import repro.parallel
+    from repro.parallel.session import CorrectionSession
+
+    assert importlib.util.find_spec("repro.parallel.correct") is None
+    assert importlib.util.find_spec("repro.parallel.backend") is None
+    for name in ("correct_distributed", "build_rank_spectra", "SessionBackend"):
+        assert name not in repro.parallel.__all__
+        assert not hasattr(repro.parallel, name)
+    assert not hasattr(CorrectionSession, "from_spectra")
+
+
 def test_every_rank_program_runs_its_ops_through_the_runner():
     """Whatever ``src/`` hands to ``run_spmd`` delegates to
     ``SessionOpRunner``: the launch sites are the two drivers', and

@@ -119,22 +119,28 @@ class TestCorrect:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["correct", "serve"])
+    @pytest.mark.parametrize("command, flag, message", [
+        pytest.param("correct", "--nranks", "nranks", id="correct"),
+        pytest.param("serve", "--nranks", "nranks", id="serve"),
+        pytest.param("serve", "--max-pending", "max_pending",
+                     id="serve-max-pending"),
+    ])
     def test_zero_ranks_is_error_not_traceback(self, simulated, tmp_path,
-                                               command):
-        """``--nranks 0`` is refused like any bad parameter: exit 2 and
-        one ``error:`` line, not an uncaught exception."""
+                                               command, flag, message):
+        """``--nranks 0`` (or a service queue bound of 0) is refused like
+        any bad parameter: exit 2 and one ``error:`` line, not an
+        uncaught exception."""
         _, fasta, qual, _ = simulated
         out = (["--output", str(tmp_path / "c.fa")] if command == "correct"
                else ["--output-dir", str(tmp_path)])
         proc = subprocess.run(
             [sys.executable, "-m", "repro", command, "--fasta", str(fasta),
-             "--quality", str(qual), *out, "--nranks", "0",
+             "--quality", str(qual), *out, flag, "0",
              "--kmer-threshold", "18", "--tile-threshold", "2"],
             capture_output=True, text=True,
         )
         assert proc.returncode == 2, proc.stderr
-        assert "error: nranks must be >= 1" in proc.stderr
+        assert f"error: {message} must be >= 1" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_heuristic_flags_accepted(self, simulated, tmp_path):
