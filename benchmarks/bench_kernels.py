@@ -2,12 +2,14 @@
 
 Tracks the throughput of the hot paths the guides demand stay vectorized
 (2-bit window extraction, count-hash batch operations, candidate
-generation, the serial corrector itself) and exhibits the bit-packed
-kernels against the frozen unpacked seed implementations: packed window
-extraction vs the byte-per-base gather, popcount Hamming vs the scalar
-per-base loop, batched distance-1 substitution vs the per-tile Python
-loop, and the whole packed corrector vs
-:class:`~repro.core.reference.UnpackedReferenceCorrector` — asserting
+generation, the serial corrector itself) and exhibits the fast kernels
+against the frozen seed implementations: the
+:class:`~repro.kmer.codec.WindowLadder` window ids vs the byte-per-base
+gather of :func:`~repro.kmer.codec.block_window_ids` (every tile window,
+and Step II's two shapes: k-mers at step 1, tiles at their stride),
+popcount Hamming vs the scalar per-base loop, batched distance-1
+substitution vs the per-tile Python loop, and the whole packed corrector
+vs :class:`~repro.core.reference.UnpackedReferenceCorrector` — asserting
 bit-identical output at every comparison and a speedup floor on the
 window, Hamming and whole-corrector rows.
 """
@@ -21,8 +23,8 @@ from repro.bench.harness import ExperimentResult
 from repro.core import LocalSpectrumView, ReptileCorrector, build_spectra
 from repro.core.reference import UnpackedReferenceCorrector
 from repro.hashing.counthash import CountHash
-from repro.kmer.bitpack import hamming_many, pack_block, window_id_matrix
-from repro.kmer.codec import block_window_ids
+from repro.kmer.bitpack import hamming_many
+from repro.kmer.codec import WindowLadder, block_window_ids
 from repro.kmer.neighbors import (
     hamming_distance,
     neighbors_at_positions,
@@ -46,11 +48,15 @@ def test_window_extraction_throughput(benchmark, code_block):
     benchmark.extra_info["bases"] = bases
 
 
+def _ladder_windows(codes, lengths, w, step=1):
+    """One block's window ids through a fresh ladder (built in the call)."""
+    return WindowLadder(codes, lengths).windows(w, step)
+
+
 def test_packed_window_extraction_throughput(benchmark, code_block):
-    """Packed equivalent of the above (excluding the one-off pack)."""
+    """The ladder equivalent of the above, its levels built in the call."""
     codes, lengths = code_block
-    packed = pack_block(codes, lengths)
-    ids, valid = benchmark(window_id_matrix, packed, 12)
+    ids, valid = benchmark(_ladder_windows, codes, lengths, 12)
     assert ids.shape[0] == codes.shape[0]
 
 
@@ -163,11 +169,10 @@ def run_kernel_exhibit(scale, repeats: int = 5) -> ExperimentResult:
     codes, lengths = block.codes, block.lengths
     cfg = scale.config
     w = tile_length(cfg.kmer_length, cfg.tile_overlap)
-    packed = pack_block(codes, lengths)
 
     out = ExperimentResult(
         experiment="kernels.packed",
-        title="Packed vs unpacked correction kernels",
+        title="Fast vs frozen seed kernels",
         columns=["kernel", "items", "ref_ms", "packed_ms", "speedup"],
     )
 
@@ -181,17 +186,26 @@ def run_kernel_exhibit(scale, repeats: int = 5) -> ExperimentResult:
         )
         return t_ref / t_packed
 
-    # ---- window extraction: every tile window of the block -----------
-    ref_ids, ref_valid = block_window_ids(codes, lengths, w)
-    pk_ids, pk_valid = window_id_matrix(packed, w)
-    assert np.array_equal(ref_valid, pk_valid)
-    assert np.array_equal(ref_ids[ref_valid], pk_ids[pk_valid])
-    window_speedup = row(
-        "window_extraction",
-        ref_valid.sum(),
-        _best_seconds(lambda: block_window_ids(codes, lengths, w), repeats),
-        _best_seconds(lambda: window_id_matrix(packed, w), repeats),
-    )
+    # ---- window extraction: every tile window, then Step II's shapes --
+    def window_row(name, width, step):
+        ref_ids, ref_valid = block_window_ids(codes, lengths, width, step)
+        ids, valid = _ladder_windows(codes, lengths, width, step)
+        assert np.array_equal(ref_valid, valid)
+        assert np.array_equal(ref_ids[ref_valid], ids[valid])
+        return row(
+            name,
+            ref_valid.sum(),
+            _best_seconds(
+                lambda: block_window_ids(codes, lengths, width, step), repeats
+            ),
+            _best_seconds(
+                lambda: _ladder_windows(codes, lengths, width, step), repeats
+            ),
+        )
+
+    window_speedup = window_row("window_extraction", w, 1)
+    window_row("step_ii_kmers", cfg.kmer_length, 1)
+    window_row("step_ii_tiles", w, cfg.tile_shape.step)
 
     # ---- Hamming distance: popcount vs the scalar per-base loop ------
     rng = np.random.default_rng(0)
@@ -258,7 +272,7 @@ def run_kernel_exhibit(scale, repeats: int = 5) -> ExperimentResult:
 
     out.note(
         f"{len(block)} reads, tile width {w}; "
-        f"ref = frozen unpacked seed kernels; best of {repeats} runs; "
+        f"ref = frozen seed kernels; best of {repeats} runs; "
         "bit-identical output asserted for every row"
     )
     out.note(

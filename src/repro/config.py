@@ -17,6 +17,17 @@ from repro.errors import ConfigError
 from repro.kmer.tiles import TileShape
 
 
+_FLAGS = dict.fromkeys(("1", "true", "yes", "on"), True)
+_FLAGS.update(dict.fromkeys(("0", "false", "no", "off"), False))
+
+
+def _parse_flag(value: str) -> bool:
+    """A boolean file value: 1/0, true/false, yes/no or on/off, any case."""
+    if value.lower() not in _FLAGS:
+        raise ValueError(f"expected 1/0, true/false, yes/no or on/off, got {value!r}")
+    return _FLAGS[value.lower()]
+
+
 @dataclass(frozen=True)
 class ReptileConfig:
     """All parameters of a (serial or parallel) Reptile run.
@@ -119,7 +130,7 @@ class ReptileConfig:
         "TRatio": ("ambiguity_ratio", float),
         "MaxErrPerRead": ("max_corrections_per_read", int),
         "BatchSize": ("chunk_size", int),
-        "CountRevComp": ("count_reverse_complement", lambda v: v not in ("0", "false", "False", "no")),
+        "CountRevComp": ("count_reverse_complement", _parse_flag),
     }
 
     @classmethod

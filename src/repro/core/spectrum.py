@@ -1,7 +1,9 @@
 """K-mer and tile spectrum construction, and the spectrum lookup interface.
 
 The *k-mer spectrum* counts every k-mer occurring in the reads; the *tile
-spectrum* counts tiles at the tiling stride.  Both live in
+spectrum* counts tiles at the tiling stride.  Both kinds of id come from
+one :class:`~repro.kmer.codec.WindowLadder` per block, are counted by a
+sort at id width (Step II), and the survivors live in
 :class:`~repro.hashing.counthash.CountHash` tables (the paper's hash-table
 layout, replacing the earlier sorted-array + binary-search design).
 
@@ -23,8 +25,8 @@ import numpy as np
 from repro.config import ReptileConfig
 from repro.hashing.counthash import CountHash, sum_by_key
 from repro.io.records import ReadBlock
-from repro.kmer.bitpack import PackedBlock, pack_block, window_id_matrix
-from repro.kmer.codec import reverse_complement_id
+from repro.kmer.bitpack import PackedBlock, pack_block
+from repro.kmer.codec import WindowLadder, reverse_complement_id
 from repro.kmer.tiles import TileShape
 
 
@@ -59,51 +61,34 @@ def pack_read_block(block: ReadBlock) -> PackedBlock:
 
 def block_kmer_ids(block: ReadBlock, shape: TileShape) -> tuple[np.ndarray, np.ndarray]:
     """K-mer ids (every position) for a block: (ids, valid), shape (n, S)."""
-    return window_id_matrix(pack_read_block(block), shape.k, step=1)
+    return WindowLadder(block.codes, block.lengths).windows(shape.k)
 
 
 def block_tile_ids(block: ReadBlock, shape: TileShape) -> tuple[np.ndarray, np.ndarray]:
     """Tile ids at the tiling stride for a block: (ids, valid)."""
-    return window_id_matrix(
-        pack_read_block(block), shape.length, step=shape.step
-    )
-
-
-def block_window_ids_both_strands(
-    ids: np.ndarray, valid: np.ndarray, width: int, reverse_complement: bool
-) -> np.ndarray:
-    """Flatten valid window ids, optionally adding reverse complements.
-
-    Counting both orientations is how Reptile handles reads sampled from
-    either genome strand: a read's windows are then supported by coverage
-    from both strands.
-    """
-    flat = ids[valid]
-    if not reverse_complement or flat.size == 0:
-        return flat
-    rc = reverse_complement_id(flat, width)
-    return np.concatenate([flat, rc])
+    return WindowLadder(block.codes, block.lengths).windows(shape.length, shape.step)
 
 
 def _block_window_ids(
     block: ReadBlock, shape: TileShape, count_reverse_complement: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Flat ``(k-mer ids, tile ids)`` of a block (Step II core).
+    """Flat valid ``(k-mer ids, tile ids)`` of a block (Step II core).
 
-    The block is bit-packed once; both the k-mer and tile id matrices are
-    extracted from the same packed words.
+    One :class:`~repro.kmer.codec.WindowLadder` over the block's code
+    bytes gives both kinds: the tiles read the k-mers' levels at their
+    stride.  With ``count_reverse_complement`` the reverse complements
+    are added, which is how Reptile handles reads sampled from either
+    genome strand: a read's windows are supported by both strands.
     """
-    packed = pack_read_block(block)
-    kids, kvalid = window_id_matrix(packed, shape.k, step=1)
-    tids, tvalid = window_id_matrix(packed, shape.length, step=shape.step)
-    return (
-        block_window_ids_both_strands(
-            kids, kvalid, shape.k, count_reverse_complement
-        ),
-        block_window_ids_both_strands(
-            tids, tvalid, shape.length, count_reverse_complement
-        ),
-    )
+    ladder = WindowLadder(block.codes, block.lengths)
+    kinds = []
+    for w, step in ((shape.k, 1), (shape.length, shape.step)):
+        ids, valid = ladder.windows(w, step)
+        flat = ids.reshape(-1) if valid.all() else ids[valid]
+        if count_reverse_complement:
+            flat = np.concatenate([flat, reverse_complement_id(flat, w)])
+        kinds.append(flat)
+    return kinds[0], kinds[1]
 
 
 def window_counts(
@@ -113,12 +98,13 @@ def window_counts(
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Distinct k-mer and tile ids of the blocks with their occurrences.
 
-    Each block contributes one sorted ``np.unique`` run per spectrum;
+    Each block contributes one sorted ``np.unique`` run per spectrum, at
+    id width (k = 12 k-mers sort as uint32, as does the seed run);
     :func:`sum_by_key` merges the runs.  This is Step II, serial and per
     rank alike: both spectra come back as ascending ``(keys, counts)``.
     """
     # Seeded with an empty run so that no blocks is not a special case.
-    no_windows = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.intp))
+    no_windows = (np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.intp))
     kmer_runs, tile_runs = [no_windows], [no_windows]
     for block in blocks:
         kmer_ids, tile_ids = _block_window_ids(

@@ -5,9 +5,12 @@ convenient for slicing but wasteful for the correction hot path: every
 tile extraction re-gathers ``w`` one-byte columns and re-packs them into
 an id.  This module packs a block once — 4 bases per byte, 32 bases per
 ``uint64`` word, leftmost base in the most significant bits — after which
-window extraction, Hamming distance and base substitution are all whole-
-word shift/mask/XOR/popcount operations (the ``CodeWordStorage`` idiom of
-the original bit-twiddled Reptile, lifted to numpy arrays).
+the corrector's window extraction at arbitrary sites, Hamming distance
+and base substitution are all whole-word shift/mask/XOR/popcount
+operations (the ``CodeWordStorage`` idiom of the original bit-twiddled
+Reptile, lifted to numpy arrays).  Step II's every-position ids do not
+come from the words: :class:`~repro.kmer.codec.WindowLadder` reads them
+off the code bytes at id width.
 
 Word layout
 -----------
@@ -42,7 +45,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.errors import CodecError
-from repro.kmer.codec import INVALID_CODE, MAX_K
+from repro.kmer.codec import INVALID_CODE, _check_window
 
 #: Bases stored per 64-bit word.
 BASES_PER_WORD = 32
@@ -60,11 +63,6 @@ _H01 = _U64(0x0101010101010101)
 _LANE_SHIFTS: NDArray[np.uint64] = (
     62 - 2 * np.arange(BASES_PER_WORD, dtype=np.int64)
 ).astype(np.uint64)
-
-
-def _check_window(w: int) -> None:
-    if not 1 <= w <= MAX_K:
-        raise CodecError(f"window length must be in [1, {MAX_K}], got {w}")
 
 
 def popcount64(x: NDArray[np.uint64]) -> NDArray[np.uint64]:
@@ -298,43 +296,6 @@ def windows_at_unchecked(
     if prefix is None:
         return ids, None
     return ids, prefix[rows, starts + w] == prefix[rows, starts]
-
-
-def window_id_matrix(
-    packed: PackedBlock, w: int, step: int = 1
-) -> tuple[NDArray[np.uint64], NDArray[np.bool_]]:
-    """All window ids of every read at the given stride: packed
-    equivalent of :func:`repro.kmer.codec.block_window_ids`.
-
-    Returns ``(ids, valid)`` shaped ``(n, n_starts)``; ``valid`` is False
-    for windows extending past a read's length or touching an ambiguous
-    base.  Bit-identical to the unpacked version (both compute ids over
-    zeroed ambiguous lanes), in O(1) vectorized passes instead of O(w).
-    """
-    _check_window(w)
-    if step < 1:
-        raise CodecError(f"step must be >= 1, got {step}")
-    n = len(packed)
-    if packed.width < w:
-        return (
-            np.empty((n, 0), dtype=np.uint64),
-            np.empty((n, 0), dtype=np.bool_),
-        )
-    starts = np.arange(0, packed.width - w + 1, step, dtype=np.int64)
-    q = starts >> 5
-    r2 = ((starts & 31) << 1).astype(np.uint64)
-    hi = packed.words[:, q]
-    lo = packed.words[:, q + 1]
-    combined = (hi << r2[None, :]) | (
-        (lo >> (_U64(63) - r2[None, :])) >> _U64(1)
-    )
-    ids = combined >> _U64(64 - 2 * w)
-    within = (starts[None, :] + w) <= packed.lengths[:, None]
-    if packed.bad_prefix is None:
-        return ids, within
-    nbad = packed.bad_prefix[:, starts + w] - packed.bad_prefix[:, starts]
-    valid = within & (nbad == 0)
-    return ids, valid
 
 
 def hamming_many(

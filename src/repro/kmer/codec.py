@@ -1,9 +1,10 @@
 """2-bit DNA codec and vectorized window-id extraction.
 
-A base maps to two bits (A=0, C=1, G=2, T=3); a window of ``w`` bases maps to
-an unsigned 64-bit id with the leftmost base in the most significant position,
-exactly like Reptile's integer k-mer IDs.  ``w`` may be at most 32
-(:data:`MAX_K`).
+A base maps to two bits (A=0, C=1, G=2, T=3); a window of ``w <= 32``
+(:data:`MAX_K`) bases maps to an unsigned id with the leftmost base in the
+most significant position, exactly like Reptile's integer k-mer IDs.
+:class:`WindowLadder` gives a whole block's ids at id width (uint32 when
+``2w <= 32``); :func:`block_window_ids` is its frozen uint64 reference.
 
 Ambiguous bases (``N`` and any other IUPAC code) are tolerated on input:
 :func:`encode_sequence` marks them with :data:`INVALID_CODE` and
@@ -12,6 +13,9 @@ base can be skipped, which is what Reptile does.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
+from typing import Any
 
 import numpy as np
 from numpy.typing import NDArray
@@ -124,20 +128,23 @@ def decode_kmer(kid: int, k: int) -> str:
 
 
 def reverse_complement_id(
-    kid: int | NDArray[np.uint64], k: int
-) -> int | NDArray[np.uint64]:
+    kid: int | NDArray[np.unsignedinteger[Any]], k: int
+) -> int | NDArray[np.unsignedinteger[Any]]:
     """Reverse-complement of a window id (or array of ids).
 
-    Complementing a 2-bit base is ``3 - code`` (A<->T, C<->G); reversal swaps
-    base positions end for end.
+    Complementing a 2-bit base is ``3 - code`` (A<->T, C<->G): a NOT.
+    Reversal swaps base positions end for end: adjacent lanes, then
+    nibbles, then bytes swap, and the ``k`` bases end up on top.  uint32
+    ids stay uint32 (``2k <= 32``); everything else is uint64.
     """
     _check_window(k)
-    ids = np.asarray(kid, dtype=np.uint64)
-    out = np.zeros_like(ids)
-    work = ids.copy()
-    for _ in range(k):
-        out = (out << np.uint64(2)) | (np.uint64(3) - (work & np.uint64(3)))
-        work >>= np.uint64(2)
+    bits = 32 if np.asarray(kid).dtype == np.uint32 and 2 * k <= 32 else 64
+    dtype = np.dtype(f"u{bits // 8}").type
+    x = ~np.asarray(kid, dtype=dtype)
+    for lane, mask in ((2, 0x3333333333333333), (4, 0x0F0F0F0F0F0F0F0F)):
+        m, shift = dtype(mask >> (64 - bits)), dtype(lane)
+        x = ((x >> shift) & m) | ((x & m) << shift)
+    out: NDArray[np.unsignedinteger[Any]] = x.byteswap() >> dtype(bits - 2 * k)
     if np.isscalar(kid) or np.asarray(kid).ndim == 0:
         return int(out)
     return out
@@ -198,6 +205,81 @@ def block_window_ids(
         bad |= invalid[:, cols]
     within = (starts[None, :] + w) <= lens[:, None]
     return ids, within & ~bad
+
+
+class WindowLadder:
+    """Window ids of a read block from a doubling ladder over its code bytes.
+
+    Level 1 is ``codes & 3``; level ``2L`` is ``(level_L[:, :-L] << 2L) |
+    level_L[:, L:]``, the ids of every ``2L``-base window, in the narrowest
+    unsigned dtype holding ``4L`` bits.  A ``w``-base window ORs the levels
+    of ``w``'s binary digits (12 = 8 + 4) and comes out uint32 when ``2w <=
+    32``, else uint64.  At a stride the runs are capped at the step (a
+    20-base tile at step 8 reads 8 + 8 + 4), so a strided read builds
+    full-width levels only up to its step.  Levels are built on first use
+    and kept: k-mers and tiles of one block share them.
+    Validity ORs the same runs of the bad-base plane (:data:`INVALID_CODE`,
+    past-length padding included), skipped when the block has no bad base.
+    """
+
+    def __init__(self, codes: NDArray[np.uint8], lengths: NDArray[np.integer[Any]]) -> None:
+        codes = np.ascontiguousarray(codes, dtype=np.uint8)
+        if codes.ndim != 2:
+            raise CodecError(f"codes must be 2-D, got shape {codes.shape}")
+        self.width = codes.shape[1]
+        self.lengths = np.asarray(lengths, dtype=np.int64)
+        self._ids: dict[int, NDArray[Any]] = {1: codes & np.uint8(3)}
+        bad = codes == INVALID_CODE
+        self._bad: dict[int, NDArray[Any]] | None = {1: bad} if bad.any() else None
+
+    def _level(self, plane: dict[int, NDArray[Any]], size: int) -> NDArray[Any]:
+        """Level ``size`` of one plane, doubled up from below on first use."""
+        if size not in plane:
+            half = size // 2
+            low = self._level(plane, half)
+            if low.dtype == np.bool_:
+                plane[size] = low[:, :-half] | low[:, half:]
+            else:  # << as a multiply: numpy's uint8 shift is not vectorized
+                dtype = np.dtype(f"u{max(1, size // 4)}").type
+                plane[size] = np.multiply(low[:, :-half], dtype(1 << 2 * half), dtype=dtype)
+                plane[size] |= low[:, half:]
+        return plane[size]
+
+    def windows(
+        self, w: int, step: int = 1
+    ) -> tuple[NDArray[np.unsignedinteger[Any]], NDArray[np.bool_]]:
+        """``(ids, valid)``, both ``(n_reads, n_starts)``, of the windows at
+        ``0, step, ...`` up to ``width - w``: :func:`block_window_ids`'s
+        contract, at id width."""
+        _check_window(w)
+        if step < 1:
+            raise CodecError(f"step must be >= 1, got {step}")
+        dtype = np.uint32 if 2 * w <= 32 else np.uint64
+        count = max(0, (self.width - w) // step + 1)
+        top = 1 << ((w if step == 1 else min(w, step)).bit_length() - 1)
+        sizes = [top] * (w // top) + [
+            1 << b for b in range(top.bit_length() - 2, -1, -1) if w >> b & 1
+        ]
+        ends = list(accumulate(sizes))
+
+        def runs(plane: dict[int, NDArray[Any]]) -> list[NDArray[Any]]:
+            return [
+                self._level(plane, size)[:, end - size :: step][:, :count]
+                for end, size in zip(ends, sizes)
+            ]
+
+        first, *rest = runs(self._ids)
+        ids = np.multiply(first, dtype(1 << 2 * (w - ends[0])), dtype=dtype)
+        for run, end in zip(rest, ends[1:]):
+            ids |= run if end == w else np.multiply(run, dtype(1 << 2 * (w - end)), dtype=dtype)
+        if self.lengths.min(initial=self.width) < self.width:
+            starts = np.arange(count, dtype=np.int64) * step
+            valid = (starts + w)[None, :] <= self.lengths[:, None]
+        else:
+            valid = np.ones(ids.shape, dtype=bool)
+        for run in runs(self._bad) if self._bad is not None else ():
+            valid &= ~run
+        return ids, valid
 
 
 def decode_sequence(codes: NDArray[np.uint8]) -> str:

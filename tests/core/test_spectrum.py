@@ -11,9 +11,15 @@ from repro.core.spectrum import (
     block_kmer_ids,
     block_tile_ids,
     build_spectra,
+    window_counts,
 )
 from repro.io.records import ReadBlock
-from repro.kmer.codec import encode_sequence, window_ids
+from repro.kmer.codec import (
+    block_window_ids,
+    encode_sequence,
+    reverse_complement_id,
+    window_ids,
+)
 
 
 @pytest.fixture
@@ -36,6 +42,44 @@ class TestBlockExtraction:
         ids, valid = block_tile_ids(block, small_cfg.tile_shape)
         ref, _ = window_ids(encode_sequence("ACGTACGTACGT"), 6)
         assert np.array_equal(ids[0], ref[::2])
+
+
+class TestWindowCounts:
+    """Step II's counts against ``np.unique`` of the reference ids."""
+
+    @staticmethod
+    def _reference(blocks, w, step, reverse_complement):
+        flat = []
+        for block in blocks:
+            ids, valid = block_window_ids(block.codes, block.lengths, w, step)
+            flat.append(ids[valid])
+            if reverse_complement:
+                flat.append(reverse_complement_id(ids[valid], w))
+        return np.unique(np.concatenate(flat), return_counts=True)
+
+    @pytest.mark.parametrize("reverse_complement", [False, True])
+    def test_counts_equal_the_reference(self, reverse_complement):
+        rng = np.random.default_rng(3)
+        seqs = [
+            "".join(rng.choice(list("ACGTN"), int(n), p=[0.245] * 4 + [0.02]))
+            for n in rng.integers(10, 60, 40)
+        ]
+        blocks = [ReadBlock.from_strings(seqs[:25]), ReadBlock.from_strings(seqs[25:])]
+        shape = ReptileConfig(kmer_length=12, tile_overlap=4).tile_shape
+        kmers, tiles = window_counts(blocks, shape, reverse_complement)
+        for (keys, counts), (w, step) in (
+            (kmers, (shape.k, 1)), (tiles, (shape.length, shape.step))
+        ):
+            ref_keys, ref_counts = self._reference(
+                blocks, w, step, reverse_complement
+            )
+            assert np.array_equal(keys, ref_keys)
+            assert np.array_equal(counts, ref_counts)
+        assert kmers[0].dtype == np.uint32
+
+    def test_no_blocks(self, small_cfg):
+        kmers, tiles = window_counts([], small_cfg.tile_shape, True)
+        assert kmers[0].size == kmers[1].size == tiles[0].size == 0
 
 
 class TestBuildSpectra:

@@ -9,6 +9,7 @@ from repro.errors import CodecError
 from repro.kmer.codec import (
     INVALID_CODE,
     MAX_K,
+    WindowLadder,
     block_window_ids,
     canonical_id,
     decode_kmer,
@@ -126,6 +127,33 @@ class TestReverseComplement:
         ids, _ = window_ids(encode_sequence("ACGT"), 4)
         assert reverse_complement_id(int(ids[0]), 4) == int(ids[0])
 
+    @pytest.mark.parametrize("w", range(1, MAX_K + 1))
+    def test_matches_string_reverse_complement(self, w):
+        rng = np.random.default_rng(w)
+        ids = rng.integers(0, 1 << (2 * w), 64, dtype=np.uint64)
+        rc = reverse_complement_id(ids, w)
+        assert rc.dtype == np.uint64
+        complement = str.maketrans("ACGT", "TGCA")
+        for kid, back in zip(ids.tolist(), rc.tolist()):
+            expected = decode_kmer(kid, w)[::-1].translate(complement)
+            assert decode_kmer(back, w) == expected
+        assert reverse_complement_id(ids[0], w) == rc[0]
+        assert isinstance(reverse_complement_id(int(ids[0]), w), int)
+        if 2 * w <= 32:
+            narrow = reverse_complement_id(ids.astype(np.uint32), w)
+            assert narrow.dtype == np.uint32
+            assert np.array_equal(narrow, rc)
+
+    @pytest.mark.parametrize("w", range(2, MAX_K + 1, 2))
+    def test_palindromes_are_fixed_points(self, w):
+        rng = np.random.default_rng(w)
+        complement = str.maketrans("ACGT", "TGCA")
+        for _ in range(8):
+            half = "".join(rng.choice(list("ACGT"), w // 2))
+            seq = half + half[::-1].translate(complement)
+            kid = int(window_ids(encode_sequence(seq), w)[0][0])
+            assert reverse_complement_id(kid, w) == kid
+
 
 class TestCanonical:
     def test_scalar_symmetric(self):
@@ -198,3 +226,63 @@ class TestBlockWindowIds:
             assert np.array_equal(ids[r, :n][sval], sid[sval])
             assert np.array_equal(valid[r, :n], sval)
             assert not valid[r, n:].any()
+
+
+class TestWindowLadder:
+    """The ladder against the per-read reference :func:`window_ids`."""
+
+    @staticmethod
+    def _block(rng, n, width):
+        lengths = rng.integers(0, width + 1, n)
+        codes = rng.integers(0, 4, (n, width), dtype=np.uint8)
+        codes[rng.random((n, width)) < 0.03] = INVALID_CODE
+        codes[np.arange(width)[None, :] >= lengths[:, None]] = INVALID_CODE
+        return codes, lengths
+
+    @pytest.mark.parametrize("w", range(1, MAX_K + 1))
+    def test_matches_per_read_reference(self, w):
+        rng = np.random.default_rng(w)
+        codes, lengths = self._block(rng, 12, 80)
+        ladder = WindowLadder(codes, lengths)
+        # Step 1, a tile's k - overlap (w = 2k - 4), and the window itself.
+        for step in sorted({1, max(1, (w - 4) // 2), w}):
+            ids, valid = ladder.windows(w, step)
+            assert ids.dtype == (np.uint32 if 2 * w <= 32 else np.uint64)
+            assert ids.shape == valid.shape == (12, len(range(0, 80 - w + 1, step)))
+            for r in range(12):
+                ref, ref_valid = window_ids(codes[r, : lengths[r]], w)
+                ref, ref_valid = ref[::step], ref_valid[::step]
+                m = ref.shape[0]
+                assert np.array_equal(valid[r, :m], ref_valid)
+                assert not valid[r, m:].any()
+                assert np.array_equal(ids[r, :m][ref_valid], ref[ref_valid])
+
+    def test_clean_block_matches_the_reference_everywhere(self):
+        rng = np.random.default_rng(0)
+        codes = rng.integers(0, 4, (5, 40), dtype=np.uint8)
+        ladder = WindowLadder(codes, np.full(5, 40))
+        ids, valid = ladder.windows(12)
+        assert valid.all()
+        ref, ref_valid = block_window_ids(codes, np.full(5, 40), 12)
+        assert np.array_equal(ids, ref) and ref_valid.all()
+
+    def test_narrower_than_the_window(self):
+        codes = np.zeros((3, 5), dtype=np.uint8)
+        ids, valid = WindowLadder(codes, np.full(3, 5)).windows(6)
+        assert ids.shape == valid.shape == (3, 0)
+        assert ids.dtype == np.uint32
+
+    def test_zero_reads(self):
+        ladder = WindowLadder(np.empty((0, 30), np.uint8), np.empty(0))
+        for w, step in ((12, 1), (20, 8)):
+            ids, valid = ladder.windows(w, step)
+            assert ids.shape == valid.shape == (0, len(range(0, 31 - w, step)))
+
+    def test_bad_arguments(self):
+        ladder = WindowLadder(np.zeros((1, 8), np.uint8), np.array([8]))
+        with pytest.raises(CodecError):
+            ladder.windows(4, step=0)
+        with pytest.raises(CodecError):
+            ladder.windows(MAX_K + 1)
+        with pytest.raises(CodecError):
+            WindowLadder(np.zeros(8, np.uint8), np.array([8]))

@@ -164,6 +164,14 @@ def test_the_pre_session_step_iv_entries_are_gone():
     assert not hasattr(CorrectionSession, "from_spectra")
 
 
+def test_step_ii_has_one_block_kernel():
+    """Step II's window ids come from ``WindowLadder``: the packed
+    whole-block extractor beside it is gone."""
+    import repro.kmer.bitpack
+
+    assert not hasattr(repro.kmer.bitpack, "window_id_matrix")
+
+
 def test_every_rank_program_runs_its_ops_through_the_runner():
     """Whatever ``src/`` hands to ``run_spmd`` delegates to
     ``SessionOpRunner``: the launch sites are the two drivers', and

@@ -94,6 +94,24 @@ class TestFileFormat:
         with pytest.raises(ConfigError):
             ReptileConfig.from_file(path)
 
+    @pytest.mark.parametrize("value", ["off", "FALSE", "No", "maybe"])
+    def test_count_rev_comp_reads_only_flags(self, tmp_path, value):
+        path = tmp_path / "c.conf"
+        path.write_text(f"KmerLen 10\nCountRevComp {value}\n")
+        if value == "maybe":
+            with pytest.raises(ConfigError, match=r"c\.conf: line 2: .*CountRevComp"):
+                ReptileConfig.from_file(path)
+        else:
+            assert not ReptileConfig.from_file(path).count_reverse_complement
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_count_rev_comp_round_trips(self, tmp_path, flag):
+        cfg = ReptileConfig(count_reverse_complement=flag)
+        path = tmp_path / "c.conf"
+        cfg.to_file(path)
+        assert f"CountRevComp {flag}\n" in path.read_text()
+        assert ReptileConfig.from_file(path) == cfg
+
     def test_missing_value_rejected(self, tmp_path):
         path = tmp_path / "c.conf"
         path.write_text("KmerLen\n")
