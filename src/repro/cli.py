@@ -30,7 +30,7 @@ from typing import Sequence
 from repro.config import ReptileConfig
 from repro.datasets.profiles import PROFILES
 from repro.errors import ReproError
-from repro.parallel.driver import ParallelReptile
+from repro.parallel.driver import ParallelReptile, _validate_run_params
 from repro.parallel.heuristics import HeuristicConfig
 
 
@@ -219,7 +219,8 @@ def _config_from_args(
 ) -> ReptileConfig:
     """The run configuration: a ``--config`` file (``correct`` only) with
     any ``fasta`` / ``quality`` override, else the flags, with zero
-    thresholds read off ``fasta``."""
+    thresholds read off ``fasta`` — after every flag is checked."""
+    _validate_run_params(args.nranks, _heuristics_from_args(args), None)
     if config_file:
         cfg = ReptileConfig.from_file(config_file)
         if fasta:
@@ -230,26 +231,32 @@ def _config_from_args(
     if not fasta:
         raise ReproError("either --config or --fasta is required")
     kt, tt = args.kmer_threshold, args.tile_threshold
-    if not kt or not tt:
-        # Read the thresholds off the k-mer/tile count histograms of a
-        # sample of the file (the classical valley method).
-        from repro.core.pipeline import estimate_thresholds_from_file
-
-        base = ReptileConfig(
-            kmer_length=args.kmer_length, tile_overlap=args.tile_overlap
-        )
-        est_kt, est_tt = estimate_thresholds_from_file(fasta, quality, base)
-        kt = kt or est_kt
-        tt = tt or est_tt
-        print(f"auto thresholds from count histograms: kmer>={kt}, tile>={tt}")
-    return ReptileConfig(
+    # A threshold left at 0 stands in as 1 until it is derived, so the
+    # explicit ones are checked before the input is read.
+    cfg = ReptileConfig(
         fasta_file=fasta,
         quality_file=quality or "",
         kmer_length=args.kmer_length,
         tile_overlap=args.tile_overlap,
-        kmer_threshold=kt,
-        tile_threshold=tt,
+        kmer_threshold=kt or 1,
+        tile_threshold=tt or 1,
         chunk_size=args.chunk_size,
+    )
+    if kt and tt:
+        return cfg
+    # Read the thresholds off the k-mer/tile count histograms of a
+    # sample of the file (the classical valley method).
+    from repro.core.pipeline import estimate_thresholds_from_file
+
+    est_kt, est_tt = estimate_thresholds_from_file(fasta, quality, cfg)
+    derived = [
+        f"{kind}>={value}"
+        for kind, given, value in (("kmer", kt, est_kt), ("tile", tt, est_tt))
+        if not given
+    ]
+    print(f"auto thresholds from count histograms: {', '.join(derived)}")
+    return cfg.with_updates(
+        kmer_threshold=kt or est_kt, tile_threshold=tt or est_tt
     )
 
 

@@ -29,6 +29,7 @@ from repro.parallel.session import (
     CheckpointOp, CorrectionSession, CorrectOp, IngestOp,
 )
 from repro.simmpi import run_spmd
+from tests.core.test_rewrites import local_rounds
 
 
 @pytest.fixture(scope="module")
@@ -511,6 +512,31 @@ class TestStepIVGrain:
         # A lookup round, not a tile column, is the unit: no share needs
         # more than a dozen rounds here, against 36 column steps.
         assert 0 < max(rounds) <= 12
+
+
+class TestRoundsPerShare:
+    @pytest.mark.parametrize("nranks", [2, 8])
+    def test_rank_rounds_equal_local_rounds(self, scale, classic_codes,
+                                            nranks):
+        """A rank's blocking requests are its placed share's rounds on a
+        local view: no correction waits a round for the tiles it
+        rewrote."""
+        block = scale.dataset.block
+        spectra = build_spectra(block, scale.config)
+        result = ParallelReptile(
+            scale.config, HeuristicConfig(), nranks=nranks,
+            engine="cooperative",
+        ).run(block)
+        assert np.array_equal(result.corrected_block.codes, classic_codes)
+        want = [
+            local_rounds(
+                scale.config, spectra,
+                block.select(np.searchsorted(block.ids, report.block.ids)),
+            )[1]
+            for report in result.reports
+        ]
+        rounds = result.counter_per_rank("blocking_request_counts").tolist()
+        assert rounds == want
 
 
 class TestSequenceAcrossFinalize:

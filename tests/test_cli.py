@@ -342,6 +342,38 @@ class TestAutoThresholds:
         fixed = sum(1 for r in broken if corrected[r] == truths[r])
         assert fixed > 0.5 * len(broken)
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--nranks", "0"), ("--chunk-size", "0"), ("--kmer-threshold", "-1"),
+    ])
+    def test_bad_flag_is_refused_before_sampling(self, simulated, tmp_path,
+                                                 capsys, flag, value):
+        """A bad flag exits 2 before the input is sampled, and no
+        threshold the run did not derive is reported as derived."""
+        _, fasta, qual, _ = simulated
+        rc = main([
+            "correct", "--fasta", str(fasta), "--quality", str(qual),
+            "--output", str(tmp_path / "c.fa"), flag, value,
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "error:" in captured.err
+        assert "auto thresholds" not in captured.out
+
+    def test_only_derived_thresholds_are_reported(self, simulated, tmp_path,
+                                                  capsys):
+        _, fasta, qual, _ = simulated
+        rc = main([
+            "correct", "--fasta", str(fasta), "--quality", str(qual),
+            "--output", str(tmp_path / "c.fa"), "--nranks", "2",
+            "--kmer-threshold", "18",
+        ])
+        assert rc == 0
+        line = next(
+            ln for ln in capsys.readouterr().out.splitlines()
+            if ln.startswith("auto thresholds")
+        )
+        assert "kmer" not in line and "tile>=" in line
+
 
 class TestProjectJson:
     def test_json_projection(self, tmp_path, capsys):
