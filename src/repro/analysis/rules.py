@@ -9,8 +9,8 @@ by ``repro lint --list-rules``), a documentation string (shown by
   that module's :class:`~repro.analysis.summary.ModuleSummary`;
 * ``program_check(program)`` — phase 2, runs once per lint invocation
   against the :class:`~repro.analysis.summary.Program` holding *every*
-  module summary, so protocols that span files (a send in ``server.py``
-  answered in ``prefetch.py``) are matched whole-program.
+  module summary, so protocols that span files (a send in one module
+  answered by a handler in another) are matched whole-program.
 
 Rules register themselves at import time via :func:`register`; the
 registry is keyed by code and iterated in sorted-code order, but no

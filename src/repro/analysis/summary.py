@@ -10,8 +10,8 @@ and every *tag consumer* (a constant-tag receive, a ``msg.tag ==
 Tags.X`` dispatch comparison, or a ``handlers[Tags.X] = fn``
 registration).  Phase 2 rules then see either one summary
 (``module_check``) or the :class:`Program` holding all of them
-(``program_check``), which is what lets a send in ``server.py`` be
-matched against its responder in ``prefetch.py``.
+(``program_check``), which is what lets a send in one module be
+matched against its responder in another.
 
 Communicator detection is name-based: a receiver expression whose final
 component is ``comm`` or ends in ``comm`` (``comm``, ``subcomm``,

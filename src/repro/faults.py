@@ -24,7 +24,7 @@ and the per-child injectors of the process engine see exactly the same
 Fault scoping
 -------------
 Frame faults apply only to the *lookup plane* (:data:`DROPPABLE_TAGS`):
-Step IV's count/prefetch/resilient requests and responses.  Control
+Step IV's count requests and their answers.  Control
 traffic (DONE/SHUTDOWN, replica transfers) and collectives (the whole
 of Step III, the read-table exchange included) ride a reliable
 substrate — the same layering as TeaMPI, which interposes resilience
@@ -58,22 +58,14 @@ from dataclasses import dataclass, replace
 
 from repro.errors import ConfigError, RankCrashError
 from repro.simmpi import wire
-from repro.simmpi.message import Tags
+from repro.simmpi.message import REQUEST_TAGS, Tags
 from repro.simmpi.transport import Transport
 
 #: Tags the injector may drop/corrupt/duplicate/delay — Step IV's
-#: lookup plane.  Everything else (DONE, SHUTDOWN, REPLICA, service
-#: control, collectives — all of Step III) is delivered reliably.
-DROPPABLE_TAGS = frozenset({
-    Tags.KMER_REQUEST,
-    Tags.TILE_REQUEST,
-    Tags.COUNT_RESPONSE,
-    Tags.UNIVERSAL_REQUEST,
-    Tags.PREFETCH_REQUEST,
-    Tags.PREFETCH_RESPONSE,
-    Tags.RESILIENT_REQUEST,
-    Tags.RESILIENT_RESPONSE,
-})
+#: lookup plane: the count requests and their answers.  Everything else
+#: (DONE, SHUTDOWN, REPLICA, service control, collectives — all of Step
+#: III) is delivered reliably.
+DROPPABLE_TAGS = frozenset({*REQUEST_TAGS, Tags.COUNT_RESPONSE})
 
 _TWO64 = float(1 << 64)
 

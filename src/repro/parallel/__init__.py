@@ -26,8 +26,8 @@ not hold:
   owners for what both leave open, compiled once per rank and shared
   by every resolution path (:mod:`repro.parallel.lookup`),
 * Step IV lookup aggregation: deduplicated per-owner bulk prefetch with
-  pipelined chunk correction (:mod:`repro.parallel.prefetch` for the
-  wire endpoint, :mod:`repro.parallel.lookup.planner` for the engine).
+  pipelined chunk correction (:mod:`repro.parallel.lookup.planner`),
+  whose fetches are rounds of the same protocol and frame.
 """
 
 from repro.parallel.heuristics import HeuristicConfig
@@ -47,7 +47,6 @@ from repro.parallel.lookup import (
     resolution_order,
     tier_order,
 )
-from repro.parallel.prefetch import PrefetchEndpoint
 from repro.parallel.memory import RankMemoryReport
 from repro.parallel.report import run_report, write_run_report
 from repro.parallel.session import (
@@ -77,7 +76,6 @@ __all__ = [
     "CachedChunkView",
     "ChunkCountCache",
     "LookupStack",
-    "PrefetchEndpoint",
     "PrefetchExecutor",
     "RouteTable",
     "ShardServer",

@@ -1,8 +1,12 @@
 """The prefetch planner/executor: plan → fetch → correct, then one tail.
 
-The wire endpoint (:class:`~repro.parallel.prefetch.PrefetchEndpoint`)
-is a message protocol, not a resolution tier, and lives one package up;
-everything that *resolves counts* here rides the compiled
+A fetch is a round of the Step IV protocol
+(:class:`~repro.parallel.server.CorrectionProtocol`), the same frame a
+blocking lookup round sends: :meth:`~CorrectionProtocol.post` ships one
+universal-layout request per owner and returns at once,
+:meth:`~CorrectionProtocol.collect` waits for the answers later, and the
+owners serve it on the one serve path.  Everything that *resolves
+counts* here rides the compiled
 :class:`~repro.parallel.lookup.stack.LookupStack` pair: the chunk cache
 is the first tier, the ladder's local tiers follow, nothing goes to the
 owners, and whatever is left unresolved is by definition what a plan
@@ -39,20 +43,19 @@ from numpy.typing import NDArray
 
 from repro.core.corrector import CorrectionResult, ReptileCorrector
 from repro.io.records import ReadBlock
+from repro.hashing.inthash import mix_to_rank
 from repro.parallel.lookup.cache import ChunkCountCache
+from repro.parallel.lookup.routing import partition_by_dest
 
 if TYPE_CHECKING:
     # Type-only: build.py reaches this module through exchange.py's
-    # partition_by_dest import, so a runtime import would be circular.
+    # partition_by_dest import, and the protocol imports this package,
+    # so runtime imports would be circular.
     from repro.config import ReptileConfig
     from repro.parallel.build import RankSpectra
     from repro.parallel.heuristics import HeuristicConfig
+    from repro.parallel.server import CorrectionProtocol
 from repro.parallel.lookup.stack import CommLike, StackPair, compile_stacks
-from repro.parallel.prefetch import (
-    BulkFetch,
-    PrefetchCapable,
-    PrefetchEndpoint,
-)
 from repro.simmpi.communicator import Communicator
 from repro.util.timer import PhaseTimer
 
@@ -218,6 +221,18 @@ class CachedChunkView:
 Positions = tuple[NDArray[np.int64], NDArray[np.int64], NDArray[np.uint64]]
 
 
+@dataclass(frozen=True)
+class _Fetch:
+    """One bulk exchange in flight: the protocol round it was posted as,
+    its ids (deduplicated, foreign), and the positions of the k-mer and
+    tile ids each owner was asked for, in the order they were sent."""
+
+    seq: int
+    kmer_ids: NDArray[np.uint64]
+    tile_ids: NDArray[np.uint64]
+    asked: dict[int, tuple[NDArray[np.int64], NDArray[np.int64]]]
+
+
 @dataclass
 class _ChunkState:
     """Everything in flight for one chunk of the pipeline."""
@@ -225,8 +240,8 @@ class _ChunkState:
     chunk: ReadBlock
     #: Per tile position: (rows, starts, tile ids) on original codes.
     positions: Positions
-    window_fetch: BulkFetch
-    cand_fetch: BulkFetch | None = None
+    window_fetch: _Fetch
+    cand_fetch: _Fetch | None = None
 
 
 #: One chunk's hand-over to the tail: (chunk index, rows whose lookups
@@ -252,14 +267,14 @@ class PrefetchExecutor:
         config: ReptileConfig,
         heuristics: HeuristicConfig,
         spectra: RankSpectra,
-        protocol: PrefetchCapable,
+        protocol: CorrectionProtocol,
         timer: PhaseTimer | None = None,
     ) -> None:
         self.comm = comm
         self.config = config
         self.heuristics = heuristics
         self.spectra = spectra
-        self.endpoint = PrefetchEndpoint(protocol, comm)
+        self.protocol = protocol
         self.timer = timer or PhaseTimer()
         #: One cache for the whole correction phase: coverage makes ids
         #: recur across chunks, so sharing it turns later chunks' fetches
@@ -291,7 +306,9 @@ class PrefetchExecutor:
                 self._begin_chunk(chunks[i + 1]) if i + 1 < len(chunks) else None
             )
             results.append(self._first_pass(i, state, tail))
-            self.endpoint.drain()
+            # Serve what peers asked while this chunk corrected.
+            while self.protocol.pump(block=False):
+                pass
             state = upcoming
         self._run_tail(chunks, results, tail)
         # Growth since the last run(): a ward replay runs a second one.
@@ -305,7 +322,7 @@ class PrefetchExecutor:
         """Stage 1: enumerate every window tile id and fetch the foreign
         ones (original codes — drift is the tail's business)."""
         positions = self._enumerate_positions(chunk)
-        fetch = self.endpoint.issue(
+        fetch = self._post(
             np.empty(0, dtype=np.uint64),
             self.view.foreign_unknown("tile", positions[2]),
         )
@@ -326,14 +343,59 @@ class PrefetchExecutor:
         tids, ok = self.corrector._gather_tiles(block.codes, rows, starts)
         return rows[ok], starts[ok], tids[ok]
 
+    def _post(
+        self, kmer_ids: NDArray[np.uint64], tile_ids: NDArray[np.uint64]
+    ) -> _Fetch:
+        """Post one bulk exchange — one universal-layout request per
+        owner, in base mode too — and return at once.  ``kmer_ids`` /
+        ``tile_ids`` must be deduplicated and foreign (the planner
+        guarantees both); redeem the handle with :meth:`_collect`."""
+        kmer_ids = np.ascontiguousarray(kmer_ids, dtype=np.uint64)
+        tile_ids = np.ascontiguousarray(tile_ids, dtype=np.uint64)
+        size = self.comm.size
+        (korder, kbounds), (torder, tbounds) = (
+            partition_by_dest(np.asarray(mix_to_rank(ids, size), np.int64), size)
+            for ids in (kmer_ids, tile_ids)
+        )
+        asked: dict[int, tuple[NDArray[np.int64], NDArray[np.int64]]] = {}
+        chunks: dict[int, tuple[NDArray[np.uint64], int]] = {}
+        for owner in range(size):
+            kpos = korder[kbounds[owner] : kbounds[owner + 1]]
+            tpos = torder[tbounds[owner] : tbounds[owner + 1]]
+            if kpos.shape[0] or tpos.shape[0]:
+                asked[owner] = (kpos, tpos)
+                chunks[owner] = (
+                    np.concatenate([kmer_ids[kpos], tile_ids[tpos]]),
+                    kpos.shape[0],
+                )
+        protocol = self.protocol
+        if chunks:
+            stats = self.comm.stats
+            stats.bump("prefetch_fetches")
+            stats.bump("prefetch_kmer_ids_fetched", int(kmer_ids.size))
+            stats.bump("prefetch_tile_ids_fetched", int(tile_ids.size))
+            stats.bump("prefetch_messages", sum(
+                protocol.routes.dest_for(owner) != self.comm.rank
+                for owner in chunks
+            ))
+        seq = protocol.post(chunks, universal=True)
+        return _Fetch(seq, kmer_ids, tile_ids, asked)
+
     def _collect(
-        self, fetch: BulkFetch
+        self, fetch: _Fetch
     ) -> tuple[NDArray[np.uint32], NDArray[np.uint32]]:
         """Wait for a bulk exchange (booked to ``comm_prefetch``) and
-        deposit its answers in the cache."""
+        deposit its answers in the cache; returns ``(k-mer counts, tile
+        counts)`` aligned with the posted ids."""
         start = time.perf_counter()
-        kcounts, tcounts = self.endpoint.collect(fetch)
+        answers = self.protocol.collect(fetch.seq)
         self.timer.add("comm_prefetch", time.perf_counter() - start)
+        kcounts = np.zeros(fetch.kmer_ids.shape[0], dtype=np.uint32)
+        tcounts = np.zeros(fetch.tile_ids.shape[0], dtype=np.uint32)
+        for owner, counts in answers.items():
+            kpos, tpos = fetch.asked[owner]
+            kcounts[kpos] = counts[: kpos.shape[0]]
+            tcounts[tpos] = counts[kpos.shape[0] :]
         self.cache.add_kmers(fetch.kmer_ids, kcounts)
         self.cache.add_tiles(fetch.tile_ids, tcounts)
         return kcounts, tcounts
@@ -342,12 +404,12 @@ class PrefetchExecutor:
         self, kind: str, ids: NDArray[np.uint64]
     ) -> NDArray[np.uint32]:
         """The tail view's miss policy: fetch ``ids`` from their owners
-        now, through the same endpoint as every planned exchange."""
+        now, as a round of the same protocol as every planned exchange."""
         self.comm.stats.bump("prefetch_miss_fetches")
         none = np.empty(0, dtype=np.uint64)
         if kind == "kmer":
-            return self._collect(self.endpoint.issue(ids, none))[0]
-        return self._collect(self.endpoint.issue(none, ids))[1]
+            return self._collect(self._post(ids, none))[0]
+        return self._collect(self._post(none, ids))[1]
 
     def _plan_candidates(self, state: _ChunkState) -> None:
         """Stage 2: with real window counts cached, enumerate the weak
@@ -356,7 +418,7 @@ class PrefetchExecutor:
         cands, kmers = self._candidate_neighbourhood(
             state.chunk, state.positions, peek=False
         )
-        state.cand_fetch = self.endpoint.issue(
+        state.cand_fetch = self._post(
             self.view.foreign_unknown("kmer", kmers),
             self.view.foreign_unknown("tile", cands),
         )
@@ -446,7 +508,7 @@ class PrefetchExecutor:
             cands, kmers = self._candidate_neighbourhood(
                 drift, positions, peek=True
             )
-            self._collect(self.endpoint.issue(
+            self._collect(self._post(
                 self.view.foreign_unknown(
                     "kmer", np.concatenate([k_miss, kmers])
                 ),

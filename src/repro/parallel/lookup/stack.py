@@ -8,7 +8,7 @@ chunk cache and a wire protocol) into a :class:`StackPair` — one
 :func:`tier_order` gives, so the order a report prints is the order
 that runs.  Every resolution path (blocking round, prefetch planner,
 recovery replay) then runs the same compiled object.  The fault plan
-enters through the protocol (its resilient request path and partner
+enters through the protocol (its retry policy and partner
 routing), so a recovering partner re-binds its ward onto the serving
 shard rather than growing a bespoke failover path — see
 :mod:`repro.parallel.lookup.routing`.
@@ -79,17 +79,18 @@ TIER_NAMES = (
 
 
 class RemoteProtocol(Protocol):
-    """What a lookup round needs from a correction protocol: ship each
-    owner its chunk, as ordered, and wait for the answers.
+    """What a lookup round needs from a correction protocol: post each
+    owner its chunk, as ordered, and collect the answers.
 
     ``chunks`` maps owner -> ``(ids, n_kmer)``: the owner's distinct
     k-mer ids ascending, then its distinct tile ids ascending, ``n_kmer``
-    of them k-mers.  The answer maps every owner asked to the counts of
-    its chunk, in chunk order."""
+    of them k-mers.  :meth:`post` returns the round's sequence number;
+    :meth:`collect` maps every owner asked to the counts of its chunk,
+    in chunk order."""
 
-    def request_chunks(
-        self, chunks: dict[int, tuple[NDArray[np.uint64], int]]
-    ) -> dict[int, NDArray[np.uint32]]: ...
+    def post(self, chunks: dict[int, tuple[NDArray[np.uint64], int]]) -> int: ...
+
+    def collect(self, seq: int) -> dict[int, NDArray[np.uint32]]: ...
 
 
 class _Mute:
@@ -354,7 +355,6 @@ class LookupRound:
         kmer_pos: NDArray[np.intp],
         tile_pos: NDArray[np.intp],
         protocol: RemoteProtocol,
-        rank: int,
         stats: StatsSink,
     ) -> tuple[tuple[NDArray[np.uint64], NDArray[np.uint32]], ...]:
         """Ask the owners for the ids at the open positions of each kind
@@ -390,12 +390,10 @@ class LookupRound:
             tlo, thi = tedges[owner], tedges[owner + 1]
             if klo == khi and tlo == thi:
                 continue
-            if owner == rank:
-                raise CommunicatorError("a lookup round given locally-owned ids")
             chunks[owner] = (
                 np.concatenate([kmers[klo:khi], tiles[tlo:thi]]), khi - klo
             )
-        answers = protocol.request_chunks(chunks)
+        answers = protocol.collect(protocol.post(chunks))
         kcounts, tcounts = [], []
         for owner, (chunk, n_kmer) in chunks.items():
             answer = answers[owner]
@@ -487,7 +485,7 @@ class StackPair:
             if self.protocol is None:
                 raise SpectrumError("a lookup round needs a wire protocol")
             start = time.perf_counter()
-            asked = rnd.ask(kopen, topen, self.protocol, comm.rank, stats)
+            asked = rnd.ask(kopen, topen, self.protocol, stats)
             elapsed = time.perf_counter() - start
             self.timer.add("comm_kmer", elapsed * nk / (nk + nt))
             self.timer.add("comm_tile", elapsed * nt / (nk + nt))

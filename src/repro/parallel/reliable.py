@@ -1,18 +1,19 @@
 """The reliable-request layer: one wait under every count client.
 
 Step IV is one idea — ask the owner, serve peers while you wait — and
-both clients of it (the blocking lookups of the pump protocol and the
-bulk-prefetch endpoint riding that pump) keep their outstanding
-requests here.
-:class:`ReliableRequests` owns the whole retry *policy*:
+every round of it, a blocking lookup round or a prefetch fetch alike,
+is posted by the one protocol and keeps its outstanding requests here.
+Every request frame carries its ``(seq, who)`` name and every answer
+echoes it, under every plan; a plan changes only what this layer does
+with them.  :class:`ReliableRequests` owns the whole retry *policy*:
 
 * **sequence** — :meth:`open` numbers each round from a per-communicator
   monotone counter, so a frame that outlives its round (delayed,
   duplicated, or answered after a retransmit) can never carry the number
   of a later one, whichever protocol object sent it;
 * **window** — the requests of a round that are still unanswered, with
-  the frames to resend when a :class:`~repro.faults.FaultPlan` needs
-  resilient lookups (and only then: unarmed, nothing is retained);
+  the frames to resend when a :class:`~repro.faults.FaultPlan` can lose
+  them (and only then: unarmed, nothing is retained);
 * **wait** — :meth:`wait` runs the caller's ``progress`` (the
   protocol's ``pump``: receive and dispatch one message) until the
   window is empty.  Unarmed that is a plain blocking loop: no clock, no
@@ -48,11 +49,12 @@ _sequences: "weakref.WeakKeyDictionary[Communicator, Iterator[int]]" = (
 class ReliableRequests:
     """One rank's outstanding count requests (see module docstring).
 
-    A request is named ``(seq, who)``: the round it belongs to and whom
-    its answer is for — the owner asked (``owner + size`` for a
-    base-mode tile frame, the owner's second of the round), or the
-    destination of a coalesced frame.  ``plan`` arms the retry policy when it needs
-    resilient lookups; otherwise the layer only tracks what is pending.
+    A request is named ``(seq, who)``: the round it belongs to and the
+    frame within it — the owner asked (``owner + size`` for a base-mode
+    tile frame, the owner's second of the round).  Both travel in the
+    frame's header and come back in its answer's.  ``plan`` arms the
+    retry policy when frames can be lost; otherwise the layer only
+    tracks what is pending.
     """
 
     def __init__(self, comm: Communicator, plan=None) -> None:
@@ -68,7 +70,7 @@ class ReliableRequests:
 
     @property
     def armed(self) -> bool:
-        """Do requests need sequence headers, retained frames, retries?"""
+        """Do requests need retained frames, deadlines and resends?"""
         return self.plan is not None
 
     def open(self) -> int:

@@ -17,28 +17,40 @@ Termination follows the paper: each rank reports DONE to rank 0 when its
 own reads are finished and keeps serving; rank 0 broadcasts SHUTDOWN once
 every rank has reported, and only then do ranks stop their pumps.
 
-A lookup round asks each owner for k-mer and tile counts together.  In
-**universal** mode that is one frame per owner, ``uint64 [n_kmer,
-kmer_ids..., tile_ids...]`` under a single tag, so the receiver never
-probes for the tag ("makes the call to MPI_Probe unwarranted"); in the
-base mode the kind travels as the tag — one frame per kind per owner —
-and the receiver probes first, then receives by the probed tag.  An
-owner answers each frame with the counts of its ids, in order; a
-base-mode answer leads with the kind it answers.
+**One frame.**  A count request has one wire form, whoever asks (a
+blocking lookup round or a prefetch fetch) and whatever the fault plan:
+``uint64 [seq, who | ...]``, answered by ``uint32 [seq, who | counts]``
+under ``COUNT_RESPONSE`` (see :class:`~repro.simmpi.message.Tags`).
+``seq`` is the round's number from
+:meth:`~repro.parallel.reliable.ReliableRequests.open`; ``who`` names the
+frame within the round — the owner asked, plus ``size`` for a base-mode
+tile frame — and so tells the server whose table to probe.  In
+**universal** mode a round asks each owner once, both kinds in one
+frame (``[seq, who, n_kmer | kmer ids, tile ids]``), so the receiver
+never probes for the tag ("makes the call to MPI_Probe unwarranted");
+in the base mode the kind travels as the tag — one frame per kind per
+owner — and the receiver probes first, then receives by the probed tag.
+A fault plan changes only the retry policy, never a frame.
 
-Serving is **bulk**: a turn that receives a request also takes every
-request already delivered (:meth:`Communicator.take_ready`, which never
-blocks and never yields), probes the shard once per kind for all of
-them, and answers each requester with its own frame
-(:func:`serve_queued`).  The request half ships what the round left
-for each owner as the round ordered it
-(:meth:`CorrectionProtocol.request_chunks`): the one ordering of a
-round's ids — by (kind, owner, id), which buckets them, drops repeats
-and hands the rank's own segment to its shard — is the lookup stack's
+**One client.**  :meth:`CorrectionProtocol.post` ships each owner its
+chunk of a round as the caller ordered it and returns the round's
+``seq``; :meth:`CorrectionProtocol.collect` pumps until that round is
+answered.  Answers are kept per ``seq``, so rounds may overlap: a
+blocking round is ``collect(post(...))``, and the prefetch planner
+keeps the next chunk's fetch in flight while it corrects this one.  The
+one ordering of a blocking round's ids — by (kind, owner, id), which
+buckets them, drops repeats and hands the rank's own segment to its
+shard — is the lookup stack's
 (:class:`~repro.parallel.lookup.stack.LookupRound`), not sorted again
-here.  The endpoint waits through :mod:`repro.parallel.reliable`
+here.  The wait goes through :mod:`repro.parallel.reliable`
 (outstanding requests, sequence numbers, the retry policy under a
 fault plan).
+
+**One serve path.**  Serving is bulk: a turn that receives a request
+also takes every request already delivered, of any request tag
+(:meth:`Communicator.take_ready`, which never blocks and never yields),
+probes each owner's tables once per kind for all of them, and answers
+each requester with its own frame (:func:`serve_queued`).
 """
 
 from __future__ import annotations
@@ -57,140 +69,116 @@ from repro.parallel.lookup.routing import (
 from repro.parallel.lookup.stack import LookupRound
 from repro.parallel.reliable import ReliableRequests
 from repro.simmpi.communicator import Communicator
-from repro.simmpi.message import ANY_SOURCE, ANY_TAG, Message, Tags
-
-
-#: A request's tag -> the tags a serve turn drains along with it (what
-#: the same clients may have queued beside it).
-_SERVED_WITH = {
-    Tags.UNIVERSAL_REQUEST: (Tags.UNIVERSAL_REQUEST,),
-    Tags.KMER_REQUEST: (Tags.KMER_REQUEST, Tags.TILE_REQUEST),
-    Tags.TILE_REQUEST: (Tags.KMER_REQUEST, Tags.TILE_REQUEST),
-    Tags.RESILIENT_REQUEST: (Tags.RESILIENT_REQUEST,),
-}
-
-
-def is_request(msg: Message) -> bool:
-    """Is this a Step IV count request (to be answered by :func:`serve_queued`)?"""
-    return msg.tag in _SERVED_WITH
+from repro.simmpi.message import ANY_SOURCE, ANY_TAG, REQUEST_TAGS, Message, Tags
 
 
 def frame_request(
-    universal: bool, chunk: np.ndarray, n_kmer: int
-) -> list[tuple[np.ndarray, int, int]]:
-    """The fault-free frames of one owner's share of a round.
+    universal: bool, seq: int, owner: int, chunk: np.ndarray, n_kmer: int,
+    size: int,
+) -> list[tuple[int, np.ndarray, int]]:
+    """The frames of one owner's share of round ``seq``.
 
     ``chunk`` is ``[kmer ids | tile ids]`` with ``n_kmer`` k-mer ids.
-    Returns ``(payload, tag, slot)`` per frame; the frame's request is
-    named ``owner + slot * size`` (see :func:`read_answer`): slot 0 for
-    the universal frame or a base-mode k-mer frame, 1 for a base-mode
-    tile frame.
+    Returns ``(who, payload, tag)`` per frame: one universal frame named
+    ``owner``, or a base-mode frame per kind present, named
+    ``owner + kind * size``.
     """
     if universal:
-        header = np.array([n_kmer], dtype=np.uint64)
-        return [(np.concatenate([header, chunk]), Tags.UNIVERSAL_REQUEST, 0)]
+        header = np.array([seq, owner, n_kmer], dtype=np.uint64)
+        return [(owner, np.concatenate([header, chunk]), Tags.UNIVERSAL_REQUEST)]
     frames = []
-    if n_kmer:
-        frames.append((chunk[:n_kmer], Tags.KMER_REQUEST, KIND_KMER))
-    if n_kmer < chunk.shape[0]:
-        frames.append((chunk[n_kmer:], Tags.TILE_REQUEST, KIND_TILE))
+    for kind, ids, tag in (
+        (KIND_KMER, chunk[:n_kmer], Tags.KMER_REQUEST),
+        (KIND_TILE, chunk[n_kmer:], Tags.TILE_REQUEST),
+    ):
+        if ids.shape[0]:
+            who = owner + kind * size
+            header = np.array([seq, who], dtype=np.uint64)
+            frames.append((who, np.concatenate([header, ids]), tag))
     return frames
 
 
-def read_answer(universal: bool, msg: Message, size: int) -> tuple[int, np.ndarray]:
-    """(request name, counts) of one ``COUNT_RESPONSE``.
-
-    A base-mode answer leads with the kind it answers: an owner may take
-    one client's tile frame before its k-mer frame (a serve turn sweeps
-    the queued requests kind by kind, while more arrive), so arrival
-    order cannot tell them apart."""
-    counts = np.asarray(msg.payload, np.uint32)
-    if universal:
-        return msg.source, counts
-    return msg.source + int(counts[0]) * size, counts[1:]
-
-
-def join_answers(
-    answers: dict[int, np.ndarray], asked: set[int], size: int
-) -> dict[int, np.ndarray]:
-    """Owner -> counts aligned with the chunk it was sent, from answers
-    keyed by request name (a base-mode owner answers two frames)."""
-    joined = {}
-    for owner in asked:
-        parts = [answers[key] for key in (owner, owner + size) if key in answers]
-        joined[owner] = parts[0] if len(parts) == 1 else np.concatenate(parts)
+def join_answers(answers: dict[int, np.ndarray], size: int) -> dict[int, np.ndarray]:
+    """Owner -> counts aligned with the chunk it was sent, from one
+    round's answers keyed by frame name (a base-mode owner answers its
+    k-mer frame, named ``owner``, and its tile frame, ``owner + size``)."""
+    joined: dict[int, np.ndarray] = {}
+    for who in sorted(answers):
+        owner = who % size
+        part = answers[who]
+        joined[owner] = (
+            np.concatenate([joined[owner], part]) if owner in joined else part
+        )
     return joined
 
 
-_KMER_HEADER = np.array([KIND_KMER], dtype=np.uint32)
-_TILE_HEADER = np.array([KIND_TILE], dtype=np.uint32)
-_NO_HEADER = np.empty(0, dtype=np.uint32)
-
-
 def _parse_request(
-    msg: Message,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(k-mer ids, tile ids, response header) of one request.
-
-    A base-mode answer leads with its kind (see :func:`read_answer`); a
-    resilient request's (seq, owner) header is echoed in the response
-    so the client can discard answers from superseded retry rounds."""
+    msg: Message, size: int
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """(owner, k-mer ids, tile ids, answer header) of one request."""
     payload = np.asarray(msg.payload, dtype=np.uint64)
-    tag = msg.tag
-    if tag == Tags.KMER_REQUEST:
-        return payload, payload[:0], _KMER_HEADER
-    if tag == Tags.TILE_REQUEST:
-        return payload[:0], payload, _TILE_HEADER
-    if tag == Tags.UNIVERSAL_REQUEST:
-        header, ids = _NO_HEADER, payload[1:]
-        n_kmer = int(payload[0])
-    elif tag == Tags.RESILIENT_REQUEST:
-        header, ids = payload[:2].astype(np.uint32), payload[3:]
-        n_kmer = int(payload[2])
+    header, ids = payload[:2], payload[2:]
+    if msg.tag == Tags.UNIVERSAL_REQUEST:
+        n_kmer, ids = int(ids[0]), ids[1:]
+    elif msg.tag == Tags.KMER_REQUEST:
+        n_kmer = ids.shape[0]
+    elif msg.tag == Tags.TILE_REQUEST:
+        n_kmer = 0
     else:
-        raise CommunicatorError(f"tag {tag} is not a count request")
-    return ids[:n_kmer], ids[n_kmer:], header
+        raise CommunicatorError(f"tag {msg.tag} is not a count request")
+    return int(header[1]) % size, ids[:n_kmer], ids[n_kmer:], header
 
 
 def serve_queued(comm: Communicator, shards: ShardServer, first: Message) -> None:
     """Answer ``first`` and every count request already delivered.
 
-    One shard probe (a table probe per kind) for the whole batch, then
-    one response frame per request, in the order the requests were
-    taken: the counts of its k-mer ids, then of its tile ids.  A count
-    of 0 means the key does not exist anywhere — "If a k-mer or tile
-    does not exist at its owning rank, it can be inferred that the k-mer
-    or tile does not exist at all" (the paper's -1 response).
+    One shard probe per owner named (a table probe per kind) for the
+    whole batch — the rank's own tables, or a bound ward's replica —
+    then one response frame per request, in the order the requests were
+    taken: its header, then the counts of its k-mer ids, then of its
+    tile ids.  A count of 0 means the key does not exist anywhere — "If
+    a k-mer or tile does not exist at its owning rank, it can be
+    inferred that the k-mer or tile does not exist at all" (the paper's
+    -1 response).
     """
     batch = [first]
-    for tag in _SERVED_WITH[first.tag]:
+    for tag in REQUEST_TAGS:
         while (msg := comm.take_ready(ANY_SOURCE, tag)) is not None:
             batch.append(msg)
-    requests = [_parse_request(msg) for msg in batch]
+    requests = [_parse_request(msg, comm.size) for msg in batch]
     stats = comm.stats
-    kmer_counts, tile_counts = shards.lookup(
-        np.concatenate([kmers for kmers, _, _ in requests]),
-        np.concatenate([tiles for _, tiles, _ in requests]),
-        stats,
-    )
+    by_owner: dict[int, list[int]] = {}
+    for i, request in enumerate(requests):
+        by_owner.setdefault(request[0], []).append(i)
+    answers: list[np.ndarray] = [np.empty(0, np.uint32)] * len(batch)
+    for owner, mine in by_owner.items():
+        kmer_counts, tile_counts = shards.lookup(
+            owner,
+            np.concatenate([requests[i][1] for i in mine]),
+            np.concatenate([requests[i][2] for i in mine]),
+            stats,
+        )
+        stats.bump("kmer_ids_served", int(kmer_counts.shape[0]))
+        stats.bump("tile_ids_served", int(tile_counts.shape[0]))
+        if owner != comm.rank:
+            stats.bump("failover_requests_served", len(mine))
+        k_at = t_at = 0
+        for i in mine:
+            _, kmers, tiles, header = requests[i]
+            # The header fits uint32: open() bounds seq, and who < 2 * size.
+            answers[i] = np.concatenate(
+                [
+                    header,
+                    kmer_counts[k_at : k_at + kmers.shape[0]],
+                    tile_counts[t_at : t_at + tiles.shape[0]],
+                ],
+                dtype=np.uint32, casting="unsafe",
+            )
+            k_at += kmers.shape[0]
+            t_at += tiles.shape[0]
     stats.bump("serve_probes")
-    stats.bump("kmer_ids_served", int(kmer_counts.shape[0]))
-    stats.bump("tile_ids_served", int(tile_counts.shape[0]))
-    k_at = t_at = 0
-    for msg, (kmers, tiles, header) in zip(batch, requests):
-        answer = np.concatenate([
-            header,
-            kmer_counts[k_at : k_at + kmers.shape[0]],
-            tile_counts[t_at : t_at + tiles.shape[0]],
-        ])
-        k_at += kmers.shape[0]
-        t_at += tiles.shape[0]
-        if msg.tag != Tags.RESILIENT_REQUEST:
-            comm.send(msg.source, answer, tag=Tags.COUNT_RESPONSE)
-            continue
-        comm.send(msg.source, answer, tag=Tags.RESILIENT_RESPONSE)
-        if int(header[1]) != comm.rank:
-            stats.bump("failover_requests_served")
+    for msg, answer in zip(batch, answers):
+        comm.send(msg.source, answer, tag=Tags.COUNT_RESPONSE)
     stats.bump("requests_served", len(batch))
 
 
@@ -217,10 +205,6 @@ class CorrectionProtocol:
         self.owned_kmers = owned_kmers
         self.owned_tiles = owned_tiles
         self.universal = universal
-        #: The active :class:`~repro.faults.FaultPlan` (or None): with
-        #: frame faults or crashes scripted, lookups switch to the
-        #: sequence-numbered RESILIENT_* tags with timeout + retry.
-        self.faults = faults
         #: The serving half: this rank's owned tables plus any ward
         #: replicas recovery binds on (see CorrectionSession.correct).
         self.shards = ShardServer(comm.rank, comm.size, owned_kmers, owned_tiles)
@@ -230,11 +214,12 @@ class CorrectionProtocol:
         #: the dynamic work-allocation ablation) ride the same pump.
         self.handlers: dict[int, "callable"] = {}
         #: Outstanding requests and the retry policy
-        #: (:mod:`repro.parallel.reliable`); shared with the prefetch
-        #: endpoint that rides this protocol's pump.
+        #: (:mod:`repro.parallel.reliable`): the one thing ``faults``
+        #: changes besides the routes, never a frame.
         self.requests = ReliableRequests(comm, faults)
-        self._responses: dict[int, np.ndarray] = {}
-        self._round = -1         # sequence number of the open round
+        #: seq -> frame name -> counts, for every round posted and not
+        #: yet collected.
+        self._answers: dict[int, dict[int, np.ndarray]] = {}
         self._done_seen = 0      # rank 0 only
         self._shutdown = False
         self._done_sent = False
@@ -251,22 +236,15 @@ class CorrectionProtocol:
         tile_owners: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Global ``(k-mer counts, tile counts)`` for ids owned by other
-        ranks, in one round.
+        ranks, in one blocking round.
 
         ``*_owners[i]`` must be the owning rank of ``*_ids[i]`` (none
         equal to this rank).  The ids are ordered once, as a
         :class:`~repro.parallel.lookup.stack.LookupRound` with no local
         tier, and each distinct owner gets one request (one per kind in
-        the base mode, :meth:`request_chunks`); the caller's
-        "communication thread" (the pump) serves incoming requests while
-        the responses are in flight.
-
-        Under a fault plan that needs it, the round is resilient: each
-        request goes to the owner's *effective* destination (the
-        recovery partner when the owner is doomed) and carries the
-        round's sequence number (so retransmits and stale responses are
-        unambiguous) and the owner id (so the partner knows which shard
-        to answer from); the wait then retries on a deadline.
+        the base mode, :meth:`post`); the caller's "communication
+        thread" (the pump) serves incoming requests while the responses
+        are in flight.
         """
         kmer_ids = np.ascontiguousarray(kmer_ids, dtype=np.uint64)
         tile_ids = np.ascontiguousarray(tile_ids, dtype=np.uint64)
@@ -276,47 +254,53 @@ class CorrectionProtocol:
         )
         kmer_pos, tile_pos = rnd.positions(KIND_KMER), rnd.positions(KIND_TILE)
         if kmer_pos.size or tile_pos.size:
-            rnd.ask(kmer_pos, tile_pos, self, self.comm.rank, self.comm.stats)
+            rnd.ask(kmer_pos, tile_pos, self, self.comm.stats)
         return rnd.answers()
 
-    def request_chunks(
-        self, chunks: dict[int, tuple[np.ndarray, int]]
-    ) -> dict[int, np.ndarray]:
-        """Ship each owner its chunk of a round as ordered — owner ->
-        ``(ids, n_kmer)``, k-mer ids first — and pump until all have
-        answered; returns owner -> counts in chunk order."""
+    def post(
+        self,
+        chunks: dict[int, tuple[np.ndarray, int]],
+        universal: bool | None = None,
+    ) -> int:
+        """Ship each owner its chunk of a new round, as ordered — owner
+        -> ``(ids, n_kmer)``, k-mer ids first — and return the round's
+        sequence number at once (redeem it with :meth:`collect`).
+
+        ``universal`` picks the frame layout (default: the protocol's
+        mode); a prefetch fetch is one universal frame per owner in
+        either mode.  A request for a doomed owner goes to its recovery
+        partner; when that is this rank, the ward's replica answers here
+        with no message at all.
+        """
         if self._done_sent:
             raise CommunicatorError("a lookup round after finish()")
-        self._responses = {}
-        self._round = self.requests.open()
+        comm = self.comm
+        seq = self.requests.open()
+        answers = self._answers[seq] = {}
+        universal = self.universal if universal is None else universal
         for owner, (chunk, n_kmer) in chunks.items():
-            self._send(owner, chunk, n_kmer)
-        return self._collect(set(chunks))
+            if owner == comm.rank:
+                raise CommunicatorError("a lookup round given locally-owned ids")
+            dest = self.routes.dest_for(owner)
+            if dest == comm.rank:
+                answers[owner] = np.concatenate(self.shards.lookup(
+                    owner, chunk[:n_kmer], chunk[n_kmer:], comm.stats
+                ))
+                comm.stats.bump("failover_requests_served")
+                continue
+            for who, payload, tag in frame_request(
+                universal, seq, owner, chunk, n_kmer, comm.size
+            ):
+                self.requests.send(seq, who, dest, payload, tag)
+        return seq
 
-    def _send(self, owner: int, chunk: np.ndarray, n_kmer: int) -> None:
-        dest = self.routes.dest_for(owner)
-        if dest == self.comm.rank:
-            # This rank is the dead owner's partner: answer from the
-            # shard it re-bound, no message needed.
-            self._responses[owner] = np.concatenate(self.shards.lookup(
-                chunk[:n_kmer], chunk[n_kmer:], self.comm.stats
-            ))
-            return
-        if self.requests.armed:
-            header = np.array([self._round, owner, n_kmer], dtype=np.uint64)
-            self.requests.send(
-                self._round, owner, dest, np.concatenate([header, chunk]),
-                Tags.RESILIENT_REQUEST,
-            )
-            return
-        size = self.comm.size
-        for payload, tag, slot in frame_request(self.universal, chunk, n_kmer):
-            self.requests.send(self._round, owner + slot * size, dest, payload, tag)
-
-    def _collect(self, asked: set[int]) -> dict[int, np.ndarray]:
-        """Pump — serving whatever arrives — until every owner answered."""
-        self.requests.wait(self._round, self.pump)
-        return join_answers(self._responses, asked, self.comm.size)
+    def collect(self, seq: int) -> dict[int, np.ndarray]:
+        """Pump — serving whatever arrives — until every owner asked in
+        round ``seq`` answered; returns owner -> counts in chunk order.
+        Answers to other rounds in flight are kept for their own
+        :meth:`collect`."""
+        self.requests.wait(seq, self.pump)
+        return join_answers(self._answers.pop(seq), self.comm.size)
 
     # ------------------------------------------------------------------
     # server side (the "communication thread")
@@ -356,17 +340,13 @@ class CorrectionProtocol:
 
     def _dispatch(self, msg: Message) -> None:
         tag = msg.tag
-        if is_request(msg):
+        if tag in REQUEST_TAGS:
             serve_queued(self.comm, self.shards, msg)
         elif tag == Tags.COUNT_RESPONSE:
-            key, counts = read_answer(self.universal, msg, self.comm.size)
-            if self.requests.settle(self._round, key):
-                self._responses[key] = counts
-        elif tag == Tags.RESILIENT_RESPONSE:
             payload = np.asarray(msg.payload, np.uint32)
-            seq, owner = int(payload[0]), int(payload[1])
-            if self.requests.settle(seq, owner):
-                self._responses[owner] = payload[2:]
+            seq, who = int(payload[0]), int(payload[1])
+            if self.requests.settle(seq, who):
+                self._answers[seq][who] = payload[2:]
         elif tag == Tags.WORKER_DONE:
             self._done_seen += 1
         elif tag == Tags.SHUTDOWN:
@@ -394,8 +374,7 @@ class CorrectionProtocol:
         self._done_sent = False
         self._shutdown = False
         self._done_seen = 0
-        self._responses = {}
-        self._round = -1
+        self._answers = {}
 
     # ------------------------------------------------------------------
     # termination

@@ -131,6 +131,10 @@ class SpectrumService:
         self._result: ServiceRunResult | None = None
         self._coalesced = 0
         self._rounds = 0
+        #: Set once a correct round has run under a plan that dooms
+        #: ranks: a crash round is the fleet's last collective (a dead
+        #: rank joins no later one), so every later job is refused.
+        self._crash_round_run = False
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -231,7 +235,10 @@ class SpectrumService:
         """Correct a batch against the served spectrum.
 
         Under a crash fault plan too: the round's dead ranks' reads come
-        back from their recovery partners' replay."""
+        back from their recovery partners' replay.  That round is the
+        fleet's last collective, so every job after it fails with
+        :class:`~repro.errors.ServiceError` and never reaches the fleet;
+        :meth:`close` still returns the run record."""
         return await self._submit("correct", client, block=block)
 
     async def checkpoint(
@@ -263,6 +270,14 @@ class SpectrumService:
             jobs = self._queue.take_round()
             if not jobs:
                 return
+            if self._crash_round_run:
+                for job in jobs:
+                    if not job.future.done():
+                        job.future.set_exception(ServiceError(
+                            f"a {job.kind} job after the fleet's crash round: "
+                            "ranks the fault plan killed join no later round"
+                        ))
+                continue
             try:
                 results = await loop.run_in_executor(
                     None, self._run_round, jobs
@@ -292,6 +307,8 @@ class SpectrumService:
         # A correct round: coalesce every job into one collective
         # correct under fresh sequential ids, then split the id-ordered
         # merged result back on the per-job read counts.
+        if self.faults is not None and self.faults.doomed_ranks():
+            self._crash_round_run = True
         counts = [job.n_reads for job in jobs]
         merged = ReadBlock.concat([job.block for job in jobs])
         original_ids = merged.ids.copy()
@@ -314,20 +331,23 @@ class SpectrumService:
         # order ParallelRunResult.corrected_block uses).  A solo round
         # arrives id-sorted already; a coalesced round arrives in concat
         # order (its renumbered ids were sequential), so each job's
-        # slice is re-sorted by its original ids.
+        # slice is re-sorted by its original ids and cut back to the width
+        # of the block the job submitted (the round is as wide as its
+        # widest job).
         out = []
         offset = 0
-        for n in counts:
+        for job, n in zip(jobs, counts):
             rows = slice(offset, offset + n)
             job_ids = original_ids[rows] if coalesced else ids[rows]
             order = np.argsort(job_ids, kind="stable")
+            width = job.block.codes.shape[1]
             out.append(
                 ServiceBatchResult(
                     block=ReadBlock(
                         ids=job_ids[order],
-                        codes=codes[rows][order],
+                        codes=codes[rows][order][:, :width],
                         lengths=lengths[rows][order],
-                        quals=quals[rows][order],
+                        quals=quals[rows][order][:, :width],
                     ),
                     corrections_per_read=corrections[rows][order],
                     reads_reverted=reverted[rows][order].astype(bool),

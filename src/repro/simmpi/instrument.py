@@ -31,8 +31,8 @@ import numpy as np
 #:   doomed ranks / held by partners.
 #: * ``takeover_reads`` — ward reads a partner re-corrected after its
 #:   ward crashed.
-#: * ``failover_requests_served`` — lookups a partner answered from a
-#:   held replica on behalf of a dead owner.
+#: * ``failover_requests_served`` — requests a partner answered from a
+#:   held ward replica, whether asked over the wire or by itself.
 RESILIENCE_COUNTERS = (
     "frames_dropped",
     "frames_corrupted",
@@ -94,9 +94,8 @@ SERVICE_COUNTERS = (
 
 #: The Step IV prefetch counter family (all in
 #: :attr:`CommStats.counters`, bumped only on ``prefetch=True`` runs by
-#: :mod:`repro.parallel.lookup.planner`, :mod:`repro.parallel.prefetch`
-#: and the chunk-cache tier; summed over ranks in ``run_report``'s
-#: ``prefetch`` section and summarized by
+#: :mod:`repro.parallel.lookup.planner` and the chunk-cache tier; summed
+#: over ranks in ``run_report``'s ``prefetch`` section and summarized by
 #: :func:`repro.parallel.report.prefetch_summary`):
 #:
 #: * ``prefetch_fetches`` — bulk exchanges issued (planned window and
@@ -117,8 +116,9 @@ SERVICE_COUNTERS = (
 #:   for ids even the re-plan had not covered.
 #: * ``prefetch_cache_bytes`` — chunk-cache table bytes at the end of the
 #:   phase (not part of ``RankMemoryReport.peak``).
-#: * ``prefetch_requests_served`` / ``prefetch_{kmer,tile}_ids_served``
-#:   — the serving side of those exchanges.
+#:
+#: The serving side of those exchanges is the one serve path's
+#: (``requests_served``, ``{kmer,tile}_ids_served``).
 PREFETCH_COUNTERS = (
     "prefetch_fetches",
     "prefetch_messages",
@@ -134,9 +134,6 @@ PREFETCH_COUNTERS = (
     "prefetch_replans",
     "prefetch_miss_fetches",
     "prefetch_cache_bytes",
-    "prefetch_requests_served",
-    "prefetch_kmer_ids_served",
-    "prefetch_tile_ids_served",
 )
 
 #: The per-tier lookup counter family.  Every count resolution runs an
@@ -154,7 +151,8 @@ PREFETCH_COUNTERS = (
 #: counter: ``lookup_owned_hits`` / ``lookup_allgather_hits`` /
 #: ``lookup_group_hits`` are their counts.
 #:
-#: The serving side of the ``remote`` tier has two counters of its own:
+#: The one serve path — of the ``remote`` tier's rounds and the prefetch
+#: fetches alike — has two counters of its own:
 #: ``requests_served`` (Step IV count requests answered) and
 #: ``serve_probes`` (shard probes made answering them).  A serve turn
 #: answers every request already queued with one shard probe, so

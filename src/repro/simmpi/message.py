@@ -25,41 +25,43 @@ ANY_TAG = -1
 
 
 class Tags:
-    """Well-known tags used by the distributed Reptile protocol."""
+    """Well-known tags used by the distributed Reptile protocol.
 
-    #: Request for k-mer counts (payload: uint64 ids).
+    A Step IV count request is one frame under every plan and from every
+    client: ``uint64 [seq, who | ...]``, where ``seq`` is the round's
+    sequence number and ``who`` names the frame within it (the owner of
+    its ids, plus ``kind * size`` for a base-mode tile frame).  The kind
+    travels in the tag (``KMER_REQUEST`` / ``TILE_REQUEST``) or, under
+    ``UNIVERSAL_REQUEST``, as the payload's ``n_kmer``.  Every answer is
+    ``uint32 [seq, who | counts]`` under ``COUNT_RESPONSE``.
+    """
+
+    #: Base-mode k-mer count request (payload: uint64
+    #: ``[seq, who, kmer_ids...]``).
     KMER_REQUEST = 1
-    #: Request for tile counts (payload: uint64 ids).
+    #: Base-mode tile count request (payload: uint64
+    #: ``[seq, who, tile_ids...]``).
     TILE_REQUEST = 2
-    #: Response to a count request (payload: uint32 counts).
+    #: Answer to any count request (payload: uint32
+    #: ``[seq, who, counts...]``, the request's header echoed).
     COUNT_RESPONSE = 3
-    #: Universal-mode request; the kind is encoded in the payload.
+    #: Universal count request, both kinds in one frame (payload: uint64
+    #: ``[seq, who, n_kmer, kmer_ids..., tile_ids...]``).
     UNIVERSAL_REQUEST = 4
     #: A rank announcing it finished its own reads (to rank 0).
     WORKER_DONE = 5
     #: Rank 0 announcing the whole correction phase is over.
     SHUTDOWN = 6
-    #: Bulk prefetch request: one coalesced message per owning rank
-    #: carrying a request id plus deduplicated k-mer AND tile ids
-    #: (payload: uint64 ``[req_id, n_kmer, kmer_ids..., tile_ids...]``).
-    PREFETCH_REQUEST = 7
-    #: Response to a bulk prefetch (payload: uint32
-    #: ``[req_id, kmer_counts..., tile_counts...]``).
-    PREFETCH_RESPONSE = 8
-    #: Fault-mode count request (payload: uint64
-    #: ``[seq, owner, kind, ids...]``): carries a sequence number so
-    #: retransmits and stale responses are unambiguous, and the *true*
-    #: owner of the ids so a partner rank can answer for its dead ward.
-    RESILIENT_REQUEST = 9
-    #: Response to a resilient request (payload: uint32
-    #: ``[seq, owner, counts...]`` — seq/owner echoed from the request).
-    RESILIENT_RESPONSE = 10
     #: Replica transfer from a doomed rank to its recovery partner
     #: (reliable: never subject to frame faults).
     REPLICA = 15
 
     #: First tag reserved for collectives; user tags must stay below.
     COLLECTIVE_BASE = 1 << 20
+
+
+#: The Step IV count-request tags, in the order a serve turn drains them.
+REQUEST_TAGS = (Tags.KMER_REQUEST, Tags.TILE_REQUEST, Tags.UNIVERSAL_REQUEST)
 
 
 @dataclass(frozen=True)

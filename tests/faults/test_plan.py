@@ -146,9 +146,6 @@ class TestDroppableTags:
             Tags.KMER_REQUEST,
             Tags.TILE_REQUEST,
             Tags.COUNT_RESPONSE,
-            Tags.PREFETCH_REQUEST,
-            Tags.PREFETCH_RESPONSE,
-            Tags.RESILIENT_REQUEST,
-            Tags.RESILIENT_RESPONSE,
+            Tags.UNIVERSAL_REQUEST,
         ):
             assert tag in DROPPABLE_TAGS

@@ -7,16 +7,18 @@ run produces.  Recovery correctness is output *identity*, not output
 plausibility.
 """
 
+import asyncio
 import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.core.persist import load_recovery_bundle, save_recovery_bundle
-from repro.errors import ConfigError, SpectrumError
+from repro.errors import ConfigError, ServiceError, SpectrumError
 from repro.faults import CrashFault, FaultPlan
 from repro.parallel.driver import ParallelReptile
 from repro.parallel.heuristics import HeuristicConfig
+from repro.service import SpectrumService
 
 from tests.faults.conftest import assert_identical, run_plan, totals
 
@@ -121,6 +123,69 @@ class TestPartnerRecovery:
         )
         with pytest.raises(ConfigError, match="never fired"):
             run_plan(scale, plan, nranks=4)
+
+
+class TestAfterTheCrashRound:
+    """A crash round is the fleet's last collective (a dead rank joins
+    no later one).  A job after it must fail typed and alone, not wedge
+    the fleet, and the run record must survive it."""
+
+    PLAN = FaultPlan(seed=1, crashes=(CrashFault(rank=1, after_events=3),))
+
+    @pytest.mark.parametrize("later", ["correct", "ingest"])
+    def test_later_job_is_refused_and_close_returns_the_record(
+        self, scale, serial_reference, later
+    ):
+        block = scale.dataset.block
+        service = SpectrumService(
+            scale.config, 4, heuristics=HeuristicConfig(universal=True),
+            faults=self.PLAN,
+        )
+
+        async def drive():
+            await service.ingest(block)
+            first = await service.correct(block)
+            with pytest.raises(ServiceError, match="crash round"):
+                await getattr(service, later)(block)
+            return first, await service.close()
+
+        first, record = asyncio.run(drive())
+        assert record.crashed_ranks == (1,)
+        assert np.array_equal(first.block.ids, block.ids)
+        assert np.array_equal(first.block.codes, serial_reference.block.codes)
+
+    def test_job_queued_behind_the_crash_round_is_refused(self, scale):
+        """Submitted before the crash round ran, so it waits in the
+        queue behind it: it is refused all the same."""
+        block = scale.dataset.block
+        service = SpectrumService(
+            scale.config, 4, heuristics=HeuristicConfig(universal=True),
+            faults=self.PLAN,
+        )
+
+        async def drive():
+            await service.ingest(block)
+            crash = asyncio.ensure_future(service.correct(block))
+            await asyncio.sleep(0)  # the crash round is taken first
+            behind = asyncio.ensure_future(service.ingest(block))
+            await crash
+            with pytest.raises(ServiceError, match="crash round"):
+                await behind
+            return await service.close()
+
+        assert asyncio.run(drive()).crashed_ranks == (1,)
+
+    def test_session_op_after_the_crash_round(self, scale):
+        from repro.parallel.driver import ParallelSession
+        from repro.parallel.session import CorrectOp, IngestOp
+
+        block = scale.dataset.block
+        session = ParallelSession(
+            scale.config, HeuristicConfig(universal=True), nranks=4,
+            faults=self.PLAN,
+        )
+        with pytest.raises(ServiceError, match="crash round"):
+            session.run([IngestOp(block), CorrectOp(block), CorrectOp(block)])
 
 
 class TestSpillRecovery:

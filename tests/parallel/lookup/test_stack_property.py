@@ -54,12 +54,17 @@ class _OracleProtocol:
 
     def __init__(self, table):
         self.table = table
+        self.rounds = []
 
-    def request_chunks(self, chunks):
-        return {
+    def post(self, chunks):
+        self.rounds.append({
             owner: self.table.lookup(ids).astype(np.uint32)
             for owner, (ids, _) in chunks.items()
-        }
+        })
+        return len(self.rounds) - 1
+
+    def collect(self, seq):
+        return self.rounds[seq]
 
 
 def _table(pairs):

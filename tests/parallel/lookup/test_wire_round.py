@@ -113,11 +113,12 @@ def _run(case, ordered):
     nranks, kmers, tiles, queries, heuristics, prefill = case
     group = heuristics.replication_group
     sent = defaultdict(list)
-    real_send = CorrectionProtocol._send
+    real_post = CorrectionProtocol.post
 
-    def spy(self, owner, chunk, n_kmer):
-        sent[self.comm.rank].append((owner, np.array(chunk), int(n_kmer)))
-        return real_send(self, owner, chunk, n_kmer)
+    def spy(self, chunks, universal=None):
+        for owner, (chunk, n_kmer) in chunks.items():
+            sent[self.comm.rank].append((owner, np.array(chunk), int(n_kmer)))
+        return real_post(self, chunks, universal)
 
     def prog(comm):
         rank = comm.rank
@@ -162,7 +163,7 @@ def _run(case, ordered):
         ledger = (dict(stats.counters), stats.messages_sent, stats.bytes_sent)
         return kcounts, tcounts, ledger, cached
 
-    with mock.patch.object(CorrectionProtocol, "_send", spy):
+    with mock.patch.object(CorrectionProtocol, "post", spy):
         results = run_spmd(prog, nranks, engine="cooperative").results
     return results, sent
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import CommunicatorError
 from repro.hashing.counthash import CountHash
 from repro.hashing.inthash import mix_to_rank
 from repro.parallel.lookup.routing import KIND_KMER, KIND_TILE, ShardServer
@@ -23,9 +24,12 @@ WARD = 1  # the dead rank whose replica the server holds
 
 _UNIVERSE = np.arange(400, dtype=np.uint64)
 _OWNERS = np.asarray(mix_to_rank(_UNIVERSE, SIZE), dtype=np.int64)
-#: Ids the server may be asked about once the ward is bound: its own,
-#: the ward's, and (the upper half of the universe) ones in no table.
-POOL = [int(k) for k in _UNIVERSE[np.isin(_OWNERS, (SERVER, WARD))]]
+#: Ids a request may name per owner the server answers for once the
+#: ward is bound; the upper half of the universe is in no table.
+POOLS = {
+    owner: [int(k) for k in _UNIVERSE[_OWNERS == owner]]
+    for owner in (SERVER, WARD)
+}
 _PRESENT = 200
 
 
@@ -75,44 +79,57 @@ class Mailbox:
         return [frame[1:] for frame in self.sent if frame[0] == dest]
 
 
-def _frame(mode, number, source, kind, owner, ids):
-    """One request for ``ids`` of one kind (a pair request whose other
-    side is empty, in the modes that carry both)."""
+def _who(mode, kind, owner):
+    """The frame's name in its round: the owner, plus ``kind * size``
+    for a base-mode frame."""
+    return owner + kind * SIZE if mode == "base" else owner
+
+
+def _frame(mode, seq, source, kind, owner, ids):
+    """One request for ``ids`` of one kind, owned by ``owner`` (a pair
+    request whose other side is empty, in universal mode)."""
     ids = np.array(ids, dtype=np.uint64)
-    n_kmer = ids.size if kind == KIND_KMER else 0
+    header = [seq, _who(mode, kind, owner)]
     if mode == "universal":
+        n_kmer = ids.size if kind == KIND_KMER else 0
         return Message(source, Tags.UNIVERSAL_REQUEST,
-                       np.concatenate([np.array([n_kmer], np.uint64), ids]))
-    if mode == "base":
-        tag = Tags.KMER_REQUEST if kind == KIND_KMER else Tags.TILE_REQUEST
-        return Message(source, tag, ids)
-    header = np.array([number, owner, n_kmer], dtype=np.uint64)
-    return Message(source, Tags.RESILIENT_REQUEST, np.concatenate([header, ids]))
+                       np.concatenate([np.array([*header, n_kmer], np.uint64), ids]))
+    tag = Tags.KMER_REQUEST if kind == KIND_KMER else Tags.TILE_REQUEST
+    return Message(source, tag, np.concatenate([np.array(header, np.uint64), ids]))
+
+
+def _owned_ids(owner):
+    """The owner a frame names in its header, and ids it owns."""
+    return st.tuples(
+        st.just(owner), st.lists(st.sampled_from(POOLS[owner]), max_size=8)
+    )
 
 
 _REQUEST = st.tuples(
     st.integers(1, SIZE - 1),                       # requester
     st.sampled_from([KIND_KMER, KIND_TILE]),
-    st.sampled_from([SERVER, WARD]),                # resilient header's owner
-    st.lists(st.sampled_from(POOL), max_size=8),    # ids: empty, duplicates
-)
+    st.sampled_from([SERVER, WARD]).flatmap(_owned_ids),  # owner, ids
+).map(lambda r: (r[0], r[1], *r[2]))
 _COUNTERS = ("requests_served", "kmer_ids_served", "tile_ids_served",
              "failover_requests_served")
+_MINE, _WARDS = POOLS[SERVER], POOLS[WARD]
 
 
-@given(st.sampled_from(["universal", "base", "resilient"]),
+@given(st.sampled_from(["universal", "base"]),
        st.lists(_REQUEST, min_size=1, max_size=7))
 @example("universal", [(1, KIND_KMER, SERVER, []), (1, KIND_KMER, SERVER, [])])
-@example("base", [(2, KIND_TILE, SERVER, [POOL[0]] * 3),
-                  (2, KIND_KMER, SERVER, [POOL[0]]),
-                  (2, KIND_TILE, SERVER, [POOL[1], POOL[0]])])
-@example("resilient", [(3, KIND_KMER, WARD, POOL[:4]), (1, KIND_TILE, SERVER, []),
-                       (3, KIND_KMER, WARD, POOL[:4])])
+@example("base", [(2, KIND_TILE, SERVER, [_MINE[0]] * 3),
+                  (2, KIND_KMER, SERVER, [_MINE[0]]),
+                  (2, KIND_TILE, SERVER, [_MINE[1], _MINE[0]])])
+@example("universal", [(3, KIND_KMER, WARD, _WARDS[:4]), (1, KIND_TILE, SERVER, []),
+                       (3, KIND_KMER, WARD, _WARDS[:4])])
+@example("base", [(3, KIND_TILE, WARD, _WARDS[-3:]), (1, KIND_TILE, SERVER, _MINE[:2]),
+                  (2, KIND_KMER, WARD, _WARDS[:1])])
 @settings(max_examples=150, deadline=None)
 def test_bulk_equals_one_by_one(mode, requests):
     frames = [
-        _frame(mode, number, *request)
-        for number, request in enumerate(requests)
+        _frame(mode, seq, *request)
+        for seq, request in enumerate(requests)
     ]
     shards = _shards(ward_bound=True)
     bulk = Mailbox(frames[1:])
@@ -121,8 +138,8 @@ def test_bulk_equals_one_by_one(mode, requests):
 
     # The reference: the same requests, each served by a turn of its
     # own, in the order the bulk turn takes them (the one it received,
-    # then what is queued, tag by tag — which in the single-tag modes
-    # is simply arrival order).
+    # then what is queued, tag by tag — which in universal mode is
+    # simply arrival order).
     taken = [frames[0]] + sorted(frames[1:], key=lambda m: m.tag)
     single = Mailbox()
     for frame in taken:
@@ -133,41 +150,48 @@ def test_bulk_equals_one_by_one(mode, requests):
     for name in _COUNTERS:
         assert bulk.stats.get(name) == single.stats.get(name), name
     assert bulk.stats.get("requests_served") == len(requests)
-    # One shard probe a turn, one table probe per kind it was asked for.
-    kinds = {kind for _, kind, _, ids in requests if ids}
+    assert bulk.stats.get("failover_requests_served") == sum(
+        owner == WARD for _, _, owner, _ in requests
+    )
+    # One shard probe a turn, one table probe per (owner, kind) asked.
+    tables = {(owner, kind) for _, kind, owner, ids in requests if ids}
     assert bulk.stats.get("serve_probes") == 1
-    assert bulk.stats.get("table_probe_calls") <= 2 * len(kinds)
+    assert bulk.stats.get("table_probe_calls") == len(tables)
     assert single.stats.get("serve_probes") == len(requests)
 
-    # And one by one is right: each response is its request's counts,
-    # behind the echoed (seq, owner) header in the resilient mode and
-    # the kind in the base mode.
+    # And one by one is right: each response echoes its request's
+    # (seq, who) header, then carries its counts, in both modes.
     for frame, (dest, tag, dtype, payload) in zip(taken, single.sent):
-        number, (requester, kind, owner, ids) = next(
-            (n, r) for n, r in enumerate(requests) if frames[n] is frame
-        )
+        seq = next(n for n, f in enumerate(frames) if f is frame)
+        requester, kind, owner, ids = requests[seq]
         assert dest == requester and dtype == "uint32"
-        if mode == "resilient":
-            assert tag == Tags.RESILIENT_RESPONSE
-            assert payload[:2] == [number, owner]
-            payload = payload[2:]
-        else:
-            assert tag == Tags.COUNT_RESPONSE
-        if mode == "base":
-            # The kind leads a base-mode answer: it is not in the frame.
-            assert payload[0] == kind
-            payload = payload[1:]
-        assert payload == _oracle(kind, ids)
+        assert tag == Tags.COUNT_RESPONSE
+        assert payload[:2] == [seq, _who(mode, kind, owner)]
+        assert payload[2:] == _oracle(kind, ids)
+
+
+@pytest.mark.parametrize("mode", ["universal", "base"])
+def test_a_frame_for_an_owner_not_held_is_refused(mode):
+    """A request names its owner; a server that neither is that owner
+    nor holds its replica refuses it rather than answer from the wrong
+    table."""
+    stranger = 2
+    frame = _frame(mode, 0, 1, KIND_KMER, stranger, [5])
+    for ward_bound in (False, True):
+        with pytest.raises(CommunicatorError, match="no replica"):
+            serve_queued(Mailbox(), _shards(ward_bound), frame)
+    # Without the ward bound, the ward is a stranger too.
+    with pytest.raises(CommunicatorError, match="no replica"):
+        serve_queued(Mailbox(), _shards(False), _frame(mode, 0, 1, KIND_TILE, WARD, []))
 
 
 def test_bulk_without_wards_probes_the_owned_table_once():
     """No replica bound: the whole batch is one probe of the rank's own
     table per kind, whatever the ids."""
     shards = _shards(ward_bound=False)
-    mine = [k for k in POOL if _OWNERS[k] == SERVER]
     frames = [
-        _frame("universal", 0, 1, KIND_KMER, SERVER, mine[:5]),
-        _frame("universal", 1, 2, KIND_KMER, SERVER, mine[3:9]),
+        _frame("universal", 0, 1, KIND_KMER, SERVER, _MINE[:5]),
+        _frame("universal", 1, 2, KIND_KMER, SERVER, _MINE[3:9]),
         _frame("universal", 2, 3, KIND_KMER, SERVER, []),
     ]
     comm = Mailbox(frames[1:])
@@ -177,16 +201,17 @@ def test_bulk_without_wards_probes_the_owned_table_once():
     assert comm.stats.get("table_probe_ids") == 11
     assert comm.stats.get("requests_served") == 3
     assert comm.stats.get("kmer_ids_served") == 11
+    assert comm.stats.get("failover_requests_served") == 0
     assert comm.sent_to(2) == [
-        (Tags.COUNT_RESPONSE, "uint32", _oracle(KIND_KMER, mine[3:9]))
+        (Tags.COUNT_RESPONSE, "uint32", [1, SERVER, *_oracle(KIND_KMER, _MINE[3:9])])
     ]
-    assert comm.sent_to(3) == [(Tags.COUNT_RESPONSE, "uint32", [])]
+    assert comm.sent_to(3) == [(Tags.COUNT_RESPONSE, "uint32", [2, SERVER])]
 
 
 def test_serving_leaves_other_traffic_queued_in_order():
     done = Message(2, Tags.WORKER_DONE, None)
     response = Message(3, Tags.COUNT_RESPONSE, np.zeros(1, np.uint32))
-    request = _frame("universal", 0, 1, KIND_TILE, SERVER, POOL[:2])
+    request = _frame("universal", 0, 1, KIND_TILE, SERVER, _MINE[:2])
     comm = Mailbox([done, request, response])
     serve_queued(comm, _shards(False), _frame("universal", 1, 2, KIND_KMER, SERVER, []))
     assert comm.queued == [done, response]
@@ -219,13 +244,13 @@ def test_one_pump_turn_answers_every_queued_request(universal):
         else:
             # A client round whose wait begins by telling the server
             # "my request is on its way to you".
-            wait = protocol._collect
+            wait = protocol.collect
 
-            def collect(asked):
+            def collect(seq):
                 comm.send(SERVER, None, tag=99)
-                return wait(asked)
+                return wait(seq)
 
-            protocol._collect = collect
+            protocol.collect = collect
             counts, _ = protocol.request_counts(
                 wanted, np.full(wanted.size, SERVER), wanted[:0], owners[:0]
             )

@@ -21,7 +21,6 @@ from repro.io.records import ReadBlock
 from repro.parallel.driver import ParallelReptile
 from repro.parallel.heuristics import HeuristicConfig
 from repro.parallel.lookup import CachedChunkView, ChunkCountCache, PrefetchExecutor
-from repro.parallel.prefetch import PrefetchEndpoint
 from repro.parallel.report import prefetch_summary, run_report
 from repro.parallel.server import CorrectionProtocol
 from repro.simmpi import run_spmd
@@ -473,10 +472,13 @@ class TestStructuralClaims:
 
 class TestEndpoint:
     def test_bulk_round_trip(self):
-        """issue/collect returns owner-authoritative counts aligned with
-        the requested ids, serving peers while waiting."""
+        """A fetch is a round of the one protocol: two rounds in flight
+        at once, as the prefetch pipeline keeps them, and collecting the
+        later one first still gives each round exactly its own
+        owner-authoritative counts, serving peers while waiting — in
+        both frame layouts."""
 
-        def prog(comm):
+        def prog(comm, universal):
             keys = np.arange(400, dtype=np.uint64)
             owners = np.asarray(mix_to_rank(keys, comm.size))
             from repro.parallel.build import RankSpectra
@@ -486,17 +488,30 @@ class TestEndpoint:
             mine = keys[owners == comm.rank]
             sp.kmers.add_counts(mine, mine + np.uint64(1))
             sp.tiles.add_counts(mine, mine * np.uint64(2))
-            proto = CorrectionProtocol(comm, sp.kmers, sp.tiles, universal=False)
-            endpoint = PrefetchEndpoint(proto, comm)
-            foreign = keys[owners != comm.rank]
-            fetch = endpoint.issue(foreign, foreign)
-            kcounts, tcounts = endpoint.collect(fetch)
-            assert np.array_equal(kcounts, (foreign + 1).astype(np.uint32))
-            assert np.array_equal(tcounts, (foreign * 2).astype(np.uint32))
+            proto = CorrectionProtocol(comm, sp.kmers, sp.tiles, universal=universal)
+
+            def chunks(lo, hi):
+                out = {}
+                for owner in range(comm.size):
+                    ids = keys[lo:hi][owners[lo:hi] == owner]
+                    if owner != comm.rank and ids.size:
+                        out[owner] = (np.concatenate([ids, ids[::2]]), ids.size)
+                return out
+
+            first, second = chunks(0, 200), chunks(200, 400)
+            seqs = [proto.post(first), proto.post(second)]
+            for seq, asked in zip(reversed(seqs), (second, first)):
+                answers = proto.collect(seq)
+                assert set(answers) == set(asked)
+                for owner, (ids, n_kmer) in asked.items():
+                    want = np.concatenate([ids[:n_kmer] + 1, ids[n_kmer:] * 2])
+                    assert np.array_equal(answers[owner], want.astype(np.uint32))
             proto.finish()
             return True
 
-        assert run_spmd(prog, 4, engine="cooperative").results == [True] * 4
+        for universal in (False, True):
+            run = run_spmd(lambda comm: prog(comm, universal), 4, engine="cooperative")
+            assert run.results == [True] * 4
 
     def test_cache_is_idempotent(self):
         cache = ChunkCountCache()

@@ -548,7 +548,7 @@ class TestSequenceAcrossFinalize:
         from repro.io.partition import slice_bounds
         from repro.parallel.session import CorrectionSession
         from repro.simmpi.engine import run_spmd
-        from repro.simmpi.message import Tags
+        from repro.simmpi.message import REQUEST_TAGS
 
         plan = FaultPlan(
             seed=5, duplicate_rate=0.1, delay_rate=0.1, base_timeout_s=0.1
@@ -561,7 +561,7 @@ class TestSequenceAcrossFinalize:
             send = comm.send
 
             def spy(dest, payload, tag=0):
-                if tag == Tags.RESILIENT_REQUEST:
+                if tag in REQUEST_TAGS:
                     sent.append(int(payload[0]))
                 send(dest, payload, tag=tag)
 

@@ -16,6 +16,7 @@ import pytest
 from repro.bench.harness import small_scale
 from repro.errors import ConfigError, ServiceError, ServiceOverloadError
 from repro.faults import CrashFault, FaultPlan
+from repro.io.records import ReadBlock
 from repro.parallel.driver import ParallelReptile, ParallelSession
 from repro.parallel.heuristics import HeuristicConfig
 from repro.parallel.session import CorrectOp, IngestOp
@@ -46,6 +47,16 @@ def client_batches(block, n):
     ]
 
 
+def narrower(batch, width):
+    """``batch`` with every read cut to at most ``width`` bases."""
+    return ReadBlock(
+        ids=batch.ids,
+        codes=batch.codes[:, :width],
+        lengths=np.minimum(batch.lengths, width),
+        quals=batch.quals[:, :width],
+    )
+
+
 def p2p_frames(run):
     """Point-to-point frames over all ranks (tags below the collective
     range): the lookup protocol and the service command/result relay."""
@@ -73,6 +84,10 @@ class TestCoalescedBitIdentity:
     ):
         block = scale.dataset.block
         batches = client_batches(block, 3)
+        # A fourth client whose reads are narrower than the round's:
+        # its block must come back at its own width, as a solo round's.
+        narrow = narrower(block.slice(0, 30), 80)
+        clients = [*batches, narrow]
 
         def run(coalesce):
             service = SpectrumService(
@@ -85,11 +100,11 @@ class TestCoalescedBitIdentity:
                     if coalesce:
                         return await asyncio.gather(*(
                             service.correct(b, client=f"client{i}")
-                            for i, b in enumerate(batches)
+                            for i, b in enumerate(clients)
                         ))
                     return [
                         await service.correct(b, client=f"client{i}")
-                        for i, b in enumerate(batches)
+                        for i, b in enumerate(clients)
                     ]
 
             return asyncio.run(drive()), service.result
@@ -106,16 +121,22 @@ class TestCoalescedBitIdentity:
                 alone.corrections_per_read, result.corrections_per_read
             )
             assert np.all(np.diff(result.block.ids) > 0)
+        shared, alone = results[-1].block, one_by_one[-1].block
+        assert shared.codes.shape == alone.codes.shape == narrow.codes.shape
+        for field in ("ids", "codes", "quals", "lengths"):
+            np.testing.assert_array_equal(
+                getattr(shared, field), getattr(alone, field), err_msg=field
+            )
         # One shared round pays the relay, termination and gather once,
         # not once per client (ingest traffic is the same in both runs).
         assert p2p_frames(coalesced) < p2p_frames(solo)
-        assert (solo.report.rounds, solo.report.coalesced) == (3, 0)
-        # All three corrects piled up behind the drainer and ran as one
+        assert (solo.report.rounds, solo.report.coalesced) == (4, 0)
+        # All four corrects piled up behind the drainer and ran as one
         # coalesced collective round.
         report = coalesced.report
         assert report.rounds == 1
-        assert report.coalesced == 3
-        assert report.submitted == 4  # the ingest + three corrects
+        assert report.coalesced == 4
+        assert report.submitted == 5  # the ingest + four corrects
         assert report.rejected == 0
 
     def test_solo_round_keeps_original_ids(self, scale, classic_codes):

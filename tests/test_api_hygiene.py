@@ -164,6 +164,31 @@ def test_the_pre_session_step_iv_entries_are_gone():
     assert not hasattr(CorrectionSession, "from_spectra")
 
 
+def test_step_iv_has_one_request_frame():
+    """Blocking rounds, prefetch fetches and fault-mode retries share
+    one frame and one serve path: no prefetch endpoint module, no
+    fault-mode or prefetch tags, no endpoint export."""
+    import importlib.util
+
+    import repro.parallel
+    from repro.parallel.lookup.routing import RouteTable
+    from repro.simmpi.message import Tags
+
+    assert importlib.util.find_spec("repro.parallel.prefetch") is None
+    for name in ("RESILIENT_REQUEST", "RESILIENT_RESPONSE",
+                 "PREFETCH_REQUEST", "PREFETCH_RESPONSE"):
+        assert not hasattr(Tags, name)
+    assert "PrefetchEndpoint" not in repro.parallel.__all__
+    assert not hasattr(repro.parallel, "PrefetchEndpoint")
+    assert not hasattr(RouteTable, "map_owners")
+    # A request names its owner: the serving side re-hashes no id.
+    import repro.parallel.lookup.routing as routing
+
+    source = importlib.util.find_spec(routing.__name__).origin
+    with open(source, encoding="utf-8") as handle:
+        assert "mix_to_rank" not in handle.read()
+
+
 def test_step_ii_has_one_block_kernel():
     """Step II's window ids come from ``WindowLadder``: the packed
     whole-block extractor beside it is gone."""
