@@ -13,6 +13,7 @@ import numpy as np
 from repro.bench.harness import ExperimentResult, SmallScale, small_scale
 from repro.datasets.profiles import PROFILES
 from repro.parallel import HeuristicConfig, ParallelReptile
+from repro.parallel.ownership import key_spaces
 from repro.perfmodel import (
     BGQMachine,
     PerformancePredictor,
@@ -76,8 +77,8 @@ def fig3(
 
     Two components: (a) the real distributed build at ``measured_ranks``
     (small tables, so the spread is Poisson-limited); (b) the ownership
-    hash applied to the full E.Coli spectrum's entry counts at ``nranks``
-    ranks, which is the regime the paper's <1%/<2% claim lives in — the
+    rule over the full E.Coli spectrum's entry counts of random ids, at
+    ``nranks`` ranks, which is the regime the paper's <1%/<2% claim lives in — the
     spread shrinks as 1/sqrt(entries per rank).
     """
     scale = scale or small_scale(genome_size=15_000)
@@ -99,22 +100,22 @@ def fig3(
                 int(sizes.max()), float(sizes.mean()),
                 100 * relative_spread(sizes))
 
-    # Full-scale: assign the E.Coli pre-threshold spectra's worth of
-    # random keys to owners and measure the per-rank spread.
+    # Full-scale: the E.Coli pre-threshold spectra's worth of random ids
+    # at each kind's width, keyed and owned by the rule; per-rank spread.
     workload = workload_for_profile(PROFILES["E.Coli"])
     rng = np.random.default_rng(42)
-    from repro.hashing.inthash import mix_to_rank
-
-    for label, entries in (
-        ("full-scale kmers", int(workload.kmer_entries_pre)),
-        ("full-scale tiles", int(workload.tile_entries_pre)),
+    kmers, tiles = key_spaces(scale.config.tile_shape)
+    for label, entries, space in (
+        ("full-scale kmers", int(workload.kmer_entries_pre), kmers),
+        ("full-scale tiles", int(workload.tile_entries_pre), tiles),
     ):
         counts = np.zeros(nranks, dtype=np.int64)
         remaining = entries
         while remaining > 0:
             chunk = min(remaining, 4_000_000)
-            keys = rng.integers(0, 2**63, chunk, dtype=np.uint64)
-            counts += np.bincount(mix_to_rank(keys, nranks), minlength=nranks)
+            ids = rng.integers(0, 2**space.bits, chunk, dtype=np.uint64)
+            owners = space.owners(space.keys(ids), nranks)
+            counts += np.bincount(owners, minlength=nranks)
             remaining -= chunk
         out.add(label, nranks, int(counts.min()), int(counts.max()),
                 float(counts.mean()), 100 * relative_spread(counts))

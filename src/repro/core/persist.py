@@ -29,8 +29,8 @@ _FORMAT = "repro.spectra/1"
 _RECOVERY_FORMAT = "repro.recovery/1"
 
 #: Format marker of a correction-session checkpoint (one rank's raw,
-#: unfiltered spectrum state plus its read-table key unions).
-_SESSION_FORMAT = "repro.session/1"
+#: unfiltered spectrum state plus its read-table key unions, as keys).
+_SESSION_FORMAT = "repro.session/2"
 
 
 def _load_table(data, kind: str) -> CountHash:
@@ -142,6 +142,7 @@ def save_session_bundle(
     nranks: int,
     rank: int,
     n_ingests: int,
+    count_reverse_complement: bool,
     kmer_keys: np.ndarray,
     kmer_counts: np.ndarray,
     tile_keys: np.ndarray,
@@ -154,7 +155,8 @@ def save_session_bundle(
     The bundle holds the *raw* (unfiltered) owned tables — thresholds are
     lossy, so resumable sessions persist the pre-filter counts — plus the
     accumulated read-table key unions, so a resumed session can re-derive
-    its complete serving state with one finalize."""
+    its complete serving state with one finalize.  It holds keys, not
+    ids, and records whether reverse complements were counted."""
     np.savez_compressed(
         path,
         format=np.array(_SESSION_FORMAT),
@@ -163,6 +165,7 @@ def save_session_bundle(
         nranks=np.array(nranks),
         rank=np.array(rank),
         n_ingests=np.array(n_ingests),
+        count_reverse_complement=np.array(count_reverse_complement),
         kmer_keys=kmer_keys,
         kmer_counts=kmer_counts,
         tile_keys=tile_keys,
@@ -178,25 +181,28 @@ def load_session_bundle(path: str | os.PathLike) -> dict:
     Returns a dict with ``kmers``/``tiles`` as the raw ascending
     ``(keys, counts)`` pairs at table width (a bundle with repeated keys
     is tolerated), the ``read_kmer_keys``/``read_tile_keys`` unions, and
-    the geometry/identity scalars for validation."""
+    the geometry/identity scalars for validation.  Another format (a
+    ``/1`` bundle held ids) is a SpectrumError naming both."""
     with np.load(path) as data:
         fmt = str(data["format"])
         if fmt != _SESSION_FORMAT:
             raise SpectrumError(
                 f"{path}: unsupported session format {fmt!r} "
-                f"(expected {_SESSION_FORMAT!r})"
+                f"(expected {_SESSION_FORMAT!r}, which holds keys; "
+                "re-ingest the reads to rebuild the checkpoint)"
             )
         kmers = merge_pairs([(data["kmer_keys"], data["kmer_counts"])])
         tiles = merge_pairs([(data["tile_keys"], data["tile_counts"])])
         out = {
             "kmers": kmers,
             "tiles": tiles,
-            "read_kmer_keys": data["read_kmer_keys"].astype(np.uint64),
-            "read_tile_keys": data["read_tile_keys"].astype(np.uint64),
+            "read_kmer_keys": data["read_kmer_keys"],
+            "read_tile_keys": data["read_tile_keys"],
             "k": int(data["k"]),
             "overlap": int(data["overlap"]),
             "nranks": int(data["nranks"]),
             "rank": int(data["rank"]),
             "n_ingests": int(data["n_ingests"]),
+            "count_reverse_complement": bool(data["count_reverse_complement"]),
         }
     return out

@@ -18,7 +18,7 @@ difference, which is what makes serial-vs-parallel equivalence testable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol, runtime_checkable
+from typing import Callable, Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -95,6 +95,7 @@ def window_counts(
     blocks: Iterable[ReadBlock],
     shape: TileShape,
     count_reverse_complement: bool,
+    keys: Sequence[Callable[[np.ndarray], np.ndarray]] | None = None,
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Distinct k-mer and tile ids of the blocks with their occurrences.
 
@@ -102,6 +103,7 @@ def window_counts(
     id width (k = 12 k-mers sort as uint32, as does the seed run);
     :func:`sum_by_key` merges the runs.  This is Step II, serial and per
     rank alike: both spectra come back as ascending ``(keys, counts)``.
+    A rank passes ``keys``, the (k-mer, tile) maps of ids to its keys.
     """
     # Seeded with an empty run so that no blocks is not a special case.
     no_windows = (np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.intp))
@@ -110,6 +112,8 @@ def window_counts(
         kmer_ids, tile_ids = _block_window_ids(
             block, shape, count_reverse_complement
         )
+        if keys is not None:
+            kmer_ids, tile_ids = keys[0](kmer_ids), keys[1](tile_ids)
         kmer_runs.append(np.unique(kmer_ids, return_counts=True))
         tile_runs.append(np.unique(tile_ids, return_counts=True))
 

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 import threading
 import time
@@ -167,6 +168,16 @@ class FaultPlan:
     # ------------------------------------------------------------------
     def validate(self, nranks: int) -> None:
         """Reject plans the runtime cannot honor on ``nranks`` ranks."""
+        _numbers(self, ("seed", "delay_events", "max_retries"), (
+            "drop_rate", "corrupt_rate", "duplicate_rate", "delay_rate",
+            "base_timeout_s", "backoff",
+        ))
+        if self.max_drops_per_frame is not None:
+            _numbers(self, ("max_drops_per_frame",))
+        for crash in self.crashes:
+            _numbers(crash, ("rank", "after_events"))
+        for stall in self.stalls:
+            _numbers(stall, ("rank", "after_events"), ("seconds",))
         rates = {
             "drop_rate": self.drop_rate,
             "corrupt_rate": self.corrupt_rate,
@@ -257,9 +268,17 @@ class FaultPlan:
             raise ConfigError(
                 f"unknown fault-plan field(s): {', '.join(sorted(unknown))}"
             )
-        crashes = tuple(CrashFault(**c) for c in data.pop("crashes", []))
-        stalls = tuple(StallFault(**s) for s in data.pop("stalls", []))
-        return cls(crashes=crashes, stalls=stalls, **data)
+        faults = {}
+        for field, kind in (("crashes", CrashFault), ("stalls", StallFault)):
+            entries = data.pop(field, [])
+            for entry in entries:
+                unknown = set(entry) - set(kind.__dataclass_fields__)
+                if unknown:
+                    raise ConfigError(
+                        f"unknown {field} field(s): {', '.join(sorted(unknown))}"
+                    )
+            faults[field] = tuple(kind(**entry) for entry in entries)
+        return cls(**faults, **data)
 
     def to_json(self) -> str:
         """The plan as pretty-printed JSON (the ``--faults`` file)."""
@@ -279,6 +298,20 @@ class FaultPlan:
     def with_seed(self, seed: int) -> "FaultPlan":
         """The same chaos script under a different seed."""
         return replace(self, seed=seed)
+
+
+def _numbers(
+    obj: object, ints: tuple[str, ...], reals: tuple[str, ...] = ()
+) -> None:
+    """A ConfigError names a field of ``obj`` that is not an integer
+    (``ints``) or a number (``reals``); a bool is neither."""
+    for names, kind, what in (
+        (ints, numbers.Integral, "an integer"), (reals, numbers.Real, "a number")
+    ):
+        for name in names:
+            value = getattr(obj, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 class CrashedRank:

@@ -32,18 +32,21 @@ caller states nothing and sees nothing: keys go in and come out as uint64,
 counts come out as uint32, and a stored narrow key is compared with the
 64-bit query by promotion, never by truncating the query.
 
-**The slot hash is not the owner hash.**  Ownership is
-``splitmix64(key) % nranks`` (:func:`~repro.hashing.inthash.mix_to_rank`),
-and a rank's shard holds exactly the keys of one residue.  A home slot taken
-from the same mixer (``splitmix64(key) & (capacity - 1)``) would, for a
-power-of-two rank count P, use one home slot in P: every owned key shares
-its low ``log2 P`` hash bits, so clusters — and probes per lookup — grow
+**The slot hash is not the owner hash.**  A rank owns a range of keys
+(:mod:`repro.parallel.ownership`: ``owner = (key · P) >> b``), so a
+shard's keys share their top bits — as a residue shard of
+``splitmix64(key) % nranks`` (:func:`~repro.hashing.inthash.mix_to_rank`)
+shares its low hash bits.  A home slot taken from bits the owner already
+fixed (``splitmix64(key) & (capacity - 1)`` under the residue rule, the
+top bits under the range rule) would, for a power-of-two rank count P,
+use one home slot in P: clusters — and probes per lookup — would grow
 with the number of ranks, the opposite of what sharding is for.  The home
 slot is therefore the *high* bits of an unrelated, shorter multiplicative
-mix (:meth:`CountHash._home`, five numpy passes against splitmix64's ten).
-Both functions are bijections of the key, so neither loses information; they
-just share none.  :attr:`CountHash.mean_displacement` is the diagnostic the
-regression test reads.
+mix of the whole key (:meth:`CountHash._home`, five numpy passes against
+splitmix64's ten), which moves every key bit into them.  Both functions
+are bijections of the key, so neither loses information; they just share
+none.  :attr:`CountHash.mean_displacement` is the diagnostic the
+regression tests read, for a residue shard and a range shard.
 
 **Bulk placement.**  Probing is linear.  Whenever distinct keys enter an
 *empty* table — the first :meth:`~CountHash.add_counts`, a growth rehash,

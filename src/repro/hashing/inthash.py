@@ -1,11 +1,12 @@
 """Integer hash mixers.
 
 K-mer and tile ids are highly structured (low entropy in low bits for
-repetitive genomes), so rank ownership passes ids through a finalizing mixer
-first.  We use the splitmix64 finalizer — the same construction used by
-``std::hash``-quality implementations — vectorized over uint64 arrays.
-(:class:`~repro.hashing.counthash.CountHash` buckets with its own mix, which
-must stay independent of this one.)
+repetitive genomes), so anything that spreads them passes them through a
+finalizing mixer first.  We use the splitmix64 finalizer — the same
+construction used by ``std::hash``-quality implementations — vectorized
+over uint64 arrays, for read placement and the Bloom filter.  (K-mer and
+tile owners use an in-width mix, :mod:`repro.parallel.ownership`, and
+:class:`~repro.hashing.counthash.CountHash` buckets with a third.)
 """
 
 from __future__ import annotations
@@ -42,10 +43,8 @@ def splitmix64(x: int | np.ndarray) -> np.ndarray | int:
 
 
 def mix_to_rank(keys: int | np.ndarray, nranks: int) -> np.ndarray | int:
-    """Owning rank of each key: ``hashFunction(key) % nranks``.
-
-    This single function defines ownership for k-mers, tiles *and* sequences
-    (the load-balancing redistribution), exactly as in the paper.
+    """The paper's literal rule, ``splitmix64(key) % nranks``, per key.
+    The pipeline owns by key range instead (:mod:`repro.parallel.ownership`).
     """
     if nranks <= 0:
         raise ValueError(f"nranks must be positive, got {nranks}")

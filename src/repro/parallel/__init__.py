@@ -1,7 +1,8 @@
 """Distributed-memory Reptile: the paper's contribution.
 
-Both spectra are *distributed* across ranks — every k-mer, tile and (for
-load balancing) read has an owning rank ``hashFunction(x) % nranks`` — and
+Both spectra are *distributed* across ranks — every k-mer and tile has an
+owning rank, a range of hashed keys (:mod:`repro.parallel.ownership`), and
+(for load balancing) every read one, ``hashFunction(seq) % nranks`` — and
 error correction relies on message passing for counts the local rank does
 not hold:
 
@@ -31,7 +32,7 @@ not hold:
 """
 
 from repro.parallel.heuristics import HeuristicConfig
-from repro.parallel.ownership import kmer_owner, tile_owner, sequence_owner
+from repro.parallel.ownership import sequence_owner
 from repro.parallel.build import RankSpectra
 from repro.parallel.loadbalance import redistribute_reads
 from repro.parallel.dynamicbalance import correct_dynamic
@@ -67,8 +68,6 @@ from repro.parallel.driver import (
 
 __all__ = [
     "HeuristicConfig",
-    "kmer_owner",
-    "tile_owner",
     "sequence_owner",
     "RankSpectra",
     "redistribute_reads",

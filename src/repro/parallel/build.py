@@ -32,13 +32,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.hashing.counthash import CountHash, merge_pairs
-from repro.hashing.inthash import mix_to_rank
 from repro.hashing.sortedspectrum import SortedSpectrum
 from repro.kmer.tiles import TileShape
 from repro.parallel.exchange import (
     fetch_global_counts, pack_pairs, unpack_pairs,
 )
 from repro.parallel.heuristics import HeuristicConfig
+from repro.parallel.ownership import KeySpace
 from repro.simmpi.communicator import Communicator
 
 
@@ -72,8 +72,9 @@ class RankSpectra:
     #: True when `kmers`/`tiles` hold the full spectrum (replicated).
     kmers_replicated: bool = False
     tiles_replicated: bool = False
-    #: Partial replication: owners covered by the local group tables.
-    group_ranks: tuple[int, ...] = ()
+    #: Partial replication: the consecutive owners the local group
+    #: tables cover.
+    group_ranks: range = range(0)
     group_kmers: SortedSpectrum | None = None
     group_tiles: SortedSpectrum | None = None
     #: Largest footprint observed *during* construction — a round's
@@ -107,7 +108,10 @@ class RankSpectra:
 
 
 def fetch_read_table(
-    comm: Communicator, keys: np.ndarray, owned: CountHash | SortedSpectrum
+    comm: Communicator,
+    space: KeySpace,
+    keys: np.ndarray,
+    owned: CountHash | SortedSpectrum,
 ) -> CountHash:
     """Read k-mers/tiles heuristic: a global-count cache for ``keys``.
 
@@ -115,14 +119,14 @@ def fetch_read_table(
     sends the k-mers it does not own to the owning rank, requesting the
     global count" — globally absent (sub-threshold) keys are cached with
     count 0, so correction-time lookups can answer *absent* locally too.
-    Keys this rank owns are filtered out (the owned shard already answers
-    them); collective.
+    ``keys`` are ascending and distinct; the ones this rank owns — the
+    slice between its two cuts — are left out (the owned shard already
+    answers them); collective.
     """
-    keys = np.ascontiguousarray(keys, dtype=np.uint64)
-    not_mine = (
-        keys[mix_to_rank(keys, comm.size) != comm.rank] if keys.size else keys
-    )
-    fetched, counts = fetch_global_counts(comm, not_mine, owned)
+    cuts = space.cuts(keys, comm.size)
+    lo, hi = cuts[comm.rank], cuts[comm.rank + 1]
+    not_mine = np.concatenate([keys[:lo], keys[hi:]])
+    fetched, counts = fetch_global_counts(comm, space, not_mine, owned)
     cache = CountHash()
     cache.add_counts(fetched, counts)
     return cache
@@ -147,8 +151,7 @@ def apply_replication(
             raise ValueError(
                 f"replication_group {g} must divide the rank count {comm.size}"
             )
-        group = tuple(range((comm.rank // g) * g, (comm.rank // g) * g + g))
-        spectra.group_ranks = group
+        spectra.group_ranks = range((comm.rank // g) * g, (comm.rank // g) * g + g)
         # A sub-communicator keeps the replication exchange inside the
         # group — the structure a production MPI code would use.
         group_comm = comm.split(comm.rank // g)

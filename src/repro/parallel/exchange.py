@@ -1,10 +1,13 @@
 """Owner-directed collective exchanges (the Step III machinery).
 
 Step II hands :func:`exchange_deltas` a round's distinct ``(key, count)``
-pairs.  The rank keeps its own bucket; the pairs headed for each other
-owner are packed into one contiguous uint64 array (keys in the first
-half, counts in the second) — the buffer-per-destination discipline of
-``MPI_Alltoallv`` — and the owner sums what it receives with
+pairs, ascending by key.  An owner is a range of keys
+(:class:`~repro.parallel.ownership.KeySpace`), so each owner's bucket is
+the slice between two cuts — no second sort.  The rank keeps its own
+bucket; the pairs headed for each other owner are packed into one
+contiguous uint64 array (keys in the first half, counts in the second) —
+the buffer-per-destination discipline of ``MPI_Alltoallv`` — and the
+owner sums what it receives with
 :func:`~repro.hashing.counthash.merge_pairs`.
 """
 
@@ -14,8 +17,7 @@ import numpy as np
 
 from repro.hashing.counthash import CountHash
 from repro.hashing.sortedspectrum import SortedSpectrum
-from repro.hashing.inthash import mix_to_rank
-from repro.parallel.lookup.routing import partition_by_dest
+from repro.parallel.ownership import KeySpace
 from repro.simmpi.communicator import Communicator
 
 #: ``(keys, counts)`` arrays of equal length.
@@ -23,19 +25,15 @@ Pairs = tuple[np.ndarray, np.ndarray]
 
 
 def bucket_by_owner(
-    keys: np.ndarray, counts: np.ndarray, nranks: int
+    space: KeySpace, keys: np.ndarray, counts: np.ndarray, nranks: int
 ) -> list[Pairs]:
-    """Split ``(keys, counts)`` into one bucket per owning rank.
-
-    The split is stable, so ascending pairs give ascending buckets.
-    """
+    """Split ascending ``(keys, counts)`` into one bucket per owning
+    rank: the slices between the keys' cuts, each ascending."""
     if keys.shape != counts.shape:
         raise ValueError("keys and counts must have equal shapes")
-    owners = np.asarray(mix_to_rank(keys, nranks), dtype=np.int64)
-    order, bounds = partition_by_dest(owners, nranks)
-    keys, counts = keys[order], counts[order]
+    cuts = space.cuts(keys, nranks)
     return [
-        (keys[lo:hi], counts[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])
+        (keys[lo:hi], counts[lo:hi]) for lo, hi in zip(cuts[:-1], cuts[1:])
     ]
 
 
@@ -52,7 +50,7 @@ def unpack_pairs(buf: np.ndarray) -> Pairs:
 
 
 def exchange_deltas(
-    comm: Communicator, keys: np.ndarray, counts: np.ndarray
+    comm: Communicator, space: KeySpace, keys: np.ndarray, counts: np.ndarray
 ) -> list[Pairs]:
     """Send each ``(key, count)`` pair to its owner; return what arrives.
 
@@ -63,11 +61,11 @@ def exchange_deltas(
     :class:`~repro.faults.FaultPlan` (collectives never drop).  It also
     keeps the session ledger: every call bumps
     ``session_delta_exchanges`` and charges the payload bytes routed to
-    other ranks to ``session_delta_bytes``.  Returns the runs of pairs
-    this rank owns — its own bucket, then one per sender, each ascending
-    when ``keys`` were.
+    other ranks to ``session_delta_bytes``.  ``keys`` must be ascending.
+    Returns the runs of pairs this rank owns — its own bucket, then one
+    per sender, each ascending.
     """
-    buckets = bucket_by_owner(keys, counts, comm.size)
+    buckets = bucket_by_owner(space, keys, counts, comm.size)
     sendbufs = [
         np.empty(0, dtype=np.uint64) if dest == comm.rank
         else pack_pairs(*bucket)
@@ -82,34 +80,32 @@ def exchange_deltas(
 
 
 def fetch_global_counts(
-    comm: Communicator, wanted: np.ndarray, owned: CountHash | SortedSpectrum
+    comm: Communicator,
+    space: KeySpace,
+    wanted: np.ndarray,
+    owned: CountHash | SortedSpectrum,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Collective lookup: global counts of ``wanted`` keys from their owners.
 
     Implements the *read k-mers/tiles* heuristic's extra exchange: every
     rank sends the keys it wants to their owners (alltoallv), answers the
     queries it receives from its own ``owned`` table, and gets its answers
-    back (second alltoallv).  Returns ``(keys, counts)`` aligned arrays
-    (counts are 0 for globally absent keys).
+    back (second alltoallv).  Returns the distinct ``wanted`` keys,
+    ascending, and their counts (0 for globally absent keys): the
+    owners' answers come back in key order, cut as the queries were.
 
     This is the paper's "additional collective communication step", and
     like the DELTA exchange it rides the collective tags, so it is
     reliable under a :class:`~repro.faults.FaultPlan` too.
     """
     wanted = np.unique(np.ascontiguousarray(wanted, dtype=np.uint64))
-    owners = np.asarray(mix_to_rank(wanted, comm.size), dtype=np.int64)
-    order, boundaries = partition_by_dest(owners, comm.size)
-    sorted_keys = wanted[order]
-    queries = [
-        sorted_keys[boundaries[d] : boundaries[d + 1]] for d in range(comm.size)
-    ]
-    incoming = comm.alltoallv(queries)
+    cuts = space.cuts(wanted, comm.size)
+    incoming = comm.alltoallv(
+        [wanted[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+    )
     # Step III serve side: answering peers' queries from the owned table
     # is this rank acting as the authority, not resolving counts.
     answers = [owned.lookup(q).astype(np.uint64) for q in incoming]  # noqa: MPI007
     replies = comm.alltoallv(answers)
-    counts_sorted = np.concatenate(replies) if replies else np.empty(0, np.uint64)
-    # Undo the owner sort to align with `wanted`.
-    counts = np.empty_like(counts_sorted)
-    counts[order] = counts_sorted
+    counts = np.concatenate(replies) if replies else np.empty(0, np.uint64)
     return wanted, counts

@@ -16,8 +16,7 @@ lookup tier stack") for the layer diagram.
 Modules:
 
 * :mod:`~repro.parallel.lookup.tiers` — the two tier types, which
-  answer a lookup round's open positions or fill in the prefetch
-  planner's :class:`Resolution`;
+  answer a lookup round's open positions;
 * :mod:`~repro.parallel.lookup.stack` — :class:`LookupStack`, the
   :class:`StackPair` and its lookup round (ordered once, as a
   :class:`~repro.parallel.lookup.stack.LookupRound`),
@@ -40,7 +39,6 @@ from repro.parallel.lookup.routing import (
     KIND_TILE,
     RouteTable,
     ShardServer,
-    partition_by_dest,
 )
 from repro.parallel.lookup.stack import (
     TIER_NAMES,
@@ -54,7 +52,6 @@ from repro.parallel.lookup.tiers import (
     BYTES_PER_HIT,
     AuthorityTier,
     CacheTier,
-    Resolution,
 )
 from repro.parallel.lookup.planner import CachedChunkView, PrefetchExecutor
 
@@ -68,13 +65,11 @@ __all__ = [
     "KIND_TILE",
     "LookupStack",
     "PrefetchExecutor",
-    "Resolution",
     "RouteTable",
     "ShardServer",
     "StackPair",
     "TIER_NAMES",
     "compile_stacks",
-    "partition_by_dest",
     "resolution_order",
     "tier_order",
 ]

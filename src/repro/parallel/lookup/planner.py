@@ -43,30 +43,33 @@ from numpy.typing import NDArray
 
 from repro.core.corrector import CorrectionResult, ReptileCorrector
 from repro.io.records import ReadBlock
-from repro.hashing.inthash import mix_to_rank
 from repro.parallel.lookup.cache import ChunkCountCache
-from repro.parallel.lookup.routing import partition_by_dest
 
 if TYPE_CHECKING:
-    # Type-only: build.py reaches this module through exchange.py's
-    # partition_by_dest import, and the protocol imports this package,
-    # so runtime imports would be circular.
+    # Type-only: the protocol imports this package, so runtime imports
+    # would be circular.
     from repro.config import ReptileConfig
     from repro.parallel.build import RankSpectra
     from repro.parallel.heuristics import HeuristicConfig
     from repro.parallel.server import CorrectionProtocol
-from repro.parallel.lookup.stack import CommLike, StackPair, compile_stacks
+from repro.parallel.lookup.routing import KIND_KMER
+from repro.parallel.lookup.stack import (
+    MUTE, CommLike, LookupRound, StackPair, compile_stacks,
+)
 from repro.simmpi.communicator import Communicator
 from repro.util.timer import PhaseTimer
 
 
-#: ``fetch(kind, unique ids) -> counts``, synchronously from the owners.
+#: ``fetch(kind, ascending distinct keys) -> counts``, synchronously
+#: from the owners.
 MissFetch = Callable[[str, NDArray[np.uint64]], NDArray[np.uint32]]
 
 
 class CachedChunkView:
     """Spectrum view over the local tier stack, with two miss policies.
 
+    The view mixes ids into keys (:mod:`repro.parallel.ownership`) on the
+    way in; the stacks, the cache and the fetches below it hold keys.
     First passes never message: a lookup the stack cannot resolve is
     speculatively answered with 0 (the protocol's "globally absent"
     response) and recorded as a miss against the reads it taints.  With
@@ -105,36 +108,38 @@ class CachedChunkView:
     def foreign_unknown(
         self, kind: str, ids: NDArray[np.uint64]
     ) -> NDArray[np.uint64]:
-        """Unique ids of a kind no local tier can answer — exactly what
-        a plan must fetch.  Does not count as lookups.
+        """The keys, distinct and ascending, of the ids of a kind no
+        local tier can answer — exactly what a plan must fetch.  Does
+        not count as lookups.
 
-        Ids a ladder tier *can* answer are deposited into the cache
-        along the way (``resolved_by`` says which tier answered, so
-        cache hits are not pointlessly re-deposited), so by the time the
-        corrector runs, every planned id — owned or foreign — resolves
-        through the cache's fast path."""
-        ids = np.ascontiguousarray(ids, dtype=np.uint64)
-        if ids.size == 0:
-            return ids
+        Keys a ladder tier *can* answer are deposited into the cache
+        along the way (cache hits are not pointlessly re-deposited), so
+        by the time the corrector runs, every planned key — owned or
+        foreign — resolves through the cache's fast path."""
         stack = self.stacks.for_kind(kind)
-        if stack.fully_replicated:
+        if ids.size == 0 or stack.fully_replicated:
             # Full replication answers everything in one probe; caching
             # would just mirror the replicated table entry by entry.
             return np.empty(0, dtype=np.uint64)
-        res = stack.resolve(ids, record_stats=False)
-        known = res.resolved_by == stack.cache_index
-        deposit = ~res.unresolved & ~known
-        # Ladder-resolved ids enter the cache so pass 2 takes its
-        # single-probe fast path; cache hits are not re-deposited.
-        self.cache.deposit(kind, ids[deposit], res.counts[deposit])
-        foreign = ids[res.unresolved]
-        uniq = np.unique(foreign)
+        keys = stack.space.keys(ids)
+        rnd = LookupRound(keys, keys[:0], (stack.space, stack.space), self.comm.size)
+        # The chunk cache is a prefetch stack's first tier.
+        cache, *ladder = stack.tiers
+        pos = rnd.positions(KIND_KMER)
+        unknown = foreign = cache.answer(rnd, KIND_KMER, pos, MUTE)
+        for tier in ladder:
+            foreign = tier.answer(rnd, KIND_KMER, foreign, MUTE)
+        # Ladder-resolved keys enter the cache so pass 2 takes its
+        # single-probe fast path.
+        resolved = np.setdiff1d(unknown, foreign, assume_unique=True)
+        self.cache.deposit(kind, rnd.ids[resolved], rnd.counts[resolved])
+        uniq = np.unique(rnd.ids[foreign])
         # Everything dropped from the fetch that a remote owner *would*
-        # have been asked for: duplicate foreign ids plus already-cached
-        # ones (locally-resolvable ids were never fetch candidates).
+        # have been asked for: duplicate foreign keys plus already-cached
+        # ones (locally-resolvable keys were never fetch candidates).
         self.comm.stats.bump(
             f"prefetch_{kind}_ids_deduped",
-            int(np.count_nonzero(known) + foreign.size - uniq.size),
+            pos.size - unknown.size + foreign.size - uniq.size,
         )
         return uniq
 
@@ -145,8 +150,8 @@ class CachedChunkView:
         misses and bumps no counters — for replanning probes, which must
         not disturb the miss record or the lookup statistics.
         """
-        ids = np.ascontiguousarray(ids, dtype=np.uint64)
-        return self.stacks.tiles.resolve(ids, record_stats=False).counts
+        stack = self.stacks.tiles
+        return stack.local(stack.space.keys(ids), MUTE)[0].answers()[0]
 
     def note_rows(self, rows: NDArray[np.int64]) -> None:
         """Row index of each id in the *next* lookup call.
@@ -197,22 +202,23 @@ class CachedChunkView:
         # The chunk-cache tier runs first, so a fully planned pass costs
         # one probe per lookup; the ladder tiers below it only run for
         # ids the plan never saw (drifted windows, replicated tables).
-        res = self.stacks.for_kind(kind).resolve(ids)
-        if res.unresolved.any():
-            miss = np.nonzero(res.unresolved)[0]
-            self.comm.stats.bump(f"prefetch_{kind}_misses", int(miss.size))
+        stack = self.stacks.for_kind(kind)
+        rnd, miss = stack.local(stack.space.keys(ids), self.comm.stats)
+        if miss.size:
+            self.comm.stats.bump(f"prefetch_{kind}_misses", miss.size)
             if self.fetch_on_miss is not None:
-                uniq, inverse = np.unique(ids[miss], return_inverse=True)
-                res.counts[miss] = self.fetch_on_miss(kind, uniq)[inverse]
-                return res.counts
+                uniq, inverse = np.unique(rnd.ids[miss], return_inverse=True)
+                rnd.counts[miss] = self.fetch_on_miss(kind, uniq)[inverse]
+                return rnd.answers()[0]
             # Speculative 0 ("globally absent"); the reads that consulted
             # it are replayed in the rank's tail.
-            misses.append(np.unique(ids[miss]))
+            at = rnd.origins(KIND_KMER, miss)
+            misses.append(np.unique(ids[at]))
             if rows is not None and rows.shape[0] == ids.shape[0]:
-                self._dirty_rows.append(np.unique(rows[miss]))
+                self._dirty_rows.append(np.unique(rows[at]))
             else:
                 self._rows_complete = False
-        return res.counts
+        return rnd.answers()[0]
 
 
 # ----------------------------------------------------------------------
@@ -224,13 +230,14 @@ Positions = tuple[NDArray[np.int64], NDArray[np.int64], NDArray[np.uint64]]
 @dataclass(frozen=True)
 class _Fetch:
     """One bulk exchange in flight: the protocol round it was posted as,
-    its ids (deduplicated, foreign), and the positions of the k-mer and
-    tile ids each owner was asked for, in the order they were sent."""
+    its keys (ascending, distinct, foreign) and their cuts: owner ``p``
+    was asked ``kmer_ids[kcuts[p]:kcuts[p + 1]]`` and the tiles alike."""
 
     seq: int
-    kmer_ids: NDArray[np.uint64]
-    tile_ids: NDArray[np.uint64]
-    asked: dict[int, tuple[NDArray[np.int64], NDArray[np.int64]]]
+    kmer_ids: NDArray[np.unsignedinteger]
+    tile_ids: NDArray[np.unsignedinteger]
+    kcuts: NDArray[np.intp]
+    tcuts: NDArray[np.intp]
 
 
 @dataclass
@@ -344,29 +351,27 @@ class PrefetchExecutor:
         return rows[ok], starts[ok], tids[ok]
 
     def _post(
-        self, kmer_ids: NDArray[np.uint64], tile_ids: NDArray[np.uint64]
+        self,
+        kmer_ids: NDArray[np.unsignedinteger],
+        tile_ids: NDArray[np.unsignedinteger],
     ) -> _Fetch:
         """Post one bulk exchange — one universal-layout request per
         owner, in base mode too — and return at once.  ``kmer_ids`` /
-        ``tile_ids`` must be deduplicated and foreign (the planner
-        guarantees both); redeem the handle with :meth:`_collect`."""
-        kmer_ids = np.ascontiguousarray(kmer_ids, dtype=np.uint64)
-        tile_ids = np.ascontiguousarray(tile_ids, dtype=np.uint64)
+        ``tile_ids`` must be ascending, distinct and foreign keys (the
+        planner guarantees all three), so each owner's share is the
+        slice between two cuts; redeem the handle with :meth:`_collect`."""
         size = self.comm.size
-        (korder, kbounds), (torder, tbounds) = (
-            partition_by_dest(np.asarray(mix_to_rank(ids, size), np.int64), size)
-            for ids in (kmer_ids, tile_ids)
-        )
-        asked: dict[int, tuple[NDArray[np.int64], NDArray[np.int64]]] = {}
+        stacks = self.stacks
+        kcuts = stacks.kmers.space.cuts(kmer_ids, size)
+        tcuts = stacks.tiles.space.cuts(tile_ids, size)
         chunks: dict[int, tuple[NDArray[np.uint64], int]] = {}
         for owner in range(size):
-            kpos = korder[kbounds[owner] : kbounds[owner + 1]]
-            tpos = torder[tbounds[owner] : tbounds[owner + 1]]
-            if kpos.shape[0] or tpos.shape[0]:
-                asked[owner] = (kpos, tpos)
+            kmers = kmer_ids[kcuts[owner] : kcuts[owner + 1]]
+            tiles = tile_ids[tcuts[owner] : tcuts[owner + 1]]
+            if kmers.shape[0] or tiles.shape[0]:
                 chunks[owner] = (
-                    np.concatenate([kmer_ids[kpos], tile_ids[tpos]]),
-                    kpos.shape[0],
+                    np.concatenate([kmers, tiles], dtype=np.uint64),
+                    kmers.shape[0],
                 )
         protocol = self.protocol
         if chunks:
@@ -379,37 +384,37 @@ class PrefetchExecutor:
                 for owner in chunks
             ))
         seq = protocol.post(chunks, universal=True)
-        return _Fetch(seq, kmer_ids, tile_ids, asked)
+        return _Fetch(seq, kmer_ids, tile_ids, kcuts, tcuts)
 
     def _collect(
         self, fetch: _Fetch
     ) -> tuple[NDArray[np.uint32], NDArray[np.uint32]]:
         """Wait for a bulk exchange (booked to ``comm_prefetch``) and
         deposit its answers in the cache; returns ``(k-mer counts, tile
-        counts)`` aligned with the posted ids."""
+        counts)`` aligned with the posted keys."""
         start = time.perf_counter()
         answers = self.protocol.collect(fetch.seq)
         self.timer.add("comm_prefetch", time.perf_counter() - start)
         kcounts = np.zeros(fetch.kmer_ids.shape[0], dtype=np.uint32)
         tcounts = np.zeros(fetch.tile_ids.shape[0], dtype=np.uint32)
+        kcuts, tcuts = fetch.kcuts, fetch.tcuts
         for owner, counts in answers.items():
-            kpos, tpos = fetch.asked[owner]
-            kcounts[kpos] = counts[: kpos.shape[0]]
-            tcounts[tpos] = counts[kpos.shape[0] :]
+            n_kmer = kcuts[owner + 1] - kcuts[owner]
+            kcounts[kcuts[owner] : kcuts[owner + 1]] = counts[:n_kmer]
+            tcounts[tcuts[owner] : tcuts[owner + 1]] = counts[n_kmer:]
         self.cache.add_kmers(fetch.kmer_ids, kcounts)
         self.cache.add_tiles(fetch.tile_ids, tcounts)
         return kcounts, tcounts
 
     def _fetch_missed(
-        self, kind: str, ids: NDArray[np.uint64]
+        self, kind: str, keys: NDArray[np.unsignedinteger]
     ) -> NDArray[np.uint32]:
-        """The tail view's miss policy: fetch ``ids`` from their owners
+        """The tail view's miss policy: fetch ``keys`` from their owners
         now, as a round of the same protocol as every planned exchange."""
         self.comm.stats.bump("prefetch_miss_fetches")
-        none = np.empty(0, dtype=np.uint64)
         if kind == "kmer":
-            return self._collect(self._post(ids, none))[0]
-        return self._collect(self._post(none, ids))[1]
+            return self._collect(self._post(keys, keys[:0]))[0]
+        return self._collect(self._post(keys[:0], keys))[1]
 
     def _plan_candidates(self, state: _ChunkState) -> None:
         """Stage 2: with real window counts cached, enumerate the weak

@@ -1,11 +1,12 @@
 """Ownership routing and the serving side of count resolution.
 
 Every distributed structure in this repo answers the same two questions:
-*which rank owns an id* (``hashFunction(id) % nranks``) and *where do I
-actually send the request* (the owner — unless a
-:class:`~repro.faults.FaultPlan` dooms the owner, in which case its
-recovery partner holds the replica and answers in its stead).
-:class:`RouteTable` is the single compiled answer to the second.
+*which rank owns a key* (a range of hashed keys,
+:mod:`repro.parallel.ownership`) and *where do I actually send the
+request* (the owner — unless a :class:`~repro.faults.FaultPlan` dooms
+the owner, in which case its recovery partner holds the replica and
+answers in its stead).  :class:`RouteTable` is the single compiled
+answer to the second.
 
 :class:`ShardServer` is the authoritative *serving* half: one rank's
 owned tables, plus any ward replicas bound onto it by crash recovery.
@@ -13,7 +14,7 @@ Recovery is thereby a **re-bind, not a special path** — a partner
 taking over a dead ward calls :meth:`ShardServer.bind_ward`, and every
 count request, which names the owner it asks in its header, is answered
 from that owner's table: the rank's own shard or a bound ward's
-replica.  No id is re-hashed to find its owner on the serving side.
+replica.  No key is re-hashed to find its owner on the serving side.
 """
 
 from __future__ import annotations
@@ -41,25 +42,6 @@ class FaultPlanLike(Protocol):
 
     @staticmethod
     def partner_of(rank: int, size: int) -> int: ...
-
-
-def partition_by_dest(
-    dests: NDArray[np.int64], size: int
-) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
-    """Stable bucketing of positions by destination rank.
-
-    Returns ``(order, bounds)`` where ``order`` sorts positions by
-    destination and ``bounds[d]:bounds[d+1]`` slices destination ``d``'s
-    positions out of ``order`` — the per-destination discipline shared
-    by the alltoallv packers, the ordering of every Step IV round
-    (:class:`~repro.parallel.lookup.stack.LookupRound`) and the prefetch
-    planner's fetches.  Ranks fit an unsigned type of 8 or 16 bits,
-    which numpy's stable sort handles by radix, not by comparing int64
-    keys.
-    """
-    order = np.argsort(dests.astype(np.min_scalar_type(size)), kind="stable")
-    bounds = np.searchsorted(dests[order], np.arange(size + 1))
-    return order, bounds
 
 
 class RouteTable:
@@ -111,12 +93,10 @@ class ShardServer:
     def __init__(
         self,
         rank: int,
-        size: int,
         kmers: CountHash | SortedSpectrum,
         tiles: CountHash | SortedSpectrum,
     ) -> None:
         self.rank = rank
-        self.size = size
         self.kmers = kmers
         self.tiles = tiles
         self._replicas: dict[int, tuple[SortedSpectrum, SortedSpectrum]] = {}

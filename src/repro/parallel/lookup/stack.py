@@ -19,16 +19,19 @@ at once: one lookup round is one request per owner, whatever mix of
 k-mer and tile ids it carries (:meth:`StackPair.pair_counts`).  The
 round is not a tier; it is booked as ``remote`` all the same.
 
-A round is ordered once (:class:`LookupRound`): every id of both kinds,
-own and foreign, by (kind, owner, id), with the owners computed in one
-pass.  Each stack then walks its tiers over its kind's run of that
-order — the rank's own segment is the ``owned`` probe, ascending as the
-sealed shard wants it; a replication group takes its owners' segments;
-the reads table sees what is still open — and what is left of each
-foreign segment, deduplicated, is that owner's chunk on the wire.  No
-per-id mask or :class:`~repro.parallel.lookup.tiers.Resolution` is
-built on the way; :meth:`LookupStack.resolve` builds one only for the
-prefetch planner, which needs to know which tier answered each id.
+Everything below the view works in key space
+(:mod:`repro.parallel.ownership`): :meth:`StackPair.pair_counts` mixes a
+round's ids into keys once, and the tables, the chunks on the wire and
+the caches all hold keys.  An owner is a range of keys, so a round is
+ordered by one sort per kind (:class:`LookupRound`; k-mer keys sort as
+uint32) and cut at the owners' boundaries.  Each stack then walks its
+tiers over its kind's run of that order — the rank's own segment is the
+``owned`` probe, ascending as the sealed shard wants it; a replication
+group, consecutive ranks, takes one segment; the reads table sees what
+is still open — and what is left of each foreign segment, deduplicated,
+is that owner's chunk on the wire.  No per-key mask is built on the
+way.  A stack alone walks a round of one kind (:meth:`LookupStack.local`):
+that is how the prefetch planner probes what its tiers can answer.
 """
 
 from __future__ import annotations
@@ -42,10 +45,10 @@ from numpy.typing import NDArray
 
 from repro.errors import CommunicatorError, SpectrumError
 from repro.hashing.counthash import CountHash
-from repro.hashing.inthash import mix_to_rank
 from repro.hashing.sortedspectrum import SortedSpectrum
 from repro.parallel.lookup.cache import ChunkCountCache, add_fresh
-from repro.parallel.lookup.routing import KIND_KMER, KIND_TILE, partition_by_dest
+from repro.parallel.lookup.routing import KIND_KMER, KIND_TILE
+from repro.parallel.ownership import KeySpace, key_spaces
 
 if TYPE_CHECKING:
     # Type-only: build imports the wire protocol, which imports this
@@ -56,7 +59,6 @@ from repro.parallel.lookup.tiers import (
     BYTES_PER_HIT,
     AuthorityTier,
     CacheTier,
-    Resolution,
     StatsSink,
     Tier,
     probe,
@@ -82,9 +84,9 @@ class RemoteProtocol(Protocol):
     """What a lookup round needs from a correction protocol: post each
     owner its chunk, as ordered, and collect the answers.
 
-    ``chunks`` maps owner -> ``(ids, n_kmer)``: the owner's distinct
-    k-mer ids ascending, then its distinct tile ids ascending, ``n_kmer``
-    of them k-mers.  :meth:`post` returns the round's sequence number;
+    ``chunks`` maps owner -> ``(keys, n_kmer)``: the owner's distinct
+    k-mer keys ascending, then its distinct tile keys ascending,
+    ``n_kmer`` of them k-mers.  :meth:`post` returns the round's sequence number;
     :meth:`collect` maps every owner asked to the counts of its chunk,
     in chunk order."""
 
@@ -100,7 +102,8 @@ class _Mute:
         pass
 
 
-_MUTE = _Mute()
+#: Where side-effect-free walks book their counters.
+MUTE = _Mute()
 
 
 class CommLike(Protocol):
@@ -118,11 +121,12 @@ class CommLike(Protocol):
 
 class LookupStack:
     """One spectrum's local tiers, in resolution order, and where the
-    ids they leave open go."""
+    keys they leave open go."""
 
     def __init__(
         self,
         kind: str,
+        space: KeySpace,
         tiers: Sequence[Tier],
         comm: CommLike,
         *,
@@ -130,6 +134,8 @@ class LookupStack:
         write_back: CountHash | None = None,
     ) -> None:
         self.kind = kind
+        #: The kind's key space: the mix its ids take, and its owners.
+        self.space = space
         self.tiers: tuple[Tier, ...] = tuple(tiers)
         self.comm = comm
         #: Do the ids no tier answers go to their owners, in the pair's
@@ -143,7 +149,7 @@ class LookupStack:
         self.names = tuple(t.name for t in self.tiers) + (
             ("remote",) if to_owners else ()
         )
-        # Counter names, built once: resolve() runs per lookup batch.
+        # Counter names, built once: walk() runs per lookup batch.
         self._lookups_counter = f"{kind}_lookups"
         self._remote_counter = f"remote_{kind}_lookups"
         self._counters = tuple(
@@ -153,13 +159,9 @@ class LookupStack:
             )
             for name in self.names
         )
-        #: Index of the chunk-cache tier, or -1 without one.
-        self.cache_index = (
-            self.names.index("chunk_cache") if "chunk_cache" in self.names else -1
-        )
         # Degenerate stack (one rank, or fully replicated with no cache):
         # one authoritative replica resolves everything, so :meth:`counts`
-        # can skip the Resolution bookkeeping entirely.
+        # can skip the round entirely.
         self._sole_replica: AuthorityTier | None = (
             self.tiers[0]
             if len(self.tiers) == 1 and _replica(self.tiers[0])
@@ -177,57 +179,6 @@ class LookupStack:
         ``"owned->group->reads_table->remote"``."""
         return "->".join(self.names)
 
-    # ------------------------------------------------------------------
-    def resolve(
-        self, ids: NDArray[np.uint64], *, record_stats: bool = True
-    ) -> Resolution:
-        """Run ``ids`` down the local tiers; returns the resolution state,
-        which records the tier that answered each id.
-
-        What no tier could answer stays unresolved: in a prefetch stack
-        it is exactly what a plan must fetch.  (A lookup round does not
-        come here: :meth:`walk` runs its tiers over the round's order.)
-        ``record_stats=False`` suppresses *all* counters — per-kind and
-        per-tier alike — for side-effect-free probes.
-        """
-        ids = np.ascontiguousarray(ids, dtype=np.uint64)
-        stats = self.comm.stats
-        if record_stats:
-            stats.bump(self._lookups_counter, int(ids.size))
-        req = Resolution(
-            ids=ids,
-            counts=np.zeros(ids.shape[0], dtype=np.uint32),
-            unresolved=np.ones(ids.shape[0], dtype=bool),
-            resolved_by=np.full(ids.shape[0], -1, dtype=np.int8),
-            size=self.comm.size,
-        )
-        if ids.size == 0:
-            return req
-        for index, tier in enumerate(self.tiers):
-            presented = int(np.count_nonzero(req.unresolved))
-            if presented == 0:
-                break
-            newly = tier.resolve(req, stats, record_stats)
-            self._resolved(req, index, presented, newly, record_stats)
-        return req
-
-    def _resolved(
-        self,
-        req: Resolution,
-        index: int,
-        presented: int,
-        newly: NDArray[np.bool_],
-        record_stats: bool,
-    ) -> None:
-        """Book what ``names[index]`` answered into ``req`` and its
-        counters."""
-        hits = int(np.count_nonzero(newly))
-        if hits:
-            req.resolved_by[newly] = index
-            req.unresolved &= ~newly
-        if record_stats:
-            self._book(self.comm.stats, index, presented, hits)
-
     def _book(
         self, stats: StatsSink, index: int, presented: int, hits: int
     ) -> None:
@@ -244,8 +195,8 @@ class LookupStack:
         """Answer this stack's kind of a lookup round from the local
         tiers; returns the round positions (ascending) still open.
 
-        Each tier sees what the tiers before it left open, and the
-        counters are booked as :meth:`resolve` books them.
+        Each tier sees what the tiers before it left open; each is booked
+        its ``lookup_<tier>_*`` counters.
         """
         pos = rnd.positions(kind)
         stats.bump(self._lookups_counter, pos.shape[0])
@@ -257,32 +208,37 @@ class LookupStack:
             self._book(stats, index, presented, presented - pos.shape[0])
         return pos
 
+    def local(
+        self, keys: NDArray[np.unsignedinteger], stats: StatsSink
+    ) -> tuple[LookupRound, NDArray[np.intp]]:
+        """``keys`` of this stack's kind as a lookup round of one kind
+        (its k-mer side, whatever the stack's kind), walked down the
+        local tiers: the round, and its positions still open."""
+        rnd = LookupRound(keys, keys[:0], (self.space, self.space), self.comm.size)
+        return rnd, self.walk(rnd, KIND_KMER, stats)
+
     def counts(
-        self, ids: NDArray[np.uint64], *, record_stats: bool = True
+        self, keys: NDArray[np.unsignedinteger], *, record_stats: bool = True
     ) -> NDArray[np.uint32]:
-        """Counts of ids the local tiers resolve; raises
+        """Counts of keys the local tiers resolve; raises
         :class:`~repro.errors.SpectrumError` if any is left open (a
         lookup round answers those: :meth:`StackPair.pair_counts`)."""
-        ids = np.ascontiguousarray(ids, dtype=np.uint64)
+        stats = self.comm.stats if record_stats else MUTE
         tier = self._sole_replica
-        if tier is not None and ids.size:
-            # Bumps exactly the counters a full resolve() would: the
-            # replica tier answers every id, so requests == hits.
-            stats = self.comm.stats
-            out = probe(tier.table.lookup, ids, stats, record_stats)
-            if record_stats:
-                n = int(ids.size)
-                stats.bump(self._lookups_counter, n)
-                self._book(stats, 0, n, n)
+        if tier is not None and keys.size:
+            # Books exactly what a walk would: the replica tier answers
+            # every key, so requests == hits.
+            out = probe(tier.table.lookup, keys, stats)
+            stats.bump(self._lookups_counter, keys.size)
+            self._book(stats, 0, keys.size, keys.size)
             return out
-        req = self.resolve(ids, record_stats=record_stats)
-        left = int(np.count_nonzero(req.unresolved))
-        if left:
+        rnd, left = self.local(keys, stats)
+        if left.size:
             raise SpectrumError(
-                f"{left} {self.kind} ids do not resolve locally; "
+                f"{left.size} {self.kind} ids do not resolve locally; "
                 "their counts need a lookup round"
             )
-        return req.counts
+        return rnd.answers()[0]
 
 
 def _replica(tier: Tier) -> TypeGuard[AuthorityTier]:
@@ -291,64 +247,60 @@ def _replica(tier: Tier) -> TypeGuard[AuthorityTier]:
 
 
 class LookupRound:
-    """One lookup round's ids, both kinds, ordered once.
+    """One lookup round's keys, both kinds, ordered once.
 
-    The order is (kind, owner, id): :attr:`ids` holds the round's ids in
+    The order is (kind, key): :attr:`ids` holds the round's keys in
     that order and :attr:`counts` fills in beside them as tiers and
-    owners answer.  Each kind is one run of positions and each (kind,
-    owner) segment a run within it, ascending, repeats adjacent — so
-    the rank's own segment is an ascending probe of its shard, and what
-    is left of a foreign segment is that owner's chunk, deduplicated by
-    one comparison with its neighbour.  The ordering is an argsort by id
-    and a stable radix partition on the segment (kind · size + owner).
+    owners answer.  An owner is a range of keys, so within a kind each
+    owner's segment is a run between two cuts, ascending, repeats
+    adjacent — the rank's own segment is an ascending probe of its
+    shard, and what is left of a foreign segment is that owner's chunk,
+    deduplicated by one comparison with its neighbour.  The ordering is
+    one sort per kind and ``P - 1`` binary searches.
     """
 
     def __init__(
         self,
-        kmer_ids: NDArray[np.uint64],
-        tile_ids: NDArray[np.uint64],
+        kmer_keys: NDArray[np.unsignedinteger],
+        tile_keys: NDArray[np.unsignedinteger],
+        spaces: tuple[KeySpace, KeySpace],
         size: int,
-        owners: NDArray[np.int64] | None = None,
     ) -> None:
-        """``owners``: the owner of every id, k-mers then tiles, a
-        function of the id (default: the ownership rule, in one pass
-        over the round)."""
-        ids = np.concatenate([kmer_ids, tile_ids])
         self.size = size
-        self._nk = kmer_ids.shape[0]
-        segments = np.array(
-            mix_to_rank(ids, size) if owners is None else owners,
-            dtype=np.int64,
-        )
-        segments[self._nk:] += size
-        by_id = ids.argsort()
-        part, self.bounds = partition_by_dest(segments[by_id], 2 * size)
-        self._order = by_id[part]
-        #: The round's ids in (kind, owner, id) order; segment (kind,
-        #: owner) is ``bounds[kind * size + owner]`` up to the next bound.
-        self.ids = ids[self._order]
+        self._nk = kmer_keys.shape[0]
+        kinds = (kmer_keys, tile_keys)
+        orders = [keys.argsort() for keys in kinds]
+        runs = [keys[order] for keys, order in zip(kinds, orders)]
+        kcuts, tcuts = (space.cuts(run, size) for run, space in zip(runs, spaces))
+        self._order = np.concatenate([orders[0], orders[1] + self._nk])
+        #: Segment (kind, owner) is ``bounds[kind * size + owner]`` up
+        #: to the next bound.
+        self.bounds = np.concatenate([kcuts, tcuts[1:] + self._nk])
+        #: The round's keys in (kind, key) order.
+        self.ids = np.concatenate(runs, dtype=np.uint64)
         #: Counts at those positions, filled in as they are answered.
-        self.counts = np.zeros(ids.shape[0], dtype=np.uint32)
+        self.counts = np.zeros(self.ids.shape[0], dtype=np.uint32)
 
     def positions(self, kind: int) -> NDArray[np.intp]:
         """Every position of a kind (``KIND_KMER`` / ``KIND_TILE``)."""
         base = kind * self.size
         return np.arange(self.bounds[base], self.bounds[base + self.size])
 
+    def origins(self, kind: int, pos: NDArray[np.intp]) -> NDArray[np.intp]:
+        """Where each key at positions ``pos`` of a kind stood among
+        that kind's keys as they came."""
+        return self._order[pos] - kind * self._nk
+
     def split(
-        self, kind: int, pos: NDArray[np.intp], owners: NDArray[np.int64]
+        self, kind: int, pos: NDArray[np.intp], owners: range
     ) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
         """Ascending positions ``pos`` of a kind, split into those in
-        the segments of ``owners`` (ascending ranks) and the rest."""
-        segment = kind * self.size + owners
-        edges = np.column_stack(
-            (self.bounds[segment], self.bounds[segment + 1])
-        ).ravel()
-        cuts = [0, *pos.searchsorted(edges).tolist(), pos.shape[0]]
-        return (
-            _join([pos[a:b] for a, b in zip(cuts[1::2], cuts[2::2])]),
-            _join([pos[a:b] for a, b in zip(cuts[0::2], cuts[1::2])]),
+        the segment of the consecutive ``owners`` and the rest."""
+        base = kind * self.size
+        a, b = pos.searchsorted(
+            self.bounds[[base + owners.start, base + owners.stop]]
         )
+        return pos[a:b], np.concatenate([pos[:a], pos[b:]])
 
     def ask(
         self,
@@ -357,18 +309,18 @@ class LookupRound:
         protocol: RemoteProtocol,
         stats: StatsSink,
     ) -> tuple[tuple[NDArray[np.uint64], NDArray[np.uint32]], ...]:
-        """Ask the owners for the ids at the open positions of each kind
-        (ascending), each distinct id once, and fill in their counts.
+        """Ask the owners for the keys at the open positions of each kind
+        (ascending), each distinct key once, and fill in their counts.
 
-        Returns, per kind, the distinct ids asked and their counts.  A
+        Returns, per kind, the distinct keys asked and their counts.  A
         repeat is booked as ``remote_{kind}_ids_deduped``; the round as
         one ``blocking_request_counts``.
         """
         kinds = []
         for kind, pos in ((KIND_KMER, kmer_pos), (KIND_TILE, tile_pos)):
             ids = self.ids[pos]
-            # Equal ids are adjacent, and never in two segments of a
-            # kind: an id has one owner.
+            # Equal keys are adjacent, and never in two segments of a
+            # kind: a key has one owner.
             first = np.ones(ids.shape[0], dtype=bool)
             np.not_equal(ids[1:], ids[:-1], out=first[1:])
             slot = np.cumsum(first)
@@ -412,14 +364,10 @@ class LookupRound:
         return tuple(asked)
 
     def answers(self) -> tuple[NDArray[np.uint32], NDArray[np.uint32]]:
-        """``(k-mer counts, tile counts)`` in the order the ids came."""
+        """``(k-mer counts, tile counts)`` in the order the keys came."""
         out = np.empty_like(self.counts)
         out[self._order] = self.counts
         return out[: self._nk], out[self._nk :]
-
-
-def _join(parts: list[NDArray[np.intp]]) -> NDArray[np.intp]:
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 @dataclass(frozen=True)
@@ -450,30 +398,32 @@ class StackPair:
     ) -> tuple[NDArray[np.uint32], NDArray[np.uint32]]:
         """Global k-mer and tile counts, in one lookup round.
 
-        The ids of each kind whose stack goes to the owners — own and
-        foreign alike — are ordered once (:class:`LookupRound`), walked
-        down their local tiers (:meth:`LookupStack.walk`), and what is
-        left goes out in one request per owner.  A kind that stays local
-        (replicated) answers from its own tiers.  The round's wait is
-        booked to ``comm_kmer`` / ``comm_tile`` in proportion to the
-        open ids of each kind; its answers as the ``remote`` tier of
-        their stack.  ``record_stats=False`` books no counter.
+        The ids are mixed into keys, once.  The keys of each kind whose
+        stack goes to the owners — own and foreign alike — are ordered
+        once (:class:`LookupRound`), walked down their local tiers
+        (:meth:`LookupStack.walk`), and what is left goes out in one
+        request per owner.  A kind that stays local (replicated) answers
+        from its own tiers.  The round's wait is booked to ``comm_kmer``
+        / ``comm_tile`` in proportion to the open keys of each kind; its
+        answers as the ``remote`` tier of their stack.
+        ``record_stats=False`` books no counter.
         """
-        kmer_ids = np.ascontiguousarray(kmer_ids, dtype=np.uint64)
-        tile_ids = np.ascontiguousarray(tile_ids, dtype=np.uint64)
         stacks = (self.kmers, self.tiles)
+        keys = [
+            stack.space.keys(ids) for stack, ids in zip(stacks, (kmer_ids, tile_ids))
+        ]
         local = [
             None if stack.to_owners
-            else stack.counts(ids, record_stats=record_stats)
-            for stack, ids in zip(stacks, (kmer_ids, tile_ids))
+            else stack.counts(kind_keys, record_stats=record_stats)
+            for stack, kind_keys in zip(stacks, keys)
         ]
         if local[0] is not None and local[1] is not None:
             return local[0], local[1]
         comm = self.kmers.comm
-        stats = comm.stats if record_stats else _MUTE
+        stats = comm.stats if record_stats else MUTE
         rnd = LookupRound(
-            _NO_IDS if local[0] is not None else kmer_ids,
-            _NO_IDS if local[1] is not None else tile_ids,
+            *(k if counts is None else k[:0] for k, counts in zip(keys, local)),
+            (self.kmers.space, self.tiles.space),
             comm.size,
         )
         kopen, topen = (
@@ -489,9 +439,9 @@ class StackPair:
             elapsed = time.perf_counter() - start
             self.timer.add("comm_kmer", elapsed * nk / (nk + nt))
             self.timer.add("comm_tile", elapsed * nt / (nk + nt))
-            for stack, n, (ids, counts) in zip(stacks, (nk, nt), asked):
+            for stack, n, (asked_keys, counts) in zip(stacks, (nk, nt), asked):
                 if n:
-                    _book_round(stack, n, ids, counts, stats)
+                    _book_round(stack, n, asked_keys, counts, stats)
         kcounts, tcounts = rnd.answers()
         return (
             kcounts if local[0] is None else local[0],
@@ -518,9 +468,9 @@ def _book_round(
     counts: NDArray[np.uint32],
     stats: StatsSink,
 ) -> None:
-    """Book the round's answers to ``n`` open ids of ``stack`` — the
-    distinct ``ids`` with their ``counts`` — as ``remote``, and cache
-    them in the stack's reads table under *add remote lookups*."""
+    """Book the round's answers to ``n`` open keys of ``stack`` — the
+    distinct keys ``ids`` with their ``counts`` — as ``remote``, and
+    cache them in the stack's reads table under *add remote lookups*."""
     stats.bump(stack._remote_counter, n)
     stack._book(stats, len(stack.tiers), n, n)
     if stack.write_back is not None:
@@ -551,6 +501,7 @@ def compile_stacks(
 
     def build(
         kind: str,
+        space: KeySpace,
         owned: CountHash | SortedSpectrum,
         group: SortedSpectrum | None,
         reads: CountHash | None,
@@ -566,7 +517,9 @@ def compile_stacks(
             elif name == "allgather":
                 tiers.append(AuthorityTier(name, owned, None))
             elif name == "owned":
-                tiers.append(AuthorityTier(name, owned, (comm.rank,)))
+                tiers.append(AuthorityTier(
+                    name, owned, range(comm.rank, comm.rank + 1)
+                ))
             elif name == "group":
                 assert group is not None
                 tiers.append(AuthorityTier(name, group, spectra.group_ranks))
@@ -576,15 +529,20 @@ def compile_stacks(
             else:
                 to_owners = True
         return LookupStack(
-            kind, tiers, comm, to_owners=to_owners,
+            kind, space, tiers, comm, to_owners=to_owners,
             write_back=(
                 reads if to_owners and heuristics.add_remote_lookups else None
             ),
         )
 
+    kspace, tspace = key_spaces(spectra.shape)
     return StackPair(
-        kmers=build("kmer", spectra.kmers, spectra.group_kmers, spectra.reads_kmers),
-        tiles=build("tile", spectra.tiles, spectra.group_tiles, spectra.reads_tiles),
+        kmers=build(
+            "kmer", kspace, spectra.kmers, spectra.group_kmers, spectra.reads_kmers
+        ),
+        tiles=build(
+            "tile", tspace, spectra.tiles, spectra.group_tiles, spectra.reads_tiles
+        ),
         protocol=protocol,
         timer=timer or PhaseTimer(),
     )

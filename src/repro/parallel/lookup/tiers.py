@@ -1,14 +1,15 @@
 """The two kinds of local table a lookup stack reads counts from.
 
-Each tier answers one question — *can this table resolve the id without
-going to its owner?* — over the still-unresolved portion of a
-:class:`Resolution` in flight.  There are two kinds:
+Each tier answers one question — *can this table resolve the key without
+going to its owner?* — over the still-open positions of a lookup round
+(:class:`~repro.parallel.lookup.stack.LookupRound`).  There are two kinds:
 
-* an :class:`AuthorityTier` holds the true count of every id of a set
-  of owners, so an id it covers is answered even when absent (count 0):
+* an :class:`AuthorityTier` holds the true count of every key of a run
+  of owners, so a key it covers is answered even when absent (count 0):
   ``owned`` covers the rank itself, ``group`` its replication group,
-  ``allgather`` every owner;
-* a :class:`CacheTier` answers only the ids it holds, and a miss falls
+  ``allgather`` every owner — it takes its owners' one segment of the
+  round;
+* a :class:`CacheTier` answers only the keys it holds, and a miss falls
   through: ``chunk_cache`` (the prefetch plan's fetched counts) and
   ``reads_table`` (global counts of the rank's own reads).
 
@@ -19,13 +20,6 @@ The paper's Section III-B "lookup ladder" is the ordering
 puts the chunk cache first.  What no tier answers goes to the owners in
 one lookup round (:meth:`~repro.parallel.lookup.stack.StackPair.pair_counts`),
 which is not a tier: it answers both spectra at once.
-
-A tier answers in two shapes.  In a lookup round it sees the round's
-one ordering (:class:`~repro.parallel.lookup.stack.LookupRound`) and the
-positions still open (:meth:`AuthorityTier.answer` takes its owners'
-segments, :meth:`CacheTier.answer` probes what is open); for the
-prefetch planner it fills in a :class:`Resolution`, which records the
-tier that answered each id (``resolve``).
 
 Two counter families are recorded into
 :class:`~repro.simmpi.instrument.CommStats`:
@@ -55,15 +49,13 @@ also counted, as ``table_probe_calls`` and ``table_probe_ids``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Protocol, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Protocol, TypeVar
 
 import numpy as np
 from numpy.typing import NDArray
 
 from repro.hashing.counthash import CountHash
 from repro.hashing.sortedspectrum import SortedSpectrum
-from repro.hashing.inthash import mix_to_rank
 
 if TYPE_CHECKING:
     # Type-only: the round lives beside the stacks, which import this.
@@ -87,90 +79,33 @@ def probe(
     lookup: Callable[[NDArray[np.uint64]], _Answer],
     ids: NDArray[np.uint64],
     stats: StatsSink,
-    record_stats: bool = True,
 ) -> _Answer:
     """``lookup(ids)`` — a count table's ``lookup`` or
     ``lookup_found`` — counted as one table probe of ``ids.size`` ids."""
-    if record_stats:
-        stats.bump("table_probe_calls")
-        stats.bump("table_probe_ids", int(ids.size))
+    stats.bump("table_probe_calls")
+    stats.bump("table_probe_ids", int(ids.size))
     return lookup(ids)
 
 
-@dataclass
-class Resolution:
-    """One lookup batch moving down the tier stack.
-
-    ``counts`` fills in as tiers resolve ids; ``unresolved`` marks what
-    is still open; ``resolved_by`` records the index (into the stack's
-    :attr:`~repro.parallel.lookup.stack.LookupStack.names`) of what
-    answered each id — a tier, or ``remote`` for the lookup round — -1
-    while open.  That is what lets the prefetch planner deposit
-    ladder-resolved ids into the chunk cache without re-probing every
-    tier.
-    """
-
-    ids: NDArray[np.uint64]
-    counts: NDArray[np.uint32]
-    unresolved: NDArray[np.bool_]
-    resolved_by: NDArray[np.int8]
-    #: World size, for owner derivation.
-    size: int
-    _owners: NDArray[np.int64] | None = field(default=None, repr=False)
-
-    @property
-    def owners(self) -> NDArray[np.int64]:
-        """Owning rank of every id (computed once, on first use)."""
-        if self._owners is None:
-            self._owners = np.asarray(
-                mix_to_rank(self.ids, self.size), dtype=np.int64
-            )
-        return self._owners
-
-
 class AuthorityTier:
-    """A table holding the true count of every id a set of owners owns.
+    """A table holding the true count of every key a run of owners owns.
 
-    ``owners`` is the covered ranks, or None for every owner (a
-    replicated spectrum, after which nothing is left to resolve).  A
-    covered id absent from the table answers 0: its owner would too.
+    ``owners`` is the covered ranks — consecutive, so their keys are one
+    range — or None for every owner (a replicated spectrum, after which
+    nothing is left to resolve).  A covered key absent from the table
+    answers 0: its owner would too.
     """
 
     def __init__(
         self,
         name: str,
         table: CountHash | SortedSpectrum,
-        owners: Sequence[int] | None,
+        owners: range | None,
     ) -> None:
         #: Stable tier name used in counters, reports and MPI007 docs.
         self.name = name
         self.table = table
-        #: Ascending and distinct, as :meth:`LookupRound.split` wants.
-        self.owners: NDArray[np.int64] | None = (
-            None if owners is None else np.unique(np.asarray(owners, dtype=np.int64))
-        )
-
-    def resolve(
-        self, req: Resolution, stats: StatsSink, record_stats: bool
-    ) -> NDArray[np.bool_]:
-        """Fill ``req.counts`` for the open ids this table covers;
-        returns the mask (aligned with ``req.ids``) of ids newly
-        resolved here."""
-        if self.owners is None:
-            sel = req.unresolved.copy()
-        elif self.owners.shape[0] == 1:
-            sel = req.unresolved & (req.owners == self.owners[0])
-        else:
-            sel = req.unresolved & np.isin(req.owners, self.owners)
-        if sel.all():
-            # Common case (a replica, first authoritative tier): skip the
-            # masked gather/scatter copies and look the whole batch up.
-            req.counts[:] = probe(self.table.lookup, req.ids, stats, record_stats)
-        elif sel.any():
-            req.counts[sel] = probe(
-                self.table.lookup, req.ids[sel], stats, record_stats
-            )
-        return sel
+        self.owners = owners
 
     def answer(
         self,
@@ -180,8 +115,8 @@ class AuthorityTier:
         stats: StatsSink,
     ) -> NDArray[np.intp]:
         """Fill in the counts of the open round positions ``pos`` this
-        table covers — its owners' segments, each ascending, repeats
-        kept; returns the positions still open."""
+        table covers — its owners' one segment, ascending, repeats kept;
+        returns the positions still open."""
         if self.owners is None:
             covered, rest = pos, pos[:0]
         else:
@@ -206,24 +141,6 @@ class CacheTier:
         self.name = name
         self.table = table
         self.hit_counter = hit_counter
-
-    def resolve(
-        self, req: Resolution, stats: StatsSink, record_stats: bool
-    ) -> NDArray[np.bool_]:
-        """Fill ``req.counts`` for the open ids the table holds; returns
-        the mask of ids newly resolved here."""
-        idx = np.nonzero(req.unresolved)[0]
-        counts, found = probe(
-            self.table.lookup_found, req.ids[idx], stats, record_stats
-        )
-        hit = idx[found]
-        newly = np.zeros_like(req.unresolved)
-        if hit.size:
-            req.counts[hit] = counts[found]
-            newly[hit] = True
-            if record_stats:
-                stats.bump(self.hit_counter, int(hit.size))
-        return newly
 
     def answer(
         self,

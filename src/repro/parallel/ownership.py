@@ -1,48 +1,118 @@
 """Owning-rank assignment for k-mers, tiles and sequences.
 
-"Each k-mer (and tile) are defined to have an owning rank; the owning rank
-... is defined as the rank p for which hashFunction(kmer) % np == p" — and
-the load-balancing scheme extends the same rule to whole sequences.  One
-mixer (:func:`~repro.hashing.inthash.splitmix64`) backs all three so the
-distribution properties the paper measures (Fig. 3's <1%/<2% spreads) come
-from hash uniformity alone.
+The paper's owner of a k-mer or tile is ``hashFunction(kmer) % np``.
+Here an owner is a *key range*: a ``b``-bit id (``2k`` for a k-mer,
+``2 (2k - overlap)`` for a tile) is mixed into a ``b``-bit key by a
+bijection, and rank ``p`` owns the ``p``-th of ``P`` equal key ranges,
+``owner = (key · P) >> b`` (Lemire's multiply-shift for ``%``).  That is
+still a uniform hash partition, but sorted key order is owner order, so
+a sorted run splits among its owners by binary search
+(:meth:`KeySpace.cuts`) instead of a second sort.  The distributed
+spectrum holds keys throughout (shards, replicas, read tables, caches,
+the wire); a lookup view mixes a round's ids once on the way in.  This
+module is the only code that computes an owner.
 
-A sequence's hash folds its packed 2-bit words (32 bases each), not its
-bases one by one: a 100-base read is four mixer passes, not a hundred.
+A read's owner (placement) is ``sequence_hash % P``, the hash folding
+its packed 2-bit words through splitmix64, one pass per 32 bases.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import dataclass
+from typing import Any
 
-from repro.hashing.inthash import mix_to_rank, splitmix64
+import numpy as np
+from numpy.typing import ArrayLike, NDArray
+
+from repro.hashing.inthash import splitmix64
 from repro.io.records import ReadBlock
 from repro.kmer.bitpack import BASES_PER_WORD, pack_words
+from repro.kmer.tiles import TileShape
+
+#: 2⁶⁴/φ, the Fibonacci-hashing multiplier; a ``b``-bit space uses its
+#: top ``b`` bits, made odd (so invertible mod 2ᵇ).
+_GOLDEN = 0x9E3779B97F4A7C15
+
+#: Key arrays are uint32 (up to 32 bits) or uint64.
+Keys = NDArray[np.unsignedinteger[Any]]
 
 
-def kmer_owner(ids: np.ndarray | int, nranks: int) -> np.ndarray | int:
-    """Owning rank of each k-mer id."""
-    return mix_to_rank(ids, nranks)
+@dataclass(frozen=True)
+class KeySpace:
+    """The keys of one kind of id, ``bits`` wide, and who owns them."""
+
+    bits: int
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.bits <= 64:
+            raise ValueError(f"a key space is 1 to 64 bits, got {self.bits}")
+
+    @property
+    def dtype(self) -> type[np.uint32] | type[np.uint64]:
+        """uint32 for a key space of up to 32 bits, else uint64."""
+        return np.uint32 if self.bits <= 32 else np.uint64
+
+    def keys(self, ids: ArrayLike) -> Keys:
+        """The key of every id below ``2**bits``, at :attr:`dtype`:
+        ``x ^= x >> s; x = x · m mod 2ᵇ; x ^= x >> s``, ``s = ⌈b/2⌉``,
+        each step a bijection of ``[0, 2ᵇ)``."""
+        dtype = self.dtype
+        shift = dtype((self.bits + 1) // 2)
+        x: Keys = np.array(ids, dtype=dtype)
+        x ^= x >> shift
+        x *= dtype((_GOLDEN >> (64 - self.bits)) | 1)
+        if self.bits % 32:
+            x &= dtype((1 << self.bits) - 1)
+        x ^= x >> shift
+        return x
+
+    def owners(self, keys: ArrayLike, nranks: int) -> NDArray[np.int64]:
+        """The owning rank of every key: ``(key · P) >> bits``, read off
+        the key's top 32 bits at most, so the product fits uint64."""
+        shift, t = self._top(nranks)
+        top = np.asarray(keys, dtype=np.uint64) >> shift
+        return ((top * np.uint64(nranks)) >> np.uint64(t)).astype(np.int64)
+
+    def starts(self, nranks: int) -> NDArray[np.uint64]:
+        """The least key each rank ``1 .. P-1`` owns."""
+        shift, t = self._top(nranks)
+        p = np.arange(1, nranks, dtype=np.uint64) << np.uint64(t)
+        return ((p + np.uint64(nranks - 1)) // np.uint64(nranks)) << shift
+
+    def _top(self, nranks: int) -> tuple[np.uint64, int]:
+        """(shift to a key's top bits, how many bits those are)."""
+        if nranks <= 0:
+            raise ValueError(f"nranks must be positive, got {nranks}")
+        t = min(self.bits, 32)
+        return np.uint64(self.bits - t), t
+
+    def cuts(self, keys: Keys, nranks: int) -> NDArray[np.intp]:
+        """The ``P + 1`` cut positions of ascending ``keys``: rank
+        ``p``'s keys are ``keys[cuts[p]:cuts[p + 1]]``."""
+        starts = self.starts(nranks)
+        if keys.dtype != np.uint64:
+            # A start above the array's dtype lies past every key in it.
+            starts = starts[starts <= np.iinfo(keys.dtype).max]
+        out = np.full(nranks + 1, keys.shape[0], dtype=np.intp)
+        out[0] = 0
+        out[1 : 1 + starts.shape[0]] = keys.searchsorted(starts.astype(keys.dtype))
+        return out
 
 
-def tile_owner(ids: np.ndarray | int, nranks: int) -> np.ndarray | int:
-    """Owning rank of each tile id (same rule, same mixer)."""
-    return mix_to_rank(ids, nranks)
+def key_spaces(shape: TileShape) -> tuple[KeySpace, KeySpace]:
+    """The ``(k-mer, tile)`` key spaces of a tiling."""
+    return KeySpace(2 * shape.k), KeySpace(2 * shape.length)
 
 
-def sequence_hash(block: ReadBlock) -> np.ndarray:
+def sequence_hash(block: ReadBlock) -> NDArray[np.uint64]:
     """A 64-bit content hash per read, vectorized across the block.
 
-    Packs the block once (:func:`~repro.kmer.bitpack.pack_words`, the
-    words of :func:`~repro.kmer.bitpack.pack_block` without its
-    ambiguity prefix) and folds each read's uint64 words through the
-    splitmix64 mixer, stopping at the read's own word count,
-    ⌈length / 32⌉, then mixes in the length.  Bases past a read's end
-    pack as ``00``, so a read hashes the same whatever the width of the
-    block holding it, and equal reads always land on the same owner.
-    Ambiguous bases pack as ``00`` too, so reads that differ only there
-    may share an owner: placement needs determinism and spread, not
-    injectivity.
+    Folds each read's packed words (:func:`~repro.kmer.bitpack.pack_words`)
+    through splitmix64 up to its own word count, ⌈length / 32⌉, then
+    mixes in the length: a read hashes the same in a block of any width,
+    so equal reads always share an owner.  Ambiguous bases pack as
+    ``00``, so reads differing only there may share one too: placement
+    needs determinism and spread, not injectivity.
     """
     words = pack_words(block.codes)
     lengths = block.lengths.astype(np.int64)
@@ -50,10 +120,10 @@ def sequence_hash(block: ReadBlock) -> np.ndarray:
     h = np.zeros(len(block), dtype=np.uint64)
     for j in range(int(n_words.max(initial=0))):
         h = np.where(n_words > j, splitmix64(h ^ words[:, j]), h)
-    return splitmix64(h ^ lengths.astype(np.uint64))
+    return np.asarray(splitmix64(h ^ lengths.astype(np.uint64)), dtype=np.uint64)
 
 
-def sequence_owner(block: ReadBlock, nranks: int) -> np.ndarray:
+def sequence_owner(block: ReadBlock, nranks: int) -> NDArray[np.int64]:
     """Owning rank of each read: ``hashFunction(seq) % np`` (Fig. 4 scheme).
 
     Hashing the read *content* spreads error bursts that are contiguous in

@@ -38,9 +38,10 @@ chunk of a round as the caller ordered it and returns the round's
 answered.  Answers are kept per ``seq``, so rounds may overlap: a
 blocking round is ``collect(post(...))``, and the prefetch planner
 keeps the next chunk's fetch in flight while it corrects this one.  The
-one ordering of a blocking round's ids — by (kind, owner, id), which
-buckets them, drops repeats and hands the rank's own segment to its
-shard — is the lookup stack's
+ids on the wire are keys (:mod:`repro.parallel.ownership`).  The one
+ordering of a blocking round's keys — one sort per kind, cut at the
+owners' key ranges, which buckets them, drops repeats and hands the
+rank's own segment to its shard — is the lookup stack's
 (:class:`~repro.parallel.lookup.stack.LookupRound`), not sorted again
 here.  The wait goes through :mod:`repro.parallel.reliable`
 (outstanding requests, sequence numbers, the retry policy under a
@@ -66,7 +67,6 @@ from repro.parallel.lookup.routing import (
     RouteTable,
     ShardServer,
 )
-from repro.parallel.lookup.stack import LookupRound
 from repro.parallel.reliable import ReliableRequests
 from repro.simmpi.communicator import Communicator
 from repro.simmpi.message import ANY_SOURCE, ANY_TAG, REQUEST_TAGS, Message, Tags
@@ -202,12 +202,10 @@ class CorrectionProtocol:
         faults=None,
     ) -> None:
         self.comm = comm
-        self.owned_kmers = owned_kmers
-        self.owned_tiles = owned_tiles
         self.universal = universal
         #: The serving half: this rank's owned tables plus any ward
         #: replicas recovery binds on (see CorrectionSession.correct).
-        self.shards = ShardServer(comm.rank, comm.size, owned_kmers, owned_tiles)
+        self.shards = ShardServer(comm.rank, owned_kmers, owned_tiles)
         #: Owner -> effective destination under the fault plan.
         self.routes = RouteTable.compile(faults, comm.size)
         #: Extra tag -> handler(Message) hooks; lets higher layers (e.g.
@@ -228,35 +226,6 @@ class CorrectionProtocol:
     # ------------------------------------------------------------------
     # client side
     # ------------------------------------------------------------------
-    def request_counts(
-        self,
-        kmer_ids: np.ndarray,
-        kmer_owners: np.ndarray,
-        tile_ids: np.ndarray,
-        tile_owners: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Global ``(k-mer counts, tile counts)`` for ids owned by other
-        ranks, in one blocking round.
-
-        ``*_owners[i]`` must be the owning rank of ``*_ids[i]`` (none
-        equal to this rank).  The ids are ordered once, as a
-        :class:`~repro.parallel.lookup.stack.LookupRound` with no local
-        tier, and each distinct owner gets one request (one per kind in
-        the base mode, :meth:`post`); the caller's "communication
-        thread" (the pump) serves incoming requests while the responses
-        are in flight.
-        """
-        kmer_ids = np.ascontiguousarray(kmer_ids, dtype=np.uint64)
-        tile_ids = np.ascontiguousarray(tile_ids, dtype=np.uint64)
-        rnd = LookupRound(
-            kmer_ids, tile_ids, self.comm.size,
-            np.concatenate([kmer_owners, tile_owners]),
-        )
-        kmer_pos, tile_pos = rnd.positions(KIND_KMER), rnd.positions(KIND_TILE)
-        if kmer_pos.size or tile_pos.size:
-            rnd.ask(kmer_pos, tile_pos, self, self.comm.stats)
-        return rnd.answers()
-
     def post(
         self,
         chunks: dict[int, tuple[np.ndarray, int]],

@@ -7,9 +7,10 @@ endpoint and its recovery bindings), and exposes the pipeline as three
 verbs instead of one fused program:
 
 * :meth:`ingest` — merge a block's k-mer/tile count *deltas* into the
-  distributed spectrum.  The block's windows are counted by sort, and
-  each distinct ``(key, count)`` pair goes to its owner over the
-  reliable DELTA exchange
+  distributed spectrum.  The block's windows are mixed into keys
+  (:mod:`repro.parallel.ownership`) and counted by sort, so the distinct
+  ``(key, count)`` pairs come out in owner order, and each owner's run
+  goes to it over the reliable DELTA exchange
   (:func:`~repro.parallel.exchange.exchange_deltas`), which rides the
   same alltoallv frames as the classic Step III build; the owner sums
   what arrives into its raw pairs.
@@ -62,6 +63,7 @@ from repro.parallel.heuristics import HeuristicConfig
 from repro.parallel.lookup.planner import PrefetchExecutor
 from repro.parallel.lookup.stack import StackPair, compile_stacks
 from repro.parallel.memory import RankMemoryReport
+from repro.parallel.ownership import key_spaces
 from repro.parallel.recovery import RecoveryState, replicate_state
 from repro.parallel.server import CorrectionProtocol
 from repro.simmpi.communicator import Communicator
@@ -122,14 +124,16 @@ class CorrectionSession:
         self.timer = timer or PhaseTimer()
         shape = config.tile_shape
         self._shape = shape
+        #: The (k-mer, tile) key spaces: every table below holds keys.
+        self._spaces = key_spaces(shape)
         #: Raw, unfiltered owned counts — the durable truth: distinct
         #: ascending ``(keys, counts)`` pairs at table width.
         self.raw_kmers = self.raw_tiles = _NO_PAIRS
         self._spectra: RankSpectra | None = None
-        #: Union of the rank's reads' unique k-mer/tile ids, accumulated
+        #: Union of the rank's reads' unique k-mer/tile keys, accumulated
         #: per ingest (the read-table heuristics fetch counts for these).
-        self._read_kmer_keys = np.empty(0, dtype=np.uint64)
-        self._read_tile_keys = np.empty(0, dtype=np.uint64)
+        self._read_kmer_keys = np.empty(0, dtype=self._spaces[0].dtype)
+        self._read_tile_keys = np.empty(0, dtype=self._spaces[1].dtype)
         self._peak = 0
         self._dirty = False
         self._sealed = False  # one-shot sessions seal at finalize
@@ -156,9 +160,9 @@ class CorrectionSession:
         """Rebuild a session from a :meth:`checkpoint` directory.
 
         Collective; every rank loads its own ``rank<r>.npz`` bundle.  The
-        bundle's geometry and rank count must match this session's — a
-        spectrum sharded for a different ``nranks`` or built with a
-        different tiling is not reinterpretable."""
+        bundle's geometry, strand counting and rank count must match
+        this session's: a spectrum sharded or counted otherwise is not
+        reinterpretable."""
         from repro.core.persist import load_session_bundle
 
         session = cls(comm, config, heuristics, retain_raw=True, timer=timer)
@@ -177,6 +181,10 @@ class CorrectionSession:
                 f"overlap={bundle['overlap']}) does not match the "
                 f"session config (k={shape.k}, overlap={shape.overlap})"
             )
+        rc = bundle["count_reverse_complement"]
+        if rc != config.count_reverse_complement:
+            raise SessionError(f"checkpoint count_reverse_complement={rc} "
+                               "does not match the session config")
         session.raw_kmers = bundle["kmers"]
         session.raw_tiles = bundle["tiles"]
         session._read_kmer_keys = bundle["read_kmer_keys"]
@@ -290,39 +298,38 @@ class CorrectionSession:
         self._dirty = True
 
     def _count_and_route(self, reads: ReadBlock) -> None:
-        """Steps II-III for one round: count the reads' windows by sort,
-        send each distinct pair to its owner, and sum what this rank
-        owns into its raw pairs."""
+        """Steps II-III for one round: count the reads' window keys by
+        sort, send each owner its run of distinct pairs, and sum what
+        this rank owns into its raw pairs."""
+        kspace, tspace = self._spaces
         counted = window_counts(
             [reads] if len(reads) else [], self._shape,
             self.config.count_reverse_complement,
+            keys=(kspace.keys, tspace.keys),
         )
         kmers, tiles = (merge_pairs([pairs]) for pairs in counted)
         self._note_peak(*kmers, *tiles)
         self.raw_kmers = merge_pairs(
-            [self.raw_kmers, *exchange_deltas(self.comm, *kmers)]
+            [self.raw_kmers, *exchange_deltas(self.comm, kspace, *kmers)]
         )
         self.raw_tiles = merge_pairs(
-            [self.raw_tiles, *exchange_deltas(self.comm, *tiles)]
+            [self.raw_tiles, *exchange_deltas(self.comm, tspace, *tiles)]
         )
         self._note_peak()
 
     def _track_read_keys(self, block: ReadBlock) -> None:
-        """Grow the read-table key unions with this block's unique ids."""
-        if self.heuristics.read_kmers:
+        """Grow the read-table key unions with this block's unique keys."""
+        kspace, tspace = self._spaces
+        if self.heuristics.read_kmers and len(block):
             kids, kvalid = block_kmer_ids(block, self._shape)
-            flat = (
-                np.unique(kids[kvalid]) if len(block)
-                else np.empty(0, np.uint64)
+            self._read_kmer_keys = np.union1d(
+                self._read_kmer_keys, kspace.keys(kids[kvalid])
             )
-            self._read_kmer_keys = np.union1d(self._read_kmer_keys, flat)
-        if self.heuristics.read_tiles:
+        if self.heuristics.read_tiles and len(block):
             tids, tvalid = block_tile_ids(block, self._shape)
-            flat = (
-                np.unique(tids[tvalid]) if len(block)
-                else np.empty(0, np.uint64)
+            self._read_tile_keys = np.union1d(
+                self._read_tile_keys, tspace.keys(tids[tvalid])
             )
-            self._read_tile_keys = np.union1d(self._read_tile_keys, flat)
 
     # ------------------------------------------------------------------
     # finalize (recompile the serving state)
@@ -364,13 +371,14 @@ class CorrectionSession:
                 self.raw_kmers = self.raw_tiles = _NO_PAIRS
                 self._sealed = True
             serving.peak_construction_bytes = self._peak
+            kspace, tspace = self._spaces
             if heuristics.read_kmers:
                 serving.reads_kmers = fetch_read_table(
-                    comm, self._read_kmer_keys, serving.kmers
+                    comm, kspace, self._read_kmer_keys, serving.kmers
                 )
             if heuristics.read_tiles:
                 serving.reads_tiles = fetch_read_table(
-                    comm, self._read_tile_keys, serving.tiles
+                    comm, tspace, self._read_tile_keys, serving.tiles
                 )
             apply_replication(comm, heuristics, serving)
         self._spectra = serving
@@ -502,7 +510,8 @@ class CorrectionSession:
     # checkpoint / resume
     # ------------------------------------------------------------------
     def checkpoint(self, directory: str | os.PathLike) -> str:
-        """Write this rank's raw state to ``directory/rank<r>.npz``.
+        """Write this rank's raw state — keys, not ids — to
+        ``directory/rank<r>.npz``.
 
         Collective (ends with a barrier so every rank's bundle is
         durable before any rank proceeds).  Requires a ``retain_raw``
@@ -529,6 +538,7 @@ class CorrectionSession:
             nranks=self.comm.size,
             rank=self.comm.rank,
             n_ingests=self._ingest_count,
+            count_reverse_complement=self.config.count_reverse_complement,
             kmer_keys=kmer_keys.astype(np.uint64),
             kmer_counts=kmer_counts,
             tile_keys=tile_keys.astype(np.uint64),

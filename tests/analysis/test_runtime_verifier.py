@@ -155,12 +155,12 @@ class TestNoFalsePositives:
                 [r for r in range(comm.size) if r != comm.rank],
                 dtype=np.int64,
             )
-            wanted = (others + 10).astype(np.uint64)
-            counts, _ = protocol.request_counts(
-                wanted, others, wanted[:0], others[:0]
-            )
+            # A chunk names its owner: rank r holds key 10 + r.
+            answers = protocol.collect(protocol.post({
+                int(r): (np.array([r + 10], dtype=np.uint64), 1) for r in others
+            }))
             protocol.finish()
-            return counts.tolist()
+            return [int(answers[int(r)][0]) for r in others]
 
         res = run_spmd(prog, 3, engine=ThreadedEngine(), verify=True)
         assert all(r == [1, 1] for r in res.results)
@@ -263,22 +263,26 @@ class TestFinalizeAudit:
         """The universal pump drains with take_ready and serves queued
         requests in bulk; every request and response is still matched."""
         from repro.hashing.counthash import CountHash
-        from repro.hashing.inthash import mix_to_rank
+        from repro.parallel.ownership import KeySpace
         from repro.parallel.server import CorrectionProtocol
 
-        keys = np.arange(200, dtype=np.uint64)
+        space = KeySpace(24)
+        keys = np.sort(space.keys(np.arange(200, dtype=np.uint64)))
 
         def prog(comm):
-            owners = np.asarray(mix_to_rank(keys, comm.size), dtype=np.int64)
+            cuts = space.cuts(keys, comm.size)
             table = CountHash()
-            table.add_counts(keys[owners == comm.rank], 3)
+            table.add_counts(keys[cuts[comm.rank] : cuts[comm.rank + 1]], 3)
             protocol = CorrectionProtocol(comm, table, table, universal=True)
-            foreign = owners != comm.rank
+            # Each owner is asked for its keys as both kinds.
+            chunks = {
+                owner: (np.tile(keys[cuts[owner] : cuts[owner + 1]], 2),
+                        int(cuts[owner + 1] - cuts[owner]))
+                for owner in range(comm.size) if owner != comm.rank
+            }
             for _ in range(3):
-                counts, tcounts = protocol.request_counts(
-                    keys[foreign], owners[foreign], keys[foreign], owners[foreign]
-                )
-                assert (counts == 3).all() and (tcounts == 3).all()
+                answers = protocol.collect(protocol.post(chunks))
+                assert all((counts == 3).all() for counts in answers.values())
                 while protocol.pump(block=False):
                     pass
             protocol.finish()

@@ -64,6 +64,26 @@ class TestFaultsFlag:
         assert res["lookup_retries"] > 0
         assert res["takeover_reads"] > 0
 
+    @pytest.mark.parametrize(
+        "plan, field",
+        [
+            ({"crashes": [{"rank": 1, "after": 3}]}, "after"),
+            ({"drop_rate": "0.1"}, "drop_rate"),
+        ],
+    )
+    def test_bad_plan_is_a_usage_error(self, simulated, capsys, plan, field):
+        """A misspelled or mistyped plan field exits 2 with an
+        ``error:`` line naming it, as every other ReproError does."""
+        tmp, fasta, qual = simulated
+        plan_path = tmp / f"bad_{field}.json"
+        plan_path.write_text(json.dumps(plan))
+        rc = _correct(
+            tmp, fasta, qual, tmp / "never.fa", "--faults", str(plan_path)
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+
     def test_report_is_all_zero_without_plan(self, simulated):
         """No plan, no resilience trace — on the blocking path and on
         the prefetch endpoint's resilient-capable collect alike."""

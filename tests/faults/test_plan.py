@@ -96,6 +96,40 @@ class TestValidate:
         with pytest.raises(ConfigError):
             FaultPlan(**kwargs).validate(4)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("drop_rate", "0.1"),
+            ("delay_rate", None),
+            ("base_timeout_s", "fast"),
+            ("backoff", [2]),
+            ("max_retries", 2.5),
+            ("delay_events", "3"),
+            ("max_drops_per_frame", True),
+            ("seed", 1.0),
+        ],
+    )
+    def test_rejects_non_numbers_by_name(self, field, value):
+        """A JSON plan's value of the wrong type is a ConfigError that
+        names the field, not a TypeError from a comparison."""
+        plan = FaultPlan.from_dict({field: value})
+        with pytest.raises(ConfigError, match=field):
+            plan.validate(4)
+
+    @pytest.mark.parametrize(
+        "fault, fields",
+        [
+            ("crashes", {"rank": 1, "after": 3}),
+            ("stalls", {"rank": 1, "secs": 0.5}),
+            ("crashes", {"rank": "1"}),
+            ("stalls", {"rank": 1, "seconds": "long"}),
+        ],
+    )
+    def test_rejects_bad_fault_fields_by_name(self, fault, fields):
+        bad = next(iter(set(fields) - {"rank"}), "rank")
+        with pytest.raises(ConfigError, match=bad):
+            FaultPlan.from_dict({fault: [fields]}).validate(4)
+
 
 class TestRoundTrip:
     PLAN = FaultPlan(

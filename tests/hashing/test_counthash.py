@@ -407,9 +407,10 @@ class TestFromCounts:
 
 
 class TestSlotHashIndependentOfOwnerHash:
-    """A rank's shard holds one residue of ``mix_to_rank``.  If the home
-    slot shared bits with that hash, a shard would use one home slot in P
-    and cluster; it must probe like any table of its size."""
+    """A shard holds one residue of a hash (``mix_to_rank``) or one
+    range of keys (:mod:`repro.parallel.ownership`).  If the home slot
+    shared bits with the owner, a shard would use one home slot in P and
+    cluster; it must probe like any table of its size."""
 
     @pytest.mark.parametrize("nranks", [2, 8, 64])
     def test_shard_displacement_matches_unsharded(self, nranks):
@@ -420,6 +421,28 @@ class TestSlotHashIndependentOfOwnerHash:
             rng.integers(0, 2**40, 9_000 * nranks, dtype=np.uint64)
         )
         shard_keys = pool[mix_to_rank(pool, nranks) == nranks - 1]
+        plain_keys = rng.choice(pool, shard_keys.size, replace=False)
+        shard, plain = CountHash(), CountHash()
+        shard.add_counts(shard_keys)
+        plain.add_counts(plain_keys)
+        assert shard.capacity == plain.capacity  # equal load
+        assert plain.mean_displacement > 0.0
+        assert shard.mean_displacement <= 1.25 * plain.mean_displacement
+
+    @pytest.mark.parametrize("nranks", [2, 8, 64])
+    def test_range_shard_displacement_matches_unsharded(self, nranks):
+        """An owner is a key range, so a shard's keys share their top
+        bits; the home slot reads the mixed high bits of the whole key,
+        and such a shard must probe like any table of its size."""
+        from repro.parallel.ownership import KeySpace
+
+        space = KeySpace(40)
+        rng = np.random.default_rng(17)
+        pool = np.unique(
+            rng.integers(0, 2**40, 9_000 * nranks, dtype=np.uint64)
+        )
+        shard_keys = pool[space.owners(pool, nranks) == nranks - 1]
+        assert (shard_keys >> np.uint64(40 - 1)).min() == 1  # top bit set
         plain_keys = rng.choice(pool, shard_keys.size, replace=False)
         shard, plain = CountHash(), CountHash()
         shard.add_counts(shard_keys)

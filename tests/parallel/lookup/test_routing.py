@@ -1,8 +1,9 @@
-"""``partition_by_dest`` ≡ the two-line comparison-sort formula.
+"""Routing a sorted run of keys to its owners is a cut.
 
-The function sorts a narrowed copy of the destinations (a radix sort);
-whatever it does inside, callers index with exactly what the plain
-formula returns — same values, same dtypes.
+An owner is a range of keys, so the positions of an ascending key array
+bucket by destination exactly as the plain comparison-sort formula over
+their owners would — ``KeySpace.cuts`` ≡ ``searchsorted(owners, ranks)``
+— without sorting anything.
 """
 
 import numpy as np
@@ -10,21 +11,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.parallel.lookup.routing import partition_by_dest
+from repro.parallel.ownership import KeySpace
+
+SPACE = KeySpace(24)
 
 
 def _reference(dests, size):
-    order = np.argsort(dests, kind="stable")
-    bounds = np.searchsorted(dests[order], np.arange(size + 1))
-    return order, bounds
+    """Bounds of each destination's positions, by the plain formula."""
+    return np.searchsorted(np.sort(dests), np.arange(size + 1))
+
+
+def _keys_owned_by(dests, size):
+    """An ascending key array whose i-th key is owned by ``sorted(dests)[i]``
+    (each the lowest key of its owner, plus a step within the range)."""
+    starts = np.concatenate([[0], SPACE.starts(size)]).astype(np.uint64)
+    dests = np.sort(np.asarray(dests, dtype=np.int64))
+    offsets = np.arange(dests.shape[0], dtype=np.uint64) % np.uint64(2)
+    return (starts[dests] + offsets).astype(SPACE.dtype)
 
 
 def _assert_same(dests, size):
-    order, bounds = partition_by_dest(dests, size)
-    ref_order, ref_bounds = _reference(dests, size)
-    assert order.dtype == ref_order.dtype and bounds.dtype == ref_bounds.dtype
-    np.testing.assert_array_equal(order, ref_order)
-    np.testing.assert_array_equal(bounds, ref_bounds)
+    keys = _keys_owned_by(dests, size)
+    assert np.array_equal(SPACE.owners(keys, size), np.sort(dests))
+    cuts = SPACE.cuts(keys, size)
+    np.testing.assert_array_equal(cuts, _reference(np.asarray(dests), size))
 
 
 @st.composite
@@ -33,8 +43,6 @@ def _cases(draw):
     # Some destinations get no position at all: draw from a subset.
     live = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=6))
     picks = draw(st.lists(st.sampled_from(live), max_size=200))
-    if draw(st.booleans()):
-        picks.sort()
     return np.array(picks, dtype=np.int64), size
 
 
@@ -61,7 +69,7 @@ def test_pinned_cases(dests, size):
 
 
 def test_buckets_are_stable_slices():
-    dests = np.array([2, 0, 2, 1, 0, 2], dtype=np.int64)
-    order, bounds = partition_by_dest(dests, 4)
-    buckets = [order[bounds[d]:bounds[d + 1]].tolist() for d in range(4)]
-    assert buckets == [[1, 4], [3], [0, 2, 5], []]
+    keys = _keys_owned_by([2, 0, 2, 1, 0, 2], 4)
+    cuts = SPACE.cuts(keys, 4)
+    buckets = [list(range(cuts[d], cuts[d + 1])) for d in range(4)]
+    assert buckets == [[0, 1], [2], [3, 4, 5], []]

@@ -20,12 +20,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hashing.counthash import CountHash
-from repro.hashing.inthash import mix_to_rank
-from repro.parallel.lookup.stack import LookupStack, StackPair
+from repro.kmer.tiles import TileShape
+from repro.parallel.lookup.routing import KIND_KMER
+from repro.parallel.lookup.stack import MUTE, LookupRound, LookupStack, StackPair
 from repro.parallel.lookup.tiers import AuthorityTier, CacheTier
+from repro.parallel.ownership import KeySpace, key_spaces
 from tests.parallel.lookup.ladder import ladder_round, oracle_fetch
 
 FIXTURES = Path(__file__).with_name("fixtures.json")
+#: The ids drawn are up to 48 bits; both kinds key them alike.
+SPACE = KeySpace(48)
 
 
 class _Stats:
@@ -50,7 +54,7 @@ class _OracleProtocol:
     """Wire stand-in: answers from the authoritative global table.
 
     What the real protocol puts on the wire for a round — each distinct
-    id once per owner — is pinned by ``test_wire_round.py``."""
+    key once per owner — is pinned by ``test_wire_round.py``."""
 
     def __init__(self, table):
         self.table = table
@@ -68,12 +72,17 @@ class _OracleProtocol:
 
 
 def _table(pairs):
+    """``(id, count)`` pairs stored under the ids' keys."""
     t = CountHash()
     if pairs:
         ids = np.array([int(k) for k, _ in pairs], dtype=np.uint64)
         counts = np.array([int(v) for _, v in pairs], dtype=np.uint64)
-        t.add_counts(ids, counts)
+        t.add_counts(SPACE.keys(ids), counts)
     return t
+
+
+def _owners(ids, nranks):
+    return SPACE.owners(SPACE.keys(ids), nranks)
 
 
 class World:
@@ -87,10 +96,7 @@ class World:
         self.replicated = replicated
         self.group_ranks = group_ranks
         ids = np.array(sorted(self.universe), dtype=np.uint64)
-        owners = (
-            np.asarray(mix_to_rank(ids, nranks), dtype=np.int64)
-            if ids.size else np.empty(0, dtype=np.int64)
-        )
+        owners = _owners(ids, nranks)
         self.global_table = _table(self.universe.items())
         if replicated:
             self.owned = self.global_table
@@ -100,6 +106,8 @@ class World:
         self.group_table = None
         if group_ranks is not None:
             in_group = ids[np.isin(owners, np.asarray(group_ranks))]
+            group_ranks = range(group_ranks[0], group_ranks[-1] + 1)
+            self.group_ranks = group_ranks
             self.group_table = _table(
                 [(i, self.universe[int(i)]) for i in in_group]
             )
@@ -123,8 +131,10 @@ class World:
             )
         if self.replicated:
             tiers.append(AuthorityTier("allgather", self.owned, None))
-            return LookupStack("kmer", tiers, comm)
-        tiers.append(AuthorityTier("owned", self.owned, (self.rank,)))
+            return LookupStack("kmer", SPACE, tiers, comm)
+        tiers.append(
+            AuthorityTier("owned", self.owned, range(self.rank, self.rank + 1))
+        )
         if self.group_table is not None:
             tiers.append(
                 AuthorityTier("group", self.group_table, self.group_ranks)
@@ -133,13 +143,13 @@ class World:
             tiers.append(CacheTier(
                 "reads_table", self.reads_table, "reads_table_kmer_hits"
             ))
-        return LookupStack("kmer", tiers, comm, to_owners=True)
+        return LookupStack("kmer", SPACE, tiers, comm, to_owners=True)
 
     def build_pair(self, comm, tile_table):
         """The k-mer stack beside a replicated tile stack over
         ``tile_table``, with the oracle as the round's protocol."""
         tiles = LookupStack(
-            "tile", [AuthorityTier("allgather", tile_table, None)], comm
+            "tile", SPACE, [AuthorityTier("allgather", tile_table, None)], comm
         )
         return StackPair(
             self.build_stack(comm), tiles, _OracleProtocol(self.global_table)
@@ -166,10 +176,10 @@ class World:
 
     def oracle(self, ids):
         """The pre-refactor ladder, re-derived independently."""
-        ids = np.asarray(ids, dtype=np.uint64)
+        ids = SPACE.keys(np.asarray(ids, dtype=np.uint64))
         counts = np.zeros(ids.size, dtype=np.uint32)
         open_ = np.ones(ids.size, dtype=bool)
-        owners = np.asarray(mix_to_rank(ids, self.nranks), dtype=np.int64)
+        owners = SPACE.owners(ids, self.nranks)
         if self.cache_table is not None:
             got, found = self.cache_table.lookup_found(ids)
             counts[found] = got[found]
@@ -206,11 +216,9 @@ def worlds(draw):
     replicated = draw(st.booleans())
     group_ranks = None
     if not replicated and draw(st.booleans()):
-        others = sorted(
-            draw(st.sets(st.integers(0, nranks - 1), max_size=nranks))
-            | {rank}
-        )
-        group_ranks = others
+        # A replication group is consecutive ranks, this one among them.
+        first = draw(st.integers(0, rank))
+        group_ranks = list(range(first, draw(st.integers(rank, nranks - 1)) + 1))
     reads_subset = cache_subset = None
     pool = sorted(universe)
     if not replicated and pool and draw(st.booleans()):
@@ -294,7 +302,9 @@ def test_pair_counts_books_what_resolve_books(case):
                 )
                 kcounts, tcounts = kres.counts, tres.counts
             assert np.array_equal(kcounts, world.oracle(kmer_ids))
-            assert np.array_equal(tcounts, world.global_table.lookup(tile_ids))
+            assert np.array_equal(
+                tcounts, world.global_table.lookup(SPACE.keys(tile_ids))
+            )
             booked.append(comm.stats.counters)
         assert booked[0] == booked[1]
 
@@ -308,11 +318,16 @@ def test_local_only_leaves_exactly_foreign_unresolved(case):
     comm = _Comm(world.rank, world.nranks)
     stack = world.build_stack(comm)
     ids = np.asarray(query, dtype=np.uint64)
-    res = stack.resolve(ids, record_stats=False)
+    rnd, open_ = stack.local(SPACE.keys(ids), MUTE)
+    unresolved = np.zeros(ids.size, dtype=bool)
+    unresolved[rnd.origins(KIND_KMER, open_)] = True
+    counts, _ = rnd.answers()
     full = world.oracle(ids)
-    assert np.array_equal(res.counts[~res.unresolved], full[~res.unresolved])
+    assert np.array_equal(counts[~unresolved], full[~unresolved])
+    assert (counts[unresolved] == 0).all()
     if world.replicated:
-        assert not res.unresolved.any()
+        assert not unresolved.any()
+    assert comm.stats.counters == {}
 
 
 class TestRecordedFixtures:
@@ -343,3 +358,35 @@ class TestRecordedFixtures:
             assert res.counts.tolist() == case["expected_counts"], case["name"]
             resolved_by = [stack.names[i] for i in res.resolved_by.tolist()]
             assert resolved_by == case["expected_tiers"], case["name"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nranks=st.sampled_from([1, 2, 3, 5, 8]),
+    kmer_ids=st.lists(st.integers(0, 2**24 - 1), max_size=80),
+    tile_ids=st.lists(st.integers(0, 2**40 - 1), max_size=80),
+)
+def test_round_owner_segments_ascend(nranks, kmer_ids, tile_ids):
+    """A round is one sort per kind, cut by owner: the segments lie in
+    (kind, owner) order, each holds its owner's keys, the keys ascend
+    through the whole kind, and the answers come back in input order."""
+    spaces = key_spaces(TileShape(12, 4))
+    keys = [
+        space.keys(np.array(ids, dtype=np.uint64))
+        for space, ids in zip(spaces, (kmer_ids, tile_ids))
+    ]
+    assert keys[0].dtype == np.uint32
+    rnd = LookupRound(*keys, spaces, nranks)
+    assert rnd.bounds.shape == (2 * nranks + 1,)
+    assert (np.diff(rnd.bounds) >= 0).all()
+    assert rnd.bounds[-1] == len(kmer_ids) + len(tile_ids)
+    for kind, space in enumerate(spaces):
+        run = rnd.ids[rnd.positions(kind)]
+        assert (np.diff(run.astype(np.int64) if kind == 0 else run) >= 0).all()
+        for owner in range(nranks):
+            lo, hi = rnd.bounds[kind * nranks + owner : kind * nranks + owner + 2]
+            assert (space.owners(rnd.ids[lo:hi], nranks) == owner).all()
+    rnd.counts[:] = np.arange(rnd.ids.shape[0], dtype=np.uint32)
+    kcounts, tcounts = rnd.answers()
+    assert rnd.ids[kcounts].tolist() == keys[0].tolist()
+    assert rnd.ids[tcounts].tolist() == keys[1].tolist()

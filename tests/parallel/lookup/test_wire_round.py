@@ -6,9 +6,9 @@ the cooperative engine — base and universal mode, ids repeating within
 a kind, the same numeric id in both kinds, behind a replication group,
 a prefilled reads table (with or without *add remote lookups*) or a
 replicated k-mer spectrum — each owner must be sent, once per round,
-the distinct k-mer ids no local tier answers, ascending, then those
-tiles, ascending; the answers must be the global counts; under *add
-remote lookups* the reads table must gain each fetched id once, with
+the distinct k-mer keys no local tier answers, ascending, then those
+tiles', ascending; the answers must be the global counts; under *add
+remote lookups* the reads table must gain each fetched key once, with
 its global count (0 when globally absent); and every counter and frame
 of the round must be what the tier-by-tier round (``ladder.py``) books
 on the same queries.
@@ -22,37 +22,45 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hashing.counthash import CountHash
-from repro.hashing.inthash import mix_to_rank
 from repro.hashing.sortedspectrum import SortedSpectrum
 from repro.kmer.tiles import TileShape
 from repro.parallel.build import RankSpectra
 from repro.parallel.heuristics import HeuristicConfig
 from repro.parallel.lookup.stack import compile_stacks
+from repro.parallel.ownership import key_spaces
 from repro.parallel.server import CorrectionProtocol
 from repro.simmpi import run_spmd
-from tests.parallel.lookup.ladder import ladder_round
+from tests.parallel.lookup.ladder import ladder_round, wire_fetch
 
 _ID_RANGE = 2**16
+SHAPE = TileShape(12, 4)
+SPACES = KSPACE, TSPACE = key_spaces(SHAPE)
 
 
-def _owner(i, nranks):
-    return int(mix_to_rank(np.array([i], dtype=np.uint64), nranks)[0])
+def _keys(ids, space):
+    return space.keys(np.asarray(ids, dtype=np.uint64))
+
+
+def _owners(ids, nranks, space):
+    return space.owners(_keys(ids, space), nranks)
 
 
 def _foreign(start, rank, nranks):
-    """The first id from ``start`` up that ``rank`` does not own."""
+    """The first id from ``start`` up that ``rank`` owns in neither kind."""
     i = start
-    while _owner(i, nranks) == rank:
+    while rank in (_owners([i], nranks, s)[0] for s in SPACES):
         i += 1
     return i
 
 
-def _table(counts, ids=None):
+def _table(counts, space, ids=None):
+    """``counts`` (of ``ids``, default all) under the ids' keys."""
     table = CountHash()
-    keys = np.array(sorted(counts if ids is None else ids), dtype=np.uint64)
-    if keys.size:
+    ids = np.array(sorted(counts if ids is None else ids), dtype=np.uint64)
+    if ids.size:
         table.add_counts(
-            keys, np.array([counts.get(int(k), 0) for k in keys], dtype=np.uint64)
+            _keys(ids, space),
+            np.array([counts.get(int(i), 0) for i in ids], dtype=np.uint64),
         )
     return table
 
@@ -60,7 +68,7 @@ def _table(counts, ids=None):
 def _group(rank, nranks, size):
     """The replication group of ``rank`` (itself alone without one)."""
     first = rank // size * size
-    return tuple(range(first, first + size))
+    return range(first, first + size)
 
 
 @st.composite
@@ -102,13 +110,9 @@ def rounds(draw):
     return nranks, kmers, tiles, queries, heuristics, prefill
 
 
-def _foreign_of(ids, rank, nranks):
-    return ids[mix_to_rank(ids, nranks) != rank] if ids.size else ids
-
-
 def _run(case, ordered):
     """One round per rank, ordered once (``pair_counts``) or tier by
-    tier (``ladder_round`` over the protocol's ``request_counts``): per
+    tier (``ladder_round`` over a no-tier round of the protocol): per
     rank its counts, ledger and reads tables, and the chunks it sent."""
     nranks, kmers, tiles, queries, heuristics, prefill = case
     group = heuristics.replication_group
@@ -123,28 +127,29 @@ def _run(case, ordered):
     def prog(comm):
         rank = comm.rank
 
-        def owned_by(counts, ranks):
-            return [i for i in counts if _owner(i, comm.size) in ranks]
+        def owned(counts, ranks, space):
+            ids = [i for i in counts if _owners([i], comm.size, space)[0] in ranks]
+            return _table(counts, space, ids)
 
         sp = RankSpectra(
-            shape=TileShape(12, 4), rank=rank, nranks=comm.size,
-            kmers=_table(kmers, owned_by(kmers, (rank,))),
-            tiles=_table(tiles, owned_by(tiles, (rank,))),
+            shape=SHAPE, rank=rank, nranks=comm.size,
+            kmers=owned(kmers, (rank,), KSPACE),
+            tiles=owned(tiles, (rank,), TSPACE),
         )
         if heuristics.allgather_kmers:
-            sp.kmers, sp.kmers_replicated = _table(kmers), True
+            sp.kmers, sp.kmers_replicated = _table(kmers, KSPACE), True
         if group > 1:
             sp.group_ranks = _group(rank, comm.size, group)
             sp.group_tiles = SortedSpectrum.from_counthash(
-                _table(tiles, owned_by(tiles, sp.group_ranks))
+                owned(tiles, sp.group_ranks, TSPACE)
             )
             if not heuristics.allgather_kmers:
                 sp.group_kmers = SortedSpectrum.from_counthash(
-                    _table(kmers, owned_by(kmers, sp.group_ranks))
+                    owned(kmers, sp.group_ranks, KSPACE)
                 )
         if heuristics.read_kmers:
-            sp.reads_kmers = _table(kmers, prefill[rank])
-            sp.reads_tiles = _table(tiles, prefill[rank])
+            sp.reads_kmers = _table(kmers, KSPACE, prefill[rank])
+            sp.reads_tiles = _table(tiles, TSPACE, prefill[rank])
         proto = CorrectionProtocol(
             comm, sp.kmers, sp.tiles, universal=heuristics.universal
         )
@@ -152,7 +157,9 @@ def _run(case, ordered):
         if ordered:
             kcounts, tcounts = stacks.pair_counts(*queries[rank])
         else:
-            kres, tres = ladder_round(stacks, *queries[rank], proto.request_counts)
+            kres, tres = ladder_round(
+                stacks, *queries[rank], wire_fetch(proto, SPACES)
+            )
             kcounts, tcounts = kres.counts, tres.counts
         proto.finish()
         cached = [
@@ -184,12 +191,12 @@ def test_round_sends_each_owner_its_distinct_ids_once(case):
         # not replicated, not already in the reads table.
         local = _group(rank, nranks, heuristics.replication_group)
         remote = []
-        for ids, replicated in (
-            (kq, heuristics.allgather_kmers), (tq, False)
+        for ids, replicated, space in (
+            (kq, heuristics.allgather_kmers, KSPACE), (tq, False, TSPACE)
         ):
             if replicated:
                 ids = ids[:0]
-            ids = ids[~np.isin(mix_to_rank(ids, nranks), local)]
+            ids = ids[~np.isin(_owners(ids, nranks, space), local)]
             remote.append(ids[~np.isin(ids, prefill[rank])])
         kremote, tremote = remote
         asked = kremote.size + tremote.size > 0
@@ -201,12 +208,14 @@ def test_round_sends_each_owner_its_distinct_ids_once(case):
             assert stats["remote_tile_ids_deduped"] == (
                 tremote.size - np.unique(tremote).size
             )
-        # The wire: one chunk per owner, distinct k-mers then distinct
-        # tiles, each ascending.
+        # The wire: one chunk per owner, the distinct keys of its
+        # k-mers then of its tiles, each ascending.
         expected = {}
         for owner in range(nranks):
-            k = np.unique(kremote[mix_to_rank(kremote, nranks) == owner])
-            t = np.unique(tremote[mix_to_rank(tremote, nranks) == owner])
+            k, t = (
+                np.unique(_keys(ids, space)[_owners(ids, nranks, space) == owner])
+                for ids, space in ((kremote, KSPACE), (tremote, TSPACE))
+            )
             if k.size or t.size:
                 expected[owner] = (np.concatenate([k, t]).tolist(), k.size)
         chunks = sent[rank]
@@ -214,11 +223,16 @@ def test_round_sends_each_owner_its_distinct_ids_once(case):
         for owner, chunk, n_kmer in chunks:
             assert (chunk.tolist(), n_kmer) == expected[owner], owner
         if heuristics.add_remote_lookups:
-            # Every fetched id once, with its global count: nothing
+            # Every fetched key once, with its global count: nothing
             # doubled, absence cached as 0.
             assert cached == [
-                {int(i): kmers.get(int(i), 0) for i in np.append(kremote, prefill[rank])},
-                {int(i): tiles.get(int(i), 0) for i in np.append(tremote, prefill[rank])},
+                {
+                    int(_keys([i], space)[0]): counts.get(int(i), 0)
+                    for i in np.append(remote_ids, prefill[rank])
+                }
+                for remote_ids, counts, space in (
+                    (kremote, kmers, KSPACE), (tremote, tiles, TSPACE)
+                )
             ]
         # Counts, counters, frames, bytes and tables as the tier-by-tier
         # round books them, and the same chunks on the wire.

@@ -5,11 +5,11 @@ import pytest
 from repro.config import ReptileConfig
 from repro.core.spectrum import build_spectra
 from repro.hashing.counthash import CountHash
-from repro.hashing.inthash import mix_to_rank
 from repro.hashing.sortedspectrum import SortedSpectrum
 from repro.io.records import ReadBlock
 from repro.parallel.heuristics import HeuristicConfig
 from repro.parallel.lookup.stack import compile_stacks, tier_order
+from repro.parallel.ownership import key_spaces
 from repro.parallel.session import CorrectionSession
 from repro.simmpi import run_spmd
 
@@ -32,6 +32,18 @@ def tiny_dataset_mod():
         error_model=ErrorModel(base_rate=0.01), seed=3,
     )
     return sim.simulate(coverage=20)
+
+
+def _space(cfg, table):
+    """The key space a distributed ``"kmers"`` / ``"tiles"`` table holds."""
+    return key_spaces(cfg.tile_shape)[table == "tiles"]
+
+
+def _keyed(cfg, table, serial):
+    """A serial table's ``{key: count}``: its ids mixed into keys."""
+    ids, counts = getattr(serial, table).items()
+    keys = _space(cfg, table).keys(ids)
+    return dict(zip(keys.tolist(), counts.tolist()))
 
 
 def _build(comm, block, cfg, heuristics):
@@ -67,12 +79,11 @@ class TestGlobalCountsMatchSerial:
         spectra_list = _distributed_union(block, cfg, heuristics)
 
         for table in ("kmers", "tiles"):
-            ref_keys, ref_counts = getattr(serial, table).items()
-            ref = dict(zip(ref_keys.tolist(), ref_counts.tolist()))
+            ref = _keyed(cfg, table, serial)
             combined = {}
             for sp in spectra_list:
                 keys, counts = getattr(sp, table).items()
-                owners = mix_to_rank(keys, len(spectra_list))
+                owners = _space(cfg, table).owners(keys, len(spectra_list))
                 assert (owners == sp.rank).all()  # strictly owned keys
                 combined.update(zip(keys.tolist(), counts.tolist()))
             assert combined == ref
@@ -85,13 +96,14 @@ class TestReadTables:
         spectra_list = _distributed_union(
             block, cfg, HeuristicConfig(read_kmers=True, read_tiles=True)
         )
+        ref = _keyed(cfg, "kmers", serial)
         for sp in spectra_list:
             assert sp.reads_kmers is not None
             assert sp.reads_tiles is not None
             keys, counts = sp.reads_kmers.items()
             # Cached counts equal the serial global counts (0 if filtered).
             for k, c in zip(keys.tolist()[:200], counts.tolist()[:200]):
-                assert serial.kmers.get(k) == c
+                assert ref.get(k, 0) == c
 
     def test_reads_cache_absent_by_default(self, block_and_config):
         block, cfg = block_and_config
@@ -103,8 +115,10 @@ class TestReplication:
     def test_allgather_both_replicates_serial(self, block_and_config):
         block, cfg = block_and_config
         serial = build_spectra(block, cfg)
+        kspace, tspace = key_spaces(cfg.tile_shape)
         ref_k, ref_c = serial.kmers.items()
         ref_tk, ref_tc = serial.tiles.items()
+        ref_k, ref_tk = kspace.keys(ref_k), tspace.keys(ref_tk)
         for tiles_too in (True, False):
             spectra_list = _distributed_union(
                 block, cfg,
@@ -127,7 +141,7 @@ class TestReplication:
             combined = {}
             for sp in spectra_list:
                 keys, counts = sp.tiles.items()
-                assert (mix_to_rank(keys, len(spectra_list)) == sp.rank).all()
+                assert (tspace.owners(keys, len(spectra_list)) == sp.rank).all()
                 combined.update(zip(keys.tolist(), counts.tolist()))
             assert combined == dict(zip(ref_tk.tolist(), ref_tc.tolist()))
 
@@ -139,7 +153,7 @@ class TestReplication:
         for sp in spectra_list:
             assert sp.group_kmers is not None
             base = (sp.rank // 2) * 2
-            assert sp.group_ranks == (base, base + 1)
+            assert sp.group_ranks == range(base, base + 2)
             # Group table covers exactly the union of the group's tables.
             expected = sum(
                 len(spectra_list[r].kmers) for r in sp.group_ranks

@@ -42,7 +42,7 @@ def _tables(owner, offset):
 
 
 def _shards(ward_bound):
-    shards = ShardServer(SERVER, SIZE, *_tables(SERVER, 1))
+    shards = ShardServer(SERVER, *_tables(SERVER, 1))
     if ward_bound:
         shards.bind_ward(WARD, *_tables(WARD, 11))
     return shards
@@ -251,10 +251,8 @@ def test_one_pump_turn_answers_every_queued_request(universal):
                 return wait(seq)
 
             protocol.collect = collect
-            counts, _ = protocol.request_counts(
-                wanted, np.full(wanted.size, SERVER), wanted[:0], owners[:0]
-            )
-            assert (counts == 5).all()
+            seq = protocol.post({SERVER: (wanted, wanted.size)})
+            assert (protocol.collect(seq)[SERVER] == 5).all()
         protocol.finish()
         return served
 

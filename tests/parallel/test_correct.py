@@ -6,25 +6,37 @@ import pytest
 from repro.config import ReptileConfig
 from repro.errors import SpectrumError
 from repro.hashing.counthash import CountHash
-from repro.hashing.inthash import mix_to_rank
 from repro.io.records import ReadBlock
 from repro.kmer.tiles import TileShape
 from repro.parallel.build import RankSpectra
 from repro.parallel.heuristics import HeuristicConfig
 from repro.parallel.lookup.stack import compile_stacks
+from repro.parallel.ownership import key_spaces
 from repro.parallel.server import CorrectionProtocol
 from repro.parallel.session import CorrectionSession
 from repro.simmpi import run_spmd
 
 
+SHAPE = TileShape(12, 4)
+KMERS, TILES = key_spaces(SHAPE)
+
+
+def _mine(ids, rank, nranks, space=KMERS):
+    """The ids among ``ids`` whose key ``rank`` owns."""
+    return ids[space.owners(space.keys(ids), nranks) == rank]
+
+
+def _add(table, ids, space=KMERS):
+    """Store count = id + 1 for ``ids``, under their keys."""
+    table.add_counts(space.keys(ids), ids + np.uint64(1))
+
+
 def _spectra_for(rank, nranks, universe=300):
-    """Owned tables where count(key) = key + 1 for owned keys."""
-    shape = TileShape(12, 4)
-    keys = np.arange(universe, dtype=np.uint64)
-    mine = keys[mix_to_rank(keys, nranks) == rank]
-    sp = RankSpectra(shape=shape, rank=rank, nranks=nranks)
-    sp.kmers.add_counts(mine, mine + np.uint64(1))
-    sp.tiles.add_counts(mine, mine + np.uint64(1))
+    """Owned tables where count(id) = id + 1 for owned ids."""
+    ids = np.arange(universe, dtype=np.uint64)
+    sp = RankSpectra(shape=SHAPE, rank=rank, nranks=nranks)
+    _add(sp.kmers, _mine(ids, rank, nranks))
+    _add(sp.tiles, _mine(ids, rank, nranks, TILES), TILES)
     return sp
 
 
@@ -57,7 +69,7 @@ class TestLookupLadder:
             # Fake full replication: merge everyone's keys locally.
             keys = np.arange(300, dtype=np.uint64)
             sp.kmers = CountHash()
-            sp.kmers.add_counts(keys, keys + np.uint64(1))
+            _add(sp.kmers, keys)
             sp.kmers_replicated = True
             view, proto = _view(
                 comm, HeuristicConfig(allgather_kmers=True), spectra=sp
@@ -74,9 +86,9 @@ class TestLookupLadder:
         def prog(comm):
             sp = _spectra_for(comm.rank, comm.size)
             cached = np.arange(0, 100, dtype=np.uint64)
-            foreign = cached[mix_to_rank(cached, comm.size) != comm.rank]
+            foreign = np.setdiff1d(cached, _mine(cached, comm.rank, comm.size))
             sp.reads_kmers = CountHash()
-            sp.reads_kmers.add_counts(foreign, foreign + np.uint64(1))
+            _add(sp.reads_kmers, foreign)
             h = HeuristicConfig(read_kmers=True)
             view, proto = _view(comm, h, spectra=sp)
             counts = view.kmer_counts(cached)
@@ -114,12 +126,11 @@ class TestLookupLadder:
             g = 2
             base = (comm.rank // g) * g
             sp = _spectra_for(comm.rank, comm.size)
-            sp.group_ranks = tuple(range(base, base + g))
+            sp.group_ranks = range(base, base + g)
             merged = CountHash()
             keys = np.arange(300, dtype=np.uint64)
             for r in sp.group_ranks:
-                rk = keys[mix_to_rank(keys, comm.size) == r]
-                merged.add_counts(rk, rk + np.uint64(1))
+                _add(merged, _mine(keys, r, comm.size))
             # Both kinds, as apply_replication builds them: the compiled
             # order has a group tier per kind.
             sp.group_kmers = sp.group_tiles = merged
@@ -140,10 +151,10 @@ class TestLookupLadder:
         def prog(comm):
             view, proto = _view(comm, HeuristicConfig(universal=True))
             keys = np.arange(300, dtype=np.uint64)
-            foreign = keys[mix_to_rank(keys, comm.size) != comm.rank][:50]
+            foreign = np.setdiff1d(keys, _mine(keys, comm.rank, comm.size))[:50]
             assert foreign.size == 50
             with pytest.raises(SpectrumError, match="50 kmer ids"):
-                view.kmers.counts(foreign)
+                view.kmers.counts(KMERS.keys(foreign))
             counts = view.kmer_counts(foreign)
             proto.finish()
             assert np.array_equal(counts, (foreign + 1).astype(np.uint32))

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hashing.counthash import CountHash, merge_pairs
-from repro.hashing.inthash import mix_to_rank
 from repro.parallel.exchange import (
     bucket_by_owner,
     exchange_deltas,
@@ -14,35 +13,42 @@ from repro.parallel.exchange import (
     pack_pairs,
     unpack_pairs,
 )
+from repro.parallel.ownership import KeySpace
 from repro.simmpi import run_spmd
 
 COUNT_MAX = 2**32 - 1
+#: Keys of up to 40 bits, as a tile's are.
+SPACE = KeySpace(40)
+
+
+def owners(keys, nranks):
+    return SPACE.owners(np.asarray(keys, dtype=np.uint64), nranks)
 
 
 class TestBucketing:
     def test_pack_unpack_roundtrip(self):
-        keys = np.arange(100, dtype=np.uint64)
+        keys = np.sort(SPACE.keys(np.arange(100, dtype=np.uint64)))
         counts = (keys * 2 + 1).astype(np.uint64)
-        buckets = bucket_by_owner(keys, counts, 4)
+        buckets = bucket_by_owner(SPACE, keys, counts, 4)
         assert len(buckets) == 4
         seen = {}
         for d, bucket in enumerate(buckets):
             k, c = unpack_pairs(pack_pairs(*bucket))
-            assert np.array_equal(mix_to_rank(k, 4), np.full(k.shape, d))
-            assert (k[1:] > k[:-1]).all()  # the split is stable
+            assert np.array_equal(owners(k, 4), np.full(k.shape, d))
+            assert (k[1:] > k[:-1]).all()  # each bucket is a slice
             seen.update(zip(k.tolist(), c.tolist()))
         assert seen == {int(k): int(k) * 2 + 1 for k in keys}
 
     def test_empty(self):
         buckets = bucket_by_owner(
-            np.empty(0, np.uint64), np.empty(0, np.uint64), 3
+            SPACE, np.empty(0, np.uint64), np.empty(0, np.uint64), 3
         )
         assert all(k.shape == c.shape == (0,) for k, c in buckets)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             bucket_by_owner(
-                np.zeros(2, np.uint64), np.zeros(3, np.uint64), 2
+                SPACE, np.zeros(2, np.uint64), np.zeros(3, np.uint64), 2
             )
 
 
@@ -54,12 +60,12 @@ class TestExchangeCounts:
 
         def prog(comm):
             # Every rank contributes count=rank+1 for the same 50 keys.
-            keys = np.arange(50, dtype=np.uint64)
+            keys = np.sort(SPACE.keys(np.arange(50, dtype=np.uint64)))
             runs = exchange_deltas(
-                comm, keys, np.full(50, comm.rank + 1, dtype=np.uint32)
+                comm, SPACE, keys, np.full(50, comm.rank + 1, dtype=np.uint32)
             )
             got_keys, got_counts = merge_pairs(runs)
-            assert (mix_to_rank(got_keys, comm.size) == comm.rank).all()
+            assert (owners(got_keys, comm.size) == comm.rank).all()
             expected = sum(r + 1 for r in range(comm.size))
             assert (got_counts == expected).all()
             return len(got_keys), comm.stats.get("session_delta_bytes")
@@ -73,7 +79,7 @@ class TestExchangeCounts:
         def prog(comm):
             keys = np.arange(comm.rank * 20, (comm.rank + 1) * 20, dtype=np.uint64)
             return merge_pairs(
-                exchange_deltas(comm, keys, np.ones(20, dtype=np.uint32))
+                exchange_deltas(comm, SPACE, keys, np.ones(20, dtype=np.uint32))
             )
 
         res = run_spmd(prog, 3, engine="cooperative")
@@ -92,7 +98,7 @@ class TestSaturatingMerge:
     @given(data=st.data())
     def test_owner_sums_saturate(self, data):
         nranks = data.draw(st.sampled_from([1, 2, 3, 8]), label="P")
-        keys = st.integers(0, 2**40)
+        keys = st.integers(0, 2**40 - 1)  # a 40-bit key space
         counts = st.sampled_from([1, 7, 2**31, COUNT_MAX - 1, COUNT_MAX])
         sent = [
             data.draw(st.dictionaries(keys, counts, max_size=20))
@@ -111,18 +117,18 @@ class TestSaturatingMerge:
         def prog(comm):
             mine = {
                 k: c for k, c in held[comm.rank].items()
-                if mix_to_rank(k, comm.size) == comm.rank
+                if owners(k, comm.size) == comm.rank
             }
             raw = merge_pairs([pairs(mine)])
             return merge_pairs(
-                [raw, *exchange_deltas(comm, *pairs(sent[comm.rank]))]
+                [raw, *exchange_deltas(comm, SPACE, *pairs(sent[comm.rank]))]
             )
 
         results = run_spmd(prog, nranks, engine="cooperative").results
         expected: dict[int, int] = {}
         for rank, entries in enumerate(held):
             for k, c in entries.items():
-                if mix_to_rank(k, nranks) == rank:
+                if owners(k, nranks) == rank:
                     expected[k] = expected.get(k, 0) + c
         for entries in sent:
             for k, c in entries.items():
@@ -130,7 +136,7 @@ class TestSaturatingMerge:
         for rank, (ks, cs) in enumerate(results):
             assert cs.dtype == np.uint32
             assert (ks[1:] > ks[:-1]).all()
-            assert (mix_to_rank(ks, nranks) == rank).all()
+            assert (owners(ks, nranks) == rank).all()
             for k, c in zip(ks.tolist(), cs.tolist()):
                 assert c == min(expected.pop(k), COUNT_MAX)
         assert not expected
@@ -140,14 +146,16 @@ class TestFetchGlobalCounts:
     def test_returns_global_counts(self):
         def prog(comm):
             owned = CountHash()
-            # Rank owns keys assigned to it; global count = key value.
-            keys = np.arange(200, dtype=np.uint64)
-            mine = keys[mix_to_rank(keys, comm.size) == comm.rank]
-            owned.add_counts(mine, mine)
-            wanted = np.array([5, 17, 100, 199, 5], dtype=np.uint64)
-            got_keys, got_counts = fetch_global_counts(comm, wanted, owned)
+            # Rank owns keys assigned to it; global count = key index.
+            keys = SPACE.keys(np.arange(200, dtype=np.uint64))
+            mine = owners(keys, comm.size) == comm.rank
+            owned.add_counts(keys[mine], np.arange(200, dtype=np.uint64)[mine])
+            wanted = keys[[5, 17, 100, 199, 5]]
+            got_keys, got_counts = fetch_global_counts(
+                comm, SPACE, wanted, owned
+            )
             lookup = dict(zip(got_keys.tolist(), got_counts.tolist()))
-            assert lookup == {5: 5, 17: 17, 100: 100, 199: 199}
+            assert lookup == {int(keys[i]): i for i in (5, 17, 100, 199)}
 
         run_spmd(prog, 4, engine="cooperative")
 
@@ -155,7 +163,7 @@ class TestFetchGlobalCounts:
         def prog(comm):
             owned = CountHash()
             got_keys, got_counts = fetch_global_counts(
-                comm, np.array([42, 77], dtype=np.uint64), owned
+                comm, SPACE, np.array([42, 77], dtype=np.uint64), owned
             )
             assert (got_counts == 0).all()
             assert sorted(got_keys.tolist()) == [42, 77]
@@ -170,7 +178,7 @@ class TestFetchGlobalCounts:
                 if comm.rank == 0
                 else np.empty(0, np.uint64)
             )
-            keys, counts = fetch_global_counts(comm, wanted, owned)
+            keys, counts = fetch_global_counts(comm, SPACE, wanted, owned)
             return keys.shape[0]
 
         res = run_spmd(prog, 3, engine="cooperative")

@@ -2,33 +2,121 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.io.records import ReadBlock
+from repro.kmer.tiles import TileShape
 from repro.parallel.ownership import (
-    kmer_owner,
+    KeySpace,
+    key_spaces,
     sequence_hash,
     sequence_owner,
-    tile_owner,
 )
+
+RANKS = [1, 2, 3, 5, 7, 8, 64]
 
 
 class TestKeyOwnership:
     def test_range(self):
-        ids = np.arange(1000, dtype=np.uint64)
-        owners = kmer_owner(ids, 7)
+        space = KeySpace(24)
+        owners = space.owners(space.keys(np.arange(1000, dtype=np.uint64)), 7)
         assert owners.min() >= 0
         assert owners.max() < 7
 
     def test_kmer_and_tile_share_rule(self):
-        ids = np.arange(100, dtype=np.uint64)
-        assert np.array_equal(kmer_owner(ids, 5), tile_owner(ids, 5))
+        """Both kinds own by one rule at their own width: an owner reads
+        only where a key lies in its space."""
+        kmers, tiles = key_spaces(TileShape(12, 4))
+        assert (kmers.bits, tiles.bits) == (24, 40)
+        assert (kmers.dtype, tiles.dtype) == (np.uint32, np.uint64)
+        keys = np.arange(0, 1 << 24, 997, dtype=np.uint64)
+        for nranks in RANKS:
+            assert np.array_equal(
+                kmers.owners(keys, nranks),
+                tiles.owners(keys << np.uint64(16), nranks),
+            )
 
     def test_deterministic(self):
         ids = np.array([1, 2, 3], dtype=np.uint64)
-        assert np.array_equal(kmer_owner(ids, 4), kmer_owner(ids, 4))
+        space = KeySpace(40)
+        assert np.array_equal(
+            space.owners(space.keys(ids), 4), space.owners(space.keys(ids), 4)
+        )
 
     def test_scalar(self):
-        assert isinstance(kmer_owner(7, 3), int)
+        """A single id keys and owns as a one-element array does."""
+        space = KeySpace(24)
+        key = space.keys(7)
+        assert key == space.keys(np.array([7], np.uint64))[0]
+        assert space.owners(key, 3) == space.owners(np.array([key]), 3)[0]
+
+    def test_rejects_bad_width_and_ranks(self):
+        with pytest.raises(ValueError):
+            KeySpace(0)
+        with pytest.raises(ValueError):
+            KeySpace(65)
+        with pytest.raises(ValueError):
+            KeySpace(24).owners(np.zeros(1, np.uint32), 0)
+
+
+class TestKeyRule:
+    """The rule's three promises: the mix is a bijection of its width,
+    owners are monotone in the key and lie in [0, P), and the cuts of an
+    ascending key array agree with the per-key owner."""
+
+    def test_mix_is_a_bijection_at_12_bits(self):
+        space = KeySpace(12)
+        keys = space.keys(np.arange(1 << 12, dtype=np.uint64))
+        assert keys.dtype == np.uint32
+        assert np.array_equal(np.sort(keys), np.arange(1 << 12))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        bits=st.sampled_from([24, 40]),
+        ids=st.lists(st.integers(0, 2**40 - 1), min_size=1, max_size=300),
+    )
+    def test_mix_is_injective_on_samples(self, bits, ids):
+        space = KeySpace(bits)
+        ids = np.unique(np.array(ids, dtype=np.uint64) >> np.uint64(40 - bits))
+        keys = space.keys(ids)
+        assert np.unique(keys).shape == ids.shape
+        assert int(keys.max()) < 1 << bits
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        bits=st.sampled_from([12, 24, 40, 64]),
+        nranks=st.sampled_from(RANKS),
+        raw=st.lists(st.integers(0, 2**64 - 1), max_size=300),
+    )
+    def test_owners_monotone_and_cuts_agree(self, bits, nranks, raw):
+        space = KeySpace(bits)
+        keys = np.sort(
+            (np.array(raw, dtype=np.uint64) >> np.uint64(64 - bits))
+            .astype(space.dtype)
+        )
+        owners = space.owners(keys, nranks)
+        assert ((owners >= 0) & (owners < nranks)).all()
+        assert (np.diff(owners) >= 0).all()
+        cuts = space.cuts(keys, nranks)
+        assert cuts.shape == (nranks + 1,)
+        np.testing.assert_array_equal(
+            cuts, np.searchsorted(owners, np.arange(nranks + 1))
+        )
+
+    @pytest.mark.parametrize("nranks", RANKS)
+    def test_every_rank_owns_an_equal_range(self, nranks):
+        space = KeySpace(12)
+        sizes = np.diff(space.cuts(np.arange(1 << 12, dtype=np.uint32), nranks))
+        assert sizes.max() - sizes.min() <= 1
+
+    def test_a_narrow_array_in_a_wide_space(self):
+        """uint32 keys of a 40-bit space: the owners past 2**32 get none."""
+        space = KeySpace(40)
+        keys = np.array([0, 2**31, 2**32 - 1], dtype=np.uint32)
+        np.testing.assert_array_equal(
+            space.cuts(keys, 4), np.searchsorted(space.owners(keys, 4), range(5))
+        )
 
 
 class TestSequenceHash:

@@ -5,17 +5,35 @@ import pytest
 
 from repro.errors import CommunicatorError
 from repro.hashing.counthash import CountHash
-from repro.hashing.inthash import mix_to_rank
+from repro.parallel.ownership import KeySpace
 from repro.parallel.server import CorrectionProtocol
 from repro.simmpi import run_spmd
+from tests.parallel.lookup.ladder import wire_fetch
 
 _NONE = np.empty(0, np.uint64)
+#: Both kinds' keys, 24 bits wide, so ``key + 2`` fits a count.
+SPACE = KeySpace(24)
+
+
+def _keys(n):
+    """The keys of ids ``0 .. n-1``: spread over every owner."""
+    return SPACE.keys(np.arange(n, dtype=np.uint64)).astype(np.uint64)
+
+
+def _owners(keys, nranks):
+    return SPACE.owners(keys, nranks)
+
+
+def _request(proto, kmer_keys, tile_keys):
+    """``(k-mer counts, tile counts)`` of keys owned elsewhere, in one
+    blocking lookup round with no local tier."""
+    return wire_fetch(proto, (SPACE, SPACE))(kmer_keys, tile_keys)
 
 
 def _owned_tables(rank, nranks, universe=500):
     """Rank's owned k-mer/tile tables: count = key + 1 (tiles: key + 2)."""
-    keys = np.arange(universe, dtype=np.uint64)
-    mine = keys[mix_to_rank(keys, nranks) == rank]
+    keys = _keys(universe)
+    mine = keys[_owners(keys, nranks) == rank]
     kmers, tiles = CountHash(), CountHash()
     kmers.add_counts(mine, mine + np.uint64(1))
     tiles.add_counts(mine, mine + np.uint64(2))
@@ -29,20 +47,14 @@ class TestRequestResponse:
             kmers, tiles = _owned_tables(comm.rank, comm.size)
             proto = CorrectionProtocol(comm, kmers, tiles, universal=universal)
             # Every rank asks for keys it does not own.
-            keys = np.arange(100, dtype=np.uint64)
-            owners = np.asarray(mix_to_rank(keys, comm.size))
-            foreign = keys[owners != comm.rank]
-            # One round asks for both kinds of the same ids.
-            foreign_owners = owners[owners != comm.rank]
-            counts, tcounts = proto.request_counts(
-                foreign, foreign_owners, foreign, foreign_owners
-            )
+            keys = _keys(100)
+            foreign = keys[_owners(keys, comm.size) != comm.rank]
+            # One round asks for both kinds of the same keys.
+            counts, tcounts = _request(proto, foreign, foreign)
             assert np.array_equal(counts, (foreign + 1).astype(np.uint32))
             assert np.array_equal(tcounts, (foreign + 2).astype(np.uint32))
             # And each kind alone.
-            only_tiles = proto.request_counts(
-                _NONE, foreign_owners[:0], foreign, foreign_owners
-            )
+            only_tiles = _request(proto, _NONE, foreign)
             assert only_tiles[0].shape == (0,)
             assert np.array_equal(only_tiles[1], tcounts)
             proto.finish()
@@ -56,12 +68,9 @@ class TestRequestResponse:
             kmers, tiles = CountHash(), CountHash()
             proto = CorrectionProtocol(comm, kmers, tiles, universal=universal)
             if comm.rank == 0:
-                keys = np.array([123456789], dtype=np.uint64)
-                owner = int(mix_to_rank(keys, comm.size)[0])
-                if owner != 0:
-                    counts, tcounts = proto.request_counts(
-                        keys, np.array([owner]), keys, np.array([owner])
-                    )
+                keys = np.array([12345678], dtype=np.uint64)
+                if _owners(keys, comm.size)[0] != 0:
+                    counts, tcounts = _request(proto, keys, keys)
                     assert counts.tolist() == tcounts.tolist() == [0]
             proto.finish()
 
@@ -71,14 +80,12 @@ class TestRequestResponse:
         def prog(comm):
             kmers, tiles = _owned_tables(comm.rank, comm.size)
             proto = CorrectionProtocol(comm, kmers, tiles, universal=universal)
-            keys = np.array([7, 7, 13, 7], dtype=np.uint64)
-            owners = np.asarray(mix_to_rank(keys, comm.size))
-            if (owners != comm.rank).all():
-                counts, tcounts = proto.request_counts(
-                    keys, owners, keys[:2], owners[:2]
-                )
-                assert counts.tolist() == [8, 8, 14, 8]
-                assert tcounts.tolist() == [9, 9]
+            k7, k13 = (int(k) for k in _keys(14)[[7, 13]])
+            keys = np.array([k7, k7, k13, k7], dtype=np.uint64)
+            if (_owners(keys, comm.size) != comm.rank).all():
+                counts, tcounts = _request(proto, keys, keys[:2])
+                assert counts.tolist() == [k7 + 1, k7 + 1, k13 + 1, k7 + 1]
+                assert tcounts.tolist() == [k7 + 2, k7 + 2]
             proto.finish()
 
         run_spmd(prog, 2, engine="cooperative")
@@ -88,9 +95,7 @@ class TestRequestResponse:
             proto = CorrectionProtocol(
                 comm, CountHash(), CountHash(), universal=universal
             )
-            out = proto.request_counts(
-                _NONE, np.empty(0, np.int64), _NONE, np.empty(0, np.int64)
-            )
+            out = _request(proto, _NONE, _NONE)
             assert [o.shape for o in out] == [(0,), (0,)]
             assert comm.stats.get("blocking_request_counts") == 0
             proto.finish()
@@ -113,13 +118,9 @@ class TestTermination:
             proto = CorrectionProtocol(comm, CountHash(), CountHash())
             proto.finish()
             if comm.rank == 0:
+                # The top key of the space is rank 1's.
                 with pytest.raises(CommunicatorError):
-                    proto.request_counts(
-                        np.array([1], np.uint64),
-                        np.array([1], np.int64),
-                        _NONE,
-                        np.empty(0, np.int64),
-                    )
+                    _request(proto, np.array([2**24 - 1], np.uint64), _NONE)
             return True
 
         run_spmd(prog, 2, engine="cooperative")
@@ -133,12 +134,9 @@ class TestTermination:
             if comm.rank == comm.size - 1:
                 # The straggler issues lookups after everyone else is done.
                 for _ in range(5):
-                    keys = np.arange(50, dtype=np.uint64)
-                    owners = np.asarray(mix_to_rank(keys, comm.size))
-                    sel = owners != comm.rank
-                    counts, _ = proto.request_counts(
-                        keys[sel], owners[sel], _NONE, owners[:0]
-                    )
+                    keys = _keys(50)
+                    sel = _owners(keys, comm.size) != comm.rank
+                    counts, _ = _request(proto, keys[sel], _NONE)
                     assert np.array_equal(
                         counts, (keys[sel] + 1).astype(np.uint32)
                     )
@@ -152,14 +150,11 @@ class TestTermination:
         def prog(comm):
             kmers, tiles = _owned_tables(comm.rank, comm.size)
             proto = CorrectionProtocol(comm, kmers, tiles)
-            keys = np.arange(50, dtype=np.uint64)
-            owners = np.asarray(mix_to_rank(keys, comm.size))
-            mine = keys[owners == comm.rank]
+            keys = _keys(50)
+            mine = keys[_owners(keys, comm.size) == comm.rank]
             if mine.size:
                 with pytest.raises(CommunicatorError):
-                    proto.request_counts(
-                        _NONE, owners[:0], mine, np.full(mine.size, comm.rank)
-                    )
+                    _request(proto, _NONE, mine)
             proto.finish()
 
         run_spmd(prog, 2, engine="cooperative")
@@ -171,12 +166,9 @@ class TestThreadedEngineProtocol:
         def prog(comm):
             kmers, tiles = _owned_tables(comm.rank, comm.size)
             proto = CorrectionProtocol(comm, kmers, tiles, universal=universal)
-            keys = np.arange(200, dtype=np.uint64)
-            owners = np.asarray(mix_to_rank(keys, comm.size))
-            sel = owners != comm.rank
-            counts, tcounts = proto.request_counts(
-                keys[sel], owners[sel], keys[sel], owners[sel]
-            )
+            keys = _keys(200)
+            sel = _owners(keys, comm.size) != comm.rank
+            counts, tcounts = _request(proto, keys[sel], keys[sel])
             assert np.array_equal(counts, (keys[sel] + 1).astype(np.uint32))
             assert np.array_equal(tcounts, (keys[sel] + 2).astype(np.uint32))
             proto.finish()

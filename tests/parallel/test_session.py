@@ -20,11 +20,11 @@ from repro.config import ReptileConfig
 from repro.core.corrector import ReptileCorrector
 from repro.core.spectrum import LocalSpectrumView, build_spectra
 from repro.faults import CrashFault, FaultPlan
-from repro.hashing.inthash import mix_to_rank
 from repro.io.partition import slice_bounds
 from repro.io.records import ReadBlock
 from repro.parallel.driver import ParallelReptile, ParallelSession
 from repro.parallel.heuristics import HeuristicConfig
+from repro.parallel.ownership import key_spaces
 from repro.parallel.session import (
     CheckpointOp, CorrectionSession, CorrectOp, IngestOp,
 )
@@ -226,6 +226,46 @@ class TestCheckpointResume:
             ).run([CorrectOp(block)], resume_dir=ckpt)
 
 
+    def test_resume_rejects_mismatched_strand_counting(self, scale, tmp_path):
+        """A checkpoint counted with reverse complements must not be
+        served by a session that counts one strand: the bundle records
+        the flag and resume refuses the mismatch."""
+        from repro.errors import SessionError
+
+        block, ckpt = scale.dataset.block, str(tmp_path / "bundles")
+        both = dataclasses.replace(scale.config, count_reverse_complement=True)
+        ParallelSession(
+            both, HeuristicConfig(universal=True), nranks=4,
+            engine="cooperative",
+        ).run([IngestOp(block), CheckpointOp(ckpt)])
+        one = dataclasses.replace(both, count_reverse_complement=False)
+        with pytest.raises(SessionError, match="count_reverse_complement"):
+            ParallelSession(
+                one, HeuristicConfig(universal=True), nranks=4,
+                engine="cooperative",
+            ).run([CorrectOp(block)], resume_dir=ckpt)
+
+    def test_resume_refuses_an_id_bundle(self, scale, tmp_path):
+        """A ``repro.session/1`` bundle held ids, not keys: it is refused
+        with an error that names both formats."""
+        from repro.core.persist import load_session_bundle
+        from repro.errors import SpectrumError
+
+        path = tmp_path / "rank0.npz"
+        empty = np.empty(0, np.uint64)
+        np.savez_compressed(
+            path, format=np.array("repro.session/1"), k=np.array(12),
+            overlap=np.array(4), nranks=np.array(1), rank=np.array(0),
+            n_ingests=np.array(1), kmer_keys=empty, kmer_counts=empty,
+            tile_keys=empty, tile_counts=empty, read_kmer_keys=empty,
+            read_tile_keys=empty,
+        )
+        with pytest.raises(SpectrumError) as err:
+            load_session_bundle(path)
+        assert "repro.session/1" in str(err.value)
+        assert "repro.session/2" in str(err.value)
+
+
 def _sorted_items(keys, counts):
     order = np.argsort(keys)
     return keys[order], counts[order]
@@ -335,9 +375,11 @@ class TestShardsMatchSerial:
         parts = [block.slice(bounds[i], bounds[i + 1]) for i in range(k)]
 
         raw = build_spectra(block, config, apply_threshold=False)
+        spaces = key_spaces(config.tile_shape)
         expected = []
-        for table in (raw.kmers, raw.tiles):
-            keys, counts = _sorted_items(*table.items())
+        for table, space in zip((raw.kmers, raw.tiles), spaces):
+            ids, counts = table.items()
+            keys, counts = _sorted_items(space.keys(ids), counts)
             counts = counts.astype(np.uint64)
             seed = np.zeros_like(counts)
             if seeded:
@@ -351,12 +393,14 @@ class TestShardsMatchSerial:
             shape = config.tile_shape
             for rank in range(nranks):
                 (kk, _, ks), (tk, _, ts) = expected
-                km = (ks > 0) & (mix_to_rank(kk, nranks) == rank)
-                tm = (ts > 0) & (mix_to_rank(tk, nranks) == rank)
+                km = (ks > 0) & (spaces[0].owners(kk, nranks) == rank)
+                tm = (ts > 0) & (spaces[1].owners(tk, nranks) == rank)
                 save_session_bundle(
                     f"{seed_dir}/rank{rank}.npz", k=shape.k,
                     overlap=shape.overlap, nranks=nranks, rank=rank,
-                    n_ingests=0, kmer_keys=kk[km],
+                    n_ingests=0,
+                    count_reverse_complement=config.count_reverse_complement,
+                    kmer_keys=kk[km],
                     kmer_counts=ks[km].astype(np.uint32), tile_keys=tk[tm],
                     tile_counts=ts[tm].astype(np.uint32),
                     read_kmer_keys=np.empty(0, np.uint64),
@@ -385,18 +429,18 @@ class TestShardsMatchSerial:
         results = run_spmd(program, nranks, engine="cooperative").results
         thresholds = (config.kmer_threshold, config.tile_threshold)
         for rank, (serving, held) in enumerate(results):
-            for (keys, counts), (ek, ec, _), threshold in zip(
-                serving, expected, thresholds
+            for (keys, counts), (ek, ec, _), threshold, space in zip(
+                serving, expected, thresholds, spaces
             ):
-                keep = (mix_to_rank(ek, nranks) == rank) & (ec >= threshold)
+                keep = (space.owners(ek, nranks) == rank) & (ec >= threshold)
                 got_keys, got_counts = _sorted_items(keys, counts)
                 assert np.array_equal(got_keys, ek[keep])
                 assert np.array_equal(got_counts, ec[keep])
-            for (keys, counts), (ek, ec, _) in zip(held, expected):
+            for (keys, counts), (ek, ec, _), space in zip(held, expected, spaces):
                 if not retain:
                     assert keys.size == counts.size == 0
                     continue
-                mine = mix_to_rank(ek, nranks) == rank
+                mine = space.owners(ek, nranks) == rank
                 assert counts.dtype == np.uint32
                 assert np.array_equal(keys, ek[mine])
                 assert np.array_equal(counts, ec[mine])
@@ -442,17 +486,21 @@ class _ForeignRoundCounter:
 
     def __init__(self, spectra, rank, size, universal):
         self._inner = LocalSpectrumView(spectra)
+        self._spaces = key_spaces(spectra.shape)
         self._rank, self._size = rank, size
         self._universal = universal
         self.rounds = 0
         self.frames = 0
 
-    def _owners(self, ids):
-        owners = mix_to_rank(ids, self._size)
+    def _owners(self, ids, space):
+        owners = space.owners(space.keys(ids), self._size)
         return np.unique(owners[owners != self._rank])
 
     def pair_counts(self, kmer_ids, tile_ids):
-        kmer_owners, tile_owners = self._owners(kmer_ids), self._owners(tile_ids)
+        kmer_owners, tile_owners = (
+            self._owners(ids, space)
+            for ids, space in zip((kmer_ids, tile_ids), self._spaces)
+        )
         frames = (
             np.union1d(kmer_owners, tile_owners).size if self._universal
             else kmer_owners.size + tile_owners.size

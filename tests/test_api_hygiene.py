@@ -232,3 +232,37 @@ def test_every_rank_program_runs_its_ops_through_the_runner():
         assert "SessionOpRunner(" in body and "runner.run_op(" in body
         for verb in (".ingest(", ".finalize(", ".correct(", "correct_dynamic("):
             assert verb not in body
+
+
+def test_an_owner_is_computed_in_one_module():
+    """Steps III–IV own keys by range through ``repro.parallel.ownership``
+    alone: no module under ``repro.parallel`` or ``repro.bench`` imports
+    ``mix_to_rank`` or mixes with ``splitmix64`` itself, the radix
+    partition and the id-owner helpers are gone, and so is the
+    caller-less ``request_counts``."""
+    import repro.parallel
+    import repro.parallel.lookup
+    import repro.parallel.lookup.routing as routing
+    import repro.parallel.ownership as ownership
+    from repro.parallel.server import CorrectionProtocol
+
+    src = Path(repro.__file__).parent
+    for package in ("parallel", "bench"):
+        for path in sorted((src / package).rglob("*.py")):
+            names = set()
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+            assert "mix_to_rank" not in names, path
+            if path.name != "ownership.py":
+                assert "splitmix64" not in names, path
+    assert not hasattr(routing, "partition_by_dest")
+    assert "partition_by_dest" not in repro.parallel.lookup.__all__
+    for name in ("kmer_owner", "tile_owner"):
+        assert not hasattr(ownership, name)
+        assert name not in repro.parallel.__all__
+    assert not hasattr(CorrectionProtocol, "request_counts")
