@@ -543,8 +543,8 @@ class FaultyTransport(Transport):
         self.on_deliver = None
 
     def __getattr__(self, name):
-        # boxes / queues / inbox / lock / drain / rank of the inner
-        # transport stay reachable for engines and white-box tests.
+        # boxes / queues / take / admit / rank of the inner transport
+        # stay reachable for engines and white-box tests.
         return getattr(self.inner, name)
 
     def enqueue(self, dest: int, frame: bytes):

@@ -33,7 +33,6 @@ MPI012 enforces this statically).
 from repro.errors import ServiceError, ServiceOverloadError
 from repro.service.executor import ServiceExecutor
 from repro.service.frontend import (
-    ServiceBatchResult,
     ServiceReport,
     ServiceRunResult,
     SpectrumService,
@@ -50,7 +49,6 @@ __all__ = [
     "JobQueue",
     "SERVICE_CMD_TAG",
     "SERVICE_RESULT_TAG",
-    "ServiceBatchResult",
     "ServiceError",
     "ServiceExecutor",
     "ServiceOverloadError",

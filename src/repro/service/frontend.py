@@ -27,27 +27,13 @@ from typing import Any
 import numpy as np
 
 from repro.config import ReptileConfig
+from repro.core.corrector import CorrectionResult
 from repro.errors import ServiceError
 from repro.io.records import ReadBlock
 from repro.parallel.heuristics import HeuristicConfig
 from repro.service.executor import ServiceExecutor
 from repro.service.jobqueue import Job, JobQueue, ServicePolicy
 from repro.simmpi.instrument import SERVICE_COUNTERS
-
-
-@dataclass
-class ServiceBatchResult:
-    """One client's corrected batch, in submission order.
-
-    ``tiles_examined`` / ``tiles_below_threshold`` are *round* totals:
-    a coalesced round corrects several clients' reads in one pass, so
-    per-client attribution of spectrum probes is not defined."""
-
-    block: ReadBlock
-    corrections_per_read: np.ndarray
-    reads_reverted: np.ndarray
-    tiles_examined: int = 0
-    tiles_below_threshold: int = 0
 
 
 @dataclass(frozen=True)
@@ -231,8 +217,13 @@ class SpectrumService:
 
     async def correct(
         self, block: ReadBlock, *, client: str = "default"
-    ) -> ServiceBatchResult:
+    ) -> CorrectionResult:
         """Correct a batch against the served spectrum.
+
+        The result's ``tiles_examined`` / ``tiles_below_threshold`` are
+        *round* totals: a coalesced round corrects several clients'
+        reads in one pass, so per-client attribution of spectrum probes
+        is not defined (the per-read breakdowns stay None).
 
         Under a crash fault plan too: the round's dead ranks' reads come
         back from their recovery partners' replay.  That round is the
@@ -342,7 +333,7 @@ class SpectrumService:
             order = np.argsort(job_ids, kind="stable")
             width = job.block.codes.shape[1]
             out.append(
-                ServiceBatchResult(
+                CorrectionResult(
                     block=ReadBlock(
                         ids=job_ids[order],
                         codes=codes[rows][order][:, :width],
@@ -360,7 +351,6 @@ class SpectrumService:
 
 
 __all__ = [
-    "ServiceBatchResult",
     "ServiceReport",
     "ServiceRunResult",
     "SpectrumService",

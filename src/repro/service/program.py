@@ -33,6 +33,7 @@ the verb name, then the sequence number, then the verb's payload.
 
 from __future__ import annotations
 
+import queue
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -117,9 +118,10 @@ class CommandChannel:
         """Front-end side: enqueue one command for rank 0."""
         self._commands.put(command)
 
-    def next_command(self) -> tuple:
-        """Rank 0 side: block until the next command arrives."""
-        return self._commands.get()
+    def next_command(self, timeout: float | None = None) -> tuple:
+        """Rank 0 side: the next command (raises ``queue.Empty`` when
+        none arrives within ``timeout`` seconds)."""
+        return self._commands.get(timeout=timeout)
 
     def post_result(self, result: tuple) -> None:
         """Rank 0 side: answer a command up the channel."""
@@ -149,7 +151,8 @@ class ServingProgram:
     becomes ``(..., total, ids, codes, lengths, quals)``: the block's
     read count and only the rows the receiving rank holds
     (:meth:`_shares`) — a rank outside a small round's window gets the
-    count and four empty arrays.
+    count and four empty arrays.  When the channel stays quiet, rank 0
+    relays ``("idle",)`` instead (see :meth:`_next_command`).
 
     Every command is acknowledged up the channel as ``(seq, payload)``
     once rank 0 has completed it (``payload`` is the merged round for a
@@ -173,7 +176,7 @@ class ServingProgram:
         with session:
             while True:
                 if comm.rank == 0:
-                    cmd = self.channel.next_command()
+                    cmd = self._next_command(comm)
                     # Relay to every peer, even one a crash fault has
                     # already killed: sends are buffered, a dead rank's
                     # frames simply go unread, and the session contract
@@ -189,6 +192,8 @@ class ServingProgram:
                 kind = cmd[0]
                 if kind == "shutdown":
                     break
+                if kind == "idle":
+                    continue
                 seq = int(cmd[1])
                 if kind == "ingest":
                     runner.run_op(IngestOp(self._place(runner, cmd)))
@@ -207,6 +212,21 @@ class ServingProgram:
                         f"{comm.rank}"
                     )
             return runner.report()
+
+    def _next_command(self, comm: Communicator) -> tuple:
+        """Rank 0: the channel's next command, or ``("idle",)`` when none
+        comes within half the fleet's receive timeout.
+
+        The peers wait in a receive meanwhile; relaying the no-op keeps
+        an idle fleet from timing out there.  It runs no op, so the
+        placement window (which turns by ``ops_run``) stays put."""
+        timeout = comm.receive_timeout
+        try:
+            return self.channel.next_command(
+                None if timeout is None else timeout / 2
+            )
+        except queue.Empty:
+            return ("idle",)
 
     # ------------------------------------------------------------------
     # placement: decided here, where a block enters the fleet

@@ -80,6 +80,14 @@ class Communicator:
         engine), so resilient retry loops need no wall-clock sleeps."""
         return getattr(self._engine, "PROBE_YIELDS", False)
 
+    @property
+    def receive_timeout(self) -> float | None:
+        """Seconds a blocking receive may wait before the engine fails it
+        with :class:`~repro.errors.DeadlockError`; None when the engine
+        detects deadlock itself (cooperative)."""
+        timeout: float | None = self._engine.timeout
+        return timeout
+
     # ------------------------------------------------------------------
     # point to point
     # ------------------------------------------------------------------

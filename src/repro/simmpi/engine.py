@@ -5,11 +5,11 @@ every engine receives *encoded wire frames* from the communicator and
 hands them to a transport, so copy-on-send and exact byte accounting
 hold identically everywhere.  The engines differ only in scheduling.
 
-The two in-memory engines share one skeleton, :class:`Engine`: delivery,
-the blocking receive, probe and take, the rank body of ``run`` (verifier
-calls, the scripted-crash mapping, first-error recording) and the
-fault-transport wrap.  Each supplies only how a rank parks, how a
-delivery wakes it, what a probe miss does and how its ranks start:
+All three engines share one skeleton, :class:`Engine`: delivery, the
+blocking receive, probe and take, the rank body (verifier calls, the
+scripted-crash mapping, first-error recording) and the fault-transport
+wrap.  Each supplies only how a rank parks, how a delivery wakes it,
+what a probe miss does and how its ranks start:
 
 * :class:`CooperativeEngine` — exactly one rank runs at a time, and control
   switches only at communication points (blocking receive, probe-yield,
@@ -25,28 +25,32 @@ delivery wakes it, what a probe miss does and how its ranks start:
   concurrency.  Blocking receives take a timeout so an accidental
   deadlock surfaces as an error.
 
-:class:`ProcessEngine` keeps its own parent/child split: every rank is a
-spawned interpreter with shared-nothing state, and frames cross real
-process boundaries over the
-:class:`~repro.simmpi.transport.ProcessTransport`.  This is the closest
-analogue of the paper's MPI deployment and the only engine that scales
-past the GIL.
+* :class:`ProcessEngine` — every rank is a spawned interpreter with
+  shared-nothing state, and frames cross real process boundaries over
+  the :class:`~repro.simmpi.transport.ProcessTransport`.  A spawned rank
+  is a one-rank user of the skeleton: an ordinary world over its
+  transport, the same rank body and fault wrap.  It parks by a sliced
+  receive from its own queue, and a delivery wakes no one in its
+  process.  This is the closest analogue of the paper's MPI deployment
+  and the only engine that scales past the GIL.
 """
 
 from __future__ import annotations
 
 import functools
+import pickle
 import queue as queue_mod
 import threading
 import time
+import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NoReturn
 
 from repro.errors import CommunicatorError, DeadlockError, RankCrashError
 from repro.simmpi.instrument import CommStats
 from repro.simmpi.message import Message
-from repro.simmpi.transport import LocalTransport, process_rank_main
+from repro.simmpi.transport import LocalTransport, ProcessTransport
 
 
 class _World:
@@ -97,8 +101,8 @@ class Engine:
     blocks and never gives up the rank's turn, so a drain loop over it
     costs one mailbox scan per call and no scheduler hand-off.
 
-    This class is the in-memory skeleton: every entry point above, the
-    rank body of :meth:`run`, the verifier calls, the scripted crash →
+    This class is the skeleton: every entry point above, the rank body
+    :meth:`_run_rank`, the verifier calls, the scripted crash →
     :class:`~repro.faults.CrashedRank` mapping and the fault-transport
     wrap live here once, all under ``world.lock``.  A subclass supplies
     only its scheduling, through these hooks (each called with the lock
@@ -110,6 +114,10 @@ class Engine:
     * :meth:`_probe_miss` — what a probe that found nothing does;
     * :meth:`_enter` / :meth:`_leave` — how a rank's turn starts and ends.
     """
+
+    #: Seconds a parked receive waits before it fails with
+    #: :class:`DeadlockError`; None where the engine detects deadlock.
+    timeout: float | None = None
 
     def create_world(self, nranks: int) -> _World:
         """The state one run's ranks share."""
@@ -169,38 +177,11 @@ class Engine:
     def run(self, fn: Callable[[Any], Any], world: _World,
             make_comm: Callable[[_World, int], Any]) -> list[Any]:
         """Execute ``fn(comm)`` on one thread per rank; returns per-rank results."""
-        from repro.faults import CrashedRank
-
         results: list[Any] = [None] * world.nranks
-
-        def body(rank: int) -> None:
-            if not self._enter(world, rank):
-                return
-            try:
-                results[rank] = fn(make_comm(world, rank))
-            except RankCrashError:
-                # A scripted crash: this rank is dead, the run goes on —
-                # recovery (replay by the partner) happens at the
-                # protocol layer, not here.
-                results[rank] = CrashedRank(rank)
-            except BaseException as exc:  # noqa: BLE001 - repropagated below
-                with world.lock:
-                    # A rank's own exception explains a deadlock the
-                    # others then diagnosed, so it replaces one.
-                    if world.error is None or isinstance(world.error, DeadlockError):
-                        world.error = exc
-                    self._wake_all(world)
-            finally:
-                with world.lock:
-                    if world.verifier is not None:
-                        err = world.verifier.mark_finished(rank)
-                        if err is not None:
-                            self._abort(world, err)
-                    self._leave(world, rank)
-
         threads = [
-            threading.Thread(target=body, args=(rank,), name=f"rank-{rank}",
-                             daemon=True)
+            threading.Thread(target=self._run_rank,
+                             args=(fn, world, make_comm, results, rank),
+                             name=f"rank-{rank}", daemon=True)
             for rank in range(world.nranks)
         ]
         for t in threads:
@@ -210,6 +191,37 @@ class Engine:
         if world.error is not None:
             raise world.error
         return results
+
+    def _run_rank(self, fn: Callable[[Any], Any], world: _World,
+                  make_comm: Callable[[_World, int], Any],
+                  results: list[Any], rank: int) -> None:
+        """The rank body: run ``fn(comm)`` into ``results[rank]``; a
+        failure becomes ``world.error``."""
+        from repro.faults import CrashedRank
+
+        if not self._enter(world, rank):
+            return
+        try:
+            results[rank] = fn(make_comm(world, rank))
+        except RankCrashError:
+            # A scripted crash: this rank is dead, the run goes on —
+            # recovery (replay by the partner) happens at the protocol
+            # layer, not here.
+            results[rank] = CrashedRank(rank)
+        except BaseException as exc:  # noqa: BLE001 - repropagated by run
+            with world.lock:
+                # A rank's own exception explains a deadlock the others
+                # then diagnosed, so it replaces one.
+                if world.error is None or isinstance(world.error, DeadlockError):
+                    world.error = exc
+                self._wake_all(world)
+        finally:
+            with world.lock:
+                if world.verifier is not None:
+                    err = world.verifier.mark_finished(rank)
+                    if err is not None:
+                        self._abort(world, err)
+                self._leave(world, rank)
 
     def attach_faults(self, world: _World, plan) -> None:
         """Arm a :class:`~repro.faults.FaultPlan` on this world.
@@ -371,19 +383,40 @@ class CooperativeEngine(Engine):
 
 
 # ----------------------------------------------------------------------
-# Free-running threaded engine
+# Engines whose blocking receive times out
 # ----------------------------------------------------------------------
-class ThreadedEngine(Engine):
-    """Concurrent engine: ranks are ordinary threads blocking on conditions.
+class _TimedEngine(Engine):
+    """An engine whose parked receive gives up: ``timeout`` bounds every
+    blocking receive, and expiry raises :class:`DeadlockError` (a real
+    MPI job would hang instead)."""
 
-    ``timeout`` bounds every blocking receive; expiry raises
-    :class:`DeadlockError` (a real MPI job would hang instead).
-    """
+    timeout: float
 
     def __init__(self, timeout: float = 120.0) -> None:
         if timeout <= 0:
             raise CommunicatorError("timeout must be positive")
         self.timeout = timeout
+
+    def _time_out(self, world: _World, rank: int, source: int,
+                  tag: int) -> NoReturn:
+        """Fail ``rank``'s receive: nothing came within the timeout."""
+        from repro.faults import describe_faults
+
+        err = DeadlockError.from_blocked(
+            {rank: (source, tag)},
+            detail=f"no matching message within the "
+                   f"{self.timeout}s receive timeout",
+            faults=describe_faults(world),
+        )
+        self._abort(world, err)
+        raise err
+
+
+# ----------------------------------------------------------------------
+# Free-running threaded engine
+# ----------------------------------------------------------------------
+class ThreadedEngine(_TimedEngine):
+    """Concurrent engine: ranks are ordinary threads blocking on conditions."""
 
     def create_world(self, nranks: int) -> _World:
         """World plus one condition variable per rank mailbox."""
@@ -399,16 +432,7 @@ class ThreadedEngine(Engine):
     def _park(self, world: _World, rank: int, source: int, tag: int) -> None:
         """Wait on the rank's condition, at most ``timeout`` seconds."""
         if not world.conds[rank].wait(timeout=self.timeout):  # type: ignore[attr-defined]
-            from repro.faults import describe_faults
-
-            err = DeadlockError.from_blocked(
-                {rank: (source, tag)},
-                detail=f"no matching message within the "
-                       f"{self.timeout}s receive timeout",
-                faults=describe_faults(world),
-            )
-            self._abort(world, err)
-            raise err
+            self._time_out(world, rank, source, tag)
 
     def _wake_all(self, world: _World) -> None:
         for cond in world.conds:  # type: ignore[attr-defined]
@@ -418,14 +442,15 @@ class ThreadedEngine(Engine):
 # ----------------------------------------------------------------------
 # Shared-nothing multiprocessing engine
 # ----------------------------------------------------------------------
-class ProcessEngine(Engine):
+class ProcessEngine(_TimedEngine):
     """One spawned interpreter per rank; frames cross real process
     boundaries (see :class:`~repro.simmpi.transport.ProcessTransport`).
 
     The rank function must be picklable (a module-level function or a
     picklable callable object — the driver's rank programs are).  Each
-    child builds its own world, communicator and stats ledger; the
-    parent only distributes the program, collects results and folds the
+    spawned rank runs :meth:`_spawned_rank`: its own world, fault plan,
+    communicator and stats ledger under the shared skeleton.  The parent
+    only distributes the program, collects results and folds the
     children's :class:`CommStats` back into ``world.stats``.  The
     parent's world holds ``nranks`` and, after the run, those stats; its
     transport and mailboxes are never used.
@@ -438,31 +463,66 @@ class ProcessEngine(Engine):
 
     #: Extra parent-side patience beyond the children's receive timeout.
     _GRACE = 30.0
+    #: How long a parked rank waits on its queue before it re-polls, so
+    #: a frame its own fault injector delayed still leaves on time.
+    _PARK_SLICE = 0.05
 
-    def __init__(self, timeout: float = 120.0) -> None:
-        if timeout <= 0:
-            raise CommunicatorError("timeout must be positive")
-        self.timeout = timeout
+    def _delivered(self, world: _World, dest: int, msg: Message | None) -> None:
+        """A delivery leaves this process on a queue: nobody to wake."""
 
-    def attach_faults(self, world: _World, plan) -> None:
-        """Record the plan; each spawned child builds its own injector
-        (equivalent decisions — they are content-hash based)."""
-        world.fault_plan = plan
+    def _wake_all(self, world: _World) -> None:
+        """A spawned rank is its process's only rank: nobody to release."""
 
-    def _no_endpoint(self, *args) -> None:
-        """The parent has no mailboxes: each spawned rank talks through
-        its own :class:`~repro.simmpi.transport.ProcessTransport`."""
-        raise CommunicatorError(
-            "the process engine has no parent-side endpoint; "
-            "communicators exist only inside the spawned ranks"
-        )
+    def _park(self, world: _World, rank: int, source: int, tag: int) -> None:
+        """Receive from the rank's own queue in slices, the lock released
+        while waiting, until a frame arrives or a re-poll matches."""
+        deadline = time.monotonic() + self.timeout
+        transport = world.transport
+        while True:
+            world.lock.release()
+            try:
+                frame = transport.take(self._PARK_SLICE)
+            finally:
+                world.lock.acquire()
+            if frame is not None:
+                transport.admit(frame)
+                return
+            # The re-poll ticks the fault injector's delayed-frame clock.
+            if world.find_message(rank, source, tag, remove=False) is not None:
+                return
+            if time.monotonic() > deadline:
+                self._time_out(world, rank, source, tag)
 
-    deposit = wait_message = probe = take_ready = _no_endpoint  # type: ignore[assignment]
+    def _spawned_rank(self, rank: int, nranks: int, fn, queues,
+                      result_queue, fault_plan) -> None:
+        """Entry point of one spawned rank: a one-rank run of the skeleton.
+
+        Reports ``("ok", rank, result, stats)`` — a scripted crash's
+        result is its :class:`~repro.faults.CrashedRank` — or
+        ``("error", rank, exc, None)`` on the result queue.  Each child
+        arms its *own* injector from the shared picklable ``fault_plan``;
+        fault decisions are drawn from the frame's content hash keyed by
+        the plan seed, so per-child injectors agree with a single shared
+        one frame-for-frame.
+        """
+        from repro.simmpi.communicator import Communicator
+
+        world = _World(nranks)
+        world.transport = ProcessTransport(queues, rank)
+        if fault_plan is not None:
+            self.attach_faults(world, fault_plan)
+        results: list[Any] = [None] * nranks
+        self._run_rank(fn, world, lambda w, r: Communicator(w, r, self),
+                       results, rank)
+        if world.error is None:
+            result_queue.put(("ok", rank, results[rank], world.stats[rank]))
+            return
+        result_queue.put(("error", rank, _portable_exception(world.error), None))
+        raise SystemExit(1)
 
     def run(self, fn, world: _World, make_comm) -> list[Any]:
         """Spawn all ranks, collect per-rank results and stats."""
         import multiprocessing as mp
-        import pickle
 
         ctx = mp.get_context("spawn")
         n = world.nranks
@@ -472,8 +532,8 @@ class ProcessEngine(Engine):
         try:
             for rank in range(n):
                 proc = ctx.Process(
-                    target=process_rank_main,
-                    args=(rank, n, fn, queues, result_queue, self.timeout,
+                    target=self._spawned_rank,
+                    args=(rank, n, fn, queues, result_queue,
                           world.fault_plan),
                     name=f"proc-rank-{rank}",
                 )
@@ -498,10 +558,6 @@ class ProcessEngine(Engine):
                 kind, rank, value, stats = status
                 if kind == "error":
                     raise value
-                if kind == "crashed":
-                    from repro.faults import CrashedRank
-
-                    value = CrashedRank(rank)
                 results[rank] = value
                 world.stats[rank] = stats
                 pending -= 1
@@ -558,6 +614,19 @@ class ProcessEngine(Engine):
                 p.join(timeout=5.0)
         for q in [*queues, result_queue]:
             q.close()
+
+
+def _portable_exception(exc: BaseException) -> BaseException:
+    """The exception itself when it pickles cleanly, else a
+    :class:`CommunicatorError` carrying its rendering."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        return CommunicatorError(
+            f"{type(exc).__name__}: {exc}\n"
+            + "".join(traceback.format_exception(exc))
+        )
 
 
 # ----------------------------------------------------------------------
