@@ -51,13 +51,11 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
                    help="0 = derive from the (first) input")
     p.add_argument("--tile-threshold", type=int, default=0)
     p.add_argument("--chunk-size", type=int, default=2000,
-                   help="reads per --batch-reads round / --prefetch "
-                        "piece; not the blocking Step IV grain")
+                   help="reads per --batch-reads round; not a Step IV "
+                        "grain: a rank corrects its share as one "
+                        "wavefront")
     p.add_argument("--universal", action="store_true",
                    help="universal message heuristic")
-    p.add_argument("--prefetch", action="store_true",
-                   help="bulk-prefetch Step IV lookups per chunk "
-                        "(deduplicated, coalesced per owner, pipelined)")
     p.add_argument("--batch-reads", action="store_true",
                    help="batch reads table heuristic")
     p.add_argument("--read-tables", action="store_true",
@@ -205,7 +203,6 @@ def _heuristics_from_args(args: argparse.Namespace) -> HeuristicConfig:
         read_tiles=args.read_tables,
         allgather_kmers=args.allgather in ("kmers", "both"),
         allgather_tiles=args.allgather in ("tiles", "both"),
-        prefetch=args.prefetch,
         replication_group=args.replication_group,
         load_balance=not args.no_load_balance,
     )
@@ -327,20 +324,12 @@ def cmd_correct(args: argparse.Namespace) -> int:
                   f"{totals.get(f'lookup_{tier}_hits'):>12,d} "
                   f"{totals.get(f'lookup_{tier}_misses'):>12,d} "
                   f"{totals.get(f'lookup_{tier}_bytes'):>14,d}")
-        from repro.parallel.report import prefetch_summary, serving_summary
+        from repro.parallel.report import serving_summary
 
         serving = serving_summary(totals)
         print(f"{'served':>12} {serving['requests_served']:>12,d} requests in "
               f"{serving['serve_probes']:,d} shard probes "
               f"(mean batch {serving['mean_batch']:.2f})")
-        if result.heuristics.use_prefetch:
-            pf = prefetch_summary(totals)
-            print(f"{'prefetch':>12} {pf['fetches']:>12,d} fetches in "
-                  f"{pf['messages']:,d} frames; tail {pf['tail_reads']:,d} "
-                  f"reads, {pf['replans']:,d} replans, "
-                  f"{pf['miss_fetches']:,d} on-miss fetches "
-                  f"(miss ratio {pf['miss_ratio']:.4f}, "
-                  f"cache {pf['cache_bytes']:,d} B)")
         _print_session_row(totals)
     return 0
 

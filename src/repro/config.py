@@ -59,9 +59,9 @@ class ReptileConfig:
         Reads needing more substitutions than this are left uncorrected.
     chunk_size:
         The paper's ``BatchSize`` (Step I "read in chunks by each rank"):
-        reads per *batch reads table* round, prefetch planning piece,
-        dynamic work unit and service placement part.  Not a Step IV
-        grain: blocking correction runs a rank's share as one wavefront.
+        reads per *batch reads table* round, dynamic work unit and
+        service placement part.  Not a Step IV grain: a rank corrects
+        its share as one wavefront.
     count_reverse_complement:
         Also count every window's reverse complement into the spectra.
         Real sequencing reads come from both genome strands, so a read's

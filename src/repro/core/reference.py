@@ -52,8 +52,6 @@ class UnpackedReferenceCorrector(ReptileCorrector):
             if active.size == 0:
                 continue
             tiles_examined[active] += 1
-            if self._note_rows is not None:
-                self._note_rows(active)
             counts = self.view.tile_counts(tile_ids)
             weak = counts < np.uint32(self.config.tile_threshold)
             rows, s, tids = active[weak], starts[weak], tile_ids[weak]
@@ -189,9 +187,6 @@ class UnpackedReferenceCorrector(ReptileCorrector):
         first_kmers = (batch.cand_ids >> suffix_bits) & kmer_mask
         second_kmers = batch.cand_ids & kmer_mask
         both = np.concatenate([first_kmers, second_kmers])
-        if self._note_rows is not None:
-            crows = batch.rows[batch.cand_owner]
-            self._note_rows(np.concatenate([crows, crows]))
         kcounts = self.view.kmer_counts(both)
         m = batch.cand_ids.shape[0]
         solid = (kcounts[:m] >= np.uint32(cfg.kmer_threshold)) & (
@@ -201,8 +196,6 @@ class UnpackedReferenceCorrector(ReptileCorrector):
         cand_owner = batch.cand_owner[solid]
         if cand_ids.size == 0:
             return
-        if self._note_rows is not None:
-            self._note_rows(batch.rows[cand_owner])
         tcounts = self.view.tile_counts(cand_ids).astype(np.int64)
         passing = tcounts >= cfg.tile_threshold
         cand_ids, cand_owner, tcounts = (

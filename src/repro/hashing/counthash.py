@@ -520,8 +520,8 @@ class CountHash:
 
         Unlike :meth:`lookup`, distinguishes an explicit zero entry (count 0,
         found True) from an absent key (count 0, found False) — the
-        distinction the prefetch cache relies on to tell "known globally
-        absent" apart from "never fetched".
+        distinction a reads table relies on to tell "known globally
+        absent" apart from "never looked up".
         """
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         if keys.size == 0 or self._size == 0:

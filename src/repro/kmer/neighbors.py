@@ -73,8 +73,8 @@ def substitute_at(
     ``wids[i]`` at ``positions[i]`` with each alternative, in the same
     ``(current+1, current+2, current+3) & 3`` order
     :func:`neighbors_at_positions` uses — so flattening rows reproduces the
-    scalar enumeration exactly.  This is the batched kernel the corrector's
-    candidate generation and the Step IV prefetch planner share.
+    scalar enumeration exactly.  This is the batched kernel of the
+    corrector's candidate generation.
     """
     _check(w)
     wids = np.ascontiguousarray(wids, dtype=np.uint64)

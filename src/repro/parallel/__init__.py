@@ -25,10 +25,9 @@ not hold:
 * count resolution as a stack of local tiers per spectrum — the
   authoritative tables, then the caches — and one lookup round to the
   owners for what both leave open, compiled once per rank and shared
-  by every resolution path (:mod:`repro.parallel.lookup`),
-* Step IV lookup aggregation: deduplicated per-owner bulk prefetch with
-  pipelined chunk correction (:mod:`repro.parallel.lookup.planner`),
-  whose fetches are rounds of the same protocol and frame.
+  by every resolution path (:mod:`repro.parallel.lookup`): a rank's
+  whole share asks one request per owner per dependent round, each
+  candidate's look-ahead tiles in the same round.
 """
 
 from repro.parallel.heuristics import HeuristicConfig
@@ -37,10 +36,7 @@ from repro.parallel.build import RankSpectra
 from repro.parallel.loadbalance import redistribute_reads
 from repro.parallel.dynamicbalance import correct_dynamic
 from repro.parallel.lookup import (
-    CachedChunkView,
-    ChunkCountCache,
     LookupStack,
-    PrefetchExecutor,
     RouteTable,
     ShardServer,
     StackPair,
@@ -72,10 +68,7 @@ __all__ = [
     "RankSpectra",
     "redistribute_reads",
     "correct_dynamic",
-    "CachedChunkView",
-    "ChunkCountCache",
     "LookupStack",
-    "PrefetchExecutor",
     "RouteTable",
     "ShardServer",
     "StackPair",

@@ -351,19 +351,11 @@ class ParallelReptile:
 
         The correction round runs on each rank's session endpoint
         (:func:`~repro.parallel.dynamicbalance.correct_dynamic`), so its
-        comm time lands in the same phases a static run books.  The
-        prefetch heuristic is not supported here: its per-chunk planning
-        assumes the static chunk schedule of
-        :meth:`~repro.parallel.session.CorrectionSession.correct`.
-        Neither is a fault plan that drops frames or crashes ranks: the
+        comm time lands in the same phases a static run books.  A fault
+        plan that drops frames or crashes ranks is not supported: the
         work queue and the ablation's lookups run outside the retry
         protocol.
         """
-        if self.heuristics.use_prefetch:
-            raise ConfigError(
-                "the dynamic work-allocation ablation does not support "
-                "the prefetch heuristic"
-            )
         if self.faults is not None and self.faults.needs_resilient_lookups:
             raise ConfigError(
                 "the dynamic work-allocation ablation does not support a "

@@ -43,13 +43,13 @@ class HeuristicConfig:
     allgather_tiles: bool = False
     add_remote_lookups: bool = False
     batch_reads: bool = False
-    #: Step IV lookup aggregation: before correcting a chunk, enumerate
-    #: every k-mer/tile id the corrector could touch, deduplicate, and
-    #: resolve them in one bulk exchange per owning rank, so the corrector
-    #: itself runs with zero mid-read messaging.  Pipelined: the next
-    #: chunk's prefetch is in flight while the current chunk corrects.
-    #: Composable with universal / batch_reads / partial replication; a
-    #: no-op when both spectra are fully replicated (nothing to fetch).
+    #: Accepted and inert: a ``prefetch=True`` plan runs the blocking
+    #: lookahead every messaging plan runs (one request per owner per
+    #: dependent round for a rank's whole share, each candidate's
+    #: look-ahead tiles in the same round), which already aggregates
+    #: what a bulk prefetch would.  It stays only because the
+    #: ``static_prefetch_p8`` benchmark row sets it: ROADMAP item 1(a)
+    #: renames that row, and item 2 then deletes this field.
     prefetch: bool = False
     load_balance: bool = True
     #: Partial replication group size (1 = none; must divide evenly into
@@ -80,12 +80,6 @@ class HeuristicConfig:
         """Does the correction phase exchange any messages at all?"""
         return not self.allgather_both
 
-    @property
-    def use_prefetch(self) -> bool:
-        """Is the bulk-prefetch engine actually engaged?  (The flag is
-        inert when full replication already makes every lookup local.)"""
-        return self.prefetch and self.needs_messaging
-
     def with_updates(self, **kwargs) -> "HeuristicConfig":
         """A copy with the given flags replaced (validated again)."""
         return replace(self, **kwargs)
@@ -97,7 +91,6 @@ class HeuristicConfig:
             for name in (
                 "universal", "read_kmers", "read_tiles", "allgather_kmers",
                 "allgather_tiles", "add_remote_lookups", "batch_reads",
-                "prefetch",
             )
             if getattr(self, name)
         ]

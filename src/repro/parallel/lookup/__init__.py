@@ -1,7 +1,7 @@
 """Count resolution: local tiers, then one lookup round to the owners.
 
-Every distributed path that resolves k-mer/tile counts — the blocking
-session round, the prefetch planner/executor, and partner-takeover
+Every distributed path that resolves k-mer/tile counts — a session's
+lookup rounds, the dynamic ablation's work units, and partner-takeover
 recovery — runs the same compiled :class:`StackPair` (one
 :class:`LookupStack` per spectrum), built **once per rank** by
 :func:`compile_stacks` from the rank's
@@ -9,7 +9,7 @@ recovery — runs the same compiled :class:`StackPair` (one
 :class:`~repro.parallel.heuristics.HeuristicConfig`.  A stack reads
 each count from the cheapest local table that holds it — an
 :class:`AuthorityTier` (owned shard, replication group, replica) or a
-:class:`CacheTier` (chunk cache, reads table); what is left goes to
+:class:`CacheTier` (the reads table); what is left goes to
 the owners in the pair's lookup round.  See ``docs/RUNTIME.md`` ("The
 lookup tier stack") for the layer diagram.
 
@@ -23,17 +23,12 @@ Modules:
   :func:`compile_stacks`, and the order helpers it compiles from;
 * :mod:`~repro.parallel.lookup.routing` — owner→destination routing
   (:class:`RouteTable`) and the serving-side :class:`ShardServer` that
-  recovery re-binds wards onto;
-* :mod:`~repro.parallel.lookup.cache` — the :class:`ChunkCountCache`
-  backing the prefetch stack's first tier;
-* :mod:`~repro.parallel.lookup.planner` — the prefetch planner view and
-  pipelined :class:`PrefetchExecutor`.
+  recovery re-binds wards onto.
 
 This package is the **only** place in :mod:`repro.parallel` allowed to
 probe spectrum tables directly; lint rule MPI007 enforces that.
 """
 
-from repro.parallel.lookup.cache import ChunkCountCache
 from repro.parallel.lookup.routing import (
     KIND_KMER,
     KIND_TILE,
@@ -53,18 +48,14 @@ from repro.parallel.lookup.tiers import (
     AuthorityTier,
     CacheTier,
 )
-from repro.parallel.lookup.planner import CachedChunkView, PrefetchExecutor
 
 __all__ = [
     "AuthorityTier",
     "BYTES_PER_HIT",
     "CacheTier",
-    "CachedChunkView",
-    "ChunkCountCache",
     "KIND_KMER",
     "KIND_TILE",
     "LookupStack",
-    "PrefetchExecutor",
     "RouteTable",
     "ShardServer",
     "StackPair",

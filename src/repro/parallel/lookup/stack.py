@@ -3,11 +3,12 @@
 :func:`compile_stacks` turns one rank's
 :class:`~repro.parallel.build.RankSpectra` +
 :class:`~repro.parallel.heuristics.HeuristicConfig` (plus, optionally, a
-chunk cache and a wire protocol) into a :class:`StackPair` — one
+wire protocol) into a :class:`StackPair` — one
 :class:`LookupStack` per spectrum — **once per rank**, from the names
 :func:`tier_order` gives, so the order a report prints is the order
-that runs.  Every resolution path (blocking round, prefetch planner,
-recovery replay) then runs the same compiled object.  The fault plan
+that runs.  Every resolution path (a share's lookup rounds, the
+dynamic ablation's work units, recovery replay) then runs the same
+compiled object.  The fault plan
 enters through the protocol (its retry policy and partner
 routing), so a recovering partner re-binds its ward onto the serving
 shard rather than growing a bespoke failover path — see
@@ -31,7 +32,7 @@ group, consecutive ranks, takes one segment; the reads table sees what
 is still open — and what is left of each foreign segment, deduplicated,
 is that owner's chunk on the wire.  No per-key mask is built on the
 way.  A stack alone walks a round of one kind (:meth:`LookupStack.local`):
-that is how the prefetch planner probes what its tiers can answer.
+that is how :meth:`LookupStack.counts` answers a kind that stays local.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from numpy.typing import NDArray
 from repro.errors import CommunicatorError, SpectrumError
 from repro.hashing.counthash import CountHash
 from repro.hashing.sortedspectrum import SortedSpectrum
-from repro.parallel.lookup.cache import ChunkCountCache, add_fresh
 from repro.parallel.lookup.routing import KIND_KMER, KIND_TILE
 from repro.parallel.ownership import KeySpace, key_spaces
 
@@ -71,7 +71,6 @@ _NO_POS = np.empty(0, dtype=np.intp)
 #: Every tier name a compiled stack can contain, in canonical resolution
 #: order (reports iterate this); ``remote`` is the lookup round.
 TIER_NAMES = (
-    "chunk_cache",
     "owned",
     "allgather",
     "group",
@@ -139,8 +138,8 @@ class LookupStack:
         self.tiers: tuple[Tier, ...] = tuple(tiers)
         self.comm = comm
         #: Do the ids no tier answers go to their owners, in the pair's
-        #: lookup round?  If not, they stay unresolved: in a prefetch
-        #: stack that is exactly what a plan must fetch.
+        #: lookup round?  If not, a key they leave open is an error
+        #: (:meth:`counts`).
         self.to_owners = to_owners
         #: Reads table the round's answers are cached into (the *add
         #: remote lookups* heuristic), or None.
@@ -159,7 +158,7 @@ class LookupStack:
             )
             for name in self.names
         )
-        # Degenerate stack (one rank, or fully replicated with no cache):
+        # Degenerate stack (one rank, or fully replicated):
         # one authoritative replica resolves everything, so :meth:`counts`
         # can skip the round entirely.
         self._sole_replica: AuthorityTier | None = (
@@ -331,8 +330,8 @@ class LookupRound:
             ).tolist()
             kinds.append((pos, ids[first], slot, edges))
         (_, kmers, _, kedges), (_, tiles, _, tedges) = kinds
-        # Every synchronous round trip is accounted: the prefetch engine's
-        # zero-mid-correction-messaging guarantee is asserted on this.
+        # Every synchronous round trip is accounted: a rank's dependent
+        # lookup rounds.
         stats.bump("blocking_request_counts")
         stats.bump("remote_kmer_ids_deduped", kmer_pos.shape[0] - kmers.shape[0])
         stats.bump("remote_tile_ids_deduped", tile_pos.shape[0] - tiles.shape[0])
@@ -378,7 +377,7 @@ class StackPair:
     kmers: LookupStack
     tiles: LookupStack
     #: The wire endpoint of the lookup round, or None when every id
-    #: resolves locally or stays open for a prefetch plan.
+    #: resolves locally.
     protocol: RemoteProtocol | None = None
     #: Where the round's wait is booked (``comm_kmer`` / ``comm_tile``).
     timer: PhaseTimer = field(default_factory=PhaseTimer)
@@ -461,6 +460,25 @@ class StackPair:
         return self.kmers.fully_replicated and self.tiles.fully_replicated
 
 
+def add_fresh(
+    table: CountHash, ids: NDArray[np.uint64], counts: NDArray[np.uint32]
+) -> None:
+    """Cache authoritative ``counts`` of ``ids`` in ``table``, each id
+    once; an id already cached keeps its entry.
+
+    ``add_counts`` *accumulates*, so a key a reads table already holds
+    must not be re-added, and duplicate keys within one batch must
+    collapse to one entry.
+    """
+    if ids.size == 0:
+        return
+    ids, first = np.unique(ids, return_index=True)
+    counts = counts[first]
+    fresh = ~table.contains(ids)
+    if fresh.any():
+        table.add_counts(ids[fresh], counts[fresh].astype(np.uint64))
+
+
 def _book_round(
     stack: LookupStack,
     n: int,
@@ -483,20 +501,16 @@ def compile_stacks(
     spectra: RankSpectra,
     heuristics: HeuristicConfig,
     *,
-    cache: ChunkCountCache | None = None,
     protocol: RemoteProtocol | None = None,
     timer: PhaseTimer | None = None,
 ) -> StackPair:
     """Build the rank's stacks from its spectra + heuristics, in the
     order :func:`tier_order` names.
 
-    Compiled once per rank and shared by every resolution path.  With a
-    ``cache`` the stacks are prefetch-mode (chunk cache first, nothing
-    goes to the owners: what they leave unresolved is what a plan
-    fetches); otherwise a stack whose kind is not replicated sends what
-    its tiers leave open to the owners through ``protocol``, in the
-    pair's lookup rounds (:meth:`StackPair.pair_counts`), whose wait is
-    booked on ``timer``.
+    Compiled once per rank and shared by every resolution path.  A
+    stack whose kind is not replicated sends what its tiers leave open
+    to the owners through ``protocol``, in the pair's lookup rounds
+    (:meth:`StackPair.pair_counts`), whose wait is booked on ``timer``.
     """
 
     def build(
@@ -508,13 +522,8 @@ def compile_stacks(
     ) -> LookupStack:
         tiers: list[Tier] = []
         to_owners = False
-        for name in tier_order(heuristics, kind, comm.size, prefetch=cache is not None):
-            if name == "chunk_cache":
-                assert cache is not None
-                tiers.append(CacheTier(
-                    name, cache.table_for(kind), f"prefetch_{kind}_hits"
-                ))
-            elif name == "allgather":
+        for name in tier_order(heuristics, kind, comm.size):
+            if name == "allgather":
                 tiers.append(AuthorityTier(name, owned, None))
             elif name == "owned":
                 tiers.append(AuthorityTier(
@@ -549,11 +558,7 @@ def compile_stacks(
 
 
 def tier_order(
-    heuristics: HeuristicConfig,
-    kind: str,
-    nranks: int,
-    *,
-    prefetch: bool | None = None,
+    heuristics: HeuristicConfig, kind: str, nranks: int
 ) -> tuple[str, ...]:
     """The tier names :func:`compile_stacks` would emit for a kind in a
     world of ``nranks``.
@@ -562,34 +567,26 @@ def tier_order(
     state), which is what lets the run report print the resolution order
     without access to the per-rank stack objects.  A one-rank world's
     shard is the whole spectrum, so it resolves through ``allgather``
-    like a replicated kind.  ``prefetch`` defaults to the config's own
-    :attr:`~repro.parallel.heuristics.HeuristicConfig.use_prefetch`.
+    like a replicated kind.
     """
     if kind not in ("kmer", "tile"):
         raise ValueError(f"unknown lookup kind {kind!r}")
-    if prefetch is None:
-        prefetch = heuristics.use_prefetch
     replicated = nranks == 1 or (
         heuristics.allgather_kmers
         if kind == "kmer"
         else heuristics.allgather_tiles
     )
+    if replicated:
+        return ("allgather",)
     reads = (
         heuristics.read_kmers if kind == "kmer" else heuristics.read_tiles
     )
-    order: list[str] = []
-    if prefetch:
-        order.append("chunk_cache")
-    if replicated:
-        order.append("allgather")
-        return tuple(order)
-    order.append("owned")
+    order = ["owned"]
     if heuristics.replication_group > 1:
         order.append("group")
     if reads:
         order.append("reads_table")
-    if not prefetch:
-        order.append("remote")
+    order.append("remote")
     return tuple(order)
 
 

@@ -10,15 +10,13 @@ going to its owner?* — over the still-open positions of a lookup round
   ``allgather`` every owner — it takes its owners' one segment of the
   round;
 * a :class:`CacheTier` answers only the keys it holds, and a miss falls
-  through: ``chunk_cache`` (the prefetch plan's fetched counts) and
-  ``reads_table`` (global counts of the rank's own reads).
+  through: ``reads_table`` (global counts of the rank's own reads).
 
 The paper's Section III-B "lookup ladder" is the ordering
 ``owned → allgather → group → reads-table`` that
 :func:`repro.parallel.lookup.stack.compile_stacks` builds from a
-:class:`~repro.parallel.heuristics.HeuristicConfig`; the prefetch engine
-puts the chunk cache first.  What no tier answers goes to the owners in
-one lookup round (:meth:`~repro.parallel.lookup.stack.StackPair.pair_counts`),
+:class:`~repro.parallel.heuristics.HeuristicConfig`.  What no tier
+answers goes to the owners in one lookup round (:meth:`~repro.parallel.lookup.stack.StackPair.pair_counts`),
 which is not a tier: it answers both spectra at once.
 
 Two counter families are recorded into
@@ -30,8 +28,8 @@ Two counter families are recorded into
   ``bytes`` counts the key+count payload resolved there (12 bytes per
   hit);
 * the **per-kind counters**, split by spectrum (``kmer`` / ``tile``),
-  which the per-tier family is not: a cache's hit counter
-  (``prefetch_{kind}_hits``, ``reads_table_{kind}_hits``), and the
+  which the per-tier family is not: the reads table's hit counter
+  (``reads_table_{kind}_hits``), and the
   round's ``remote_{kind}_lookups`` and ``remote_{kind}_ids_deduped``
   (beside the stack's ``{kind}_lookups`` entry count).  They remain
   because :mod:`repro.perfmodel.workload` and the end-to-end ledger
@@ -130,10 +128,8 @@ class CacheTier:
     """A table answering only the ids it holds; a miss falls through.
 
     ``hit_counter`` is the per-kind counter its hits are booked to —
-    ``prefetch_{kind}_hits`` for the chunk cache, which runs first so
-    that counter measures exactly how often a plan already covered a
-    lookup; ``reads_table_{kind}_hits`` for the reads table, which
-    *add remote lookups* also writes fetched counts back into.
+    ``reads_table_{kind}_hits`` for the reads table, which *add remote
+    lookups* also writes fetched counts back into.
     """
 
     def __init__(self, name: str, table: CountHash, hit_counter: str) -> None:

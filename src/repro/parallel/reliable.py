@@ -1,11 +1,10 @@
 """The reliable-request layer: one wait under every count client.
 
 Step IV is one idea — ask the owner, serve peers while you wait — and
-every round of it, a blocking lookup round or a prefetch fetch alike,
-is posted by the one protocol and keeps its outstanding requests here.
-Every request frame carries its ``(seq, who)`` name and every answer
-echoes it, under every plan; a plan changes only what this layer does
-with them.  :class:`ReliableRequests` owns the whole retry *policy*:
+every lookup round of it is posted by the one protocol and keeps its
+outstanding requests here.  Every request frame carries its ``(seq,
+who)`` name and every answer echoes it, under every plan; a plan
+changes only what this layer does with them.  :class:`ReliableRequests` owns the whole retry *policy*:
 
 * **sequence** — :meth:`open` numbers each round from a per-communicator
   monotone counter, so a frame that outlives its round (delayed,

@@ -17,7 +17,6 @@ from repro.parallel.driver import ParallelRunResult
 from repro.parallel.lookup.stack import TIER_NAMES, resolution_order
 from repro.simmpi.instrument import (
     LOOKUP_TIER_COUNTER_KINDS,
-    PREFETCH_COUNTERS,
     RESILIENCE_COUNTERS,
     SERVICE_COUNTERS,
     SESSION_COUNTERS,
@@ -33,26 +32,6 @@ def serving_summary(total) -> dict[str, float]:
         "requests_served": served,
         "serve_probes": probes,
         "mean_batch": round(served / probes, 3) if probes else 0.0,
-    }
-
-
-def prefetch_summary(total) -> dict[str, float]:
-    """The Step IV prefetch ledger in one row, from a fleet-total
-    :class:`~repro.simmpi.instrument.CommStats`: bulk exchanges and
-    their frames, what the tail replayed, and the share of corrector
-    lookups no local tier could answer (see ``PREFETCH_COUNTERS``)."""
-    hits = total.get("prefetch_kmer_hits") + total.get("prefetch_tile_hits")
-    misses = total.get("prefetch_kmer_misses") + total.get(
-        "prefetch_tile_misses"
-    )
-    return {
-        "fetches": total.get("prefetch_fetches"),
-        "messages": total.get("prefetch_messages"),
-        "replans": total.get("prefetch_replans"),
-        "tail_reads": total.get("prefetch_tail_reads"),
-        "miss_fetches": total.get("prefetch_miss_fetches"),
-        "miss_ratio": round(misses / (hits + misses), 6) if misses else 0.0,
-        "cache_bytes": total.get("prefetch_cache_bytes"),
     }
 
 
@@ -151,10 +130,6 @@ def run_report(result: ParallelRunResult) -> dict[str, Any]:
                 result.counter_per_rank("blocking_request_counts").max()
             ),
         },
-        # The Step IV prefetch ledger summed over ranks (all zero
-        # without the prefetch heuristic); see PREFETCH_COUNTERS for
-        # the glossary.
-        "prefetch": {name: total.get(name) for name in PREFETCH_COUNTERS},
         # Correction-session ledger (construction happens inside a
         # session even for classic runs, so ingest/delta counters are
         # populated on every run): ingest rounds, DELTA exchange rounds

@@ -17,8 +17,8 @@ Termination follows the paper: each rank reports DONE to rank 0 when its
 own reads are finished and keeps serving; rank 0 broadcasts SHUTDOWN once
 every rank has reported, and only then do ranks stop their pumps.
 
-**One frame.**  A count request has one wire form, whoever asks (a
-blocking lookup round or a prefetch fetch) and whatever the fault plan:
+**One frame.**  A count request has one wire form, whichever round
+asks and whatever the fault plan:
 ``uint64 [seq, who | ...]``, answered by ``uint32 [seq, who | counts]``
 under ``COUNT_RESPONSE`` (see :class:`~repro.simmpi.message.Tags`).
 ``seq`` is the round's number from
@@ -35,9 +35,8 @@ A fault plan changes only the retry policy, never a frame.
 **One client.**  :meth:`CorrectionProtocol.post` ships each owner its
 chunk of a round as the caller ordered it and returns the round's
 ``seq``; :meth:`CorrectionProtocol.collect` pumps until that round is
-answered.  Answers are kept per ``seq``, so rounds may overlap: a
-blocking round is ``collect(post(...))``, and the prefetch planner
-keeps the next chunk's fetch in flight while it corrects this one.  The
+answered.  Answers are kept per ``seq``, so rounds may overlap, though
+a lookup round is ``collect(post(...))``.  The
 ids on the wire are keys (:mod:`repro.parallel.ownership`).  The one
 ordering of a blocking round's keys — one sort per kind, cut at the
 owners' key ranges, which buckets them, drops repeats and hands the
@@ -226,27 +225,20 @@ class CorrectionProtocol:
     # ------------------------------------------------------------------
     # client side
     # ------------------------------------------------------------------
-    def post(
-        self,
-        chunks: dict[int, tuple[np.ndarray, int]],
-        universal: bool | None = None,
-    ) -> int:
+    def post(self, chunks: dict[int, tuple[np.ndarray, int]]) -> int:
         """Ship each owner its chunk of a new round, as ordered — owner
         -> ``(ids, n_kmer)``, k-mer ids first — and return the round's
         sequence number at once (redeem it with :meth:`collect`).
 
-        ``universal`` picks the frame layout (default: the protocol's
-        mode); a prefetch fetch is one universal frame per owner in
-        either mode.  A request for a doomed owner goes to its recovery
-        partner; when that is this rank, the ward's replica answers here
-        with no message at all.
+        The protocol's mode picks the frame layout.  A request for a
+        doomed owner goes to its recovery partner; when that is this
+        rank, the ward's replica answers here with no message at all.
         """
         if self._done_sent:
             raise CommunicatorError("a lookup round after finish()")
         comm = self.comm
         seq = self.requests.open()
         answers = self._answers[seq] = {}
-        universal = self.universal if universal is None else universal
         for owner, (chunk, n_kmer) in chunks.items():
             if owner == comm.rank:
                 raise CommunicatorError("a lookup round given locally-owned ids")
@@ -258,7 +250,7 @@ class CorrectionProtocol:
                 comm.stats.bump("failover_requests_served")
                 continue
             for who, payload, tag in frame_request(
-                universal, seq, owner, chunk, n_kmer, comm.size
+                self.universal, seq, owner, chunk, n_kmer, comm.size
             ):
                 self.requests.send(seq, who, dest, payload, tag)
         return seq

@@ -45,7 +45,7 @@ list ``[ingest, correct]`` on a one-shot session; the service's
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,6 @@ from repro.parallel.build import RankSpectra, apply_replication, fetch_read_tabl
 from repro.parallel.dynamicbalance import correct_dynamic
 from repro.parallel.exchange import exchange_deltas
 from repro.parallel.heuristics import HeuristicConfig
-from repro.parallel.lookup.planner import PrefetchExecutor
 from repro.parallel.lookup.stack import StackPair, compile_stacks
 from repro.parallel.memory import RankMemoryReport
 from repro.parallel.ownership import key_spaces
@@ -412,7 +411,6 @@ class CorrectionSession:
         timer = timer or self.timer
         comm = self.comm
         config = self.config
-        heuristics = self.heuristics
         self.finalize(timer=timer)
         spectra = self.spectra
         plan = comm.fault_plan
@@ -427,27 +425,15 @@ class CorrectionSession:
             injector.enter_phase(comm.rank, "correction")
         protocol, stacks = self._open_round(timer)
         with timer.phase("error_correction"):
-            if heuristics.use_prefetch:
-                # Bulk-prefetch engine: plan, fetch, and pipeline so the
-                # corrector itself never blocks on request_counts.
-                executor = PrefetchExecutor(
-                    comm, config, heuristics, spectra, protocol, timer
-                )
-            else:
-                executor = None
-                corrector = ReptileCorrector(config, stacks)
+            corrector = ReptileCorrector(config, stacks)
 
             def step_iv(reads: ReadBlock) -> list[CorrectionResult]:
-                """Correct one share: the rank's own, then each ward's."""
-                if executor is not None:
-                    # chunk_size is a real bound here: the planner holds
-                    # a whole piece's candidate neighbourhood and fetches
-                    # piece N+1 under piece N's correction.
-                    return executor.run(list(reads.chunks(config.chunk_size)))
-                # A blocking wavefront holds one tile column at a time and
-                # overlaps nothing, so pieces would only multiply the
-                # per-step request frames: the share is one wavefront.
-                # (correct_dynamic keeps chunk_size: its unit of balance.)
+                """Correct one share: the rank's own, then each ward's.
+
+                A blocking wavefront holds one tile column at a time and
+                overlaps nothing, so pieces would only multiply the
+                per-step request frames: the share is one wavefront.
+                (correct_dynamic keeps chunk_size: its unit of balance.)"""
                 return [corrector.correct_block(reads)] if len(reads) else []
 
             results = step_iv(block)

@@ -456,13 +456,18 @@ class ProcessEngine(_TimedEngine):
     transport and mailboxes are never used.
 
     ``timeout`` bounds every blocking receive inside the children, as on
-    the threaded engine; the parent additionally watches for child
-    processes dying without reporting (a crash surfaces as
-    :class:`CommunicatorError` rather than a hang).
+    the threaded engine, so a rank stuck in a receive fails itself and
+    reports its :class:`~repro.errors.DeadlockError`.  The parent waits
+    as long as its children are alive, however long the run lasts, and
+    watches for a child dying without reporting (a crash surfaces as
+    :class:`CommunicatorError` rather than a hang).  A failed run
+    terminates the children still alive at once; a successful one joins
+    them.
     """
 
-    #: Extra parent-side patience beyond the children's receive timeout.
-    _GRACE = 30.0
+    #: How long the parent waits for a dead child's report to surface
+    #: before it diagnoses a death without one.
+    _GRACE = 2.0
     #: How long a parked rank waits on its queue before it re-polls, so
     #: a frame its own fault injector delayed still leaves on time.
     _PARK_SLICE = 0.05
@@ -529,6 +534,7 @@ class ProcessEngine(_TimedEngine):
         queues = [ctx.Queue() for _ in range(n)]
         result_queue = ctx.Queue()
         procs: list = []
+        failed = True
         try:
             for rank in range(n):
                 proc = ctx.Process(
@@ -547,13 +553,12 @@ class ProcessEngine(_TimedEngine):
                     ) from exc
                 procs.append(proc)
             results: list[Any] = [None] * n
-            deadline = time.monotonic() + self.timeout + self._GRACE
             pending = n
             while pending:
                 try:
                     status = result_queue.get(timeout=1.0)
                 except queue_mod.Empty:
-                    self._check_children(procs, result_queue, deadline)
+                    self._check_children(procs, result_queue)
                     continue
                 kind, rank, value, stats = status
                 if kind == "error":
@@ -561,44 +566,48 @@ class ProcessEngine(_TimedEngine):
                 results[rank] = value
                 world.stats[rank] = stats
                 pending -= 1
+            failed = False
             return results
         finally:
-            self._teardown(procs, queues, result_queue)
+            self._teardown(procs, queues, result_queue, failed)
 
-    def _check_children(self, procs, result_queue, deadline: float) -> None:
-        """No result within the poll slice: diagnose dead or hung ranks."""
+    def _check_children(self, procs, result_queue) -> None:
+        """No result within the poll slice: diagnose dead ranks.
+
+        While every child is alive, or has exited cleanly beside a live
+        one, the run is healthy however long it lasts.  A child that died,
+        or a world whose children all exited with a report missing, is
+        not."""
         dead = [p for p in procs if not p.is_alive() and p.exitcode != 0]
-        if dead:
-            # A failing child reports before exiting; give that report a
-            # moment to surface so the real exception wins over the
-            # generic died-without-reporting diagnosis.
-            try:
-                status = result_queue.get(timeout=2.0)
-            except queue_mod.Empty:
-                codes = ", ".join(
-                    f"{p.name} exit code {p.exitcode}" for p in dead
-                )
-                raise CommunicatorError(
-                    f"rank process(es) died without reporting: {codes}"
-                ) from None
-            kind, rank, value, _stats = status
-            if kind == "error":
-                raise value
-            # A success slipped in; push it back through the main loop.
-            result_queue.put(status)
-            return
-        if time.monotonic() > deadline:
+        if not dead:
+            if any(p.is_alive() for p in procs):
+                return
+            dead = procs
+        # A failing child reports before exiting; give that report a
+        # moment to surface so the real exception wins over the
+        # generic died-without-reporting diagnosis.
+        try:
+            status = result_queue.get(timeout=self._GRACE)
+        except queue_mod.Empty:
+            codes = ", ".join(f"{p.name} exit code {p.exitcode}" for p in dead)
             raise CommunicatorError(
-                f"no rank reported within {self.timeout + self._GRACE}s; "
-                "terminating the process world"
-            )
+                f"rank process(es) died without reporting: {codes}"
+            ) from None
+        kind, rank, value, _stats = status
+        if kind == "error":
+            raise value
+        # A success slipped in; push it back through the main loop.
+        result_queue.put(status)
 
     @staticmethod
-    def _teardown(procs, queues, result_queue) -> None:
+    def _teardown(procs, queues, result_queue, failed: bool) -> None:
         """Drain, join and reap the process world.
 
         Draining the data queues first unblocks any child whose queue
-        feeder thread is still flushing frames nobody will receive.
+        feeder thread is still flushing frames nobody will receive.  A
+        successful run's children are exiting, so they are joined; after
+        a failure the others may be parked in a receive until their own
+        timeout, so they are terminated at once.
         """
         for q in [*queues, result_queue]:
             try:
@@ -606,8 +615,9 @@ class ProcessEngine(_TimedEngine):
                     q.get_nowait()
             except (queue_mod.Empty, OSError, ValueError):
                 pass
-        for p in procs:
-            p.join(timeout=10.0)
+        if not failed:
+            for p in procs:
+                p.join(timeout=10.0)
         for p in procs:
             if p.is_alive():
                 p.terminate()

@@ -92,50 +92,6 @@ SERVICE_COUNTERS = (
     "service_rounds",
 )
 
-#: The Step IV prefetch counter family (all in
-#: :attr:`CommStats.counters`, bumped only on ``prefetch=True`` runs by
-#: :mod:`repro.parallel.lookup.planner` and the chunk-cache tier; summed
-#: over ranks in ``run_report``'s ``prefetch`` section and summarized by
-#: :func:`repro.parallel.report.prefetch_summary`):
-#:
-#: * ``prefetch_fetches`` — bulk exchanges issued (planned window and
-#:   candidate fetches, tail re-plans and on-miss fetches alike);
-#:   ``prefetch_messages`` — the request frames they sent, one per owner.
-#: * ``prefetch_{kmer,tile}_ids_fetched`` — unique ids those exchanges
-#:   asked owners for; ``prefetch_{kmer,tile}_ids_deduped`` — ids a plan
-#:   dropped because they repeated or were already cached.
-#: * ``prefetch_{kmer,tile}_hits`` — lookups the chunk cache answered
-#:   (the corrector's, and stage 2's probe of the fetched windows);
-#:   ``prefetch_{kmer,tile}_misses`` — lookups no local tier could
-#:   (answered 0 and tainted in a first pass, fetched at once in the
-#:   tail).
-#: * ``prefetch_tail_reads`` — reads a first-pass miss tainted, replayed
-#:   in the rank's tail; ``prefetch_replans`` — tail drift re-plans (one
-#:   per piece of ≤ ``chunk_size`` tail reads per ``run()``);
-#:   ``prefetch_miss_fetches`` — synchronous fetches the tail replay made
-#:   for ids even the re-plan had not covered.
-#: * ``prefetch_cache_bytes`` — chunk-cache table bytes at the end of the
-#:   phase (not part of ``RankMemoryReport.peak``).
-#:
-#: The serving side of those exchanges is the one serve path's
-#: (``requests_served``, ``{kmer,tile}_ids_served``).
-PREFETCH_COUNTERS = (
-    "prefetch_fetches",
-    "prefetch_messages",
-    "prefetch_kmer_ids_fetched",
-    "prefetch_tile_ids_fetched",
-    "prefetch_kmer_ids_deduped",
-    "prefetch_tile_ids_deduped",
-    "prefetch_kmer_hits",
-    "prefetch_tile_hits",
-    "prefetch_kmer_misses",
-    "prefetch_tile_misses",
-    "prefetch_tail_reads",
-    "prefetch_replans",
-    "prefetch_miss_fetches",
-    "prefetch_cache_bytes",
-)
-
 #: The per-tier lookup counter family.  Every count resolution runs an
 #: ordered tier stack (:mod:`repro.parallel.lookup`); the stack bumps
 #: ``lookup_<tier>_requests`` / ``_hits`` / ``_misses`` / ``_bytes`` for
@@ -144,15 +100,15 @@ PREFETCH_COUNTERS = (
 #: ``<tier>`` is one of
 #: :data:`repro.parallel.lookup.stack.TIER_NAMES`.  The family is not
 #: split by spectrum; the per-kind counters that remain beside it —
-#: ``{kind}_lookups``, ``reads_table_{kind}_hits``, ``remote_{kind}_*``
-#: and ``prefetch_{kind}_*`` — are the ones
+#: ``{kind}_lookups``, ``reads_table_{kind}_hits`` and
+#: ``remote_{kind}_*`` — are the ones
 #: :mod:`repro.perfmodel.workload` and ``benchmarks/e2e/ledger.py`` read
 #: per kind.  The owned, allgather and group tiers have no per-kind
 #: counter: ``lookup_owned_hits`` / ``lookup_allgather_hits`` /
 #: ``lookup_group_hits`` are their counts.
 #:
-#: The one serve path — of the ``remote`` tier's rounds and the prefetch
-#: fetches alike — has two counters of its own:
+#: The one serve path — of the ``remote`` tier's rounds — has two
+#: counters of its own:
 #: ``requests_served`` (Step IV count requests answered) and
 #: ``serve_probes`` (shard probes made answering them).  A serve turn
 #: answers every request already queued with one shard probe, so

@@ -85,11 +85,11 @@ class TestFaultsFlag:
         assert err.startswith("error:") and field in err
 
     def test_report_is_all_zero_without_plan(self, simulated):
-        """No plan, no resilience trace — on the blocking path and on
-        the prefetch endpoint's resilient-capable collect alike."""
+        """No plan, no resilience trace — in both frame layouts the
+        resilient-capable collect sends (per-kind tags and universal)."""
         tmp, fasta, qual = simulated
         report_path = tmp / "clean_run.json"
-        for heuristics in ([], ["--prefetch"]):
+        for heuristics in ([], ["--universal"]):
             rc = _correct(
                 tmp, fasta, qual, tmp / "clean2.fa",
                 "--report", str(report_path), *heuristics,

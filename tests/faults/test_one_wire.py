@@ -4,7 +4,7 @@ A fault plan changes the retry policy, never a frame: the chaos runs
 send the same request tags as the same run without a plan — base mode
 its per-kind ``KMER_REQUEST`` / ``TILE_REQUEST`` frames, universal mode
 ``UNIVERSAL_REQUEST`` — and every answer is a ``COUNT_RESPONSE``.  A
-prefetch fetch is a round of the same protocol, served on the same path.
+prefetch plan runs the same blocking rounds, served on the same path.
 """
 
 import pytest
@@ -52,12 +52,22 @@ def test_a_plan_sends_the_fault_free_frames(
 
 
 def test_prefetch_fetches_are_served_on_the_one_path(scale, serial_reference):
-    """Every fetch frame is a count request the one serve path answers,
-    and the corrector never waits on a blocking round."""
+    """A prefetch plan's lookups are the blocking rounds: every request
+    frame is one the one serve path answers, at most one per kind per
+    other owner per round, exactly as with prefetch off."""
     result = run_plan(scale, None, heuristics=HeuristicConfig(prefetch=True))
+    plain = run_plan(scale, None, heuristics=HeuristicConfig())
     assert_identical(result, serial_reference, scale)
     total = totals(result)
-    assert total.get("prefetch_messages") > 0
-    assert total.get("requests_served") == total.get("prefetch_messages")
-    assert total.get("blocking_request_counts") == 0
-    assert step_iv_tags(result) == {Tags.UNIVERSAL_REQUEST, Tags.COUNT_RESPONSE}
+    requests = sum(
+        total.messages_by_tag.get(tag, 0)
+        for tag in (Tags.KMER_REQUEST, Tags.TILE_REQUEST)
+    )
+    rounds = total.get("blocking_request_counts")
+    assert 0 < total.get("requests_served") == requests
+    assert requests <= 2 * (result.nranks - 1) * rounds
+    assert total.get("requests_served") == totals(plain).get("requests_served")
+    assert rounds == totals(plain).get("blocking_request_counts")
+    assert step_iv_tags(result) == {
+        Tags.KMER_REQUEST, Tags.TILE_REQUEST, Tags.COUNT_RESPONSE,
+    }

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.parallel.lookup.cache import add_fresh
 from repro.parallel.lookup.routing import KIND_KMER, KIND_TILE
-from repro.parallel.lookup.stack import LookupRound
+from repro.parallel.lookup.stack import LookupRound, add_fresh
 from repro.parallel.lookup.tiers import BYTES_PER_HIT, AuthorityTier, probe
 
 

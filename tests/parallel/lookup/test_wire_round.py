@@ -119,10 +119,10 @@ def _run(case, ordered):
     sent = defaultdict(list)
     real_post = CorrectionProtocol.post
 
-    def spy(self, chunks, universal=None):
+    def spy(self, chunks):
         for owner, (chunk, n_kmer) in chunks.items():
             sent[self.comm.rank].append((owner, np.array(chunk), int(n_kmer)))
-        return real_post(self, chunks, universal)
+        return real_post(self, chunks)
 
     def prog(comm):
         rank = comm.rank

@@ -282,5 +282,5 @@ class TestTableRoles:
             _World(), sp, heuristics, protocol=object(),
         )
         for kind, stack in (("kmer", stacks.kmers), ("tile", stacks.tiles)):
-            expected = tier_order(heuristics, kind, nranks, prefetch=False)
+            expected = tier_order(heuristics, kind, nranks)
             assert stack.describe() == "->".join(expected)

@@ -1,5 +1,7 @@
 """Tests for the dynamic master-worker allocation (prior-work ablation)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,24 @@ class TestDynamicCorrectness:
             engine="cooperative",
         ).run_dynamic(scale.dataset.block)
         assert np.array_equal(res.corrected_block.codes, serial_codes)
+
+    def test_prefetch_plan_matches_serial(self, scale, serial_codes):
+        """A prefetch plan runs the blocking lookahead, so the ablation
+        runs it like any other plan: the same reads and frames as
+        prefetch off."""
+        runs = [
+            ParallelReptile(
+                scale.config, HeuristicConfig(prefetch=prefetch), nranks=4,
+                engine="cooperative",
+            ).run_dynamic(scale.dataset.block)
+            for prefetch in (True, False)
+        ]
+        assert np.array_equal(runs[0].corrected_block.codes, serial_codes)
+        frames = [Counter(), Counter()]
+        for total, run in zip(frames, runs):
+            for stats in run.stats:
+                total.update(stats.messages_by_tag)
+        assert frames[0] == frames[1]
 
     def test_master_corrects_nothing(self, scale):
         res = ParallelReptile(
@@ -93,14 +113,6 @@ class TestDynamicCorrectness:
 
 
 class TestUnsupportedCombinations:
-    def test_prefetch_is_rejected(self, scale):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError, match="prefetch"):
-            ParallelReptile(
-                scale.config, HeuristicConfig(prefetch=True), nranks=4
-            ).run_dynamic(scale.dataset.block)
-
     def test_a_lossy_fault_plan_is_rejected_up_front(self, scale):
         """The work queue (tags 16/17) and the ablation's lookups run
         outside the retry protocol: a dropped frame used to end the run

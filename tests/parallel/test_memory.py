@@ -10,7 +10,7 @@ from repro.hashing.sortedspectrum import SortedSpectrum
 from repro.kmer.tiles import TileShape
 from repro.parallel import HeuristicConfig, ParallelReptile
 from repro.parallel.build import RankSpectra
-from repro.parallel.lookup.cache import ChunkCountCache
+from repro.parallel.lookup.stack import add_fresh
 from repro.parallel.memory import RankMemoryReport
 from repro.parallel.session import CorrectionSession
 from repro.simmpi import run_spmd
@@ -139,20 +139,20 @@ class TestSlotWidthsPerRank:
                 total += table.nbytes
             assert sp.nbytes == total
 
-    def test_chunk_cache(self, scale):
+    def test_write_back_grows_at_slot_width(self, scale):
+        """A reads table that *add remote lookups* writes answers back
+        into grows batch by batch and stays at its slot width."""
         block, shape = scale.dataset.block, scale.config.tile_shape
-        cache = ChunkCountCache()
+        kmers, tiles = CountHash(), CountHash()
         for chunk in list(block.chunks(250))[:4]:  # grows incrementally
-            for ids_of, add in (
-                (block_kmer_ids, cache.add_kmers),
-                (block_tile_ids, cache.add_tiles),
+            for ids_of, table in (
+                (block_kmer_ids, kmers), (block_tile_ids, tiles),
             ):
                 ids, valid = ids_of(chunk, shape)
-                ids = np.unique(ids[valid])
-                add(ids, (ids % np.uint64(40)).astype(np.uint32))
-        assert cache.kmers.nbytes == self.KMER_SLOT * cache.kmers.capacity
-        assert cache.tiles.nbytes == self.TILE_SLOT * cache.tiles.capacity
-        assert cache.nbytes == cache.kmers.nbytes + cache.tiles.nbytes
+                ids = ids[valid]
+                add_fresh(table, ids, (ids % np.uint64(40)).astype(np.uint32))
+        assert kmers.nbytes == self.KMER_SLOT * kmers.capacity
+        assert tiles.nbytes == self.TILE_SLOT * tiles.capacity
 
     def _build_only(self, scale, nranks):
         return ParallelReptile(

@@ -54,7 +54,6 @@ class TestRunReport:
         assert lookup["tiers"]["owned"]["requests"] > 0
         assert lookup["tiers"]["remote"]["requests"] > 0
         assert lookup["tiers"]["remote"]["misses"] == 0
-        assert lookup["tiers"]["chunk_cache"]["requests"] == 0
 
     def test_lookup_section_reports_the_serve_batch(self, result):
         serving = run_report(result)["lookup"]["serving"]
@@ -104,7 +103,7 @@ class TestRunReport:
         for heuristics, order in (
             (HeuristicConfig(universal=True), "allgather"),
             (HeuristicConfig(read_kmers=True), "allgather"),
-            (HeuristicConfig(prefetch=True), "chunk_cache->allgather"),
+            (HeuristicConfig(prefetch=True), "allgather"),
         ):
             result = ParallelReptile(
                 scale.config, heuristics, nranks=1, engine="cooperative",

@@ -513,7 +513,7 @@ class _ForeignRoundCounter:
 class TestStepIVGrain:
     """The blocking Step IV works at the rank's share, one lookup round
     at a time: ``chunk_size`` (Step I reading, ``batch_reads`` rounds,
-    prefetch pieces, dynamic work units) must never reach its traffic."""
+    dynamic work units) must never reach its traffic."""
 
     CHUNK_SIZES = (1, 7, 250, 10**6)  # the last exceeds every share
     STEP_IV_TAGS = (1, 2, 3, 4)  # k-mer / tile / response / universal

@@ -6,8 +6,9 @@ to the same batches submitted sequentially, one solo round per batch.
 Corrected codes depend only on read content and the served spectrum,
 never on batch boundaries, round composition, or renumbered ids; this
 is the invariant that makes coalescing legal at all, so it is pinned
-here on the real engines (threaded + process) under the paper's
-prefetch + partial-replication heuristic.
+here on the real engines (threaded + process) under partial
+replication with ``prefetch=True`` (the blocking lookahead, as the
+``static_prefetch_p8`` benchmark row runs it).
 """
 
 import asyncio

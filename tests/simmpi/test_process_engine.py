@@ -5,6 +5,9 @@ them to spawned interpreters by pickle, which closures cannot survive
 (that failure mode has its own test below).
 """
 
+import multiprocessing
+import time
+
 import numpy as np
 import pytest
 
@@ -72,6 +75,25 @@ def _stuck(comm):
     comm.recv(tag=99)
 
 
+def _steady_for_three_seconds(comm):
+    """Barriers and allreduces for 3 s; every rank stops on the same
+    round (the allreduce agrees on whether any rank saw 3 s pass)."""
+    start = time.monotonic()
+    rounds = 0
+    while True:
+        comm.barrier()
+        rounds += 1
+        if comm.allreduce(int(time.monotonic() - start >= 3.0)):
+            return rounds
+
+
+class _ImpatientEngine(ProcessEngine):
+    """A process engine with a short grace for dead children's reports
+    (module-level: the spawned ranks unpickle it)."""
+
+    _GRACE = 0.5
+
+
 def _bump_counters(comm):
     comm.stats.bump("remote_tile_lookups", 10 + comm.rank)
     comm.barrier()
@@ -129,8 +151,21 @@ class TestPayloadSemantics:
 
 class TestFailureModes:
     def test_exception_propagates(self):
+        """The error wins, and the rank still parked in its receive is
+        terminated at once rather than waited for."""
+        start = time.monotonic()
         with pytest.raises(ValueError, match="rank 1 exploded"):
             run_spmd(_boom, 2, engine="process")
+        assert time.monotonic() - start < 3.0
+        assert multiprocessing.active_children() == []
+
+    def test_a_healthy_run_may_outlast_timeout_and_grace(self):
+        """The parent waits while its children are alive: a run longer
+        than the receive timeout plus the grace is not a failure."""
+        res = run_spmd(
+            _steady_for_three_seconds, 2, engine=_ImpatientEngine(timeout=1.0)
+        )
+        assert res.results[0] == res.results[1] > 1
 
     def test_deadlock_times_out(self):
         with pytest.raises(DeadlockError):

@@ -189,6 +189,26 @@ def test_step_iv_has_one_request_frame():
         assert "mix_to_rank" not in handle.read()
 
 
+def test_step_iv_has_one_lookup_plan():
+    """A prefetch plan runs the blocking lookahead: the bulk-prefetch
+    engine, its chunk cache, the corrector's row hook, the counters and
+    the report section are gone, with no alias, and nothing in the
+    package names them."""
+    gone = (
+        "repro.parallel.lookup.planner", "PrefetchExecutor",
+        "CachedChunkView", "ChunkCountCache", "PREFETCH_COUNTERS",
+        "prefetch_summary", "use_prefetch", "chunk_cache", "note_rows",
+    )
+    import importlib.util
+
+    for module in ("planner", "cache"):
+        assert importlib.util.find_spec(f"repro.parallel.lookup.{module}") is None
+    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for name in gone:
+            assert name not in text, (path.name, name)
+
+
 def test_step_ii_has_one_block_kernel():
     """Step II's window ids come from ``WindowLadder``: the packed
     whole-block extractor beside it is gone."""

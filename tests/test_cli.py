@@ -66,22 +66,12 @@ class TestCorrect:
         fixed = sum(1 for r in broken if corrected[r] == truths[r])
         assert fixed > 0.6 * len(broken)
 
-    def test_stats_prefetch_row(self, simulated, tmp_path, capsys):
-        _, fasta, qual, _ = simulated
-        args = [
-            "correct", "--fasta", str(fasta), "--quality", str(qual),
-            "--output", str(tmp_path / "c.fa"), "--nranks", "3",
-            "--kmer-threshold", "18", "--tile-threshold", "2", "--stats",
-        ]
-        assert main(args) == 0
-        assert "on-miss fetches" not in capsys.readouterr().out
-        assert main(args + ["--prefetch"]) == 0
-        row = [
-            line for line in capsys.readouterr().out.splitlines()
-            if line.lstrip().startswith("prefetch ")
-        ]
-        assert len(row) == 1
-        assert "replans" in row[0] and "on-miss fetches" in row[0]
+    def test_prefetch_flag_is_refused(self, capsys):
+        """There is no bulk-prefetch engine to select: every messaging
+        plan runs the blocking lookahead, and the flag is gone."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["correct", "--output", "x", "--prefetch"])
+        assert "--prefetch" in capsys.readouterr().err
 
     def test_config_file_path(self, simulated, tmp_path):
         tmp, fasta, qual, _ = simulated
@@ -191,20 +181,20 @@ class TestParser:
         "--nranks", "5", "--engine", "threaded", "--kmer-length", "11",
         "--tile-overlap", "3", "--kmer-threshold", "7",
         "--tile-threshold", "3", "--chunk-size", "300", "--universal",
-        "--prefetch", "--batch-reads", "--read-tables",
+        "--batch-reads", "--read-tables",
         "--allgather", "both", "--replication-group", "2",
         "--no-load-balance",
     ]
     RUN_SET = dict(
         nranks=5, engine="threaded", kmer_length=11, tile_overlap=3,
         kmer_threshold=7, tile_threshold=3, chunk_size=300, universal=True,
-        prefetch=True, batch_reads=True, read_tables=True, allgather="both",
+        batch_reads=True, read_tables=True, allgather="both",
         replication_group=2, no_load_balance=True,
     )
     RUN_DEFAULTS = dict(
         nranks=4, engine="cooperative", kmer_length=12, tile_overlap=4,
         kmer_threshold=0, tile_threshold=0, chunk_size=2000, universal=False,
-        prefetch=False, batch_reads=False, read_tables=False,
+        batch_reads=False, read_tables=False,
         allgather="none", replication_group=1, no_load_balance=False,
     )
 
