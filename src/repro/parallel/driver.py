@@ -416,41 +416,52 @@ class SessionRunResult:
     def nranks(self) -> int:
         return len(self.rank_reports)
 
-    def _surviving(self) -> SessionRankReport:
-        for report in self.rank_reports:
-            if report is not None:
-                return report
-        raise ValueError("every rank crashed; the session has no results")
+    def _correct_numbers(self) -> list[int]:
+        """The op numbers of the session's correct ops, in order: every
+        number a surviving rank booked as a correct."""
+        return sorted({
+            number
+            for report in self.rank_reports if report is not None
+            for kind, number in zip(report.op_kinds, report.op_numbers)
+            if kind == "correct"
+        })
 
     @property
     def n_correct_ops(self) -> int:
         """How many correct ops the session ran."""
-        return len(self._surviving().correct_blocks)
+        return len(self._correct_numbers())
 
     def result_for(self, index: int = 0) -> ParallelRunResult:
         """The ``index``-th correct op's outcome as a classic run result.
 
         Timings in the per-rank reports are that op's phase deltas, so
         ``timing_per_rank("kmer_construction")`` on a repeat correction
-        shows the zero build time the session is for."""
-        survivor = self._surviving()
-        if not 0 <= index < len(survivor.correct_blocks):
+        shows the zero build time the session is for.  A rank outside
+        the op's window reports no reads and no timings."""
+        numbers = self._correct_numbers()
+        if not 0 <= index < len(numbers):
             raise IndexError(
-                f"correct op {index} out of range "
-                f"({len(survivor.correct_blocks)} ran)"
+                f"correct op {index} out of range ({len(numbers)} ran)"
             )
-        # Map the correct-op ordinal back to its position in the op
-        # list, where the per-op timing deltas are indexed.
-        op_pos = [
-            p for p, kind in enumerate(survivor.op_kinds) if kind == "correct"
-        ][index]
-        reports, _ = _with_placeholders([
-            None if rr is None
-            else _correct_report(rr, index, rr.op_timings[op_pos])
-            for rr in self.rank_reports
-        ])
+        number = numbers[index]
+        reports: list[RankReport | None] = [None] * self.nranks
+        for rank, rr in enumerate(self.rank_reports):
+            if rr is not None and number in rr.op_numbers:
+                # The op's position in the op list indexes the timing
+                # deltas; its ordinal among the rank's corrects, the
+                # outcomes.
+                at = rr.op_numbers.index(number)
+                nth = rr.op_kinds[:at].count("correct")
+                reports[rank] = _correct_report(rr, nth, rr.op_timings[at])
+        width = max(r.block.max_length for r in reports if r is not None)
+        for rank, rr in enumerate(self.rank_reports):
+            if rr is not None and reports[rank] is None:
+                reports[rank] = _uncorrected_report(
+                    rank, ReadBlock.empty(width), {}, rr.memory,
+                    rr.table_sizes,
+                )
         return ParallelRunResult(
-            reports=reports,
+            reports=_with_placeholders(reports)[0],
             stats=self.stats,
             config=self.config,
             heuristics=self.heuristics,
@@ -479,9 +490,9 @@ class ParallelSession:
     Since the service refactor this driver is a *thin synchronous
     client* of :class:`repro.service.SpectrumService`: each :meth:`run`
     opens a service over the same engine, submits the ops one at a time
-    (a solo client coalesces nothing, so every op is one collective
-    round, exactly like the old fixed-program driver) and returns the
-    fleet's per-rank session reports.  One code path serves both the
+    (a solo client coalesces nothing, so every op is one round: a
+    correct on its placement window, any other op on every rank) and
+    returns the fleet's per-rank session reports.  One code path serves both the
     op-list driver and concurrent async clients.
 
     Repeated :class:`CorrectOp` entries reuse the built spectrum with

@@ -260,8 +260,10 @@ class TestFinalizeAudit:
 
     @pytest.mark.parametrize("make_engine", ENGINES)
     def test_bulk_served_universal_round_passes_verification(self, make_engine):
-        """The universal pump drains with take_ready and serves queued
-        requests in bulk; every request and response is still matched."""
+        """The universal pump serves every queued request in bulk (the
+        first received, the rest taken with take_ready) while rounds
+        collect and finish() waits; every request and response is still
+        matched."""
         from repro.hashing.counthash import CountHash
         from repro.parallel.ownership import KeySpace
         from repro.parallel.server import CorrectionProtocol
@@ -283,8 +285,6 @@ class TestFinalizeAudit:
             for _ in range(3):
                 answers = protocol.collect(protocol.post(chunks))
                 assert all((counts == 3).all() for counts in answers.values())
-                while protocol.pump(block=False):
-                    pass
             protocol.finish()
             return comm.stats.get("requests_served")
 

@@ -3,7 +3,7 @@
 The refactor's central claim is that :class:`LookupStack` is a pure
 restructuring — for every heuristic combination the stack resolves
 exactly the counts the old hand-rolled ladder (owned → group →
-reads-table → remote, with an optional chunk cache in front) produced.
+reads-table → remote) produced.
 Hypothesis drives random tables, flags and query batches through both;
 ``fixtures.json`` pins a handful of recorded cases so the behavior
 stays fixed even where generation strategies drift.  The round a
@@ -89,7 +89,7 @@ class World:
     """One randomized rank-local storage configuration."""
 
     def __init__(self, nranks, rank, universe, replicated, group_ranks,
-                 reads_subset, cache_subset):
+                 reads_subset):
         self.nranks = nranks
         self.rank = rank
         self.universe = dict(universe)  # id -> global count
@@ -116,25 +116,15 @@ class World:
             self.reads_table = _table(
                 [(i, self.universe.get(int(i), 0)) for i in reads_subset]
             )
-        self.cache_table = None
-        if cache_subset is not None:
-            self.cache_table = _table(
-                [(i, self.universe.get(int(i), 0)) for i in cache_subset]
-            )
 
     def build_stack(self, comm):
         """Mirror compile_stacks' ordering for this configuration."""
-        tiers = []
-        if self.cache_table is not None:
-            tiers.append(
-                CacheTier("chunk_cache", self.cache_table, "prefetch_kmer_hits")
-            )
         if self.replicated:
-            tiers.append(AuthorityTier("allgather", self.owned, None))
+            tiers = [AuthorityTier("allgather", self.owned, None)]
             return LookupStack("kmer", SPACE, tiers, comm)
-        tiers.append(
+        tiers = [
             AuthorityTier("owned", self.owned, range(self.rank, self.rank + 1))
-        )
+        ]
         if self.group_table is not None:
             tiers.append(
                 AuthorityTier("group", self.group_table, self.group_ranks)
@@ -180,10 +170,6 @@ class World:
         counts = np.zeros(ids.size, dtype=np.uint32)
         open_ = np.ones(ids.size, dtype=bool)
         owners = SPACE.owners(ids, self.nranks)
-        if self.cache_table is not None:
-            got, found = self.cache_table.lookup_found(ids)
-            counts[found] = got[found]
-            open_ &= ~found
         if self.replicated:
             counts[open_] = self.owned.lookup(ids[open_])
             open_[:] = False
@@ -219,18 +205,15 @@ def worlds(draw):
         # A replication group is consecutive ranks, this one among them.
         first = draw(st.integers(0, rank))
         group_ranks = list(range(first, draw(st.integers(rank, nranks - 1)) + 1))
-    reads_subset = cache_subset = None
+    reads_subset = None
     pool = sorted(universe)
     if not replicated and pool and draw(st.booleans()):
         reads_subset = draw(st.lists(st.sampled_from(pool), unique=True))
-    if pool and draw(st.booleans()):
-        cache_subset = draw(st.lists(st.sampled_from(pool), unique=True))
     known = st.sampled_from(pool) if pool else st.nothing()
     absent = st.integers(0, 2**48 - 1).filter(lambda i: i not in universe)
     query = draw(st.lists(st.one_of(known, absent), max_size=60))
     return World(
-        nranks, rank, universe, replicated, group_ranks,
-        reads_subset, cache_subset,
+        nranks, rank, universe, replicated, group_ranks, reads_subset
     ), query
 
 
@@ -347,7 +330,6 @@ class TestRecordedFixtures:
                 case["replicated"],
                 case["group_ranks"],
                 case["reads_subset"],
-                case["cache_subset"],
             )
             comm = _Comm(world.rank, world.nranks)
             ids = np.asarray(case["query"], dtype=np.uint64)

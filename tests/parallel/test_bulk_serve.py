@@ -236,7 +236,7 @@ def test_one_pump_turn_answers_every_queued_request(universal):
             # Every client's "sent" marker follows its request.
             for peer in range(1, comm.size):
                 comm.recv(source=peer, tag=99)
-            assert protocol.pump(block=False)
+            assert protocol.pump(block=True)
             served = {
                 name: comm.stats.get(name)
                 for name in ("requests_served", "serve_probes", "probe_calls")

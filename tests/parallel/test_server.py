@@ -8,6 +8,7 @@ from repro.hashing.counthash import CountHash
 from repro.parallel.ownership import KeySpace
 from repro.parallel.server import CorrectionProtocol
 from repro.simmpi import run_spmd
+from repro.simmpi.message import Tags
 from tests.parallel.lookup.ladder import wire_fetch
 
 _NONE = np.empty(0, np.uint64)
@@ -145,6 +146,60 @@ class TestTermination:
 
         res = run_spmd(prog, 4, engine="cooperative")
         assert res.results == [True] * 4
+
+    def test_a_round_on_part_of_the_world(self):
+        """Ranks 1 and 2 correct and terminate among themselves (rooted
+        at rank 1) while ranks 0 and 3 serve their lookups from a
+        standing pump; then a one-rank round (rank 2) sends no
+        termination frame at all."""
+        GO = 99
+
+        def correct(proto, comm, ranks):
+            keys = _keys(100)
+            sel = _owners(keys, comm.size) != comm.rank
+            counts, _ = _request(proto, keys[sel], _NONE)
+            assert np.array_equal(counts, (keys[sel] + 1).astype(np.uint32))
+            proto.finish(ranks)
+            if comm.rank == ranks[0]:
+                for dest in range(comm.size):
+                    if dest not in ranks:
+                        comm.send(dest, None, tag=GO)
+
+        def prog(comm):
+            kmers, tiles = _owned_tables(comm.rank, comm.size)
+            proto = CorrectionProtocol(comm, kmers, tiles)
+            for ranks in ((1, 2), (2,)):
+                proto.reset_round()
+                if comm.rank in ranks:
+                    correct(proto, comm, ranks)
+                else:
+                    arrived = proto.serve_until(GO, 1)
+                    assert [m.source for m in arrived] == [ranks[0]]
+            return dict(comm.stats.messages_by_tag), comm.stats.get(
+                "requests_served"
+            )
+
+        results = run_spmd(prog, 4, engine="cooperative").results
+        sent = [tags for tags, _ in results]
+        assert [tags.get(Tags.WORKER_DONE, 0) for tags in sent] == [0, 0, 1, 0]
+        assert [tags.get(Tags.SHUTDOWN, 0) for tags in sent] == [0, 1, 0, 0]
+        assert all(served for _, served in results)
+
+    def test_a_done_taken_before_the_round_opens_counts(self):
+        """A peer may finish before the round's root has opened the
+        round; the DONE the root's standing pump takes counts for it."""
+
+        def prog(comm):
+            proto = CorrectionProtocol(comm, CountHash(), CountHash())
+            if comm.rank == 0:
+                while comm.iprobe(1, Tags.WORKER_DONE) is None:
+                    pass
+                assert proto.pump(block=True)  # takes the DONE
+                proto.reset_round()  # only now does the root open it
+            proto.finish()
+            return True
+
+        assert run_spmd(prog, 2, engine="cooperative").results == [True] * 2
 
     def test_locally_owned_id_rejected(self):
         def prog(comm):

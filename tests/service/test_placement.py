@@ -33,7 +33,7 @@ def head(block, n, start=0):
 
 
 def reads_per_rank(out, index):
-    return [len(report.correct_blocks[index]) for report in out.rank_reports]
+    return [len(report.block) for report in out.result_for(index).reports]
 
 
 def holders(out, index):
@@ -72,7 +72,7 @@ class TestRanksUsed:
         ).run([IngestOp(block)] + [CorrectOp(b) for b in rounds])
         # Op 1, three parts: the window starts at rank 1 * 3 % 4 = 3.
         assert reads_per_rank(out, 0) == [83, 84, 0, 83]
-        ids = [r.correct_blocks[0].ids.tolist() for r in out.rank_reports]
+        ids = [r.block.ids.tolist() for r in out.result_for(0).reports]
         assert ids[3] + ids[0] + ids[1] == rounds[0].ids.tolist()
         # Op 2, one part: rank 2 * 1 % 4 = 2 holds it whole.
         assert reads_per_rank(out, 1) == [0, 0, 90, 0]
@@ -88,8 +88,8 @@ class TestRanksUsed:
         )
         owners = sequence_owner(big, P)
         for index in (0, 1):
-            for rank, report in enumerate(out.rank_reports):
-                assert sorted(report.correct_blocks[index].ids.tolist()) == \
+            for rank, report in enumerate(out.result_for(index).reports):
+                assert sorted(report.block.ids.tolist()) == \
                     big.ids[owners == rank].tolist()
 
 
@@ -131,14 +131,15 @@ class TestRelay:
         assert 0.74 * whole < relayed < 0.78 * whole
 
     def test_a_small_round_goes_to_its_one_holder_only(self, scale):
-        """Op 1's one-chunk round is rank 1's: it is sent the rows, the
-        other two peers the read count and four empty arrays."""
+        """Op 1's one-chunk round is rank 1's: it is sent the rows and
+        its window (one part from rank 1); the other two peers are sent
+        nothing."""
         block = scale.dataset.block
         small = head(block, 80)
-        whole = command_frame_bytes("correct", 1, 1, *small.to_wire())
+        whole = command_frame_bytes("correct", 2, 1, 1, *small.to_wire())
         ingest = relayed_bytes(scale, [IngestOp(block)])
         both = relayed_bytes(scale, [IngestOp(block), CorrectOp(small)])
-        assert whole < both - ingest < 1.05 * whole
+        assert both - ingest == whole
 
 
 # ----------------------------------------------------------------------
@@ -205,10 +206,16 @@ def test_clients_get_serial_bytes_wherever_their_reads_land(
                 result.block.codes, serial_codes[which])
             np.testing.assert_array_equal(
                 result.block.codes, solo_codes[which])
-    per_round = [
-        [len(report.correct_blocks[i]) for report in run.rank_reports]
-        for i in range(3)
+    # A rank books only the rounds it corrected, by command number: the
+    # ingest is command 1, the rounds 2-4.
+    held = [
+        dict(zip(
+            [n for k, n in zip(r.op_kinds, r.op_numbers) if k == "correct"],
+            r.correct_blocks,
+        ))
+        for r in run.rank_reports
     ]
+    per_round = [[len(h.get(seq, ())) for h in held] for seq in (2, 3, 4)]
     assert all(per_round[0]) and sum(per_round[0]) == 340
     assert sorted(per_round[1]) == [0, 0, 0, 30]
     assert sorted(per_round[2]) == [0, 0, 0, 60]
