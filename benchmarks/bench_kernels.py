@@ -2,16 +2,18 @@
 
 Tracks the throughput of the hot paths the guides demand stay vectorized
 (2-bit window extraction, count-hash batch operations, candidate
-generation, the serial corrector itself) and exhibits the fast kernels
-against the frozen seed implementations: the
+generation, the serial corrector itself), the fixed costs of a Step IV
+round (a small block's ``correct_block`` through ``pair_counts``, and an
+8-rank cooperative lookup round of ~30 ids), and exhibits the fast
+kernels against the frozen seed implementations: the
 :class:`~repro.kmer.codec.WindowLadder` window ids vs the byte-per-base
 gather of :func:`~repro.kmer.codec.block_window_ids` (every tile window,
 and Step II's two shapes: k-mers at step 1, tiles at their stride),
-popcount Hamming vs the scalar per-base loop, batched distance-1
-substitution vs the per-tile Python loop, and the whole packed corrector
-vs :class:`~repro.core.reference.UnpackedReferenceCorrector` — asserting
+batched distance-1 substitution vs the per-tile Python loop, and the
+whole packed corrector vs
+:class:`~repro.core.reference.UnpackedReferenceCorrector` — asserting
 bit-identical output at every comparison and a speedup floor on the
-window, Hamming and whole-corrector rows.
+window and whole-corrector rows.
 """
 
 import time
@@ -23,14 +25,16 @@ from repro.bench.harness import ExperimentResult
 from repro.core import LocalSpectrumView, ReptileCorrector, build_spectra
 from repro.core.reference import UnpackedReferenceCorrector
 from repro.hashing.counthash import CountHash
-from repro.kmer.bitpack import hamming_many
+from repro.hashing.sortedspectrum import SortedSpectrum
 from repro.kmer.codec import WindowLadder, block_window_ids
-from repro.kmer.neighbors import (
-    hamming_distance,
-    neighbors_at_positions,
-    substitute_at,
-)
-from repro.kmer.tiles import tile_length
+from repro.kmer.neighbors import neighbors_at_positions, substitute_at
+from repro.kmer.tiles import TileShape, tile_length
+from repro.parallel.build import RankSpectra
+from repro.parallel.heuristics import HeuristicConfig
+from repro.parallel.lookup.stack import compile_stacks
+from repro.parallel.ownership import key_spaces
+from repro.parallel.server import CorrectionProtocol
+from repro.simmpi import run_spmd
 
 
 @pytest.fixture(scope="module")
@@ -100,15 +104,6 @@ def test_candidate_generation_throughput(benchmark):
     assert out[0].shape == (18,)
 
 
-def test_hamming_many_throughput(benchmark):
-    """Popcount Hamming over 200k window pairs."""
-    rng = np.random.default_rng(3)
-    a = rng.integers(0, 1 << 40, 200_000, dtype=np.uint64)
-    b = rng.integers(0, 1 << 40, 200_000, dtype=np.uint64)
-    d = benchmark(hamming_many, a, b, 20)
-    assert d.shape == a.shape
-
-
 def test_serial_corrector_throughput(benchmark, ecoli_scale):
     """End-to-end serial correction rate (reads per second)."""
     block = ecoli_scale.dataset.block
@@ -143,6 +138,127 @@ def test_spectrum_build_throughput(benchmark, ecoli_scale):
     block = ecoli_scale.dataset.block
     spectra = benchmark(build_spectra, block, ecoli_scale.config)
     assert len(spectra.kmers) > 0
+
+
+# ----------------------------------------------------------------------
+# The fixed costs of a Step IV round
+
+
+class _SealedPairView:
+    """A view that messages, answered from local sealed tables: the
+    corrector runs its messaging rounds (look-ahead included), and a
+    ``pair_counts`` call costs two table probes and no wire."""
+
+    def __init__(self, spectra):
+        self.kmers = SortedSpectrum.from_counthash(spectra.kmers)
+        self.tiles = SortedSpectrum.from_counthash(spectra.tiles)
+        self.rounds = 0
+
+    def pair_counts(self, kmer_ids, tile_ids):
+        self.rounds += 1
+        return self.kmers.lookup(kmer_ids), self.tiles.lookup(tile_ids)
+
+
+def test_small_block_correction_rounds(benchmark, ecoli_scale, capsys):
+    """A 112-read ``correct_block`` through ``pair_counts``: the
+    corrector's cost per block and per round, at a service round's
+    block size (printed, so every run's log carries it)."""
+    block = ecoli_scale.dataset.block
+    rows = np.sort(np.random.default_rng(4).choice(len(block), 112, replace=False))
+    small = block.select(rows)
+    view = _SealedPairView(build_spectra(block, ecoli_scale.config))
+    corrector = ReptileCorrector(ecoli_scale.config, view)
+
+    result = benchmark(corrector.correct_block, small)
+    assert result.total_corrections > 0
+    view.rounds = 0
+    corrector.correct_block(small)
+    best = benchmark.stats.stats.min
+    benchmark.extra_info["rounds_per_block"] = view.rounds
+    with capsys.disabled():
+        print(
+            f"\ncorrect_block, 112 reads via pair_counts: {best * 1e3:.3f} ms "
+            f"in {view.rounds} rounds ({best / view.rounds * 1e6:.0f} us a round)"
+        )
+
+
+_ROUND_RANKS = 8
+_ROUNDS = 50
+
+
+def _lookup_rounds(heuristics):
+    """Every rank of an 8-rank cooperative world runs ``_ROUNDS``
+    lookup rounds of 16 k-mer and 14 tile ids over sealed shards, then
+    the termination handshake.  Returns the seconds from the barrier
+    before the rounds to the last rank's shutdown, and each rank's
+    answers."""
+    shape = TileShape(12, 4)
+    kspace, tspace = key_spaces(shape)
+    rng = np.random.default_rng(0)
+    kids = rng.integers(0, 1 << 24, 4_000, dtype=np.uint64)
+    tids = rng.integers(0, 1 << 40, 4_000, dtype=np.uint64)
+
+    def table(ids, space, ranks):
+        keys = space.keys(ids)
+        keys = keys[np.isin(space.owners(keys, _ROUND_RANKS), list(ranks))]
+        counts = CountHash()
+        counts.add_counts(keys, np.ones(keys.size, dtype=np.uint64))
+        return SortedSpectrum.from_counthash(counts)
+
+    def prog(comm):
+        rank = comm.rank
+        spectra = RankSpectra(
+            shape=shape, rank=rank, nranks=comm.size,
+            kmers=table(kids, kspace, (rank,)),
+            tiles=table(tids, tspace, (rank,)),
+        )
+        group = heuristics.replication_group
+        if group > 1:
+            spectra.group_ranks = range(rank // group * group, (rank // group + 1) * group)
+            spectra.group_kmers = table(kids, kspace, spectra.group_ranks)
+            spectra.group_tiles = table(tids, tspace, spectra.group_ranks)
+        protocol = CorrectionProtocol(
+            comm, spectra.kmers, spectra.tiles, universal=heuristics.universal
+        )
+        stacks = compile_stacks(comm, spectra, heuristics, protocol=protocol)
+        draw = np.random.default_rng(rank)
+        asks = [(draw.choice(kids, 16), draw.choice(tids, 14)) for _ in range(_ROUNDS)]
+        comm.barrier()
+        start = time.perf_counter()
+        out = [stacks.pair_counts(kmer_ids, tile_ids) for kmer_ids, tile_ids in asks]
+        protocol.finish()
+        return start, time.perf_counter(), out
+
+    ranks = run_spmd(prog, _ROUND_RANKS, engine="cooperative").results
+    seconds = max(end for _, end, _ in ranks) - min(start for start, _, _ in ranks)
+    return seconds, [out for _, _, out in ranks]
+
+
+@pytest.mark.parametrize(
+    "heuristics",
+    [HeuristicConfig(replication_group=2), HeuristicConfig(universal=True)],
+    ids=["base-group2", "universal"],
+)
+def test_lookup_round_fixed_cost(benchmark, heuristics, capsys, request):
+    """An 8-rank cooperative lookup round of ~30 ids: client, wire,
+    serving and the scheduler, per rank and round (printed, so every
+    run's log carries it)."""
+    runs = []
+
+    def run():
+        runs.append(_lookup_rounds(heuristics))
+        return runs[-1][1]
+
+    results = benchmark.pedantic(run, rounds=3, iterations=1)
+    assert len(results) == _ROUND_RANKS
+    assert all(len(rank) == _ROUNDS for rank in results)
+    per_round = min(seconds for seconds, _ in runs) / (_ROUND_RANKS * _ROUNDS)
+    benchmark.extra_info["us_per_round"] = round(per_round * 1e6, 1)
+    with capsys.disabled():
+        print(
+            f"\nlookup round, {_ROUND_RANKS} ranks, ~30 ids "
+            f"[{request.node.callspec.id}]: {per_round * 1e6:.0f} us a rank-round"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -207,22 +323,7 @@ def run_kernel_exhibit(scale, repeats: int = 5) -> ExperimentResult:
     window_row("step_ii_kmers", cfg.kmer_length, 1)
     window_row("step_ii_tiles", w, cfg.tile_shape.step)
 
-    # ---- Hamming distance: popcount vs the scalar per-base loop ------
     rng = np.random.default_rng(0)
-    n_pairs = 50_000
-    a = rng.integers(0, 1 << (2 * w), n_pairs, dtype=np.uint64)
-    b = rng.integers(0, 1 << (2 * w), n_pairs, dtype=np.uint64)
-
-    def scalar_hamming():
-        return [hamming_distance(int(x), int(y), w) for x, y in zip(a, b)]
-
-    assert np.array_equal(np.array(scalar_hamming()), hamming_many(a, b, w))
-    hamming_speedup = row(
-        "hamming",
-        n_pairs,
-        _best_seconds(scalar_hamming, max(1, repeats // 2)),
-        _best_seconds(lambda: hamming_many(a, b, w), repeats),
-    )
 
     # ---- distance-1 candidates: batched vs per-tile Python loop ------
     n_tiles = 20_000
@@ -277,7 +378,7 @@ def run_kernel_exhibit(scale, repeats: int = 5) -> ExperimentResult:
     )
     out.note(
         "micro speedups: "
-        f"window {window_speedup:.1f}x, hamming {hamming_speedup:.1f}x, "
+        f"window {window_speedup:.1f}x, "
         f"candidates {candidate_speedup:.1f}x; "
         f"whole corrector {corrector_speedup:.1f}x"
     )
@@ -297,5 +398,4 @@ def test_packed_kernel_exhibit(benchmark, kernel_exhibit, capsys):
     # Conservative floors (the packed kernels measure well above them)
     # so a noisy shared runner does not flake the suite.
     assert speedups["window_extraction"] >= 5.0
-    assert speedups["hamming"] >= 5.0
     assert speedups["correct_block"] >= 2.5

@@ -34,9 +34,10 @@ COLLECTIVE_METHODS = frozenset(
      "reduce", "split"}
 )
 SEND_METHODS = frozenset({"send", "isend"})
-#: ``take_ready`` is the non-blocking, non-yielding receive: it removes
-#: the message it returns, so the tag and peer rules treat it as one.
-RECV_METHODS = frozenset({"recv", "irecv", "iprobe", "take_ready"})
+#: ``take_ready`` is the non-blocking, non-yielding receive, and
+#: ``take_queued`` its drain of several tags at once: each removes the
+#: messages it returns, so the tag and peer rules treat it as one.
+RECV_METHODS = frozenset({"recv", "irecv", "iprobe", "take_ready", "take_queued"})
 
 #: ndarray methods that mutate in place (MPI005, MPI011).
 INPLACE_METHODS = frozenset(

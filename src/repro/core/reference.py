@@ -58,7 +58,9 @@ class UnpackedReferenceCorrector(ReptileCorrector):
             tiles_below[rows] += 1
             if rows.size == 0:
                 continue
-            batch = self._generate_candidates(block, rows, s, tids)
+            batch = self._generate_candidates(
+                rows, s, tids, self._site_quals(block, rows, s)
+            )
             if batch.cand_ids.size == 0:
                 continue
             self._apply_winners_loop(codes, corrections, batch)
@@ -106,14 +108,19 @@ class UnpackedReferenceCorrector(ReptileCorrector):
         )
         return ids, valid
 
-    def _candidate_positions(
+    def _site_quals(
         self, block: ReadBlock, rows: np.ndarray, starts: np.ndarray
+    ) -> np.ndarray:
+        """Seed gather: the sites' base qualities by a column index."""
+        w = self.shape.length
+        cols = starts[:, None] + np.arange(w, dtype=np.int64)[None, :]
+        return block.quals[rows[:, None], cols]
+
+    def _candidate_positions(
+        self, quals: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Seed selection: unconditional stable quality argsort per site."""
         cfg = self.config
-        w = self.shape.length
-        cols = starts[:, None] + np.arange(w, dtype=np.int64)[None, :]
-        quals = block.quals[rows[:, None], cols]
         low = quals < np.uint8(cfg.quality_threshold)
         order = np.argsort(quals, axis=1, kind="stable")
         sorted_low = np.take_along_axis(low, order, axis=1)

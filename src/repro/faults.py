@@ -581,6 +581,10 @@ class FaultyTransport(Transport):
         self._flush()
         return self.inner.poll(rank, source, tag, remove)
 
+    def take_all(self, rank: int, source: int, tags: tuple[int, ...]):
+        self._flush()
+        return self.inner.take_all(rank, source, tags)
+
     def _flush(self) -> None:
         for dest, frame in self.injector.take_due():
             msg = self.inner.enqueue(dest, frame)

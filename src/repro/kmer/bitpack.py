@@ -5,10 +5,10 @@ convenient for slicing but wasteful for the correction hot path: every
 tile extraction re-gathers ``w`` one-byte columns and re-packs them into
 an id.  This module packs a block once — 4 bases per byte, 32 bases per
 ``uint64`` word, leftmost base in the most significant bits — after which
-the corrector's window extraction at arbitrary sites, Hamming distance
-and base substitution are all whole-word shift/mask/XOR/popcount
-operations (the ``CodeWordStorage`` idiom of the original bit-twiddled
-Reptile, lifted to numpy arrays).  Step II's every-position ids do not
+the corrector's window extraction at arbitrary sites and base
+substitution are whole-word shift/mask/XOR/popcount operations (the
+``CodeWordStorage`` idiom of the original bit-twiddled Reptile, lifted
+to numpy arrays).  Step II's every-position ids do not
 come from the words: :class:`~repro.kmer.codec.WindowLadder` reads them
 off the code bytes at id width.
 
@@ -209,6 +209,45 @@ def unpack_block(packed: PackedBlock) -> NDArray[np.uint8]:
     return codes
 
 
+def write_changed_bases(
+    codes: NDArray[np.uint8],
+    before: NDArray[np.uint64],
+    packed: PackedBlock,
+    rows: NDArray[np.intp],
+) -> None:
+    """Write into ``codes`` every base of ``rows`` whose packed lane
+    differs between the words ``before`` and ``packed.words`` now.
+
+    The corrector's one byte write per block: rounds substitute in the
+    words alone (:func:`substitute_many`), and the bases they changed —
+    typically one or two per changed word — are scattered here, lowest
+    first, one pass per base still to write over the words that have
+    one.  Bases that did not change (ambiguous ones among them) are not
+    touched.
+    """
+    n_words = packed.words.shape[1] - 1
+    after = packed.words[rows, :n_words]
+    diff = after ^ before[rows, :n_words]
+    row_of, word_of = np.nonzero(diff)
+    word = after[row_of, word_of]
+    # One set bit per differing base: the low bit of its lane.
+    bits = diff[row_of, word_of]
+    bits = (bits | (bits >> _U64(1))) & _M1
+    row_of = rows[row_of]
+    # Base j of word q is column 32 q + j, at bit 62 - 2 j.
+    last = word_of * BASES_PER_WORD + (BASES_PER_WORD - 1)
+    while bits.size:
+        low = bits & (~bits + _U64(1))
+        # low is a power of two, exact in a float64 exponent.
+        shift = np.frexp(low.astype(np.float64))[1] - 1
+        codes[row_of, last - (shift >> 1)] = (
+            (word >> shift.astype(np.uint64)) & _U64(3)
+        ).astype(np.uint8)
+        bits ^= low
+        more = bits != 0
+        row_of, last, word, bits = row_of[more], last[more], word[more], bits[more]
+
+
 def _extract(
     matrix: NDArray[np.uint64],
     rows: NDArray[np.int64],
@@ -298,26 +337,7 @@ def windows_at_unchecked(
     return ids, prefix[rows, starts + w] == prefix[rows, starts]
 
 
-def hamming_many(
-    a: NDArray[np.uint64], b: NDArray[np.uint64], w: int
-) -> NDArray[np.int64]:
-    """Per-pair base-level Hamming distance between window ids.
-
-    ORs the odd and even bit planes of the XOR so each differing base
-    contributes exactly one set bit, then popcounts — constant vectorized
-    passes for any batch, replacing the per-base scalar loop of
-    :func:`repro.kmer.neighbors.hamming_distance`.
-    """
-    _check_window(w)
-    a = np.ascontiguousarray(a, dtype=np.uint64)
-    b = np.ascontiguousarray(b, dtype=np.uint64)
-    diff = (a ^ b) & _U64((1 << (2 * w)) - 1)
-    one_bit_per_base = (diff | (diff >> _U64(1))) & _M1
-    return popcount64(one_bit_per_base).astype(np.int64)
-
-
 def substitute_many(
-    codes: NDArray[np.uint8],
     packed: PackedBlock,
     rows: NDArray[np.int64],
     starts: NDArray[np.int64],
@@ -325,14 +345,17 @@ def substitute_many(
     new_ids: NDArray[np.uint64],
     w: int,
 ) -> NDArray[np.int64]:
-    """Write many winning tiles at once; returns bases changed per site.
+    """Write many winning tiles into the packed words at once; returns
+    bases changed per site.
 
     For every site ``i`` the window ``[starts[i], starts[i]+w)`` of read
     ``rows[i]`` currently spells ``old_ids[i]`` and is rewritten to
-    ``new_ids[i]`` — in the byte matrix by scattering only the differing
-    bases and in the packed words by an XOR of the id diff placed at the
-    window's bit position.  ``applied`` is the popcount-derived number
-    of differing bases per site.
+    ``new_ids[i]`` by an XOR of the id diff placed at the window's bit
+    position.  ``applied`` is the popcount-derived number of differing
+    bases per site.  The byte matrix is not touched: the words are the
+    block's one live copy while it is corrected, and the bases that
+    changed are written into it once at the end
+    (:func:`write_changed_bases`).
 
     Sites must target distinct rows within one call (the corrector's
     lookahead guarantees this: one site per read per round) — overlapping
@@ -348,38 +371,18 @@ def substitute_many(
     applied = popcount64(one_bit).astype(np.int64)
     if rows.size == 0:
         return applied
-    # Byte matrix: write only the differing bases (typically one or two
-    # per site, versus a full w-wide window rewrite), lowest first: one
-    # pass per base still to write, over the sites that have one.
-    last = starts + (w - 1)
-    sites = np.flatnonzero(one_bit)
-    bits = one_bit[sites]
-    while sites.size:
-        low = bits & (~bits + _U64(1))
-        # low is a power of two, exact in a float64 exponent.
-        shift = np.frexp(low.astype(np.float64))[1] - 1
-        codes[rows[sites], last[sites] - (shift >> 1)] = (
-            (new[sites] >> shift.astype(np.uint64)) & _U64(3)
-        ).astype(np.uint8)
-        bits = bits ^ low
-        more = bits != 0
-        sites, bits = sites[more], bits[more]
-    # Packed words: XOR the diff into the (at most two) covering words.
-    q = starts >> 5
-    r = starts & 31
+    # XOR the diff into the (at most two) covering words.  The window
+    # ends 2 (r + w) bits into the pair (q, q + 1), r = start % 32: word
+    # q takes the diff shifted up by s = 64 - 2 (r + w), or down by -s
+    # when it spills into word q + 1, which takes it shifted up by
+    # 64 + s.  numpy shifts a word by 64 or more (a negative shift wraps
+    # far past that) to 0, so each term is 0 where it does not apply;
+    # the spill term shifts in two steps so that s = 0 gives 0 too.
+    s = 64 - 2 * ((starts & 31) + w)
+    hi = diff << s.astype(np.uint64)
+    hi |= (diff >> (-1 - s).astype(np.uint64)) >> _U64(1)
     flat_words = packed.words.reshape(-1)
-    word_at = rows * packed.words.shape[1] + q
-    # Bases of the window landing in the second word (0 when it fits).
-    low_n = np.maximum(0, w - (BASES_PER_WORD - r))
-    hi_part = diff >> (low_n.astype(np.uint64) << _U64(1))
-    # hi occupies bases r .. r + (w - low_n) - 1 of word q; the shift is
-    # 0 when the window spans into word q+1 and <= 62 otherwise.
-    hi_shift = (64 - 2 * r - 2 * (w - low_n)).astype(np.uint64)
-    flat_words[word_at] ^= hi_part << hi_shift
-    two_low = (low_n << 1).astype(np.uint64)
-    lo_mask = (_U64(1) << two_low) - _U64(1)
-    lo_part = diff & lo_mask
-    # Shift 64 - 2*low_n can be 64 (low_n = 0, lo_part = 0): split it.
-    lo_shifted = (lo_part << (_U64(63) - two_low)) << _U64(1)
-    flat_words[word_at + 1] ^= lo_shifted
+    word_at = rows * packed.words.shape[1] + (starts >> 5)
+    flat_words[word_at] ^= hi
+    flat_words[word_at + 1] ^= diff << (s + 64).astype(np.uint64)
     return applied

@@ -60,6 +60,7 @@ from repro.parallel.lookup.tiers import (
     AuthorityTier,
     CacheTier,
     StatsSink,
+    Tally,
     Tier,
     probe,
 )
@@ -92,17 +93,6 @@ class RemoteProtocol(Protocol):
     def post(self, chunks: dict[int, tuple[NDArray[np.uint64], int]]) -> int: ...
 
     def collect(self, seq: int) -> dict[int, NDArray[np.uint32]]: ...
-
-
-class _Mute:
-    """A ledger that keeps nothing (``record_stats=False``)."""
-
-    def bump(self, name: str, amount: int = 1) -> None:
-        pass
-
-
-#: Where side-effect-free walks book their counters.
-MUTE = _Mute()
 
 
 class CommLike(Protocol):
@@ -222,22 +212,25 @@ class LookupStack:
         """Counts of keys the local tiers resolve; raises
         :class:`~repro.errors.SpectrumError` if any is left open (a
         lookup round answers those: :meth:`StackPair.pair_counts`)."""
-        stats = self.comm.stats if record_stats else MUTE
+        tally = Tally()
         tier = self._sole_replica
         if tier is not None and keys.size:
             # Books exactly what a walk would: the replica tier answers
             # every key, so requests == hits.
-            out = probe(tier.table.lookup, keys, stats)
-            stats.bump(self._lookups_counter, keys.size)
-            self._book(stats, 0, keys.size, keys.size)
-            return out
-        rnd, left = self.local(keys, stats)
-        if left.size:
+            out = probe(tier.table.lookup, keys, tally)
+            tally.bump(self._lookups_counter, keys.size)
+            self._book(tally, 0, keys.size, keys.size)
+        else:
+            rnd, left = self.local(keys, tally)
+            out = None if left.size else rnd.answers()[0]
+        if record_stats:
+            self.comm.stats.add(tally)
+        if out is None:
             raise SpectrumError(
                 f"{left.size} {self.kind} ids do not resolve locally; "
                 "their counts need a lookup round"
             )
-        return rnd.answers()[0]
+        return out
 
 
 def _replica(tier: Tier) -> TypeGuard[AuthorityTier]:
@@ -404,8 +397,9 @@ class StackPair:
         request per owner.  A kind that stays local (replicated) answers
         from its own tiers.  The round's wait is booked to ``comm_kmer``
         / ``comm_tile`` in proportion to the open keys of each kind; its
-        answers as the ``remote`` tier of their stack.
-        ``record_stats=False`` books no counter.
+        answers as the ``remote`` tier of their stack.  The round's
+        counters are gathered in a :class:`~repro.parallel.lookup.tiers.
+        Tally` and booked at once; ``record_stats=False`` books none.
         """
         stacks = (self.kmers, self.tiles)
         keys = [
@@ -419,14 +413,14 @@ class StackPair:
         if local[0] is not None and local[1] is not None:
             return local[0], local[1]
         comm = self.kmers.comm
-        stats = comm.stats if record_stats else MUTE
+        tally = Tally()
         rnd = LookupRound(
             *(k if counts is None else k[:0] for k, counts in zip(keys, local)),
             (self.kmers.space, self.tiles.space),
             comm.size,
         )
         kopen, topen = (
-            _NO_POS if counts is not None else stack.walk(rnd, kind, stats)
+            _NO_POS if counts is not None else stack.walk(rnd, kind, tally)
             for stack, kind, counts in zip(stacks, (KIND_KMER, KIND_TILE), local)
         )
         nk, nt = kopen.shape[0], topen.shape[0]
@@ -434,13 +428,15 @@ class StackPair:
             if self.protocol is None:
                 raise SpectrumError("a lookup round needs a wire protocol")
             start = time.perf_counter()
-            asked = rnd.ask(kopen, topen, self.protocol, stats)
+            asked = rnd.ask(kopen, topen, self.protocol, tally)
             elapsed = time.perf_counter() - start
             self.timer.add("comm_kmer", elapsed * nk / (nk + nt))
             self.timer.add("comm_tile", elapsed * nt / (nk + nt))
             for stack, n, (asked_keys, counts) in zip(stacks, (nk, nt), asked):
                 if n:
-                    _book_round(stack, n, asked_keys, counts, stats)
+                    _book_round(stack, n, asked_keys, counts, tally)
+        if record_stats:
+            comm.stats.add(tally)
         kcounts, tcounts = rnd.answers()
         return (
             kcounts if local[0] is None else local[0],

@@ -43,6 +43,11 @@ Every count-table call a tier makes — a
 same read API — is
 also counted, as ``table_probe_calls`` and ``table_probe_ids``
 (:func:`probe`; the serving side counts its own the same way).
+
+A lookup round and a serve turn gather their increments in a
+:class:`Tally` and book it into the rank's ledger once, at the end
+(:meth:`~repro.simmpi.instrument.CommStats.add`): the same totals, one
+locked update instead of one per counter.
 """
 
 from __future__ import annotations
@@ -68,6 +73,14 @@ class StatsSink(Protocol):
     """The slice of :class:`~repro.simmpi.instrument.CommStats` tiers use."""
 
     def bump(self, name: str, amount: int = 1) -> None: ...
+
+
+class Tally(dict):
+    """Counter increments gathered over one round or serve turn, then
+    booked into a ledger at once (``stats.add(tally)``)."""
+
+    def bump(self, name: str, amount: int = 1) -> None:
+        self[name] = self.get(name, 0) + amount
 
 
 _Answer = TypeVar("_Answer")

@@ -18,6 +18,7 @@ its packed 2-bit words through splitmix64, one pass per 32 bases.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any
 
@@ -89,14 +90,25 @@ class KeySpace:
     def cuts(self, keys: Keys, nranks: int) -> NDArray[np.intp]:
         """The ``P + 1`` cut positions of ascending ``keys``: rank
         ``p``'s keys are ``keys[cuts[p]:cuts[p + 1]]``."""
-        starts = self.starts(nranks)
-        if keys.dtype != np.uint64:
-            # A start above the array's dtype lies past every key in it.
-            starts = starts[starts <= np.iinfo(keys.dtype).max]
-        out = np.full(nranks + 1, keys.shape[0], dtype=np.intp)
+        starts = _cut_keys(self, nranks, keys.dtype)
+        out = np.empty(nranks + 1, dtype=np.intp)
         out[0] = 0
-        out[1 : 1 + starts.shape[0]] = keys.searchsorted(starts.astype(keys.dtype))
+        out[1 : 1 + starts.shape[0]] = keys.searchsorted(starts)
+        out[1 + starts.shape[0] :] = keys.shape[0]
         return out
+
+
+@functools.lru_cache(maxsize=None)
+def _cut_keys(space: KeySpace, nranks: int, dtype: np.dtype) -> NDArray[Any]:
+    """:meth:`KeySpace.starts` at ``dtype``, computed once per (space,
+    P, dtype): a start above the dtype's range lies past every key of
+    that dtype, so it is dropped (its cut is the end)."""
+    starts = space.starts(nranks)
+    if dtype != np.uint64:
+        starts = starts[starts <= np.iinfo(dtype).max]
+    out = starts.astype(dtype)
+    out.setflags(write=False)
+    return out
 
 
 def key_spaces(shape: TileShape) -> tuple[KeySpace, KeySpace]:

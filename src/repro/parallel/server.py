@@ -50,10 +50,11 @@ here.  The wait goes through :mod:`repro.parallel.reliable`
 fault plan).
 
 **One serve path.**  Serving is bulk: a turn that receives a request
-also takes every request already delivered, of any request tag
-(:meth:`Communicator.take_ready`, which never blocks and never yields),
-probes each owner's tables once per kind for all of them, and answers
-each requester with its own frame (:func:`serve_queued`).
+also takes every request already delivered, of any request tag, in
+one mailbox scan (:meth:`Communicator.take_queued`, which never blocks
+and never yields), probes each owner's tables once per kind for all of
+them, and answers each requester with its own frame
+(:func:`serve_queued`).
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ from repro.parallel.lookup.routing import (
     RouteTable,
     ShardServer,
 )
+from repro.parallel.lookup.tiers import Tally
 from repro.parallel.reliable import ReliableRequests
 from repro.simmpi.communicator import Communicator
 from repro.simmpi.message import ANY_SOURCE, ANY_TAG, REQUEST_TAGS, Message, Tags
@@ -86,11 +88,14 @@ def frame_request(
     ``chunk`` is ``[kmer ids | tile ids]`` with ``n_kmer`` k-mer ids.
     Returns ``(who, payload, tag)`` per frame: one universal frame named
     ``owner``, or a base-mode frame per kind present, named
-    ``owner + kind * size``.
+    ``owner + kind * size``.  Each payload is one array, its header
+    written in front of its ids.
     """
     if universal:
-        header = np.array([seq, owner, n_kmer], dtype=np.uint64)
-        return [(owner, np.concatenate([header, chunk]), Tags.UNIVERSAL_REQUEST)]
+        payload = np.empty(3 + chunk.shape[0], dtype=np.uint64)
+        payload[:3] = (seq, owner, n_kmer)
+        payload[3:] = chunk
+        return [(owner, payload, Tags.UNIVERSAL_REQUEST)]
     frames = []
     for kind, ids, tag in (
         (KIND_KMER, chunk[:n_kmer], Tags.KMER_REQUEST),
@@ -98,8 +103,10 @@ def frame_request(
     ):
         if ids.shape[0]:
             who = owner + kind * size
-            header = np.array([seq, who], dtype=np.uint64)
-            frames.append((who, np.concatenate([header, ids]), tag))
+            payload = np.empty(2 + ids.shape[0], dtype=np.uint64)
+            payload[:2] = (seq, who)
+            payload[2:] = ids
+            frames.append((who, payload, tag))
     return frames
 
 
@@ -137,21 +144,22 @@ def _parse_request(
 def serve_queued(comm: Communicator, shards: ShardServer, first: Message) -> None:
     """Answer ``first`` and every count request already delivered.
 
-    One shard probe per owner named (a table probe per kind) for the
-    whole batch — the rank's own tables, or a bound ward's replica —
-    then one response frame per request, in the order the requests were
-    taken: its header, then the counts of its k-mer ids, then of its
-    tile ids.  A count of 0 means the key does not exist anywhere — "If
-    a k-mer or tile does not exist at its owning rank, it can be
-    inferred that the k-mer or tile does not exist at all" (the paper's
-    -1 response).
+    The queued requests come in one mailbox scan (``take_queued``), by
+    request tag, each tag's in arrival order.  One shard probe per owner
+    named (a table probe per kind) for the whole batch — the rank's own
+    tables, or a bound ward's replica — then one response frame per
+    request, in the order the requests were taken: its header, then the
+    counts of its k-mer ids, then of its tile ids.  A count of 0 means
+    the key does not exist anywhere — "If a k-mer or tile does not exist
+    at its owning rank, it can be inferred that the k-mer or tile does
+    not exist at all" (the paper's -1 response).  The turn's counters
+    are booked at once before the responses go out, ``requests_served``
+    after them.
     """
-    batch = [first]
-    for tag in REQUEST_TAGS:
-        while (msg := comm.take_ready(ANY_SOURCE, tag)) is not None:
-            batch.append(msg)
-    requests = [_parse_request(msg, comm.size) for msg in batch]
-    stats = comm.stats
+    batch = [first, *comm.take_queued(ANY_SOURCE, REQUEST_TAGS)]
+    size = comm.size
+    requests = [_parse_request(msg, size) for msg in batch]
+    tally = Tally()
     by_owner: dict[int, list[int]] = {}
     for i, request in enumerate(requests):
         by_owner.setdefault(request[0], []).append(i)
@@ -159,32 +167,41 @@ def serve_queued(comm: Communicator, shards: ShardServer, first: Message) -> Non
     for owner, mine in by_owner.items():
         kmer_counts, tile_counts = shards.lookup(
             owner,
-            np.concatenate([requests[i][1] for i in mine]),
-            np.concatenate([requests[i][2] for i in mine]),
-            stats,
+            _joined([requests[i][1] for i in mine]),
+            _joined([requests[i][2] for i in mine]),
+            tally,
         )
-        stats.bump("kmer_ids_served", int(kmer_counts.shape[0]))
-        stats.bump("tile_ids_served", int(tile_counts.shape[0]))
+        tally.bump("kmer_ids_served", int(kmer_counts.shape[0]))
+        tally.bump("tile_ids_served", int(tile_counts.shape[0]))
         if owner != comm.rank:
-            stats.bump("failover_requests_served", len(mine))
-        k_at = t_at = 0
+            tally.bump("failover_requests_served", len(mine))
+        # The owner's responses end to end, written by one concatenate;
+        # each requester is sent its own slice.
+        parts, ends = [], []
+        k_at = t_at = end = 0
         for i in mine:
             _, kmers, tiles, header = requests[i]
-            # The header fits uint32: open() bounds seq, and who < 2 * size.
-            answers[i] = np.concatenate(
-                [
-                    header,
-                    kmer_counts[k_at : k_at + kmers.shape[0]],
-                    tile_counts[t_at : t_at + tiles.shape[0]],
-                ],
-                dtype=np.uint32, casting="unsafe",
-            )
-            k_at += kmers.shape[0]
-            t_at += tiles.shape[0]
-    stats.bump("serve_probes")
+            k_end, t_end = k_at + kmers.shape[0], t_at + tiles.shape[0]
+            parts += (header, kmer_counts[k_at:k_end], tile_counts[t_at:t_end])
+            end += 2 + k_end - k_at + t_end - t_at
+            ends.append(end)
+            k_at, t_at = k_end, t_end
+        # The headers fit uint32: open() bounds seq, and who < 2 * size.
+        joined = np.concatenate(parts, dtype=np.uint32, casting="unsafe")
+        start = 0
+        for i, end in zip(mine, ends):
+            answers[i] = joined[start:end]
+            start = end
+    tally.bump("serve_probes")
+    comm.stats.add(tally)
     for msg, answer in zip(batch, answers):
         comm.send(msg.source, answer, tag=Tags.COUNT_RESPONSE)
-    stats.bump("requests_served", len(batch))
+    comm.stats.bump("requests_served", len(batch))
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """``parts`` end to end (the one part itself when there is one)."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 class CorrectionProtocol:
@@ -335,7 +352,7 @@ class CorrectionProtocol:
             serve_queued(self.comm, self.shards, msg)
         elif tag == Tags.COUNT_RESPONSE:
             payload = np.asarray(msg.payload, np.uint32)
-            seq, who = int(payload[0]), int(payload[1])
+            seq, who = payload[:2].tolist()
             if self.requests.settle(seq, who):
                 self._answers[seq][who] = payload[2:]
         elif tag == Tags.WORKER_DONE:

@@ -128,6 +128,22 @@ class Communicator:
         _check_tag(tag, wildcard=True)
         return self._receive(self._engine.take_ready, source, tag)
 
+    def take_queued(
+        self, source: int = ANY_SOURCE, tags: Sequence[int] = ()
+    ) -> list[Message]:
+        """Remove and return every message under one of ``tags`` that
+        has *already been delivered*, in one mailbox scan: grouped in the
+        order of ``tags``, each group in arrival order (what a
+        :meth:`take_ready` drain of each tag in turn would take).
+
+        Never blocks and never gives up the turn; an empty list when
+        nothing is queued.  ``tags`` are user tags, none a wildcard.
+        """
+        tags = tuple(tags)
+        for tag in tags:
+            _check_tag(tag, wildcard=False)
+        return self._take(source, tags)
+
     def isend(self, dest: int, payload: Any, tag: int = 0):
         """Nonblocking send; completes at issue (sends are buffered)."""
         from repro.simmpi.request import SendRequest
@@ -168,13 +184,17 @@ class Communicator:
         if self._injector is not None:
             self._injector.at_event(self._rank)
         frame = wire.encode_frame(self._rank, tag, payload)
-        self.stats.record_send(tag, payload, dest=dest, nbytes=len(frame))
+        self.stats.record_send(tag, payload, dest, len(frame))
         self._engine.deposit(self._world, self._rank, dest, frame)
 
     def _receive(self, call, source: int, tag: int) -> Message | None:
         """``call`` — the engine's ``wait_message``, ``probe`` or
         ``take_ready`` — on this rank's mailbox."""
         return call(self._world, self._rank, source, tag)
+
+    def _take(self, source: int, tags: tuple[int, ...]) -> list[Message]:
+        """:meth:`take_queued` on the internal path."""
+        return self._engine.take_queued(self._world, self._rank, source, tags)
 
     def _recv(self, source: int, tag: int) -> Message:
         """Blocking receive on the internal path."""

@@ -92,14 +92,15 @@ class Engine:
     """How ranks run and reach their mailboxes (see module docstring).
 
     The communicator calls an engine through ``deposit``,
-    ``wait_message``, ``probe`` and ``take_ready``, and ``run_spmd``
-    through ``run``.  A rank has three ways to look at its mailbox, and
-    they differ in what they do on a miss: :meth:`wait_message` blocks
-    until a match arrives, :meth:`probe` peeks and may hand the CPU to
-    another rank, and :meth:`take_ready` removes a match that was
-    *already delivered* and otherwise returns None at once — it never
-    blocks and never gives up the rank's turn, so a drain loop over it
-    costs one mailbox scan per call and no scheduler hand-off.
+    ``wait_message``, ``probe``, ``take_ready`` and ``take_queued``, and
+    ``run_spmd`` through ``run``.  A rank has three ways to look at its
+    mailbox, and they differ in what they do on a miss:
+    :meth:`wait_message` blocks until a match arrives, :meth:`probe`
+    peeks and may hand the CPU to another rank, and :meth:`take_ready`
+    removes a match that was *already delivered* and otherwise returns
+    None at once — it never blocks and never gives up the rank's turn.
+    :meth:`take_queued` is its drain: every delivered match of a set of
+    tags in one mailbox scan.
 
     This class is the skeleton: every entry point above, the rank body
     :meth:`_run_rank`, the verifier calls, the scripted crash →
@@ -173,6 +174,21 @@ class Engine:
             if msg is not None and world.verifier is not None:
                 world.verifier.end_wait(rank)
             return msg
+
+    def take_queued(self, world: _World, rank: int, source: int,
+                    tags: tuple[int, ...]) -> list[Message]:
+        """Remove and return every already delivered message under one
+        of ``tags``, grouped in tag order, each group in arrival order.
+
+        One locked mailbox scan, no scheduling — what a drain loop of
+        :meth:`take_ready` per tag takes, without its misses."""
+        with world.lock:
+            if world.error is not None:
+                raise world.error
+            taken = world.transport.take_all(rank, source, tags)
+            if taken and world.verifier is not None:
+                world.verifier.end_wait(rank)
+            return taken
 
     def run(self, fn: Callable[[Any], Any], world: _World,
             make_comm: Callable[[_World, int], Any]) -> list[Any]:
@@ -275,16 +291,29 @@ class Engine:
 # ----------------------------------------------------------------------
 class _CoopState:
     """Scheduler bookkeeping attached to a cooperative world: rank 0
-    holds the first turn, the others queue behind it in rank order."""
+    holds the first turn, the others queue behind it in rank order.
+
+    A rank's turn is a *gate*, a plain lock: the rank blocks on it to
+    park, and the scheduler releases it to hand the turn over.  A gate
+    is held while its rank runs and is released at most once per park
+    (every release happens under ``world.lock``), so a hand-over is one
+    C-level release and one acquire — no condition variable."""
 
     def __init__(self, nranks: int) -> None:
-        self.events = [threading.Event() for _ in range(nranks)]
+        self.gates = [threading.Lock() for _ in range(nranks)]
+        for gate in self.gates[1:]:
+            gate.acquire()
         self.runnable: deque[int] = deque(range(1, nranks))
         # rank -> (source, tag) it blocks on; only set while waiting.
         self.waiting: dict[int, tuple[int, int]] = {}
         self.finished: set[int] = set()
         self.current: int | None = 0
-        self.events[0].set()
+
+    def open(self, rank: int) -> None:
+        """Let ``rank`` through its gate (caller holds ``world.lock``)."""
+        gate = self.gates[rank]
+        if gate.locked():
+            gate.release()
 
 
 class CooperativeEngine(Engine):
@@ -305,7 +334,7 @@ class CooperativeEngine(Engine):
         if st.runnable:
             nxt = st.runnable.popleft()
             st.current = nxt
-            st.events[nxt].set()
+            st.open(nxt)
             return
         st.current = None
         live_waiting = set(st.waiting) - st.finished
@@ -322,17 +351,16 @@ class CooperativeEngine(Engine):
                 faults=describe_faults(world),
             ))
             for r in live_waiting:
-                st.events[r].set()
+                st.open(r)
 
     def _hand_over(self, world: _World, rank: int) -> None:
         """Give up the CPU; return when scheduled again (lock held on entry
         and re-acquired before returning)."""
         st: _CoopState = world.coop  # type: ignore[attr-defined]
-        st.events[rank].clear()
         self._schedule_next(world)
         world.lock.release()
         try:
-            st.events[rank].wait()
+            st.gates[rank].acquire()
         finally:
             world.lock.acquire()
 
@@ -353,8 +381,9 @@ class CooperativeEngine(Engine):
         st.current = rank
 
     def _wake_all(self, world: _World) -> None:
-        for event in world.coop.events:  # type: ignore[attr-defined]
-            event.set()
+        st: _CoopState = world.coop  # type: ignore[attr-defined]
+        for rank in range(len(st.gates)):
+            st.open(rank)
 
     def _probe_miss(self, world: _World, rank: int, source: int,
                     tag: int) -> Message | None:
@@ -370,7 +399,7 @@ class CooperativeEngine(Engine):
 
     def _enter(self, world: _World, rank: int) -> bool:
         """Wait for the rank's first turn."""
-        world.coop.events[rank].wait()  # type: ignore[attr-defined]
+        world.coop.gates[rank].acquire()  # type: ignore[attr-defined]
         return world.error is None
 
     def _leave(self, world: _World, rank: int) -> None:

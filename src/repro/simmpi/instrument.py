@@ -10,6 +10,7 @@ distributed driver adds protocol-level counters (lookups by kind).
 from __future__ import annotations
 
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,18 +188,16 @@ class CommStats:
         """
         if nbytes is None:
             nbytes = _payload_nbytes(payload)
+        by_tag, bytes_by_tag = self.messages_by_tag, self.bytes_by_tag
         with self._lock:
             self.messages_sent += 1
             self.bytes_sent += nbytes
-            self.messages_by_tag[tag] = self.messages_by_tag.get(tag, 0) + 1
-            self.bytes_by_tag[tag] = self.bytes_by_tag.get(tag, 0) + nbytes
+            by_tag[tag] = by_tag.get(tag, 0) + 1
+            bytes_by_tag[tag] = bytes_by_tag.get(tag, 0) + nbytes
             if dest is not None:
-                self.messages_by_peer[dest] = (
-                    self.messages_by_peer.get(dest, 0) + 1
-                )
-                self.bytes_by_peer[dest] = (
-                    self.bytes_by_peer.get(dest, 0) + nbytes
-                )
+                by_peer, bytes_by_peer = self.messages_by_peer, self.bytes_by_peer
+                by_peer[dest] = by_peer.get(dest, 0) + 1
+                bytes_by_peer[dest] = bytes_by_peer.get(dest, 0) + nbytes
 
     def onnode_fraction(self, rank: int, ranks_per_node: int) -> float:
         """Fraction of this rank's messages that would stay on-node if
@@ -221,8 +220,17 @@ class CommStats:
 
     def bump(self, name: str, amount: int = 1) -> None:
         """Increment a named protocol counter (thread-safe)."""
+        counters = self.counters
         with self._lock:
-            self.counters[name] = self.counters.get(name, 0) + amount
+            counters[name] = counters.get(name, 0) + amount
+
+    def add(self, tally: Mapping[str, int]) -> None:
+        """Increment many named counters at once, under one lock: what
+        a bump of each ``tally`` entry would book (thread-safe)."""
+        counters = self.counters
+        with self._lock:
+            for name, amount in tally.items():
+                counters[name] = counters.get(name, 0) + amount
 
     def get(self, name: str) -> int:
         """Read a named protocol counter (0 when never bumped)."""

@@ -15,7 +15,6 @@ take the frames of a collective its peers have already entered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 #: Wildcard source for recv/iprobe (matches MPI_ANY_SOURCE).
@@ -64,13 +63,35 @@ class Tags:
 REQUEST_TAGS = (Tags.KMER_REQUEST, Tags.TILE_REQUEST, Tags.UNIVERSAL_REQUEST)
 
 
-@dataclass(frozen=True)
 class Message:
-    """A delivered message."""
+    """A delivered message: ``source``, ``tag`` and ``payload``.
 
-    source: int
-    tag: int
-    payload: Any
+    Built once per delivered frame, so it is a plain slotted record (a
+    frozen dataclass costs three ``object.__setattr__`` calls a frame);
+    nothing mutates a message once it is delivered."""
+
+    __slots__ = ("source", "tag", "payload")
+
+    def __init__(self, source: int, tag: int, payload: Any) -> None:
+        self.source = source
+        self.tag = tag
+        self.payload = payload
+
+    def __repr__(self) -> str:
+        return (
+            f"Message(source={self.source!r}, tag={self.tag!r}, "
+            f"payload={self.payload!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Message):
+            return NotImplemented
+        return (self.source, self.tag, self.payload) == (
+            other.source, other.tag, other.payload
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.tag, self.payload))
 
     def matches(self, source: int, tag: int) -> bool:
         """Does this message match a (source, tag) pattern with wildcards?

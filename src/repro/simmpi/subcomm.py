@@ -90,6 +90,19 @@ class SubCommunicator(Communicator):
             return None
         return Message(self._members.index(msg.source), tag, msg.payload)
 
+    def _take(self, source: int, tags: tuple[int, ...]) -> list[Message]:
+        """The parent's take under the group's shifted tags, translated
+        both ways."""
+        if source != ANY_SOURCE:
+            self._check_peer(source)
+            source = self._members[source]
+        base = self._tag_base
+        taken = self._parent._take(source, tuple(base + tag for tag in tags))
+        return [
+            Message(self._members.index(msg.source), msg.tag - base, msg.payload)
+            for msg in taken
+        ]
+
 
 def split(parent: Communicator, color: int) -> SubCommunicator:
     """Partition the parent communicator by ``color`` (collective).

@@ -28,7 +28,7 @@ import queue as queue_mod
 from collections import deque
 
 from repro.simmpi import wire
-from repro.simmpi.message import Message
+from repro.simmpi.message import ANY_SOURCE, Message
 
 
 class Transport:
@@ -42,6 +42,13 @@ class Transport:
     def poll(self, rank: int, source: int, tag: int,
              remove: bool) -> Message | None:
         """First pending message for ``rank`` matching the pattern."""
+        raise NotImplementedError
+
+    def take_all(self, rank: int, source: int,
+                 tags: tuple[int, ...]) -> list[Message]:
+        """Remove every pending message for ``rank`` from ``source``
+        under one of the user ``tags``: grouped in the order of
+        ``tags``, each group in arrival order."""
         raise NotImplementedError
 
 
@@ -71,6 +78,24 @@ class LocalTransport(Transport):
                     del box[i]
                 return msg
         return None
+
+    def take_all(self, rank: int, source: int,
+                 tags: tuple[int, ...]) -> list[Message]:
+        """One scan of ``rank``'s box (see :meth:`Transport.take_all`)."""
+        box = self.boxes[rank]
+        groups: dict[int, list[Message]] = {tag: [] for tag in tags}
+        kept = []
+        for msg in box:
+            group = groups.get(msg.tag)
+            if group is not None and source in (ANY_SOURCE, msg.source):
+                group.append(msg)
+            else:
+                kept.append(msg)
+        if len(kept) == len(box):
+            return []
+        box.clear()
+        box.extend(kept)
+        return [msg for tag in tags for msg in groups[tag]]
 
 
 class ProcessTransport(LocalTransport):
@@ -108,6 +133,15 @@ class ProcessTransport(LocalTransport):
     def poll(self, rank: int, source: int, tag: int,
              remove: bool) -> Message | None:
         """Admit the frames already queued, then scan the box."""
+        self._admit_queued()
+        return super().poll(rank, source, tag, remove)
+
+    def take_all(self, rank: int, source: int,
+                 tags: tuple[int, ...]) -> list[Message]:
+        """Admit the frames already queued, then take from the box."""
+        self._admit_queued()
+        return super().take_all(rank, source, tags)
+
+    def _admit_queued(self) -> None:
         while (frame := self.take(0)) is not None:
             self.admit(frame)
-        return super().poll(rank, source, tag, remove)

@@ -209,37 +209,48 @@ def is_wire_codable(payload: Any) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _int_vector_prefix(dtype: np.dtype) -> bytes:
-    """The NDARRAY encoding of a 1-D array of ``dtype`` up to its shape."""
-    dt = dtype.str.encode("ascii")
-    return bytes((_NDARRAY, len(dt))) + dt + b"\x01"
+#: dtype -> (packer, prefix) of a 1-D array frame's head: the frame
+#: header, the NDARRAY encoding up to the shape, and the length, in one
+#: pack; None for a dtype with no integer-vector fast path.
+_VECTOR_HEADS: dict[np.dtype, tuple[struct.Struct, bytes] | None] = {}
+
+
+def _vector_head(dtype: np.dtype) -> tuple[struct.Struct, bytes] | None:
+    if dtype not in _VECTOR_HEADS:
+        head = None
+        if dtype.kind in "iu":
+            dt = dtype.str.encode("ascii")
+            prefix = bytes((_NDARRAY, len(dt))) + dt + b"\x01"
+            head = struct.Struct(f"<BBiq{len(prefix)}sQ"), prefix
+        _VECTOR_HEADS[dtype] = head
+    return _VECTOR_HEADS[dtype]
 
 
 def encode_frame(source: int, tag: int, payload: Any) -> bytes:
     """One complete frame: header (source, tag) plus encoded payload.
 
     A 1-D C-contiguous integer array — every Step IV payload — skips
-    the generic encoder; the bytes produced are the same.
+    the generic encoder: its head is one pack and its data one copy;
+    the bytes produced are the same.
     """
-    header = _HEADER.pack(MAGIC, VERSION, source, tag)
     if (
         type(payload) is np.ndarray
         and payload.ndim == 1
-        and payload.dtype.kind in "iu"
         and payload.flags.c_contiguous
+        and (head := _vector_head(payload.dtype)) is not None
     ):
-        prefix = _int_vector_prefix(payload.dtype)
-        nbytes = len(prefix) + _U64.size + payload.nbytes
+        packer, prefix = head
+        nbytes = packer.size - HEADER_BYTES + payload.nbytes
         if nbytes > MAX_FRAME_BYTES:
             raise WireFormatError(
                 f"payload encodes to {nbytes} bytes, above the "
                 f"{MAX_FRAME_BYTES}-byte frame limit"
             )
-        return (
-            header + prefix + _U64.pack(payload.shape[0]) + payload.tobytes()
+        count = payload.shape[0]
+        return packer.pack(MAGIC, VERSION, source, tag, prefix, count) + (
+            payload.tobytes()
         )
-    return header + encode_payload(payload)
+    return _HEADER.pack(MAGIC, VERSION, source, tag) + encode_payload(payload)
 
 
 # ----------------------------------------------------------------------
@@ -340,13 +351,14 @@ def frame_header(frame: bytes) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=64)
-def _int_dtype(raw: bytes) -> np.dtype | None:
-    """The integer dtype a frame's dtype string names, else None."""
+def _vector_dtype(prefix: bytes) -> np.dtype | None:
+    """The dtype of a 1-D integer array whose NDARRAY encoding starts
+    with ``prefix`` (type code up to the dimension count), else None."""
     try:
-        dtype = np.dtype(raw.decode("ascii"))
+        dtype = np.dtype(prefix[2:-1].decode("ascii"))
     except (TypeError, ValueError):
         return None
-    return dtype if dtype.kind in "iu" else None
+    return dtype if dtype.kind in "iu" and prefix[-1] == 1 else None
 
 
 def _decode_int_vector(frame: bytes) -> np.ndarray | None:
@@ -354,17 +366,18 @@ def _decode_int_vector(frame: bytes) -> np.ndarray | None:
     or None — anything else, a truncated or an over-long frame included,
     is left to the generic decoder and its error reporting."""
     at = HEADER_BYTES
-    if len(frame) < at + 2 or frame[at] != _NDARRAY:
+    size = len(frame)
+    if size < at + 2 or frame[at] != _NDARRAY:
         return None
     shape_at = at + 2 + frame[at + 1]
     data_at = shape_at + 1 + _U64.size
-    if len(frame) < data_at or frame[shape_at] != 1:
+    if size < data_at:
         return None
-    dtype = _int_dtype(bytes(frame[at + 2:shape_at]))
+    dtype = _vector_dtype(bytes(frame[at:shape_at + 1]))
     if dtype is None:
         return None
     (count,) = _U64.unpack_from(frame, shape_at + 1)
-    if len(frame) != data_at + count * dtype.itemsize:
+    if size != data_at + count * dtype.itemsize:
         return None
     # Same three steps as the generic decoder (view the frame, shape it,
     # copy): the receiver owns a writable array with no tie to the frame.
@@ -385,7 +398,7 @@ def decode_frame(frame: bytes) -> Message:
             raise WireFormatError(
                 f"{len(frame) - r.at} trailing byte(s) after payload"
             )
-    return Message(source=source, tag=tag, payload=payload)
+    return Message(source, tag, payload)
 
 
 def clone(payload: Any) -> Any:

@@ -90,7 +90,7 @@ def test_rewrites_match_substituted_copy(k, overlap, lengths, ambiguous):
         copy = pack_block(codes, block.lengths)
         before = _later_ids(copy, state, rows[s], cols[s], w)
         substitute_many(
-            codes, copy, rows[s : s + 1], starts[s : s + 1],
+            copy, rows[s : s + 1], starts[s : s + 1],
             olds[s : s + 1], cands[i : i + 1], w,
         )
         after = _later_ids(copy, state, rows[s], cols[s], w)

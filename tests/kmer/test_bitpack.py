@@ -3,8 +3,9 @@
 Every property pins a packed kernel to the unpacked seed implementation
 it replaced: pack/unpack round-trips (including non-multiple-of-32
 widths and ambiguous bases), ``windows_at`` against the reference
-corrector's byte-per-base gather, popcount Hamming against the scalar
-per-base loop, and whole-block correction bit-identity between
+corrector's byte-per-base gather, batched substitution and its one byte
+write against a byte-level rewrite, and whole-block correction
+bit-identity between
 :class:`~repro.core.corrector.ReptileCorrector` and the frozen
 :class:`~repro.core.reference.UnpackedReferenceCorrector` at both
 correction distances.
@@ -22,11 +23,11 @@ from repro.core.reference import UnpackedReferenceCorrector
 from repro.core.spectrum import LocalSpectrumView
 from repro.io.records import ReadBlock
 from repro.kmer.bitpack import (
-    hamming_many,
     pack_block,
     substitute_many,
     unpack_block,
     windows_at,
+    write_changed_bases,
 )
 from repro.kmer.codec import INVALID_CODE
 from repro.kmer.neighbors import hamming_distance
@@ -90,21 +91,6 @@ def test_windows_at_matches_gather_tiles(seed, n, width, k, ambiguous):
 
 @given(
     seed=st.integers(0, 2**32 - 1),
-    w=st.integers(1, 32),
-    n=st.integers(1, 200),
-)
-@settings(max_examples=80, deadline=None)
-def test_hamming_many_matches_scalar(seed, w, n):
-    rng = np.random.default_rng(seed)
-    hi = (1 << (2 * w)) - 1
-    a = rng.integers(0, hi, n, dtype=np.uint64, endpoint=True)
-    b = rng.integers(0, hi, n, dtype=np.uint64, endpoint=True)
-    expected = [hamming_distance(int(x), int(y), w) for x, y in zip(a, b)]
-    assert np.array_equal(hamming_many(a, b, w), np.array(expected))
-
-
-@given(
-    seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 15),
     width=st.integers(10, 130),
     w=st.integers(1, 32),
@@ -114,8 +100,9 @@ def test_hamming_many_matches_scalar(seed, w, n):
 def test_substitute_many_keeps_words_and_codes_aligned(
     seed, n, width, w, n_subs
 ):
-    """After batched substitution, the packed words still unpack to the
-    mutated code matrix — the two representations never diverge.
+    """After batched substitution, the packed words unpack to the code
+    matrix with each site's window rewritten base by base, and writing
+    the bases that changed into the old matrix gives that matrix too.
 
     One site per row, per the kernel's contract (the corrector's
     wavefront substitutes at most once per read per step)."""
@@ -134,14 +121,22 @@ def test_substitute_many_keeps_words_and_codes_aligned(
     hi = (1 << (2 * w)) - 1
     new_ids = rng.integers(0, hi, n_subs, dtype=np.uint64, endpoint=True)
 
-    applied = substitute_many(codes, packed, rows, starts, old_ids, new_ids, w)
+    before = packed.words.copy()
+    written = codes.copy()
+    applied = substitute_many(packed, rows, starts, old_ids, new_ids, w)
     # applied counts exactly the differing bases of each rewrite.
     expected = [
         hamming_distance(int(o), int(nw), w)
         for o, nw in zip(old_ids, new_ids)
     ]
     assert np.array_equal(applied, np.array(expected))
+    for row, start, new in zip(rows, starts, new_ids):
+        codes[row, start : start + w] = [
+            (int(new) >> (2 * (w - 1 - i))) & 3 for i in range(w)
+        ]
     assert np.array_equal(unpack_block(packed), codes)
+    write_changed_bases(written, before, packed, rows)
+    assert np.array_equal(written, codes)
     # The rewritten windows now spell the new ids.
     re_ids, re_valid = windows_at(packed, rows, starts, w)
     assert re_valid.all()

@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 from repro.hashing.counthash import CountHash
 from repro.kmer.tiles import TileShape
 from repro.parallel.lookup.routing import KIND_KMER
-from repro.parallel.lookup.stack import MUTE, LookupRound, LookupStack, StackPair
-from repro.parallel.lookup.tiers import AuthorityTier, CacheTier
+from repro.parallel.lookup.stack import LookupRound, LookupStack, StackPair
+from repro.parallel.lookup.tiers import AuthorityTier, CacheTier, Tally
 from repro.parallel.ownership import KeySpace, key_spaces
 from tests.parallel.lookup.ladder import ladder_round, oracle_fetch
 
@@ -38,6 +38,10 @@ class _Stats:
 
     def bump(self, name, amount=1):
         self.counters[name] = self.counters.get(name, 0) + int(amount)
+
+    def add(self, tally):
+        for name, amount in tally.items():
+            self.bump(name, amount)
 
     def get(self, name):
         return self.counters.get(name, 0)
@@ -301,7 +305,7 @@ def test_local_only_leaves_exactly_foreign_unresolved(case):
     comm = _Comm(world.rank, world.nranks)
     stack = world.build_stack(comm)
     ids = np.asarray(query, dtype=np.uint64)
-    rnd, open_ = stack.local(SPACE.keys(ids), MUTE)
+    rnd, open_ = stack.local(SPACE.keys(ids), Tally())
     unresolved = np.zeros(ids.size, dtype=bool)
     unresolved[rnd.origins(KIND_KMER, open_)] = True
     counts, _ = rnd.answers()

@@ -14,7 +14,7 @@ from repro.parallel.server import (
     CorrectionProtocol,
     serve_queued,
 )
-from repro.simmpi import ANY_SOURCE, ANY_TAG, run_spmd
+from repro.simmpi import ANY_SOURCE, run_spmd
 from repro.simmpi.instrument import CommStats
 from repro.simmpi.message import Message, Tags
 
@@ -66,11 +66,13 @@ class Mailbox:
         self.queued = list(queued)
         self.sent = []
 
-    def take_ready(self, source=ANY_SOURCE, tag=ANY_TAG):
-        for i, msg in enumerate(self.queued):
-            if msg.matches(source, tag):
-                return self.queued.pop(i)
-        return None
+    def take_queued(self, source=ANY_SOURCE, tags=()):
+        taken = [
+            msg for tag in tags for msg in self.queued if msg.matches(source, tag)
+        ]
+        ids = {id(msg) for msg in taken}
+        self.queued = [msg for msg in self.queued if id(msg) not in ids]
+        return taken
 
     def send(self, dest, payload, tag=0):
         self.sent.append((dest, tag, str(payload.dtype), payload.tolist()))

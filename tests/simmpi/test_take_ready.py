@@ -1,4 +1,5 @@
-"""``Communicator.take_ready``: the non-blocking, non-yielding receive.
+"""``Communicator.take_ready``: the non-blocking, non-yielding receive,
+and ``take_queued``, its drain of several tags in one mailbox scan.
 
 Rank programs are module-level so the process engine can pickle them;
 the same programs run on all three engines.
@@ -125,3 +126,98 @@ def test_hit_keeps_the_turn_too():
 
     run_spmd(prog, 2, engine="cooperative")
     assert events == ["rank 0 took its message", "rank 1 ran"]
+
+
+def _drains(comm):
+    """Rank 0 drains the script of ranks 1 and 2 twice over, on two
+    queues filled alike: once by ``take_ready`` per tag, once by one
+    ``take_queued``; a group takes through its shifted tags."""
+    group = comm.split(0)
+    if comm.rank != 0:
+        for _ in range(2):
+            for tag, number in _SCRIPT:
+                comm.send(0, (comm.rank, number), tag=tag)
+            comm.send(0, None, tag=_DONE)
+            comm.recv(source=0, tag=_DONE)
+        group.send(0, "in the group", tag=5)
+        group.send(0, None, tag=_DONE)
+        return None
+
+    def settled(where):
+        where.recv(source=1, tag=_DONE)
+        where.recv(source=2, tag=_DONE)
+        if where is comm:
+            for sender in (1, 2):
+                comm.send(sender, None, tag=_DONE)
+
+    settled(comm)
+    one_by_one = [
+        (msg.source, msg.tag, msg.payload)
+        for tag in (6, 5)
+        for msg in iter(lambda tag=tag: comm.take_ready(ANY_SOURCE, tag), None)
+    ]
+    settled(comm)
+    from_rank_2 = comm.take_queued(2, (6,))
+    drained = comm.take_queued(ANY_SOURCE, (6, 5))
+    empty = comm.take_queued(ANY_SOURCE, (6, 5))
+    settled(group)
+    in_group = group.take_queued(ANY_SOURCE, (5,))
+    return {
+        "one by one": one_by_one,
+        "from rank 2": [(m.source, m.tag, m.payload) for m in from_rank_2],
+        "drained": [(m.source, m.tag, m.payload) for m in drained],
+        "empty": empty,
+        "in group": [(m.source, m.tag, m.payload) for m in in_group],
+        "left": comm.take_ready(),
+    }
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_take_queued_drains_by_tag_then_arrival(engine):
+    got = run_spmd(_drains, 3, engine=engine).results[0]
+    assert got["from rank 2"] == [(2, 6, (2, 1))]
+    # What a take_ready drain per tag takes, less what was taken before:
+    # grouped by tag in the order asked, each sender's in the order sent.
+    drained = got["drained"]
+    assert sorted(drained) == sorted(
+        m for m in got["one by one"] if m != (2, 6, (2, 1))
+    )
+    assert [m[1] for m in drained] == [6, 5, 5, 5, 5]
+    assert [m[2] for m in drained if m[0] == 2] == [(2, 0), (2, 2)]
+    assert [m[2] for m in drained if m[0] == 1] == [(1, 1), (1, 0), (1, 2)]
+    assert got["empty"] == []
+    # Group ranks and tags come back in the group's coordinates.
+    assert sorted(got["in group"]) == [(1, 5, "in the group"), (2, 5, "in the group")]
+    assert got["left"] is None
+
+
+def test_take_queued_refuses_a_wildcard_or_reserved_tag():
+    from repro.errors import CommunicatorError
+    from repro.simmpi.message import Tags
+
+    def prog(comm):
+        for tags in ((ANY_TAG,), (5, Tags.COLLECTIVE_BASE)):
+            with pytest.raises(CommunicatorError):
+                comm.take_queued(ANY_SOURCE, tags)
+        return True
+
+    assert run_spmd(prog, 1, engine="cooperative").results == [True]
+
+
+def test_take_queued_keeps_the_turn():
+    """A drain, hit or miss, is not a scheduling point."""
+    events = []
+
+    def prog(comm):
+        if comm.rank == 0:
+            assert comm.take_queued(ANY_SOURCE, (2, 3)) == []
+            comm.send(0, "to self", tag=3)
+            assert [m.payload for m in comm.take_queued(ANY_SOURCE, (2, 3))] == [
+                "to self"
+            ]
+            events.append("rank 0 drained")
+        else:
+            events.append("rank 1 ran")
+
+    run_spmd(prog, 2, engine="cooperative")
+    assert events == ["rank 0 drained", "rank 1 ran"]
