@@ -34,10 +34,10 @@ COLLECTIVE_METHODS = frozenset(
      "reduce", "split"}
 )
 SEND_METHODS = frozenset({"send", "isend"})
-#: ``take_ready`` is the non-blocking, non-yielding receive, and
-#: ``take_queued`` its drain of several tags at once: each removes the
-#: messages it returns, so the tag and peer rules treat it as one.
-RECV_METHODS = frozenset({"recv", "irecv", "iprobe", "take_ready", "take_queued"})
+#: ``take_queued`` is the non-blocking, non-yielding drain of several
+#: tags at once: it removes the messages it returns, so the tag and
+#: peer rules treat it as a receive of each tag it names.
+RECV_METHODS = frozenset({"recv", "irecv", "iprobe", "take_queued"})
 
 #: ndarray methods that mutate in place (MPI005, MPI011).
 INPLACE_METHODS = frozenset(
@@ -353,28 +353,36 @@ def mentions_rank(test: ast.expr, comm_names: set[str]) -> bool:
 
 
 def _classify_call(node: ast.Call, path: str, comm_names: set[str],
-                   env: dict[str, int], rank_guarded: bool) -> CommOp | None:
+                   env: dict[str, int], rank_guarded: bool) -> list[CommOp]:
+    """The communication ops of one call: one, except that a
+    ``take_queued`` is a receive of each tag of its literal ``tags``
+    tuple or list (and one unresolved receive when ``tags`` is any
+    other expression)."""
     if not isinstance(node.func, ast.Attribute):
-        return None
+        return []
     method = node.func.attr
     if method not in SEND_METHODS | RECV_METHODS | COLLECTIVE_METHODS:
-        return None
+        return []
     recv = dotted_name(node.func.value)
     if recv is None or not is_comm_name(recv, comm_names):
-        return None
-    tag_expr: ast.expr | None
-    tag: Tag
+        return []
+
+    def op(tag: Tag, tag_expr: ast.expr | None) -> CommOp:
+        return CommOp(path=path, method=method, node=node, tag=tag,
+                      symbol=tag_symbol(tag_expr), rank_guarded=rank_guarded)
+
     if method in SEND_METHODS:
         tag_expr = call_arg(node, 2, "tag")
-        tag = resolve_tag(tag_expr, env, default=0)
-    elif method in RECV_METHODS:
+        return [op(resolve_tag(tag_expr, env, default=0), tag_expr)]
+    if method == "take_queued":
+        tags = call_arg(node, 1, "tags")
+        if not isinstance(tags, (ast.Tuple, ast.List)):
+            return [op(None, None)]
+        return [op(resolve_tag(elt, env, default=None), elt) for elt in tags.elts]
+    if method in RECV_METHODS:
         tag_expr = call_arg(node, 1, "tag")
-        tag = resolve_tag(tag_expr, env, default=WILDCARD)
-    else:
-        tag_expr = None
-        tag = None
-    return CommOp(path=path, method=method, node=node, tag=tag,
-                  symbol=tag_symbol(tag_expr), rank_guarded=rank_guarded)
+        return [op(resolve_tag(tag_expr, env, default=WILDCARD), tag_expr)]
+    return [op(None, None)]
 
 
 def _extract_calls(fn_summary: FunctionSummary, path: str) -> None:
@@ -388,9 +396,9 @@ def _extract_calls(fn_summary: FunctionSummary, path: str) -> None:
                              ast.Lambda)) and node is not fn_summary.node:
             return
         if isinstance(node, ast.Call):
-            op = _classify_call(node, path, comm_names, env, guarded)
-            if op is not None:
-                fn_summary.calls.append(op)
+            fn_summary.calls.extend(
+                _classify_call(node, path, comm_names, env, guarded)
+            )
         if isinstance(node, ast.If) and mentions_rank(node.test, comm_names):
             for child in ast.iter_child_nodes(node):
                 visit(child, child is not node.test or guarded)

@@ -81,18 +81,17 @@ TIER_NAMES = (
 
 
 class RemoteProtocol(Protocol):
-    """What a lookup round needs from a correction protocol: post each
-    owner its chunk, as ordered, and collect the answers.
+    """What a lookup round needs from a correction protocol: one call
+    that asks each owner for its chunk and returns the answers.
 
-    ``chunks`` maps owner -> ``(keys, n_kmer)``: the owner's distinct
-    k-mer keys ascending, then its distinct tile keys ascending,
-    ``n_kmer`` of them k-mers.  :meth:`post` returns the round's sequence number;
-    :meth:`collect` maps every owner asked to the counts of its chunk,
-    in chunk order."""
+    ``chunks`` maps owner -> ``(kmer_keys, tile_keys)``, each the
+    owner's distinct keys of that kind, ascending; :meth:`ask` maps
+    every owner asked to ``(kmer_counts, tile_counts)``, aligned with
+    them.  How the kinds travel is the protocol's business."""
 
-    def post(self, chunks: dict[int, tuple[NDArray[np.uint64], int]]) -> int: ...
-
-    def collect(self, seq: int) -> dict[int, NDArray[np.uint32]]: ...
+    def ask(
+        self, chunks: dict[int, tuple[NDArray[np.uint64], NDArray[np.uint64]]]
+    ) -> dict[int, tuple[NDArray[np.uint32], NDArray[np.uint32]]]: ...
 
 
 class CommLike(Protocol):
@@ -328,29 +327,27 @@ class LookupRound:
         stats.bump("blocking_request_counts")
         stats.bump("remote_kmer_ids_deduped", kmer_pos.shape[0] - kmers.shape[0])
         stats.bump("remote_tile_ids_deduped", tile_pos.shape[0] - tiles.shape[0])
-        chunks: dict[int, tuple[NDArray[np.uint64], int]] = {}
+        chunks: dict[int, tuple[NDArray[np.uint64], NDArray[np.uint64]]] = {}
         for owner in range(self.size):
             klo, khi = kedges[owner], kedges[owner + 1]
             tlo, thi = tedges[owner], tedges[owner + 1]
-            if klo == khi and tlo == thi:
-                continue
-            chunks[owner] = (
-                np.concatenate([kmers[klo:khi], tiles[tlo:thi]]), khi - klo
-            )
-        answers = protocol.collect(protocol.post(chunks))
-        kcounts, tcounts = [], []
-        for owner, (chunk, n_kmer) in chunks.items():
-            answer = answers[owner]
-            if answer.shape[0] != chunk.shape[0]:
-                raise CommunicatorError(
-                    f"response length mismatch from rank {owner}: got "
-                    f"{answer.shape[0]}, wanted {chunk.shape[0]}"
-                )
-            kcounts.append(answer[:n_kmer])
-            tcounts.append(answer[n_kmer:])
+            if klo != khi or tlo != thi:
+                chunks[owner] = (kmers[klo:khi], tiles[tlo:thi])
+        answers = protocol.ask(chunks)
+        parts: tuple[list[NDArray[np.uint32]], ...] = ([], [])
+        for owner, asked_keys in chunks.items():
+            for name, keys, counts, kind_parts in zip(
+                ("k-mer", "tile"), asked_keys, answers[owner], parts
+            ):
+                if counts.shape[0] != keys.shape[0]:
+                    raise CommunicatorError(
+                        f"{name} response length mismatch from rank {owner}: "
+                        f"got {counts.shape[0]}, wanted {keys.shape[0]}"
+                    )
+                kind_parts.append(counts)
         asked = []
-        for (pos, distinct, slot, _), parts in zip(kinds, (kcounts, tcounts)):
-            counts = np.concatenate(parts).astype(np.uint32, copy=False)
+        for (pos, distinct, slot, _), kind_parts in zip(kinds, parts):
+            counts = np.concatenate(kind_parts).astype(np.uint32, copy=False)
             self.counts[pos] = counts[slot]
             asked.append((distinct, counts))
         return tuple(asked)
@@ -374,10 +371,6 @@ class StackPair:
     protocol: RemoteProtocol | None = None
     #: Where the round's wait is booked (``comm_kmer`` / ``comm_tile``).
     timer: PhaseTimer = field(default_factory=PhaseTimer)
-
-    def for_kind(self, kind: str) -> LookupStack:
-        """The stack resolving ``"kmer"`` or ``"tile"`` counts."""
-        return self.kmers if kind == "kmer" else self.tiles
 
     # The corrector's SpectrumView interface, so a compiled pair is
     # handed to ReptileCorrector as is.

@@ -1,7 +1,7 @@
 """The reliable-request layer: one wait under every count client.
 
 Step IV is one idea — ask the owner, serve peers while you wait — and
-every lookup round of it is posted by the one protocol and keeps its
+every lookup round of it is asked by the one protocol and keeps its
 outstanding requests here.  Every request frame carries its ``(seq,
 who)`` name and every answer echoes it, under every plan; a plan
 changes only what this layer does with them.  :class:`ReliableRequests` owns the whole retry *policy*:
@@ -10,14 +10,16 @@ changes only what this layer does with them.  :class:`ReliableRequests` owns the
   monotone counter, so a frame that outlives its round (delayed,
   duplicated, or answered after a retransmit) can never carry the number
   of a later one, whichever protocol object sent it;
-* **window** — the requests of a round that are still unanswered, with
-  the frames to resend when a :class:`~repro.faults.FaultPlan` can lose
-  them (and only then: unarmed, nothing is retained);
+* **window** — the requests of the open round that are still
+  unanswered, with the frames to resend when a
+  :class:`~repro.faults.FaultPlan` can lose them (and only then:
+  unarmed, nothing is retained).  One round is open at a time;
 * **wait** — :meth:`wait` runs the caller's ``progress`` (the
   protocol's ``pump``: receive and dispatch one message) until the
-  window is empty.  Unarmed that is a plain blocking loop: no clock, no
-  resend.  Armed it is the deadline / backoff / resend loop and the one
-  place :class:`~repro.errors.LookupTimeoutError` is built;
+  window is empty, and closes the round.  Unarmed that is a plain
+  blocking loop: no clock, no resend.  Armed it is the deadline /
+  backoff / resend loop and the one place
+  :class:`~repro.errors.LookupTimeoutError` is built;
 * **stale rule** — :meth:`settle` is the single fresh-or-stale decision
   for an arriving answer.
 
@@ -63,9 +65,11 @@ class ReliableRequests:
             plan if plan is not None and plan.needs_resilient_lookups else None
         )
         self._sequence = _sequences.setdefault(comm, itertools.count(1))
-        #: seq -> who -> (dest, payload, tag) retained for resends
-        #: (None when unarmed).
-        self._windows: dict[int, dict[int, tuple[int, Any, int] | None]] = {}
+        #: The open round's number, or None between rounds.
+        self._seq: int | None = None
+        #: The open round's pending requests: who -> (dest, payload,
+        #: tag) retained for resends (None when unarmed).
+        self._window: dict[int, tuple[int, Any, int] | None] = {}
 
     @property
     def armed(self) -> bool:
@@ -73,23 +77,24 @@ class ReliableRequests:
         return self.plan is not None
 
     def open(self) -> int:
-        """Start a round; its sequence number exceeds every earlier one
-        on this communicator (and fits the uint32 response headers)."""
+        """Open a round; its sequence number exceeds every earlier one
+        on this communicator (and fits the uint32 response headers).
+        A round is open until its :meth:`wait` returns; opening another
+        meanwhile is an error."""
+        if self._seq is not None:
+            raise CommunicatorError(
+                f"rank {self.comm.rank}: round {self._seq} is still open"
+            )
         seq = next(self._sequence)
         if seq >= 1 << 32:
             raise CommunicatorError("request sequence overflow")
+        self._seq = seq
         return seq
 
-    def send(self, seq: int, who: int, dest: int, payload: Any, tag: int) -> None:
-        """Ship one request of round ``seq`` and hold it outstanding."""
-        self._windows.setdefault(seq, {})[who] = (
-            (dest, payload, tag) if self.plan is not None else None
-        )
+    def send(self, who: int, dest: int, payload: Any, tag: int) -> None:
+        """Ship one request of the open round and hold it outstanding."""
+        self._window[who] = (dest, payload, tag) if self.plan is not None else None
         self.comm.send(dest, payload, tag=tag)
-
-    def settled(self, seq: int) -> bool:
-        """Has every request sent so far in round ``seq`` been answered?"""
-        return not self._windows.get(seq)
 
     def settle(self, seq: int, who: int) -> bool:
         """An answer for ``(seq, who)`` arrived: is it the first?
@@ -99,9 +104,8 @@ class ReliableRequests:
         which an armed layer counts and tolerates; unarmed nothing can
         produce one, so it is a protocol error.
         """
-        window = self._windows.get(seq)
-        if window is not None and who in window:
-            del window[who]
+        if seq == self._seq and who in self._window:
+            del self._window[who]
             return True
         if self.plan is None:
             raise CommunicatorError(
@@ -111,22 +115,25 @@ class ReliableRequests:
         self.comm.stats.bump("stale_responses")
         return False
 
-    def wait(self, seq: int, progress: Progress) -> None:
-        """Run ``progress`` until every request of round ``seq`` settled.
+    def wait(self, progress: Progress) -> None:
+        """Run ``progress`` until every request of the open round
+        settled, then close the round (on an error too).
 
         Unarmed: blocking progress, nothing else.  Armed: non-blocking
         progress against a ``plan.timeout_for(attempt)`` deadline; each
         expiry resends what is still pending and lengthens the next
         deadline, up to ``plan.max_retries``.
         """
-        window = self._windows.get(seq)
-        if window is None:  # nothing was sent
-            return
-        if self.plan is None:
-            self._wait_blocking(window, progress)
-        else:
-            self._wait_retrying(seq, window, progress)
-        del self._windows[seq]
+        try:
+            if not self._window:
+                return
+            if self.plan is None:
+                self._wait_blocking(self._window, progress)
+            else:
+                self._wait_retrying(self._seq, self._window, progress)
+        finally:
+            self._seq = None
+            self._window = {}
 
     def _wait_blocking(self, window: dict, progress: Progress) -> None:
         while window:

@@ -35,11 +35,14 @@ in the base mode the kind travels as the tag — one frame per kind per
 owner — and the receiver probes first, then receives by the probed tag.
 A fault plan changes only the retry policy, never a frame.
 
-**One client.**  :meth:`CorrectionProtocol.post` ships each owner its
-chunk of a round as the caller ordered it and returns the round's
-``seq``; :meth:`CorrectionProtocol.collect` pumps until that round is
-answered.  Answers are kept per ``seq``, so rounds may overlap, though
-a lookup round is ``collect(post(...))``.  The
+**One client.**  A lookup round is one call,
+:meth:`CorrectionProtocol.ask`: owner -> ``(k-mer keys, tile keys)``
+in, owner -> ``(k-mer counts, tile counts)`` out.  It frames each
+owner's share in the protocol's layout (:func:`frame_request`), pumps
+until every frame is answered, and lands each answer in its owner's
+slot of its kind by the answer's ``who`` — a universal answer is cut
+at the k-mer count asked.  The layout is known here alone.  One round
+is open at a time.  The
 ids on the wire are keys (:mod:`repro.parallel.ownership`).  The one
 ordering of a blocking round's keys — one sort per kind, cut at the
 owners' key ranges, which buckets them, drops repeats and hands the
@@ -60,7 +63,7 @@ them, and answers each requester with its own frame
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -78,28 +81,33 @@ from repro.parallel.reliable import ReliableRequests
 from repro.simmpi.communicator import Communicator
 from repro.simmpi.message import ANY_SOURCE, ANY_TAG, REQUEST_TAGS, Message, Tags
 
+_NO_COUNTS = np.empty(0, dtype=np.uint32)
+
 
 def frame_request(
-    universal: bool, seq: int, owner: int, chunk: np.ndarray, n_kmer: int,
+    universal: bool, seq: int, owner: int, kmers: np.ndarray, tiles: np.ndarray,
     size: int,
 ) -> list[tuple[int, np.ndarray, int]]:
-    """The frames of one owner's share of round ``seq``.
+    """The frames of one owner's share of round ``seq``: its k-mer and
+    tile keys.
 
-    ``chunk`` is ``[kmer ids | tile ids]`` with ``n_kmer`` k-mer ids.
     Returns ``(who, payload, tag)`` per frame: one universal frame named
-    ``owner``, or a base-mode frame per kind present, named
-    ``owner + kind * size``.  Each payload is one array, its header
-    written in front of its ids.
+    ``owner``, its header ``[seq, who, n_kmer]``, or a base-mode frame
+    per kind present, named ``owner + kind * size``, its header ``[seq,
+    who]``.  Each payload is one array, its header written in front of
+    its ids.
     """
     if universal:
-        payload = np.empty(3 + chunk.shape[0], dtype=np.uint64)
+        n_kmer = kmers.shape[0]
+        payload = np.empty(3 + n_kmer + tiles.shape[0], dtype=np.uint64)
         payload[:3] = (seq, owner, n_kmer)
-        payload[3:] = chunk
+        payload[3 : 3 + n_kmer] = kmers
+        payload[3 + n_kmer :] = tiles
         return [(owner, payload, Tags.UNIVERSAL_REQUEST)]
     frames = []
     for kind, ids, tag in (
-        (KIND_KMER, chunk[:n_kmer], Tags.KMER_REQUEST),
-        (KIND_TILE, chunk[n_kmer:], Tags.TILE_REQUEST),
+        (KIND_KMER, kmers, Tags.KMER_REQUEST),
+        (KIND_TILE, tiles, Tags.TILE_REQUEST),
     ):
         if ids.shape[0]:
             who = owner + kind * size
@@ -108,20 +116,6 @@ def frame_request(
             payload[2:] = ids
             frames.append((who, payload, tag))
     return frames
-
-
-def join_answers(answers: dict[int, np.ndarray], size: int) -> dict[int, np.ndarray]:
-    """Owner -> counts aligned with the chunk it was sent, from one
-    round's answers keyed by frame name (a base-mode owner answers its
-    k-mer frame, named ``owner``, and its tile frame, ``owner + size``)."""
-    joined: dict[int, np.ndarray] = {}
-    for who in sorted(answers):
-        owner = who % size
-        part = answers[who]
-        joined[owner] = (
-            np.concatenate([joined[owner], part]) if owner in joined else part
-        )
-    return joined
 
 
 def _parse_request(
@@ -232,14 +226,14 @@ class CorrectionProtocol:
         self.routes = RouteTable.compile(faults, comm.size)
         #: Extra tag -> handler(Message) hooks; lets higher layers (e.g.
         #: the dynamic work-allocation ablation) ride the same pump.
-        self.handlers: dict[int, "callable"] = {}
+        self.handlers: dict[int, Callable[[Message], None]] = {}
         #: Outstanding requests and the retry policy
         #: (:mod:`repro.parallel.reliable`): the one thing ``faults``
         #: changes besides the routes, never a frame.
         self.requests = ReliableRequests(comm, faults)
-        #: seq -> frame name -> counts, for every round posted and not
-        #: yet collected.
-        self._answers: dict[int, dict[int, np.ndarray]] = {}
+        #: The last round's chunks and answers, owner -> (k-mer, tile).
+        self._asked: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._answers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._done_seen = 0      # a round's first rank only
         self._shutdown = False
         self._done_sent = False
@@ -248,10 +242,13 @@ class CorrectionProtocol:
     # ------------------------------------------------------------------
     # client side
     # ------------------------------------------------------------------
-    def post(self, chunks: dict[int, tuple[np.ndarray, int]]) -> int:
-        """Ship each owner its chunk of a new round, as ordered — owner
-        -> ``(ids, n_kmer)``, k-mer ids first — and return the round's
-        sequence number at once (redeem it with :meth:`collect`).
+    def ask(
+        self, chunks: dict[int, tuple[np.ndarray, np.ndarray]]
+    ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """One lookup round: ask each owner for the counts of its chunk
+        — owner -> ``(k-mer keys, tile keys)`` — and pump, serving
+        whatever arrives, until every owner answered; returns owner ->
+        ``(k-mer counts, tile counts)``.
 
         The protocol's mode picks the frame layout.  A request for a
         doomed owner goes to its recovery partner; when that is this
@@ -260,31 +257,36 @@ class CorrectionProtocol:
         if self._done_sent:
             raise CommunicatorError("a lookup round after finish()")
         comm = self.comm
+        if comm.rank in chunks:
+            raise CommunicatorError("a lookup round given locally-owned ids")
         seq = self.requests.open()
-        answers = self._answers[seq] = {}
-        for owner, (chunk, n_kmer) in chunks.items():
-            if owner == comm.rank:
-                raise CommunicatorError("a lookup round given locally-owned ids")
+        self._asked = chunks
+        answers = self._answers = {}
+        for owner, (kmers, tiles) in chunks.items():
             dest = self.routes.dest_for(owner)
             if dest == comm.rank:
-                answers[owner] = np.concatenate(self.shards.lookup(
-                    owner, chunk[:n_kmer], chunk[n_kmer:], comm.stats
-                ))
+                answers[owner] = self.shards.lookup(owner, kmers, tiles, comm.stats)
                 comm.stats.bump("failover_requests_served")
                 continue
+            answers[owner] = (_NO_COUNTS, _NO_COUNTS)
             for who, payload, tag in frame_request(
-                self.universal, seq, owner, chunk, n_kmer, comm.size
+                self.universal, seq, owner, kmers, tiles, comm.size
             ):
-                self.requests.send(seq, who, dest, payload, tag)
-        return seq
+                self.requests.send(who, dest, payload, tag)
+        self.requests.wait(self.pump)
+        return answers
 
-    def collect(self, seq: int) -> dict[int, np.ndarray]:
-        """Pump — serving whatever arrives — until every owner asked in
-        round ``seq`` answered; returns owner -> counts in chunk order.
-        Answers to other rounds in flight are kept for their own
-        :meth:`collect`."""
-        self.requests.wait(seq, self.pump)
-        return join_answers(self._answers.pop(seq), self.comm.size)
+    def _land(self, who: int, counts: np.ndarray) -> None:
+        """An answer to frame ``who`` of the open round, into its
+        owner's slot of its kind (a universal answer fills both)."""
+        kind, owner = divmod(who, self.comm.size)
+        if self.universal:
+            nk = self._asked[owner][0].shape[0]
+            self._answers[owner] = (counts[:nk], counts[nk:])
+        elif kind == KIND_KMER:
+            self._answers[owner] = (counts, self._answers[owner][1])
+        else:
+            self._answers[owner] = (self._answers[owner][0], counts)
 
     # ------------------------------------------------------------------
     # server side (the "communication thread")
@@ -354,7 +356,7 @@ class CorrectionProtocol:
             payload = np.asarray(msg.payload, np.uint32)
             seq, who = payload[:2].tolist()
             if self.requests.settle(seq, who):
-                self._answers[seq][who] = payload[2:]
+                self._land(who, payload[2:])
         elif tag == Tags.WORKER_DONE:
             self._done_seen += 1
         elif tag == Tags.SHUTDOWN:
@@ -371,19 +373,17 @@ class CorrectionProtocol:
         """Re-arm the protocol for another correction round.
 
         A :class:`~repro.parallel.session.CorrectionSession` keeps one
-        protocol alive across repeated ``correct()`` calls; this clears
-        the round-local response state and re-opens lookups.  The
-        termination count is not touched here: :meth:`finish` clears it
-        when its handshake ends, because a peer's DONE for the next
-        round may reach this rank's standing pump before the round's
-        command does.  Sequence numbers are the communicator's, not this
-        object's, so a delayed or duplicated frame from *any* earlier
-        round — of this protocol or one a finalize replaced — carries a
-        stale number and is discarded, never mistaken for an answer to
-        the current round.
+        protocol alive across repeated ``correct()`` calls; this
+        re-opens lookups.  The termination count is not touched here:
+        :meth:`finish` clears it when its handshake ends, because a
+        peer's DONE for the next round may reach this rank's standing
+        pump before the round's command does.  Sequence numbers are the
+        communicator's, not this object's, so a delayed or duplicated
+        frame from *any* earlier round — of this protocol or one a
+        finalize replaced — carries a stale number and is discarded,
+        never mistaken for an answer to the current round.
         """
         self._done_sent = False
-        self._answers = {}
 
     # ------------------------------------------------------------------
     # termination

@@ -117,27 +117,18 @@ class Communicator:
         _check_tag(tag, wildcard=True)
         return self._receive(self._engine.probe, source, tag)
 
-    def take_ready(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Message | None:
-        """Remove and return a matching message that has *already been
-        delivered*, else None — at once, without giving up the turn.
-
-        The drain primitive: unlike :meth:`iprobe` a miss costs no
-        scheduler hand-off on any engine, so a server can empty its
-        mailbox of queued requests in one go.
-        """
-        _check_tag(tag, wildcard=True)
-        return self._receive(self._engine.take_ready, source, tag)
-
     def take_queued(
         self, source: int = ANY_SOURCE, tags: Sequence[int] = ()
     ) -> list[Message]:
         """Remove and return every message under one of ``tags`` that
         has *already been delivered*, in one mailbox scan: grouped in the
-        order of ``tags``, each group in arrival order (what a
-        :meth:`take_ready` drain of each tag in turn would take).
+        order of ``tags``, each group in arrival order.
 
-        Never blocks and never gives up the turn; an empty list when
-        nothing is queued.  ``tags`` are user tags, none a wildcard.
+        The drain primitive: unlike :meth:`iprobe` it never blocks and
+        never gives up the turn, hit or miss, on any engine, so a server
+        can empty its mailbox of queued requests in one go; an empty
+        list when nothing is queued.  ``tags`` are user tags, none a
+        wildcard.
         """
         tags = tuple(tags)
         for tag in tags:
@@ -188,8 +179,8 @@ class Communicator:
         self._engine.deposit(self._world, self._rank, dest, frame)
 
     def _receive(self, call, source: int, tag: int) -> Message | None:
-        """``call`` — the engine's ``wait_message``, ``probe`` or
-        ``take_ready`` — on this rank's mailbox."""
+        """``call`` — the engine's ``wait_message`` or ``probe`` — on
+        this rank's mailbox."""
         return call(self._world, self._rank, source, tag)
 
     def _take(self, source: int, tags: tuple[int, ...]) -> list[Message]:

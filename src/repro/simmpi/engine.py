@@ -92,15 +92,14 @@ class Engine:
     """How ranks run and reach their mailboxes (see module docstring).
 
     The communicator calls an engine through ``deposit``,
-    ``wait_message``, ``probe``, ``take_ready`` and ``take_queued``, and
-    ``run_spmd`` through ``run``.  A rank has three ways to look at its
-    mailbox, and they differ in what they do on a miss:
-    :meth:`wait_message` blocks until a match arrives, :meth:`probe`
-    peeks and may hand the CPU to another rank, and :meth:`take_ready`
-    removes a match that was *already delivered* and otherwise returns
-    None at once — it never blocks and never gives up the rank's turn.
-    :meth:`take_queued` is its drain: every delivered match of a set of
-    tags in one mailbox scan.
+    ``wait_message``, ``probe`` and ``take_queued``, and ``run_spmd``
+    through ``run``.  A rank has three ways to look at its mailbox, and
+    they differ in what they do on a miss: :meth:`wait_message` blocks
+    until a match arrives, :meth:`probe` peeks and may hand the CPU to
+    another rank, and :meth:`take_queued` removes every match of a set
+    of tags that was *already delivered*, in one mailbox scan, and
+    otherwise returns an empty list at once — it never blocks and never
+    gives up the rank's turn.
 
     This class is the skeleton: every entry point above, the rank body
     :meth:`_run_rank`, the verifier calls, the scripted crash →
@@ -161,27 +160,13 @@ class Engine:
                 return msg
             return self._probe_miss(world, rank, source, tag)
 
-    def take_ready(self, world: _World, rank: int, source: int, tag: int) -> Message | None:
-        """Remove and return an already delivered match, else None.
-
-        One locked mailbox scan, no scheduling.  A hit completes a
-        receive as far as the runtime verifier is concerned.
-        """
-        with world.lock:
-            if world.error is not None:
-                raise world.error
-            msg = world.find_message(rank, source, tag, remove=True)
-            if msg is not None and world.verifier is not None:
-                world.verifier.end_wait(rank)
-            return msg
-
     def take_queued(self, world: _World, rank: int, source: int,
                     tags: tuple[int, ...]) -> list[Message]:
         """Remove and return every already delivered message under one
         of ``tags``, grouped in tag order, each group in arrival order.
 
-        One locked mailbox scan, no scheduling — what a drain loop of
-        :meth:`take_ready` per tag takes, without its misses."""
+        One locked mailbox scan, no scheduling.  A hit completes a
+        receive as far as the runtime verifier is concerned."""
         with world.lock:
             if world.error is not None:
                 raise world.error

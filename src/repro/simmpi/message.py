@@ -7,10 +7,11 @@ one generation number so concurrent-in-flight collectives never
 cross-match), and so do the groups of :mod:`repro.simmpi.subcomm`, from
 ``SUBCOMM_TAG_BASE`` up.  Every communicator, the world included,
 refuses a reserved tag on ``send``, ``recv``, ``iprobe`` and
-``take_ready``; ``ANY_TAG`` stays legal on the receiving calls and, as
-``MPI_ANY_TAG`` does, matches user tags only (:meth:`Message.matches`).
-A rank still draining its mailbox with a wildcard can therefore never
-take the frames of a collective its peers have already entered.
+``take_queued``; ``ANY_TAG`` stays legal on ``recv`` and ``iprobe``
+and, as ``MPI_ANY_TAG`` does, matches user tags only
+(:meth:`Message.matches`).  A rank still draining its mailbox with a
+wildcard can therefore never take the frames of a collective its peers
+have already entered.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ class Tags:
     sequence number and ``who`` names the frame within it (the owner of
     its ids, plus ``kind * size`` for a base-mode tile frame).  The kind
     travels in the tag (``KMER_REQUEST`` / ``TILE_REQUEST``) or, under
-    ``UNIVERSAL_REQUEST``, as the payload's ``n_kmer``.  Every answer is
+    ``UNIVERSAL_REQUEST``, as a third header word, the k-mer id count
+    (:func:`repro.parallel.server.frame_request`).  Every answer is
     ``uint32 [seq, who | counts]`` under ``COUNT_RESPONSE``.
     """
 
@@ -45,7 +47,7 @@ class Tags:
     #: ``[seq, who, counts...]``, the request's header echoed).
     COUNT_RESPONSE = 3
     #: Universal count request, both kinds in one frame (payload: uint64
-    #: ``[seq, who, n_kmer, kmer_ids..., tile_ids...]``).
+    #: ``[seq, who, kmer count, kmer_ids..., tile_ids...]``).
     UNIVERSAL_REQUEST = 4
     #: A rank announcing it finished its own reads (to rank 0).
     WORKER_DONE = 5

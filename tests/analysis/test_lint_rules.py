@@ -93,19 +93,21 @@ class TestTagMismatch:
                 comm.recv(source=0, tag=8)
         """) == []
 
-    def test_take_ready_is_a_receive(self):
-        """The drain primitive names a tag like any receive: a tag nobody
-        sends is MPI002, and a matching one satisfies the sender."""
+    def test_take_queued_is_a_receive(self):
+        """The drain primitive receives each tag of its literal ``tags``,
+        positionally or by keyword: a tag nobody sends is MPI002, and a
+        matching one satisfies the sender."""
         found = lint("""
             def program(comm):
                 comm.send(1, None, tag=3)
-                comm.take_ready(0, 8)
+                comm.take_queued(0, (8,))
         """)
         assert sorted(f.code for f in found) == ["MPI002", "MPI003"]
         assert codes("""
             def program(comm):
                 comm.send(1, None, tag=3)
-                while comm.take_ready(tag=3) is not None:
+                comm.send(1, None, tag=4)
+                for msg in comm.take_queued(tags=[4, 3]):
                     pass
         """) == []
 
@@ -168,7 +170,7 @@ class TestRecvInProbeLoop:
                         break
         """) == []
 
-    def test_take_ready_drain_loop_passes(self):
+    def test_take_queued_drain_loop_passes(self):
         """A serve turn that probes, receives by the probed envelope and
         then drains what else is queued never blocks on the drain."""
         assert codes("""
@@ -178,8 +180,7 @@ class TestRecvInProbeLoop:
                     if probed is None:
                         break
                     batch = [comm.recv(probed.source, probed.tag)]
-                    while (msg := comm.take_ready(tag=probed.tag)) is not None:
-                        batch.append(msg)
+                    batch += comm.take_queued(tags=(probed.tag,))
         """) == []
 
 

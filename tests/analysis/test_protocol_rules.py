@@ -149,11 +149,30 @@ class TestRequestProtocol:
                     comm.send(msg.source, None, tag=31)
         """) == []
 
-    def test_take_ready_drain_counts_as_consumer(self):
+    def test_take_queued_drain_counts_as_consumer(self):
         """A server that only ever drains a request tag with the
-        non-blocking take consumes it (fails before take_ready was a
-        receive method: the request looked unanswerable)."""
-        assert codes("""
+        non-blocking drain consumes it, each tag of the drain's literal
+        ``tags``, by keyword or position, alike (the linter read the
+        drain's tag from its ``tags`` argument as one expression, so the
+        request looked unanswerable)."""
+        for tags in ("tags=(Tags.SCAN_REQUEST,)", "ANY_SOURCE, [Tags.SCAN_REQUEST]"):
+            assert codes(f"""
+                class Tags:
+                    SCAN_REQUEST = 31
+
+                def client(comm):
+                    comm.send(1, None, tag=Tags.SCAN_REQUEST)
+                    return comm.recv()
+
+                def server(comm):
+                    for msg in comm.take_queued({tags}):
+                        comm.send(msg.source, None, tag=32)
+            """) == [], tags
+
+    def test_a_drain_of_an_unresolved_tag_set_consumes_nothing(self):
+        """A ``tags`` expression that is not a literal tuple or list
+        (``REQUEST_TAGS``) stays unresolved: it names no tag."""
+        found = lint("""
             class Tags:
                 SCAN_REQUEST = 31
 
@@ -162,9 +181,10 @@ class TestRequestProtocol:
                 return comm.recv()
 
             def server(comm):
-                while (msg := comm.take_ready(tag=Tags.SCAN_REQUEST)) is not None:
+                for msg in comm.take_queued(ANY_SOURCE, REQUEST_TAGS):
                     comm.send(msg.source, None, tag=32)
-        """) == []
+        """)
+        assert [f.code for f in found] == ["MPI008"]
 
     def test_handler_registration_counts_as_consumer(self, tmp_path):
         paths = write_modules(

@@ -156,11 +156,13 @@ class TestNoFalsePositives:
                 dtype=np.int64,
             )
             # A chunk names its owner: rank r holds key 10 + r.
-            answers = protocol.collect(protocol.post({
-                int(r): (np.array([r + 10], dtype=np.uint64), 1) for r in others
-            }))
+            answers = protocol.ask({
+                int(r): (np.array([r + 10], dtype=np.uint64),
+                         np.empty(0, dtype=np.uint64))
+                for r in others
+            })
             protocol.finish()
-            return [int(answers[int(r)][0]) for r in others]
+            return [int(answers[int(r)][0][0]) for r in others]
 
         res = run_spmd(prog, 3, engine=ThreadedEngine(), verify=True)
         assert all(r == [1, 1] for r in res.results)
@@ -236,33 +238,34 @@ class TestFinalizeAudit:
         run_spmd(prog, 2, engine=make_engine(), verify=True)
 
     @pytest.mark.parametrize("make_engine", ENGINES)
-    @pytest.mark.parametrize("taken", [3, 2], ids=["drained", "one-left"])
-    def test_take_ready_hit_counts_as_a_receive(self, make_engine, taken):
-        """Messages removed by the non-blocking take are matched sends;
+    @pytest.mark.parametrize("tags", [(7, 6), (7,)], ids=["drained", "one-left"])
+    def test_take_queued_hit_counts_as_a_receive(self, make_engine, tags):
+        """Messages removed by the non-blocking drain are matched sends;
         one it leaves behind is still reported."""
 
         def prog(comm):
             if comm.rank == 0:
                 for _ in range(3):
                     comm.send(1, "queued", tag=7)
+                comm.send(1, "queued", tag=6)
                 comm.send(1, None, tag=8)
             else:
                 comm.recv(source=0, tag=8)
-                for _ in range(taken):
-                    assert comm.take_ready(source=0, tag=7) is not None
+                taken = comm.take_queued(source=0, tags=tags)
+                assert len(taken) == 2 + len(tags)
 
-        if taken == 3:
+        if tags == (7, 6):
             run_spmd(prog, 2, engine=make_engine(), verify=True)
             return
         with pytest.raises(VerifierError) as exc:
             run_spmd(prog, 2, engine=make_engine(), verify=True)
-        assert "1 message(s) from rank 0 to rank 1 with tag 7" in str(exc.value)
+        assert "1 message(s) from rank 0 to rank 1 with tag 6" in str(exc.value)
 
     @pytest.mark.parametrize("make_engine", ENGINES)
     def test_bulk_served_universal_round_passes_verification(self, make_engine):
         """The universal pump serves every queued request in bulk (the
-        first received, the rest taken with take_ready) while rounds
-        collect and finish() waits; every request and response is still
+        first received, the rest taken with take_queued) while rounds
+        wait and finish() waits; every request and response is still
         matched."""
         from repro.hashing.counthash import CountHash
         from repro.parallel.ownership import KeySpace
@@ -278,13 +281,15 @@ class TestFinalizeAudit:
             protocol = CorrectionProtocol(comm, table, table, universal=True)
             # Each owner is asked for its keys as both kinds.
             chunks = {
-                owner: (np.tile(keys[cuts[owner] : cuts[owner + 1]], 2),
-                        int(cuts[owner + 1] - cuts[owner]))
+                owner: (keys[cuts[owner] : cuts[owner + 1]],) * 2
                 for owner in range(comm.size) if owner != comm.rank
             }
             for _ in range(3):
-                answers = protocol.collect(protocol.post(chunks))
-                assert all((counts == 3).all() for counts in answers.values())
+                answers = protocol.ask(chunks)
+                assert all(
+                    (counts == 3).all() and counts.size == cuts[owner + 1] - cuts[owner]
+                    for owner, pair in answers.items() for counts in pair
+                )
             protocol.finish()
             return comm.stats.get("requests_served")
 

@@ -62,17 +62,12 @@ class _OracleProtocol:
 
     def __init__(self, table):
         self.table = table
-        self.rounds = []
 
-    def post(self, chunks):
-        self.rounds.append({
-            owner: self.table.lookup(ids).astype(np.uint32)
-            for owner, (ids, _) in chunks.items()
-        })
-        return len(self.rounds) - 1
-
-    def collect(self, seq):
-        return self.rounds[seq]
+    def ask(self, chunks):
+        return {
+            owner: tuple(self.table.lookup(keys).astype(np.uint32) for keys in kinds)
+            for owner, kinds in chunks.items()
+        }
 
 
 def _table(pairs):

@@ -117,12 +117,12 @@ def _run(case, ordered):
     nranks, kmers, tiles, queries, heuristics, prefill = case
     group = heuristics.replication_group
     sent = defaultdict(list)
-    real_post = CorrectionProtocol.post
+    real_ask = CorrectionProtocol.ask
 
     def spy(self, chunks):
-        for owner, (chunk, n_kmer) in chunks.items():
-            sent[self.comm.rank].append((owner, np.array(chunk), int(n_kmer)))
-        return real_post(self, chunks)
+        for owner, (kmers, tiles) in chunks.items():
+            sent[self.comm.rank].append((owner, kmers.tolist(), tiles.tolist()))
+        return real_ask(self, chunks)
 
     def prog(comm):
         rank = comm.rank
@@ -170,7 +170,7 @@ def _run(case, ordered):
         ledger = (dict(stats.counters), stats.messages_sent, stats.bytes_sent)
         return kcounts, tcounts, ledger, cached
 
-    with mock.patch.object(CorrectionProtocol, "post", spy):
+    with mock.patch.object(CorrectionProtocol, "ask", spy):
         results = run_spmd(prog, nranks, engine="cooperative").results
     return results, sent
 
@@ -209,7 +209,7 @@ def test_round_sends_each_owner_its_distinct_ids_once(case):
                 tremote.size - np.unique(tremote).size
             )
         # The wire: one chunk per owner, the distinct keys of its
-        # k-mers then of its tiles, each ascending.
+        # k-mers and of its tiles, each ascending.
         expected = {}
         for owner in range(nranks):
             k, t = (
@@ -217,11 +217,11 @@ def test_round_sends_each_owner_its_distinct_ids_once(case):
                 for ids, space in ((kremote, KSPACE), (tremote, TSPACE))
             )
             if k.size or t.size:
-                expected[owner] = (np.concatenate([k, t]).tolist(), k.size)
+                expected[owner] = (k.tolist(), t.tolist())
         chunks = sent[rank]
         assert sorted(owner for owner, _, _ in chunks) == sorted(expected)
-        for owner, chunk, n_kmer in chunks:
-            assert (chunk.tolist(), n_kmer) == expected[owner], owner
+        for owner, kchunk, tchunk in chunks:
+            assert (kchunk, tchunk) == expected[owner], owner
         if heuristics.add_remote_lookups:
             # Every fetched key once, with its global count: nothing
             # doubled, absence cached as 0.
@@ -240,6 +240,4 @@ def test_round_sends_each_owner_its_distinct_ids_once(case):
         assert np.array_equal(kcounts, kref) and np.array_equal(tcounts, tref)
         assert ledger == ref_ledger
         assert cached == ref_cached
-        assert [(o, c.tolist(), n) for o, c, n in chunks] == [
-            (o, c.tolist(), n) for o, c, n in reference_sent[rank]
-        ]
+        assert chunks == reference_sent[rank]

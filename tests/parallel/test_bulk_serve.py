@@ -246,15 +246,16 @@ def test_one_pump_turn_answers_every_queued_request(universal):
         else:
             # A client round whose wait begins by telling the server
             # "my request is on its way to you".
-            wait = protocol.collect
+            wait = protocol.requests.wait
 
-            def collect(seq):
+            def marked_wait(progress):
                 comm.send(SERVER, None, tag=99)
-                return wait(seq)
+                return wait(progress)
 
-            protocol.collect = collect
-            seq = protocol.post({SERVER: (wanted, wanted.size)})
-            assert (protocol.collect(seq)[SERVER] == 5).all()
+            protocol.requests.wait = marked_wait
+            kmers, tiles = protocol.ask({SERVER: (wanted, wanted[:0])})[SERVER]
+            assert (kmers == 5).all() and kmers.size == wanted.size
+            assert tiles.size == 0
         protocol.finish()
         return served
 

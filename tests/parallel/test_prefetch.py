@@ -280,10 +280,10 @@ class TestStructuralClaims:
 
 class TestEndpoint:
     def test_bulk_round_trip(self):
-        """Rounds of the one protocol may overlap: two rounds in flight
-        at once, and collecting the later one first still gives each
-        round exactly its own owner-authoritative counts, serving peers
-        while waiting — in both frame layouts."""
+        """Back-to-back rounds of the one protocol each get exactly
+        their own owner-authoritative counts, per kind, serving peers
+        while waiting — in both frame layouts; an owner may be asked
+        one kind alone."""
 
         def prog(comm, universal):
             keys = np.arange(400, dtype=np.uint64)
@@ -302,17 +302,18 @@ class TestEndpoint:
                 for owner in range(comm.size):
                     ids = keys[lo:hi][owners[lo:hi] == owner]
                     if owner != comm.rank and ids.size:
-                        out[owner] = (np.concatenate([ids, ids[::2]]), ids.size)
+                        # The next owner up is asked its k-mers alone.
+                        alone = owner == (comm.rank + 1) % comm.size
+                        out[owner] = (ids, ids[:0] if alone else ids[::2])
                 return out
 
-            first, second = chunks(0, 200), chunks(200, 400)
-            seqs = [proto.post(first), proto.post(second)]
-            for seq, asked in zip(reversed(seqs), (second, first)):
-                answers = proto.collect(seq)
+            for asked in (chunks(0, 200), chunks(200, 400)):
+                answers = proto.ask(asked)
                 assert set(answers) == set(asked)
-                for owner, (ids, n_kmer) in asked.items():
-                    want = np.concatenate([ids[:n_kmer] + 1, ids[n_kmer:] * 2])
-                    assert np.array_equal(answers[owner], want.astype(np.uint32))
+                for owner, (kmers, tiles) in asked.items():
+                    got_kmers, got_tiles = answers[owner]
+                    assert np.array_equal(got_kmers, (kmers + 1).astype(np.uint32))
+                    assert np.array_equal(got_tiles, (tiles * 2).astype(np.uint32))
             proto.finish()
             return True
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import CommunicatorError
+from repro.faults import CrashFault, FaultPlan
 from repro.hashing.counthash import CountHash
 from repro.parallel.ownership import KeySpace
 from repro.parallel.server import CorrectionProtocol
@@ -213,6 +214,73 @@ class TestTermination:
             proto.finish()
 
         run_spmd(prog, 2, engine="cooperative")
+
+
+@pytest.mark.parametrize("universal", [False, True], ids=["base", "universal"])
+class TestFailover:
+    """Rank 2 is doomed and rank 0, its recovery partner, holds its
+    replica: a round that asks owner 2 is answered here, from the
+    replica, each kind into its own slot, with no frame."""
+
+    PLAN = FaultPlan(crashes=(CrashFault(rank=2),))
+
+    @staticmethod
+    def _round(universal, chunks_of):
+        """Run one round of rank 0's, ``chunks_of(ward keys, owner-1
+        keys)``; returns what it asked, its answers and its ledger."""
+
+        def prog(comm):
+            if comm.rank == 2:
+                return None  # doomed: never asked, never asks
+            kmers, tiles = _owned_tables(comm.rank, comm.size)
+            proto = CorrectionProtocol(
+                comm, kmers, tiles, universal=universal, faults=TestFailover.PLAN
+            )
+            out = None
+            if comm.rank == 0:
+                proto.shards.bind_ward(2, *_owned_tables(2, comm.size))
+                keys = _keys(200)
+                owners = _owners(keys, comm.size)
+                chunks = chunks_of(keys[owners == 2], keys[owners == 1])
+                answers = proto.ask(chunks)
+                stats = comm.stats
+                out = (chunks, answers, dict(stats.messages_by_tag),
+                       stats.get("failover_requests_served"))
+            proto.finish([0, 1, 2])
+            return out
+
+        return run_spmd(prog, 3, engine="cooperative").results[0]
+
+    def test_a_ward_is_answered_from_its_replica_with_no_frame(self, universal):
+        def chunks_of(ward, _):
+            half = ward.size // 2
+            return {2: (ward[:half], ward[half:])}
+
+        chunks, answers, frames, failovers = self._round(universal, chunks_of)
+        kmers, tiles = chunks[2]
+        assert kmers.size and tiles.size
+        got_kmers, got_tiles = answers[2]
+        assert np.array_equal(got_kmers, (kmers + 1).astype(np.uint32))
+        assert np.array_equal(got_tiles, (tiles + 2).astype(np.uint32))
+        assert frames == {}
+        assert failovers == 1
+
+    def test_an_owner_asked_one_kind_gets_one_frame(self, universal):
+        """Beside the ward, owner 1 is asked its tiles alone: one frame
+        goes out, to owner 1, and the k-mer slot comes back empty."""
+
+        def chunks_of(ward, theirs):
+            return {1: (_NONE, theirs), 2: (ward, _NONE)}
+
+        chunks, answers, frames, failovers = self._round(universal, chunks_of)
+        tag = Tags.UNIVERSAL_REQUEST if universal else Tags.TILE_REQUEST
+        assert frames == {tag: 1}
+        assert failovers == 1
+        theirs, ward = chunks[1][1], chunks[2][0]
+        assert [a.size for a in answers[1]] == [0, theirs.size]
+        assert np.array_equal(answers[1][1], (theirs + 2).astype(np.uint32))
+        assert np.array_equal(answers[2][0], (ward + 1).astype(np.uint32))
+        assert answers[2][1].size == 0
 
 
 class TestThreadedEngineProtocol:

@@ -31,7 +31,7 @@ class TestPointToPoint:
                 for call in (lambda: comm.send(0, None, tag=tag),
                              lambda: comm.recv(tag=tag),
                              lambda: comm.iprobe(tag=tag),
-                             lambda: comm.take_ready(tag=tag)):
+                             lambda: comm.take_queued(tags=(tag,))):
                     with pytest.raises(CommunicatorError):
                         call()
             comm.barrier()

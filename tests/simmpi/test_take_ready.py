@@ -1,5 +1,5 @@
-"""``Communicator.take_ready``: the non-blocking, non-yielding receive,
-and ``take_queued``, its drain of several tags in one mailbox scan.
+"""``Communicator.take_queued``: the non-blocking, non-yielding drain of
+every delivered message under a set of tags, in one mailbox scan.
 
 Rank programs are module-level so the process engine can pickle them;
 the same programs run on all three engines.
@@ -21,7 +21,7 @@ _DONE = 9
 def _filters(comm):
     """Ranks 1 and 2 send the script and a marker; rank 0 receives both
     markers — after which everything before them is delivered — and
-    takes the queued messages apart with ``take_ready``."""
+    takes the queued messages apart with ``take_queued``."""
     if comm.rank != 0:
         for tag, number in _SCRIPT:
             comm.send(0, (comm.rank, number), tag=tag)
@@ -29,19 +29,23 @@ def _filters(comm):
         return None
     comm.recv(source=1, tag=_DONE)
     comm.recv(source=2, tag=_DONE)
+    def payloads(messages):
+        return [msg.payload for msg in messages]
+
     taken = {
-        "no such tag": comm.take_ready(source=1, tag=7),
-        "no such source": comm.take_ready(source=0, tag=5),
+        "no such tag": comm.take_queued(source=1, tags=(7,)),
+        "no such source": comm.take_queued(source=0, tags=(5,)),
         # Skips rank 2's tag-5 head and rank 1's messages.
-        "by source and tag": comm.take_ready(source=2, tag=6).payload,
-        "by tag": comm.take_ready(tag=6).payload,
-        "by source": comm.take_ready(source=1).payload,
+        "by source and tag": payloads(comm.take_queued(source=2, tags=(6,))),
+        "by tag": payloads(comm.take_queued(tags=(6,))),
+        "by source": payloads(comm.take_queued(source=1, tags=(5,))),
     }
-    rest = []
-    while (msg := comm.take_ready(ANY_SOURCE, ANY_TAG)) is not None:
-        rest.append((msg.source, msg.tag, msg.payload[1]))
+    rest = [
+        (msg.source, msg.tag, msg.payload[1])
+        for msg in comm.take_queued(ANY_SOURCE, (5, 6))
+    ]
     start = time.perf_counter()
-    misses = [comm.take_ready() for _ in range(100)]
+    misses = [comm.take_queued(ANY_SOURCE, (5, 6)) for _ in range(100)]
     taken["miss seconds"] = time.perf_counter() - start
     taken["misses"] = misses
     taken["rest"] = rest
@@ -51,20 +55,17 @@ def _filters(comm):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_filters_order_and_misses(engine):
     taken = run_spmd(_filters, 3, engine=engine).results[0]
-    assert taken["no such tag"] is None
-    assert taken["no such source"] is None
-    assert taken["by source and tag"] == (2, 1)
+    assert taken["no such tag"] == []
+    assert taken["no such source"] == []
+    assert taken["by source and tag"] == [(2, 1)]
     # Rank 2's tag-6 message is gone, so the only tag-6 left is rank 1's.
-    assert taken["by tag"] == (1, 1)
-    assert taken["by source"] == (1, 0)
+    assert taken["by tag"] == [(1, 1)]
+    assert taken["by source"] == [(1, 0), (1, 2)]
     # What the filters passed over stayed queued, in order per sender.
-    rest = taken["rest"]
-    assert [(t, n) for s, t, n in rest if s == 1] == [(5, 2)]
-    assert [(t, n) for s, t, n in rest if s == 2] == [(5, 0), (5, 2)]
-    assert len(rest) == 3
+    assert taken["rest"] == [(2, 5, 0), (2, 5, 2)]
     # An empty mailbox is a miss at once — a blocking receive here would
     # sit in the engine's 120 s timeout.
-    assert taken["misses"] == [None] * 100
+    assert taken["misses"] == [[]] * 100
     assert taken["miss seconds"] < 5.0
 
 
@@ -72,7 +73,7 @@ def _undelivered(comm):
     """Rank 1 sends only after rank 0 says it has looked: the look must
     come back empty instead of waiting for the send."""
     if comm.rank == 0:
-        early = comm.take_ready(source=1, tag=4)
+        early = comm.take_queued(source=1, tags=(4,))
         comm.send(1, None, tag=3)
         late = comm.recv(source=1, tag=4).payload
         return early, late
@@ -84,20 +85,20 @@ def _undelivered(comm):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_never_waits_for_a_message_not_yet_sent(engine):
     early, late = run_spmd(_undelivered, 2, engine=engine).results[0]
-    assert early is None
+    assert early == []
     assert late == "sent afterwards"
 
 
 def test_a_miss_keeps_the_turn_on_the_cooperative_engine():
     """Exactly one rank runs at a time there, and control moves only at
     communication points.  ``iprobe`` is one (a miss hands the CPU to
-    the next runnable rank); ``take_ready`` must not be."""
+    the next runnable rank); ``take_queued`` must not be."""
     events = []
 
     def prog(comm):
         if comm.rank == 0:
             for _ in range(50):
-                assert comm.take_ready() is None
+                assert comm.take_queued(tags=(2,)) == []
             events.append("rank 0 after 50 misses")
             assert comm.iprobe() is None
             events.append("rank 0 after a probe miss")
@@ -119,7 +120,7 @@ def test_hit_keeps_the_turn_too():
     def prog(comm):
         if comm.rank == 0:
             comm.send(0, "to self", tag=2)
-            assert comm.take_ready(tag=2).payload == "to self"
+            assert [m.payload for m in comm.take_queued(tags=(2,))] == ["to self"]
             events.append("rank 0 took its message")
         else:
             events.append("rank 1 ran")
@@ -130,8 +131,8 @@ def test_hit_keeps_the_turn_too():
 
 def _drains(comm):
     """Rank 0 drains the script of ranks 1 and 2 twice over, on two
-    queues filled alike: once by ``take_ready`` per tag, once by one
-    ``take_queued``; a group takes through its shifted tags."""
+    queues filled alike: once by a ``take_queued`` per tag, once by one
+    ``take_queued`` of both; a group takes through its shifted tags."""
     group = comm.split(0)
     if comm.rank != 0:
         for _ in range(2):
@@ -146,20 +147,24 @@ def _drains(comm):
     def settled(where):
         where.recv(source=1, tag=_DONE)
         where.recv(source=2, tag=_DONE)
-        if where is comm:
-            for sender in (1, 2):
-                comm.send(sender, None, tag=_DONE)
+
+    def release():
+        # Only once a queue is drained may the senders fill the next.
+        for sender in (1, 2):
+            comm.send(sender, None, tag=_DONE)
 
     settled(comm)
     one_by_one = [
         (msg.source, msg.tag, msg.payload)
         for tag in (6, 5)
-        for msg in iter(lambda tag=tag: comm.take_ready(ANY_SOURCE, tag), None)
+        for msg in comm.take_queued(ANY_SOURCE, (tag,))
     ]
+    release()
     settled(comm)
     from_rank_2 = comm.take_queued(2, (6,))
     drained = comm.take_queued(ANY_SOURCE, (6, 5))
     empty = comm.take_queued(ANY_SOURCE, (6, 5))
+    release()
     settled(group)
     in_group = group.take_queued(ANY_SOURCE, (5,))
     return {
@@ -168,7 +173,7 @@ def _drains(comm):
         "drained": [(m.source, m.tag, m.payload) for m in drained],
         "empty": empty,
         "in group": [(m.source, m.tag, m.payload) for m in in_group],
-        "left": comm.take_ready(),
+        "left": comm.take_queued(ANY_SOURCE, (5, 6)),
     }
 
 
@@ -176,7 +181,7 @@ def _drains(comm):
 def test_take_queued_drains_by_tag_then_arrival(engine):
     got = run_spmd(_drains, 3, engine=engine).results[0]
     assert got["from rank 2"] == [(2, 6, (2, 1))]
-    # What a take_ready drain per tag takes, less what was taken before:
+    # What a drain per tag takes, less what was taken before:
     # grouped by tag in the order asked, each sender's in the order sent.
     drained = got["drained"]
     assert sorted(drained) == sorted(
@@ -188,7 +193,7 @@ def test_take_queued_drains_by_tag_then_arrival(engine):
     assert got["empty"] == []
     # Group ranks and tags come back in the group's coordinates.
     assert sorted(got["in group"]) == [(1, 5, "in the group"), (2, 5, "in the group")]
-    assert got["left"] is None
+    assert got["left"] == []
 
 
 def test_take_queued_refuses_a_wildcard_or_reserved_tag():

@@ -286,3 +286,29 @@ def test_an_owner_is_computed_in_one_module():
         assert not hasattr(ownership, name)
         assert name not in repro.parallel.__all__
     assert not hasattr(CorrectionProtocol, "request_counts")
+
+
+def test_a_lookup_round_has_one_shape():
+    """A round is one ``ask`` of (k-mer keys, tile keys) per owner: the
+    answer joiner is gone, the lookup layer knows no ``n_kmer`` chunk
+    layout, and the one-message take beside ``take_queued`` is gone."""
+    import repro.parallel.server as server
+    from repro.parallel.lookup.stack import StackPair
+    from repro.parallel.reliable import ReliableRequests
+    from repro.simmpi.communicator import Communicator
+    from repro.simmpi.engine import Engine
+
+    src = Path(repro.__file__).parent
+    assert not hasattr(server, "join_answers")
+    for name in ("post", "collect"):
+        assert not hasattr(server.CorrectionProtocol, name)
+    assert not hasattr(ReliableRequests, "settled")
+    assert not hasattr(StackPair, "for_kind")
+    for cls in (Communicator, Engine):
+        assert not hasattr(cls, "take_ready")
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "join_answers" not in text, path
+        assert "take_ready" not in text, path
+    for path in sorted((src / "parallel" / "lookup").rglob("*.py")):
+        assert "n_kmer" not in path.read_text(encoding="utf-8"), path
