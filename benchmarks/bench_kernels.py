@@ -4,8 +4,9 @@ Tracks the throughput of the hot paths the guides demand stay vectorized
 (2-bit window extraction, count-hash batch operations, candidate
 generation, the serial corrector itself), the fixed costs of a Step IV
 round (a small block's ``correct_block`` through ``pair_counts``, and an
-8-rank cooperative lookup round of ~30 ids), and exhibits the fast
-kernels against the frozen seed implementations: the
+8-rank cooperative lookup round of ~30 ids), Step I for an 8-rank fleet
+on the e2e file row's pair, and exhibits the fast kernels against the
+frozen seed implementations: the
 :class:`~repro.kmer.codec.WindowLadder` window ids vs the byte-per-base
 gather of :func:`~repro.kmer.codec.block_window_ids` (every tile window,
 and Step II's two shapes: k-mers at step 1, tiles at their stride),
@@ -21,11 +22,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.bench.harness import ExperimentResult
+from repro.bench.harness import ExperimentResult, small_scale
 from repro.core import LocalSpectrumView, ReptileCorrector, build_spectra
 from repro.core.reference import UnpackedReferenceCorrector
 from repro.hashing.counthash import CountHash
 from repro.hashing.sortedspectrum import SortedSpectrum
+from repro.io.partition import load_rank_block, write_block
 from repro.kmer.codec import WindowLadder, block_window_ids
 from repro.kmer.neighbors import neighbors_at_positions, substitute_at
 from repro.kmer.tiles import TileShape, tile_length
@@ -259,6 +261,39 @@ def test_lookup_round_fixed_cost(benchmark, heuristics, capsys, request):
             f"\nlookup round, {_ROUND_RANKS} ranks, ~30 ids "
             f"[{request.node.callspec.id}]: {per_round * 1e6:.0f} us a rank-round"
         )
+
+
+# ----------------------------------------------------------------------
+# Step I
+
+
+@pytest.fixture(scope="module")
+def step_one_pair(tmp_path_factory):
+    """The fasta + quality pair the e2e ``files_msg_p8`` row reads: 5.6k
+    reads of about 100 bp, scores of one and two digits."""
+    block = small_scale(
+        "E.Coli", genome_size=6_000, seed=7, chunk_size=250
+    ).dataset.block
+    where = tmp_path_factory.mktemp("step_one")
+    fasta, qual = where / "reads.fa", where / "reads.qual"
+    write_block(block, fasta, qual)
+    return fasta, qual, len(block)
+
+
+def test_step_one_load(benchmark, step_one_pair, capsys):
+    """Step I for an 8-rank fleet: every rank's ``load_rank_block`` on the
+    pair, one after another (printed, so every run's log carries it)."""
+    fasta, qual, reads = step_one_pair
+
+    def load():
+        return [load_rank_block(fasta, qual, 8, rank) for rank in range(8)]
+
+    blocks = benchmark(load)
+    assert sum(len(block) for block in blocks) == reads
+    best = benchmark.stats.stats.min
+    with capsys.disabled():
+        print(f"\nStep I, 8 ranks' load_rank_block, {reads} reads: "
+              f"{best * 1e3:.2f} ms")
 
 
 # ----------------------------------------------------------------------

@@ -29,6 +29,10 @@ from repro.io.records import ReadBlock
 from repro.io.scan import Piece, align, file_size, scan_records
 
 
+#: The bytes of a quality window's first widening step each way; each
+#: next step in that direction doubles.
+FIRST_STEP = 1 << 12
+
 _NO_RECORDS = Piece(
     np.empty(0, dtype=np.int64),
     np.empty(0, dtype=np.int64),
@@ -103,10 +107,12 @@ def load_rank_block(
         ids, lengths, bases = _joined(scan_records(fh, lo, hi, "fasta"))
     if not ids.shape[0]:
         return ReadBlock.empty()
-    _sorted_distinct(ids, fasta_path)
+    _, ascending = _sorted_distinct(ids, fasta_path)
     scores = None
     if qual_path is not None:
-        scores = _scores_for_ids(qual_path, nranks, rank, ids, lengths)
+        scores = _scores_for_ids(
+            qual_path, nranks, rank, ids, lengths, ascending
+        )
     return ReadBlock.from_flat(ids, lengths, bases, scores)
 
 
@@ -148,23 +154,41 @@ def _sorted_distinct(
     return order, ascending
 
 
+def _members(values: np.ndarray, ascending: np.ndarray) -> np.ndarray:
+    """``np.isin(values, ascending)`` for ``ascending`` sorted, by binary
+    search."""
+    if not ascending.shape[0]:
+        return np.zeros(values.shape, dtype=bool)
+    at = np.searchsorted(ascending, values)
+    return ascending.take(at, mode="clip") == values
+
+
 def _scores_for_ids(
     qual_path: str | os.PathLike,
     nranks: int,
     rank: int,
     ids: np.ndarray,
     lengths: np.ndarray,
+    ascending: np.ndarray,
 ) -> np.ndarray:
-    """The quality scores of the reads ``ids``, back to back in that order.
+    """The quality scores of the reads ``ids``, back to back in that order;
+    ``ascending`` is ``ids`` sorted.
 
-    Starts from the rank's aligned byte range of the quality file and widens
-    the window (previous/next ranges) until every wanted sequence number is
-    found — mirroring the paper's resynchronization by sequence number.
-    Each widening scans only the bytes it adds, and a scan stops at the
-    last wanted record, so no byte is parsed twice; only wanted records are
-    kept.
+    Starts from the rank's aligned byte range of the quality file and,
+    while a wanted sequence number is missing, widens the window outward
+    from its cuts — mirroring the paper's resynchronization by sequence
+    number.  A widening step starts at :data:`FIRST_STEP` bytes and each
+    next one in that direction is twice as wide, aligned to a record
+    header and never past the neighbour's cut; downward steps walk back
+    from the cut, so the nearest records come first.  Each step parses
+    only bytes no step parsed before, so no byte is parsed twice, and a
+    direction stops at the step holding its last wanted record: a rank
+    parses its range, at most twice the bytes of the records it lacks
+    each way, and a first step.  (A scan stops early only once every
+    record is found, which does not bound a downward step: its wanted
+    records sit at its end.)  Only wanted records are kept.
     """
-    wanted, lowest, highest = ids.shape[0], ids.min(), ids.max()
+    wanted, lowest, highest = ids.shape[0], ascending[0], ascending[-1]
     kept: list[Piece] = []
     found = 0
     first = last = False
@@ -174,7 +198,7 @@ def _scores_for_ids(
         if found >= wanted:
             return
         for piece in scan_records(fh, lo, hi, "quality"):
-            hit = np.isin(piece.names, ids)
+            hit = _members(piece.names, ascending)
             if not hit.all():
                 piece = Piece(
                     piece.names[hit], piece.lengths[hit],
@@ -188,38 +212,49 @@ def _scores_for_ids(
                 return
 
     with open(qual_path, "rb") as fh:
-        lo_rank, hi_rank = rank, rank + 1
-        start, end = _cut(fh, nranks, lo_rank), _cut(fh, nranks, hi_rank)
+        size = file_size(fh)
+        start, end = _cut(fh, nranks, rank), _cut(fh, nranks, rank + 1)
         scan(start, end)
+        # The ranks whose cuts bound the window, and the next step's width
+        # each way.  A step stops at the neighbour's cut (`edge` aligns to
+        # it); the next one goes on into the range beyond.
+        lo_rank, hi_rank = rank, rank + 1
+        down = up = FIRST_STEP
         while found < wanted:
             widened = False
             if not first and lo_rank > 0:
-                lo_rank -= 1
-                below = _cut(fh, nranks, lo_rank)
+                edge = size * (lo_rank - 1) // nranks
+                if start - down <= edge:
+                    lo_rank -= 1
+                below = align(fh, size, max(start - down, edge))
                 scan(below, start)
-                start = below
+                start, down = below, 2 * down
                 widened = True
             if not last and hi_rank < nranks:
-                hi_rank += 1
-                above = _cut(fh, nranks, hi_rank)
+                edge = size * (hi_rank + 1) // nranks
+                if end + up >= edge:
+                    hi_rank += 1
+                above = align(fh, size, min(end + up, edge))
                 scan(end, above)
-                end = above
+                end, up = above, 2 * up
                 widened = True
             if not widened:
                 # Neither end explains the gap: look everywhere else, once.
                 scan(0, start)
-                scan(end, file_size(fh))
+                scan(end, size)
                 break
     names, counts, scores = _joined(kept)
-    order, ascending = _sorted_distinct(names, qual_path)
-    missing = ~np.isin(ids, names)
-    if missing.any():
+    order, held = _sorted_distinct(names, qual_path)
+    # Every record kept is wanted and none is held twice, so a number is
+    # missing exactly when fewer are held than wanted.
+    if held.shape[0] < wanted:
+        missing = ascending[~_members(ascending, held)]
         raise FileFormatError(
             f"quality file lacks sequence numbers "
-            f"{np.sort(ids[missing])[:5].tolist()}...",
+            f"{missing[:5].tolist()}...",
             path=str(qual_path),
         )
-    take = order[np.searchsorted(ascending, ids)]
+    take = order[np.searchsorted(held, ids)]
     uneven = counts[take] != lengths
     if uneven.any():
         i = int(np.flatnonzero(uneven)[0])

@@ -166,36 +166,45 @@ def _scores(
 ) -> tuple[NDArray[np.int64], NDArray[np.uint8]]:
     """``(scores per record, scores)`` of a quality piece.
 
-    Every byte is classed by one table lookup; a score is read off at the
-    last digit of each digit run as ``d0 + 10·d1 + 100·d2``, the class of
-    the bytes before it saying how many of those digits belong to the run.
+    Elementwise passes over the piece, no table lookup: a digit is a byte
+    whose value less 48 is under 10, and each digit run's value is built
+    at every byte from the digits one and two places before it (each
+    masked by the run still going on), then gathered once at the run ends.
     """
 
     def fail(at: int, why: str) -> NoReturn:
         name = int(names[np.searchsorted(heads, at, side="right") - 1])
         _fail(fh, base + at, f"{why} in the scores of sequence number {name}")
 
-    cls = _CLASS.take(buf)
-    # A header's own digits are not scores: its line reads as blank here.
-    cls[in_header] = _BLANK
-    if cls.max() == _OTHER:
-        at = int(np.flatnonzero(cls == _OTHER)[0])
+    value = buf - np.uint8(48)
+    digit = value < 10
+    # A header's own digits are not scores, and its line is no error here.
+    digit &= ~in_header
+    ok = digit | in_header
+    for blank in (9, _LF, _CR, 32):
+        ok |= buf == blank
+    if not ok.all():
+        at = int(ok.argmin())
         fail(at, f"byte {bytes(buf[at : at + 1])!r} is not a digit or a blank")
-    digit = cls < _BLANK
+    value *= digit
+    # `runs[i - 1]`: bytes i - 1 and i are digits of one run.  The value
+    # of a run ending at byte i is digit i, plus 10 x digit i - 1 (zero
+    # unless a digit), plus 100 x digit i - 2 where byte i - 1 is a digit
+    # too; `four[i - 3]`: byte i is a fourth digit, one too many.
+    runs = digit[1:] & digit[:-1]
+    four = runs[2:] & runs[:-2]
+    scores = value.astype(np.int16)
+    scores[1:] += value[:-1] * np.int16(10)
+    scores[2:] += (value[:-2] * runs[:-1]) * np.int16(100)
     run_end = digit.copy()
     run_end[:-1] &= ~digit[1:]
     stops = np.flatnonzero(run_end)
-    # A valid first header holds three bytes at least (">", a digit, LF), so
-    # the three bytes before any score's last digit exist.
-    d1, d2, d3 = cls[stops - 1], cls[stops - 2], cls[stops - 3]
-    two = d1 < _BLANK
-    three = two & (d2 < _BLANK)
-    scores = cls[stops].astype(np.int16)
-    scores += np.where(two, d1, 0) * np.int16(10)
-    scores += np.where(three, d2, 0) * np.int16(100)
-    over = (three & (d3 < _BLANK)) | (scores > 255)
-    if over.any():
-        fail(int(stops[np.flatnonzero(over)[0]]), "a score above 255")
+    scores = scores.take(stops)
+    if four.any() or (scores.shape[0] and scores.max() > 255):
+        too_long = np.flatnonzero(four)[:1] + 3
+        too_high = stops[scores > 255][:1]
+        at = int(np.concatenate((too_long, too_high)).min())
+        fail(at, "a score above 255")
     first = np.searchsorted(stops, np.append(heads, buf.shape[0]))
     return np.diff(first), scores.astype(np.uint8)
 

@@ -311,13 +311,16 @@ def pad_rows(
     """The other way round from :func:`decode_rows`: ``flat`` holds the
     rows back to back, ``lengths[i]`` values each, and comes back as one
     ``(len(lengths), max(lengths))`` matrix padded with ``fill`` — one
-    masked assignment for the batch, not one row write per read.
+    masked assignment for the batch, not one row write per read, and a
+    reshaped copy when the rows are all of one length.
 
     Raises :class:`ValueError` when ``flat`` does not hold exactly
     ``sum(lengths)`` values.
     """
     n = lengths.shape[0]
     width = int(lengths.max()) if n else 0
+    if n and int(lengths.min()) == width:
+        return flat.reshape(n, width).copy()
     rows = np.full((n, width), fill, dtype=np.uint8)
     rows[np.arange(width) < lengths[:, None]] = flat
     return rows

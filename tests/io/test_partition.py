@@ -120,16 +120,16 @@ class TestLoadRankBlock:
 
 class TestQualityScannedOnce:
     """Step I lines the two files up by sequence number; however far the
-    quality window has to widen, one rank parses no quality byte twice."""
+    quality window has to widen, one rank parses no quality byte twice,
+    and it parses the records it lacks, not its neighbours' ranges."""
 
     N_READS = 240
 
-    @pytest.fixture
-    def skewed_pair(self, tmp_path):
+    @staticmethod
+    def write_skewed(tmp_path, n):
         """Uniform fasta records, quality records short–long–short, so a
         rank's quality byte range starts late in the first part of the
         file (low straddle) and ends early in the last (high straddle)."""
-        n = self.N_READS
         seqs = ["ACGT" * 10] * n
         quals = [
             [40 if n // 3 <= i < 2 * n // 3 else 7] * 40 for i in range(n)
@@ -138,6 +138,10 @@ class TestQualityScannedOnce:
         write_fasta(fa, seqs)
         write_quality(qual, quals)
         return fa, qual, quals
+
+    @pytest.fixture
+    def skewed_pair(self, tmp_path):
+        return self.write_skewed(tmp_path, self.N_READS)
 
     @pytest.fixture
     def parsed(self, monkeypatch):
@@ -155,6 +159,31 @@ class TestQualityScannedOnce:
 
         monkeypatch.setattr(partition, "scan_records", recording)
         return seen
+
+    @pytest.fixture
+    def parsed_bytes(self, monkeypatch):
+        """Per call of ``load_rank_block``, the quality bytes the scanner
+        turns into records: a scan stops early, so the ``(lo, hi)`` ranges
+        it is handed overstate this."""
+        from repro.io import scan
+
+        total = [0]
+        real = scan._parse
+
+        def counting(fh, base, kind, buf, final):
+            piece, used = real(fh, base, kind, buf, final)
+            if kind == "quality":
+                total[0] += used
+            return piece, used
+
+        monkeypatch.setattr(scan, "_parse", counting)
+
+        def load(fa, qual, nranks, rank):
+            total[0] = 0
+            block = load_rank_block(fa, qual, nranks, rank)
+            return block, total[0]
+
+        return load
 
     @staticmethod
     def assert_disjoint(ranges):
@@ -209,3 +238,48 @@ class TestQualityScannedOnce:
                 assert 101 not in block.ids.tolist()
             self.assert_disjoint(parsed)
         assert raised == 1
+
+    def test_widening_parses_what_a_rank_lacks(self, tmp_path,
+                                               parsed_bytes):
+        """Scaled until a neighbour's quality range is several pieces:
+        each rank parses its own range, at most twice the bytes of the
+        records it lacks and one first step — not a neighbour's range."""
+        from repro.io.partition import FIRST_STEP
+        from repro.io.scan import PIECE_BYTES
+
+        fa, qual, _ = self.write_skewed(tmp_path, 24_000)
+        data = qual.read_bytes()
+        heads = np.flatnonzero(np.frombuffer(data, np.uint8) == ord(">"))
+        spans = np.diff(np.append(heads, len(data)))
+        nranks = 8
+        assert len(data) // nranks > 4 * PIECE_BYTES
+        lacked_any = 0
+        for rank in range(nranks):
+            block, parsed = parsed_bytes(fa, qual, nranks, rank)
+            start, end = partition_fasta(qual, nranks)[rank]
+            # The ids are 1..n in file order: record `id` is spans[id - 1].
+            at = heads[block.ids - 1]
+            outside = (at < start) | (at >= end)
+            lacked = int(spans[block.ids - 1][outside].sum())
+            lacked_any += lacked > 0
+            assert parsed <= (end - start) + 2 * lacked + FIRST_STEP, rank
+        assert lacked_any >= 2
+
+    def test_uniform_pair_parses_the_file_once(self, tmp_path, parsed_bytes):
+        """100-base reads with one- and two-digit scores, as Step I reads
+        them in the benchmark: the ranges do not line up, yet the fleet
+        parses the file plus at most one first step a rank."""
+        from repro.io.partition import FIRST_STEP
+
+        rng = np.random.default_rng(3)
+        n, nranks = 2_000, 8
+        fa, qual = tmp_path / "r.fa", tmp_path / "r.qual"
+        write_fasta(fa, ["ACGT" * 25] * n)
+        write_quality(qual, rng.integers(2, 41, (n, 100)))
+        total = loaded = 0
+        for rank in range(nranks):
+            block, parsed = parsed_bytes(fa, qual, nranks, rank)
+            total += parsed
+            loaded += len(block)
+        assert loaded == n
+        assert total <= qual.stat().st_size + nranks * FIRST_STEP

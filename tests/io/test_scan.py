@@ -99,7 +99,8 @@ def file_pairs(draw):
         eol = draw(st.sampled_from(["\n", "\r\n"]))
         out = [eol] * draw(st.integers(0, 2))
         for name, tokens in zip(names, bodies):
-            out.append(f">{name}")
+            # A zero-padded name (`>007`) is the same sequence number.
+            out.append(f">{draw(st.sampled_from(['', '0', '00']))}{name}")
             if draw(st.booleans()):
                 out.append(draw(st.sampled_from([" x", "\tread 1", " "])))
             out.append(eol)
@@ -114,9 +115,14 @@ def file_pairs(draw):
         return text.encode("ascii")
 
     fasta = render([list(r) for r in reads], "")
-    scores = [
-        [str(draw(st.integers(0, 255))) for _ in r] for r in reads
-    ]
+    def score():
+        # Zero-padded to 1-3 digits (`0`, `00`, `007`, `099`, `255`): the
+        # parse reads a run's length from its neighbours, not `str(int)`.
+        value = draw(st.integers(0, 255))
+        width = draw(st.integers(len(str(value)), 3))
+        return f"{value:0{width}d}"
+
+    scores = [[score() for _ in r] for r in reads]
     quality = render(scores, draw(st.sampled_from([" ", "\t", "  "])))
     return fasta, quality
 
@@ -220,7 +226,8 @@ class TestMalformedPairs:
         assert "sequence number 2 appears twice" in str(err.value)
 
     @pytest.mark.parametrize(
-        "token", [b"+5", b"1_0", b"-1", b"256", b"0040", b"4.0", b"x"]
+        "token",
+        [b"+5", b"1_0", b"-1", b"256", b"0040", b"1000", b"4.0", b"x"],
     )
     def test_scores_are_plain_decimals(self, tmp_path, token):
         with pytest.raises(FileFormatError) as err:

@@ -16,6 +16,7 @@ from repro.kmer.codec import (
     decode_sequence,
     encode_sequence,
     is_valid_sequence,
+    pad_rows,
     reverse_complement_id,
     window_ids,
 )
@@ -173,6 +174,29 @@ class TestDecodeSequence:
     def test_roundtrip_with_invalid(self):
         codes = encode_sequence("ACGNT")
         assert decode_sequence(codes) == "ACGNT"
+
+
+class TestPadRows:
+    @pytest.mark.parametrize("lengths", [[3, 0, 2], [3, 3, 3], [0, 0], []])
+    def test_rows_back_to_back_come_back_padded(self, lengths):
+        lengths = np.array(lengths, dtype=np.int32)
+        flat = np.arange(1, lengths.sum() + 1, dtype=np.uint8)
+        rows = pad_rows(flat, lengths, 9)
+        width = int(lengths.max()) if len(lengths) else 0
+        assert rows.shape == (len(lengths), width)
+        assert rows.dtype == np.uint8
+        at = 0
+        for row, n in zip(rows.tolist(), lengths.tolist()):
+            assert row == flat[at : at + n].tolist() + [9] * (width - n)
+            at += n
+        # Reads of one length reshape, but never hand back the input.
+        assert not np.shares_memory(rows, flat)
+
+    @pytest.mark.parametrize("lengths", [[3, 3], [3, 1]])
+    def test_a_wrong_total_is_an_error(self, lengths):
+        with pytest.raises(ValueError):
+            pad_rows(np.zeros(5, dtype=np.uint8),
+                     np.array(lengths, dtype=np.int32), 0)
 
 
 class TestBlockWindowIds:
