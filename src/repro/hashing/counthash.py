@@ -86,6 +86,7 @@ _MAX_LOAD = 0.60
 _MAX_CAPACITY = 1 << 32
 
 _COUNT_MAX = np.uint64(np.iinfo(np.uint32).max)
+_COUNT16_MAX = np.iinfo(np.uint16).max
 _KEY32_MAX = np.iinfo(np.uint32).max
 #: ``meta`` widths, narrowest first, with the largest count each holds: the
 #: top bit flags an occupied slot, the count lives below it (the widest
@@ -167,10 +168,12 @@ def merge_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Runs of ``(keys, counts)`` summed by key, at table width.
 
-    The distinct keys come back ascending — uint32 when the largest fits,
-    else uint64 — with their counts saturated into uint32: a table's slot
-    widths without its free slots, 8 B a pair for a k = 12 k-mer and 12 B
-    for a tile.  A single ascending run is only narrowed.
+    The runs may differ in width: counts are summed in uint64, so two
+    uint16 runs whose sum passes 65,535 come back uint32, never wrapped.
+    The distinct keys come back ascending, at the width
+    :func:`narrow_pairs` decides — a table's slot widths without its
+    free slots, 6 B a pair for a k = 12 k-mer and 10 B for a tile while
+    every count fits 16 bits.  A single ascending run is only narrowed.
     """
     return narrow_pairs(*sum_by_key(
         np.concatenate([keys for keys, _ in runs]),
@@ -183,17 +186,19 @@ def narrow_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ascending distinct ``keys`` and their counts at table width.
 
-    The one place the key width is decided: uint32 keys when the largest
-    fits, else uint64.  Counts come back as uint32, saturated at its
-    maximum.  Both table forms are built from pairs at this width.
+    The one place a pair's width is decided: uint32 keys when the
+    largest fits, else uint64; uint16 counts when the largest fits, else
+    uint32, saturated at its maximum.  Both table forms are built from
+    pairs at this width, and every pair on the wire travels in it.
     """
     wide = keys.size and int(keys[-1]) > _KEY32_MAX
     counts = np.asarray(counts)
-    if counts.size and int(counts.max()) > _COUNT_MAX:
+    top = int(counts.max()) if counts.size else 0
+    if top > _COUNT_MAX:
         counts = np.minimum(counts, int(_COUNT_MAX))
     return (
         keys.astype(np.uint64 if wide else np.uint32, copy=False),
-        counts.astype(np.uint32, copy=False),
+        counts.astype(np.uint16 if top <= _COUNT16_MAX else np.uint32, copy=False),
     )
 
 

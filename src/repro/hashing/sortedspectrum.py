@@ -45,8 +45,6 @@ import numpy as np
 from repro.errors import HashTableError
 from repro.hashing.counthash import narrow_pairs
 
-_COUNT16_MAX = np.iinfo(np.uint16).max
-
 #: Searching ids in ascending order walks the table front to back, which
 #: measured about 2-3x cheaper per id from 4k ids up.  Ids that already
 #: ascend — a lookup round's own share, ordered once by the round — are
@@ -104,14 +102,10 @@ class SortedSpectrum:
 
     def _seal(self, keys: np.ndarray, counts: np.ndarray) -> None:
         """Hold ascending distinct ``keys`` and their counts at table
-        width (:func:`~repro.hashing.counthash.narrow_pairs`), counts
-        narrowed further to uint16 when they all fit."""
+        width (:func:`~repro.hashing.counthash.narrow_pairs`)."""
         keys, counts = narrow_pairs(keys, counts)
         self._keys = np.ascontiguousarray(keys)
-        top = int(counts.max()) if counts.size else 0
-        self._counts = np.ascontiguousarray(
-            counts, dtype=np.uint16 if top <= _COUNT16_MAX else np.uint32
-        )
+        self._counts = np.ascontiguousarray(counts)
 
     # ------------------------------------------------------------------
     # introspection

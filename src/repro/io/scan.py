@@ -49,15 +49,23 @@ Kind = Literal["fasta", "quality"]
 
 _LF, _CR, _GT = 10, 13, 62
 
-# Byte classes: a decimal digit maps to its value, blanks (tab, LF, CR,
-# space) to _BLANK, every other byte to _OTHER.
-_BLANK, _OTHER = 10, 11
-_CLASS = np.full(256, _OTHER, dtype=np.uint8)
-_CLASS[48:58] = np.arange(10, dtype=np.uint8)
-_CLASS[[9, _LF, _CR, 32]] = _BLANK
+#: The blanks: tab, LF, CR and space.
+_BLANK = np.zeros(256, dtype=bool)
+_BLANK[[9, _LF, _CR, 32]] = True
 
 #: Sequence numbers of up to this many digits fit an int64.
 _MAX_DIGITS = 18
+#: A header's bytes read after its '>': the longest name and one more.
+_NAME_COLUMNS = _MAX_DIGITS + 1
+#: Column ``j`` of a header matrix is byte ``j + 1`` of the header.
+_COLUMN = np.arange(_NAME_COLUMNS)[:, None]
+#: ``[j, n]``: the place value of column ``j`` in an ``n``-digit name,
+#: ``10**(n - 1 - j)`` for ``j < n``, 0 past the name.
+_PLACE_VALUE = np.where(
+    _COLUMN < np.arange(_NAME_COLUMNS + 1),
+    10 ** np.maximum(np.arange(_NAME_COLUMNS + 1) - 1 - _COLUMN, 0),
+    0,
+).astype(np.int64)
 
 
 class Piece(NamedTuple):
@@ -126,24 +134,29 @@ def _sequence_numbers(
 ) -> NDArray[np.int64]:
     """The numbers of the header lines ``[heads[i], ends[i])`` of ``buf``.
 
-    One pass per digit column over all headers at once, not one ``int()``
-    per header.
+    A fixed number of passes over all headers at once, not one ``int()``
+    per header: the bytes after each ``>`` — as many as the longest
+    header line holds, at most a name and one more — are gathered into
+    one small matrix, a row per byte column.  A name's length is its
+    first column that is no digit, and its value is its digits weighted
+    by the place values that length gives them.
     """
-    names = np.zeros(heads.shape[0], dtype=np.int64)
-    pos = heads + 1
-    last = buf.shape[0] - 1
-    for _ in range(_MAX_DIGITS + 1):
-        # A header at the very end of the file may stop at `pos == size`;
-        # the clamped byte is not read as a digit since `pos < ends` fails.
-        after = _CLASS.take(buf.take(np.minimum(pos, last)))
-        live = (pos < ends) & (after < _BLANK)
-        if not live.any():
-            break
-        names = np.where(live, names * 10 + after, names)
-        pos += live
-    # A name is digits (not too many: `live` survived the loop) that are
-    # there at all and end at a blank or the end of the line.
-    bad = live | (pos == heads + 1) | ((pos < ends) & (after != _BLANK))
+    width = min(_NAME_COLUMNS, int((ends - heads).max()))
+    if int(heads[-1]) + 1 + width > buf.shape[0]:
+        # A header line ending the file has no LF: pad with bytes that
+        # are no digit, so every column exists and its name stops there.
+        buf = np.concatenate((buf, np.zeros(width, dtype=np.uint8)))
+    digits = buf.take(heads + 1 + _COLUMN[:width])
+    digits -= np.uint8(48)
+    # Any other header line ends at an LF, which is no digit either; a
+    # row of digits only has one digit too many.
+    lengths = np.where(digits < 10, _NAME_COLUMNS, _COLUMN[:width]).min(axis=0)
+    # A name is digits that are there at all and end at a blank or the
+    # end of the line.
+    stop = heads + 1 + lengths
+    bad = (lengths == 0) | (lengths == _NAME_COLUMNS)
+    after = buf.take(np.minimum(stop, buf.shape[0] - 1))
+    bad |= (stop < ends) & ~_BLANK.take(after)
     if bad.any():
         k = int(np.flatnonzero(bad)[0])
         line = buf[int(heads[k]) + 1 : int(ends[k])].tobytes()
@@ -153,6 +166,9 @@ def _sequence_numbers(
             f"{kind} record name {token.decode('ascii', 'replace')!r} "
             "is not a sequence number",
         )
+    values = _PLACE_VALUE[:width].take(lengths, axis=1)
+    values *= digits
+    names: NDArray[np.int64] = values.sum(axis=0)
     return names
 
 

@@ -2,14 +2,14 @@
 
 Each rank counts its reads' windows by sort with the serial counter
 (:func:`~repro.core.spectrum.window_counts`) and splits the distinct
-``(key, count)`` pairs by owner: it keeps its own bucket, and one
-``MPI_Alltoallv`` routes the rest — the paper's ``readsKmer`` /
-``readsTile`` tables, here sorted pairs — to their owners
-(:func:`~repro.parallel.exchange.exchange_deltas`).  Owners sum what
-arrives into their raw pairs, then threshold while they insert
-(:meth:`~repro.hashing.sortedspectrum.SortedSpectrum.from_sorted` for a
-sharded kind, :meth:`~repro.hashing.counthash.CountHash.from_counts` for
-an allgathered kind or a one-rank world): no table exists before the
+``(key, count)`` pairs by owner: it keeps its own buckets, and one
+``MPI_Alltoallv`` a round routes the rest of both kinds — the paper's
+``readsKmer`` / ``readsTile`` tables, here sorted pairs at table width —
+to their owners (:func:`~repro.parallel.exchange.exchange_deltas`).
+Owners sum what arrives into their raw pairs, then threshold while they
+insert (:meth:`~repro.hashing.sortedspectrum.SortedSpectrum.from_sorted`
+for a sharded kind, :meth:`~repro.hashing.counthash.CountHash.from_counts`
+for an allgathered kind or a one-rank world): no table exists before the
 serving shard.  In *batch reads table* mode the
 exchange runs after every chunk of reads — the transient pairs never
 cover more than one chunk, which is what fits the human dataset in
@@ -34,9 +34,7 @@ import numpy as np
 from repro.hashing.counthash import CountHash, merge_pairs
 from repro.hashing.sortedspectrum import SortedSpectrum
 from repro.kmer.tiles import TileShape
-from repro.parallel.exchange import (
-    fetch_global_counts, pack_pairs, unpack_pairs,
-)
+from repro.parallel.exchange import fetch_global_counts
 from repro.parallel.heuristics import HeuristicConfig
 from repro.parallel.ownership import KeySpace
 from repro.simmpi.communicator import Communicator
@@ -161,14 +159,18 @@ def apply_replication(
             spectra.group_tiles = _group_gather(group_comm, spectra.tiles)
 
 
+def _wire_pairs(table: CountHash | SortedSpectrum) -> tuple[np.ndarray, np.ndarray]:
+    """A table's pairs as replication ships them: ascending, at table
+    width — the wire form of a Step III delta."""
+    return merge_pairs([table.items()])
+
+
 def _allgather(comm: Communicator, table: CountHash) -> CountHash:
     """The union of every rank's ``table``, as one replica."""
-    everyone = comm.allgather(pack_pairs(*table.items()))
+    everyone = comm.allgather(_wire_pairs(table))
     # Shards are disjoint and `everyone` includes this rank's own, so the
     # replica is built in one bulk placement, no probing.
-    return CountHash.from_counts(
-        *merge_pairs([unpack_pairs(buf) for buf in everyone])
-    )
+    return CountHash.from_counts(*merge_pairs(everyone))
 
 
 def _group_gather(group_comm, table: SortedSpectrum) -> SortedSpectrum:
@@ -178,6 +180,5 @@ def _group_gather(group_comm, table: SortedSpectrum) -> SortedSpectrum:
     traffic never leaves the group.  The shards are disjoint ascending
     runs, so the union is one merge.
     """
-    payload = pack_pairs(*table.items())
-    runs = [unpack_pairs(buf) for buf in group_comm.allgather(payload)]
+    runs = group_comm.allgather(_wire_pairs(table))
     return SortedSpectrum.from_sorted(*merge_pairs(runs))

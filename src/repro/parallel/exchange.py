@@ -1,19 +1,23 @@
 """Owner-directed collective exchanges (the Step III machinery).
 
 Step II hands :func:`exchange_deltas` a round's distinct ``(key, count)``
-pairs, ascending by key.  An owner is a range of keys
-(:class:`~repro.parallel.ownership.KeySpace`), so each owner's bucket is
-the slice between two cuts — no second sort.  The rank keeps its own
-bucket; the pairs headed for each other owner are packed into one
-contiguous uint64 array (keys in the first half, counts in the second) —
-the buffer-per-destination discipline of ``MPI_Alltoallv`` — and the
-owner sums what it receives with
-:func:`~repro.hashing.counthash.merge_pairs`.
+pairs of every kind, each kind ascending by key.  An owner is a range of
+keys (:class:`~repro.parallel.ownership.KeySpace`), so each owner's
+bucket of a kind is the slice between two cuts — no second sort.  The
+rank keeps its own buckets; the buckets headed for each other owner, of
+every kind, travel in one frame of that owner's ``MPI_Alltoallv`` buffer
+— the buffer-per-destination discipline — at table width
+(:func:`~repro.hashing.counthash.narrow_pairs`), and the owner sums what
+it receives with :func:`~repro.hashing.counthash.merge_pairs`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from typing import Any
+
 import numpy as np
+from numpy.typing import NDArray
 
 from repro.hashing.counthash import CountHash
 from repro.hashing.sortedspectrum import SortedSpectrum
@@ -21,11 +25,11 @@ from repro.parallel.ownership import KeySpace
 from repro.simmpi.communicator import Communicator
 
 #: ``(keys, counts)`` arrays of equal length.
-Pairs = tuple[np.ndarray, np.ndarray]
+Pairs = tuple[NDArray[Any], NDArray[Any]]
 
 
 def bucket_by_owner(
-    space: KeySpace, keys: np.ndarray, counts: np.ndarray, nranks: int
+    space: KeySpace, keys: NDArray[Any], counts: NDArray[Any], nranks: int
 ) -> list[Pairs]:
     """Split ascending ``(keys, counts)`` into one bucket per owning
     rank: the slices between the keys' cuts, each ascending."""
@@ -37,54 +41,53 @@ def bucket_by_owner(
     ]
 
 
-def pack_pairs(keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """One ``[keys | counts]`` uint64 buffer: the wire form of a bucket."""
-    return np.concatenate([keys, counts], dtype=np.uint64)
-
-
-def unpack_pairs(buf: np.ndarray) -> Pairs:
-    """Inverse of :func:`pack_pairs`: (keys, counts)."""
-    buf = np.asarray(buf, dtype=np.uint64)
-    m = buf.shape[0] // 2
-    return buf[:m], buf[m:]
-
-
 def exchange_deltas(
-    comm: Communicator, space: KeySpace, keys: np.ndarray, counts: np.ndarray
-) -> list[Pairs]:
-    """Send each ``(key, count)`` pair to its owner; return what arrives.
+    comm: Communicator, kinds: Sequence[tuple[KeySpace, Pairs]]
+) -> list[list[Pairs]]:
+    """Send each ``(key, count)`` pair of every kind to its owner; return
+    what arrives, kind by kind.
 
     This is the Step III ``MPI_Alltoallv``, run as the session DELTA
-    exchange.  The rank's own bucket never leaves it; every other bucket
-    travels packed, 16 B a pair.  Because the exchange rides the
-    collective tags, it is automatically reliable under a
-    :class:`~repro.faults.FaultPlan` (collectives never drop).  It also
-    keeps the session ledger: every call bumps
-    ``session_delta_exchanges`` and charges the payload bytes routed to
-    other ranks to ``session_delta_bytes``.  ``keys`` must be ascending.
-    Returns the runs of pairs this rank owns — its own bucket, then one
-    per sender, each ascending.
+    exchange: one collective round whatever the number of kinds.  The
+    rank's own buckets never leave it; every other owner gets one frame
+    holding its bucket of each kind, keys then counts, at the width the
+    pairs came in (table width, 6 B a k = 12 k-mer and 10 B a tile).
+    Because the exchange rides the collective tags, it is automatically
+    reliable under a :class:`~repro.faults.FaultPlan` (collectives never
+    drop).  It also keeps the session ledger: every call bumps
+    ``session_delta_exchanges`` once and charges the array bytes routed
+    to other ranks to ``session_delta_bytes``.  Each kind's keys must be
+    ascending.  Returns, per kind, the runs of pairs this rank owns —
+    its own bucket, then one per sender, each ascending.
     """
-    buckets = bucket_by_owner(space, keys, counts, comm.size)
-    sendbufs = [
-        np.empty(0, dtype=np.uint64) if dest == comm.rank
-        else pack_pairs(*bucket)
-        for dest, bucket in enumerate(buckets)
+    rank, size = comm.rank, comm.size
+    buckets = [bucket_by_owner(space, *pairs, size) for space, pairs in kinds]
+    frames: list[tuple[NDArray[Any], ...]] = [
+        () if dest == rank
+        else tuple(part for kind in buckets for part in kind[dest])
+        for dest in range(size)
     ]
     comm.stats.bump("session_delta_exchanges")
-    comm.stats.bump("session_delta_bytes", sum(int(b.nbytes) for b in sendbufs))
-    received = comm.alltoallv(sendbufs)
-    return [buckets[comm.rank]] + [
-        unpack_pairs(buf) for src, buf in enumerate(received) if src != comm.rank
+    comm.stats.bump(
+        "session_delta_bytes",
+        sum(int(part.nbytes) for frame in frames for part in frame),
+    )
+    received = comm.alltoallv(frames)
+    return [
+        [kind[rank]] + [
+            frame[2 * i : 2 * i + 2]
+            for src, frame in enumerate(received) if src != rank
+        ]
+        for i, kind in enumerate(buckets)
     ]
 
 
 def fetch_global_counts(
     comm: Communicator,
     space: KeySpace,
-    wanted: np.ndarray,
+    wanted: NDArray[Any],
     owned: CountHash | SortedSpectrum,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> Pairs:
     """Collective lookup: global counts of ``wanted`` keys from their owners.
 
     Implements the *read k-mers/tiles* heuristic's extra exchange: every
@@ -107,5 +110,7 @@ def fetch_global_counts(
     # is this rank acting as the authority, not resolving counts.
     answers = [owned.lookup(q).astype(np.uint64) for q in incoming]  # noqa: MPI007
     replies = comm.alltoallv(answers)
-    counts = np.concatenate(replies) if replies else np.empty(0, np.uint64)
+    counts: NDArray[Any] = (
+        np.concatenate(replies) if replies else np.empty(0, np.uint64)
+    )
     return wanted, counts

@@ -9,11 +9,11 @@ verbs instead of one fused program:
 * :meth:`ingest` — merge a block's k-mer/tile count *deltas* into the
   distributed spectrum.  The block's windows are mixed into keys
   (:mod:`repro.parallel.ownership`) and counted by sort, so the distinct
-  ``(key, count)`` pairs come out in owner order, and each owner's run
-  goes to it over the reliable DELTA exchange
-  (:func:`~repro.parallel.exchange.exchange_deltas`), which rides the
-  same alltoallv frames as the classic Step III build; the owner sums
-  what arrives into its raw pairs.
+  ``(key, count)`` pairs come out in owner order, and each owner's runs
+  of both kinds go to it in one frame of the reliable DELTA exchange
+  (:func:`~repro.parallel.exchange.exchange_deltas`), the one alltoallv
+  of the classic Step III build; the owner sums what arrives into its
+  raw pairs.
 * :meth:`correct` — correct a block against the current spectrum,
   repeatedly, with no rebuild in between: the serving tables, protocol
   and compiled lookup stack persist across calls.
@@ -70,7 +70,7 @@ from repro.simmpi.communicator import Communicator
 from repro.util.timer import PhaseTimer
 
 #: A raw shard with no keys yet.
-_NO_PAIRS = (np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.uint32))
+_NO_PAIRS = (np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.uint16))
 
 
 def _serving_table(
@@ -310,12 +310,11 @@ class CorrectionSession:
         )
         kmers, tiles = (merge_pairs([pairs]) for pairs in counted)
         self._note_peak(*kmers, *tiles)
-        self.raw_kmers = merge_pairs(
-            [self.raw_kmers, *exchange_deltas(self.comm, kspace, *kmers)]
+        kmer_runs, tile_runs = exchange_deltas(
+            self.comm, ((kspace, kmers), (tspace, tiles))
         )
-        self.raw_tiles = merge_pairs(
-            [self.raw_tiles, *exchange_deltas(self.comm, tspace, *tiles)]
-        )
+        self.raw_kmers = merge_pairs([self.raw_kmers, *kmer_runs])
+        self.raw_tiles = merge_pairs([self.raw_tiles, *tile_runs])
         self._note_peak()
 
     def _track_read_keys(self, block: ReadBlock) -> None:

@@ -58,8 +58,8 @@ RESILIENCE_COUNTERS = (
 #: * ``session_ingests`` — ``ingest()`` calls (one per rank per block of
 #:   count deltas merged into the distributed spectrum).
 #: * ``session_delta_exchanges`` — DELTA alltoallv rounds routing
-#:   non-owned deltas to their owners (several per ingest under the
-#:   batch-reads heuristic).
+#:   non-owned deltas of both kinds to their owners (one per ingest
+#:   round: several per ingest under the batch-reads heuristic).
 #: * ``session_delta_bytes`` — payload bytes of delta key/count pairs
 #:   this rank routed to *other* ranks across those exchanges.
 #: * ``session_recompiles`` — serving-state finalizations (threshold +

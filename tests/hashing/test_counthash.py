@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.errors import HashTableError
-from repro.hashing.counthash import CountHash
+from repro.hashing.counthash import CountHash, merge_pairs, narrow_pairs
 
 keys_strategy = st.lists(
     st.integers(min_value=0, max_value=2**64 - 1), min_size=0, max_size=300
@@ -596,6 +596,47 @@ def _narrow_keys_homed_at_the_end(capacity: int, last: int, want: int) -> list[i
 
 #: Small keys crowded into the last 3 of 64 slots: placement must wrap.
 NARROW_TAIL_KEYS = _narrow_keys_homed_at_the_end(64, 3, 11)
+
+
+class TestPairWidths:
+    """The one width rule for a pair: uint16 counts while the largest
+    fits, else uint32 saturated at 2**32 - 1; keys uint32 while the
+    largest fits, else uint64."""
+
+    @pytest.mark.parametrize(
+        "top, dtype", [(2**16 - 1, np.uint16), (2**16, np.uint32)]
+    )
+    def test_count_width_follows_the_largest_count(self, top, dtype):
+        keys = np.array([3, 9], dtype=np.uint64)
+        counts = np.array([1, top], dtype=np.uint64)
+        for _, got in (narrow_pairs(keys, counts), merge_pairs([(keys, counts)])):
+            assert got.dtype == dtype
+            assert got.tolist() == [1, top]
+
+    def test_key_width_follows_the_largest_key(self):
+        for top, dtype in ((2**32 - 1, np.uint32), (2**32, np.uint64)):
+            keys, _ = narrow_pairs(
+                np.array([0, top], dtype=np.uint64), np.ones(2, np.uint64)
+            )
+            assert keys.dtype == dtype and keys.tolist() == [0, top]
+
+    def test_narrow_runs_sum_without_wrapping(self):
+        keys = np.array([5, 7], dtype=np.uint32)
+        run = (keys, np.array([40_000, 1], dtype=np.uint16))
+        got_keys, got_counts = merge_pairs([run, run])
+        assert got_keys.tolist() == [5, 7]
+        assert got_counts.dtype == np.uint32
+        assert got_counts.tolist() == [80_000, 2]
+
+    def test_sums_saturate_at_the_uint32_maximum(self):
+        keys = np.array([5], dtype=np.uint32)
+        run = (keys, np.array([TOP - 1], dtype=np.uint32))
+        _, counts = merge_pairs([run, run, (keys, np.array([7], np.uint16))])
+        assert counts.dtype == np.uint32 and counts.tolist() == [TOP]
+
+    def test_no_pairs(self):
+        keys, counts = narrow_pairs(np.empty(0, np.uint64), np.empty(0, np.uint64))
+        assert keys.dtype == np.uint32 and counts.dtype == np.uint16
 
 
 class TestNarrowKeysDoNotAlias:

@@ -277,6 +277,19 @@ class TestTolerated:
         assert block.lengths.tolist() == [0, 2, 0]
         assert block.quals.tolist() == [[0, 0], [5, 6], [0, 0]]
 
+    def test_names_of_every_length_and_ending(self, tmp_path):
+        """Names of 1 to 18 digits, ended by LF, CRLF, a blank and a
+        comment, or the end of the file with no LF."""
+        fa = tmp_path / "r.fa"
+        longest = int("9" * 18)
+        fa.write_bytes(
+            b">0\nA\n>12\r\nC\n>345 read three\nG\n>6789\tx\nT\n>"
+            + str(longest).encode() + b"\nAC\n>42"
+        )
+        assert [name for name, _ in read_fasta(fa)] == [
+            0, 12, 345, 6789, longest, 42,
+        ]
+
     def test_a_record_longer_than_many_pieces(self, tmp_path, monkeypatch):
         monkeypatch.setattr(scan, "PIECE_BYTES", 16)
         fa = tmp_path / "r.fa"

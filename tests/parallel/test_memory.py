@@ -160,14 +160,17 @@ class TestSlotWidthsPerRank:
             engine="cooperative",
         ).build_only(scale.dataset.block)
 
-    KMER_PAIR, TILE_PAIR = 8, 12
+    #: A pair at table width: a uint32 k-mer key or a uint64 tile key,
+    #: and a uint16 count.
+    KMER_PAIR, TILE_PAIR = 6, 10
 
     def test_reported_peak_is_the_sum_the_session_noted(
         self, scale, monkeypatch
     ):
         """The peak is reached in Step II: a round's counted pairs beside
-        the raw pairs, 8 B a k-mer pair and 12 B a tile pair with no load
-        factor (nothing else is held before the serving shard)."""
+        the raw pairs, 6 B a k-mer pair and 10 B a tile pair with no load
+        factor — a table slot's width (nothing else is held before the
+        serving shard)."""
         noted: dict[int, int] = {}
         note_peak = CorrectionSession._note_peak
 

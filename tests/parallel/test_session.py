@@ -209,7 +209,8 @@ class TestCheckpointResume:
             assert size > 0
             assert after[:3] == (size, dtype, nbytes)
             assert all(map(np.array_equal, after[3], items))
-            assert nbytes == size * (dtype.itemsize + 4)
+            # Every count of this input fits 16 bits.
+            assert nbytes == size * (dtype.itemsize + 2)
 
     def test_resume_rejects_mismatched_nranks(self, scale, tmp_path):
         from repro.errors import SessionError
@@ -264,6 +265,79 @@ class TestCheckpointResume:
             load_session_bundle(path)
         assert "repro.session/1" in str(err.value)
         assert "repro.session/2" in str(err.value)
+
+    def test_bundles_store_counts_at_table_width(self, scale, tmp_path):
+        """A checkpoint keeps the ``repro.session/2`` format and stores
+        each count at the width its shard holds it: uint16 here."""
+        ckpt = tmp_path / "bundles"
+
+        def save(comm):
+            session = CorrectionSession(comm, scale.config, HeuristicConfig())
+            session.ingest(scale.dataset.block)
+            session.checkpoint(ckpt)
+
+        run_spmd(save, 2, engine="cooperative")
+        for rank in range(2):
+            with np.load(ckpt / f"rank{rank}.npz") as data:
+                assert str(data["format"]) == "repro.session/2"
+                assert data["kmer_counts"].dtype == np.uint16
+                assert data["tile_counts"].dtype == np.uint16
+
+    def test_a_uint32_count_bundle_resumes_to_the_same_tables(
+        self, scale, tmp_path
+    ):
+        """A bundle whose counts are uint32 — written as checkpoints were
+        before pairs carried table-width counts — resumes to narrow raw
+        pairs and to serving tables byte for byte equal to the
+        table-width bundle's."""
+        from repro.core.persist import save_session_bundle
+
+        block, nranks = scale.dataset.block, 2
+        new, old = tmp_path / "new", tmp_path / "old"
+        old.mkdir()
+        config = scale.config
+
+        def save(comm):
+            session = CorrectionSession(comm, config, HeuristicConfig())
+            cut = slice_bounds(len(block), comm.size)
+            session.ingest(block.slice(cut[comm.rank], cut[comm.rank + 1]))
+            session.checkpoint(new)
+            shape = config.tile_shape
+            (kk, kc), (tk, tc) = session.raw_kmers, session.raw_tiles
+            save_session_bundle(
+                old / f"rank{comm.rank}.npz", k=shape.k,
+                overlap=shape.overlap, nranks=comm.size, rank=comm.rank,
+                n_ingests=session.ingest_count,
+                count_reverse_complement=config.count_reverse_complement,
+                kmer_keys=kk.astype(np.uint64),
+                kmer_counts=kc.astype(np.uint32),
+                tile_keys=tk.astype(np.uint64),
+                tile_counts=tc.astype(np.uint32),
+                read_kmer_keys=session._read_kmer_keys,
+                read_tile_keys=session._read_tile_keys,
+            )
+
+        def tables(directory):
+            def load(comm):
+                session = CorrectionSession.resume(
+                    comm, config, HeuristicConfig(), directory
+                )
+                # The raw pairs resume narrow, whatever the bundle held.
+                assert session.raw_kmers[1].dtype == np.uint16
+                session.finalize()
+                spectra = session.spectra
+                return [
+                    (part.dtype.str, part.tobytes())
+                    for table in (spectra.kmers, spectra.tiles)
+                    for part in (table._keys, table._counts)
+                ]
+
+            return run_spmd(load, nranks, engine="cooperative").results
+
+        run_spmd(save, nranks, engine="cooperative")
+        with np.load(old / "rank0.npz") as data:
+            assert data["kmer_counts"].dtype == np.uint32
+        assert tables(old) == tables(new)
 
 
 def _sorted_items(keys, counts):
@@ -441,7 +515,9 @@ class TestShardsMatchSerial:
                     assert keys.size == counts.size == 0
                     continue
                 mine = space.owners(ek, nranks) == rank
-                assert counts.dtype == np.uint32
+                # Table width: uint16 counts unless one passes 16 bits.
+                top = int(ec[mine].max(initial=0))
+                assert counts.dtype == (np.uint16 if top < 2**16 else np.uint32)
                 assert np.array_equal(keys, ek[mine])
                 assert np.array_equal(counts, ec[mine])
 
