@@ -3,8 +3,9 @@
 Tracks the throughput of the hot paths the guides demand stay vectorized
 (2-bit window extraction, count-hash batch operations, candidate
 generation, the serial corrector itself), the fixed costs of a Step IV
-round (a small block's ``correct_block`` through ``pair_counts``, and an
-8-rank cooperative lookup round of ~30 ids), Step I for an 8-rank fleet
+round (a small block's ``correct_block`` through ``pair_counts``, an
+8-rank cooperative lookup round of ~30 ids, and one frame's send and
+receive), Step I for an 8-rank fleet
 on the e2e file row's pair, and exhibits the fast kernels against the
 frozen seed implementations: the
 :class:`~repro.kmer.codec.WindowLadder` window ids vs the byte-per-base
@@ -261,6 +262,57 @@ def test_lookup_round_fixed_cost(benchmark, heuristics, capsys, request):
             f"\nlookup round, {_ROUND_RANKS} ranks, ~30 ids "
             f"[{request.node.callspec.id}]: {per_round * 1e6:.0f} us a rank-round"
         )
+
+
+# ----------------------------------------------------------------------
+# One frame
+
+
+_FRAME_SENDS = 2_000
+
+
+def _frame_payloads():
+    """A 10-id and a 1,000-id request vector, and a Step III delta chunk:
+    one owner's 2,000 k-mer and 400 tile pairs at table width."""
+    rng = np.random.default_rng(0)
+    return {
+        "10-id vector": rng.integers(0, 1 << 40, 10, dtype=np.uint64),
+        "1000-id vector": rng.integers(0, 1 << 40, 1_000, dtype=np.uint64),
+        "4-array alltoallv chunk": (
+            np.sort(rng.integers(0, 1 << 24, 2_000)).astype(np.uint32),
+            rng.integers(1, 200, 2_000).astype(np.uint16),
+            np.sort(rng.integers(0, 1 << 40, 400)).astype(np.uint64),
+            rng.integers(1, 200, 400).astype(np.uint16),
+        ),
+    }
+
+
+def _frame_loop(payload):
+    """Seconds for ``_FRAME_SENDS`` self-sends of ``payload``, each
+    received at once, on a one-rank cooperative world."""
+
+    def prog(comm):
+        start = time.perf_counter()
+        for _ in range(_FRAME_SENDS):
+            comm.send(0, payload, tag=1)
+            comm.recv(0, 1)
+        return time.perf_counter() - start
+
+    return run_spmd(prog, 1, engine="cooperative").results[0]
+
+
+@pytest.mark.parametrize("name", list(_frame_payloads()))
+def test_frame_send_receive(benchmark, name, capsys):
+    """One frame's fixed cost: a send and its receive through the
+    communicator, the engine and the mailbox (printed, so every run's
+    log carries it)."""
+    payload = _frame_payloads()[name]
+    benchmark.pedantic(_frame_loop, args=(payload,), rounds=5, iterations=1)
+    per_frame = benchmark.stats.stats.min / _FRAME_SENDS
+    benchmark.extra_info["us_per_frame"] = round(per_frame * 1e6, 2)
+    with capsys.disabled():
+        print(f"\nframe send + receive, cooperative [{name}]: "
+              f"{per_frame * 1e6:.2f} us")
 
 
 # ----------------------------------------------------------------------

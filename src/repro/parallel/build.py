@@ -159,15 +159,15 @@ def apply_replication(
             spectra.group_tiles = _group_gather(group_comm, spectra.tiles)
 
 
-def _wire_pairs(table: CountHash | SortedSpectrum) -> tuple[np.ndarray, np.ndarray]:
-    """A table's pairs as replication ships them: ascending, at table
-    width — the wire form of a Step III delta."""
+def wire_pairs(table: CountHash | SortedSpectrum) -> tuple[np.ndarray, np.ndarray]:
+    """A table's pairs as replication and crash recovery ship them:
+    ascending, at table width — the wire form of a Step III delta."""
     return merge_pairs([table.items()])
 
 
 def _allgather(comm: Communicator, table: CountHash) -> CountHash:
     """The union of every rank's ``table``, as one replica."""
-    everyone = comm.allgather(_wire_pairs(table))
+    everyone = comm.allgather(wire_pairs(table))
     # Shards are disjoint and `everyone` includes this rank's own, so the
     # replica is built in one bulk placement, no probing.
     return CountHash.from_counts(*merge_pairs(everyone))
@@ -180,5 +180,5 @@ def _group_gather(group_comm, table: SortedSpectrum) -> SortedSpectrum:
     traffic never leaves the group.  The shards are disjoint ascending
     runs, so the union is one merge.
     """
-    runs = group_comm.allgather(_wire_pairs(table))
+    runs = group_comm.allgather(wire_pairs(table))
     return SortedSpectrum.from_sorted(*merge_pairs(runs))

@@ -33,6 +33,7 @@ from repro.errors import ConfigError
 from repro.hashing.counthash import merge_pairs
 from repro.hashing.sortedspectrum import SortedSpectrum
 from repro.io.records import ReadBlock
+from repro.parallel.build import wire_pairs
 from repro.parallel.lookup.routing import RouteTable
 from repro.simmpi.communicator import Communicator
 from repro.simmpi.message import ANY_SOURCE, Tags
@@ -49,8 +50,10 @@ class RecoveryState:
 
 
 def _bundle_payload(spectra, block: ReadBlock) -> tuple:
-    kmer_keys, kmer_counts = spectra.kmers.items()
-    tile_keys, tile_counts = spectra.tiles.items()
+    """The REPLICA frame: the shard's pairs at table width, as Step III
+    and replication ship them, then the read partition."""
+    kmer_keys, kmer_counts = wire_pairs(spectra.kmers)
+    tile_keys, tile_counts = wire_pairs(spectra.tiles)
     return (kmer_keys, kmer_counts, tile_keys, tile_counts, *block.to_wire())
 
 

@@ -18,12 +18,21 @@ identity and the internal path, so it has every verb and collective.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence, cast
 
 from repro.errors import CommunicatorError, RankMismatchError
 from repro.simmpi import wire
+from repro.simmpi.engine import Engine, _World
 from repro.simmpi.instrument import CommStats
 from repro.simmpi.message import ANY_SOURCE, ANY_TAG, Message, Tags
+from repro.simmpi.request import RecvRequest, SendRequest
+
+if TYPE_CHECKING:
+    from repro.faults import FaultInjector, FaultPlan
+    from repro.simmpi.subcomm import SubCommunicator
+
+#: An engine's ``wait_message`` or ``probe``: (world, rank, source, tag).
+Receive = Callable[[_World, int, int, int], Message | None]
 
 
 def _check_tag(tag: int, wildcard: bool) -> None:
@@ -38,14 +47,16 @@ def _check_tag(tag: int, wildcard: bool) -> None:
 class Communicator:
     """One rank's endpoint in an SPMD run (cf. ``MPI_COMM_WORLD``)."""
 
-    def __init__(self, world, rank: int, engine) -> None:
+    def __init__(self, world: _World, rank: int, engine: Engine) -> None:
         self._world = world
         self._engine = engine
         self._rank = rank
         self._generation = 0
         # Armed only when a FaultPlan is active; cached so the fault-free
         # send path pays exactly one `is not None` check.
-        self._injector = getattr(world, "injector", None)
+        self._injector: FaultInjector | None = getattr(world, "injector", None)
+        # True when a send may deliver a copy instead of a frame.
+        self._copies = engine.delivers_copies(world)
 
     # ------------------------------------------------------------------
     @property
@@ -65,12 +76,13 @@ class Communicator:
         return stats
 
     @property
-    def fault_plan(self):
+    def fault_plan(self) -> FaultPlan | None:
         """The active :class:`~repro.faults.FaultPlan`, or None."""
-        return getattr(self._world, "fault_plan", None)
+        plan: FaultPlan | None = getattr(self._world, "fault_plan", None)
+        return plan
 
     @property
-    def fault_injector(self):
+    def fault_injector(self) -> FaultInjector | None:
         """The active :class:`~repro.faults.FaultInjector`, or None."""
         return self._injector
 
@@ -78,7 +90,7 @@ class Communicator:
     def probe_yields(self) -> bool:
         """True when an empty probe yields the rank's turn (cooperative
         engine), so resilient retry loops need no wall-clock sleeps."""
-        return getattr(self._engine, "PROBE_YIELDS", False)
+        return bool(getattr(self._engine, "PROBE_YIELDS", False))
 
     @property
     def receive_timeout(self) -> float | None:
@@ -94,11 +106,13 @@ class Communicator:
     def send(self, dest: int, payload: Any, tag: int = 0) -> None:
         """Deliver ``payload`` to ``dest`` under ``tag`` (non-blocking).
 
-        The payload is encoded to a wire frame at the communicator
-        boundary: the receiver always gets an independent deep copy
-        (copy-on-send, on every engine), and the stats ledger records
-        the frame's exact encoded length.  Self-sends are legal (the
-        message lands in this rank's own mailbox).
+        The payload crosses the communicator boundary as a wire frame,
+        or on an in-memory engine as the deep copy decoding that frame
+        would give (:func:`~repro.simmpi.wire.frame_copy`): the receiver
+        always gets an independent copy (copy-on-send, on every
+        engine), and the stats ledger records the frame's exact encoded
+        length.  Self-sends are legal (the message lands in this rank's
+        own mailbox).
         """
         _check_tag(tag, wildcard=False)
         self._send(dest, payload, tag)
@@ -106,7 +120,7 @@ class Communicator:
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Message:
         """Block until a matching message arrives; remove and return it."""
         _check_tag(tag, wildcard=True)
-        return self._receive(self._engine.wait_message, source, tag)
+        return self._recv(source, tag)
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Message | None:
         """Non-blocking probe: the first matching message, left in place.
@@ -135,20 +149,16 @@ class Communicator:
             _check_tag(tag, wildcard=False)
         return self._take(source, tags)
 
-    def isend(self, dest: int, payload: Any, tag: int = 0):
+    def isend(self, dest: int, payload: Any, tag: int = 0) -> SendRequest:
         """Nonblocking send; completes at issue (sends are buffered)."""
-        from repro.simmpi.request import SendRequest
-
         self.send(dest, payload, tag=tag)
         return SendRequest()
 
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
+    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvRequest:
         """Post a nonblocking receive; returns a testable/waitable request."""
-        from repro.simmpi.request import RecvRequest
-
         return RecvRequest(self, source, tag)
 
-    def split(self, color: int):
+    def split(self, color: int) -> SubCommunicator:
         """Partition the world by ``color`` (cf. ``MPI_Comm_split``).
 
         Collective.  Returns this rank's group as a
@@ -170,15 +180,24 @@ class Communicator:
     # the internal point-to-point path (any tag; groups override it)
     # ------------------------------------------------------------------
     def _send(self, dest: int, payload: Any, tag: int) -> None:
-        """Encode, account and deposit one frame."""
+        """Account and deliver one frame: a copy of what it would decode
+        to where the engine takes copies, else the encoded frame."""
         self._check_peer(dest)
         if self._injector is not None:
             self._injector.at_event(self._rank)
+        if self._copies:
+            sized = wire.frame_copy(payload)
+            if sized is not None:
+                nbytes, value = sized
+                self.stats.record_send(tag, payload, dest, nbytes)
+                self._engine.deliver(self._world, self._rank, dest,
+                                     Message(self._rank, tag, value))
+                return
         frame = wire.encode_frame(self._rank, tag, payload)
         self.stats.record_send(tag, payload, dest, len(frame))
         self._engine.deposit(self._world, self._rank, dest, frame)
 
-    def _receive(self, call, source: int, tag: int) -> Message | None:
+    def _receive(self, call: Receive, source: int, tag: int) -> Message | None:
         """``call`` — the engine's ``wait_message`` or ``probe`` — on
         this rank's mailbox."""
         return call(self._world, self._rank, source, tag)
@@ -189,7 +208,8 @@ class Communicator:
 
     def _recv(self, source: int, tag: int) -> Message:
         """Blocking receive on the internal path."""
-        return self._receive(self._engine.wait_message, source, tag)
+        # wait_message returns a message or raises.
+        return cast(Message, self._receive(self._engine.wait_message, source, tag))
 
     # ------------------------------------------------------------------
     # collectives
@@ -227,7 +247,7 @@ class Communicator:
         for dest in range(self.size):
             if dest == self._rank:
                 # Self-delivery never crosses an engine but must behave
-                # as if it had: a wire round-trip is the exact semantics.
+                # as if it had: the wire's copy is the exact semantics.
                 out[dest] = wire.clone(chunks[dest])
             else:
                 self._send(dest, chunks[dest], tag)

@@ -1,9 +1,13 @@
 """Execution engines: how SPMD ranks are scheduled.
 
 Delivery itself lives one layer down, in :mod:`repro.simmpi.transport`:
-every engine receives *encoded wire frames* from the communicator and
-hands them to a transport, so copy-on-send and exact byte accounting
-hold identically everywhere.  The engines differ only in scheduling.
+an engine receives *encoded wire frames* from the communicator
+(:meth:`Engine.deposit`) and hands them to a transport — or, on an
+in-memory world where nothing reads frames
+(:meth:`Engine.delivers_copies`), messages the communicator already
+copied by the wire's rules (:meth:`Engine.deliver`).  Copy-on-send and
+exact byte accounting hold identically everywhere.  The engines differ
+only in scheduling.
 
 All three engines share one skeleton, :class:`Engine`: delivery, the
 blocking receive, probe and take, the rank body (verifier calls, the
@@ -91,9 +95,9 @@ class _World:
 class Engine:
     """How ranks run and reach their mailboxes (see module docstring).
 
-    The communicator calls an engine through ``deposit``,
-    ``wait_message``, ``probe`` and ``take_queued``, and ``run_spmd``
-    through ``run``.  A rank has three ways to look at its mailbox, and
+    The communicator calls an engine through ``deposit`` (or
+    ``deliver``), ``wait_message``, ``probe`` and ``take_queued``, and
+    ``run_spmd`` through ``run``.  A rank has three ways to look at its mailbox, and
     they differ in what they do on a miss: :meth:`wait_message` blocks
     until a match arrives, :meth:`probe` peeks and may hand the CPU to
     another rank, and :meth:`take_queued` removes every match of a set
@@ -131,6 +135,29 @@ class Engine:
             # enqueue returns None when a fault injector swallowed the
             # frame (dropped / corrupted / delayed): nothing to match.
             self._delivered(world, dest, world.transport.enqueue(dest, frame))
+
+    def deliver(self, world: _World, rank: int, dest: int, msg: Message) -> None:
+        """Deliver ``msg`` — already a copy, as decoding its frame would
+        give — into ``dest``'s mailbox (called by ``rank``): what
+        :meth:`deposit` does after the decode.  Only for a world whose
+        :meth:`delivers_copies` holds."""
+        with world.lock:
+            if world.error is not None:
+                raise world.error
+            world.transport.append(dest, msg)
+            self._delivered(world, dest, msg)
+
+    def delivers_copies(self, world: _World) -> bool:
+        """True when sends on ``world`` may skip the frame bytes and go
+        through :meth:`deliver`: its transport is a plain
+        :class:`LocalTransport` — not the process transport, and not the
+        wrapper every armed fault plan puts around it, whose verdicts
+        hash the bytes — and this engine keeps the stock
+        :meth:`deposit`, so nothing observes frames."""
+        return (
+            type(world.transport) is LocalTransport
+            and getattr(self.deposit, "__func__", None) is Engine.deposit
+        )
 
     def wait_message(self, world: _World, rank: int, source: int, tag: int) -> Message:
         """Block ``rank`` until a matching message arrives; remove it."""

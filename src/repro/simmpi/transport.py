@@ -12,7 +12,9 @@ Two implementations:
   memory, used by both in-memory engines (the cooperative
   scheduler and the free-threaded one).  Frames are decoded on enqueue,
   so delivery is a deep copy and the caller's engine can match against
-  :class:`~repro.simmpi.message.Message` objects directly.  Callers
+  :class:`~repro.simmpi.message.Message` objects directly; a message
+  the communicator already copied (:func:`repro.simmpi.wire.frame_copy`)
+  is queued as it is by :meth:`LocalTransport.append`.  Callers
   synchronize with the world lock.
 * :class:`ProcessTransport` — the shared-nothing transport behind the
   process engine.  Every rank lives in its own spawned interpreter; a
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import queue as queue_mod
 from collections import deque
+from typing import Any
 
 from repro.simmpi import wire
 from repro.simmpi.message import ANY_SOURCE, Message
@@ -34,7 +37,7 @@ from repro.simmpi.message import ANY_SOURCE, Message
 class Transport:
     """Delivery contract shared by every engine (see module docstring)."""
 
-    def enqueue(self, dest: int, frame: bytes) -> Message:
+    def enqueue(self, dest: int, frame: bytes) -> Message | None:
         """Deliver an encoded frame to ``dest``; returns the decoded
         message when the transport decodes eagerly (local delivery)."""
         raise NotImplementedError
@@ -62,9 +65,12 @@ class LocalTransport(Transport):
     def __init__(self, nranks: int) -> None:
         self.boxes: list[deque[Message]] = [deque() for _ in range(nranks)]
 
-    def enqueue(self, dest: int, frame: bytes) -> Message:
+    def enqueue(self, dest: int, frame: bytes) -> Message | None:
         """Decode the frame (the copy-on-send boundary) and queue it."""
-        msg = wire.decode_frame(frame)
+        return self.append(dest, wire.decode_frame(frame))
+
+    def append(self, dest: int, msg: Message) -> Message:
+        """Queue an already delivered (copied) message for ``dest``."""
         self.boxes[dest].append(msg)
         return msg
 
@@ -84,7 +90,7 @@ class LocalTransport(Transport):
         """One scan of ``rank``'s box (see :meth:`Transport.take_all`)."""
         box = self.boxes[rank]
         groups: dict[int, list[Message]] = {tag: [] for tag in tags}
-        kept = []
+        kept: list[Message] = []
         for msg in box:
             group = groups.get(msg.tag)
             if group is not None and source in (ANY_SOURCE, msg.source):
@@ -108,7 +114,7 @@ class ProcessTransport(LocalTransport):
     queued, then matches by :class:`LocalTransport`'s scan of the box.
     """
 
-    def __init__(self, queues, rank: int) -> None:
+    def __init__(self, queues: list[Any], rank: int) -> None:
         super().__init__(len(queues))
         self.queues = queues
         self.rank = rank

@@ -2,15 +2,22 @@
 
 Real MPI moves serialized buffers across shared-nothing address spaces;
 this module gives the simulated runtime the same discipline.  Every send
-is encoded into a self-describing binary **frame** at the communicator
-boundary, whatever engine carries it:
+crosses the communicator boundary *by value*, as a self-describing
+binary **frame** or as exactly what decoding that frame would deliver:
 
-* the in-memory engines decode the frame on deposit, so delivery is a
-  deep copy — a receiver can never alias (and mutate) a sender's arrays;
 * the process engine ships the frame bytes over a pipe/queue unchanged;
-* :class:`~repro.simmpi.instrument.CommStats` records ``len(frame)``,
-  making the performance model's "measured traffic" ledger exact instead
-  of the old 8-bytes-per-object estimate.
+* a frame is also encoded, and decoded on deposit, wherever something
+  reads it: an armed :class:`~repro.faults.FaultPlan` (its verdicts hash
+  the frame's bytes) and an engine that overrides ``deposit`` to observe
+  frames;
+* otherwise the in-memory engines skip the bytes: :func:`frame_copy`
+  walks a typed payload once and returns the frame's exact length and a
+  deep copy equal to the decoded payload, so a receiver can never alias
+  (and mutate) a sender's arrays; a payload that needs the PICKLE
+  fallback is still encoded;
+* either way :class:`~repro.simmpi.instrument.CommStats` records the
+  frame's exact length, making the performance model's "measured
+  traffic" ledger exact instead of the old 8-bytes-per-object estimate.
 
 Frame layout (all integers little-endian)::
 
@@ -176,6 +183,15 @@ def _encode_value(obj: Any, out: bytearray) -> None:
         raise _NotWireCodable(type(obj).__name__)
 
 
+def _check_size(nbytes: int) -> None:
+    """Refuse a payload that encodes to more than the frame limit."""
+    if nbytes > MAX_FRAME_BYTES:
+        raise WireFormatError(
+            f"payload encodes to {nbytes} bytes, above the "
+            f"{MAX_FRAME_BYTES}-byte frame limit"
+        )
+
+
 def encode_payload(payload: Any) -> bytes:
     """Encode one payload; typed when possible, PICKLE fallback otherwise.
 
@@ -192,11 +208,7 @@ def encode_payload(payload: Any) -> bytes:
         out.append(_PICKLE)
         out += _U32.pack(len(raw))
         out += raw
-    if len(out) > MAX_FRAME_BYTES:
-        raise WireFormatError(
-            f"payload encodes to {len(out)} bytes, above the "
-            f"{MAX_FRAME_BYTES}-byte frame limit"
-        )
+    _check_size(len(out))
     return bytes(out)
 
 
@@ -240,17 +252,99 @@ def encode_frame(source: int, tag: int, payload: Any) -> bytes:
         and (head := _vector_head(payload.dtype)) is not None
     ):
         packer, prefix = head
-        nbytes = packer.size - HEADER_BYTES + payload.nbytes
-        if nbytes > MAX_FRAME_BYTES:
-            raise WireFormatError(
-                f"payload encodes to {nbytes} bytes, above the "
-                f"{MAX_FRAME_BYTES}-byte frame limit"
-            )
+        _check_size(packer.size - HEADER_BYTES + payload.nbytes)
         count = payload.shape[0]
         return packer.pack(MAGIC, VERSION, source, tag, prefix, count) + (
             payload.tobytes()
         )
     return _HEADER.pack(MAGIC, VERSION, source, tag) + encode_payload(payload)
+
+
+# ----------------------------------------------------------------------
+# sizing and copying without encoding
+# ----------------------------------------------------------------------
+#: dtype -> (the dtype a decoded array or scalar has, the NDARRAY
+#: encoding's size before the shape), or None for a dtype with no typed
+#: encoding.  Dtypes that compare equal share one ``str``, hence one
+#: entry.
+_WIRE_DTYPES: dict[np.dtype, tuple[np.dtype, int] | None] = {}
+
+
+def _wire_dtype(dtype: np.dtype) -> tuple[np.dtype, int]:
+    if dtype not in _WIRE_DTYPES:
+        entry = None
+        if dtype.kind in _ARRAY_KINDS:
+            # type code, dtype-string length, dtype string, ndim
+            entry = np.dtype(dtype.str), 3 + len(dtype.str)
+        _WIRE_DTYPES[dtype] = entry
+    entry = _WIRE_DTYPES[dtype]
+    if entry is None:
+        raise _NotWireCodable(f"dtype {dtype}")
+    return entry
+
+
+def _sized_copy(obj: Any) -> tuple[int, Any]:
+    """``(len(encoding), decoded value)`` of one typed value; the
+    branches are :func:`_encode_value`'s, in its order."""
+    if obj is None or obj is True or obj is False:
+        return 1, obj
+    if isinstance(obj, np.ndarray):
+        dtype, head = _wire_dtype(obj.dtype)
+        nbytes = head + 8 * obj.ndim + obj.nbytes
+        if type(obj) is np.ndarray and obj.dtype is dtype:
+            return nbytes, obj.copy()
+        # A subclass, or a dtype that decodes as an equal one of another
+        # scalar type (np.longlong as np.int64): copy into the decoded form.
+        out = np.empty(obj.shape, dtype)
+        out[...] = obj
+        return nbytes, out
+    if isinstance(obj, np.generic):
+        arr = np.asarray(obj)
+        dtype, head = _wire_dtype(arr.dtype)
+        # numpy scalars are immutable: only the type may need changing
+        # (np.longlong, say, decodes as np.int64).
+        value = obj if type(obj) is dtype.type else arr.view(dtype)[()]
+        return head - 1 + dtype.itemsize, value
+    if isinstance(obj, int):
+        if _INT64_MIN <= obj <= _INT64_MAX:
+            nbytes = 9
+        else:
+            nbytes = 5 + (obj.bit_length() + 8) // 8
+        return nbytes, obj if type(obj) is int else int(obj)
+    if isinstance(obj, float):
+        return 9, obj if type(obj) is float else float(obj)
+    if isinstance(obj, str):
+        raw = len(obj) if obj.isascii() else len(obj.encode("utf-8"))
+        return 5 + raw, str.__str__(obj)
+    if isinstance(obj, (bytes, bytearray)):
+        return 5 + len(obj), bytes(obj)
+    if isinstance(obj, (tuple, list)):
+        nbytes = 5
+        items: list[Any] = []
+        for item in obj:
+            size, value = _sized_copy(item)
+            nbytes += size
+            items.append(value)
+        return nbytes, tuple(items) if isinstance(obj, tuple) else items
+    raise _NotWireCodable(type(obj).__name__)
+
+
+def frame_copy(payload: Any) -> tuple[int, Any] | None:
+    """What sending ``payload`` delivers, without encoding it.
+
+    Returns ``(len(encode_frame(source, tag, payload)), value)`` where
+    ``value`` is what :func:`decode_frame` would deliver: the same
+    types, dtypes, shapes and values, every array C-ordered, writable
+    and sharing no memory with ``payload``.  None when the payload has
+    no typed encoding (it would travel as PICKLE).  A payload above the
+    frame limit raises :class:`WireFormatError`, as encoding it does.
+    """
+    try:
+        nbytes, value = _sized_copy(payload)
+    except _NotWireCodable:
+        return None
+    _check_size(nbytes)
+    return HEADER_BYTES + nbytes, value
 
 
 # ----------------------------------------------------------------------
@@ -402,9 +496,13 @@ def decode_frame(frame: bytes) -> Message:
 
 
 def clone(payload: Any) -> Any:
-    """A deep copy with exact send/receive semantics (encode + decode).
+    """A deep copy with exact send/receive semantics: what decoding the
+    payload's encoding gives, by :func:`frame_copy` when it is typed.
 
     Used for self-deliveries (a rank's own alltoallv chunk), which never
     cross an engine but must behave as if they had.
     """
+    sized = frame_copy(payload)
+    if sized is not None:
+        return sized[1]
     return decode_payload(encode_payload(payload))

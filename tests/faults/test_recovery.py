@@ -16,9 +16,14 @@ import pytest
 from repro.core.persist import load_recovery_bundle, save_recovery_bundle
 from repro.errors import ConfigError, ServiceError, SpectrumError
 from repro.faults import CrashFault, FaultPlan
+from repro.hashing.counthash import narrow_pairs
+from repro.parallel import session as session_mod
 from repro.parallel.driver import ParallelReptile
 from repro.parallel.heuristics import HeuristicConfig
 from repro.service import SpectrumService
+from repro.simmpi import wire
+from repro.simmpi.engine import CooperativeEngine
+from repro.simmpi.message import Tags
 
 from tests.faults.conftest import assert_identical, run_plan, totals
 
@@ -123,6 +128,63 @@ class TestPartnerRecovery:
         )
         with pytest.raises(ConfigError, match="never fired"):
             run_plan(scale, plan, nranks=4)
+
+
+class _ReplicaTap(CooperativeEngine):
+    """The cooperative engine, keeping every REPLICA frame deposited
+    (under an armed plan every send is an encoded frame)."""
+
+    def __init__(self):
+        self.frames = []
+
+    def deposit(self, world, rank, dest, frame):
+        if wire.frame_header(frame)[1] == Tags.REPLICA:
+            self.frames.append(frame)
+        super().deposit(world, rank, dest, frame)
+
+
+class TestReplicaAtTableWidth:
+    def test_replica_frame_ships_table_width_pairs(
+        self, scale, serial_reference, monkeypatch
+    ):
+        shards, held = {}, {}
+        replicate = session_mod.replicate_state
+
+        def spy(comm, plan, spectra, block):
+            shards[comm.rank] = (spectra.kmers, spectra.tiles)
+            held[comm.rank] = replicate(comm, plan, spectra, block)
+            return held[comm.rank]
+
+        monkeypatch.setattr(session_mod, "replicate_state", spy)
+        tap = _ReplicaTap()
+        plan = FaultPlan(seed=1, crashes=(CrashFault(rank=1, after_events=4),))
+        result = run_plan(scale, plan, nranks=2, engine=tap)
+        assert result.crashed_ranks == [1]
+        assert_identical(result, serial_reference, scale)
+
+        (frame,) = tap.frames
+        assert wire.frame_header(frame) == (1, Tags.REPLICA)
+        kmer_keys, kmer_counts, tile_keys, tile_counts = (
+            wire.decode_frame(frame).payload[:4]
+        )
+        # 24-bit k-mer keys and counts below 2^16: 6 B a k-mer pair.
+        assert kmer_keys.dtype == np.uint32
+        assert kmer_counts.dtype == tile_counts.dtype == np.uint16
+        ward_kmers, ward_tiles = shards[1]
+        replica_kmers, replica_tiles = held[0].replicas[1]
+        for keys, counts, own, replica in (
+            (kmer_keys, kmer_counts, ward_kmers, replica_kmers),
+            (tile_keys, tile_counts, ward_tiles, replica_tiles),
+        ):
+            # Already at the width the one width rule picks.
+            narrow_keys, narrow_counts = narrow_pairs(keys, counts)
+            assert narrow_keys.dtype == keys.dtype
+            assert narrow_counts.dtype == counts.dtype
+            # Every pair of the ward's shard, and the replica answers
+            # each key as the ward's own table does.
+            assert keys.size == len(own) == len(replica) > 0
+            assert np.array_equal(own.lookup(keys), counts)
+            assert np.array_equal(replica.lookup(keys), counts)
 
 
 class TestAfterTheCrashRound:

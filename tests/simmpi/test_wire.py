@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.errors import WireFormatError
 from repro.simmpi import wire
@@ -300,7 +301,7 @@ class TestIntVectorFastPath:
             wire.encode_payload(big)
         assert str(fast.value) == str(generic.value)
         # The limit is on the encoded payload, exactly as in the generic
-        # encoder: 5 + 8 + 6 * 8 = 61 bytes pass, one element more does not.
+        # encoder: 6 + 8 + 6 * 8 = 62 bytes pass, one element more does not.
         wire.encode_frame(0, 1, np.zeros(6, dtype=np.uint64))
         with pytest.raises(WireFormatError, match="frame limit"):
             wire.encode_frame(0, 1, np.zeros(7, dtype=np.uint64))
@@ -366,3 +367,189 @@ class TestProperties:
         msg = wire.decode_frame(frame)
         assert (msg.source, msg.tag) == (source, tag)
         _assert_equal(payload, msg.payload)
+
+
+# ----------------------------------------------------------------------
+# frame_copy: the frame's length and the decoded payload, without bytes
+# ----------------------------------------------------------------------
+def _exactly(copy, decoded):
+    """``copy`` is ``decoded``, bit for bit: type, dtype, shape, bytes."""
+    assert type(copy) is type(decoded)
+    if isinstance(decoded, np.ndarray):
+        assert copy.dtype == decoded.dtype
+        assert copy.dtype.type is decoded.dtype.type
+        assert copy.shape == decoded.shape
+        assert copy.flags.c_contiguous and copy.flags.writeable
+        assert copy.tobytes() == decoded.tobytes()
+    elif isinstance(decoded, np.generic):
+        assert copy.dtype == decoded.dtype
+        assert np.asarray(copy).tobytes() == np.asarray(decoded).tobytes()
+    elif isinstance(decoded, float):
+        assert struct.pack("<d", copy) == struct.pack("<d", decoded)
+    elif isinstance(decoded, (tuple, list)):
+        assert len(copy) == len(decoded)
+        for a, b in zip(copy, decoded):
+            _exactly(a, b)
+    else:
+        assert copy == decoded
+
+
+def _shares_nothing(copy, original):
+    """No mutable part of ``copy`` is, or views, a part of ``original``."""
+    if isinstance(original, np.ndarray):
+        assert not np.shares_memory(copy, original)
+    elif isinstance(original, (list, bytearray)):
+        assert copy is not original
+    if isinstance(original, (tuple, list)):
+        for a, b in zip(copy, original):
+            _shares_nothing(a, b)
+
+
+def _check_frame_copy(payload):
+    """frame_copy against a real encode + decode of the same payload."""
+    sized = wire.frame_copy(payload)
+    if not wire.is_wire_codable(payload):
+        assert sized is None
+        return
+    frame = wire.encode_frame(5, 9, payload)
+    nbytes, copy = sized
+    assert nbytes == len(frame)
+    _exactly(copy, wire.decode_frame(frame).payload)
+    _shares_nothing(copy, payload)
+
+
+_ENDIAN = "?"
+_typed_dtypes = st.one_of(
+    hnp.boolean_dtypes(),
+    hnp.integer_dtypes(endianness=_ENDIAN),
+    hnp.unsigned_integer_dtypes(endianness=_ENDIAN),
+    hnp.floating_dtypes(endianness=_ENDIAN),
+    hnp.complex_number_dtypes(endianness=_ENDIAN),
+    hnp.byte_string_dtypes(endianness=_ENDIAN, min_len=1, max_len=4),
+    hnp.unicode_string_dtypes(endianness=_ENDIAN, min_len=1, max_len=4),
+)
+
+
+@st.composite
+def _typed_arrays(draw):
+    """Every typed kind, 0-d to 3-d, as drawn or made non-contiguous."""
+    arr = draw(hnp.arrays(
+        draw(_typed_dtypes),
+        hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+    ))
+    layout = draw(st.sampled_from(["c", "strided", "transposed"]))
+    if layout == "strided" and arr.ndim:
+        arr = arr[::2]
+    elif layout == "transposed":
+        arr = arr.T
+    return arr
+
+
+_wide_ints = st.one_of(
+    st.sampled_from([
+        0, -1, 2**63 - 1, -(2**63), 2**63, -(2**63) - 1, 2**64, -(2**64),
+    ]),
+    st.integers(),
+)
+
+_typed_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    _wide_ints,
+    st.floats(),
+    st.text(max_size=12),
+    st.binary(max_size=12),
+    st.binary(max_size=12).map(bytearray),
+    _typed_arrays(),
+    _typed_arrays().map(lambda arr: arr.reshape(-1)[:1]).filter(len).map(
+        lambda arr: arr[0]
+    ),
+)
+
+_untyped_leaves = st.one_of(
+    st.dictionaries(st.integers(0, 9), st.integers(), max_size=3),
+    st.sets(st.integers(), max_size=3),
+    st.builds(object),
+    st.just(np.array([{"a": 1}, None], dtype=object)),
+    st.just(np.array(["2020-01-01"], dtype="datetime64[D]")),
+    st.just(np.datetime64("2020-01-01")),
+)
+
+
+def _nested(leaves):
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+        ),
+        max_leaves=10,
+    )
+
+
+class TestFrameCopy:
+    """``frame_copy`` is the frame's length and the decoded payload,
+    without encoding: checked against ``encode_frame`` / ``decode_frame``
+    on every typed kind, and declining what only PICKLE can carry."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_nested(_typed_leaves))
+    def test_typed_payloads(self, payload):
+        assert wire.frame_copy(payload) is not None
+        _check_frame_copy(payload)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_nested(st.one_of(_typed_leaves, _untyped_leaves)))
+    def test_any_payload(self, payload):
+        _check_frame_copy(payload)
+
+    @settings(max_examples=50, deadline=None)
+    @given(_untyped_leaves, _nested(_typed_leaves))
+    def test_untyped_part_declines_the_whole(self, untyped, typed):
+        assert wire.frame_copy(untyped) is None
+        assert wire.frame_copy((typed, [untyped])) is None
+
+    @pytest.mark.parametrize("payload", [
+        np.array([3, 1, 7, 8, 9], dtype=np.uint64),        # count request
+        np.array([3, 1, 2, 2, 5], dtype=np.uint32),        # count answer
+        np.array([3, 1], dtype=np.uint64),                 # empty request
+        (                                                  # delta chunk
+            np.array([4, 9], dtype=np.uint32),
+            np.array([2, 65535], dtype=np.uint16),
+            np.array([2**40], dtype=np.uint64),
+            np.array([1], dtype=np.uint16),
+        ),
+        (),                                                # own empty chunk
+        (2, 1),                                            # split's allgather
+        None,                                              # barrier
+    ], ids=["request", "answer", "empty-request", "delta-chunk",
+            "empty-chunk", "split", "barrier"])
+    def test_protocol_payloads(self, payload):
+        assert wire.frame_copy(payload) is not None
+        _check_frame_copy(payload)
+
+    def test_subclasses_decode_to_their_base(self):
+        class Tagged(np.ndarray):
+            pass
+
+        class Number(int):
+            pass
+
+        payload = (np.arange(3, dtype=np.longlong).view(Tagged), Number(4),
+                   np.longlong(5), [np.arange(3)])
+        _check_frame_copy(payload)
+        copy = wire.frame_copy(payload)[1]
+        assert type(copy[0]) is np.ndarray and type(copy[1]) is int
+
+    def test_frame_size_limit(self, monkeypatch):
+        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 64)
+        for payload in (np.zeros(7, dtype=np.uint64),
+                        (np.zeros(3, dtype=np.uint64),) * 2):
+            with pytest.raises(WireFormatError, match="frame limit") as walk:
+                wire.frame_copy(payload)
+            with pytest.raises(WireFormatError, match="frame limit") as encode:
+                wire.encode_payload(payload)
+            assert str(walk.value) == str(encode.value)
+        # Six elements encode to 62 payload bytes, under the limit.
+        under = np.zeros(6, dtype=np.uint64)
+        assert wire.frame_copy(under)[0] == len(wire.encode_frame(0, 1, under))
