@@ -1,9 +1,8 @@
 """Module-phase rules: checks that need only one file's summary.
 
 MPI001 and MPI009 police collective ordering under rank conditionals,
-MPI004/MPI005 the service-loop and buffer-reuse hazards, MPI006 the
-wire-codec contract, MPI007 the lookup-tier layering, MPI010
-request-object hygiene, and MPI012 the session-backend layering (the
+MPI004 the service-loop hazard, MPI006 the wire-codec contract, MPI007
+the lookup-tier layering, and MPI012 the session-backend layering (the
 service tier and other non-parallel code may touch spectrum state only
 through the :class:`~repro.parallel.session.CorrectionSession` verbs).
 Each rule is a plain function registered with the framework in
@@ -15,14 +14,12 @@ from __future__ import annotations
 
 import ast
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from repro.analysis.rules import Finding, Rule, register
 from repro.analysis.summary import (
     COLLECTIVE_METHODS,
-    INPLACE_METHODS,
     NON_CODABLE_CALLS,
     SEND_METHODS,
     FunctionSummary,
@@ -248,144 +245,6 @@ register(Rule(
 
 
 # ----------------------------------------------------------------------
-# MPI005 — payload mutated between isend and request completion
-# ----------------------------------------------------------------------
-def check_mutation_after_isend(summary: ModuleSummary) -> list[Finding]:
-    findings: list[Finding] = []
-    for fn in summary.functions:
-        findings.extend(_mutation_after_isend(summary.path, fn))
-    return findings
-
-
-@dataclass
-class _BufferEvent:
-    """One line-ordered event in a function's isend/mutation history."""
-
-    line: int
-    kind: str  # "isend" | "wait" | "waitall" | "rebind" | "mutate"
-    name: str | None = None
-    node: ast.AST | None = None
-
-
-@dataclass
-class _Hazard:
-    """An in-flight isend whose payload buffer must stay untouched."""
-
-    name: str
-    start: int
-    req: str | None
-    done: bool = False
-
-
-def _mutation_after_isend(path: str, fn: FunctionSummary) -> list[Finding]:
-    comm_names = fn.comm_names
-    findings: list[Finding] = []
-    hazards: list[_Hazard] = []
-    events: list[_BufferEvent] = []
-
-    for node in walk_no_nested_functions(fn.node):
-        line = getattr(node, "lineno", 0)
-        if isinstance(node, ast.Call) and \
-                isinstance(node.func, ast.Attribute):
-            if node.func.attr == "isend":
-                recv = dotted_name(node.func.value)
-                if recv is not None and is_comm_name(recv, comm_names):
-                    payload = call_arg(node, 1, "payload")
-                    if isinstance(payload, ast.Name):
-                        events.append(_BufferEvent(
-                            line, "isend", name=payload.id, node=node))
-            elif node.func.attr == "wait" and \
-                    isinstance(node.func.value, ast.Name):
-                events.append(_BufferEvent(
-                    line, "wait", name=node.func.value.id))
-            elif node.func.attr in INPLACE_METHODS and \
-                    isinstance(node.func.value, ast.Name):
-                events.append(_BufferEvent(
-                    line, "mutate", name=node.func.value.id, node=node))
-        elif isinstance(node, ast.Call) and \
-                isinstance(node.func, ast.Name) and \
-                node.func.id == "waitall":
-            events.append(_BufferEvent(line, "waitall"))
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Subscript) and \
-                        isinstance(target.value, ast.Name):
-                    events.append(_BufferEvent(
-                        line, "mutate", name=target.value.id, node=node))
-                elif isinstance(target, ast.Name):
-                    events.append(_BufferEvent(
-                        line, "rebind", name=target.id))
-        elif isinstance(node, ast.AugAssign):
-            target = node.target
-            if isinstance(target, ast.Name):
-                events.append(_BufferEvent(
-                    line, "mutate", name=target.id, node=node))
-            elif isinstance(target, ast.Subscript) and \
-                    isinstance(target.value, ast.Name):
-                events.append(_BufferEvent(
-                    line, "mutate", name=target.value.id, node=node))
-
-    events.sort(key=lambda e: e.line)
-    # Requests assigned from isend calls: req = comm.isend(...)
-    req_of_isend: dict[int, str] = {}
-    for node in walk_no_nested_functions(fn.node):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1 and \
-                isinstance(node.targets[0], ast.Name) and \
-                isinstance(node.value, ast.Call) and \
-                isinstance(node.value.func, ast.Attribute) and \
-                node.value.func.attr == "isend":
-            req_of_isend[id(node.value)] = node.targets[0].id
-
-    for event in events:
-        if event.kind == "isend" and event.name is not None:
-            hazards.append(_Hazard(
-                name=event.name, start=event.line,
-                req=req_of_isend.get(id(event.node)),
-            ))
-        elif event.kind == "wait":
-            for h in hazards:
-                if h.req == event.name and event.line > h.start:
-                    h.done = True
-        elif event.kind == "waitall":
-            for h in hazards:
-                if event.line > h.start:
-                    h.done = True
-        elif event.kind == "rebind":
-            for h in hazards:
-                if h.name == event.name and event.line > h.start:
-                    h.done = True
-        elif event.kind == "mutate" and event.node is not None:
-            for h in hazards:
-                if h.name == event.name and not h.done and \
-                        event.line > h.start:
-                    findings.append(_finding(
-                        path, event.node, "MPI005",
-                        f"'{event.name}' is mutated after isend on line "
-                        f"{h.start} before the request completes; "
-                        "under real MPI the send buffer must not be "
-                        "touched until the request is waited on",
-                    ))
-    return findings
-
-
-register(Rule(
-    code="MPI005",
-    name="mutation-after-isend",
-    severity="error",
-    summary="payload mutated after isend (buffer-reuse hazard)",
-    doc=(
-        "A name passed as an `isend` payload is mutated (subscript "
-        "store, augmented assignment, in-place ndarray method) before "
-        "the request is completed by `wait`/`waitall` or the name is "
-        "rebound.  The simulated runtime deep-copies at the send "
-        "boundary so this works here, but under real MPI the send "
-        "buffer must stay untouched until completion."
-    ),
-    module_check=check_mutation_after_isend,
-))
-
-
-# ----------------------------------------------------------------------
 # MPI006 — payload has no typed wire encoding
 # ----------------------------------------------------------------------
 def _non_codable_kind(expr: ast.expr) -> str | None:
@@ -437,7 +296,7 @@ register(Rule(
     severity="warning",
     summary="send payload is not wire-codable (pickle-fallback frame)",
     doc=(
-        "A send/isend payload is a dict/set literal, a comprehension, "
+        "A send payload is a dict/set literal, a comprehension, "
         "or a bare `dict()`/`set()`/`frozenset()` call.  The wire codec "
         "has no typed encoding for these and falls back to a pickle "
         "frame — legal and exactly accounted, but a production MPI "
@@ -641,74 +500,3 @@ register(Rule(
 ))
 
 
-# ----------------------------------------------------------------------
-# MPI010 — isend request discarded or never completed
-# ----------------------------------------------------------------------
-def check_leaked_isend(summary: ModuleSummary) -> list[Finding]:
-    findings: list[Finding] = []
-    for fn in summary.functions:
-        findings.extend(_leaked_isends(summary.path, fn))
-    return findings
-
-
-def _leaked_isends(path: str, fn: FunctionSummary) -> list[Finding]:
-    comm_names = fn.comm_names
-
-    def is_comm_isend(call: ast.Call) -> bool:
-        if not (isinstance(call.func, ast.Attribute) and
-                call.func.attr == "isend"):
-            return False
-        recv = dotted_name(call.func.value)
-        return recv is not None and is_comm_name(recv, comm_names)
-
-    findings: list[Finding] = []
-    assigned: list[tuple[str, ast.Call, int]] = []  # (req name, call, line)
-    for node in walk_no_nested_functions(fn.node):
-        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call) \
-                and is_comm_isend(node.value):
-            findings.append(_finding(
-                path, node.value, "MPI010",
-                "isend request is discarded; keep the request and "
-                "complete it with wait()/waitall() (or a collective "
-                "fence) so the send is known to have finished",
-            ))
-        elif isinstance(node, ast.Assign) and len(node.targets) == 1 and \
-                isinstance(node.targets[0], ast.Name) and \
-                isinstance(node.value, ast.Call) and \
-                is_comm_isend(node.value):
-            assigned.append(
-                (node.targets[0].id, node.value, node.lineno))
-    for req_name, call, line in assigned:
-        used = any(
-            isinstance(node, ast.Name) and node.id == req_name and
-            isinstance(node.ctx, ast.Load) and
-            getattr(node, "lineno", 0) >= line
-            for node in walk_no_nested_functions(fn.node)
-        )
-        if not used:
-            findings.append(_finding(
-                path, call, "MPI010",
-                f"isend request '{req_name}' is never used after "
-                "assignment; complete it with wait()/waitall() or the "
-                "send's fate is unknown",
-            ))
-    return findings
-
-
-register(Rule(
-    code="MPI010",
-    name="leaked-isend-request",
-    severity="warning",
-    summary="isend request discarded or never awaited",
-    doc=(
-        "An `isend` call's request object is thrown away (bare "
-        "expression statement) or bound to a name that is never read "
-        "again.  Nothing ever completes the request, so the program "
-        "cannot know the send finished — under real MPI the buffer and "
-        "request leak.  Keep the request and `wait()` it (or collect "
-        "requests and `waitall`).  Fire-and-forget sites where the "
-        "runtime's eager buffering makes completion immediate suppress "
-        "with `# noqa: MPI010` and a justification."
-    ),
-    module_check=check_leaked_isend,
-))

@@ -33,13 +33,13 @@ COLLECTIVE_METHODS = frozenset(
     {"barrier", "alltoallv", "allgather", "allreduce", "gather", "bcast",
      "reduce", "split"}
 )
-SEND_METHODS = frozenset({"send", "isend"})
+SEND_METHODS = frozenset({"send"})
 #: ``take_queued`` is the non-blocking, non-yielding drain of several
 #: tags at once: it removes the messages it returns, so the tag and
 #: peer rules treat it as a receive of each tag it names.
-RECV_METHODS = frozenset({"recv", "irecv", "iprobe", "take_queued"})
+RECV_METHODS = frozenset({"recv", "iprobe", "take_queued"})
 
-#: ndarray methods that mutate in place (MPI005, MPI011).
+#: ndarray methods that mutate in place (MPI011).
 INPLACE_METHODS = frozenset(
     {"fill", "sort", "put", "partition", "resize", "setfield", "byteswap",
      "itemset", "setflags"}

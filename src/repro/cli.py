@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="python files or directories to lint")
     lnt.add_argument("--disable", default="",
                      help="comma-separated rule codes to skip "
-                          "(e.g. MPI003,MPI005)")
+                          "(e.g. MPI003,MPI006)")
     lnt.add_argument("--list-rules", action="store_true",
                      help="print the rule catalogue and exit")
     lnt.add_argument("--explain", metavar="CODE",

@@ -19,14 +19,10 @@ import numpy as np
 from repro.core.spectrum import SpectrumPair
 from repro.errors import SpectrumError
 from repro.hashing.counthash import CountHash, merge_pairs
-from repro.hashing.sortedspectrum import SortedSpectrum
 from repro.kmer.tiles import TileShape
 
 #: Format marker stored in the file.
 _FORMAT = "repro.spectra/1"
-
-#: Format marker of a rank's recovery bundle (spill-mode replication).
-_RECOVERY_FORMAT = "repro.recovery/1"
 
 #: Format marker of a correction-session checkpoint (one rank's raw,
 #: unfiltered spectrum state plus its read-table key unions, as keys).
@@ -43,9 +39,10 @@ def _load_table(data, kind: str) -> CountHash:
 
 
 def save_spectra(spectra: SpectrumPair, path: str | os.PathLike) -> None:
-    """Write a spectrum pair as compressed npz."""
-    kmer_keys, kmer_counts = spectra.kmers.items()
-    tile_keys, tile_counts = spectra.tiles.items()
+    """Write a spectrum pair as compressed npz, each table as ascending
+    pairs at table width."""
+    kmer_keys, kmer_counts = merge_pairs([spectra.kmers.items()])
+    tile_keys, tile_counts = merge_pairs([spectra.tiles.items()])
     np.savez_compressed(
         path,
         format=np.array(_FORMAT),
@@ -71,67 +68,6 @@ def load_spectra(path: str | os.PathLike) -> SpectrumPair:
         kmers = _load_table(data, "kmer")
         tiles = _load_table(data, "tile")
     return SpectrumPair(shape=shape, kmers=kmers, tiles=tiles)
-
-
-def save_recovery_bundle(
-    path: str | os.PathLike,
-    *,
-    kmer_keys: np.ndarray,
-    kmer_counts: np.ndarray,
-    tile_keys: np.ndarray,
-    tile_counts: np.ndarray,
-    ids: np.ndarray,
-    codes: np.ndarray,
-    lengths: np.ndarray,
-    quals: np.ndarray,
-) -> None:
-    """Write one rank's recoverable state (spectrum shard + read
-    partition) as compressed npz — the ``recovery="spill"`` alternative
-    to holding the replica in a partner's memory."""
-    np.savez_compressed(
-        path,
-        format=np.array(_RECOVERY_FORMAT),
-        kmer_keys=kmer_keys,
-        kmer_counts=kmer_counts,
-        tile_keys=tile_keys,
-        tile_counts=tile_counts,
-        ids=ids,
-        codes=codes,
-        lengths=lengths,
-        quals=quals,
-    )
-
-
-def load_recovery_bundle(path: str | os.PathLike) -> dict:
-    """Read a bundle written by :func:`save_recovery_bundle`.
-
-    Returns a dict with ``kmers``/``tiles`` rebuilt as sealed
-    :class:`~repro.hashing.sortedspectrum.SortedSpectrum` tables (a
-    recovery replica only answers lookups; a bundle with repeated keys
-    is tolerated) plus the raw ``codes``/``lengths``/``quals`` arrays of
-    the read partition."""
-    with np.load(path) as data:
-        fmt = str(data["format"])
-        if fmt != _RECOVERY_FORMAT:
-            raise SpectrumError(
-                f"{path}: unsupported recovery format {fmt!r} "
-                f"(expected {_RECOVERY_FORMAT!r})"
-            )
-        kmers, tiles = (
-            SortedSpectrum.from_sorted(
-                *merge_pairs([(data[f"{kind}_keys"], data[f"{kind}_counts"])])
-            )
-            for kind in ("kmer", "tile")
-        )
-        out = {
-            "kmers": kmers,
-            "tiles": tiles,
-            "ids": data["ids"],
-            "codes": data["codes"],
-            "lengths": data["lengths"],
-            "quals": data["quals"],
-        }
-    return out
 
 
 def save_session_bundle(

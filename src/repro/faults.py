@@ -38,10 +38,10 @@ Recovery model (ReStore-style)
 ------------------------------
 The plan travels with the SPMD program, so every rank knows which ranks
 are doomed before correction starts.  Each doomed rank replicates its
-spectrum shard and read partition to a partner (``(rank+1) % size``) —
-in memory, or spilled via :mod:`repro.core.persist` — and clients route
-requests for a doomed owner's keys straight to the partner (the scripted
-plan stands in for a failure detector).  After correcting its own reads
+spectrum shard and read partition in memory to a partner
+(``(rank+1) % size``), and clients route requests for a doomed owner's
+keys straight to the partner (the scripted plan stands in for a failure
+detector).  After correcting its own reads
 the partner replays the ward's reads from the replica; the crashed
 rank's partial results are discarded, so the merged output is
 bit-identical to the fault-free run regardless of where the crash fired.
@@ -115,10 +115,6 @@ class FaultPlan:
     max_drops_per_frame: int | None = 2
     crashes: tuple[CrashFault, ...] = ()
     stalls: tuple[StallFault, ...] = ()
-    #: "partner" replicates doomed state in memory to ``(rank+1)%size``;
-    #: "spill" writes it via :mod:`repro.core.persist` and ships the path.
-    recovery: str = "partner"
-    spill_dir: str | None = None
     #: Retry schedule of the resilient lookup clients.
     base_timeout_s: float = 0.25
     backoff: float = 2.0
@@ -201,12 +197,6 @@ class FaultPlan:
             raise ConfigError("backoff must be >= 1")
         if self.max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
-        if self.recovery not in ("partner", "spill"):
-            raise ConfigError(
-                f"recovery must be 'partner' or 'spill', got {self.recovery!r}"
-            )
-        if self.recovery == "spill" and self.crashes and not self.spill_dir:
-            raise ConfigError("spill recovery requires spill_dir")
         doomed = [c.rank for c in self.crashes]
         if len(set(doomed)) != len(doomed):
             raise ConfigError("at most one CrashFault per rank")
@@ -249,8 +239,6 @@ class FaultPlan:
             "max_drops_per_frame": self.max_drops_per_frame,
             "crashes": [vars(c).copy() for c in self.crashes],
             "stalls": [vars(s).copy() for s in self.stalls],
-            "recovery": self.recovery,
-            "spill_dir": self.spill_dir,
             "base_timeout_s": self.base_timeout_s,
             "backoff": self.backoff,
             "max_retries": self.max_retries,

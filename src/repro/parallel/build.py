@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.hashing.counthash import CountHash, merge_pairs
 from repro.hashing.sortedspectrum import SortedSpectrum
 from repro.kmer.tiles import TileShape
@@ -146,7 +147,7 @@ def apply_replication(
     g = heuristics.replication_group
     if g > 1:
         if comm.size % g != 0:
-            raise ValueError(
+            raise ConfigError(
                 f"replication_group {g} must divide the rank count {comm.size}"
             )
         spectra.group_ranks = range((comm.rank // g) * g, (comm.rank // g) * g + g)

@@ -2,15 +2,9 @@
 
 Before the correction phase starts — while the transports are still
 fully reliable for the REPLICA tag — every rank doomed by the active
-:class:`~repro.faults.FaultPlan` makes its recoverable state durable:
-
-* ``recovery="partner"`` — the shard travels in memory to the doomed
-  rank's recovery partner ``(rank + 1) % size`` over the reliable
-  REPLICA tag (ReStore's in-memory replica, arXiv:2203.01107);
-* ``recovery="spill"`` — the shard is written to
-  ``plan.spill_dir/rank<r>.npz`` via :mod:`repro.core.persist` and the
-  partner loads it back after a barrier (the disk-checkpoint fallback
-  for memory-constrained runs).
+:class:`~repro.faults.FaultPlan` ships its recoverable state in memory
+to its recovery partner ``(rank + 1) % size`` over the reliable REPLICA
+tag (ReStore's in-memory replica, arXiv:2203.01107).
 
 A rank's recoverable state is its spectrum shard (the owned k-mer and
 tile tables — authoritative: an absent owned key exists nowhere) plus
@@ -27,9 +21,6 @@ the death by timeout.
 
 from __future__ import annotations
 
-import os
-
-from repro.errors import ConfigError
 from repro.hashing.counthash import merge_pairs
 from repro.hashing.sortedspectrum import SortedSpectrum
 from repro.io.records import ReadBlock
@@ -84,41 +75,6 @@ def replicate_state(
     # later re-bind and answer for.
     wards = list(RouteTable.compile(plan, comm.size).wards_of(rank))
 
-    if plan.recovery == "spill":
-        from repro.core.persist import (
-            load_recovery_bundle, save_recovery_bundle,
-        )
-
-        if plan.spill_dir is None:
-            raise ConfigError('recovery="spill" requires spill_dir')
-        if rank in doomed:
-            kmer_keys, kmer_counts = spectra.kmers.items()
-            tile_keys, tile_counts = spectra.tiles.items()
-            save_recovery_bundle(
-                os.path.join(plan.spill_dir, f"rank{rank}.npz"),
-                kmer_keys=kmer_keys, kmer_counts=kmer_counts,
-                tile_keys=tile_keys, tile_counts=tile_counts,
-                codes=block.codes, lengths=block.lengths,
-                quals=block.quals, ids=block.ids,
-            )
-            comm.stats.bump("replicas_sent")
-        # Bundles must be on disk before any partner loads them.
-        comm.barrier()
-        for ward in wards:
-            bundle = load_recovery_bundle(
-                os.path.join(plan.spill_dir, f"rank{ward}.npz")
-            )
-            state.replicas[ward] = (bundle["kmers"], bundle["tiles"])
-            state.ward_blocks[ward] = ReadBlock(
-                ids=bundle["ids"],
-                codes=bundle["codes"],
-                lengths=bundle["lengths"],
-                quals=bundle["quals"],
-            )
-            comm.stats.bump("replicas_held")
-        return state
-
-    # In-memory partner replication over the reliable REPLICA tag.
     if rank in doomed:
         comm.send(
             plan.partner_of(rank, comm.size),

@@ -553,9 +553,9 @@ class CorrectionSession:
             rank=self.comm.rank,
             n_ingests=self._ingest_count,
             count_reverse_complement=self.config.count_reverse_complement,
-            kmer_keys=kmer_keys.astype(np.uint64),
+            kmer_keys=kmer_keys,
             kmer_counts=kmer_counts,
-            tile_keys=tile_keys.astype(np.uint64),
+            tile_keys=tile_keys,
             tile_counts=tile_counts,
             read_kmer_keys=self._read_kmer_keys,
             read_tile_keys=self._read_tile_keys,

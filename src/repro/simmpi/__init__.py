@@ -35,7 +35,6 @@ from repro.simmpi import wire
 from repro.simmpi.message import Message, ANY_SOURCE, ANY_TAG, Tags
 from repro.simmpi.instrument import CommStats
 from repro.simmpi.communicator import Communicator
-from repro.simmpi.request import Request, RecvRequest, SendRequest, waitall
 from repro.simmpi.transport import LocalTransport, ProcessTransport, Transport
 from repro.simmpi.engine import (
     CooperativeEngine,
@@ -51,10 +50,6 @@ __all__ = [
     "Tags",
     "CommStats",
     "Communicator",
-    "Request",
-    "RecvRequest",
-    "SendRequest",
-    "waitall",
     "CooperativeEngine",
     "ProcessEngine",
     "ThreadedEngine",

@@ -25,7 +25,6 @@ from repro.simmpi import wire
 from repro.simmpi.engine import Engine, _World
 from repro.simmpi.instrument import CommStats
 from repro.simmpi.message import ANY_SOURCE, ANY_TAG, Message, Tags
-from repro.simmpi.request import RecvRequest, SendRequest
 
 if TYPE_CHECKING:
     from repro.faults import FaultInjector, FaultPlan
@@ -148,15 +147,6 @@ class Communicator:
         for tag in tags:
             _check_tag(tag, wildcard=False)
         return self._take(source, tags)
-
-    def isend(self, dest: int, payload: Any, tag: int = 0) -> SendRequest:
-        """Nonblocking send; completes at issue (sends are buffered)."""
-        self.send(dest, payload, tag=tag)
-        return SendRequest()
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvRequest:
-        """Post a nonblocking receive; returns a testable/waitable request."""
-        return RecvRequest(self, source, tag)
 
     def split(self, color: int) -> SubCommunicator:
         """Partition the world by ``color`` (cf. ``MPI_Comm_split``).

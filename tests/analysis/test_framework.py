@@ -47,7 +47,7 @@ def program(comm):
     if comm.rank == 0:
         comm.barrier()
     comm.send(1, {"a": 1}, tag=7)
-    comm.isend(2, None, tag=Tags.SCAN_REQUEST)
+    comm.send(2, None, tag=Tags.SCAN_REQUEST)
     comm.recv(source=0, tag=9)
 
 def launch(run_spmd):
@@ -68,6 +68,23 @@ class TestRegistry:
             assert rule.severity in SEVERITIES
             assert rule.summary
             assert len(rule.doc) > 40
+
+    def test_docs_rule_table_matches_registry(self, capsys):
+        """docs/ANALYSIS.md's rule catalogue names exactly the codes
+        `repro lint --list-rules` registers, with their severities."""
+        assert main(["lint", "--list-rules"]) == 0
+        listed = [line.split()[0]
+                  for line in capsys.readouterr().out.splitlines() if line]
+        docs = Path(__file__).parents[2] / "docs" / "ANALYSIS.md"
+        rows = [
+            [cell.strip() for cell in line.strip("|").split("|")]
+            for line in docs.read_text().splitlines()
+            if line.startswith("| MPI")
+        ]
+        assert [row[0] for row in rows] == listed
+        assert {row[0]: row[1] for row in rows} == {
+            rule.code: rule.severity for rule in all_rules()
+        }
 
     def test_every_rule_but_parse_error_has_a_check(self):
         for rule in all_rules():
@@ -123,8 +140,8 @@ class TestNoqaSemantics:
             {"MPI002", "MPI003"}
 
     def test_trailing_justification(self):
-        assert noqa_codes("x = 1  # noqa: MPI010 - serving site") == \
-            {"MPI010"}
+        assert noqa_codes("x = 1  # noqa: MPI011 - serving site") == \
+            {"MPI011"}
 
     def test_comma_list_suppresses_both_rules(self):
         source = textwrap.dedent("""

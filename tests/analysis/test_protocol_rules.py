@@ -1,9 +1,9 @@
 """Whole-program rules: cross-module tag ledgers (MPI002/MPI003),
 request/response pairing (MPI008), collective-sequence divergence
-(MPI009), leaked isend requests (MPI010), and rank-closure shared-state
-mutation (MPI011).  Each rule gets a true positive, a near miss, and —
-for the protocol rules — a seeded-mutation test that breaks a working
-protocol and checks the right rule catches it."""
+(MPI009) and rank-closure shared-state mutation (MPI011).  Each rule
+gets a true positive, a near miss, and — for the protocol rules — a
+seeded-mutation test that breaks a working protocol and checks the
+right rule catches it."""
 
 import textwrap
 
@@ -299,58 +299,6 @@ class TestCollectiveSequence:
             "comm.barrier()\n                    comm.gather(None)",
         )
         assert codes(mutated) == ["MPI009"]
-
-
-class TestLeakedIsend:
-    def test_discarded_isend_flagged(self):
-        found = lint("""
-            def program(comm):
-                comm.isend(1, None, tag=1)
-                comm.recv(tag=1)
-        """)
-        assert "MPI010" in [f.code for f in found]
-
-    def test_unused_request_name_flagged(self):
-        found = lint("""
-            def program(comm):
-                req = comm.isend(1, None, tag=1)
-                comm.recv(tag=1)
-        """)
-        assert [f.code for f in found] == ["MPI010"]
-        assert "'req'" in found[0].message
-
-    def test_waited_request_passes(self):
-        assert codes("""
-            def program(comm):
-                req = comm.isend(1, None, tag=1)
-                comm.recv(tag=1)
-                req.wait()
-        """) == []
-
-    def test_request_collected_for_waitall_passes(self):
-        assert codes("""
-            def program(comm, waitall):
-                reqs = []
-                for dest in range(4):
-                    reqs.append(comm.isend(dest, None, tag=1))
-                comm.recv(tag=1)
-                waitall(reqs)
-        """) == []
-
-    def test_returned_request_passes(self):
-        assert codes("""
-            def post(comm):
-                req = comm.isend(1, None, tag=1)
-                comm.recv(tag=1)
-                return req
-        """) == []
-
-    def test_noqa_marks_fire_and_forget_site(self):
-        assert codes("""
-            def program(comm):
-                comm.isend(1, None, tag=1)  # noqa: MPI010
-                comm.recv(tag=1)
-        """) == []
 
 
 class TestRankClosureRaces:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.core.persist
 from repro.core.corrector import ReptileCorrector
 from repro.core.persist import load_spectra, save_spectra
 from repro.core.spectrum import LocalSpectrumView, build_spectra
@@ -81,6 +82,39 @@ class TestRoundtrip:
         ).correct_block(scale.dataset.block)
         assert np.array_equal(a.block.codes, b.block.codes)
 
+    def test_pairs_stored_ascending_at_table_width(self, built):
+        """k = 12 k-mer keys fit 32 bits and every count here fits 16:
+        the file holds the pairs as a table holds them."""
+        _, spectra, path = built
+        with np.load(path) as data:
+            keys, counts = data["kmer_keys"], data["kmer_counts"]
+            assert keys.dtype == np.uint32
+            assert counts.dtype == data["tile_counts"].dtype == np.uint16
+            assert np.all(np.diff(keys.astype(np.int64)) > 0)
+            assert np.all(np.diff(data["tile_keys"].astype(np.uint64)) > 0)
+            assert str(data["format"]) == "repro.spectra/1"
+
+    def test_wide_bundle_still_loads(self, built, tmp_path):
+        """Files written before pairs were stored at table width hold
+        uint64 keys and uint32 counts; they load to the same tables."""
+        _, spectra, _ = built
+        path = tmp_path / "wide.npz"
+        kmer_keys, kmer_counts = spectra.kmers.items()
+        tile_keys, tile_counts = spectra.tiles.items()
+        np.savez_compressed(
+            path, format=np.array("repro.spectra/1"),
+            k=np.array(spectra.shape.k), overlap=np.array(spectra.shape.overlap),
+            kmer_keys=kmer_keys, kmer_counts=kmer_counts,
+            tile_keys=tile_keys, tile_counts=tile_counts,
+        )
+        assert kmer_keys.dtype == np.uint64
+        loaded = load_spectra(path)
+        for attr in ("kmers", "tiles"):
+            orig, got = getattr(spectra, attr), getattr(loaded, attr)
+            keys, counts = orig.items()
+            assert np.array_equal(got.lookup(keys), counts)
+            assert got.nbytes == orig.nbytes
+
     def test_empty_spectra(self, tmp_path):
         from repro.core.spectrum import SpectrumPair
         from repro.kmer.tiles import TileShape
@@ -102,3 +136,11 @@ class TestRoundtrip:
                  tile_counts=np.empty(0, np.uint32))
         with pytest.raises(SpectrumError):
             load_spectra(path)
+
+
+def test_no_recovery_bundle():
+    """Crash recovery replicates in memory only; persistence holds
+    spectra and session checkpoints, nothing else."""
+    for name in ("save_recovery_bundle", "load_recovery_bundle",
+                 "_RECOVERY_FORMAT"):
+        assert not hasattr(repro.core.persist, name)

@@ -81,8 +81,8 @@ class TestValidate:
             dict(base_timeout_s=0.0),
             dict(backoff=0.5),
             dict(max_retries=-1),
-            dict(recovery="raft"),
-            dict(recovery="spill", crashes=(CrashFault(rank=1),)),
+            dict(corrupt_rate=1.01),
+            dict(stalls=(StallFault(rank=1, after_events=0),)),
             dict(crashes=(CrashFault(rank=0),)),  # coordinator is immortal
             dict(crashes=(CrashFault(rank=9),)),  # out of range
             dict(crashes=(CrashFault(rank=1, after_events=0),)),
@@ -130,6 +130,17 @@ class TestValidate:
         with pytest.raises(ConfigError, match=bad):
             FaultPlan.from_dict({fault: [fields]}).validate(4)
 
+    @pytest.mark.parametrize(
+        "field, value", [("recovery", "spill"), ("spill_dir", "spill")]
+    )
+    def test_rejects_removed_recovery_fields_by_name(self, field, value):
+        """Recovery is the in-memory partner replica only: a plan file
+        naming another recovery mode fails loudly, by field name."""
+        assert field not in FaultPlan.__dataclass_fields__
+        assert field not in FaultPlan().to_dict()
+        with pytest.raises(ConfigError, match=field):
+            FaultPlan.from_dict({field: value})
+
 
 class TestRoundTrip:
     PLAN = FaultPlan(
@@ -142,7 +153,6 @@ class TestRoundTrip:
         max_drops_per_frame=3,
         crashes=(CrashFault(rank=2, after_events=11),),
         stalls=(StallFault(rank=1, after_events=4, seconds=0.25),),
-        recovery="partner",
         base_timeout_s=0.125,
         backoff=1.5,
         max_retries=8,

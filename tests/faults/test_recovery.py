@@ -1,7 +1,7 @@
 """Crash recovery: replication, takeover, and replay.
 
-A doomed rank's spectrum shard and read partition must survive it —
-in its partner's memory or on disk — and the partner must re-own the
+A doomed rank's spectrum shard and read partition must survive it in
+its partner's memory, and the partner must re-own the
 dead rank's reads so the merged output is exactly what a fault-free
 run produces.  Recovery correctness is output *identity*, not output
 plausibility.
@@ -13,8 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.persist import load_recovery_bundle, save_recovery_bundle
-from repro.errors import ConfigError, ServiceError, SpectrumError
+from repro.errors import ConfigError, ServiceError
 from repro.faults import CrashFault, FaultPlan
 from repro.hashing.counthash import narrow_pairs
 from repro.parallel import session as session_mod
@@ -26,39 +25,6 @@ from repro.simmpi.engine import CooperativeEngine
 from repro.simmpi.message import Tags
 
 from tests.faults.conftest import assert_identical, run_plan, totals
-
-
-class TestRecoveryBundle:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "rank1.npz"
-        rng = np.random.default_rng(0)
-        keys = rng.integers(1, 2**60, size=50, dtype=np.uint64)
-        save_recovery_bundle(
-            path,
-            kmer_keys=keys,
-            kmer_counts=np.full(50, 3, dtype=np.uint64),
-            tile_keys=keys[:10],
-            tile_counts=np.full(10, 2, dtype=np.uint64),
-            ids=np.arange(4, dtype=np.int64),
-            codes=rng.integers(0, 4, size=(4, 8)).astype(np.uint8),
-            lengths=np.full(4, 8, dtype=np.int32),
-            quals=np.full((4, 8), 30, dtype=np.uint8),
-        )
-        bundle = load_recovery_bundle(path)
-        assert np.array_equal(
-            bundle["kmers"].lookup(keys), np.full(50, 3, dtype=np.uint64)
-        )
-        assert np.array_equal(
-            bundle["tiles"].lookup(keys[:10]), np.full(10, 2, dtype=np.uint64)
-        )
-        assert bundle["codes"].shape == (4, 8)
-        assert np.array_equal(bundle["ids"], np.arange(4))
-
-    def test_rejects_wrong_format(self, tmp_path):
-        path = tmp_path / "spectra.npz"
-        np.savez_compressed(path, format=np.array("repro.spectra/1"))
-        with pytest.raises(SpectrumError):
-            load_recovery_bundle(path)
 
 
 class TestPartnerRecovery:
@@ -248,34 +214,6 @@ class TestAfterTheCrashRound:
         )
         with pytest.raises(ServiceError, match="crash round"):
             session.run([IngestOp(block), CorrectOp(block), CorrectOp(block)])
-
-
-class TestSpillRecovery:
-    def test_spill_recovers_bit_identically(
-        self, scale, serial_reference, tmp_path
-    ):
-        plan = FaultPlan(
-            seed=5,
-            crashes=(CrashFault(rank=1, after_events=4),),
-            recovery="spill",
-            spill_dir=str(tmp_path),
-        )
-        result = run_plan(scale, plan, nranks=4)
-        assert result.crashed_ranks == [1]
-        assert_identical(result, serial_reference, scale)
-        assert (tmp_path / "rank1.npz").exists()
-        total = totals(result)
-        assert total.get("replicas_sent") == 1
-        assert total.get("replicas_held") == 1
-
-    def test_spill_without_dir_is_rejected(self, scale):
-        plan = FaultPlan(
-            crashes=(CrashFault(rank=1),), recovery="spill"
-        )
-        with pytest.raises(ConfigError):
-            ParallelReptile(
-                scale.config, HeuristicConfig(), nranks=4, faults=plan
-            )
 
 
 class TestProcessEngineCrash:

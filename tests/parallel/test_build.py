@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import ReptileConfig
 from repro.core.spectrum import build_spectra
+from repro.errors import ConfigError
 from repro.hashing.counthash import CountHash
 from repro.hashing.sortedspectrum import SortedSpectrum
 from repro.io.records import ReadBlock
@@ -161,8 +162,10 @@ class TestReplication:
             assert len(sp.group_kmers) == expected
 
     def test_partial_replication_requires_divisibility(self, block_and_config):
+        """A session built without ``_validate_run_params`` refuses a group
+        that does not divide the world with the same typed error."""
         block, cfg = block_and_config
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="replication_group 3 must divide"):
             _distributed_union(
                 block, cfg, HeuristicConfig(replication_group=3), nranks=4
             )

@@ -268,7 +268,9 @@ class TestCheckpointResume:
 
     def test_bundles_store_counts_at_table_width(self, scale, tmp_path):
         """A checkpoint keeps the ``repro.session/2`` format and stores
-        each count at the width its shard holds it: uint16 here."""
+        each pair at the width its shard holds it: uint32 k = 12 k-mer
+        keys and uint16 counts here (resuming from such a bundle is
+        bit-identical, ``test_resumed_session_matches_uninterrupted``)."""
         ckpt = tmp_path / "bundles"
 
         def save(comm):
@@ -280,6 +282,8 @@ class TestCheckpointResume:
         for rank in range(2):
             with np.load(ckpt / f"rank{rank}.npz") as data:
                 assert str(data["format"]) == "repro.session/2"
+                assert data["kmer_keys"].size > 0
+                assert data["kmer_keys"].dtype == np.uint32
                 assert data["kmer_counts"].dtype == np.uint16
                 assert data["tile_counts"].dtype == np.uint16
 

@@ -1,85 +1,31 @@
-"""Tests for nonblocking operations and per-peer accounting."""
+"""Per-peer accounting, and the nonblocking request API that is gone."""
 
 import numpy as np
 import pytest
 
-from repro.simmpi import run_spmd, waitall
-from repro.simmpi.request import RecvRequest
-
-ENGINES = ["cooperative", "threaded"]
+import repro.simmpi
+from repro.simmpi import Communicator, run_spmd
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-class TestNonblocking:
-    def test_isend_completes_immediately(self, engine):
-        def prog(comm):
-            req = comm.isend((comm.rank + 1) % comm.size, comm.rank, tag=2)
-            assert req.completed
-            assert req.wait() is None
-            msg = comm.recv(tag=2)
-            return msg.payload
+class TestNoNonblockingApi:
+    """Sends are buffered and receives block or probe; nothing posts a
+    request, so the runtime offers none."""
 
-        res = run_spmd(prog, 3, engine=engine)
-        assert res.results == [2, 0, 1]
+    @pytest.mark.parametrize(
+        "name", ["isend", "irecv", "waitall", "Request", "RecvRequest",
+                 "SendRequest"],
+    )
+    def test_package_exports_no_request_api(self, name):
+        assert not hasattr(repro.simmpi, name)
+        assert name not in repro.simmpi.__all__
 
-    def test_irecv_wait(self, engine):
-        def prog(comm):
-            if comm.rank == 0:
-                req = comm.irecv(source=1, tag=5)
-                assert isinstance(req, RecvRequest)
-                msg = req.wait()
-                assert msg.payload == "hello"
-                # Waiting again returns the same message.
-                assert req.wait() is msg
-                return True
-            if comm.rank == 1:
-                comm.send(0, "hello", tag=5)
-            return True
+    @pytest.mark.parametrize("name", ["isend", "irecv", "waitall"])
+    def test_communicator_has_no_nonblocking_verbs(self, name):
+        assert not hasattr(Communicator, name)
 
-        assert all(run_spmd(prog, 2, engine=engine).results)
-
-    def test_irecv_test_then_wait(self, engine):
-        def prog(comm):
-            if comm.rank == 0:
-                req = comm.irecv(source=1, tag=5)
-                assert not req.completed
-                comm.barrier()           # rank 1 sends before this returns
-                comm.barrier()
-                msg = req.test()
-                assert msg is not None and msg.payload == 42
-                assert req.completed
-            else:
-                comm.barrier()
-                if comm.rank == 1:
-                    comm.send(0, 42, tag=5)
-                comm.barrier()
-            return True
-
-        assert all(run_spmd(prog, 3, engine=engine).results)
-
-    def test_waitall_mixed(self, engine):
-        def prog(comm):
-            if comm.rank == 0:
-                reqs = [comm.irecv(source=s, tag=7)
-                        for s in range(1, comm.size)]
-                reqs.append(comm.isend(1, "ping", tag=8))
-                msgs = waitall(reqs)
-                got = sorted(m.payload for m in msgs[:-1])
-                assert msgs[-1] is None  # send request
-                return got
-            comm.send(0, comm.rank * 10, tag=7)
-            if comm.rank == 1:
-                comm.recv(source=0, tag=8)
-            return None
-
-        res = run_spmd(prog, 4, engine=engine)
-        assert res.results[0] == [10, 20, 30]
-
-    def test_waitall_empty(self, engine):
-        def prog(comm):
-            return waitall([])
-
-        assert run_spmd(prog, 2, engine=engine).results == [[], []]
+    def test_request_module_is_gone(self):
+        with pytest.raises(ImportError):
+            import repro.simmpi.request  # noqa: F401
 
 
 class TestPeerAccounting:

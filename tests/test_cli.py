@@ -291,8 +291,20 @@ class TestLint:
         rc = main(["lint", ".", "--list-rules"])
         assert rc == 0
         out = capsys.readouterr().out
-        for code in ("MPI001", "MPI002", "MPI003", "MPI004", "MPI005"):
-            assert code in out
+        listed = [line.split()[0] for line in out.splitlines() if line]
+        assert listed == [
+            "MPI000", "MPI001", "MPI002", "MPI003", "MPI004", "MPI006",
+            "MPI007", "MPI008", "MPI009", "MPI011", "MPI012",
+        ]
+
+    @pytest.mark.parametrize("code", ["MPI005", "MPI010"])
+    def test_deleted_rule_codes_are_unknown(self, tmp_path, capsys, code):
+        target = tmp_path / "ok.py"
+        target.write_text("x = 1\n")
+        rc = main(["lint", str(target), "--disable", code])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "unknown rule code" in err and code in err
 
     def test_missing_target_is_error(self, tmp_path, capsys):
         rc = main(["lint", str(tmp_path / "nope")])
