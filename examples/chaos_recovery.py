@@ -24,6 +24,7 @@ from repro import (
     ReptileConfig,
     derive_thresholds,
 )
+from repro.simmpi.instrument import total_stats
 
 
 def main() -> None:
@@ -54,9 +55,7 @@ def main() -> None:
         config, HeuristicConfig(), nranks=4, faults=plan
     ).run(dataset.block)
 
-    total = chaotic.stats[0].__class__()
-    for s in chaotic.stats:
-        total.merge(s)
+    total = total_stats(chaotic.stats)
     print(f"crashed ranks:     {chaotic.crashed_ranks}")
     print(f"frames dropped:    {total.get('frames_dropped')}")
     print(f"lookup retries:    {total.get('lookup_retries')}")

@@ -32,6 +32,7 @@ from repro.datasets.profiles import PROFILES
 from repro.errors import ReproError
 from repro.parallel.driver import ParallelReptile, _validate_run_params
 from repro.parallel.heuristics import HeuristicConfig
+from repro.simmpi.instrument import total_stats
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -245,7 +246,7 @@ def _config_from_args(
     # sample of the file (the classical valley method).
     from repro.core.pipeline import estimate_thresholds_from_file
 
-    est_kt, est_tt = estimate_thresholds_from_file(fasta, quality, cfg)
+    est_kt, est_tt = estimate_thresholds_from_file(fasta, cfg)
     derived = [
         f"{kind}>={value}"
         for kind, given, value in (("kmer", kt, est_kt), ("tile", tt, est_tt))
@@ -309,9 +310,7 @@ def cmd_correct(args: argparse.Namespace) -> int:
                   f"{report.memory.peak:>12,d}")
         from repro.parallel.lookup.stack import TIER_NAMES, resolution_order
 
-        totals = result.stats[0].__class__()
-        for s in result.stats:
-            totals.merge(s)
+        totals = total_stats(result.stats)
         order = resolution_order(result.heuristics, result.nranks)
         print(f"lookup order: kmers={order['kmers']} tiles={order['tiles']}")
         print(f"{'tier':>12} {'requests':>12} {'hits':>12} "
@@ -335,7 +334,8 @@ def cmd_correct(args: argparse.Namespace) -> int:
 
 
 def _print_session_row(totals) -> None:
-    """The construction-session ledger lines of the ``--stats`` table."""
+    """The construction-session ledger lines of the ``--stats`` table
+    (``totals``: a fleet-total ledger or the session counters' dict)."""
     print(f"{'session':>12} {'ingests':>10} {'exchanges':>10} "
           f"{'delta_bytes':>14} {'recompiles':>10}")
     print(f"{'':>12} {totals.get('session_ingests'):>10,d} "
@@ -368,7 +368,6 @@ def cmd_session(args: argparse.Namespace) -> int:
     out = driver.run(ops, resume_dir=args.resume_dir)
     result = out.result_for(0)
     n = result.write_outputs(args.output)
-    totals = out.session_totals()
     print(f"session: {len(blocks)} delta(s) ingested, corrected "
           f"{n} reads ({result.total_corrections} substitutions) "
           f"-> {args.output}")
@@ -382,16 +381,13 @@ def cmd_session(args: argparse.Namespace) -> int:
     if args.stats:
         print(f"{'rank':>4} {'reads':>8} {'corrected':>9} {'ingests':>8} "
               f"{'peak_bytes':>12}")
+        # No fault plan reaches this driver, so every rank reports.
         for r, report in enumerate(result.reports):
-            rr = out.rank_reports[r]
             print(f"{r:>4} {len(report.block):>8} "
                   f"{report.errors_corrected:>9} "
-                  f"{(rr.ingest_count if rr is not None else 0):>8} "
+                  f"{out.rank_reports[r].ingest_count:>8} "
                   f"{report.memory.peak:>12,d}")
-        merged = out.stats[0].__class__()
-        for s in out.stats:
-            merged.merge(s)
-        _print_session_row(merged)
+        _print_session_row(out.session_totals())
     return 0
 
 

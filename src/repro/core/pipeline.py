@@ -70,7 +70,6 @@ def correct_reads(
 
 def estimate_thresholds_from_file(
     fasta_path: str,
-    quality_path: str | None = None,
     config: ReptileConfig | None = None,
     sample_reads: int = 20_000,
 ) -> tuple[int, int]:

@@ -545,15 +545,10 @@ class FaultyTransport(Transport):
         elif verdict == "drop":
             inj.record(source, "frames_dropped")
         elif verdict == "corrupt":
-            # The corruption is detectable by construction: the receiver
-            # side would fail frame validation, so the frame is charged
-            # and discarded here rather than poisoning the inner
-            # transport's decode path.
-            mangled = inj.corrupt(frame)
-            try:
-                wire.decode_frame(mangled)
-            except Exception:
-                pass
+            # A corrupted frame (:meth:`FaultInjector.corrupt`) fails
+            # frame validation at any receiver, so it is charged and
+            # discarded here rather than poisoning the inner transport's
+            # decode path.
             inj.record(source, "frames_corrupted")
         elif verdict == "duplicate":
             out = self.inner.enqueue(dest, frame)

@@ -59,7 +59,6 @@ from repro.parallel.driver import (
     ParallelRunResult,
     ParallelSession,
     RankReport,
-    SessionRunResult,
 )
 
 __all__ = [
@@ -82,7 +81,6 @@ __all__ = [
     "ParallelRunResult",
     "ParallelSession",
     "RankReport",
-    "SessionRunResult",
     "CorrectionSession",
     "SessionOpRunner",
     "SessionRankReport",

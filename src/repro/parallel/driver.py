@@ -17,15 +17,18 @@ communication counters.
 retained session per rank through an op list (ingest / correct /
 checkpoint) as a client of the service, so the spectrum is built once
 and corrected against repeatedly — or grown incrementally between
-corrections — with no rebuilds.  Both drivers end in the same runner
-and report through the same :class:`RankReport`.
+corrections — with no rebuilds.  It returns the service's own run
+record (:class:`~repro.service.ServiceRunResult`), whose ``result_for``
+reads each correct op back as a :class:`ParallelRunResult`.  Both
+drivers end in the same runner and report through the same
+:class:`RankReport`.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 from numpy.typing import NDArray
@@ -52,7 +55,10 @@ from repro.parallel.session import (
 )
 from repro.simmpi.communicator import Communicator
 from repro.simmpi.engine import Engine, run_spmd
-from repro.simmpi.instrument import SESSION_COUNTERS, CommStats
+from repro.simmpi.instrument import CommStats
+
+if TYPE_CHECKING:
+    from repro.service import ServiceRunResult
 
 
 @dataclass
@@ -402,81 +408,6 @@ class ParallelReptile:
         )
 
 
-@dataclass
-class SessionRunResult:
-    """Combined outcome of a session-driven run (an op sequence)."""
-
-    rank_reports: list[SessionRankReport | None]
-    stats: list[CommStats]
-    config: ReptileConfig
-    heuristics: HeuristicConfig
-    crashed_ranks: list[int] = field(default_factory=list)
-
-    @property
-    def nranks(self) -> int:
-        return len(self.rank_reports)
-
-    def _correct_numbers(self) -> list[int]:
-        """The op numbers of the session's correct ops, in order: every
-        number a surviving rank booked as a correct."""
-        return sorted({
-            number
-            for report in self.rank_reports if report is not None
-            for kind, number in zip(report.op_kinds, report.op_numbers)
-            if kind == "correct"
-        })
-
-    @property
-    def n_correct_ops(self) -> int:
-        """How many correct ops the session ran."""
-        return len(self._correct_numbers())
-
-    def result_for(self, index: int = 0) -> ParallelRunResult:
-        """The ``index``-th correct op's outcome as a classic run result.
-
-        Timings in the per-rank reports are that op's phase deltas, so
-        ``timing_per_rank("kmer_construction")`` on a repeat correction
-        shows the zero build time the session is for.  A rank outside
-        the op's window reports no reads and no timings."""
-        numbers = self._correct_numbers()
-        if not 0 <= index < len(numbers):
-            raise IndexError(
-                f"correct op {index} out of range ({len(numbers)} ran)"
-            )
-        number = numbers[index]
-        reports: list[RankReport | None] = [None] * self.nranks
-        for rank, rr in enumerate(self.rank_reports):
-            if rr is not None and number in rr.op_numbers:
-                # The op's position in the op list indexes the timing
-                # deltas; its ordinal among the rank's corrects, the
-                # outcomes.
-                at = rr.op_numbers.index(number)
-                nth = rr.op_kinds[:at].count("correct")
-                reports[rank] = _correct_report(rr, nth, rr.op_timings[at])
-        width = max(r.block.max_length for r in reports if r is not None)
-        for rank, rr in enumerate(self.rank_reports):
-            if rr is not None and reports[rank] is None:
-                reports[rank] = _uncorrected_report(
-                    rank, ReadBlock.empty(width), {}, rr.memory,
-                    rr.table_sizes,
-                )
-        return ParallelRunResult(
-            reports=_with_placeholders(reports)[0],
-            stats=self.stats,
-            config=self.config,
-            heuristics=self.heuristics,
-            crashed_ranks=list(self.crashed_ranks),
-        )
-
-    def session_totals(self) -> dict[str, int]:
-        """The session counters summed over ranks (the report's
-        ``session`` section, straight from the ledger)."""
-        return {
-            name: sum(s.get(name) for s in self.stats)
-            for name in SESSION_COUNTERS
-        }
-
-
 class ParallelSession:
     """Driver for long-lived, incrementally-fed correction sessions.
 
@@ -487,20 +418,19 @@ class ParallelSession:
     >>> out = driver.run([IngestOp(reads), CorrectOp(reads)])
     >>> out.result_for(0).corrected_block      # == ParallelReptile.run
 
-    Since the service refactor this driver is a *thin synchronous
-    client* of :class:`repro.service.SpectrumService`: each :meth:`run`
-    opens a service over the same engine, submits the ops one at a time
-    (a solo client coalesces nothing, so every op is one round: a
-    correct on its placement window, any other op on every rank) and
-    returns the fleet's per-rank session reports.  One code path serves both the
-    op-list driver and concurrent async clients.
+    The driver is a *thin synchronous client* of
+    :class:`repro.service.SpectrumService`: each :meth:`run` opens a
+    service over the same engine, awaits the ops one at a time (a solo
+    client coalesces nothing, so every op is one round: a correct on its
+    placement window, any other op on every rank) and returns the
+    service's own run record, a
+    :class:`~repro.service.ServiceRunResult`.  One code path serves both
+    the op-list driver and concurrent async clients.
 
     Repeated :class:`CorrectOp` entries reuse the built spectrum with
     zero reconstruction.  Under a fault plan with scripted crashes the
     crash round's :class:`CorrectOp` must be the last op (a dead rank
-    joins no further collectives).  The driver is also a context
-    manager: leaving the ``with`` block (or calling :meth:`close`)
-    shuts down any fleet a failed :meth:`run` left behind.
+    joins no further collectives).
     """
 
     def __init__(
@@ -517,45 +447,22 @@ class ParallelSession:
         self.nranks = nranks
         self.engine = engine
         self.faults = faults
-        self._active = None
 
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Shut down a fleet left open by an interrupted run
-        (idempotent; a completed :meth:`run` has already closed its
-        service, making this a no-op)."""
-        service, self._active = self._active, None
-        if service is not None:
-            import asyncio
-
-            try:
-                asyncio.run(service.close())
-            except Exception:
-                # The run that leaked this fleet already surfaced the
-                # original error; teardown noise would mask it.
-                pass
-
-    def __enter__(self) -> "ParallelSession":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
     def run(
         self,
         ops: "list[SessionOp] | tuple[SessionOp, ...]",
         *,
         resume_dir: str | None = None,
-    ) -> SessionRunResult:
+    ) -> ServiceRunResult:
         """Run the op sequence on every rank (SPMD) and collect results.
 
         ``resume_dir`` starts each rank's session from a
-        :class:`CheckpointOp` directory written by an earlier run."""
+        :class:`CheckpointOp` directory written by an earlier run.  An
+        op that fails raises its error once the fleet has shut down."""
         import asyncio
 
         from repro.errors import SessionError
-        from repro.service import ServicePolicy, SpectrumService
+        from repro.service import SpectrumService
 
         ops = tuple(ops)
         if not ops:
@@ -568,15 +475,8 @@ class ParallelSession:
                 heuristics=self.heuristics,
                 engine=self.engine,
                 faults=self.faults,
-                # The op list is the whole workload; admission control
-                # exists for concurrent tenants, not for a solo driver.
-                policy=ServicePolicy(
-                    max_pending=len(ops) + 1,
-                    max_pending_per_client=len(ops) + 1,
-                ),
                 resume_dir=resume_dir,
             )
-            self._active = service
             async with service:
                 for op in ops:
                     if isinstance(op, IngestOp):
@@ -587,25 +487,9 @@ class ParallelSession:
                         await service.checkpoint(op.directory)
                     else:
                         raise SessionError(f"unknown session op {op!r}")
-            self._active = None
-            return await service.close()
+            return service.result
 
-        outcome = asyncio.run(drive())
-        rank_reports: list[SessionRankReport | None] = []
-        crashed: list[int] = []
-        for r, report in enumerate(outcome.rank_reports):
-            if isinstance(report, SessionRankReport):
-                rank_reports.append(report)
-            else:
-                crashed.append(r)
-                rank_reports.append(None)
-        return SessionRunResult(
-            rank_reports=rank_reports,
-            stats=outcome.stats,
-            config=self.config,
-            heuristics=self.heuristics,
-            crashed_ranks=crashed,
-        )
+        return asyncio.run(drive())
 
 
 __all__ = [
@@ -617,5 +501,4 @@ __all__ = [
     "ParallelRunResult",
     "ParallelSession",
     "RankReport",
-    "SessionRunResult",
 ]

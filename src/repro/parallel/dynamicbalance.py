@@ -61,7 +61,7 @@ def correct_dynamic(
         # Degenerate case: nobody to coordinate; correct directly.
         return session.correct(full_block or ReadBlock.empty())
     with session.timer.phase("error_correction"):
-        protocol, stacks = session._open_round(session.timer)
+        protocol, stacks = session._open_round()
         if comm.rank == 0:
             result = _master(
                 comm, full_block, protocol, session.config.chunk_size

@@ -205,9 +205,7 @@ class LookupStack:
         rnd = LookupRound(keys, keys[:0], (self.space, self.space), self.comm.size)
         return rnd, self.walk(rnd, KIND_KMER, stats)
 
-    def counts(
-        self, keys: NDArray[np.unsignedinteger], *, record_stats: bool = True
-    ) -> NDArray[np.uint32]:
+    def counts(self, keys: NDArray[np.unsignedinteger]) -> NDArray[np.uint32]:
         """Counts of keys the local tiers resolve; raises
         :class:`~repro.errors.SpectrumError` if any is left open (a
         lookup round answers those: :meth:`StackPair.pair_counts`)."""
@@ -222,8 +220,7 @@ class LookupStack:
         else:
             rnd, left = self.local(keys, tally)
             out = None if left.size else rnd.answers()[0]
-        if record_stats:
-            self.comm.stats.add(tally)
+        self.comm.stats.add(tally)
         if out is None:
             raise SpectrumError(
                 f"{left.size} {self.kind} ids do not resolve locally; "
@@ -378,8 +375,6 @@ class StackPair:
         self,
         kmer_ids: NDArray[np.uint64],
         tile_ids: NDArray[np.uint64],
-        *,
-        record_stats: bool = True,
     ) -> tuple[NDArray[np.uint32], NDArray[np.uint32]]:
         """Global k-mer and tile counts, in one lookup round.
 
@@ -392,7 +387,7 @@ class StackPair:
         / ``comm_tile`` in proportion to the open keys of each kind; its
         answers as the ``remote`` tier of their stack.  The round's
         counters are gathered in a :class:`~repro.parallel.lookup.tiers.
-        Tally` and booked at once; ``record_stats=False`` books none.
+        Tally` and booked at once.
         """
         stacks = (self.kmers, self.tiles)
         keys = [
@@ -400,7 +395,7 @@ class StackPair:
         ]
         local = [
             None if stack.to_owners
-            else stack.counts(kind_keys, record_stats=record_stats)
+            else stack.counts(kind_keys)
             for stack, kind_keys in zip(stacks, keys)
         ]
         if local[0] is not None and local[1] is not None:
@@ -428,8 +423,7 @@ class StackPair:
             for stack, n, (asked_keys, counts) in zip(stacks, (nk, nt), asked):
                 if n:
                     _book_round(stack, n, asked_keys, counts, tally)
-        if record_stats:
-            comm.stats.add(tally)
+        comm.stats.add(tally)
         kcounts, tcounts = rnd.answers()
         return (
             kcounts if local[0] is None else local[0],

@@ -20,6 +20,7 @@ from repro.simmpi.instrument import (
     RESILIENCE_COUNTERS,
     SERVICE_COUNTERS,
     SESSION_COUNTERS,
+    total_stats,
 )
 
 
@@ -65,9 +66,7 @@ def run_report(result: ParallelRunResult) -> dict[str, Any]:
                 "counters": dict(stats.counters),
             }
         )
-    total = result.stats[0].__class__()
-    for s in result.stats:
-        total.merge(s)
+    total = total_stats(result.stats)
     return {
         "schema": "repro.run_report/1",
         "nranks": result.nranks,

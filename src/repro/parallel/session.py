@@ -103,9 +103,6 @@ class CorrectionSession:
         session: a single finalize builds the serving tables, drops the
         raw pairs and seals the session; further ingests raise
         :class:`~repro.errors.SessionError`.
-    timer:
-        Default :class:`~repro.util.timer.PhaseTimer` phases accumulate
-        into (each verb also accepts a per-call override).
     """
 
     def __init__(
@@ -115,13 +112,14 @@ class CorrectionSession:
         heuristics: HeuristicConfig | None = None,
         *,
         retain_raw: bool = True,
-        timer: PhaseTimer | None = None,
     ) -> None:
         self.comm = comm
         self.config = config
         self.heuristics = heuristics or HeuristicConfig()
         self.retain_raw = retain_raw
-        self.timer = timer or PhaseTimer()
+        #: Where every verb books its phases (``kmer_construction``,
+        #: ``error_correction``, the lookup round's ``comm_*``).
+        self.timer = PhaseTimer()
         shape = config.tile_shape
         self._shape = shape
         #: The (k-mer, tile) key spaces: every table below holds keys.
@@ -141,7 +139,6 @@ class CorrectionSession:
         self._ingest_count = 0
         self._protocol: CorrectionProtocol | None = None
         self._stacks: StackPair | None = None
-        self._stack_timer: PhaseTimer | None = None
         self._recovery: RecoveryState | None = None
 
     # ------------------------------------------------------------------
@@ -154,8 +151,6 @@ class CorrectionSession:
         config: ReptileConfig,
         heuristics: HeuristicConfig | None,
         directory: str | os.PathLike,
-        *,
-        timer: PhaseTimer | None = None,
     ) -> "CorrectionSession":
         """Rebuild a session from a :meth:`checkpoint` directory.
 
@@ -165,7 +160,7 @@ class CorrectionSession:
         reinterpretable."""
         from repro.core.persist import load_session_bundle
 
-        session = cls(comm, config, heuristics, retain_raw=True, timer=timer)
+        session = cls(comm, config, heuristics, retain_raw=True)
         bundle = load_session_bundle(
             os.path.join(os.fspath(directory), f"rank{comm.rank}.npz")
         )
@@ -241,7 +236,6 @@ class CorrectionSession:
         """
         self._protocol = None
         self._stacks = None
-        self._stack_timer = None
         self._recovery = None
         self._closed = True
 
@@ -265,7 +259,7 @@ class CorrectionSession:
     # ------------------------------------------------------------------
     # ingest
     # ------------------------------------------------------------------
-    def ingest(self, block: ReadBlock, timer: PhaseTimer | None = None) -> None:
+    def ingest(self, block: ReadBlock) -> None:
         """Merge one block's count deltas into the distributed spectrum.
 
         Collective.  The block's windows are counted by sort and each
@@ -282,8 +276,7 @@ class CorrectionSession:
                 "ingest after a one-shot finalize; construct the session "
                 "with retain_raw=True to keep ingesting"
             )
-        timer = timer or self.timer
-        with timer.phase("kmer_construction"):
+        with self.timer.phase("kmer_construction"):
             rounds = [block]
             if self.heuristics.batch_reads:
                 rounds = list(block.chunks(self.config.chunk_size))
@@ -334,7 +327,7 @@ class CorrectionSession:
     # ------------------------------------------------------------------
     # finalize (recompile the serving state)
     # ------------------------------------------------------------------
-    def finalize(self, timer: PhaseTimer | None = None) -> None:
+    def finalize(self) -> None:
         """Recompile the serving state from the raw shards (collective).
 
         Thresholds are applied, read tables fetched, replication
@@ -345,11 +338,10 @@ class CorrectionSession:
         ingest → finalize → ingest keeps exact counts throughout."""
         if not self._dirty:
             return
-        timer = timer or self.timer
         comm = self.comm
         config = self.config
         heuristics = self.heuristics
-        with timer.phase("kmer_construction"):
+        with self.timer.phase("kmer_construction"):
             # Owners hold true global counts: threshold, then insert.  A
             # one-rank world's shard is the whole spectrum: replicated.
             whole = comm.size == 1
@@ -396,7 +388,6 @@ class CorrectionSession:
         self,
         block: ReadBlock,
         *,
-        timer: PhaseTimer | None = None,
         ranks: Sequence[int] | None = None,
     ) -> CorrectionResult:
         """Correct one block against the current spectrum.
@@ -419,7 +410,6 @@ class CorrectionSession:
         no further collectives); plans that only drop/duplicate/delay
         frames are fully compatible with repeated rounds."""
         self._require_open("correct")
-        timer = timer or self.timer
         comm = self.comm
         config = self.config
         if ranks is not None and len(ranks) < comm.size and self._dirty:
@@ -427,7 +417,7 @@ class CorrectionSession:
                 "a correct round on part of the fleet needs a finalized "
                 "session; finalize is collective over every rank"
             )
-        self.finalize(timer=timer)
+        self.finalize()
         spectra = self.spectra
         plan = comm.fault_plan
         doomed = plan.doomed_ranks() if plan is not None else frozenset()
@@ -439,8 +429,8 @@ class CorrectionSession:
             # Scripted crash/stall triggers count communication events
             # only from here on — replication traffic stays reliable.
             injector.enter_phase(comm.rank, "correction")
-        protocol, stacks = self._open_round(timer)
-        with timer.phase("error_correction"):
+        protocol, stacks = self._open_round()
+        with self.timer.phase("error_correction"):
             corrector = ReptileCorrector(config, stacks)
 
             def step_iv(reads: ReadBlock) -> list[CorrectionResult]:
@@ -499,25 +489,22 @@ class CorrectionSession:
                 self._protocol.shards.bind_ward(ward, wk, wt)
         return self._protocol
 
-    def _open_round(
-        self, timer: PhaseTimer
-    ) -> tuple[CorrectionProtocol, StackPair]:
+    def _open_round(self) -> tuple[CorrectionProtocol, StackPair]:
         """The rank's Step IV endpoint, re-armed for one round (local).
 
         Every round — :meth:`correct`, and the master-worker ablation
         (:func:`~repro.parallel.dynamicbalance.correct_dynamic`) — runs
         on the session's one pump-mode protocol and ends with its
-        ``finish()``.  The compiled lookup stacks are rebuilt only when
-        finalize invalidated them or ``timer`` changed (the lookup round
-        books its comm time there)."""
+        ``finish()``.  The lookup stacks are compiled once per finalize,
+        against the session's timer (the lookup round books its comm
+        time there)."""
         protocol = self._bind(self.spectra)
         protocol.reset_round()
-        if self._stacks is None or self._stack_timer is not timer:
+        if self._stacks is None:
             self._stacks = compile_stacks(
                 self.comm, self.spectra, self.heuristics,
-                protocol=protocol, timer=timer,
+                protocol=protocol, timer=self.timer,
             )
-            self._stack_timer = timer
         return protocol, self._stacks
 
     # ------------------------------------------------------------------

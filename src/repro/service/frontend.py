@@ -16,6 +16,10 @@ only on read content and the spectrum, never on ids or batch
 boundaries, so each client receives exactly the bytes a solo round
 would have produced (the property test in ``tests/service`` pins
 this).
+
+:meth:`SpectrumService.close` returns the fleet's one run record,
+:class:`ServiceRunResult`; the op-list driver
+:class:`~repro.parallel.driver.ParallelSession` returns the same record.
 """
 
 from __future__ import annotations
@@ -29,11 +33,25 @@ import numpy as np
 from repro.config import ReptileConfig
 from repro.core.corrector import CorrectionResult
 from repro.errors import ServiceError
+from repro.faults import CrashedRank
 from repro.io.records import ReadBlock
+from repro.parallel.driver import (
+    ParallelRunResult,
+    RankReport,
+    _correct_report,
+    _uncorrected_report,
+    _validate_run_params,
+    _with_placeholders,
+)
 from repro.parallel.heuristics import HeuristicConfig
+from repro.parallel.session import SessionRankReport
 from repro.service.executor import ServiceExecutor
 from repro.service.jobqueue import Job, JobQueue, ServicePolicy
-from repro.simmpi.instrument import SERVICE_COUNTERS
+from repro.simmpi.instrument import (
+    SERVICE_COUNTERS,
+    SESSION_COUNTERS,
+    CommStats,
+)
 
 
 @dataclass(frozen=True)
@@ -57,7 +75,12 @@ class ServiceReport:
 
 @dataclass
 class ServiceRunResult:
-    """Everything a closed service hands back (the run's full record)."""
+    """Everything a closed service hands back (the run's full record).
+
+    A solo client that awaits each job before the next —
+    :class:`~repro.parallel.driver.ParallelSession` — gets one round per
+    job, so its correct jobs are the session's correct ops and
+    :meth:`result_for` reads each back as a classic run result."""
 
     #: Per-rank session reports (:class:`~repro.parallel.session.
     #: SessionRankReport`, or a :class:`~repro.faults.CrashedRank`
@@ -65,9 +88,78 @@ class ServiceRunResult:
     rank_reports: list[Any]
     #: Per-rank traffic ledgers; the service counters are folded into
     #: rank 0's before this result is assembled.
-    stats: list[Any]
+    stats: list[CommStats]
     crashed_ranks: tuple[int, ...]
     report: ServiceReport
+    config: ReptileConfig
+    heuristics: HeuristicConfig
+
+    def _live(self) -> list[tuple[int, SessionRankReport]]:
+        """``(rank, report)`` of every rank the run did not crash."""
+        return [
+            (rank, report) for rank, report in enumerate(self.rank_reports)
+            if not isinstance(report, CrashedRank)
+        ]
+
+    def _correct_numbers(self) -> list[int]:
+        """The op numbers of the run's correct ops, in order: every
+        number a surviving rank booked as a correct."""
+        return sorted({
+            number
+            for _, report in self._live()
+            for kind, number in zip(report.op_kinds, report.op_numbers)
+            if kind == "correct"
+        })
+
+    @property
+    def n_correct_ops(self) -> int:
+        """How many correct ops the fleet ran."""
+        return len(self._correct_numbers())
+
+    def result_for(self, index: int = 0) -> ParallelRunResult:
+        """The ``index``-th correct op's outcome as a classic run result.
+
+        Timings in the per-rank reports are that op's phase deltas, so
+        ``timing_per_rank("kmer_construction")`` on a repeat correction
+        shows the zero build time the session is for.  A rank outside
+        the op's window reports no reads and no timings."""
+        numbers = self._correct_numbers()
+        if not 0 <= index < len(numbers):
+            raise IndexError(
+                f"correct op {index} out of range ({len(numbers)} ran)"
+            )
+        number = numbers[index]
+        reports: list[RankReport | None] = [None] * len(self.rank_reports)
+        for rank, rr in self._live():
+            if number in rr.op_numbers:
+                # The op's position in the op list indexes the timing
+                # deltas; its ordinal among the rank's corrects, the
+                # outcomes.
+                at = rr.op_numbers.index(number)
+                nth = rr.op_kinds[:at].count("correct")
+                reports[rank] = _correct_report(rr, nth, rr.op_timings[at])
+        width = max(r.block.max_length for r in reports if r is not None)
+        for rank, rr in self._live():
+            if reports[rank] is None:
+                reports[rank] = _uncorrected_report(
+                    rank, ReadBlock.empty(width), {}, rr.memory,
+                    rr.table_sizes,
+                )
+        return ParallelRunResult(
+            reports=_with_placeholders(reports)[0],
+            stats=self.stats,
+            config=self.config,
+            heuristics=self.heuristics,
+            crashed_ranks=list(self.crashed_ranks),
+        )
+
+    def session_totals(self) -> dict[str, int]:
+        """The session counters summed over ranks (the report's
+        ``session`` section, straight from the ledger)."""
+        return {
+            name: sum(s.get(name) for s in self.stats)
+            for name in SESSION_COUNTERS
+        }
 
 
 class SpectrumService:
@@ -99,8 +191,6 @@ class SpectrumService:
         policy: ServicePolicy | None = None,
         resume_dir: str | None = None,
     ) -> None:
-        from repro.parallel.driver import _validate_run_params
-
         self.heuristics = heuristics or HeuristicConfig()
         _validate_run_params(nranks, self.heuristics, faults)
         self.config = config
@@ -166,8 +256,6 @@ class SpectrumService:
         report = self.report
         for name, value in report.as_counters().items():
             outcome.stats[0].bump(name, value)
-        from repro.faults import CrashedRank
-
         crashed = tuple(
             i for i, r in enumerate(outcome.results)
             if isinstance(r, CrashedRank)
@@ -177,6 +265,8 @@ class SpectrumService:
             stats=outcome.stats,
             crashed_ranks=crashed,
             report=report,
+            config=self.config,
+            heuristics=self.heuristics,
         )
         return self._result
 

@@ -179,12 +179,12 @@ class Communicator:
             sized = wire.frame_copy(payload)
             if sized is not None:
                 nbytes, value = sized
-                self.stats.record_send(tag, payload, dest, nbytes)
+                self.stats.record_send(tag, dest, nbytes)
                 self._engine.deliver(self._world, self._rank, dest,
                                      Message(self._rank, tag, value))
                 return
         frame = wire.encode_frame(self._rank, tag, payload)
-        self.stats.record_send(tag, payload, dest, len(frame))
+        self.stats.record_send(tag, dest, len(frame))
         self._engine.deposit(self._world, self._rank, dest, frame)
 
     def _receive(self, call: Receive, source: int, tag: int) -> Message | None:

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, NoReturn
 
 from repro.errors import CommunicatorError, DeadlockError, RankCrashError
-from repro.simmpi.instrument import CommStats
+from repro.simmpi.instrument import CommStats, total_stats
 from repro.simmpi.message import Message
 from repro.simmpi.transport import LocalTransport, ProcessTransport
 
@@ -690,10 +690,7 @@ class SpmdResult:
 
     def total_stats(self) -> CommStats:
         """All ranks' traffic folded together."""
-        total = CommStats()
-        for s in self.stats:
-            total.merge(s)
-        return total
+        return total_stats(self.stats)
 
 
 def run_spmd(

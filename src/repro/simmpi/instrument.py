@@ -10,10 +10,8 @@ distributed driver adds protocol-level counters (lookups by kind).
 from __future__ import annotations
 
 import threading
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-
-import numpy as np
 
 
 #: The resilience counter family (all live in :attr:`CommStats.counters`,
@@ -124,30 +122,6 @@ SERVICE_COUNTERS = (
 LOOKUP_TIER_COUNTER_KINDS = ("requests", "hits", "misses", "bytes")
 
 
-def _payload_nbytes(payload) -> int:
-    """Data-byte size of a payload, without wire framing overhead.
-
-    The communicator passes the exact encoded frame length straight to
-    :meth:`CommStats.record_send`, so this sizer only serves callers
-    that account traffic without encoding (tests, ad-hoc tooling).
-    Payloads with no cheap analytic size — dicts, strings, arbitrary
-    objects — are sized by actually encoding them, not the old
-    one-machine-word guess.
-    """
-    if isinstance(payload, np.ndarray):
-        return payload.nbytes
-    if isinstance(payload, (bytes, bytearray)):
-        return len(payload)
-    if isinstance(payload, (tuple, list)):
-        return sum(_payload_nbytes(p) for p in payload)
-    if payload is None or isinstance(payload, (bool, int, float, np.generic)):
-        # Scalars / None: count a machine word.
-        return 8
-    from repro.simmpi import wire
-
-    return len(wire.encode_payload(payload))
-
-
 @dataclass
 class CommStats:
     """Traffic counters for one rank."""
@@ -178,26 +152,18 @@ class CommStats:
         self.__dict__.update(state)
         self._lock = threading.Lock()
 
-    def record_send(self, tag: int, payload, dest: int | None = None,
-                    nbytes: int | None = None) -> None:
-        """Account one outgoing message (thread-safe).
-
-        ``nbytes`` is the exact encoded frame length when the caller has
-        it (the communicator send boundary always does); without it the
-        payload is sized by :func:`_payload_nbytes`.
-        """
-        if nbytes is None:
-            nbytes = _payload_nbytes(payload)
+    def record_send(self, tag: int, dest: int, nbytes: int) -> None:
+        """Account one outgoing message of ``nbytes`` frame bytes to
+        ``dest`` (thread-safe)."""
         by_tag, bytes_by_tag = self.messages_by_tag, self.bytes_by_tag
         with self._lock:
             self.messages_sent += 1
             self.bytes_sent += nbytes
             by_tag[tag] = by_tag.get(tag, 0) + 1
             bytes_by_tag[tag] = bytes_by_tag.get(tag, 0) + nbytes
-            if dest is not None:
-                by_peer, bytes_by_peer = self.messages_by_peer, self.bytes_by_peer
-                by_peer[dest] = by_peer.get(dest, 0) + 1
-                bytes_by_peer[dest] = bytes_by_peer.get(dest, 0) + nbytes
+            by_peer, bytes_by_peer = self.messages_by_peer, self.bytes_by_peer
+            by_peer[dest] = by_peer.get(dest, 0) + 1
+            bytes_by_peer[dest] = bytes_by_peer.get(dest, 0) + nbytes
 
     def onnode_fraction(self, rank: int, ranks_per_node: int) -> float:
         """Fraction of this rank's messages that would stay on-node if
@@ -250,3 +216,11 @@ class CommStats:
             self.bytes_by_peer[peer] = self.bytes_by_peer.get(peer, 0) + n
         for name, n in other.counters.items():
             self.counters[name] = self.counters.get(name, 0) + n
+
+
+def total_stats(stats: Iterable[CommStats]) -> CommStats:
+    """Every rank's ledger in ``stats`` folded into a new one."""
+    total = CommStats()
+    for s in stats:
+        total.merge(s)
+    return total

@@ -144,13 +144,11 @@ class World:
             self.build_stack(comm), tiles, _OracleProtocol(self.global_table)
         )
 
-    def resolve(self, comm, ids, record_stats=True):
+    def resolve(self, comm, ids):
         """``ids`` as the k-mer side of one lookup round (an empty tile
         side): the stack and the counts."""
         pair = self.build_pair(comm, CountHash())
-        counts, _ = pair.pair_counts(
-            ids, np.empty(0, dtype=np.uint64), record_stats=record_stats
-        )
+        counts, _ = pair.pair_counts(ids, np.empty(0, dtype=np.uint64))
         return pair.kmers, counts
 
     def ladder(self, comm, ids):
@@ -248,17 +246,6 @@ def test_stack_matches_legacy_ladder(case):
         assert hits + misses == requests
         assert hits == int(resolved_per_tier[index])
         assert stats.get(f"lookup_{name}_bytes") == 12 * hits
-
-
-@settings(max_examples=60, deadline=None)
-@given(worlds())
-def test_record_stats_false_is_silent(case):
-    world, query = case
-    comm = _Comm(world.rank, world.nranks)
-    ids = np.asarray(query, dtype=np.uint64)
-    _, counts = world.resolve(comm, ids, record_stats=False)
-    assert np.array_equal(counts, world.oracle(ids))
-    assert comm.stats.counters == {}
 
 
 @settings(max_examples=60, deadline=None)

@@ -128,6 +128,21 @@ class TestRankCounts:
         make(config_mod, group2, 4)
 
 
+def test_session_driver_is_a_plain_service_loop():
+    """``ParallelSession`` keeps no fleet of its own between calls and
+    hands back the service's record type: no second run record, no
+    fleet-leak guard."""
+    import repro.parallel
+    from repro.service import ServiceRunResult
+
+    for name in ("close", "__enter__", "__exit__"):
+        assert not hasattr(ParallelSession, name)
+    assert not hasattr(repro.parallel, "SessionRunResult")
+    assert ParallelSession.run.__annotations__["return"] in (
+        ServiceRunResult, "ServiceRunResult"
+    )
+
+
 class TestResultAccessors:
     @pytest.fixture(scope="class")
     def result(self, dataset_mod, config_mod):

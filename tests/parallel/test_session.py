@@ -19,7 +19,7 @@ from repro.bench.harness import small_scale
 from repro.config import ReptileConfig
 from repro.core.corrector import ReptileCorrector
 from repro.core.spectrum import LocalSpectrumView, build_spectra
-from repro.faults import CrashFault, FaultPlan
+from repro.faults import CrashedRank, CrashFault, FaultPlan
 from repro.io.partition import slice_bounds
 from repro.io.records import ReadBlock
 from repro.parallel.driver import ParallelReptile, ParallelSession
@@ -92,7 +92,10 @@ class TestBitIdentityMatrix:
             scale.config, HeuristicConfig(), nranks=4,
             engine="cooperative", faults=plan,
         ).run([IngestOp(block), CorrectOp(block)])
-        assert out.crashed_ranks == [2]
+        # The service's one crashed-rank form: a CrashedRank sentinel in
+        # the rank's slot, its number in a tuple.
+        assert out.crashed_ranks == (2,)
+        assert isinstance(out.rank_reports[2], CrashedRank)
         merged = out.result_for(0).corrected_block
         assert np.array_equal(merged.ids, np.sort(block.ids))
         assert np.array_equal(merged.codes, classic_codes)

@@ -9,18 +9,29 @@ into the run report.
 """
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
 
 from repro.bench.harness import small_scale
-from repro.errors import ConfigError, ServiceError, ServiceOverloadError
+from repro.errors import (
+    ConfigError,
+    ServiceError,
+    ServiceOverloadError,
+    SessionError,
+)
 from repro.faults import CrashFault, FaultPlan
 from repro.io.records import ReadBlock
 from repro.parallel.driver import ParallelReptile, ParallelSession
 from repro.parallel.heuristics import HeuristicConfig
 from repro.parallel.session import CorrectOp, IngestOp
-from repro.service import ServiceExecutor, ServicePolicy, SpectrumService
+from repro.service import (
+    ServiceExecutor,
+    ServicePolicy,
+    ServiceRunResult,
+    SpectrumService,
+)
 from repro.simmpi.message import Tags
 
 
@@ -402,3 +413,61 @@ class TestAccountingAndLifecycle:
                 executor.await_result(executor.ingest(scale.dataset.block))
         finally:
             executor.shutdown()
+
+
+def fleet_threads():
+    """The service fleet threads alive now."""
+    return {
+        t for t in threading.enumerate() if t.name == "repro-service-fleet"
+    }
+
+
+class TestSessionDriverRecord:
+    """``ParallelSession`` is a plain loop over ``SpectrumService``: it
+    returns the service's own run record and leaves no fleet behind."""
+
+    def test_session_and_direct_client_return_one_record(self, scale):
+        block = scale.dataset.block
+        out = ParallelSession(
+            scale.config, HeuristicConfig(), nranks=4
+        ).run([IngestOp(block), CorrectOp(block)])
+        service = SpectrumService(
+            scale.config, 4, heuristics=HeuristicConfig()
+        )
+
+        async def drive():
+            async with service:
+                await service.ingest(block)
+                await service.correct(block)
+
+        asyncio.run(drive())
+        record = service.result
+        assert type(out) is type(record) is ServiceRunResult
+        assert out.n_correct_ops == record.n_correct_ops == 1
+        assert out.crashed_ranks == record.crashed_ranks == ()
+        got = out.result_for(0).corrected_block
+        want = record.result_for(0).corrected_block
+        for field in ("ids", "codes", "lengths", "quals"):
+            np.testing.assert_array_equal(
+                getattr(got, field), getattr(want, field)
+            )
+
+    def test_failed_op_raises_the_fleet_error_and_stops_the_fleet(
+        self, scale, tmp_path
+    ):
+        """A fleet that dies (here: resuming from a checkpoint that is
+        not there) fails the op with its own error; an op the driver
+        refuses while the fleet is serving raises too.  Either way the
+        run's ``async with`` has shut the fleet down before ``run``
+        returns."""
+        before = fleet_threads()
+        session = ParallelSession(scale.config, HeuristicConfig(), nranks=4)
+        block = scale.dataset.block
+        with pytest.raises(FileNotFoundError, match=r"rank\d+\.npz"):
+            session.run(
+                [CorrectOp(block)], resume_dir=str(tmp_path / "missing")
+            )
+        assert fleet_threads() <= before
+        with pytest.raises(SessionError, match="unknown session op"):
+            session.run([IngestOp(block), "not an op"])
+        assert fleet_threads() <= before

@@ -77,8 +77,8 @@ class TestPeerAccounting:
         from repro.simmpi.instrument import CommStats
 
         a, b = CommStats(), CommStats()
-        a.record_send(1, None, dest=5)
-        b.record_send(1, None, dest=5)
-        b.record_send(1, None, dest=6)
+        a.record_send(1, 5, 8)
+        b.record_send(1, 5, 8)
+        b.record_send(1, 6, 8)
         a.merge(b)
         assert a.messages_by_peer == {5: 2, 6: 1}
