@@ -293,7 +293,7 @@ def cmd_correct(args: argparse.Namespace) -> int:
           f"({result.total_corrections} substitutions) -> {args.output}")
     if result.crashed_ranks:
         print(f"recovered from injected crash of rank(s) "
-              f"{result.crashed_ranks}")
+              f"{list(result.crashed_ranks)}")
     if args.report:
         from repro.parallel.report import write_run_report
 

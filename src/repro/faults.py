@@ -3,8 +3,8 @@
 The paper's distributed Step IV assumes every remote k-mer/tile lookup
 is eventually answered; at BG/Q scale that assumption is the first thing
 a real deployment loses.  This module makes the loss reproducible: a
-picklable :class:`FaultPlan` scripts frame-level faults (drop, corrupt,
-duplicate, delay) plus rank-level faults (scripted crashes and stalls),
+picklable :class:`FaultPlan` scripts frame-level faults (drop, duplicate,
+delay) plus rank-level faults (scripted crashes and stalls),
 and a :class:`FaultInjector` applies them at the transport boundary so
 the *same* chaos replays on the cooperative, threaded, and process
 engines.
@@ -62,7 +62,7 @@ from repro.simmpi import wire
 from repro.simmpi.message import REQUEST_TAGS, Tags
 from repro.simmpi.transport import Transport
 
-#: Tags the injector may drop/corrupt/duplicate/delay — Step IV's
+#: Tags the injector may drop/duplicate/delay — Step IV's
 #: lookup plane: the count requests and their answers.  Everything else
 #: (DONE, SHUTDOWN, REPLICA, service control, collectives — all of Step
 #: III) is delivered reliably.
@@ -104,14 +104,13 @@ class FaultPlan:
 
     seed: int = 0
     drop_rate: float = 0.0
-    corrupt_rate: float = 0.0
     duplicate_rate: float = 0.0
     delay_rate: float = 0.0
     #: How many transport events (enqueues + polls) a delayed frame is
     #: held back before being flushed.
     delay_events: int = 3
-    #: Cap on losses (drops + corruptions) per distinct frame content;
-    #: None means uncapped (such plans may not be survivable).
+    #: Cap on drops per distinct frame content; None means uncapped
+    #: (such plans may not be survivable).
     max_drops_per_frame: int | None = 2
     crashes: tuple[CrashFault, ...] = ()
     stalls: tuple[StallFault, ...] = ()
@@ -136,8 +135,8 @@ class FaultPlan:
     @property
     def has_frame_faults(self) -> bool:
         return (
-            self.drop_rate > 0 or self.corrupt_rate > 0
-            or self.duplicate_rate > 0 or self.delay_rate > 0
+            self.drop_rate > 0 or self.duplicate_rate > 0
+            or self.delay_rate > 0
         )
 
     @property
@@ -165,7 +164,7 @@ class FaultPlan:
     def validate(self, nranks: int) -> None:
         """Reject plans the runtime cannot honor on ``nranks`` ranks."""
         _numbers(self, ("seed", "delay_events", "max_retries"), (
-            "drop_rate", "corrupt_rate", "duplicate_rate", "delay_rate",
+            "drop_rate", "duplicate_rate", "delay_rate",
             "base_timeout_s", "backoff",
         ))
         if self.max_drops_per_frame is not None:
@@ -176,7 +175,6 @@ class FaultPlan:
             _numbers(stall, ("rank", "after_events"), ("seconds",))
         rates = {
             "drop_rate": self.drop_rate,
-            "corrupt_rate": self.corrupt_rate,
             "duplicate_rate": self.duplicate_rate,
             "delay_rate": self.delay_rate,
         }
@@ -232,7 +230,6 @@ class FaultPlan:
         out = {
             "seed": self.seed,
             "drop_rate": self.drop_rate,
-            "corrupt_rate": self.corrupt_rate,
             "duplicate_rate": self.duplicate_rate,
             "delay_rate": self.delay_rate,
             "delay_events": self.delay_events,
@@ -341,8 +338,8 @@ class FaultInjector:
         self._lock = threading.Lock()
         #: (dest, frame digest) -> times this exact frame was offered.
         self._occurrence: dict[tuple[int, bytes], int] = {}
-        #: frame digest -> losses (drops + corruptions) applied so far.
-        self._losses: dict[bytes, int] = {}
+        #: frame digest -> drops applied so far.
+        self._drops: dict[bytes, int] = {}
         #: Transport activity counter driving delayed-frame release.
         self._events = 0
         self._delayed: list[tuple[int, int, bytes]] = []
@@ -364,8 +361,8 @@ class FaultInjector:
     # ------------------------------------------------------------------
     def decide(self, dest: int, frame: bytes) -> str:
         """The fate of one offered frame: ``pass``, ``drop``,
-        ``corrupt``, ``duplicate``, or ``delay`` (deterministic in the
-        plan seed and the frame's content/occurrence)."""
+        ``duplicate``, or ``delay`` (deterministic in the plan seed and
+        the frame's content/occurrence)."""
         plan = self.plan
         if not plan.has_frame_faults:
             return "pass"
@@ -388,25 +385,18 @@ class FaultInjector:
         verdict = "pass"
         if u < edge:
             verdict = "drop"
-        elif u < (edge := edge + plan.corrupt_rate):
-            verdict = "corrupt"
         elif u < (edge := edge + plan.duplicate_rate):
             verdict = "duplicate"
         elif u < edge + plan.delay_rate:
             verdict = "delay"
-        if verdict in ("drop", "corrupt"):
+        if verdict == "drop":
             cap = plan.max_drops_per_frame
             with self._lock:
-                lost = self._losses.get(digest, 0)
+                lost = self._drops.get(digest, 0)
                 if cap is not None and lost >= cap:
                     return "pass"
-                self._losses[digest] = lost + 1
+                self._drops[digest] = lost + 1
         return verdict
-
-    def corrupt(self, frame: bytes) -> bytes:
-        """A detectably-corrupted copy of the frame (magic byte flipped,
-        so any decode attempt raises WireFormatError)."""
-        return bytes([frame[0] ^ 0xFF]) + frame[1:]
 
     def defer(self, dest: int, frame: bytes) -> None:
         """Hold a delayed frame until ``delay_events`` more transport
@@ -519,10 +509,10 @@ class FaultyTransport(Transport):
 
     Only wraps when a plan is active — fault-free runs never construct
     one, so the hot path stays untouched.  ``enqueue`` returns None for
-    undelivered frames (dropped/corrupted/delayed); the engines tolerate
-    that.  ``on_deliver`` is an engine hook invoked for frames released
-    from the delay buffer, so a receiver blocked on exactly that frame
-    is woken (re-armed/notified) the way a direct deposit would.
+    undelivered frames (dropped/delayed); the engines tolerate that.
+    ``on_deliver`` is an engine hook invoked for frames released from
+    the delay buffer, so a receiver blocked on exactly that frame is
+    woken (re-armed/notified) the way a direct deposit would.
     """
 
     def __init__(self, inner: Transport, injector: FaultInjector) -> None:
@@ -544,12 +534,6 @@ class FaultyTransport(Transport):
             out = self.inner.enqueue(dest, frame)
         elif verdict == "drop":
             inj.record(source, "frames_dropped")
-        elif verdict == "corrupt":
-            # A corrupted frame (:meth:`FaultInjector.corrupt`) fails
-            # frame validation at any receiver, so it is charged and
-            # discarded here rather than poisoning the inner transport's
-            # decode path.
-            inj.record(source, "frames_corrupted")
         elif verdict == "duplicate":
             out = self.inner.enqueue(dest, frame)
             self.inner.enqueue(dest, frame)

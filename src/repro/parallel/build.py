@@ -68,9 +68,6 @@ class RankSpectra:
     tiles: CountHash | SortedSpectrum = field(default_factory=CountHash)
     reads_kmers: CountHash | None = None
     reads_tiles: CountHash | None = None
-    #: True when `kmers`/`tiles` hold the full spectrum (replicated).
-    kmers_replicated: bool = False
-    tiles_replicated: bool = False
     #: Partial replication: the consecutive owners the local group
     #: tables cover.
     group_ranks: range = range(0)
@@ -139,10 +136,8 @@ def apply_replication(
     """Allgather (full) and group (partial) spectrum replication."""
     if heuristics.allgather_kmers:
         spectra.kmers = _allgather(comm, spectra.kmers)
-        spectra.kmers_replicated = True
     if heuristics.allgather_tiles:
         spectra.tiles = _allgather(comm, spectra.tiles)
-        spectra.tiles_replicated = True
 
     g = heuristics.replication_group
     if g > 1:

@@ -121,7 +121,7 @@ def _correct_report(
 
 def _with_placeholders(
     reports: list[RankReport | None],
-) -> tuple[list[RankReport], list[int]]:
+) -> tuple[list[RankReport], tuple[int, ...]]:
     """Stand an empty report in for every crashed rank (``None``).
 
     A crashed rank's reads live on in its recovery partner's block; an
@@ -130,7 +130,7 @@ def _with_placeholders(
     width = next(
         (r.block.max_length for r in reports if r is not None), 0
     )
-    crashed = [rank for rank, r in enumerate(reports) if r is None]
+    crashed = tuple(rank for rank, r in enumerate(reports) if r is None)
     return [
         r if r is not None else _uncorrected_report(
             rank, ReadBlock.empty(width), {}, RankMemoryReport(rank=rank), {}
@@ -209,7 +209,7 @@ class ParallelRunResult:
     #: Ranks killed by the active fault plan (their reports are empty
     #: placeholders; the reads they owned appear in their recovery
     #: partner's block instead).
-    crashed_ranks: list[int] = field(default_factory=list)
+    crashed_ranks: tuple[int, ...] = ()
     _corrected: ReadBlock | None = field(default=None, repr=False)
 
     @property

@@ -355,8 +355,6 @@ class CorrectionSession:
                     self.raw_tiles, config.tile_threshold,
                     hashed=whole or heuristics.allgather_tiles,
                 ),
-                kmers_replicated=whole,
-                tiles_replicated=whole,
             )
             self._note_peak(serving.kmers, serving.tiles)
             if not self.retain_raw:

@@ -22,16 +22,15 @@ backend verbs:
   ``run_report``'s ``service`` section.
 
 The split (see ``docs/SERVICE.md``): :class:`SpectrumService` is the
-asyncio front-end; :class:`ServiceExecutor` owns the backend fleet — a
-background ``run_spmd`` of the persistent :class:`ServingProgram`
-serving loop, commands relayed in-band by rank 0 — and everything below
-the front-end touches spectrum state only through the
+asyncio front-end and drives the backend fleet itself — a background
+``run_spmd`` of the persistent :class:`ServingProgram` serving loop,
+fed through two queues, its commands relayed in-band by rank 0 — and
+everything below the front-end touches spectrum state only through the
 :class:`~repro.parallel.session.CorrectionSession` verbs (lint rule
 MPI012 enforces this statically).
 """
 
 from repro.errors import ServiceError, ServiceOverloadError
-from repro.service.executor import ServiceExecutor
 from repro.service.frontend import (
     ServiceReport,
     ServiceRunResult,
@@ -50,7 +49,6 @@ __all__ = [
     "SERVICE_CMD_TAG",
     "SERVICE_RESULT_TAG",
     "ServiceError",
-    "ServiceExecutor",
     "ServiceOverloadError",
     "ServicePolicy",
     "ServiceReport",

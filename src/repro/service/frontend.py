@@ -25,6 +25,9 @@ this).
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
+import queue
+import threading
 from dataclasses import dataclass
 from typing import Any
 
@@ -45,13 +48,18 @@ from repro.parallel.driver import (
 )
 from repro.parallel.heuristics import HeuristicConfig
 from repro.parallel.session import SessionRankReport
-from repro.service.executor import ServiceExecutor
 from repro.service.jobqueue import Job, JobQueue, ServicePolicy
+from repro.service.program import ServingProgram
+from repro.simmpi.engine import ProcessEngine, run_spmd
 from repro.simmpi.instrument import (
     SERVICE_COUNTERS,
     SESSION_COUNTERS,
     CommStats,
 )
+
+#: How often a blocked wait for an answer wakes to check that the fleet
+#: is alive.
+_POLL_SECONDS = 0.2
 
 
 @dataclass(frozen=True)
@@ -150,7 +158,7 @@ class ServiceRunResult:
             stats=self.stats,
             config=self.config,
             heuristics=self.heuristics,
-            crashed_ranks=list(self.crashed_ranks),
+            crashed_ranks=self.crashed_ranks,
         )
 
     def session_totals(self) -> dict[str, int]:
@@ -201,7 +209,13 @@ class SpectrumService:
         self.policy = policy or ServicePolicy()
         self.resume_dir = resume_dir
         self._queue = JobQueue(self.policy)
-        self._executor: ServiceExecutor | None = None
+        #: The fleet thread, its two queues, and what its run ended in.
+        self._fleet: threading.Thread | None = None
+        self._commands: Any = None
+        self._answers: Any = None
+        self._outcome = None
+        self._error: BaseException | None = None
+        self._seq = 0
         self._drainer: asyncio.Task | None = None
         self._closed = False
         self._result: ServiceRunResult | None = None
@@ -216,22 +230,51 @@ class SpectrumService:
     # lifecycle
     # ------------------------------------------------------------------
     def open(self) -> "SpectrumService":
-        """Start the backend fleet (idempotent; implied by submission)."""
+        """Start the backend fleet (idempotent; implied by submission).
+
+        The fleet is one ``run_spmd`` of :class:`ServingProgram` on a
+        background thread.  The process engine ships the program to each
+        child through ``Process(args=...)``, the supported way to move a
+        spawn-context ``multiprocessing.Queue`` across the boundary; the
+        in-process engines share plain thread queues."""
         if self._closed:
             raise ServiceError("the service is closed")
-        if self._executor is None:
-            self._executor = ServiceExecutor(
-                self.config, self.heuristics, self.nranks,
-                engine=self.engine,
-                verify=self.verify,
-                faults=self.faults,
+        if self._fleet is None:
+            process = self.engine == "process" or isinstance(
+                self.engine, ProcessEngine
+            )
+            make_queue = (
+                multiprocessing.get_context("spawn").Queue
+                if process else queue.Queue
+            )
+            self._commands, self._answers = make_queue(), make_queue()
+            program = ServingProgram(
+                config=self.config,
+                heuristics=self.heuristics,
+                commands=self._commands,
+                answers=self._answers,
                 resume_dir=self.resume_dir,
             )
+            self._fleet = threading.Thread(
+                target=self._serve, args=(program,),
+                name="repro-service-fleet", daemon=True,
+            )
+            self._fleet.start()
         return self
+
+    def _serve(self, program: ServingProgram) -> None:
+        """The fleet thread: run the serving program to its shutdown."""
+        try:
+            self._outcome = run_spmd(
+                program, self.nranks,
+                engine=self.engine, verify=self.verify, faults=self.faults,
+            )
+        except BaseException as exc:  # surfaced by _call / _stop
+            self._error = exc
 
     @property
     def is_open(self) -> bool:
-        return self._executor is not None and not self._closed
+        return self._fleet is not None and not self._closed
 
     async def __aenter__(self) -> "SpectrumService":
         return self.open()
@@ -243,16 +286,17 @@ class SpectrumService:
         """Drain pending rounds, stop the fleet, return the run record.
 
         Idempotent (later calls return the same result).  ``None`` only
-        when the fleet was never started."""
+        when the fleet was never started.  A serving run that failed
+        re-raises the fleet's error, its original type intact."""
         if self._closed:
             return self._result
         self._closed = True
         if self._drainer is not None:
             await self._drainer
-        if self._executor is None:
+        if self._fleet is None:
             return None
         loop = asyncio.get_running_loop()
-        outcome = await loop.run_in_executor(None, self._executor.shutdown)
+        outcome = await loop.run_in_executor(None, self._stop)
         report = self.report
         for name, value in report.as_counters().items():
             outcome.stats[0].bump(name, value)
@@ -269,6 +313,44 @@ class SpectrumService:
             heuristics=self.heuristics,
         )
         return self._result
+
+    def _stop(self):
+        """Stop the fleet and return its :class:`SpmdResult` (blocking)."""
+        if self._fleet.is_alive():
+            self._commands.put(("shutdown",))
+        self._fleet.join()
+        if self._error is not None:
+            raise self._error
+        return self._outcome
+
+    def _call(self, kind: str, *payload):
+        """Send one command to rank 0 and block for its answer (blocking).
+
+        Polls the answer queue so a fleet that died mid-command turns
+        into the original exception instead of a hang.  Commands are
+        answered in order and sent one at a time (one drainer runs
+        them), so an answer to any other command is a protocol bug and
+        raises :class:`~repro.errors.ServiceError`."""
+        self._seq += 1
+        seq = self._seq
+        self._commands.put((kind, seq, *payload))
+        while True:
+            try:
+                got, answer = self._answers.get(timeout=_POLL_SECONDS)
+            except queue.Empty:
+                if not self._fleet.is_alive():
+                    if self._error is not None:
+                        raise self._error
+                    raise ServiceError(
+                        f"the fleet exited without answering command "
+                        f"{seq}"
+                    )
+                continue
+            if got != seq:
+                raise ServiceError(
+                    f"awaited the answer to command {seq}, got {got}'s"
+                )
+            return answer
 
     @property
     def result(self) -> ServiceRunResult | None:
@@ -376,14 +458,12 @@ class SpectrumService:
 
     def _run_round(self, jobs: list[Job]) -> list:
         """Execute one collective round (blocking; executor thread)."""
-        executor = self._executor
-        assert executor is not None
         head = jobs[0]
         if head.kind == "ingest":
-            executor.await_result(executor.ingest(head.block))
+            self._call("ingest", *head.block.to_wire())
             return [None]
         if head.kind == "checkpoint":
-            executor.await_result(executor.checkpoint(head.directory))
+            self._call("checkpoint", head.directory)
             return [None]
         # A correct round: coalesce every job into one collective
         # correct under fresh sequential ids, then split the id-ordered
@@ -404,7 +484,7 @@ class SpectrumService:
             merged.ids = np.arange(1, len(merged) + 1, dtype=np.int64)
             self._coalesced += len(jobs)
         self._rounds += 1
-        payload = executor.await_result(executor.correct(merged))
+        payload = self._call("correct", *merged.to_wire())
         ids, codes, lengths, quals, corrections, reverted, examined, below = (
             payload
         )

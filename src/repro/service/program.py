@@ -4,10 +4,10 @@ One :class:`ServingProgram` is the whole backend fleet: ``run_spmd``
 runs it on every rank, and it serves commands until told to shut down.
 The control path is deliberately in-band:
 
-* the **channel** (:class:`CommandChannel`, over thread queues
-  in-process or spawn-safe ones across the process engine's boundary)
-  carries commands from the front-end to *rank 0 only* — it is the one
-  rank that talks to the outside world;
+* two **queues** (thread queues in-process, spawn-context
+  ``multiprocessing`` ones across the process engine's boundary) carry
+  commands from the front-end to *rank 0 only* and its answers back —
+  it is the one rank that talks to the outside world;
 * rank 0 **relays** each command as a normal tagged message
   (:data:`SERVICE_CMD_TAG`) — of an op's block, each rank is sent only
   the rows it holds — so command delivery obeys the same transport,
@@ -28,7 +28,7 @@ A correct round runs on its window: its ranks correct, terminate among
 themselves (DONE/SHUTDOWN rooted at the window's first rank; a one-rank
 window sends no handshake frame), and each sends its slice to rank 0
 (:data:`SERVICE_RESULT_TAG`), which serves from its own pump until the
-slices are in, then posts the merged round up the channel.  Rank 0
+slices are in, then posts the merged round on the answer queue.  Rank 0
 takes slices for the whole round, its own correct included: when rank 0
 is a window rank but not its root, a peer the root released first may
 send its slice before the root's SHUTDOWN reaches rank 0.  Only a
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import queue
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -112,41 +112,6 @@ def merge_results(parts: list[tuple]) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# command channels
-# ----------------------------------------------------------------------
-class CommandChannel:
-    """Front-end <-> rank 0 command/result queues.
-
-    ``make_queue`` builds the two queues: :class:`queue.Queue` for the
-    in-process engines, a spawn-context ``multiprocessing.Queue`` for the
-    process engine, which ships the serving program (channel included)
-    to each child through ``Process(args=...)`` — the supported way to
-    move an ``mp.Queue`` across the spawn boundary."""
-
-    def __init__(self, make_queue: Callable[[], Any]) -> None:
-        self._commands = make_queue()
-        self._results = make_queue()
-
-    def submit(self, command: tuple) -> None:
-        """Front-end side: enqueue one command for rank 0."""
-        self._commands.put(command)
-
-    def next_command(self, timeout: float | None = None) -> tuple:
-        """Rank 0 side: the next command (raises ``queue.Empty`` when
-        none arrives within ``timeout`` seconds)."""
-        return self._commands.get(timeout=timeout)
-
-    def post_result(self, result: tuple) -> None:
-        """Rank 0 side: answer a command up the channel."""
-        self._results.put(result)
-
-    def next_result(self, timeout: float | None = None) -> tuple:
-        """Front-end side: next answer (raises ``queue.Empty`` on
-        timeout, so the caller can interleave liveness checks)."""
-        return self._results.get(timeout=timeout)
-
-
-# ----------------------------------------------------------------------
 # the serving loop
 # ----------------------------------------------------------------------
 @dataclass
@@ -160,28 +125,31 @@ class ServingProgram:
     * ``("checkpoint", seq, directory)``
     * ``("shutdown",)``
 
-    That is what the channel carries.  On the relay a block command
-    becomes ``(kind, seq, parts, first, ids, codes, lengths, quals)``:
-    the op's window — ``parts`` ranks from rank ``first``
+    That is what the command queue carries.  On the relay a block
+    command becomes ``(kind, seq, parts, first, ids, codes, lengths,
+    quals)``: the op's window — ``parts`` ranks from rank ``first``
     (:meth:`_window`) — and only the rows the receiving rank holds
     (:meth:`_relay`).  A correct goes to its window's ranks alone; every
-    other command to every rank.  When the channel stays quiet, rank 0
-    relays ``("idle",)`` instead (see :meth:`_next_command`).
+    other command to every rank.  When the command queue stays quiet,
+    rank 0 relays ``("idle",)`` instead (see :meth:`_next_command`).
 
     A rank waits for its next command in its Step IV pump
     (:meth:`_await`), serving every lookup that reaches it, so a rank
     outside a round's window is a pure server for that round and books
     no op for it.
 
-    Every command is acknowledged up the channel as ``(seq, payload)``
-    once rank 0 has completed it (``payload`` is the merged round for a
+    Every command is acknowledged on the answer queue as ``(seq,
+    payload)`` once rank 0 has completed it (``payload`` is the merged round for a
     correct, else ``None``); shutdown is acknowledged by the
     fleet's ``run_spmd`` return value itself — each rank's
     :class:`~repro.parallel.session.SessionRankReport`."""
 
     config: ReptileConfig
     heuristics: HeuristicConfig
-    channel: Any
+    #: Front-end -> rank 0: the commands, read by rank 0 alone.
+    commands: Any
+    #: Rank 0 -> front-end: one ``(seq, payload)`` answer a command.
+    answers: Any
     resume_dir: str | None = None
 
     def __call__(self, comm: Communicator) -> SessionRankReport:
@@ -231,11 +199,11 @@ class ServingProgram:
                         f"{comm.rank}"
                     )
                 if comm.rank == 0 and kind != "correct":
-                    self.channel.post_result((seq, None))
+                    self.answers.put((seq, None))
             return runner.report()
 
     def _next_command(self, comm: Communicator) -> tuple:
-        """Rank 0: the channel's next command, or ``("idle",)`` when none
+        """Rank 0: the next queued command, or ``("idle",)`` when none
         comes within half the fleet's receive timeout.
 
         The peers wait in a receive meanwhile; relaying the no-op to
@@ -243,8 +211,8 @@ class ServingProgram:
         It runs no op, so the placement window stays put."""
         timeout = comm.receive_timeout
         try:
-            return self.channel.next_command(
-                None if timeout is None else timeout / 2
+            return self.commands.get(
+                timeout=None if timeout is None else timeout / 2
             )
         except queue.Empty:
             return ("idle",)
@@ -351,9 +319,9 @@ class ServingProgram:
         send its slice while rank 0 still pumps in its own round — and
         serves from its pump until every live window peer's slice is in
         (ranks the fault plan dooms are skipped: their partners' slices
-        carry their replayed reads), then merges and answers the
-        channel.  That gather is also what makes the next relay safe:
-        every window rank has left its round first."""
+        carry their replayed reads), then merges and answers on the
+        answer queue.  That gather is also what makes the next relay
+        safe: every window rank has left its round first."""
         comm = runner.comm
         parts, first = int(cmd[2]), int(cmd[3])
         window = tuple((first + i) % comm.size for i in range(parts))
@@ -383,13 +351,12 @@ class ServingProgram:
                 protocol.pump(block=True)
         for msg in arrived:
             slices[msg.source] = msg.payload
-        self.channel.post_result(
+        self.answers.put(
             (seq, merge_results([slices[r] for r in sorted(slices)]))
         )
 
 
 __all__ = [
-    "CommandChannel",
     "SERVICE_CMD_TAG",
     "SERVICE_RESULT_TAG",
     "ServingProgram",

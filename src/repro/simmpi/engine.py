@@ -133,7 +133,7 @@ class Engine:
             if world.error is not None:
                 raise world.error
             # enqueue returns None when a fault injector swallowed the
-            # frame (dropped / corrupted / delayed): nothing to match.
+            # frame (dropped / delayed): nothing to match.
             self._delivered(world, dest, world.transport.enqueue(dest, frame))
 
     def deliver(self, world: _World, rank: int, dest: int, msg: Message) -> None:
@@ -745,7 +745,7 @@ def run_spmd(
         if verify and not faults.stall_only:
             raise CommunicatorError(
                 "verify=True audits that every send is matched, which a "
-                "FaultPlan that drops, corrupts, duplicates, delays, or "
+                "FaultPlan that drops, duplicates, delays, or "
                 "crashes violates by design; only stall-only plans can be "
                 "verified"
             )

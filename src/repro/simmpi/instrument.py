@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 #: bumped only when a :class:`~repro.faults.FaultPlan` is active; see
 #: ``docs/FAULTS.md`` for the full glossary):
 #:
-#: * ``frames_dropped`` / ``frames_corrupted`` / ``frames_duplicated`` /
-#:   ``frames_delayed`` — injector verdicts, charged to the sender.
+#: * ``frames_dropped`` / ``frames_duplicated`` / ``frames_delayed`` —
+#:   injector verdicts, charged to the sender.
 #: * ``lookup_retries`` — resilient lookup rounds re-sent after a
 #:   timeout; ``lookup_timeouts`` — deadlines that expired (each timeout
 #:   that still has budget left becomes a retry).
@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 #:   held ward replica, whether asked over the wire or by itself.
 RESILIENCE_COUNTERS = (
     "frames_dropped",
-    "frames_corrupted",
     "frames_duplicated",
     "frames_delayed",
     "lookup_retries",

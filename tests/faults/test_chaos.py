@@ -36,7 +36,7 @@ class TestEightRankChaos:
         # Zero silent losses: the merged block holds exactly the input
         # ids, and every read matches the fault-free reference.
         assert_identical(result, serial_reference, scale)
-        assert result.crashed_ranks == [2]
+        assert result.crashed_ranks == (2,)
 
         total = totals(result)
         assert total.get("frames_dropped") > 0

@@ -42,8 +42,7 @@ class TestDeterminism:
         """Two injectors with the same plan make identical decisions —
         the process engine's per-child equivalence argument."""
         plan = FaultPlan(
-            seed=13, drop_rate=0.2, corrupt_rate=0.1,
-            duplicate_rate=0.1, delay_rate=0.1,
+            seed=13, drop_rate=0.2, duplicate_rate=0.1, delay_rate=0.1,
             max_drops_per_frame=None,
         )
         a = FaultInjector(plan, NRANKS)
@@ -52,9 +51,7 @@ class TestDeterminism:
         verdicts_a = [a.decide(dest, f) for dest, f in frames]
         verdicts_b = [b.decide(dest, f) for dest, f in frames]
         assert verdicts_a == verdicts_b
-        assert set(verdicts_a) == {
-            "pass", "drop", "corrupt", "duplicate", "delay"
-        }
+        assert set(verdicts_a) == {"pass", "drop", "duplicate", "delay"}
 
     def test_seed_changes_decisions(self):
         frames = [(1, _frame(i)) for i in range(300)]
@@ -124,17 +121,6 @@ class TestFaultyTransport:
         t.enqueue(2, _frame(5))
         assert len(t.inner.boxes[2]) == 2
         assert inj.counts == {"frames_duplicated": 1}
-
-    def test_corrupt_is_detectable_and_discarded(self):
-        t, inj = _wrapped(
-            FaultPlan(seed=0, corrupt_rate=1.0, max_drops_per_frame=1)
-        )
-        t.enqueue(1, _frame(9))
-        assert len(t.inner.boxes[1]) == 0
-        assert inj.counts == {"frames_corrupted": 1}
-        # The mangled copy must fail decoding, not deliver garbage.
-        with pytest.raises(Exception):
-            wire.decode_frame(inj.corrupt(_frame(9)))
 
     def test_delay_holds_then_delivers(self):
         t, inj = _wrapped(

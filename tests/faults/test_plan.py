@@ -81,7 +81,7 @@ class TestValidate:
             dict(base_timeout_s=0.0),
             dict(backoff=0.5),
             dict(max_retries=-1),
-            dict(corrupt_rate=1.01),
+            dict(delay_rate=1.01),
             dict(stalls=(StallFault(rank=1, after_events=0),)),
             dict(crashes=(CrashFault(rank=0),)),  # coordinator is immortal
             dict(crashes=(CrashFault(rank=9),)),  # out of range
@@ -131,11 +131,13 @@ class TestValidate:
             FaultPlan.from_dict({fault: [fields]}).validate(4)
 
     @pytest.mark.parametrize(
-        "field, value", [("recovery", "spill"), ("spill_dir", "spill")]
+        "field, value",
+        [("recovery", "spill"), ("spill_dir", "spill"), ("corrupt_rate", 0.1)],
     )
     def test_rejects_removed_recovery_fields_by_name(self, field, value):
-        """Recovery is the in-memory partner replica only: a plan file
-        naming another recovery mode fails loudly, by field name."""
+        """Recovery is the in-memory partner replica only, and a lost
+        frame is a drop: a plan file naming another recovery mode or a
+        corrupt rate fails loudly, by field name."""
         assert field not in FaultPlan.__dataclass_fields__
         assert field not in FaultPlan().to_dict()
         with pytest.raises(ConfigError, match=field):
@@ -146,7 +148,6 @@ class TestRoundTrip:
     PLAN = FaultPlan(
         seed=42,
         drop_rate=0.07,
-        corrupt_rate=0.02,
         duplicate_rate=0.05,
         delay_rate=0.04,
         delay_events=5,

@@ -33,7 +33,7 @@ class TestPartnerRecovery:
             seed=1, crashes=(CrashFault(rank=1, after_events=4),)
         )
         result = run_plan(scale, plan, nranks=4)
-        assert result.crashed_ranks == [1]
+        assert result.crashed_ranks == (1,)
         assert_identical(result, serial_reference, scale)
         total = totals(result)
         assert total.get("crashes_injected") == 1
@@ -50,7 +50,7 @@ class TestPartnerRecovery:
             seed=2, crashes=(CrashFault(rank=3, after_events=4),)
         )
         result = run_plan(scale, plan, nranks=4)
-        assert result.crashed_ranks == [3]
+        assert result.crashed_ranks == (3,)
         assert_identical(result, serial_reference, scale)
 
     def test_crash_with_prefetch(self, scale, serial_reference):
@@ -60,7 +60,7 @@ class TestPartnerRecovery:
         result = run_plan(
             scale, plan, nranks=4, heuristics=HeuristicConfig(prefetch=True)
         )
-        assert result.crashed_ranks == [2]
+        assert result.crashed_ranks == (2,)
         assert_identical(result, serial_reference, scale)
 
     def test_ward_replay_is_chunk_size_invariant(self, scale, serial_reference):
@@ -75,7 +75,7 @@ class TestPartnerRecovery:
                 scale, config=dataclasses.replace(scale.config, chunk_size=chunk_size)
             )
             result = run_plan(sized, plan, nranks=4)
-            assert result.crashed_ranks == [1]
+            assert result.crashed_ranks == (1,)
             assert_identical(result, serial_reference, scale)
             ledgers.append((
                 result.counter_per_rank("takeover_reads").tolist(),
@@ -125,7 +125,7 @@ class TestReplicaAtTableWidth:
         tap = _ReplicaTap()
         plan = FaultPlan(seed=1, crashes=(CrashFault(rank=1, after_events=4),))
         result = run_plan(scale, plan, nranks=2, engine=tap)
-        assert result.crashed_ranks == [1]
+        assert result.crashed_ranks == (1,)
         assert_identical(result, serial_reference, scale)
 
         (frame,) = tap.frames
@@ -225,6 +225,6 @@ class TestProcessEngineCrash:
             seed=6, crashes=(CrashFault(rank=1, after_events=4),)
         )
         result = run_plan(scale, plan, nranks=2, engine="process")
-        assert result.crashed_ranks == [1]
+        assert result.crashed_ranks == (1,)
         assert_identical(result, serial_reference, scale)
         assert totals(result).get("takeover_reads") > 0

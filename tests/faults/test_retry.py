@@ -112,7 +112,7 @@ class TestNoPlanNoOverhead:
         ).run(scale.dataset.block)
         block = result.corrected_block
         assert np.array_equal(block.codes, serial_reference.block.codes)
-        assert result.crashed_ranks == []
+        assert result.crashed_ranks == ()
         for stats in result.stats:
             for name in ("frames_dropped", "lookup_retries",
                          "lookup_timeouts", "replicas_sent"):

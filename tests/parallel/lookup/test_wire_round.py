@@ -137,7 +137,7 @@ def _run(case, ordered):
             tiles=owned(tiles, (rank,), TSPACE),
         )
         if heuristics.allgather_kmers:
-            sp.kmers, sp.kmers_replicated = _table(kmers, KSPACE), True
+            sp.kmers = _table(kmers, KSPACE)
         if group > 1:
             sp.group_ranks = _group(rank, comm.size, group)
             sp.group_tiles = SortedSpectrum.from_counthash(

@@ -126,11 +126,9 @@ class TestReplication:
                 HeuristicConfig(allgather_kmers=True, allgather_tiles=tiles_too),
             )
             for sp in spectra_list:
-                assert sp.kmers_replicated
                 assert isinstance(sp.kmers, CountHash)
                 assert len(sp.kmers) == len(serial.kmers)
                 assert (sp.kmers.lookup(ref_k) == ref_c).all()
-                assert sp.tiles_replicated == tiles_too
             if tiles_too:
                 assert all(
                     (sp.tiles.lookup(ref_tk) == ref_tc).all()
@@ -255,7 +253,6 @@ class TestTableRoles:
         for sp in self._spectra(block_and_config, heuristics, nranks):
             for kind in ("kmers", "tiles"):
                 replicated = nranks == 1 or options.get(f"allgather_{kind}", False)
-                assert getattr(sp, f"{kind}_replicated") == replicated
                 owned = getattr(sp, kind)
                 assert type(owned) is (
                     CountHash if replicated else SortedSpectrum

@@ -70,7 +70,6 @@ class TestLookupLadder:
             keys = np.arange(300, dtype=np.uint64)
             sp.kmers = CountHash()
             _add(sp.kmers, keys)
-            sp.kmers_replicated = True
             view, proto = _view(
                 comm, HeuristicConfig(allgather_kmers=True), spectra=sp
             )

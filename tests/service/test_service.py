@@ -27,7 +27,6 @@ from repro.parallel.driver import ParallelReptile, ParallelSession
 from repro.parallel.heuristics import HeuristicConfig
 from repro.parallel.session import CorrectOp, IngestOp
 from repro.service import (
-    ServiceExecutor,
     ServicePolicy,
     ServiceRunResult,
     SpectrumService,
@@ -406,13 +405,13 @@ class TestAccountingAndLifecycle:
         """Commands are answered in order and awaited one at a time, so
         an answer carrying another sequence number is never stashed: it
         is a typed protocol error."""
-        executor = ServiceExecutor(scale.config, HeuristicConfig(), 4)
-        try:
-            executor.channel.post_result((7, None))
-            with pytest.raises(ServiceError, match="command 1, got 7"):
-                executor.await_result(executor.ingest(scale.dataset.block))
-        finally:
-            executor.shutdown()
+        async def drive():
+            async with SpectrumService(scale.config, 4) as service:
+                service._answers.put((7, None))
+                with pytest.raises(ServiceError, match="command 1, got 7"):
+                    await service.ingest(scale.dataset.block)
+
+        asyncio.run(drive())
 
 
 def fleet_threads():

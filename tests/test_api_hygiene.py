@@ -241,10 +241,10 @@ def test_every_rank_program_runs_its_ops_through_the_runner():
         path.relative_to(src).as_posix()
         for path in src.rglob("*.py") if launches(path)
     )
-    assert launchers == ["parallel/driver.py", "service/executor.py"]
+    assert launchers == ["parallel/driver.py", "service/frontend.py"]
     for module, program in (
         ("repro.parallel.driver", BatchProgram),
-        ("repro.service.executor", ServingProgram),
+        ("repro.service.frontend", ServingProgram),
     ):
         assert getattr(importlib.import_module(module), program.__name__) \
             is program
